@@ -480,7 +480,7 @@ func BenchmarkPerpetualMessageCodec(b *testing.B) {
 	share := perpetual.Share{Replica: 2, Auth: auth.Authenticator{Sender: auth.VoterID("t", 2)}}
 	for i := 0; i < 8; i++ {
 		share.Auth.Entries = append(share.Auth.Entries, auth.Entry{
-			Receiver: auth.DriverID("c", i), MAC: make([]byte, auth.MACSize),
+			Receiver: auth.DriverID("c", i),
 		})
 	}
 	m := &perpetual.Message{

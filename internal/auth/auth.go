@@ -87,6 +87,16 @@ func (id NodeID) String() string {
 	return id.Service + "/" + id.Role.String() + "/" + strconv.Itoa(id.Index)
 }
 
+// AppendTo appends the "service/role/index" form to dst: String for
+// encoders that write the id into a buffer they already hold.
+func (id NodeID) AppendTo(dst []byte) []byte {
+	dst = append(dst, id.Service...)
+	dst = append(dst, '/')
+	dst = append(dst, id.Role.String()...)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(id.Index), 10)
+}
+
 // ParseNodeID parses the "service/role/index" form produced by String.
 // It is called once per decoded frame and per authenticator entry, so
 // it avoids the allocations of strings.Split.
@@ -241,10 +251,24 @@ func newMACState(key Key) macState {
 	return st
 }
 
-// shaPool recycles SHA-256 digest objects for macState.mac: two fresh
-// digests per MAC would otherwise be the hot path's largest allocation
-// source.
-var shaPool = sync.Pool{New: func() any { return sha256.New() }}
+// macHasher is a SHA-256 digest together with the buffers one HMAC
+// needs, pooled as a unit. Arguments to hash.Hash methods escape (the
+// calls go through an interface), so a caller's stack buffer handed to
+// Write or Sum moves to the heap; staging the input through in and
+// writing both sums into out keeps every such argument inside this
+// already-heap object, and a MAC allocates nothing.
+type macHasher struct {
+	h   hash.Hash
+	u   encoding.BinaryUnmarshaler
+	in  [256]byte         // input staging; covers a digest or a raw-mode frame in one Write
+	out [sha256.Size]byte // inner sum, then the MAC
+}
+
+var macHasherPool = sync.Pool{New: func() any {
+	h := sha256.New()
+	u, _ := h.(encoding.BinaryUnmarshaler) // nil only if macState.valid() is false everywhere
+	return &macHasher{h: h, u: u}
+}}
 
 // MAC domains separate the contexts a pairwise key authenticates.
 // Without them, a MAC harvested in one context verifies in another
@@ -270,38 +294,52 @@ const (
 	numDomains = 4
 )
 
-// mac computes HMAC-SHA256 over domain||msg by resuming the
+// sum computes HMAC-SHA256 over domain||msg into m.out by resuming the
 // precomputed pad states. A zero domain reproduces plain HMAC(msg).
-func (st macState) mac(domain byte, msg []byte) []byte {
-	return st.appendMAC(nil, domain, msg)
+func (st *macState) sum(m *macHasher, domain byte, msg []byte) bool {
+	if domain >= numDomains || m.u == nil || m.u.UnmarshalBinary(st.inner[domain]) != nil {
+		return false
+	}
+	for len(msg) > 0 {
+		n := copy(m.in[:], msg)
+		m.h.Write(m.in[:n])
+		msg = msg[n:]
+	}
+	m.h.Sum(m.out[:0])
+	if m.u.UnmarshalBinary(st.outer) != nil {
+		return false
+	}
+	m.h.Write(m.out[:])
+	m.h.Sum(m.out[:0])
+	return true
 }
 
-// appendMAC is mac appending the result to dst, so callers assembling
-// wire frames write the MAC in place instead of allocating a 32-byte
-// result per signature (the busiest allocation on the send path).
-func (st macState) appendMAC(dst []byte, domain byte, msg []byte) []byte {
-	if domain >= numDomains {
+// appendMAC appends the MAC of domain||msg to dst, so callers
+// assembling wire frames or authenticator entries write it in place.
+// It returns nil if the MAC cannot be computed.
+func (st *macState) appendMAC(dst []byte, domain byte, msg []byte) []byte {
+	m := macHasherPool.Get().(*macHasher)
+	defer macHasherPool.Put(m)
+	if !st.sum(m, domain, msg) {
 		return nil
 	}
-	h := shaPool.Get().(hash.Hash)
-	defer shaPool.Put(h)
-	u, ok := h.(encoding.BinaryUnmarshaler)
-	if !ok || u.UnmarshalBinary(st.inner[domain]) != nil {
-		return nil
+	return append(dst, m.out[:]...)
+}
+
+// verify reports, in constant time, whether mac is the MAC of
+// domain||msg; ok is false if the MAC cannot be computed.
+func (st *macState) verify(domain byte, msg, mac []byte) (equal, ok bool) {
+	m := macHasherPool.Get().(*macHasher)
+	defer macHasherPool.Put(m)
+	if !st.sum(m, domain, msg) {
+		return false, false
 	}
-	h.Write(msg)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	if u.UnmarshalBinary(st.outer) != nil {
-		return nil
-	}
-	h.Write(sum[:])
-	return h.Sum(dst)
+	return hmac.Equal(m.out[:], mac), true
 }
 
 // valid reports whether precomputation succeeded (it can only fail if
 // the hash implementation stops supporting state marshaling).
-func (st macState) valid() bool { return st.inner[0] != nil && st.outer != nil }
+func (st *macState) valid() bool { return st.inner[0] != nil && st.outer != nil }
 
 // VerifyMAC reports whether mac is a valid MAC for msg under key, in
 // constant time.
@@ -385,7 +423,8 @@ type KeyStore struct {
 // keyStoreState is one immutable key-table snapshot.
 type keyStoreState struct {
 	keys   map[NodeID]Key
-	states map[NodeID]macState
+	states map[NodeID]*macState
+	gen    uint64 // SetKey calls that led to this snapshot
 }
 
 // NewKeyStore creates an empty key store for principal self.
@@ -393,7 +432,7 @@ func NewKeyStore(self NodeID) *KeyStore {
 	ks := &KeyStore{self: self}
 	ks.snap.Store(&keyStoreState{
 		keys:   make(map[NodeID]Key),
-		states: make(map[NodeID]macState),
+		states: make(map[NodeID]*macState),
 	})
 	return ks
 }
@@ -421,7 +460,8 @@ func (ks *KeyStore) SetKey(peer NodeID, key Key) {
 	cur := ks.snap.Load()
 	next := &keyStoreState{
 		keys:   make(map[NodeID]Key, len(cur.keys)+1),
-		states: make(map[NodeID]macState, len(cur.states)+1),
+		states: make(map[NodeID]*macState, len(cur.states)+1),
+		gen:    cur.gen + 1,
 	}
 	for k, v := range cur.keys {
 		next.keys[k] = v
@@ -430,9 +470,15 @@ func (ks *KeyStore) SetKey(peer NodeID, key Key) {
 		next.states[k] = v
 	}
 	next.keys[peer] = key
-	next.states[peer] = newMACState(key)
+	st := newMACState(key)
+	next.states[peer] = &st
 	ks.snap.Store(next)
 }
+
+// Generation counts the SetKey calls so far. A verification outcome is
+// only as current as the generation read before it was reached: callers
+// that cache outcomes compare generations to notice a key rotation.
+func (ks *KeyStore) Generation() uint64 { return ks.snap.Load().gen }
 
 // Key returns the pairwise key shared with peer.
 func (ks *KeyStore) Key(peer NodeID) (Key, error) {
@@ -467,9 +513,10 @@ func (ks *KeyStore) SignDomain(receiver NodeID, domain byte, msg []byte) ([]byte
 
 // AppendSignDomain is SignDomain appending the MAC to dst, letting
 // frame encoders write signatures in place (always MACSize bytes).
+// Neither dst nor msg is retained, and signing into a buffer with room
+// allocates nothing.
 func (ks *KeyStore) AppendSignDomain(dst []byte, receiver NodeID, domain byte, msg []byte) ([]byte, error) {
-	st, ok := ks.snap.Load().states[receiver]
-	if ok && st.valid() {
+	if st := ks.snap.Load().states[receiver]; st != nil && st.valid() {
 		if m := st.appendMAC(dst, domain, msg); m != nil {
 			return m, nil
 		}
@@ -478,13 +525,21 @@ func (ks *KeyStore) AppendSignDomain(dst []byte, receiver NodeID, domain byte, m
 	if err != nil {
 		return nil, err
 	}
-	if domain == 0 {
-		return append(dst, MAC(k, msg)...), nil
-	}
+	return append(dst, slowMAC(k, domain, msg)...), nil
+}
+
+// slowMAC is crypto/hmac's HMAC-SHA256 of domain||msg (plain msg for
+// domain 0): what the pad-state fast path reproduces, and the fallback
+// should the hash ever stop marshaling its state. It hashes a copy so
+// that msg does not escape through the hash interface on this cold path
+// and cost every fast-path caller a heap-allocated message.
+func slowMAC(k Key, domain byte, msg []byte) []byte {
 	m := hmac.New(sha256.New, k)
-	m.Write([]byte{domain})
-	m.Write(msg)
-	return m.Sum(dst), nil
+	if domain != 0 {
+		m.Write([]byte{domain})
+	}
+	m.Write(append([]byte(nil), msg...))
+	return m.Sum(nil)
 }
 
 // Verify checks a single MAC allegedly produced by sender over msg.
@@ -492,23 +547,33 @@ func (ks *KeyStore) Verify(sender NodeID, msg, mac []byte) error {
 	return ks.VerifyDomain(sender, 0, msg, mac)
 }
 
-// VerifyDomain checks a domain-tagged MAC allegedly produced by sender.
+// VerifyDomain checks a domain-tagged MAC allegedly produced by sender,
+// comparing in constant time. It retains neither msg nor mac and
+// allocates nothing on success.
 func (ks *KeyStore) VerifyDomain(sender NodeID, domain byte, msg, mac []byte) error {
-	var buf [MACSize]byte
-	want, err := ks.AppendSignDomain(buf[:0], sender, domain, msg)
-	if err != nil {
-		return err
+	equal, ok := false, false
+	if st := ks.snap.Load().states[sender]; st != nil && st.valid() {
+		equal, ok = st.verify(domain, msg, mac)
 	}
-	if !hmac.Equal(want, mac) {
+	if !ok {
+		k, err := ks.Key(sender)
+		if err != nil {
+			return err
+		}
+		equal = hmac.Equal(slowMAC(k, domain, msg), mac)
+	}
+	if !equal {
 		return fmt.Errorf("%w: from %s", ErrBadMAC, sender)
 	}
 	return nil
 }
 
-// Entry is one receiver's MAC within an Authenticator.
+// Entry is one receiver's MAC within an Authenticator. The MAC is a
+// fixed-size array so a vector of entries is one allocation and an
+// entry of any other length cannot exist past the decoder.
 type Entry struct {
 	Receiver NodeID
-	MAC      []byte
+	MAC      [MACSize]byte
 }
 
 // Authenticator is a vector of MACs, one per intended receiver, as used
@@ -529,7 +594,9 @@ type Authenticator struct {
 // an authenticator for n receivers costs one long hash plus n
 // constant-size MACs instead of n long hashes (the vector-of-MACs
 // optimization the paper's cryptographic-overhead argument rests on).
-// VerifyFor recomputes the same digest, so the two sides agree.
+// VerifyFor recomputes the same digest, so the two sides agree. Each
+// MAC is signed in place in its entry: the entry vector is the only
+// allocation.
 func NewAuthenticator(ks *KeyStore, msg []byte, receivers []NodeID) (Authenticator, error) {
 	a := Authenticator{Sender: ks.Self(), Entries: make([]Entry, 0, len(receivers))}
 	digest := sha256.Sum256(msg)
@@ -537,20 +604,21 @@ func NewAuthenticator(ks *KeyStore, msg []byte, receivers []NodeID) (Authenticat
 		if r == ks.Self() {
 			continue
 		}
-		mac, err := ks.SignDomain(r, domainAuthenticator, digest[:])
-		if err != nil {
+		a.Entries = append(a.Entries, Entry{Receiver: r})
+		e := &a.Entries[len(a.Entries)-1]
+		if _, err := ks.AppendSignDomain(e.MAC[:0], r, domainAuthenticator, digest[:]); err != nil {
 			return Authenticator{}, err
 		}
-		a.Entries = append(a.Entries, Entry{Receiver: r, MAC: mac})
 	}
 	return a, nil
 }
 
-// EntryFor returns the MAC entry destined for the given receiver.
+// EntryFor returns the MAC entry destined for the given receiver. The
+// slice aliases the authenticator's entry.
 func (a Authenticator) EntryFor(receiver NodeID) ([]byte, bool) {
-	for _, e := range a.Entries {
-		if e.Receiver == receiver {
-			return e.MAC, true
+	for i := range a.Entries {
+		if e := &a.Entries[i]; e.Receiver == receiver {
+			return e.MAC[:], true
 		}
 	}
 	return nil, false

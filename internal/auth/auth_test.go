@@ -302,14 +302,14 @@ func TestMACStateMatchesHMAC(t *testing.T) {
 		}
 		for _, msgLen := range []int{0, 1, 63, 64, 65, 1000} {
 			msg := bytes.Repeat([]byte{7}, msgLen)
-			if !bytes.Equal(st.mac(0, msg), MAC(key, msg)) {
+			if !bytes.Equal(st.appendMAC(nil, 0, msg), MAC(key, msg)) {
 				t.Errorf("keyLen %d msgLen %d: fast-path MAC diverges from HMAC-SHA256", keyLen, msgLen)
 			}
 			// Domain-tagged MACs are HMAC over domain||msg.
-			if !bytes.Equal(st.mac(DomainFrameRaw, msg), MAC(key, append([]byte{DomainFrameRaw}, msg...))) {
+			if !bytes.Equal(st.appendMAC(nil, DomainFrameRaw, msg), MAC(key, append([]byte{DomainFrameRaw}, msg...))) {
 				t.Errorf("keyLen %d msgLen %d: domain-tagged fast path diverges", keyLen, msgLen)
 			}
-			if bytes.Equal(st.mac(DomainFrameRaw, msg), st.mac(DomainFrameDigest, msg)) {
+			if bytes.Equal(st.appendMAC(nil, DomainFrameRaw, msg), st.appendMAC(nil, DomainFrameDigest, msg)) {
 				t.Errorf("keyLen %d msgLen %d: distinct domains produced identical MACs", keyLen, msgLen)
 			}
 		}
@@ -384,6 +384,65 @@ func TestAppendSignDomainMatchesSignDomain(t *testing.T) {
 		peer := NewDerivedKeyStore(master, b, []NodeID{a, b})
 		if err := peer.VerifyDomain(a, domain, msg, got[len(prefix):]); err != nil {
 			t.Fatalf("domain %d: verify: %v", domain, err)
+		}
+	}
+}
+
+func TestNodeIDAppendToMatchesString(t *testing.T) {
+	for _, id := range []NodeID{VoterID("svc", 0), DriverID("a/b", 12), {Service: "", Role: RoleClient, Index: -3}, {Service: "x", Role: Role(9), Index: 1}} {
+		if got := string(id.AppendTo([]byte("pre:"))); got != "pre:"+id.String() {
+			t.Errorf("AppendTo = %q, want %q", got, "pre:"+id.String())
+		}
+	}
+}
+
+// TestMACAllocBudget pins the allocation counts of the MAC hot path: a
+// regression here costs every frame and every authenticator entry of
+// every request, and shows in the benchmark only as noise.
+func TestMACAllocBudget(t *testing.T) {
+	master := []byte("alloc-budget")
+	a, b := VoterID("s", 0), VoterID("s", 1)
+	ks := NewDerivedKeyStore(master, a, []NodeID{a, b})
+	peer := NewDerivedKeyStore(master, b, []NodeID{a, b})
+	receivers := []NodeID{a, b}
+	msg := bytes.Repeat([]byte{7}, 300) // longer than the hasher's staging buffer
+	frame := make([]byte, 0, 2*MACSize)
+	mac, err := ks.SignDomain(b, DomainFrameRaw, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	authn, err := NewAuthenticator(ks, msg, receivers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"AppendSignDomain into a caller buffer", 0, func() {
+			if _, err := ks.AppendSignDomain(frame, b, DomainFrameRaw, msg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"VerifyDomain", 0, func() {
+			if err := peer.VerifyDomain(a, DomainFrameRaw, msg, mac); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"NewAuthenticator (the entry vector)", 1, func() {
+			if _, err := NewAuthenticator(ks, msg, receivers); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Authenticator.VerifyFor", 0, func() {
+			if err := authn.VerifyFor(peer, msg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got > c.max {
+			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func microPrePrepare() *clbft.Message {
 		share := perpetual.Share{Replica: i, Auth: auth.Authenticator{Sender: auth.DriverID("c", i)}}
 		for j := 0; j < 4; j++ {
 			share.Auth.Entries = append(share.Auth.Entries, auth.Entry{
-				Receiver: auth.VoterID("t", j), MAC: make([]byte, auth.MACSize),
+				Receiver: auth.VoterID("t", j),
 			})
 		}
 		op.Shares = append(op.Shares, share)
@@ -103,7 +103,7 @@ func microReplyShare(payload []byte) *perpetual.ReplyShare {
 	share := perpetual.Share{Replica: 0, Auth: auth.Authenticator{Sender: auth.VoterID("t", 0)}}
 	for j := 0; j < 2; j++ {
 		share.Auth.Entries = append(share.Auth.Entries, auth.Entry{
-			Receiver: auth.DriverID("c", j), MAC: make([]byte, auth.MACSize),
+			Receiver: auth.DriverID("c", j),
 		})
 	}
 	return &perpetual.ReplyShare{

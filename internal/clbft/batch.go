@@ -18,33 +18,58 @@ import (
 // because batch OpIDs embed a content hash computed here.
 const batchPrefix = "\x00batch:"
 
+// batchIDLen is the length of a batch OpID: the prefix and the first
+// eight bytes of the body's SHA-256 in hex.
+const batchIDLen = len(batchPrefix) + 16
+
 // isBatch reports whether a request is a batch wrapper.
 func isBatch(r *Request) bool {
 	return len(r.OpID) > len(batchPrefix) && r.OpID[:len(batchPrefix)] == batchPrefix
 }
 
+// batchID renders the OpID of the batch with the given body.
+func batchID(body []byte) [batchIDLen]byte {
+	var id [batchIDLen]byte
+	copy(id[:], batchPrefix)
+	sum := sha256.Sum256(body)
+	hex.Encode(id[len(batchPrefix):], sum[:8])
+	return id
+}
+
+// agreedOp is one operation a request carries — the request itself, or
+// one entry of its batch, whose Op then aliases the batch body — with
+// the value the validator parsed out of it.
+type agreedOp struct {
+	Request
+	parsed any
+}
+
 // encodeBatch wraps inner requests into one batch request.
 func encodeBatch(inner []*Request) *Request {
-	w := wire.NewWriter(64)
+	size := 4
+	for _, r := range inner {
+		size += len(r.OpID) + len(r.Op) + 6
+	}
+	w := wire.NewWriter(size)
 	w.PutUvarint(uint64(len(inner)))
 	for _, r := range inner {
 		w.PutString(r.OpID)
 		w.PutBytes(r.Op)
 	}
 	op := w.Bytes()
-	sum := sha256.Sum256(op)
-	return &Request{OpID: batchPrefix + hex.EncodeToString(sum[:8]), Op: op}
+	id := batchID(op)
+	return &Request{OpID: string(id[:]), Op: op}
 }
 
 // decodeBatch unwraps a batch request. It rejects malformed bodies and
 // OpIDs that do not match the content hash, so a Byzantine primary
-// cannot smuggle two different batches under one deduplication key.
-func decodeBatch(r *Request) ([]Request, error) {
+// cannot smuggle two different batches under one deduplication key. The
+// entries' Ops alias r.Op, which the caller must own and never modify.
+func decodeBatch(r *Request) ([]agreedOp, error) {
 	if !isBatch(r) {
 		return nil, fmt.Errorf("clbft: not a batch request")
 	}
-	sum := sha256.Sum256(r.Op)
-	if r.OpID != batchPrefix+hex.EncodeToString(sum[:8]) {
+	if id := batchID(r.Op); r.OpID != string(id[:]) {
 		return nil, fmt.Errorf("clbft: batch OpID does not match content")
 	}
 	rd := wire.NewReader(r.Op)
@@ -52,55 +77,31 @@ func decodeBatch(r *Request) ([]Request, error) {
 	if n <= 0 || n > rd.Remaining()+1 {
 		return nil, fmt.Errorf("clbft: batch with %d entries", n)
 	}
-	out := make([]Request, 0, n)
+	out := make([]agreedOp, 0, n)
 	for i := 0; i < n && rd.Err() == nil; i++ {
-		out = append(out, Request{OpID: rd.String(), Op: rd.BytesCopy()})
+		out = append(out, agreedOp{Request: Request{OpID: rd.String(), Op: rd.Bytes()}})
 	}
 	if err := rd.Done(); err != nil {
 		return nil, fmt.Errorf("clbft: batch body: %w", err)
 	}
 	for i := range out {
-		if out[i].IsNull() || isBatch(&out[i]) {
+		if out[i].IsNull() || isBatch(&out[i].Request) {
 			return nil, fmt.Errorf("clbft: batch entry %d is null or nested", i)
 		}
 	}
 	return out, nil
 }
 
-// validateBatch runs the application validator over every inner
-// operation.
-func (r *Replica) validateBatch(req *Request) bool {
-	inner, err := decodeBatch(req)
-	if err != nil {
-		return false
-	}
-	if r.cfg.MaxBatch > 1 && len(inner) > r.cfg.MaxBatch {
-		return false
-	}
-	if r.validate == nil {
-		return true
-	}
-	for i := range inner {
-		if !r.validate(inner[i].OpID, inner[i].Op) {
-			return false
+// carriedOps lists the operations a request carries: itself, or its
+// batch content. It is for requests this replica does not get to
+// refuse (history certified by a checkpoint quorum, its own rolled-back
+// executions); pre-prepares go through accept, which rejects a batch
+// that does not decode.
+func carriedOps(req *Request) []agreedOp {
+	if isBatch(req) {
+		if inner, err := decodeBatch(req); err == nil {
+			return inner
 		}
 	}
-	return true
-}
-
-// innerOpIDs lists the deduplication keys a request carries: itself, or
-// its batch content.
-func innerOpIDs(req *Request) []string {
-	if !isBatch(req) {
-		return []string{req.OpID}
-	}
-	inner, err := decodeBatch(req)
-	if err != nil {
-		return []string{req.OpID}
-	}
-	ids := make([]string, len(inner))
-	for i := range inner {
-		ids[i] = inner[i].OpID
-	}
-	return ids
+	return []agreedOp{{Request: *req}}
 }

@@ -91,13 +91,25 @@ func TestBatchRoundTripProperty(t *testing.T) {
 }
 
 func TestInnerOpIDs(t *testing.T) {
+	ids := func(ops []agreedOp) []string {
+		var out []string
+		for i := range ops {
+			out = append(out, ops[i].OpID)
+		}
+		return out
+	}
 	plain := &Request{OpID: "solo", Op: []byte("x")}
-	if got := innerOpIDs(plain); !reflect.DeepEqual(got, []string{"solo"}) {
-		t.Errorf("plain innerOpIDs = %v", got)
+	if got := ids(carriedOps(plain)); !reflect.DeepEqual(got, []string{"solo"}) {
+		t.Errorf("plain carriedOps = %v", got)
 	}
 	batch := encodeBatch([]*Request{{OpID: "a", Op: []byte("1")}, {OpID: "b", Op: []byte("2")}})
-	if got := innerOpIDs(batch); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("batch innerOpIDs = %v", got)
+	if got := ids(carriedOps(batch)); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Errorf("batch carriedOps = %v", got)
+	}
+	// A batch-prefixed request that does not decode carries itself.
+	broken := &Request{OpID: batch.OpID, Op: []byte("not the hashed body")}
+	if got := ids(carriedOps(broken)); !reflect.DeepEqual(got, []string{batch.OpID}) {
+		t.Errorf("undecodable batch carriedOps = %q", got)
 	}
 }
 
@@ -183,16 +195,25 @@ func TestBatchedValidatorRejectsWholeBatch(t *testing.T) {
 	// backups (the primary, refusing to buffer invalid ops, never forms
 	// such a batch; this simulates a faulty primary's batch).
 	r, err := New(Config{ID: 1, N: 4, MaxBatch: 4}, clbftNopTransport{}, nil,
-		WithValidator(func(opID string, op []byte) bool { return opID != "evil" }))
+		WithValidator(func(opID string, op []byte) (any, bool) { return opID, opID != "evil" }))
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepts := func(req *Request) bool {
+		_, _, ok := r.accept(req, req.Digest())
+		return ok
+	}
 	good := encodeBatch([]*Request{{OpID: "fine", Op: []byte("1")}, {OpID: "ok", Op: []byte("2")}})
-	if !r.validateBatch(good) {
+	if _, ops, ok := r.accept(good, good.Digest()); !ok {
 		t.Error("valid batch rejected")
+	} else if len(ops) != 2 || ops[0].parsed != "fine" || ops[1].parsed != "ok" {
+		t.Errorf("accepted batch lost the validator's parsed values: %+v", ops)
+	}
+	if _, _, ok := r.accept(good, Digest{1}); ok {
+		t.Error("batch accepted under a digest that is not its own")
 	}
 	bad := encodeBatch([]*Request{{OpID: "fine", Op: []byte("1")}, {OpID: "evil", Op: []byte("2")}})
-	if r.validateBatch(bad) {
+	if accepts(bad) {
 		t.Error("batch containing invalid op accepted")
 	}
 	oversized := encodeBatch([]*Request{
@@ -200,7 +221,7 @@ func TestBatchedValidatorRejectsWholeBatch(t *testing.T) {
 		{OpID: "c", Op: []byte("3")}, {OpID: "d", Op: []byte("4")},
 		{OpID: "e", Op: []byte("5")},
 	})
-	if r.validateBatch(oversized) {
+	if accepts(oversized) {
 		t.Error("oversized batch accepted")
 	}
 }

@@ -103,8 +103,8 @@ func (r *Replica) ExportBootstrap() *Bootstrap {
 		}
 	}
 	for _, opID := range r.pendingOrder {
-		if req, ok := r.pending[opID]; ok {
-			bs.Pending = append(bs.Pending, *req)
+		if p, ok := r.pending[opID]; ok {
+			bs.Pending = append(bs.Pending, *p.req)
 		}
 	}
 	// In-flight ordering work above the export point dies with this
@@ -186,7 +186,9 @@ func NewFromBootstrap(cfg Config, transport Transport, deliver func(Delivery), b
 		if _, dup := r.pending[req.OpID]; dup {
 			continue
 		}
-		r.pending[req.OpID] = &req
+		// Not validated: whatever verdict the previous incarnation reached
+		// was under the previous epoch's keys.
+		r.pending[req.OpID] = &pendingReq{req: &req}
 		r.pendingOrder = append(r.pendingOrder, req.OpID)
 	}
 	r.pubPendingLen()

@@ -91,24 +91,28 @@ func (r *Replica) onFetchReply(from int, fr *FetchReply) {
 	if uint64(len(fr.Ops)) != fr.To-fr.From {
 		return
 	}
-	// Recompute the digest chain over the fetched operations.
+	// Recompute the digest chain over the fetched operations, keeping
+	// each request's digest for its application below.
 	d := r.stateDigest
-	for i, op := range fr.Ops {
+	reqDigests := make([]Digest, len(fr.Ops))
+	for i := range fr.Ops {
+		op := &fr.Ops[i]
 		seq := fr.From + uint64(i) + 1
 		if op.Seq != seq {
 			return
 		}
-		var reqD Digest
 		if !op.Request.IsNull() {
-			reqD = op.Request.Digest()
+			reqDigests[i] = op.Request.Digest()
 		}
-		d = chainDigest(d, seq, reqD)
+		d = chainDigest(d, seq, reqDigests[i])
 	}
 	if d != want {
 		r.logf("fetch reply from %d failed digest verification", from)
 		return
 	}
-	// Verified: apply in order through the normal execution path.
+	// Verified: apply in order through the normal execution path. The
+	// operations are certified by the checkpoint quorum, not validated
+	// here, so they are delivered without a parsed value.
 	r.logf("catching up %d..%d from %d", fr.From+1, fr.To, from)
 	for i := range fr.Ops {
 		op := &fr.Ops[i]
@@ -117,7 +121,7 @@ func (r *Replica) onFetchReply(from int, fr *FetchReply) {
 		}
 		r.lastExec = op.Seq
 		req := op.Request
-		r.applyOp(op.Seq, &req, false)
+		r.applyOp(op.Seq, &req, reqDigests[i], carriedOps(&req), false)
 	}
 	r.stabilize(fr.To)
 	// More history may already be certified beyond this point.

@@ -1,5 +1,7 @@
 package clbft
 
+import "slices"
+
 // vote records one replica's prepare or commit vote: the digest it
 // claimed. Votes are kept in fixed slices indexed by replica — group
 // sizes are small and known, so per-entry maps would only feed the
@@ -18,14 +20,17 @@ type vote struct {
 // digest, so a Byzantine replica cannot inflate a certificate by voting
 // early with an arbitrary digest.
 type entry struct {
-	view    uint64
-	seq     uint64
+	view uint64
+	seq  uint64
+	// digest, request and ops are what Replica.accept computed when the
+	// pre-prepare was taken in: the request's digest, and the operations
+	// it carries (itself, or its batch's entries) with their parsed
+	// values. Execution, the primary's double-assignment check and
+	// view-change certificates all read them here instead of hashing or
+	// decoding the request again.
 	digest  Digest
 	request *Request
-	// innerOps caches the deduplication keys the request carries (its
-	// own OpID, or the batch's inner OpIDs), so the primary's
-	// double-assignment check does not re-decode batches.
-	innerOps []string
+	ops     []agreedOp
 
 	prePrepared bool
 	prepares    []vote // indexed by backup replica
@@ -38,11 +43,12 @@ type entry struct {
 }
 
 func newEntry(view, seq uint64, n int) *entry {
+	votes := make([]vote, 2*n) // one allocation for both vote vectors
 	return &entry{
 		view:     view,
 		seq:      seq,
-		prepares: make([]vote, n),
-		commits:  make([]vote, n),
+		prepares: votes[:n:n],
+		commits:  votes[n:],
 	}
 }
 
@@ -84,14 +90,17 @@ func (e *entry) live() bool { return e.prePrepared && !e.executed }
 // Only one entry per sequence number is tracked for the current view;
 // entries from superseded views are replaced during view changes.
 //
-// liveCount incrementally tracks the number of live entries
-// (pre-prepared, not yet executed): the suspicion timer consults it on
-// every execution, so a full scan here would turn the hot execute loop
-// quadratic in the log window.
+// live lists the live entries (pre-prepared, not yet executed), oldest
+// acceptance first. The suspicion timer asks on every execution whether
+// there are any, and the primary asks for every buffered operation
+// whether one of them already carries it; scanning the whole window for
+// either would turn the hot execute and propose loops quadratic in it.
+// Execution is in sequence order, so the entry leaving is normally the
+// first.
 type msgLog struct {
-	n         int
-	entries   map[uint64]*entry
-	liveCount int
+	n       int
+	entries map[uint64]*entry
+	live    []*entry
 	// preparedHist keeps, per sequence number, the prepared certificate
 	// from the highest view in which that sequence prepared. Entries in
 	// the log proper are replaced when a new-view replays their sequence
@@ -118,8 +127,8 @@ func newMsgLog(n int) *msgLog {
 func (l *msgLog) get(view, seq uint64) *entry {
 	e, ok := l.entries[seq]
 	if !ok || e.view < view {
-		if ok && e.live() {
-			l.liveCount--
+		if ok {
+			l.dropLive(e)
 		}
 		e = newEntry(view, seq, l.n)
 		l.entries[seq] = e
@@ -127,13 +136,14 @@ func (l *msgLog) get(view, seq uint64) *entry {
 	return e
 }
 
-// markPrePrepared transitions an entry to pre-prepared, keeping the
-// live count consistent.
-func (l *msgLog) markPrePrepared(e *entry) {
+// prePrepare records the accepted pre-prepare on its entry: the request
+// with the digest and operations accept computed for it.
+func (l *msgLog) prePrepare(e *entry, req *Request, digest Digest, ops []agreedOp) {
+	e.request, e.digest, e.ops = req, digest, ops
 	if !e.prePrepared {
 		e.prePrepared = true
 		if e.live() {
-			l.liveCount++
+			l.live = append(l.live, e)
 		}
 	}
 }
@@ -141,10 +151,18 @@ func (l *msgLog) markPrePrepared(e *entry) {
 // markExecuted transitions an entry to executed.
 func (l *msgLog) markExecuted(e *entry) {
 	if !e.executed {
-		if e.live() {
-			l.liveCount--
-		}
+		l.dropLive(e)
 		e.executed = true
+	}
+}
+
+// dropLive takes e off the live list if it is on it, keeping the order.
+func (l *msgLog) dropLive(e *entry) {
+	if !e.live() {
+		return
+	}
+	if i := slices.Index(l.live, e); i >= 0 {
+		l.live = slices.Delete(l.live, i, i+1)
 	}
 }
 
@@ -175,14 +193,12 @@ func (l *msgLog) recordPrepared(e *entry) {
 // truncate removes all entries with seq <= stable (covered by a stable
 // checkpoint).
 func (l *msgLog) truncate(stable uint64) {
-	for seq, e := range l.entries {
+	for seq := range l.entries {
 		if seq <= stable {
-			if e.live() {
-				l.liveCount--
-			}
 			delete(l.entries, seq)
 		}
 	}
+	l.live = slices.DeleteFunc(l.live, func(e *entry) bool { return e.seq <= stable })
 	for seq := range l.preparedHist {
 		if seq <= stable {
 			delete(l.preparedHist, seq)
@@ -191,7 +207,7 @@ func (l *msgLog) truncate(stable uint64) {
 }
 
 // hasLive reports whether any entry is pre-prepared but unexecuted.
-func (l *msgLog) hasLive() bool { return l.liveCount > 0 }
+func (l *msgLog) hasLive() bool { return len(l.live) > 0 }
 
 // hasLiveOp reports whether some live log entry of the given view
 // carries the given OpID (directly or inside a batch); used by the
@@ -201,15 +217,15 @@ func (l *msgLog) hasLive() bool { return l.liveCount > 0 }
 // op stranded in one must be re-proposed at a fresh sequence number or
 // it would stay pending — and keep the suspicion timer armed — forever.
 func (l *msgLog) hasLiveOp(view uint64, opID string) bool {
-	for _, e := range l.entries {
-		if e.request == nil || e.executed || e.view != view {
+	for _, e := range l.live {
+		if e.view != view {
 			continue
 		}
 		if e.request.OpID == opID {
 			return true
 		}
-		for _, id := range e.innerOps {
-			if id == opID {
+		for i := range e.ops {
+			if e.ops[i].OpID == opID {
 				return true
 			}
 		}

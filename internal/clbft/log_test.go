@@ -2,6 +2,7 @@ package clbft
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -116,7 +117,7 @@ func TestHasLiveOp(t *testing.T) {
 	l := newMsgLog(4)
 	req := Request{OpID: "live"}
 	e := l.get(0, 1)
-	e.request = &req
+	l.prePrepare(e, &req, req.Digest(), carriedOps(&req))
 	if !l.hasLiveOp(0, "live") {
 		t.Error("live op not found")
 	}
@@ -126,7 +127,7 @@ func TestHasLiveOp(t *testing.T) {
 	if l.hasLiveOp(1, "live") {
 		t.Error("old-view op reported live in newer view")
 	}
-	e.executed = true
+	l.markExecuted(e)
 	if l.hasLiveOp(0, "live") {
 		t.Error("executed op reported live")
 	}
@@ -238,3 +239,92 @@ func TestDebugStateOnStoppedReplica(t *testing.T) {
 type clbftNopTransport struct{}
 
 func (clbftNopTransport) Send(int, *Message) {}
+
+// hasLiveOpScan is the lookup hasLiveOp replaced, kept as its reference:
+// a scan of every entry in the log window.
+func hasLiveOpScan(l *msgLog, view uint64, opID string) bool {
+	for _, e := range l.entries {
+		if e.request == nil || e.executed || e.view != view {
+			continue
+		}
+		if e.request.OpID == opID {
+			return true
+		}
+		for i := range e.ops {
+			if e.ops[i].OpID == opID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHasLiveOpMatchesFullScan drives a log through pre-prepares (plain
+// and batched, with operation ids reused across entries), executions in
+// any order, replacement by newer views and truncation, and requires the
+// live-list lookup to answer exactly as the full scan at every step, and
+// the live list to hold exactly the live entries.
+func TestHasLiveOpMatchesFullScan(t *testing.T) {
+	const (
+		steps  = 4000
+		window = 24
+		ids    = 12
+	)
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := newMsgLog(4)
+		var view, stable uint64
+		found := 0
+		opID := func() string { return fmt.Sprintf("op-%d", rng.Intn(ids)) }
+		for step := 0; step < steps; step++ {
+			seq := stable + 1 + uint64(rng.Intn(window))
+			switch k := rng.Intn(10); {
+			case k < 4: // pre-prepare in the current view
+				req := &Request{OpID: opID(), Op: []byte{byte(step)}}
+				if rng.Intn(2) == 0 {
+					inner := make([]*Request, 1+rng.Intn(3))
+					for i := range inner {
+						inner[i] = &Request{OpID: opID(), Op: []byte{byte(i + 1)}}
+					}
+					req = encodeBatch(inner)
+				}
+				if e := l.get(view, seq); !e.prePrepared {
+					l.prePrepare(e, req, req.Digest(), carriedOps(req))
+				}
+			case k < 7: // execute
+				if e, ok := l.at(seq); ok && e.prePrepared {
+					l.markExecuted(e)
+				}
+			case k < 8: // a vote for a newer view replaces the entry
+				l.get(view+1, seq)
+			case k < 9:
+				view++
+			default:
+				stable += uint64(rng.Intn(window / 2))
+				l.truncate(stable)
+			}
+			for v := view; v <= view+1; v++ {
+				for i := 0; i < ids; i++ {
+					id := fmt.Sprintf("op-%d", i)
+					if got, want := l.hasLiveOp(v, id), hasLiveOpScan(l, v, id); got != want {
+						t.Fatalf("seed %d step %d: hasLiveOp(%d, %s) = %v, full scan says %v", seed, step, v, id, got, want)
+					} else if got {
+						found++
+					}
+				}
+			}
+			live := 0
+			for _, e := range l.entries {
+				if e.live() {
+					live++
+				}
+			}
+			if live != len(l.live) || l.hasLive() != (live > 0) {
+				t.Fatalf("seed %d step %d: live list holds %d entries, log has %d live", seed, step, len(l.live), live)
+			}
+		}
+		if found < steps {
+			t.Errorf("seed %d: only %d lookups found a live operation; the walk exercised little", seed, found)
+		}
+	}
+}

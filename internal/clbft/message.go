@@ -2,6 +2,7 @@ package clbft
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"perpetualws/internal/wire"
@@ -70,19 +71,19 @@ type Request struct {
 	Op   []byte
 }
 
-// Digest returns the request's identity digest, covering OpID and Op.
+// Digest returns the request's identity digest, covering the length of
+// OpID (8 bytes, little-endian), OpID and Op. It is the one full pass
+// over a request's bytes: replicas compute it once per request they
+// accept and carry the result on the log entry.
 func (r *Request) Digest() Digest {
-	h := sha256.New()
-	var lenbuf [8]byte
-	n := len(r.OpID)
-	for i := 0; i < 8; i++ {
-		lenbuf[i] = byte(n >> (8 * i))
-	}
-	h.Write(lenbuf[:])
-	h.Write([]byte(r.OpID))
-	h.Write(r.Op)
-	var d Digest
-	h.Sum(d[:0])
+	w := wire.GetWriter(8 + len(r.OpID) + len(r.Op))
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(r.OpID)))
+	w.PutRaw(n[:])
+	w.PutRawString(r.OpID)
+	w.PutRaw(r.Op)
+	d := Digest(sha256.Sum256(w.Bytes()))
+	w.Free()
 	return d
 }
 
@@ -362,6 +363,9 @@ func encodeRequest(w *wire.Writer, req *Request) {
 	w.PutBytes(req.Op)
 }
 
+// decodeRequest copies Op out of the frame: it is the one copy of an
+// operation a replica makes, and everything downstream (batch entries,
+// the validator's parsed value, the delivery) aliases it.
 func decodeRequest(r *wire.Reader) *Request {
 	return &Request{OpID: r.String(), Op: r.BytesCopy()}
 }

@@ -14,10 +14,19 @@ import (
 // execution); a tentative delivery is revoked through the rollback
 // callback if a view change reassigns its sequence number, and is
 // final otherwise.
+//
+// Op belongs to the replica (it may be one entry of a larger batch
+// buffer) and must not be modified; the application may retain it.
+// Parsed is the value the WithValidator function returned when this
+// replica validated these very bytes, so the application does not
+// decode what its validator already decoded. It is nil without a
+// validator, and for operations the validator never saw: history
+// replayed by catch-up, and rollbacks.
 type Delivery struct {
 	Seq       uint64
 	OpID      string
 	Op        []byte
+	Parsed    any
 	Tentative bool
 }
 
@@ -73,15 +82,16 @@ const inboxDepth = 16384
 // a single event-loop goroutine; public methods only enqueue events and
 // read atomics, so the type is safe for concurrent use.
 type Replica struct {
-	cfg       Config
-	deliver   func(Delivery)
-	transport Transport
-	logger    *log.Logger
-	validate  func(opID string, op []byte) bool
-	ckptHook  func(seq uint64, state Digest)
-	rollback  func(d Delivery) bool
-	barrier   func(opID string) bool
-	haltHook  func(seq uint64, state Digest)
+	cfg          Config
+	deliver      func(Delivery)
+	transport    Transport
+	logger       *log.Logger
+	validate     func(opID string, op []byte) (parsed any, ok bool)
+	verdictEpoch func() uint64
+	ckptHook     func(seq uint64, state Digest)
+	rollback     func(d Delivery) bool
+	barrier      func(opID string) bool
+	haltHook     func(seq uint64, state Digest)
 
 	inbox   chan event
 	stopped chan struct{}
@@ -108,7 +118,7 @@ type Replica struct {
 	flushTimer    *time.Timer
 	flushGen      uint64
 
-	pending      map[string]*Request
+	pending      map[string]*pendingReq
 	pendingOrder []string
 	executedOps  map[string]uint64
 
@@ -156,6 +166,20 @@ type Replica struct {
 	pendingA   atomic.Int64
 }
 
+// pendingReq is a buffered operation waiting to be ordered, with the
+// validator's verdict on it and the verdict epoch (WithVerdictEpoch) it
+// was reached in. validated is false only for operations carried across
+// a membership boundary (see Bootstrap.Pending), whose verdict belongs
+// to the previous epoch's keys: they are validated when a pre-prepare
+// carrying them is accepted, like any operation this replica had not
+// seen.
+type pendingReq struct {
+	req       *Request
+	parsed    any
+	validated bool
+	epoch     uint64
+}
+
 // Option configures a Replica.
 type Option func(*Replica)
 
@@ -175,8 +199,27 @@ func WithLogger(l *log.Logger) Option {
 // for adversarial operations; such operations stall and are recovered by
 // a view change, a liveness (not safety) concern inherited from
 // MAC-authenticated BFT protocols.
-func WithValidator(f func(opID string, op []byte) bool) Option {
+//
+// Whatever the validator had to parse out of op to reach its verdict it
+// may hand back as parsed: the replica keeps the value beside the
+// operation and passes it on in Delivery.Parsed. Every operation is
+// validated once per replica instance, on the bytes that are delivered;
+// op is the replica's own buffer, so parsed may alias it.
+func WithValidator(f func(opID string, op []byte) (parsed any, ok bool)) Option {
 	return func(r *Replica) { r.validate = f }
+}
+
+// WithVerdictEpoch names the state outside an operation's bytes that the
+// validator's verdicts depend on (the keys its MACs are checked under):
+// epoch returns a number that changes whenever that state does. A
+// verdict kept with a buffered operation is reused only while epoch
+// still returns what it returned just before the verdict was reached;
+// otherwise the operation is validated again when its pre-prepare is
+// accepted. epoch may be called from the event loop at any time and
+// must not call back into the replica. Without this option verdicts
+// depend on the operation's bytes alone.
+func WithVerdictEpoch(epoch func() uint64) Option {
+	return func(r *Replica) { r.verdictEpoch = epoch }
 }
 
 // WithCheckpointHook installs an observer invoked whenever a checkpoint
@@ -243,7 +286,7 @@ func New(cfg Config, transport Transport, deliver func(Delivery), opts ...Option
 		inbox:          make(chan event, inboxDepth),
 		stopped:        make(chan struct{}),
 		log:            newMsgLog(cfg.N),
-		pending:        make(map[string]*Request),
+		pending:        make(map[string]*pendingReq),
 		executedOps:    make(map[string]uint64),
 		checkpoints:    make(map[uint64]map[int]Digest),
 		certifiedCkpts: make(map[uint64]Digest),
@@ -251,6 +294,7 @@ func New(cfg Config, transport Transport, deliver func(Delivery), opts ...Option
 		chainAt:        make(map[uint64]Digest),
 		viewChanges:    make(map[uint64]map[int]*ViewChange),
 		vcTimeout:      cfg.ViewChangeTimeout,
+		verdictEpoch:   func() uint64 { return 0 },
 	}
 	for i := 0; i < cfg.N; i++ {
 		if i != cfg.ID {
@@ -383,11 +427,7 @@ func (r *Replica) run() {
 		if r.isPrimaryLocked() && !r.inViewChange {
 			r.proposePending()
 		} else if !r.joining() {
-			for _, opID := range r.pendingOrder {
-				if req, ok := r.pending[opID]; ok {
-					r.transport.Send(r.cfg.PrimaryOf(r.view), &Message{Type: MsgRequest, Request: req})
-				}
-			}
+			r.forwardPending()
 		}
 		r.armTimer()
 	}
@@ -549,11 +589,21 @@ func (r *Replica) multicastTo(tos []int, m *Message) {
 	}
 }
 
+// forwardPending sends every buffered operation to the current primary.
+func (r *Replica) forwardPending() {
+	for _, opID := range r.pendingOrder {
+		if p, ok := r.pending[opID]; ok {
+			r.transport.Send(r.cfg.PrimaryOf(r.view), &Message{Type: MsgRequest, Request: p.req})
+		}
+	}
+}
+
 func (r *Replica) onSubmit(req *Request) {
 	if req.IsNull() {
 		return
 	}
-	if r.validate != nil && !r.validate(req.OpID, req.Op) {
+	p, ok := r.vouch(req)
+	if !ok {
 		return // never buffer an op we would refuse to prepare
 	}
 	if _, done := r.executedOps[req.OpID]; done {
@@ -566,11 +616,12 @@ func (r *Replica) onSubmit(req *Request) {
 		// membership rebuild can hold authenticators the rotated keys no
 		// longer verify, and re-proposing that copy would be rejected by
 		// every correct backup forever. Ordering identity is the OpID,
-		// so only whichever copy gets ordered executes.
-		r.pending[req.OpID] = req
+		// so only whichever copy gets ordered executes. The verdict travels
+		// with the bytes it was reached on.
+		r.pending[req.OpID] = p
 		return
 	}
-	r.pending[req.OpID] = req
+	r.pending[req.OpID] = p
 	r.pendingOrder = append(r.pendingOrder, req.OpID)
 	r.pubPendingLen()
 	if r.isPrimaryLocked() && !r.inViewChange {
@@ -640,7 +691,7 @@ func (r *Replica) proposePending() {
 	}
 	kept := r.pendingOrder[:0]
 	for idx, opID := range r.pendingOrder {
-		req, ok := r.pending[opID]
+		p, ok := r.pending[opID]
 		if !ok {
 			continue // executed: lazily dropped from the order
 		}
@@ -648,7 +699,7 @@ func (r *Replica) proposePending() {
 		if r.log.hasLiveOp(r.view, opID) {
 			continue // already assigned a live sequence number
 		}
-		batch = append(batch, req)
+		batch = append(batch, p.req)
 		if len(batch) >= maxBatch {
 			if !flush() {
 				// Watermark window exhausted: keep the remaining order
@@ -698,14 +749,15 @@ func (r *Replica) onRequest(from int, req *Request) {
 	if req == nil || req.IsNull() {
 		return
 	}
-	if r.validate != nil && !r.validate(req.OpID, req.Op) {
-		return // see onSubmit: invalid ops must not pin the suspicion timer
-	}
 	if _, done := r.executedOps[req.OpID]; done {
 		return
 	}
 	if _, dup := r.pending[req.OpID]; !dup {
-		r.pending[req.OpID] = req
+		p, ok := r.vouch(req)
+		if !ok {
+			return // see onSubmit: invalid ops must not pin the suspicion timer
+		}
+		r.pending[req.OpID] = p
 		r.pendingOrder = append(r.pendingOrder, req.OpID)
 		r.pubPendingLen()
 	}
@@ -725,34 +777,16 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	if pp.Seq <= r.h || pp.Seq > r.h+r.cfg.LogWindow() {
 		return // outside watermarks
 	}
-	wantDigest := pp.Request.Digest()
-	if pp.Request.IsNull() {
-		wantDigest = Digest{}
+	if e, ok := r.log.at(pp.Seq); ok && e.view == pp.View && e.prePrepared {
+		return // duplicate, or conflicting pre-prepare in same view (primary is faulty): ignore
 	}
-	if pp.Digest != wantDigest {
-		return // digest does not match piggybacked request
-	}
-	if !pp.Request.IsNull() {
-		if isBatch(&pp.Request) {
-			if !r.validateBatch(&pp.Request) {
-				return // malformed batch or an inner op was rejected
-			}
-		} else if r.validate != nil && !r.validate(pp.Request.OpID, pp.Request.Op) {
-			return // operation rejected by the application validator
-		}
+	req := pp.Request
+	digest, ops, ok := r.accept(&req, pp.Digest)
+	if !ok {
+		return // digest mismatch, malformed batch, or an operation the validator rejects
 	}
 	e := r.log.get(pp.View, pp.Seq)
-	if e.prePrepared && e.digest != pp.Digest {
-		return // conflicting pre-prepare in same view: ignore (primary is faulty)
-	}
-	if e.prePrepared {
-		return // duplicate
-	}
-	r.log.markPrePrepared(e)
-	e.digest = pp.Digest
-	req := pp.Request
-	e.request = &req
-	e.innerOps = innerOpIDs(&req)
+	r.log.prePrepare(e, &req, digest, ops)
 
 	if r.cfg.ID != r.cfg.PrimaryOf(pp.View) && !r.joining() {
 		p := &Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: r.cfg.ID}
@@ -874,13 +908,13 @@ func (r *Replica) executeReady() {
 			case e.committed:
 				r.log.markExecuted(e)
 				r.lastExec++
-				r.applyOp(r.lastExec, e.request, false)
+				r.applyOp(r.lastExec, e.request, e.digest, e.ops, false)
 				progressed = true
 			case r.cfg.Tentative && e.prepared && r.lastCommitted == r.lastExec:
 				r.log.markExecuted(e)
 				r.lastExec++
 				r.tentExecs.Add(1)
-				r.applyOp(r.lastExec, e.request, true)
+				r.applyOp(r.lastExec, e.request, e.digest, e.ops, true)
 				progressed = true
 			}
 		}
@@ -927,56 +961,39 @@ func (r *Replica) maybeHalt() {
 	}
 }
 
-// applyOp updates replica state for one executed operation and hands
-// non-null operations to the application.
-func (r *Replica) applyOp(seq uint64, req *Request, tentative bool) {
+// applyOp updates replica state for one executed request and hands the
+// operations it carries to the application, individually and in batch
+// order. reqDigest and ops are the request's digest and carried
+// operations as computed when it was accepted (or fetched); a null
+// request has neither.
+func (r *Replica) applyOp(seq uint64, req *Request, reqDigest Digest, ops []agreedOp, tentative bool) {
 	r.execSeq.Store(seq)
-	var reqDigest Digest
-	if req != nil && !req.IsNull() {
-		reqDigest = req.Digest()
-	}
 	r.stateDigest = chainDigest(r.stateDigest, seq, reqDigest)
 	r.chainAt[seq] = r.stateDigest
 	if req != nil && !req.IsNull() {
 		r.execCache[seq] = req
-		if inner, err := decodeBatch(req); isBatch(req) && err == nil {
+		if isBatch(req) {
 			r.executedOps[req.OpID] = seq
-			// Deliver each batched operation individually, in batch
-			// order, skipping any that already executed under an
-			// earlier sequence number.
-			for i := range inner {
-				in := &inner[i]
-				if _, done := r.executedOps[in.OpID]; done {
-					continue
-				}
-				r.executedOps[in.OpID] = seq
-				delete(r.pending, in.OpID)
-				r.pubPendingLen()
-				r.execCount.Add(1)
-				if r.barrier != nil && r.haltAt == 0 && r.barrier(in.OpID) {
-					r.haltAt = seq
-					r.haltA.Store(seq)
-				}
-				if r.deliver != nil {
-					r.deliver(Delivery{Seq: seq, OpID: in.OpID, Op: in.Op, Tentative: tentative})
-				}
-			}
-		} else {
-			delete(r.pending, req.OpID)
+		}
+		for i := range ops {
+			op := &ops[i]
+			delete(r.pending, op.OpID)
 			r.pubPendingLen()
-			// Deliver at most once: a rolled-back-but-not-undone (or
-			// double-assigned) operation keeps its original mapping so
+			// Deliver at most once: an operation that already executed under
+			// an earlier sequence number — batched twice, double-assigned, or
+			// rolled back but not undone — keeps its original mapping so
 			// re-agreement at a new sequence number does not re-apply it.
-			if _, done := r.executedOps[req.OpID]; !done {
-				r.executedOps[req.OpID] = seq
-				r.execCount.Add(1)
-				if r.barrier != nil && r.haltAt == 0 && r.barrier(req.OpID) {
-					r.haltAt = seq
-					r.haltA.Store(seq)
-				}
-				if r.deliver != nil {
-					r.deliver(Delivery{Seq: seq, OpID: req.OpID, Op: req.Op, Tentative: tentative})
-				}
+			if _, done := r.executedOps[op.OpID]; done {
+				continue
+			}
+			r.executedOps[op.OpID] = seq
+			r.execCount.Add(1)
+			if r.barrier != nil && r.haltAt == 0 && r.barrier(op.OpID) {
+				r.haltAt = seq
+				r.haltA.Store(seq)
+			}
+			if r.deliver != nil {
+				r.deliver(Delivery{Seq: seq, OpID: op.OpID, Op: op.Op, Parsed: op.parsed, Tentative: tentative})
 			}
 		}
 	}
@@ -990,15 +1007,11 @@ func (r *Replica) applyOp(seq uint64, req *Request, tentative bool) {
 // operation. The chain lets lagging replicas verify fetched history
 // against a quorum-certified checkpoint digest.
 func chainDigest(prev Digest, seq uint64, reqDigest Digest) Digest {
-	h := sha256.New()
-	h.Write(prev[:])
-	var seqb [8]byte
-	binary.BigEndian.PutUint64(seqb[:], seq)
-	h.Write(seqb[:])
-	h.Write(reqDigest[:])
-	var out Digest
-	h.Sum(out[:0])
-	return out
+	var in [2*sha256.Size + 8]byte
+	copy(in[:], prev[:])
+	binary.BigEndian.PutUint64(in[sha256.Size:], seq)
+	copy(in[sha256.Size+8:], reqDigest[:])
+	return sha256.Sum256(in[:])
 }
 
 func (r *Replica) onCheckpoint(from int, c *Checkpoint) {
@@ -1174,11 +1187,11 @@ func (r *Replica) onTimer(gen uint64) {
 	// requests, arm their own timers, and join the view change, which
 	// needs a quorum to complete.
 	for _, opID := range r.pendingOrder {
-		req, ok := r.pending[opID]
+		p, ok := r.pending[opID]
 		if !ok {
 			continue
 		}
-		r.multicastOthers(&Message{Type: MsgRequest, Request: req})
+		r.multicastOthers(&Message{Type: MsgRequest, Request: p.req})
 	}
 	// The primary did not order our pending requests (or the view change
 	// did not complete) in time: suspect it and move on.

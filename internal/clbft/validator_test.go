@@ -34,8 +34,8 @@ func TestValidatorBlocksInvalidOps(t *testing.T) {
 			delivered[i] = append(delivered[i], d.OpID)
 			mu.Unlock()
 		}
-		validator := func(opID string, op []byte) bool {
-			return !bytes.HasPrefix(op, []byte("poison"))
+		validator := func(opID string, op []byte) (any, bool) {
+			return nil, !bytes.HasPrefix(op, []byte("poison"))
 		}
 		r, err := New(cfg, transport, deliver, WithValidator(validator))
 		if err != nil {
@@ -131,11 +131,11 @@ func TestValidatorRejectionAtBackupsOnly(t *testing.T) {
 		}
 		// Only backups validate in this test: the primary (0) is
 		// "faulty" and accepts everything.
-		validator := func(opID string, op []byte) bool {
+		validator := func(opID string, op []byte) (any, bool) {
 			if i == 0 {
-				return true
+				return nil, true
 			}
-			return !bytes.HasPrefix(op, []byte("poison"))
+			return nil, !bytes.HasPrefix(op, []byte("poison"))
 		}
 		r, err := New(cfg, transport, deliver, WithValidator(validator))
 		if err != nil {

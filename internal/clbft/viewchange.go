@@ -292,11 +292,7 @@ func (r *Replica) enterNewView(nv *NewView) {
 	if r.isPrimaryLocked() {
 		r.proposePending()
 	} else {
-		for _, opID := range r.pendingOrder {
-			if req, ok := r.pending[opID]; ok {
-				r.transport.Send(r.cfg.PrimaryOf(r.view), &Message{Type: MsgRequest, Request: req})
-			}
-		}
+		r.forwardPending()
 	}
 	r.armTimer()
 	r.viewChangesGC()
@@ -377,24 +373,23 @@ func (r *Replica) rollbackTentative(nv *NewView) {
 // undoExecution revokes the deliveries of one rolled-back sequence
 // number, newest-first within a batch.
 func (r *Replica) undoExecution(seq uint64, req *Request) {
-	if inner, err := decodeBatch(req); isBatch(req) && err == nil {
+	if isBatch(req) {
 		delete(r.executedOps, req.OpID)
-		for i := len(inner) - 1; i >= 0; i-- {
-			in := &inner[i]
-			if at, ok := r.executedOps[in.OpID]; !ok || at != seq {
-				continue // executed under an earlier sequence number: not ours to undo
-			}
-			r.undoOne(seq, in)
+	}
+	ops := carriedOps(req)
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := &ops[i].Request
+		if at, ok := r.executedOps[op.OpID]; !ok || at != seq {
+			continue // executed under an earlier sequence number: not ours to undo
 		}
-	} else if at, ok := r.executedOps[req.OpID]; ok && at == seq {
-		r.undoOne(seq, req)
+		r.undoOne(seq, op)
 	}
 }
 
 // undoOne runs the application's rollback handler for one revoked
 // delivery. If the application undid the operation it is forgotten and
-// re-buffered for re-proposal (it will be re-delivered at its new
-// position); otherwise it stays marked executed so it is never
+// re-buffered for re-proposal (it will be validated and re-delivered at
+// its new position); otherwise it stays marked executed so it is never
 // delivered twice.
 func (r *Replica) undoOne(seq uint64, req *Request) {
 	undone := false
@@ -407,8 +402,7 @@ func (r *Replica) undoOne(seq uint64, req *Request) {
 	delete(r.executedOps, req.OpID)
 	r.execCount.Add(^uint64(0))
 	if _, dup := r.pending[req.OpID]; !dup {
-		cp := &Request{OpID: req.OpID, Op: req.Op}
-		r.pending[req.OpID] = cp
+		r.pending[req.OpID] = &pendingReq{req: &Request{OpID: req.OpID, Op: req.Op}}
 		r.pendingOrder = append(r.pendingOrder, req.OpID)
 		r.pubPendingLen()
 	}

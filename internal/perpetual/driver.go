@@ -1079,7 +1079,9 @@ func (d *Driver) buildRequest(reqID string, tinfo ServiceInfo, payload []byte, r
 		Expiry:    expiry,
 		Payload:   payload,
 	}
-	a, err := auth.NewAuthenticator(d.ks, requestAuthMsg(reqID, req.Digest()), tinfo.VoterIDs())
+	msg := requestAuthMsg(reqID, req.Digest())
+	a, err := auth.NewAuthenticator(d.ks, msg.Bytes(), tinfo.VoterIDs())
+	msg.Free()
 	if err != nil {
 		return nil, fmt.Errorf("perpetual: authenticating request: %w", err)
 	}

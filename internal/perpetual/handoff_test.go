@@ -106,7 +106,7 @@ func newHandoffCertFixture(t *testing.T) *handoffCertFixture {
 		shares := make([]Share, 0, len(voters))
 		for _, v := range voters {
 			ks := auth.NewDerivedKeyStore(master, auth.VoterID("svc#0", v), principals)
-			a, err := auth.NewAuthenticator(ks, replyAuthMsg(reqID, digest, false, 0, 0), receivers)
+			a, err := auth.NewAuthenticator(ks, replyAuthMsg(reqID, digest, false, 0, 0).Bytes(), receivers)
 			if err != nil {
 				t.Fatalf("authenticator: %v", err)
 			}
@@ -358,6 +358,7 @@ func TestLiveReshardZeroLoss(t *testing.T) {
 	}
 
 	reshardGo := make(chan struct{})
+	reshardReturned := make(chan struct{})
 	var reshardOnce sync.Once
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -368,6 +369,12 @@ func TestLiveReshardZeroLoss(t *testing.T) {
 			for round := 0; round < incsPerKey; round++ {
 				if round == reshardAt && w == 0 {
 					reshardOnce.Do(func() { close(reshardGo) })
+				}
+				if round == incsPerKey-1 {
+					// The last increment of every key lands after the flip,
+					// however fast the writers are: a moved key must then
+					// show its new owner in the history checked below.
+					<-reshardReturned
 				}
 				for _, ks := range stats[w] {
 					payload, retries := kvCall(t, drv, ks.key, "inc:"+ks.key)
@@ -391,6 +398,7 @@ func TestLiveReshardZeroLoss(t *testing.T) {
 	var res *ReshardResult
 	reshardDone := make(chan error, 1)
 	go func() {
+		defer close(reshardReturned)
 		<-reshardGo
 		if err := dep.ProvisionShards("t", newShards); err != nil {
 			reshardDone <- err

@@ -252,14 +252,14 @@ func TestMembershipByzantineTable(t *testing.T) {
 		}
 		for _, mc := range bad {
 			op := &Op{Kind: OpMembership, Payload: mc.Encode()}
-			if v1.validateOp(MembershipOpID(mc.Group, mc.NewEpoch), op.Encode()) {
+			if v1.accepts(MembershipOpID(mc.Group, mc.NewEpoch), op.Encode()) {
 				t.Errorf("validator accepted %+v", mc)
 			}
 		}
 		// An op whose id does not bind the change it carries.
 		good := &MembershipChange{Group: "t", NewEpoch: 2, Kind: MembershipReplace, Slot: 0, NewN: 4}
 		op := &Op{Kind: OpMembership, Payload: good.Encode()}
-		if v1.validateOp(MembershipOpID("t", 7), op.Encode()) {
+		if v1.accepts(MembershipOpID("t", 7), op.Encode()) {
 			t.Error("validator accepted membership op under mismatched id")
 		}
 	})
@@ -279,7 +279,7 @@ func TestMembershipByzantineTable(t *testing.T) {
 		digest := ReplyDigest(reqID, payload)
 		mkShare := func(i int, epoch uint64, groupN int) Share {
 			a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)],
-				replyAuthMsg(reqID, digest, false, epoch, groupN), []auth.NodeID{callerDriver})
+				replyAuthMsg(reqID, digest, false, epoch, groupN).Bytes(), []auth.NodeID{callerDriver})
 			if err != nil {
 				t.Fatalf("share: %v", err)
 			}

@@ -2,7 +2,9 @@ package perpetual
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"slices"
 
 	"perpetualws/internal/auth"
 	"perpetualws/internal/wire"
@@ -122,30 +124,24 @@ type RequestMsg struct {
 // target primary. Attempt and Responder are excluded: retransmissions
 // count toward the same request.
 func (r *RequestMsg) Digest() [sha256.Size]byte {
-	h := sha256.New()
 	w := wire.GetWriter(64 + len(r.ReqID) + len(r.Caller) + len(r.Target) + len(r.Payload))
 	w.PutString(r.ReqID)
 	w.PutString(r.Caller)
 	w.PutString(r.Target)
 	w.PutBytes(r.Payload)
-	h.Write(w.Bytes())
+	d := sha256.Sum256(w.Bytes())
 	w.Free()
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
 	return d
 }
 
 // ReplyDigest binds a reply payload to its request. Both reply shares
 // and agreed reply operations use it.
 func ReplyDigest(reqID string, payload []byte) [sha256.Size]byte {
-	h := sha256.New()
 	w := wire.GetWriter(32 + len(reqID) + len(payload))
 	w.PutString(reqID)
 	w.PutBytes(payload)
-	h.Write(w.Bytes())
+	d := sha256.Sum256(w.Bytes())
 	w.Free()
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
 	return d
 }
 
@@ -160,8 +156,11 @@ func ReplyDigest(reqID string, payload []byte) [sha256.Size]byte {
 // and since every correct voter only ever endorses under the roster it
 // actually runs, a responder cannot forge a roster without breaking
 // every correct share in the bundle.
-func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, groupN int) []byte {
-	w := wire.NewWriter(len(reqID) + len(digest) + 32)
+//
+// The string is built in a pooled writer the caller frees once the
+// authenticator over it is computed or checked.
+func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, groupN int) *wire.Writer {
+	w := wire.GetWriter(len(reqID) + len(digest) + 32)
 	w.PutString("perpetual-reply")
 	w.PutString(reqID)
 	w.PutBytes(digest[:])
@@ -172,17 +171,18 @@ func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch 
 	}
 	w.PutUint64(epoch)
 	w.PutUvarint(uint64(groupN))
-	return w.Bytes()
+	return w
 }
 
 // requestAuthMsg is the byte string a calling driver MACs to endorse a
-// request digest toward the target voters.
-func requestAuthMsg(reqID string, digest [sha256.Size]byte) []byte {
-	w := wire.NewWriter(len(reqID) + len(digest) + 24)
+// request digest toward the target voters, in a pooled writer the
+// caller frees.
+func requestAuthMsg(reqID string, digest [sha256.Size]byte) *wire.Writer {
+	w := wire.GetWriter(len(reqID) + len(digest) + 24)
 	w.PutString("perpetual-request")
 	w.PutString(reqID)
 	w.PutBytes(digest[:])
-	return w.Bytes()
+	return w
 }
 
 // Share is one target voter's endorsement of a reply digest: the voter's
@@ -460,8 +460,10 @@ func bundleSize(b *ReplyBundle) int {
 	return n
 }
 
-// DecodeMessage parses a transport message. All variable-length fields
-// are copied.
+// DecodeMessage parses a transport message. Everything the result keeps
+// is copied out of buf — transport frames are pooled and reused once the
+// handler returns — except the body of a KindBFT message, which aliases
+// it: the voter decodes and discards that body inside the handler.
 func DecodeMessage(buf []byte) (*Message, error) {
 	r := wire.NewReader(buf)
 	m := &Message{Kind: Kind(r.Uint8()), Epoch: r.Uvarint()}
@@ -556,21 +558,34 @@ func decodeRequest(r *wire.Reader) *RequestMsg {
 }
 
 func encodeAuthenticator(w *wire.Writer, a *auth.Authenticator) {
-	w.PutString(a.Sender.String())
+	var id [64]byte // node ids are rendered here, not into a string each
+	w.PutBytes(a.Sender.AppendTo(id[:0]))
 	w.PutUvarint(uint64(len(a.Entries)))
-	for _, e := range a.Entries {
-		w.PutString(e.Receiver.String())
-		w.PutBytes(e.MAC)
+	for i := range a.Entries {
+		e := &a.Entries[i]
+		w.PutBytes(e.Receiver.AppendTo(id[:0]))
+		w.PutBytes(e.MAC[:])
 	}
 }
 
+// minEntryWire is the least an encoded authenticator entry occupies: an
+// empty receiver, and a length-prefixed MAC.
+const minEntryWire = 1 + 1 + auth.MACSize
+
+var errMACLength = errors.New("perpetual: authenticator MAC of the wrong length")
+
+// decodeAuthenticator copies everything it keeps: the entry vector is
+// its one allocation. An entry whose MAC is not MACSize bytes fails the
+// whole decode; one naming an unparseable receiver is skipped, since no
+// principal could be asked to verify it.
 func decodeAuthenticator(r *wire.Reader) auth.Authenticator {
 	var a auth.Authenticator
 	if sender, err := auth.InternNodeID(r.Bytes()); err == nil {
 		a.Sender = sender
 	}
 	n := int(r.Uvarint())
-	if n > r.Remaining() {
+	if n > r.Remaining()/minEntryWire {
+		r.Fail(wire.ErrTooLarge) // a hostile count must not size the allocation
 		return a
 	}
 	if n > 0 {
@@ -578,9 +593,12 @@ func decodeAuthenticator(r *wire.Reader) auth.Authenticator {
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		recv, err := auth.InternNodeID(r.Bytes())
-		mac := r.BytesCopy()
+		mac := r.Bytes()
+		if r.Err() == nil && len(mac) != auth.MACSize {
+			r.Fail(errMACLength)
+		}
 		if err == nil && r.Err() == nil {
-			a.Entries = append(a.Entries, auth.Entry{Receiver: recv, MAC: mac})
+			a.Entries = append(a.Entries, auth.Entry{Receiver: recv, MAC: [auth.MACSize]byte(mac)})
 		}
 	}
 	return a
@@ -665,15 +683,18 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 	needAny := eff.Quorum()
 	digest := ReplyDigest(b.ReqID, b.Payload)
 	msgStable := replyAuthMsg(b.ReqID, digest, false, b.Epoch, b.GroupN)
+	defer msgStable.Free()
 	msgTent := replyAuthMsg(b.ReqID, digest, true, b.Epoch, b.GroupN)
-	valid := make(map[int]struct{}, needAny)
+	defer msgTent.Free()
+	var seen [8]int // replica indices with a valid share; spills to the heap past 8
+	valid := seen[:0]
 	stable := 0
 	for i := range b.Shares {
 		s := &b.Shares[i]
 		if s.Replica < 0 || s.Replica >= eff.N {
 			continue
 		}
-		if _, dup := valid[s.Replica]; dup {
+		if slices.Contains(valid, s.Replica) {
 			continue
 		}
 		want := auth.VoterID(target.Name, s.Replica)
@@ -684,10 +705,10 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 		if s.Tentative {
 			msg = msgTent
 		}
-		if err := s.Auth.VerifyFor(ks, msg); err != nil {
+		if err := s.Auth.VerifyFor(ks, msg.Bytes()); err != nil {
 			continue
 		}
-		valid[s.Replica] = struct{}{}
+		valid = append(valid, s.Replica)
 		if !s.Tentative {
 			stable++
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/wire"
 )
 
 func testKeyStores(t *testing.T, master []byte, ids ...auth.NodeID) map[auth.NodeID]*auth.KeyStore {
@@ -29,7 +30,7 @@ func TestRequestMessageRoundTrip(t *testing.T) {
 		ReqID: "c:7", Caller: "c", Target: "t",
 		Responder: 1, Attempt: 2, Payload: []byte("<body/>"),
 	}
-	a, err := auth.NewAuthenticator(ks[driver], requestAuthMsg(req.ReqID, req.Digest()), voters)
+	a, err := auth.NewAuthenticator(ks[driver], requestAuthMsg(req.ReqID, req.Digest()).Bytes(), voters)
 	if err != nil {
 		t.Fatalf("NewAuthenticator: %v", err)
 	}
@@ -44,7 +45,7 @@ func TestRequestMessageRoundTrip(t *testing.T) {
 		t.Errorf("got %+v\nwant %+v", got.Request, req)
 	}
 	// The decoded authenticator must still verify.
-	if err := got.Request.Auth.VerifyFor(ks[voters[0]], requestAuthMsg(req.ReqID, got.Request.Digest())); err != nil {
+	if err := got.Request.Auth.VerifyFor(ks[voters[0]], requestAuthMsg(req.ReqID, got.Request.Digest()).Bytes()); err != nil {
 		t.Errorf("decoded authenticator failed verification: %v", err)
 	}
 }
@@ -56,8 +57,8 @@ func TestReplyShareAndBundleRoundTrip(t *testing.T) {
 		Auth: auth.Authenticator{
 			Sender: auth.VoterID("t", 3),
 			Entries: []auth.Entry{
-				{Receiver: auth.DriverID("c", 0), MAC: bytes.Repeat([]byte{1}, auth.MACSize)},
-				{Receiver: auth.VoterID("c", 0), MAC: bytes.Repeat([]byte{2}, auth.MACSize)},
+				{Receiver: auth.DriverID("c", 0), MAC: [auth.MACSize]byte{1, 1, 1}},
+				{Receiver: auth.VoterID("c", 0), MAC: [auth.MACSize]byte{2, 2, 2}},
 			},
 		},
 	}
@@ -201,7 +202,7 @@ func TestVerifyBundle(t *testing.T) {
 	payload := []byte("the reply")
 	reqID := "c:33"
 	digest := ReplyDigest(reqID, payload)
-	msg := replyAuthMsg(reqID, digest, false, 0, 0)
+	msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
 
 	mkShare := func(i int) Share {
 		a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)], msg, []auth.NodeID{callerDriver})
@@ -270,5 +271,123 @@ func TestReplyDigestBinding(t *testing.T) {
 	var zero [sha256.Size]byte
 	if d1 == zero {
 		t.Error("zero digest")
+	}
+}
+
+// rawRequest hand-encodes a request message whose authenticator claims
+// entries entries and carries one, with a MAC of macLen bytes.
+func rawRequest(entries uint64, macLen int) []byte {
+	w := wire.NewWriter(160)
+	w.PutUint8(uint8(KindRequest))
+	w.PutUvarint(0) // epoch
+	w.PutString("c:1")
+	w.PutString("c")
+	w.PutString("t")
+	w.PutUvarint(0) // responder
+	w.PutUvarint(0) // attempt
+	w.PutUvarint(0) // expiry
+	w.PutBytes([]byte("p"))
+	w.PutString(auth.DriverID("c", 0).String())
+	w.PutUvarint(entries)
+	w.PutString(auth.VoterID("t", 0).String())
+	w.PutBytes(bytes.Repeat([]byte{5}, macLen))
+	return w.Bytes()
+}
+
+// TestDecodeRejectsMalformedAuthenticator: a MAC entry of any length
+// but MACSize is a decode error (it used to be carried until the
+// comparison failed), and an entry count the input cannot hold is
+// refused before it sizes an allocation.
+func TestDecodeRejectsMalformedAuthenticator(t *testing.T) {
+	m, err := DecodeMessage(rawRequest(1, auth.MACSize))
+	if err != nil {
+		t.Fatalf("well-formed request rejected: %v", err)
+	}
+	if n := len(m.Request.Auth.Entries); n != 1 || m.Request.Auth.Entries[0].MAC[0] != 5 {
+		t.Fatalf("decoded %d entries: %+v", n, m.Request.Auth)
+	}
+	for _, macLen := range []int{0, 1, auth.MACSize - 1, auth.MACSize + 1, 2 * auth.MACSize} {
+		if _, err := DecodeMessage(rawRequest(1, macLen)); err == nil {
+			t.Errorf("request with a %d-byte MAC entry decoded", macLen)
+		}
+	}
+	for _, entries := range []uint64{2, 1 << 20, 1 << 62} {
+		if _, err := DecodeMessage(rawRequest(entries, auth.MACSize)); err == nil {
+			t.Errorf("request claiming %d entries and carrying one decoded", entries)
+		}
+	}
+}
+
+// TestCodecAllocBudget pins the allocation counts of the codecs on the
+// agreement path, so a regression is caught here rather than as noise in
+// the timed benchmark.
+func TestCodecAllocBudget(t *testing.T) {
+	master := []byte("alloc-budget")
+	driver := auth.DriverID("c", 0)
+	voters := ServiceInfo{Name: "t", N: 4}.VoterIDs()
+	ks := testKeyStores(t, master, append([]auth.NodeID{driver}, voters...)...)
+	a, err := auth.NewAuthenticator(ks[driver], []byte("msg"), voters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(512)
+	encodeAuthenticator(w, &a)
+	encAuth := w.Bytes()
+	op := &Op{Kind: OpRequest, ReqID: "c:123456", Caller: "c", Responder: 1,
+		Payload: bytes.Repeat([]byte{1}, 300), Shares: []Share{{Replica: 0, Auth: a}}}
+	encOp := op.Encode()
+
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"encodeAuthenticator into a pooled writer", 0, func() {
+			w := wire.GetWriter(512)
+			encodeAuthenticator(w, &a)
+			w.Free()
+		}},
+		{"decodeAuthenticator (the entry vector)", 1, func() {
+			if got := decodeAuthenticator(wire.NewReader(encAuth)); len(got.Entries) != len(voters) {
+				t.Fatalf("decoded %d entries", len(got.Entries))
+			}
+		}},
+		// The Op, its two strings, the share vector and that share's entry
+		// vector; the payload aliases the input.
+		{"DecodeOp of a one-share OpRequest", 5, func() {
+			if _, err := DecodeOp(encOp); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Op.Encode (one buffer)", 1, func() { op.Encode() }},
+		{"RequestMsg.Digest", 0, func() {
+			r := RequestMsg{ReqID: op.ReqID, Caller: op.Caller, Target: "t", Payload: op.Payload}
+			r.Digest()
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got > c.max {
+			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)
+		}
+	}
+}
+
+// TestDecodeOpAliasesItsInput states DecodeOp's ownership contract: the
+// payload points into the input (no copy), capped so that appending to
+// it cannot write over the rest of the operation.
+func TestDecodeOpAliasesItsInput(t *testing.T) {
+	op := &Op{Kind: OpRequest, ReqID: "c:1", Caller: "c", Payload: []byte("payload"),
+		Shares: []Share{{Replica: 1, Auth: auth.Authenticator{Sender: auth.DriverID("c", 1)}}}}
+	enc := op.Encode()
+	orig := bytes.Clone(enc)
+	got, err := DecodeOp(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.Index(enc, []byte("payload")); &got.Payload[0] != &enc[i] {
+		t.Error("DecodeOp copied the payload")
+	}
+	_ = append(got.Payload, "overrun"...)
+	if !bytes.Equal(enc, orig) {
+		t.Error("appending to the decoded payload wrote into the operation's buffer")
 	}
 }

@@ -117,9 +117,22 @@ func MembershipOpID(group string, newEpoch uint64) string {
 	return fmt.Sprintf("%s%s:%d", MembershipOpPrefix, group, newEpoch)
 }
 
+// sizeHint estimates the encoded size from the operation's content, so
+// Encode allocates its buffer once.
+func (o *Op) sizeHint() int {
+	n := 32 + len(o.ReqID) + len(o.Caller) + len(o.Target) + len(o.TxnID) + len(o.Payload)
+	for i := range o.Shares {
+		n += shareSize(&o.Shares[i])
+	}
+	for i := range o.TxnVotes {
+		n += bundleSize(&o.TxnVotes[i])
+	}
+	return n
+}
+
 // Encode serializes the operation for submission to CLBFT.
 func (o *Op) Encode() []byte {
-	w := wire.NewWriter(64 + len(o.Payload))
+	w := wire.NewWriter(o.sizeHint())
 	w.PutUint8(uint8(o.Kind))
 	switch o.Kind {
 	case OpRequest:
@@ -159,7 +172,21 @@ func (o *Op) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeOp parses an agreed operation.
+// aliasBytes reads a length-prefixed byte slice without copying it;
+// like BytesCopy, empty values decode as nil.
+func aliasBytes(r *wire.Reader) []byte {
+	if b := r.Bytes(); len(b) > 0 {
+		return b
+	}
+	return nil
+}
+
+// DecodeOp parses an agreed operation. The result aliases buf: Payload
+// points into it, so the caller must own buf and leave it unmodified for
+// as long as the Op is referenced. Agreed operations qualify — clbft
+// hands the validator and the delivery callback buffers it copied off
+// the wire and never reuses. Everything else — strings, authenticators,
+// TxnVotes — is a copy.
 func DecodeOp(buf []byte) (*Op, error) {
 	r := wire.NewReader(buf)
 	o := &Op{Kind: OpKind(r.Uint8())}
@@ -168,7 +195,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 		o.ReqID = r.String()
 		o.Caller = r.String()
 		o.Responder = int(r.Uvarint())
-		o.Payload = r.BytesCopy()
+		o.Payload = aliasBytes(r)
 		n := int(r.Uvarint())
 		if n > r.Remaining() {
 			return nil, fmt.Errorf("perpetual: request op with %d shares exceeds input", n)
@@ -184,7 +211,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 		o.Target = r.String()
 		o.Epoch = r.Uvarint()
 		o.GroupN = int(r.Uvarint())
-		o.Payload = r.BytesCopy()
+		o.Payload = aliasBytes(r)
 		n := int(r.Uvarint())
 		if n > r.Remaining() {
 			return nil, fmt.Errorf("perpetual: reply op with %d shares exceeds input", n)
@@ -214,7 +241,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 			o.TxnVotes = append(o.TxnVotes, *decodeBundle(r))
 		}
 	case OpMembership:
-		o.Payload = r.BytesCopy()
+		o.Payload = aliasBytes(r)
 	default:
 		return nil, fmt.Errorf("perpetual: unknown op kind %d", uint8(o.Kind))
 	}

@@ -191,6 +191,7 @@ func (r *Replica) bftOptions() []clbft.Option {
 	v := r.voter
 	opts := []clbft.Option{
 		clbft.WithValidator(v.validateOp),
+		clbft.WithVerdictEpoch(v.ks.Generation),
 		clbft.WithCheckpointHook(v.onStableCheckpoint),
 		clbft.WithRollback(v.onRollback),
 		clbft.WithBarrier(v.membershipBarrier),

@@ -525,15 +525,15 @@ func TestTxnDecisionValidation(t *testing.T) {
 	v, _, stores := newBareVoter(t)
 	// Abort decisions need no certificate.
 	abort := &Op{Kind: OpTxnDecision, TxnID: "t:txn:1"}
-	if !v.validateOp(TxnOpID("t:txn:1"), abort.Encode()) {
+	if !v.accepts(TxnOpID("t:txn:1"), abort.Encode()) {
 		t.Error("abort decision rejected")
 	}
-	if v.validateOp(TxnOpID(""), (&Op{Kind: OpTxnDecision}).Encode()) {
+	if v.accepts(TxnOpID(""), (&Op{Kind: OpTxnDecision}).Encode()) {
 		t.Error("decision without txn id validated")
 	}
 	// A commit decision without certificates is rejected.
 	commit := &Op{Kind: OpTxnDecision, TxnID: "t:txn:2", Commit: true}
-	if v.validateOp(TxnOpID("t:txn:2"), commit.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), commit.Encode()) {
 		t.Error("uncertified commit decision validated")
 	}
 
@@ -543,7 +543,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	certify := func(reqID string, frame *TxnFrame, voteCommit bool) ReplyBundle {
 		votePayload := EncodeTxnVote(frame, voteCommit, []byte("ready"))
 		digest := ReplyDigest(reqID, votePayload)
-		msg := replyAuthMsg(reqID, digest, false, 0, 0)
+		msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
 		bundle := ReplyBundle{ReqID: reqID, Target: "c", Payload: votePayload}
 		for _, idx := range []int{0, 1} {
 			a, err := auth.NewAuthenticator(stores[auth.VoterID("c", idx)], msg, []auth.NodeID{auth.VoterID("t", 0)})
@@ -559,13 +559,13 @@ func TestTxnDecisionValidation(t *testing.T) {
 	// A commit carrying a complete, properly endorsed vote set
 	// validates.
 	commit.TxnVotes = []ReplyBundle{certify("t:9", frame, true)}
-	if !v.validateOp(TxnOpID("t:txn:2"), commit.Encode()) {
+	if !v.accepts(TxnOpID("t:txn:2"), commit.Encode()) {
 		t.Error("genuine commit decision rejected")
 	}
 	// An abort-vote certificate must not certify a commit.
 	bad := *commit
 	bad.TxnVotes = []ReplyBundle{certify("t:9", frame, false)}
-	if v.validateOp(TxnOpID("t:txn:2"), bad.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), bad.Encode()) {
 		t.Error("commit decision with abort-vote certificate validated")
 	}
 	// Replay: a genuine commit vote from ANOTHER transaction must not
@@ -573,7 +573,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	otherFrame := &TxnFrame{Phase: TxnPrepare, TxnID: "t:txn:1", Participants: []string{"c"}, Prepares: 1}
 	replay := *commit
 	replay.TxnVotes = []ReplyBundle{certify("t:8", otherFrame, true)}
-	if v.validateOp(TxnOpID("t:txn:2"), replay.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), replay.Encode()) {
 		t.Error("commit decision certified by a replayed vote validated")
 	}
 	// Partial membership: a vote naming more participants than the
@@ -582,7 +582,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	wideFrame := &TxnFrame{Phase: TxnPrepare, TxnID: "t:txn:2", Participants: []string{"c", "t"}, Prepares: 2}
 	partial := *commit
 	partial.TxnVotes = []ReplyBundle{certify("t:9", wideFrame, true)}
-	if v.validateOp(TxnOpID("t:txn:2"), partial.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), partial.Encode()) {
 		t.Error("commit decision with incomplete participant cover validated")
 	}
 	// An unknown participant service is rejected.
@@ -590,7 +590,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	ghostBundle := certify("t:9", frame, true)
 	ghostBundle.Target = "ghost"
 	ghost.TxnVotes = []ReplyBundle{ghostBundle}
-	if v.validateOp(TxnOpID("t:txn:2"), ghost.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), ghost.Encode()) {
 		t.Error("commit decision naming unknown participant validated")
 	}
 	// An outcome acknowledgement (also a vote-encoded commit reply, but
@@ -598,7 +598,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	ackFrame := &TxnFrame{Phase: TxnCommit, TxnID: "t:txn:2", Participants: []string{"c"}, Prepares: 1}
 	ack := *commit
 	ack.TxnVotes = []ReplyBundle{certify("t:9", ackFrame, true)}
-	if v.validateOp(TxnOpID("t:txn:2"), ack.Encode()) {
+	if v.accepts(TxnOpID("t:txn:2"), ack.Encode()) {
 		t.Error("commit decision certified by an outcome acknowledgement validated")
 	}
 }
@@ -611,7 +611,7 @@ func TestTxnDecisionValidationRejectsForeignTxnID(t *testing.T) {
 	v, _, _ := newBareVoter(t)
 	for _, id := range []string{"c:txn:1", "x:txn:9", "t:1", "txn:t:1"} {
 		abort := &Op{Kind: OpTxnDecision, TxnID: id}
-		if v.validateOp(TxnOpID(id), abort.Encode()) {
+		if v.accepts(TxnOpID(id), abort.Encode()) {
 			t.Errorf("abort decision for foreign txn id %q validated", id)
 		}
 	}
@@ -628,7 +628,7 @@ func TestTxnDecisionValidationIsPerVoteNotPerShard(t *testing.T) {
 	certify := func(reqID string) ReplyBundle {
 		votePayload := EncodeTxnVote(frame, true, []byte("ready"))
 		digest := ReplyDigest(reqID, votePayload)
-		msg := replyAuthMsg(reqID, digest, false, 0, 0)
+		msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
 		bundle := ReplyBundle{ReqID: reqID, Target: "c", Payload: votePayload}
 		for _, idx := range []int{0, 1} {
 			a, err := auth.NewAuthenticator(stores[auth.VoterID("c", idx)], msg, []auth.NodeID{auth.VoterID("t", 0)})
@@ -643,20 +643,20 @@ func TestTxnDecisionValidationIsPerVoteNotPerShard(t *testing.T) {
 	// Both PREPAREs' commit votes present: validates.
 	full := &Op{Kind: OpTxnDecision, TxnID: "t:txn:5", Commit: true,
 		TxnVotes: []ReplyBundle{certify("t:20"), certify("t:21")}}
-	if !v.validateOp(TxnOpID("t:txn:5"), full.Encode()) {
+	if !v.accepts(TxnOpID("t:txn:5"), full.Encode()) {
 		t.Error("complete two-vote commit decision rejected")
 	}
 	// One vote omitted: the shard is still covered, but the second
 	// PREPARE's vote is missing — must be rejected.
 	omit := &Op{Kind: OpTxnDecision, TxnID: "t:txn:5", Commit: true,
 		TxnVotes: []ReplyBundle{certify("t:20")}}
-	if v.validateOp(TxnOpID("t:txn:5"), omit.Encode()) {
+	if v.accepts(TxnOpID("t:txn:5"), omit.Encode()) {
 		t.Error("commit decision omitting one PREPARE's vote validated")
 	}
 	// The same vote duplicated cannot stand in for the missing one.
 	dup := &Op{Kind: OpTxnDecision, TxnID: "t:txn:5", Commit: true,
 		TxnVotes: []ReplyBundle{certify("t:20"), certify("t:20")}}
-	if v.validateOp(TxnOpID("t:txn:5"), dup.Encode()) {
+	if v.accepts(TxnOpID("t:txn:5"), dup.Encode()) {
 		t.Error("commit decision with a duplicated vote validated")
 	}
 }

@@ -279,14 +279,19 @@ func (t *bftTransport) Multicast(tos []int, m *clbft.Message) {
 // validateOp is the CLBFT operation validator: it re-verifies the
 // authenticator certificates embedded in request and reply operations so
 // a faulty voter-group primary cannot push fabricated operations through
-// agreement. (Memoizing verdicts per OpID was tried and measured
-// slower: with precomputed HMAC pad states the re-verification is
-// cheaper than hashing the operation for the memo key.)
-func (v *voter) validateOp(opID string, op []byte) bool {
+// agreement. It returns the decoded *Op for clbft to carry to onDeliver
+// (Delivery.Parsed), so an accepted operation is decoded once per
+// replica. The Op aliases op, which clbft owns and never modifies.
+func (v *voter) validateOp(opID string, op []byte) (any, bool) {
 	o, err := DecodeOp(op)
 	if err != nil {
-		return false
+		return nil, false
 	}
+	return o, v.validOp(opID, o)
+}
+
+// validOp is validateOp's verdict on a decoded operation.
+func (v *voter) validOp(opID string, o *Op) bool {
 	switch o.Kind {
 	case OpRequest:
 		caller, err := v.registry.Lookup(o.Caller)
@@ -295,20 +300,22 @@ func (v *voter) validateOp(opID string, op []byte) bool {
 		}
 		req := RequestMsg{ReqID: o.ReqID, Caller: o.Caller, Target: v.svc.Name, Payload: o.Payload}
 		msg := requestAuthMsg(o.ReqID, req.Digest())
+		defer msg.Free()
 		need := caller.F() + 1
-		valid := make(map[int]struct{}, need)
+		var seen [8]int // caller replicas with a valid share; spills to the heap past 8
+		valid := seen[:0]
 		for i := range o.Shares {
 			s := &o.Shares[i]
-			if s.Replica < 0 || s.Replica >= caller.N {
+			if s.Replica < 0 || s.Replica >= caller.N || slices.Contains(valid, s.Replica) {
 				continue
 			}
 			if s.Auth.Sender != auth.DriverID(caller.Name, s.Replica) {
 				continue
 			}
-			if err := s.Auth.VerifyFor(v.ks, msg); err != nil {
+			if err := s.Auth.VerifyFor(v.ks, msg.Bytes()); err != nil {
 				continue
 			}
-			valid[s.Replica] = struct{}{}
+			valid = append(valid, s.Replica)
 		}
 		return len(valid) >= need
 	case OpReply:
@@ -496,7 +503,10 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 	digest := req.Digest()
 	// The embedded authenticator must endorse the request for this
 	// voter; otherwise the sender is lying about the content.
-	if err := req.Auth.VerifyFor(v.ks, requestAuthMsg(req.ReqID, digest)); err != nil {
+	msg := requestAuthMsg(req.ReqID, digest)
+	err = req.Auth.VerifyFor(v.ks, msg.Bytes())
+	msg.Free()
+	if err != nil {
 		v.logf("request %s from %s: bad authenticator: %v", req.ReqID, from, err)
 		return
 	}
@@ -654,24 +664,26 @@ func (v *voter) countVotes(vote *reqVote, digest [sha256.Size]byte) int {
 
 // dedupShares keeps one share per replica index.
 func dedupShares(in []Share) []Share {
-	seen := make(map[int]struct{}, len(in))
 	out := make([]Share, 0, len(in))
 	for _, s := range in {
-		if _, dup := seen[s.Replica]; dup {
-			continue
+		if !slices.ContainsFunc(out, func(o Share) bool { return o.Replica == s.Replica }) {
+			out = append(out, s)
 		}
-		seen[s.Replica] = struct{}{}
-		out = append(out, s)
 	}
 	return out
 }
 
 // onDeliver consumes agreed operations in CLBFT order (stages 3 and 9).
+// The operation normally arrives already decoded by validateOp; history
+// replayed by catch-up never passed the validator and is decoded here.
 func (v *voter) onDeliver(d clbft.Delivery) {
-	o, err := DecodeOp(d.Op)
-	if err != nil {
-		v.logf("agreed op %s undecodable: %v", d.OpID, err)
-		return
+	o, _ := d.Parsed.(*Op)
+	if o == nil {
+		var err error
+		if o, err = DecodeOp(d.Op); err != nil {
+			v.logf("agreed op %s undecodable: %v", d.OpID, err)
+			return
+		}
 	}
 	switch o.Kind {
 	case OpRequest:
@@ -856,7 +868,9 @@ func (v *voter) authenticateReply(reqID, callerName string, payload []byte, dige
 			receivers = append(receivers, dg.DriverIDs()...)
 		}
 	}
-	return auth.NewAuthenticator(v.ks, replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N), receivers)
+	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N)
+	defer msg.Free()
+	return auth.NewAuthenticator(v.ks, msg.Bytes(), receivers)
 }
 
 // upgradeShare re-mints a cached share as stable under the current

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/clbft"
 	"perpetualws/internal/transport"
 )
 
@@ -29,6 +30,12 @@ func newBareVoter(t *testing.T) (*voter, *Registry, map[auth.NodeID]*auth.KeySto
 	return v, reg, stores
 }
 
+// accepts is validateOp's verdict alone.
+func (v *voter) accepts(opID string, op []byte) bool {
+	_, ok := v.validateOp(opID, op)
+	return ok
+}
+
 func signedRequest(t *testing.T, stores map[auth.NodeID]*auth.KeyStore, driverIdx int, reqID string, payload []byte, responder int) *RequestMsg {
 	t.Helper()
 	driver := auth.DriverID("c", driverIdx)
@@ -40,7 +47,7 @@ func signedRequest(t *testing.T, stores map[auth.NodeID]*auth.KeyStore, driverId
 		auth.VoterID("t", 0), auth.VoterID("t", 1),
 		auth.VoterID("t", 2), auth.VoterID("t", 3),
 	}
-	a, err := auth.NewAuthenticator(stores[driver], requestAuthMsg(reqID, req.Digest()), voters)
+	a, err := auth.NewAuthenticator(stores[driver], requestAuthMsg(reqID, req.Digest()).Bytes(), voters)
 	if err != nil {
 		t.Fatalf("authenticator: %v", err)
 	}
@@ -189,17 +196,17 @@ func TestAcceptShareStoresLegitimateNilPayload(t *testing.T) {
 
 func TestVoterValidateOpRejectsGarbage(t *testing.T) {
 	v, _, stores := newBareVoter(t)
-	if v.validateOp("x", []byte{0xFF, 0x01}) {
+	if v.accepts("x", []byte{0xFF, 0x01}) {
 		t.Error("undecodable op validated")
 	}
 	// OpRequest with no shares.
 	op := &Op{Kind: OpRequest, ReqID: "c:1", Caller: "c", Payload: []byte("p")}
-	if v.validateOp(RequestOpID("c:1"), op.Encode()) {
+	if v.accepts(RequestOpID("c:1"), op.Encode()) {
 		t.Error("request op without endorsements validated")
 	}
 	// OpRequest from an unknown caller service.
 	op = &Op{Kind: OpRequest, ReqID: "x:1", Caller: "ghost", Payload: []byte("p")}
-	if v.validateOp(RequestOpID("x:1"), op.Encode()) {
+	if v.accepts(RequestOpID("x:1"), op.Encode()) {
 		t.Error("request op from unknown caller validated")
 	}
 	// A properly endorsed OpRequest validates (caller f=1 needs 2
@@ -210,22 +217,22 @@ func TestVoterValidateOpRejectsGarbage(t *testing.T) {
 		Kind: OpRequest, ReqID: "c:7", Caller: "c", Payload: []byte("q"),
 		Shares: []Share{{Replica: 0, Auth: reqA.Auth}, {Replica: 1, Auth: reqB.Auth}},
 	}
-	if !v.validateOp(RequestOpID("c:7"), op.Encode()) {
+	if !v.accepts(RequestOpID("c:7"), op.Encode()) {
 		t.Error("genuine request op rejected")
 	}
 	// One endorsement is not enough for f=1.
 	op.Shares = op.Shares[:1]
-	if v.validateOp(RequestOpID("c:7"), op.Encode()) {
+	if v.accepts(RequestOpID("c:7"), op.Encode()) {
 		t.Error("under-endorsed request op validated")
 	}
 	// Abort and util ops.
-	if !v.validateOp(AbortOpID("c:7"), (&Op{Kind: OpAbort, ReqID: "c:7"}).Encode()) {
+	if !v.accepts(AbortOpID("c:7"), (&Op{Kind: OpAbort, ReqID: "c:7"}).Encode()) {
 		t.Error("abort op rejected")
 	}
-	if v.validateOp(AbortOpID(""), (&Op{Kind: OpAbort}).Encode()) {
+	if v.accepts(AbortOpID(""), (&Op{Kind: OpAbort}).Encode()) {
 		t.Error("abort op without id validated")
 	}
-	if !v.validateOp(UtilOpID(1), (&Op{Kind: OpUtil, K: 1, Value: 5}).Encode()) {
+	if !v.accepts(UtilOpID(1), (&Op{Kind: OpUtil, K: 1, Value: 5}).Encode()) {
 		t.Error("util op rejected")
 	}
 }
@@ -269,4 +276,144 @@ func TestUpdateResponderViaRetransmission(t *testing.T) {
 		t.Errorf("responder = %+v, want 3", info)
 	}
 	_ = time.Now()
+}
+
+// verdictFixture drives a bare voter's validator through CLBFT instances
+// the test feeds by hand: replica 1 leads view 1, so what this voter
+// (replica 0) buffers is only ever ordered by the pre-prepares sent in.
+type verdictFixture struct {
+	t      *testing.T
+	v      *voter
+	stores map[auth.NodeID]*auth.KeyStore
+	calls  int // validator calls so far
+}
+
+func (fx *verdictFixture) start(bs *clbft.Bootstrap) *clbft.Replica {
+	bs.InitialView = 1
+	validate := func(opID string, op []byte) (any, bool) {
+		fx.calls++
+		return fx.v.validateOp(opID, op)
+	}
+	b, err := clbft.NewFromBootstrap(clbft.Config{ID: 0, N: 4, ViewChangeTimeout: time.Minute},
+		clbft.TransportFunc(func(int, *clbft.Message) {}), nil, bs,
+		clbft.WithValidator(validate), clbft.WithVerdictEpoch(fx.v.ks.Generation))
+	if err != nil {
+		fx.t.Fatal(err)
+	}
+	b.Start()
+	fx.t.Cleanup(b.Stop)
+	return b
+}
+
+// endorsed builds request c:7 with f_c+1 shares MAC'd under the caller
+// drivers' current keys.
+func (fx *verdictFixture) endorsed() *clbft.Request {
+	reqA := signedRequest(fx.t, fx.stores, 0, "c:7", []byte("q"), 0)
+	reqB := signedRequest(fx.t, fx.stores, 1, "c:7", []byte("q"), 0)
+	op := &Op{Kind: OpRequest, ReqID: "c:7", Caller: "c", Payload: []byte("q"),
+		Shares: []Share{{Replica: 0, Auth: reqA.Auth}, {Replica: 1, Auth: reqB.Auth}}}
+	return &clbft.Request{OpID: RequestOpID("c:7"), Op: op.Encode()}
+}
+
+// rotate lifts the caller drivers' keys toward this voter to epoch, at
+// both ends, as rotateEpochKeys does deployment-wide.
+func (fx *verdictFixture) rotate(epoch uint64) {
+	self := auth.VoterID("t", 0)
+	for i := 0; i < 4; i++ {
+		d := auth.DriverID("c", i)
+		k := auth.DeriveEpochKey([]byte("wb"), epoch, d, self)
+		fx.stores[d].SetKey(self, k)
+		fx.v.ks.SetKey(d, k)
+	}
+}
+
+// prePrepared reports whether the instance took req in at seq (it waits
+// for the event loop, which serves DebugState in arrival order).
+func prePrepared(b *clbft.Replica, seq uint64, req *clbft.Request) bool {
+	before := b.DebugState().LogLen
+	b.Receive(1, &clbft.Message{Type: clbft.MsgPrePrepare,
+		PrePrepare: &clbft.PrePrepare{View: 1, Seq: seq, Digest: req.Digest(), Request: *req}})
+	return b.DebugState().LogLen > before
+}
+
+// TestValidatedOpNotReusedAfterAdoptEpoch: what the voter parsed and
+// validated for a buffered operation vouches for that operation only
+// inside the CLBFT instance — the membership epoch — that validated it.
+// After an install rotates the keys and rebuilds the instance, the
+// carried-over copy (endorsed under the old keys) must be validated
+// again and refused, and a retransmission with fresher credentials must
+// take its place; within one instance the verdict is reused.
+func TestValidatedOpNotReusedAfterAdoptEpoch(t *testing.T) {
+	v, _, stores := newBareVoter(t)
+	fx := &verdictFixture{t: t, v: v, stores: stores}
+
+	b0 := fx.start(&clbft.Bootstrap{})
+	old := fx.endorsed()
+	b0.Submit(old.OpID, old.Op)
+	if b0.DebugState().PendingLen != 1 || fx.calls != 1 {
+		t.Fatalf("epoch 0: %d buffered after %d validations", b0.DebugState().PendingLen, fx.calls)
+	}
+	if !prePrepared(b0, 1, old) || fx.calls != 1 {
+		t.Fatalf("epoch 0: pre-prepare of the buffered bytes refused, or validated again (%d validations)", fx.calls)
+	}
+
+	// Install epoch 1: the caller drivers' keys toward this voter rotate,
+	// the instance is rebuilt from its own snapshot, the voter adopts.
+	b0.Stop()
+	bs := b0.ExportBootstrap()
+	if len(bs.Pending) != 1 {
+		t.Fatalf("snapshot carries %d pending operations, want 1", len(bs.Pending))
+	}
+	fx.rotate(1)
+	b1 := fx.start(bs)
+	v.adoptEpoch(1)
+	v.bftp.Store(b1)
+
+	if prePrepared(b1, bs.Seq+1, old) {
+		t.Error("epoch 1: an operation endorsed under epoch-0 keys was accepted on the strength of its epoch-0 verdict")
+	}
+	if fx.calls != 2 {
+		t.Errorf("epoch 1: carried-over operation met %d validations in all, want 2 (one per epoch)", fx.calls)
+	}
+	fresh := fx.endorsed() // the caller's retransmission, MAC'd under the rotated keys
+	b1.Submit(fresh.OpID, fresh.Op)
+	if st := b1.DebugState(); st.PendingLen != 1 || fx.calls != 3 {
+		t.Fatalf("epoch 1: %d buffered after %d validations; the re-submission should replace the stale copy", st.PendingLen, fx.calls)
+	}
+	if !prePrepared(b1, bs.Seq+1, fresh) || fx.calls != 3 {
+		t.Errorf("epoch 1: pre-prepare of the re-submitted bytes refused, or validated again (%d validations)", fx.calls)
+	}
+}
+
+// TestValidatedOpNotReusedAfterPeerKeyRotation: another group's
+// membership change rotates this voter's keys toward that group without
+// rebuilding this group's CLBFT instance (rotateEpochKeys runs at every
+// replica of the deployment). A verdict buffered before the rotation
+// must not decide a pre-prepare after it: every replica judges the
+// operation under the keys it holds now, whether or not it had the
+// operation buffered.
+func TestValidatedOpNotReusedAfterPeerKeyRotation(t *testing.T) {
+	v, _, stores := newBareVoter(t)
+	fx := &verdictFixture{t: t, v: v, stores: stores}
+
+	b := fx.start(&clbft.Bootstrap{})
+	old := fx.endorsed()
+	b.Submit(old.OpID, old.Op)
+	if b.DebugState().PendingLen != 1 || fx.calls != 1 {
+		t.Fatalf("%d buffered after %d validations", b.DebugState().PendingLen, fx.calls)
+	}
+
+	fx.rotate(1) // group "c" installed epoch 1; this instance lives on
+
+	if prePrepared(b, 1, old) {
+		t.Error("an operation endorsed under the callers' old keys was accepted on the strength of a verdict reached before they rotated")
+	}
+	if fx.calls != 2 {
+		t.Errorf("buffered operation met %d validations in all, want 2 (one per key generation)", fx.calls)
+	}
+	fresh := fx.endorsed()
+	b.Submit(fresh.OpID, fresh.Op)
+	if !prePrepared(b, 1, fresh) || fx.calls != 3 {
+		t.Errorf("pre-prepare of the re-submitted bytes refused, or validated again (%d validations)", fx.calls)
+	}
 }

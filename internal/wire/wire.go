@@ -111,6 +111,12 @@ func (w *Writer) PutString(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// PutRaw appends b as is, with no length prefix.
+func (w *Writer) PutRaw(b []byte) { w.buf = append(w.buf, b...) }
+
+// PutRawString appends s as is, with no length prefix.
+func (w *Writer) PutRawString(s string) { w.buf = append(w.buf, s...) }
+
 // Reader decodes an encoded message. Construct with NewReader.
 type Reader struct {
 	buf []byte
@@ -140,7 +146,12 @@ func (r *Reader) Done() error {
 	return nil
 }
 
-func (r *Reader) fail(err error) {
+// Fail records err as the decoding error unless an earlier one is
+// already recorded. Message decoders call it for fields that are well
+// formed at this level but invalid at theirs (a fixed-size value of the
+// wrong length), so such input is rejected like any other malformed
+// field.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -151,10 +162,12 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if r.Remaining() < n {
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	// Capped, so appending to a field that aliases the buffer reallocates
+	// instead of writing over the bytes that follow it.
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -208,7 +221,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 		return 0
 	}
 	r.off += n
@@ -223,7 +236,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > math.MaxInt32 || int(n) > r.Remaining() {
-		r.fail(ErrTooLarge)
+		r.Fail(ErrTooLarge)
 		return nil
 	}
 	return r.take(int(n))
