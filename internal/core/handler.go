@@ -48,7 +48,24 @@ type handler struct {
 	events    []Event
 	repliesIn map[string]struct{}                  // reply msgIDs queued or consumed (dedup)
 	inReq     map[string]perpetual.IncomingRequest // msgID -> perpetual request
+	// blocked holds the msgIDs of SendReceive calls not yet answered.
+	// Their replies may take the driver's reply fast path, which queues
+	// them at a point agreement did not fix, so only the blocked
+	// ReceiveReplyFor may take them: the unkeyed ReceiveReply and
+	// ReceiveEvent skip them.
+	blocked map[string]struct{}
+	// early parks replies that reached deliverReply before send recorded
+	// their request and carry no RelatesTo to file them by (aborts and
+	// unparseable-payload faults): a call settled at issue from an
+	// outcome its driver parked is answered inside SendOut, and the pump
+	// may get here first. send claims the entry once it learns the reqID;
+	// earlyOrder bounds the unclaimed ones, oldest dropped first.
+	early      map[string]*wsengine.MessageContext // perpetual reqID -> reply
+	earlyOrder []string
 }
+
+// maxEarlyReplies bounds handler.early.
+const maxEarlyReplies = 1024
 
 // EventKind discriminates handler events.
 type EventKind uint8
@@ -90,6 +107,8 @@ func newHandler(node *Node, driver *perpetual.Driver) *handler {
 		msgOfReq:  make(map[string]string),
 		repliesIn: make(map[string]struct{}),
 		inReq:     make(map[string]perpetual.IncomingRequest),
+		blocked:   make(map[string]struct{}),
+		early:     make(map[string]*wsengine.MessageContext),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	return h
@@ -99,6 +118,12 @@ func newHandler(node *Node, driver *perpetual.Driver) *handler {
 // the MessageContext with addressing headers, run the OUT-PIPE, and pass
 // the result to the PerpetualSender.
 func (h *handler) Send(request *wsengine.MessageContext) error {
+	return h.send(request, false)
+}
+
+// send is Send; blocking marks a SendReceive, whose reply only its own
+// ReceiveReplyFor may take (see blocked and propBlocking).
+func (h *handler) send(request *wsengine.MessageContext, blocking bool) error {
 	if request == nil {
 		return errors.New("perpetualws: nil request context")
 	}
@@ -109,6 +134,12 @@ func (h *handler) Send(request *wsengine.MessageContext) error {
 	}
 	h.msgSeq++
 	msgID := fmt.Sprintf("%s:msg:%d", h.driver.ServiceName(), h.msgSeq)
+	if blocking {
+		// Registered before the request exists anywhere, so even a reply
+		// delivered before send returns is hidden from unkeyed receives.
+		h.blocked[msgID] = struct{}{}
+		request.SetProperty(propBlocking, true)
+	}
 	h.mu.Unlock()
 
 	request.Envelope.Header.MessageID = msgID
@@ -120,19 +151,41 @@ func (h *handler) Send(request *wsengine.MessageContext) error {
 	// Through the OUT-PIPE to the PerpetualSender, which performs the
 	// actual driver.Call and reports the assigned request ID back via
 	// the context property bag.
-	if err := h.node.engine.SendOut(request); err != nil {
+	err := h.node.engine.SendOut(request)
+	reqIDv, ok := request.Property(PropReqID)
+	if err == nil && !ok {
+		err = errors.New("perpetualws: transport did not record a request id")
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err != nil {
+		delete(h.blocked, msgID)
 		return err
 	}
-	reqIDv, ok := request.Property(PropReqID)
-	if !ok {
-		return errors.New("perpetualws: transport did not record a request id")
-	}
+	// A reply that won the race to this point was either filed under its
+	// RelatesTo or parked under its reqID (see deliverReply); entries
+	// recorded for it now would never be removed.
 	reqID := reqIDv.(string)
-	h.mu.Lock()
-	h.reqOfMsg[msgID] = reqID
-	h.msgOfReq[reqID] = msgID
-	h.mu.Unlock()
+	if mc, ok := h.early[reqID]; ok {
+		delete(h.early, reqID)
+		h.queueReplyLocked(msgID, mc)
+		return nil
+	}
+	if _, answered := h.repliesIn[msgID]; !answered {
+		h.reqOfMsg[msgID] = reqID
+		h.msgOfReq[reqID] = msgID
+	}
 	return nil
+}
+
+// takeable reports whether an unkeyed receive may take event i (caller
+// holds h.mu): anything but a reply a SendReceive is blocked on.
+func (h *handler) takeable(i int) bool {
+	if h.events[i].Kind != EventReply {
+		return true
+	}
+	_, blocked := h.blocked[h.events[i].msgID]
+	return !blocked
 }
 
 // popAt removes and returns the event at index i (caller holds h.mu).
@@ -142,7 +195,8 @@ func (h *handler) popAt(i int) Event {
 	return ev
 }
 
-// ReceiveEvent implements EventSource.
+// ReceiveEvent implements EventSource. Replies SendReceive calls are
+// blocked on are not part of the stream (see blocked).
 func (h *handler) ReceiveEvent() (Event, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -150,14 +204,17 @@ func (h *handler) ReceiveEvent() (Event, error) {
 		if h.closed {
 			return Event{}, ErrClosed
 		}
-		if len(h.events) > 0 {
-			return h.popAt(0), nil
+		for i := range h.events {
+			if h.takeable(i) {
+				return h.popAt(i), nil
+			}
 		}
 		h.cond.Wait()
 	}
 }
 
-// ReceiveReply implements MessageHandler.
+// ReceiveReply implements MessageHandler. It never takes the reply a
+// SendReceive call is blocked on.
 func (h *handler) ReceiveReply() (*wsengine.MessageContext, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -166,7 +223,7 @@ func (h *handler) ReceiveReply() (*wsengine.MessageContext, error) {
 			return nil, ErrClosed
 		}
 		for i := range h.events {
-			if h.events[i].Kind == EventReply {
+			if h.events[i].Kind == EventReply && h.takeable(i) {
 				return h.popAt(i).MC, nil
 			}
 		}
@@ -196,6 +253,7 @@ func (h *handler) ReceiveReplyFor(request *wsengine.MessageContext) (*wsengine.M
 		}
 		for i := range h.events {
 			if h.events[i].Kind == EventReply && h.events[i].msgID == msgID {
+				delete(h.blocked, msgID)
 				return h.popAt(i).MC, nil
 			}
 		}
@@ -203,9 +261,12 @@ func (h *handler) ReceiveReplyFor(request *wsengine.MessageContext) (*wsengine.M
 	}
 }
 
-// SendReceive implements MessageHandler: a synchronous invocation.
+// SendReceive implements MessageHandler: a synchronous invocation. The
+// calling thread consumes exactly this reply, whenever it arrives, so
+// without a deadline the call takes the driver's reply fast path
+// (perpetual.Request.Blocking): no caller-side reply agreement.
 func (h *handler) SendReceive(request *wsengine.MessageContext) (*wsengine.MessageContext, error) {
-	if err := h.Send(request); err != nil {
+	if err := h.send(request, true); err != nil {
 		return nil, err
 	}
 	return h.ReceiveReplyFor(request)
@@ -314,16 +375,37 @@ func (h *handler) deliverReply(reqID string, mc *wsengine.MessageContext) {
 	}
 	msgID, ok := h.msgOfReq[reqID]
 	if !ok {
-		// A reply for a request this handler did not issue (e.g. issued
-		// directly against the driver). Keyed by its RelatesTo if
-		// present; otherwise dropped.
+		// A request send has not recorded yet, or one this handler did
+		// not issue (e.g. issued directly against the driver). Keyed by
+		// its RelatesTo if present; otherwise parked for send.
 		msgID = mc.Envelope.Header.RelatesTo
 		if msgID == "" {
+			h.parkEarlyLocked(reqID, mc)
 			return
 		}
 	}
 	delete(h.msgOfReq, reqID)
 	delete(h.reqOfMsg, msgID)
+	h.queueReplyLocked(msgID, mc)
+}
+
+// parkEarlyLocked keeps an uncorrelated reply for send to claim (caller
+// holds h.mu), dropping the oldest unclaimed one past maxEarlyReplies.
+func (h *handler) parkEarlyLocked(reqID string, mc *wsengine.MessageContext) {
+	if _, dup := h.early[reqID]; dup {
+		return
+	}
+	h.early[reqID] = mc
+	h.earlyOrder = append(h.earlyOrder, reqID)
+	if len(h.earlyOrder) > maxEarlyReplies {
+		delete(h.early, h.earlyOrder[0])
+		h.earlyOrder = h.earlyOrder[1:]
+	}
+}
+
+// queueReplyLocked files a reply under its request's msgID and wakes the
+// receivers (caller holds h.mu); a msgID already answered is dropped.
+func (h *handler) queueReplyLocked(msgID string, mc *wsengine.MessageContext) {
 	if mc.Envelope.Header.RelatesTo == "" {
 		mc.Envelope.Header.RelatesTo = msgID
 	}

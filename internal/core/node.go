@@ -157,7 +157,9 @@ func (n *Node) logf(format string, args ...any) {
 // engine (stages 5-6 and 9-12 of Figure 4). A single pump preserves the
 // agreed interleaving of requests and replies all the way into the
 // handler's queues, which multi-threaded executors (package detsched)
-// rely on for determinism.
+// rely on for determinism. The one exception, a SendReceive reply taken
+// on the driver's reply fast path, is only ever consumed by the thread
+// blocked on it (see handler.blocked).
 func (n *Node) eventPump() {
 	defer n.wg.Done()
 	drv := n.replica.Driver()
@@ -390,6 +392,8 @@ const (
 	propInKind  = "perpetual.inKind"
 	propInReq   = "perpetual.inReq"
 	propInReqID = "perpetual.inReqID"
+	// propBlocking marks an outbound request issued by SendReceive.
+	propBlocking = "perpetual.blocking"
 
 	inKindRequest = "request"
 	inKindReply   = "reply"
@@ -456,14 +460,18 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 	// reply interleaving intact for deterministic executors. Declared
 	// reads take the session-tier fast path: multicast to the owning
 	// shard group, answered by f+1 matching speculative endorsements,
-	// with deterministic fallback to agreement.
+	// with deterministic fallback to agreement. A SendReceive's reply may
+	// take the reply fast path and reach the pump outside agreed order;
+	// the handler keeps it for the blocked caller alone.
+	_, blocking := mc.Property(propBlocking)
 	res, err := drv.Do(context.Background(), perpetual.Request{
-		Target:  target,
-		Key:     []byte(mc.Options.RoutingKey),
-		Payload: payload,
-		Read:    mc.Options.ReadOnly,
-		Timeout: mc.Options.Timeout(),
-		NoWait:  true,
+		Target:   target,
+		Key:      []byte(mc.Options.RoutingKey),
+		Payload:  payload,
+		Read:     mc.Options.ReadOnly,
+		Timeout:  mc.Options.Timeout(),
+		NoWait:   true,
+		Blocking: blocking,
 	})
 	if err != nil {
 		return err

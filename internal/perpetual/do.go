@@ -55,6 +55,14 @@ type Request struct {
 	// driver's event queue (NextEvent/WaitReply) as before. This is the
 	// mode the asynchronous engine pump uses.
 	NoWait bool
+	// Blocking declares that the issuing thread is blocked on exactly this
+	// reply and consumes nothing else until it arrives — the contract of
+	// core's SendReceive, which issues with NoWait and waits itself. Do
+	// sets it for every call it waits on. Without a deadline such a call
+	// takes the reply fast path even from a replicated caller: its
+	// verified bundle is delivered directly, with no caller-side reply
+	// agreement and no caller-side abort (see Driver.fastPath).
+	Blocking bool
 	// Timeout, when non-zero, deterministically aborts the request
 	// group-wide if no reply is agreed in time (the pre-context abort
 	// knob). When zero and the context carries a deadline, the deadline
@@ -86,7 +94,8 @@ type Result struct {
 //
 // Cancellation: when ctx is canceled mid-call, Do returns ctx.Err() and
 // settles the request so nothing leaks — the outstanding entry is
-// suppressed and deterministically aborted group-wide, a fast-path read
+// suppressed and aborted (locally for a reply fast-path call, by agreed
+// group-wide abort otherwise), a fast-path read
 // wait is torn down, and a late agreed reply is swallowed instead of
 // surfacing as an orphan event (the same leak class as a failed
 // authenticator build). A replicated caller must drive Do from its
@@ -146,10 +155,11 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 	default:
 		var id string
 		var err error
+		blocking := req.Blocking || !req.NoWait
 		if req.Read {
-			id, err = d.issueRead(req.Target, req.Key, req.Payload, timeout)
+			id, err = d.issueRead(req.Target, req.Key, req.Payload, timeout, blocking)
 		} else {
-			id, err = d.issueCall(req.Target, req.Key, req.Payload, timeout, req.Class)
+			id, err = d.issueCall(req.Target, req.Key, req.Payload, timeout, req.Class, blocking)
 		}
 		if err != nil {
 			return Result{}, err
@@ -176,19 +186,29 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 
 // issueCall resolves the target (routing a sharded one by key) and
 // issues one agreement-path request, returning its id without waiting.
-func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, class uint8) (string, error) {
-	tinfo, err := d.registry.Lookup(target)
+func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, class uint8, blocking bool) (string, error) {
+	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
 	}
-	if tinfo.IsSharded() {
-		if len(key) == 0 {
-			digest := sha256.Sum256(payload)
-			key = digest[:]
-		}
-		tinfo = tinfo.Shard(ShardFor(key, tinfo.Shards))
+	return d.startRequest("", tinfo, &outstandingReq{
+		payload: payload, timeout: timeout, class: class,
+		fast: d.fastPath(blocking, timeout),
+	})
+}
+
+// resolveShard looks the target up and routes a sharded one to the shard
+// group its key (or, without a key, its payload digest) maps to.
+func (d *Driver) resolveShard(target string, key, payload []byte) (ServiceInfo, error) {
+	tinfo, err := d.registry.Lookup(target)
+	if err != nil || !tinfo.IsSharded() {
+		return tinfo, err
 	}
-	return d.call(tinfo, payload, timeout, false, class)
+	if len(key) == 0 {
+		digest := sha256.Sum256(payload)
+		key = digest[:]
+	}
+	return tinfo.Shard(ShardFor(key, tinfo.Shards)), nil
 }
 
 // waitReplyCtx blocks until the reply for reqID arrives, honoring ctx:
@@ -251,8 +271,8 @@ func (d *Driver) waitReplyCtx(ctx context.Context, reqID string) (Reply, error) 
 }
 
 // cancelRequest settles a request whose caller gave up on it: the
-// outstanding entry (if any) is marked suppressed and deterministically
-// aborted group-wide, a fast-path read wait is torn down, and any reply
+// outstanding entry (if any) is marked suppressed and aborted (see
+// Driver.abort), a fast-path read wait is torn down, and any reply
 // already queued is removed. The id is also recorded in the canceled
 // window so a reply (or the read fallback's re-issue) racing the cancel
 // cannot resurrect it.
@@ -280,6 +300,6 @@ func (d *Driver) cancelRequest(reqID string) {
 	}
 	d.mu.Unlock()
 	if abort {
-		d.voter.requestAbort(reqID)
+		d.abort(reqID)
 	}
 }

@@ -58,7 +58,8 @@ type Reply struct {
 	// carries their largest backoff hint and Expired whether any refusal
 	// was a deadline-expiry drop. Only unreplicated callers (N == 1)
 	// settle overload locally — a replicated caller observes overload as
-	// the agreed abort, so its event stream stays deterministic.
+	// the agreed abort, or, on a reply fast-path call, not at all (it
+	// retries after the hint), so its event stream stays deterministic.
 	Overloaded       bool
 	Expired          bool
 	RetryAfterMillis uint64
@@ -179,6 +180,26 @@ type Driver struct {
 	// replicas run the same deterministic schedule but not in lockstep.
 	txnPending map[string]*txnDecision
 	txnEarly   *boundedCache[bool]
+
+	// early holds outcomes that arrived for request ids this driver has
+	// not issued yet (id number above reqSeq): a lagging replica's
+	// executor often issues a call after the target's verified bundle, or
+	// the agreed reply, already reached its driver. startRequest consumes
+	// the entry when the call is issued (see parkable).
+	early *boundedCache[earlyOutcome]
+}
+
+// earlyOutcome is what arrived for a not-yet-issued request id. Which
+// field answers the call is only known at issue time: a fast-path call
+// takes the verified bundle, an agreed-path call the agreed outcome.
+type earlyOutcome struct {
+	bundle *ReplyBundle // verified by handleBundle before parking
+	agreed *Reply
+	// shares, epoch and groupN re-carry the agreed reply's certificate
+	// for a transaction request (see deliverReply).
+	shares []Share
+	epoch  uint64
+	groupN int
 }
 
 // txnDecision is a registered transaction's decision slot.
@@ -227,6 +248,10 @@ type outstandingReq struct {
 	// counted marks a request holding one of the driver's in-flight
 	// window slots (see Driver.maxOutstanding); release is idempotent.
 	counted bool
+	// fast marks a reply fast-path call (see Driver.fastPath): its
+	// verified bundle settles it directly, and no caller-side agreement
+	// ever orders its outcome.
+	fast bool
 }
 
 // ReadStats counts session-tier read fast-path outcomes at one driver.
@@ -338,6 +363,7 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		txnReplies:         newBoundedCache[txnReply](inFlightCacheSize),
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
+		early:              newBoundedCache[earlyOutcome](inFlightCacheSize),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -424,7 +450,10 @@ func (d *Driver) handleTransport(from auth.NodeID, payload []byte) {
 // hints, so surfacing a locally synthesized reply would diverge the
 // replicated event stream. A replicated caller instead proposes the
 // deterministic group-wide abort and observes overload as the agreed
-// abort every replica delivers identically.
+// abort every replica delivers identically — except on a reply
+// fast-path call, whose outcome agreement no longer orders: an agreed
+// abort there would race the certified reply, so the driver keeps
+// retransmitting, the first time after the refusers' RETRY-AFTER hint.
 func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 	if bz == nil || from.Role != auth.RoleVoter || bz.Replica != from.Index || from.Index < 0 {
 		return
@@ -466,41 +495,40 @@ func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 		}
 		return
 	}
-	if d.svc.N > 1 {
-		// Replicated caller: settle through the agreed abort only.
-		d.mu.Unlock()
-		d.voter.requestAbort(bz.ReqID)
-		return
-	}
 	var hint uint64
 	for _, h := range o.busy {
 		if h > hint {
 			hint = h
 		}
 	}
-	expired := o.busyExpired > 0
-	if o.retryTmr != nil {
-		o.retryTmr.Stop()
-	}
-	if o.abortTmr != nil {
-		o.abortTmr.Stop()
-	}
-	d.releaseSlot(o.target, &o.counted)
-	delete(d.outstanding, bz.ReqID)
-	// Mark the id settled before proposing the cleanup abort: the agreed
-	// abort (or a racing late reply) must not surface a second outcome.
-	d.replySeen.Put(bz.ReqID, struct{}{})
-	d.canceled.Put(bz.ReqID, struct{}{})
-	if !o.suppressReply {
-		d.postReply(Reply{
+	switch {
+	case d.svc.N > 1 && o.fast:
+		// Start a fresh quorum and retry once the group said it may have
+		// room; the callee's own agreement still decides the one outcome.
+		reqID := bz.ReqID
+		o.busy, o.busyExpired = nil, 0
+		if o.retryTmr != nil {
+			o.retryTmr.Stop()
+		}
+		wait := time.Duration(hint) * time.Millisecond
+		if wait <= 0 {
+			wait = d.retransmitInterval
+		}
+		o.retryTmr = time.AfterFunc(wait, func() { d.retransmit(reqID) })
+		d.mu.Unlock()
+	case d.svc.N > 1:
+		// Replicated caller: settle through the agreed abort only.
+		d.mu.Unlock()
+		d.voter.requestAbort(bz.ReqID)
+	default:
+		// Unreplicated callers only issue fast-path calls (txn traffic
+		// returned above), so the settle is local and final.
+		d.settleLocked(Reply{
 			ReqID: bz.ReqID, Aborted: true,
-			Overloaded: true, Expired: expired, RetryAfterMillis: hint,
-		})
+			Overloaded: true, Expired: o.busyExpired > 0, RetryAfterMillis: hint,
+		}, o, nil, 0, 0)
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
-	// Group-wide cleanup: voters that admitted the request (short of the
-	// refusing quorum) drop their vote state through the agreed abort.
-	d.voter.requestAbort(bz.ReqID)
 }
 
 // handleBusyRead folds a busy-read refusal into the read's wait: f_t+1
@@ -554,8 +582,10 @@ func (d *Driver) handleBusyRead(from auth.NodeID, bz *BusyReply) {
 	d.mu.Unlock()
 }
 
-// handleBundle verifies a stage-6 reply bundle and forwards it to the
-// voter group primary for agreement (stage 7).
+// handleBundle verifies a stage-6 reply bundle. A fast-path call is
+// settled by it directly; any other call forwards it to the voter group
+// primary for agreement (stage 7). A bundle for a request this driver
+// has not issued yet is parked for the issue (see parkable).
 func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 	target, err := d.registry.Lookup(b.Target)
 	if err != nil {
@@ -566,8 +596,9 @@ func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 	}
 	d.mu.Lock()
 	_, waiting := d.outstanding[b.ReqID]
+	wanted := waiting || d.parkable(b.ReqID)
 	d.mu.Unlock()
-	if !waiting {
+	if !wanted {
 		return // unknown or already-settled request
 	}
 	if err := VerifyBundle(d.ks, target, b); err != nil {
@@ -598,6 +629,26 @@ func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 		d.primaryHint[b.Target] = b.Primary
 	} else if d.primaryHint[b.Target] >= effN {
 		delete(d.primaryHint, b.Target)
+	}
+	// The outstanding check and the parking decision share this hold with
+	// startRequest's issue-time lookup: a bundle is either seen by the
+	// registered call or parked where the issue will find it.
+	o, waiting := d.outstanding[b.ReqID]
+	if !waiting {
+		if d.parkable(b.ReqID) {
+			e, _ := d.early.Get(b.ReqID)
+			e.bundle = b
+			d.early.Put(b.ReqID, e)
+		}
+		d.mu.Unlock()
+		return
+	}
+	if o.fast {
+		if b.Target == o.target {
+			d.settleLocked(Reply{ReqID: b.ReqID, Payload: b.Payload}, o, nil, 0, 0)
+		}
+		d.mu.Unlock()
+		return
 	}
 	d.mu.Unlock()
 	// Forward to our group's primary voter; non-primary voters relay.
@@ -669,7 +720,7 @@ func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Durati
 		if err != nil {
 			d.suppressReplies(ids)
 			for _, issued := range ids {
-				d.voter.requestAbort(issued)
+				d.abort(issued)
 			}
 			return nil, err
 		}
@@ -703,62 +754,92 @@ func (d *Driver) suppressReplies(ids []string) {
 // routed to the transaction wait table; class optionally overrides the
 // transport stats class of its frames.
 func (d *Driver) call(tinfo ServiceInfo, payload []byte, timeout time.Duration, txn bool, class uint8) (string, error) {
+	return d.startRequest("", tinfo, &outstandingReq{
+		payload: payload, timeout: timeout, txn: txn, class: class,
+		fast: !txn && d.fastPath(false, timeout),
+	})
+}
+
+// fastPath is the reply fast-path rule, decided once per call at issue
+// time from inputs every replica of the caller shares. A call takes the
+// fast path — its verified bundle settles it directly, with no
+// caller-side agreement — when the caller cannot consume the reply out
+// of agreed order anyway: the caller is unreplicated, so there is no
+// order to agree on; or the issuing thread is blocked on exactly this
+// reply and set no caller-side deadline, so it consumes the reply
+// whenever it arrives and nothing could abort it first. Every other
+// call (asynchronous issue, a deadline, txn and handoff traffic) keeps
+// the agreed OpReply/OpAbort path.
+func (d *Driver) fastPath(blocking bool, timeout time.Duration) bool {
+	return d.svc.N == 1 || (blocking && timeout == 0)
+}
+
+// parkable reports whether reqID is one of this driver's own request ids
+// above reqSeq, i.e. not issued yet (caller holds d.mu). Every id at or
+// below reqSeq was reserved and registered in one d.mu hold, so an
+// unregistered one is settled and an outcome for it is stale.
+func (d *Driver) parkable(reqID string) bool {
+	n, ok := callerReqSeq(reqID, d.svc.Name)
+	return ok && n > d.reqSeq
+}
+
+// startRequest registers and transmits a request (stage 1 proper),
+// filling in o's target and, for a fresh call, its responder. An empty
+// reqID reserves the next id. The reservation, the registration in
+// d.outstanding and the lookup of an outcome parked before the issue
+// happen under one d.mu hold, so a bundle arriving concurrently is
+// either seen by the registered call or parked where this lookup finds
+// it. The read fast path re-enters with its already-reserved id on
+// fallback, so the agreement-path reply answers the very id the caller
+// is already waiting on.
+func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq) (string, error) {
+	target := tinfo.Name
+	o.target = target
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return "", ErrClosed
 	}
-	d.reqSeq++
-	n := d.reqSeq
-	reqID := fmt.Sprintf("%s:%d", d.svc.Name, n)
-	responder := int(n % uint64(tinfo.N))
-	d.mu.Unlock()
-	if err := d.startRequest(reqID, tinfo, payload, responder, timeout, txn, class); err != nil {
-		return "", err
-	}
-	return reqID, nil
-}
-
-// startRequest registers and transmits a request under an
-// already-reserved id (stage 1 proper). The read fast path re-enters
-// here on fallback, so the agreement-path reply answers the very id the
-// caller is already waiting on.
-func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, payload []byte, responder int, timeout time.Duration, txn bool, class uint8) error {
-	target := tinfo.Name
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if d.canceled.Contains(reqID) {
+	if reqID == "" {
+		d.reqSeq++
+		reqID = fmt.Sprintf("%s:%d", d.svc.Name, d.reqSeq)
+		o.responder = int(d.reqSeq % uint64(tinfo.N))
+	} else if d.canceled.Contains(reqID) {
 		// A ctx cancel settled this id while the read fallback (the only
 		// re-entrant) was in flight; re-issuing would resurrect it.
 		d.mu.Unlock()
-		return errRequestCanceled
+		return "", errRequestCanceled
 	}
-	if !txn && !d.acquireSlot(target) {
+	if !o.txn && !d.acquireSlot(target) {
 		// Client-edge admission: the in-flight window to this target is
 		// full, so refuse with the deterministic RETRY-AFTER fault before
 		// building or sending anything (txn traffic is protocol-internal
 		// 2PC/handoff machinery and is never shed here).
 		d.mu.Unlock()
-		return &OverloadError{RetryAfter: DefaultRetryAfterHint}
+		return "", &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
-	o := &outstandingReq{
-		target:    target,
-		payload:   payload,
-		responder: responder,
-		timeout:   timeout,
-		txn:       txn,
-		class:     class,
-		counted:   !txn && d.maxOutstanding > 0,
+	o.counted = !o.txn && d.maxOutstanding > 0
+	if e, ok := d.early.Get(reqID); ok {
+		d.early.Delete(reqID)
+		// The outcome that matches how the call was issued answers it
+		// without sending anything; the other kind is dropped.
+		switch {
+		case o.fast && e.bundle != nil && e.bundle.Target == target:
+			d.settleLocked(Reply{ReqID: reqID, Payload: e.bundle.Payload}, o, nil, 0, 0)
+			d.mu.Unlock()
+			return reqID, nil
+		case !o.fast && e.agreed != nil:
+			d.settleLocked(*e.agreed, o, e.shares, e.epoch, e.groupN)
+			d.mu.Unlock()
+			return reqID, nil
+		}
 	}
-	if timeout > 0 && !txn {
+	if o.timeout > 0 && !o.txn {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
 		// or explicit Timeout, both already folded into timeout) into the
 		// request envelope so replicas can drop expired work at every
 		// pre-agreement stage instead of ordering it.
-		o.expiry = uint64(time.Now().Add(timeout).UnixMilli())
+		o.expiry = uint64(time.Now().Add(o.timeout).UnixMilli())
 	}
 	d.outstanding[reqID] = o
 	hint := d.primaryHint[target]
@@ -767,7 +848,7 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, payload []byte, r
 		hint = 0
 	}
 
-	req, err := d.buildRequest(reqID, tinfo, payload, responder, 0, o.expiry)
+	req, err := d.buildRequest(reqID, tinfo, o.payload, o.responder, 0, o.expiry)
 	if err != nil {
 		// The entry has no timers yet; without this removal it would
 		// never be reaped and Outstanding() would over-count forever.
@@ -775,26 +856,27 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, payload []byte, r
 		d.releaseSlot(target, &o.counted)
 		delete(d.outstanding, reqID)
 		d.mu.Unlock()
-		return err
+		return "", err
 	}
 	// First attempt goes to the believed primary — the hint learned from
 	// the target's reply bundles, index 0 before the first bundle;
 	// retransmissions fan out to the whole group, so a crashed or
 	// superseded primary costs one retransmission interval, never
 	// liveness.
-	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(target, hint)}, class); err != nil {
+	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(target, hint)}, o.class); err != nil {
 		d.logf("request %s: %v", reqID, err)
 	}
 
 	d.mu.Lock()
-	if cur, ok := d.outstanding[reqID]; ok {
+	if cur, ok := d.outstanding[reqID]; ok && cur.retryTmr == nil {
+		// (A busy refusal may already have re-armed retransmission.)
 		cur.retryTmr = time.AfterFunc(d.retransmitInterval, func() { d.retransmit(reqID) })
-		if timeout > 0 {
-			cur.abortTmr = time.AfterFunc(timeout, func() { d.voter.requestAbort(reqID) })
+		if o.timeout > 0 {
+			cur.abortTmr = time.AfterFunc(o.timeout, func() { d.abort(reqID) })
 		}
 	}
 	d.mu.Unlock()
-	return nil
+	return reqID, nil
 }
 
 // CallRead issues a read-only request through the session-tier fast
@@ -820,21 +902,15 @@ func (d *Driver) CallRead(target string, key, payload []byte, timeout time.Durat
 }
 
 // issueRead resolves and issues one fast-path read (the Read arm of
-// Do), returning its id without waiting.
-func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration) (string, error) {
-	tinfo, err := d.registry.Lookup(target)
+// Do), returning its id without waiting. blocking is Do's fastPath
+// input for the agreement-path degrade of a replicated caller.
+func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool) (string, error) {
+	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
 	}
-	if tinfo.IsSharded() {
-		if len(key) == 0 {
-			digest := sha256.Sum256(payload)
-			key = digest[:]
-		}
-		tinfo = tinfo.Shard(ShardFor(key, tinfo.Shards))
-	}
 	if d.svc.N > 1 {
-		return d.call(tinfo, payload, timeout, false, 0)
+		return d.startRequest("", tinfo, &outstandingReq{payload: payload, timeout: timeout, fast: d.fastPath(blocking, timeout)})
 	}
 
 	d.mu.Lock()
@@ -1012,7 +1088,8 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 		d.logf("read fallback %s: unknown target %s", reqID, rw.target)
 		return
 	}
-	if err := d.startRequest(reqID, tinfo, rw.payload, rw.responder, rw.timeout, false, 0); err != nil {
+	o := &outstandingReq{payload: rw.payload, responder: rw.responder, timeout: rw.timeout, fast: d.fastPath(false, rw.timeout)}
+	if _, err := d.startRequest(reqID, tinfo, o); err != nil {
 		if hint, is := IsOverload(err); is {
 			// The window refilled between releasing the read's slot and
 			// re-issuing through agreement: the caller is already waiting
@@ -1152,23 +1229,43 @@ func (d *Driver) deliverRequest(r IncomingRequest) {
 	d.cond.Broadcast()
 }
 
-// deliverReply records an agreed reply or abort (stage 9). shares
-// carries the agreed reply bundle's endorsements, retained as the vote
-// certificate when the request belongs to a transaction; epoch/groupN
-// are the bundle's roster attestation, re-carried so the rebuilt
-// certificate verifies under the roster its shares were minted for.
+// deliverReply records an agreed reply or abort (stage 9), and a
+// certified fast-path read. shares carries the agreed reply bundle's
+// endorsements, retained as the vote certificate when the request
+// belongs to a transaction; epoch/groupN are the bundle's roster
+// attestation, re-carried so the rebuilt certificate verifies under the
+// roster its shares were minted for.
 func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed || d.replySeen.Contains(r.ReqID) {
 		return
 	}
-	if d.replySeen.Contains(r.ReqID) {
-		return
-	}
-	d.replySeen.Put(r.ReqID, struct{}{})
 	o, ok := d.outstanding[r.ReqID]
-	if ok {
+	switch {
+	case ok && o.fast:
+		// No correct replica proposes an outcome for a fast-path call; an
+		// agreed one (a faulty voter's abort) must not race the certified
+		// reply, which each replica takes from its own verified bundle.
+		return
+	case !ok && d.parkable(r.ReqID):
+		e, _ := d.early.Get(r.ReqID)
+		e.agreed, e.shares, e.epoch, e.groupN = &r, shares, epoch, groupN
+		d.early.Put(r.ReqID, e)
+		return
+	}
+	if !ok {
+		o = nil
+	}
+	d.settleLocked(r, o, shares, epoch, groupN)
+}
+
+// settleLocked records the one outcome of a request and hands it to its
+// consumer (caller holds d.mu). o is the request's outstanding entry,
+// nil when there is none (a certified read, or an id settled before).
+func (d *Driver) settleLocked(r Reply, o *outstandingReq, shares []Share, epoch uint64, groupN int) {
+	d.replySeen.Put(r.ReqID, struct{}{})
+	if o != nil {
 		if o.retryTmr != nil {
 			o.retryTmr.Stop()
 		}
@@ -1177,22 +1274,22 @@ func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int)
 		}
 		d.releaseSlot(o.target, &o.counted)
 		delete(d.outstanding, r.ReqID)
-	}
-	if ok && !o.txn && !r.Aborted {
-		// Session-lease bookkeeping: a completed agreement-path request
-		// is conservatively a write this session's later fast-path reads
-		// must observe (read-your-writes), so advance the lease to its
-		// request number.
-		if n, okN := callerReqSeq(r.ReqID, d.svc.Name); okN && n > d.readAfter[o.target] {
-			d.readAfter[o.target] = n
+		if !o.txn && !r.Aborted {
+			// Session-lease bookkeeping: a completed agreement-path request
+			// is conservatively a write this session's later fast-path
+			// reads must observe (read-your-writes), so advance the lease
+			// to its request number.
+			if n, okN := callerReqSeq(r.ReqID, d.svc.Name); okN && n > d.readAfter[o.target] {
+				d.readAfter[o.target] = n
+			}
 		}
 	}
-	if (ok && o.suppressReply) || d.canceled.Contains(r.ReqID) {
+	if (o != nil && o.suppressReply) || d.canceled.Contains(r.ReqID) {
 		// Settled internally (failed fan-out or ctx cancel): the caller
 		// gave up on this id or never learned it, so nothing may surface.
 		return
 	}
-	if ok && o.txn {
+	if o != nil && o.txn {
 		// Transaction replies feed CallTxn, not the application event
 		// queue; agreement order still decided the content.
 		tr := txnReply{reply: r}
@@ -1204,6 +1301,21 @@ func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int)
 		return
 	}
 	d.postReply(r)
+}
+
+// abort settles an outstanding request its caller gave up on (timeout,
+// ctx cancel, failed fan-out). A fast-path call aborts locally: no
+// caller-side agreement orders its outcome. Any other request is
+// aborted through agreement, so every replica settles it at one point.
+func (d *Driver) abort(reqID string) {
+	d.mu.Lock()
+	if o, ok := d.outstanding[reqID]; ok && o.fast {
+		d.settleLocked(Reply{ReqID: reqID, Aborted: true}, o, nil, 0, 0)
+		d.mu.Unlock()
+		return
+	}
+	d.mu.Unlock()
+	d.voter.requestAbort(reqID)
 }
 
 // postReply hands an application-visible reply to its consumer (caller

@@ -160,6 +160,11 @@ func TestReplySeenWindowSurvivesOverflow(t *testing.T) {
 	// right after the cache turns over its capacity.
 	dep := buildPair(t, 1, 1, nil)
 	drv := dep.Driver("c", 0)
+	// Count the ids as issued: outcomes for ids above reqSeq are parked
+	// for their issue instead of settled.
+	drv.mu.Lock()
+	drv.reqSeq = replySeenCacheSize + 1
+	drv.mu.Unlock()
 	for i := 0; i <= replySeenCacheSize; i++ {
 		drv.deliverReply(Reply{ReqID: fmt.Sprintf("c:%d", i)}, nil, 0, 0)
 	}

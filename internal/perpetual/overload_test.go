@@ -246,6 +246,11 @@ func TestIntakeGateRefusalDeterministic(t *testing.T) {
 		opts.MaxIntake = 1
 		opts.RetryAfterHint = hint
 		d.Configure("t", opts)
+		// No timer-driven retransmission: the refused request's only copies
+		// are the first attempt and the one busy-triggered group fan-out.
+		copts := fastOpts()
+		copts.RetransmitInterval = time.Minute
+		d.Configure("c", copts)
 	})
 	echoApp(t, dep, "t")
 	drv := dep.Driver("c", 0)
@@ -256,6 +261,7 @@ func TestIntakeGateRefusalDeterministic(t *testing.T) {
 	for _, r := range dep.Replicas("t") {
 		seedVote(r.voter, "synthetic-hold", true)
 	}
+	shedBefore := dep.OverloadStats("t").ShedIntake
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 	defer cancel()
@@ -272,6 +278,20 @@ func TestIntakeGateRefusalDeterministic(t *testing.T) {
 	}
 	if stats := dep.OverloadStats("t"); stats.ShedIntake < 2 {
 		t.Fatalf("ShedIntake = %d, want >= f_t+1 = 2", stats.ShedIntake)
+	}
+
+	// The call settled on the first f_t+1 refusals, but fan-out copies may
+	// still be in flight; drained first, one would be admitted and hold
+	// the only slot. Wait until every copy was refused: one for the first
+	// attempt plus one per voter for the fan-out.
+	copies := uint64(1 + len(dep.Replicas("t")))
+	deadline := time.Now().Add(4 * time.Second)
+	for dep.OverloadStats("t").ShedIntake-shedBefore < copies {
+		if time.Now().After(deadline) {
+			t.Fatalf("ShedIntake grew by %d, want %d refused copies",
+				dep.OverloadStats("t").ShedIntake-shedBefore, copies)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Drain the synthetic backlog: admission resumes with no residue.

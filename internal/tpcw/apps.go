@@ -178,12 +178,18 @@ func PGEAsyncApp(bankService string) core.Application {
 			bankReq.Options.To = soap.ServiceURI(bankService)
 			bankReq.Options.Action = ActionIssuer
 			bankReq.Envelope.Body = req.Envelope.Body
-			if err := ctx.Send(bankReq); err != nil {
+			// Hold mu across Send: on a lagging replica the bank's reply can
+			// reach the collector before Send returns, and the collector
+			// must find the entry rather than drop the reply.
+			mu.Lock()
+			err = ctx.Send(bankReq)
+			if err == nil {
+				pending[bankReq.Envelope.Header.MessageID] = req
+			}
+			mu.Unlock()
+			if err != nil {
 				break
 			}
-			mu.Lock()
-			pending[bankReq.Envelope.Header.MessageID] = req
-			mu.Unlock()
 		}
 		wg.Wait()
 	})
