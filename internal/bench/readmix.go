@@ -188,6 +188,7 @@ func measureReadMixOnce(cfg ReadMixConfig) (float64, []time.Duration, perpetual.
 		Fallbacks:        after.Fallbacks - before.Fallbacks,
 		FallbackTimeout:  after.FallbackTimeout - before.FallbackTimeout,
 		FallbackDiverged: after.FallbackDiverged - before.FallbackDiverged,
+		Widened:          after.Widened - before.Widened,
 	}
 	return Throughput(total, elapsed), readLat, st, nil
 }

@@ -458,9 +458,10 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 	// issue-only mode: the agreed reply flows back through the event pump
 	// (the PerpetualListener), which is what keeps the agreed request/
 	// reply interleaving intact for deterministic executors. Declared
-	// reads take the session-tier fast path: multicast to the owning
-	// shard group, answered by f+1 matching speculative endorsements,
-	// with deterministic fallback to agreement. A SendReceive's reply may
+	// reads take the session-tier fast path: sent to f+1 replicas of the
+	// owning shard group (the rest only if those cannot certify),
+	// answered by f+1 matching speculative endorsements, with
+	// deterministic fallback to agreement. A SendReceive's reply may
 	// take the reply fast path and reach the pump outside agreed order;
 	// the handler keeps it for the blocked caller alone.
 	_, blocking := mc.Property(propBlocking)

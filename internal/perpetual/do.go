@@ -285,12 +285,7 @@ func (d *Driver) cancelRequest(reqID string) {
 		abort = true
 	}
 	if rw, ok := d.readWaits[reqID]; ok && !rw.settled {
-		rw.settled = true
-		if rw.tmr != nil {
-			rw.tmr.Stop()
-		}
-		d.releaseSlot(rw.target, &rw.counted)
-		delete(d.readWaits, reqID)
+		d.finishRead(reqID, rw)
 		d.readStats.canceled.Add(1)
 	}
 	for i := len(d.events) - 1; i >= 0; i-- {

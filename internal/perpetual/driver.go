@@ -29,9 +29,11 @@ const DefaultRetransmitInterval = time.Second
 // bounded interval instead of silently backing off toward minutes.
 const maxRetransmitBackoff = 30 * time.Second
 
-// DefaultReadFallback is how long a fast-path read waits for f_t+1
-// matching speculative endorsements before deterministically re-issuing
-// the same request id through full agreement.
+// DefaultReadFallback is the length of a fast-path read's window: how
+// long the replicas it asked have to return f_t+1 matching speculative
+// endorsements before the read widens to the whole group or, once
+// widened, deterministically re-issues the same request id through full
+// agreement.
 const DefaultReadFallback = 150 * time.Millisecond
 
 // IncomingRequest is an agreed external request awaiting execution.
@@ -158,11 +160,14 @@ type Driver struct {
 	// speculative endorsements per outstanding read; readFloor is the
 	// per-target-group monotonic-reads floor (highest certified read
 	// sequence); readAfter is the per-target-group read-your-writes lease
-	// (highest completed agreement-path request number).
-	readWaits map[string]*readWait
-	readFloor map[string]uint64
-	readAfter map[string]uint64
-	readStats readStatsCounters
+	// (highest completed agreement-path request number); readPartners
+	// lists, per target group, the endorsers of the last certified read
+	// in the order they answered (see askFirst).
+	readWaits    map[string]*readWait
+	readFloor    map[string]uint64
+	readAfter    map[string]uint64
+	readPartners map[string][]int
+	readStats    readStatsCounters
 
 	// canceled records request ids settled by a ctx cancel (see
 	// Do/cancelRequest): a late agreed reply, or the read fallback's
@@ -257,15 +262,18 @@ type outstandingReq struct {
 // ReadStats counts session-tier read fast-path outcomes at one driver.
 // The fast path is an optimization, never a correctness lever: every
 // fallback re-issues the identical request through full agreement, so
-// Attempts == Certified + Fallbacks + Canceled + still-in-flight at all
-// times.
+// Attempts == Certified + Fallbacks + Shed + Canceled + still-in-flight
+// at all times.
 type ReadStats struct {
 	// Attempts is the number of reads issued through the fast path.
 	Attempts uint64
 	// Certified is the number of reads answered by f_t+1 matching
 	// speculative digest endorsements (agreement skipped entirely).
 	Certified uint64
-	// Fallbacks is the number of reads re-issued through agreement.
+	// Fallbacks is the number of reads that left the fast path
+	// uncertified: re-issued through agreement (or refused by a full
+	// client window on the way), or aborted there because the caller's
+	// deadline passed inside the fast window.
 	Fallbacks uint64
 	// FallbackTimeout counts fallbacks whose fast window expired.
 	FallbackTimeout uint64
@@ -279,6 +287,10 @@ type ReadStats struct {
 	// refusals from the target group (no agreement fallback — see
 	// Driver.handleBusy).
 	Shed uint64
+	// Widened counts reads that asked the rest of the target group after
+	// their first f_t+1 replicas could not settle them. A widened read
+	// still ends in exactly one of the outcomes above.
+	Widened uint64
 }
 
 // paddedUint64 is an atomic counter alone on its cache line, so two hot
@@ -301,32 +313,133 @@ type readStatsCounters struct {
 	fallbackDiverged paddedUint64
 	canceled         paddedUint64
 	shed             paddedUint64
+	widened          paddedUint64
 }
 
-// readEndorse is one replica's speculative read endorsement.
-type readEndorse struct {
-	digest [sha256.Size]byte
-	seq    uint64
-}
-
-// readWait tracks a fast-path read awaiting f_t+1 matching speculative
-// endorsements from the target group.
+// readWait tracks a fast-path read: which replicas of the target group
+// it asked, what each answered, and its fast window (see issueRead).
 type readWait struct {
-	target    string // concrete (shard) group name
-	payload   []byte
-	timeout   time.Duration
+	target    string    // concrete (shard) group name
+	payload   []byte    // the request payload
+	deadline  time.Time // the caller's deadline (zero = none)
 	responder int
-	need      int // f_t+1 matching endorsements certify
-	group     int // target group size
+	need      int // f_t+1: matching endorsements certify, busys shed
 	minSeq    uint64
+	afterReq  uint64
 	settled   bool
-	tmr       *time.Timer
-	counted   bool // holds an in-flight window slot (Driver.maxOutstanding)
+	// widened marks every replica of the group asked: the read widened
+	// past its first f_t+1, or the group has no others.
+	widened bool
+	tmr     *time.Timer
+	counted bool // holds an in-flight window slot (Driver.maxOutstanding)
 
-	endorse   map[int]readEndorse // replica index -> current endorsement
-	payloads  map[[sha256.Size]byte][]byte
-	responded map[int]bool // replicas heard from, incl. Behind declines
-	busy      int          // busy-read refusals among responded (f_t+1 settle as shed)
+	replicas   []readReplica // indexed by target replica
+	answers    int           // replicas heard from, incl. Behind declines and busys
+	busy       int           // busy-read refusals among them
+	retryAfter uint64        // largest busy-read backoff hint
+}
+
+// readReplica is one target replica's part in a fast-path read.
+type readReplica struct {
+	asked bool
+	rank  int // answer order, from 1; 0 = not heard from
+	// endorsed marks a current endorsement of digest: not a Behind
+	// decline, stamped at or above the read's MinSeq.
+	endorsed bool
+	digest   [sha256.Size]byte
+	seq      uint64
+	// bound marks payload as hashing to digest; normally only the
+	// responder attaches one.
+	bound   bool
+	payload []byte
+}
+
+// endorsements counts the current endorsements of digest.
+func (rw *readWait) endorsements(digest [sha256.Size]byte) int {
+	c := 0
+	for i := range rw.replicas {
+		if rw.replicas[i].endorsed && rw.replicas[i].digest == digest {
+			c++
+		}
+	}
+	return c
+}
+
+// readStep is what a fast-path read's answers so far call for.
+type readStep uint8
+
+const (
+	readAwait    readStep = iota // an outcome is still possible among the replicas asked
+	readCertify                  // a bound payload has f_t+1 matching endorsements
+	readShed                     // f_t+1 replicas refused the read as busy
+	readWiden                    // ask the rest of the group
+	readFallBack                 // re-issue through agreement
+)
+
+// step decides a read's next move from its answers so far; for
+// readCertify, cert is the replica whose bound payload certified.
+// Nothing is decided while the replicas asked but not yet heard from
+// could still complete a certificate or a busy quorum. Otherwise the
+// read widens, unless it already asked the whole group, or the
+// responder answered with no payload and no refusal needs company:
+// only the responder attaches the payload, so then no endorsement from
+// the rest of the group could complete the read.
+func (rw *readWait) step() (step readStep, cert int) {
+	if rw.busy >= rw.need {
+		return readShed, 0
+	}
+	pending, best := 0, 0
+	for i := range rw.replicas {
+		s := &rw.replicas[i]
+		if s.asked && s.rank == 0 {
+			pending++
+		}
+		if s.bound && rw.endorsements(s.digest) >= rw.need {
+			return readCertify, i
+		}
+		if s.endorsed {
+			best = max(best, rw.endorsements(s.digest))
+		}
+	}
+	// The most matching endorsements a digest with an obtainable payload
+	// could still gather among the replicas asked.
+	r := &rw.replicas[rw.responder]
+	possible := 0
+	switch {
+	case r.rank == 0:
+		possible = best + pending
+	case r.bound:
+		possible = rw.endorsements(r.digest) + pending
+	}
+	if possible >= rw.need || rw.busy+pending >= rw.need {
+		return readAwait, 0
+	}
+	if rw.widened || (r.rank != 0 && !r.bound && rw.busy == 0) {
+		return readFallBack, 0
+	}
+	return readWiden, 0
+}
+
+// window is the length of the read's next fast window: ReadFallback,
+// cut short by the caller's deadline.
+func (rw *readWait) window(fast time.Duration) time.Duration {
+	if !rw.deadline.IsZero() {
+		fast = min(fast, time.Until(rw.deadline))
+	}
+	return fast
+}
+
+// request rebuilds the read's wire request.
+func (rw *readWait) request(reqID, caller string) *ReadRequest {
+	return &ReadRequest{
+		ReqID:     reqID,
+		Caller:    caller,
+		Target:    rw.target,
+		Responder: rw.responder,
+		MinSeq:    rw.minSeq,
+		AfterReq:  rw.afterReq,
+		Payload:   rw.payload,
+	}
 }
 
 // txnReply is the agreed outcome of a transaction request, with the
@@ -359,6 +472,7 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		readWaits:          make(map[string]*readWait),
 		readFloor:          make(map[string]uint64),
 		readAfter:          make(map[string]uint64),
+		readPartners:       make(map[string][]int),
 		canceled:           newBoundedCache[struct{}](replySeenCacheSize),
 		txnReplies:         newBoundedCache[txnReply](inFlightCacheSize),
 		txnPending:         make(map[string]*txnDecision),
@@ -534,52 +648,18 @@ func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 // handleBusyRead folds a busy-read refusal into the read's wait: f_t+1
 // refusals settle the read as overloaded WITHOUT the agreement fallback
 // (falling back would add agreement load exactly when the target shed
-// the read to protect it); fewer behave like Behind declines, feeding
-// the existing certification-impossibility check.
+// the read to protect it); fewer behave like Behind declines toward
+// certification (see readWait.step).
 func (d *Driver) handleBusyRead(from auth.NodeID, bz *BusyReply) {
 	d.mu.Lock()
-	rw, ok := d.readWaits[bz.ReqID]
-	if !ok || rw.settled || from.Service != rw.target ||
-		from.Index >= rw.group || rw.responded[from.Index] {
+	rw := d.readAnswer(bz.ReqID, from, bz.Replica)
+	if rw == nil {
 		d.mu.Unlock()
 		return
 	}
-	rw.responded[from.Index] = true
 	rw.busy++
-	if rw.busy >= rw.need {
-		rw.settled = true
-		if rw.tmr != nil {
-			rw.tmr.Stop()
-		}
-		d.releaseSlot(rw.target, &rw.counted)
-		delete(d.readWaits, bz.ReqID)
-		d.readStats.shed.Add(1)
-		// Block the fallback timer's re-issue and a late duplicate alike.
-		d.replySeen.Put(bz.ReqID, struct{}{})
-		d.canceled.Put(bz.ReqID, struct{}{})
-		d.postReply(Reply{
-			ReqID: bz.ReqID, Aborted: true,
-			Overloaded: true, RetryAfterMillis: bz.RetryAfterMillis,
-		})
-		d.mu.Unlock()
-		return
-	}
-	// Below the busy quorum: like a Behind decline, check whether
-	// certification is still possible with the replicas yet to answer.
-	best := 0
-	counts := make(map[[sha256.Size]byte]int, len(rw.endorse))
-	for _, e := range rw.endorse {
-		counts[e.digest]++
-		if counts[e.digest] > best {
-			best = counts[e.digest]
-		}
-	}
-	if best+(rw.group-len(rw.responded)) < rw.need {
-		d.mu.Unlock()
-		d.readFallbackFor(bz.ReqID, false)
-		return
-	}
-	d.mu.Unlock()
+	rw.retryAfter = max(rw.retryAfter, bz.RetryAfterMillis)
+	d.advanceRead(bz.ReqID, rw)
 }
 
 // handleBundle verifies a stage-6 reply bundle. A fast-path call is
@@ -880,17 +960,21 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq
 }
 
 // CallRead issues a read-only request through the session-tier fast
-// path: the request is multicast directly to every replica of the
-// owning shard group, skipping agreement entirely, and is answered as
-// soon as f_t+1 replicas return matching digest endorsements at or
-// above the session's lease (the monotonic sequence floor, plus the
-// read-your-writes gate the replicas enforce against AfterReq). The
-// channel MACs already authenticate both endpoints, so the read carries
-// no application-level authenticator. Divergent digests, stale
-// endorsements, a short quorum, or an expired fast window
-// deterministically re-issue the same request id through the normal
-// agreement path — the caller observes exactly one reply either way,
-// and never an uncertified one. A replicated caller (N > 1) degrades to
+// path: the request goes straight to f_t+1 replicas of the owning shard
+// group — the designated responder and f partners — skipping agreement
+// entirely, and is answered as soon as f_t+1 replicas return matching
+// digest endorsements at or above the session's lease (the monotonic
+// sequence floor, plus the read-your-writes gate the replicas enforce
+// against AfterReq). The channel MACs already authenticate both
+// endpoints, so the read carries no application-level authenticator.
+// When the replicas asked cannot certify (a divergent digest, a Behind
+// decline, a busy refusal short of the busy quorum, or a partner silent
+// through the fast window) the read asks the rest of the group once.
+// A silent or payload-less responder, or a widened read that still
+// cannot certify, deterministically re-issues the same request id
+// through the normal agreement path under the caller's original
+// deadline — the caller observes exactly one reply either way, and
+// never an uncertified one. A replicated caller (N > 1) degrades to
 // the agreement path: fast replies arrive outside agreement and so
 // could not reach its replicas deterministically; the session tier is
 // unreplicated by design. CallRead is a thin wrapper over Do (Read +
@@ -928,140 +1012,232 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 	d.reqSeq++
 	n := d.reqSeq
 	reqID := fmt.Sprintf("%s:%d", d.svc.Name, n)
-	responder := int(n % uint64(tinfo.N))
 	rw := &readWait{
 		counted:   d.maxOutstanding > 0,
 		target:    tinfo.Name,
 		payload:   payload,
-		timeout:   timeout,
-		responder: responder,
+		responder: int(n % uint64(tinfo.N)),
 		need:      tinfo.F() + 1,
-		group:     tinfo.N,
 		minSeq:    d.readFloor[tinfo.Name],
-		endorse:   make(map[int]readEndorse),
-		payloads:  make(map[[sha256.Size]byte][]byte),
-		responded: make(map[int]bool),
+		afterReq:  d.readAfter[tinfo.Name],
+		replicas:  make([]readReplica, tinfo.N),
 	}
-	afterReq := d.readAfter[tinfo.Name]
+	if timeout > 0 {
+		rw.deadline = time.Now().Add(timeout)
+	}
+	ids := d.askFirst(rw)
 	d.readWaits[reqID] = rw
 	d.readStats.attempts.Add(1)
-	rw.tmr = time.AfterFunc(d.readFallback, func() { d.readFallbackFor(reqID, true) })
+	d.armReadWindow(reqID, rw)
+	rr := rw.request(reqID, d.svc.Name)
 	d.mu.Unlock()
 
-	rr := &ReadRequest{
-		ReqID:     reqID,
-		Caller:    d.svc.Name,
-		Target:    tinfo.Name,
-		Responder: responder,
-		MinSeq:    rw.minSeq,
-		AfterReq:  afterReq,
-		Payload:   payload,
-	}
-	msg := &Message{Kind: KindReadRequest, ReadRequest: rr}
-	w := wire.GetWriter(msg.SizeHint())
-	msg.EncodeTo(w)
-	if err := d.adapter.SendMulti(tinfo.VoterIDs(), w.Bytes()); err != nil {
-		d.logf("read %s: %v", reqID, err)
-	}
-	w.Free()
+	d.sendRead(rr, ids)
 	return reqID, nil
 }
 
+// askFirst marks the f_t+1 replicas a read asks first and returns their
+// voter ids (caller holds d.mu): the responder, then as its f partners
+// the endorsers of this driver's last certified read of the group, in
+// the order they answered, topped up with responder+1, responder+2, …
+// Which replicas partner never matters for safety — certification
+// still takes f_t+1 matching endorsements — only for speed: a partner
+// that just answered a read is unlikely to be the silent one, so a
+// crashed replica stops costing a widening window after its first.
+func (d *Driver) askFirst(rw *readWait) []auth.NodeID {
+	n := len(rw.replicas)
+	ids := make([]auth.NodeID, 0, rw.need)
+	ask := func(i int) {
+		if i < n && !rw.replicas[i].asked && len(ids) < rw.need {
+			rw.replicas[i].asked = true
+			ids = append(ids, auth.VoterID(rw.target, i))
+		}
+	}
+	ask(rw.responder)
+	for _, i := range d.readPartners[rw.target] {
+		ask(i)
+	}
+	for k := 1; k < n; k++ {
+		ask((rw.responder + k) % n)
+	}
+	rw.widened = len(ids) == n
+	return ids
+}
+
+// armReadWindow starts the read's current fast window (caller holds
+// d.mu). The timer remembers which window it was armed for, so the
+// first window's timer firing late, after the read widened, is ignored.
+func (d *Driver) armReadWindow(reqID string, rw *readWait) {
+	widened := rw.widened
+	rw.tmr = time.AfterFunc(rw.window(d.readFallback), func() { d.readWindowExpired(reqID, widened) })
+}
+
+// sendRead transmits a fast-path read request to the given target
+// voters.
+func (d *Driver) sendRead(rr *ReadRequest, ids []auth.NodeID) {
+	msg := &Message{Kind: KindReadRequest, ReadRequest: rr}
+	w := wire.GetWriter(msg.SizeHint())
+	msg.EncodeTo(w)
+	if err := d.adapter.SendMulti(ids, w.Bytes()); err != nil {
+		d.logf("read %s: %v", rr.ReqID, err)
+	}
+	w.Free()
+}
+
+// widen asks every replica of the group not asked yet and re-arms the
+// fast window, again bounded by the caller's deadline (caller holds
+// d.mu, which widen releases). A read widens at most once.
+func (d *Driver) widen(reqID string, rw *readWait) {
+	ids := make([]auth.NodeID, 0, len(rw.replicas))
+	for i := range rw.replicas {
+		if s := &rw.replicas[i]; !s.asked {
+			s.asked = true
+			ids = append(ids, auth.VoterID(rw.target, i))
+		}
+	}
+	rw.widened = true
+	d.readStats.widened.Add(1)
+	rw.tmr.Stop()
+	d.armReadWindow(reqID, rw)
+	rr := rw.request(reqID, d.svc.Name)
+	d.mu.Unlock()
+	d.sendRead(rr, ids)
+}
+
+// readWindowExpired ends a read's fast window; widened says which
+// window the timer was armed for. If the responder has answered, the
+// silence is a partner's, and the rest of the group can stand in for
+// it: the first window widens the read while the deadline allows.
+// Otherwise — a silent responder, whose payload no other replica
+// sends, or the widened window — the read falls back.
+func (d *Driver) readWindowExpired(reqID string, widened bool) {
+	d.mu.Lock()
+	rw, ok := d.readWaits[reqID]
+	if !ok || rw.settled || rw.widened != widened {
+		d.mu.Unlock()
+		return
+	}
+	if !rw.widened && rw.replicas[rw.responder].rank != 0 && rw.window(d.readFallback) > 0 {
+		d.widen(reqID, rw)
+		return
+	}
+	d.mu.Unlock()
+	d.readFallbackFor(reqID, true)
+}
+
+// readAnswer admits one replica's answer to a read and returns the
+// read, or nil when the answer does not count: an unknown or settled
+// read, a sender outside the target group or speaking for another
+// index, or a second answer from the same replica (caller holds d.mu).
+// Any replica of the group may answer, asked or not.
+func (d *Driver) readAnswer(reqID string, from auth.NodeID, replica int) *readWait {
+	rw, ok := d.readWaits[reqID]
+	if !ok || rw.settled || from.Service != rw.target || replica != from.Index ||
+		from.Index < 0 || from.Index >= len(rw.replicas) || rw.replicas[from.Index].rank != 0 {
+		return nil
+	}
+	rw.answers++
+	rw.replicas[from.Index].rank = rw.answers
+	return rw
+}
+
+// finishRead ends a read's fast-path wait (caller holds d.mu): its
+// window timer, window slot and readWaits entry all go.
+func (d *Driver) finishRead(reqID string, rw *readWait) {
+	rw.settled = true
+	rw.tmr.Stop()
+	d.releaseSlot(rw.target, &rw.counted)
+	delete(d.readWaits, reqID)
+}
+
+// advanceRead acts on what the read's answers so far decide (caller
+// holds d.mu, which advanceRead releases).
+func (d *Driver) advanceRead(reqID string, rw *readWait) {
+	step, cert := rw.step()
+	switch step {
+	case readCertify:
+		s := &rw.replicas[cert]
+		d.finishRead(reqID, rw)
+		// The certified sequence is the *minimum* over the matching
+		// endorsers: at least one of them is correct, so a faulty
+		// endorser inflating its stamp cannot push the floor past state a
+		// correct replica actually reached. The endorsers, in answer
+		// order, partner the next read of the group (see askFirst).
+		certSeq := ^uint64(0)
+		partners := d.readPartners[rw.target][:0]
+		for rank := 1; rank <= rw.answers; rank++ {
+			for i := range rw.replicas {
+				if e := &rw.replicas[i]; e.rank == rank && e.endorsed && e.digest == s.digest {
+					partners = append(partners, i)
+					certSeq = min(certSeq, e.seq)
+				}
+			}
+		}
+		d.readPartners[rw.target] = partners
+		if certSeq > d.readFloor[rw.target] {
+			d.readFloor[rw.target] = certSeq
+		}
+		d.readStats.certified.Add(1)
+		d.mu.Unlock()
+		d.deliverReply(Reply{ReqID: reqID, Payload: s.payload}, nil, 0, 0)
+	case readShed:
+		d.finishRead(reqID, rw)
+		d.readStats.shed.Add(1)
+		// Block a late fallback re-issue and a late duplicate alike.
+		d.replySeen.Put(reqID, struct{}{})
+		d.canceled.Put(reqID, struct{}{})
+		d.postReply(Reply{
+			ReqID: reqID, Aborted: true,
+			Overloaded: true, RetryAfterMillis: rw.retryAfter,
+		})
+		d.mu.Unlock()
+	case readWiden:
+		d.widen(reqID, rw)
+	case readFallBack:
+		d.mu.Unlock()
+		d.readFallbackFor(reqID, false)
+	default:
+		d.mu.Unlock()
+	}
+}
+
 // handleReadReply collects one replica's speculative endorsement and
-// settles the read when a digest gathers f_t+1 current matching
-// endorsements with an obtainable payload (certified — delivered as the
-// reply) or when certification provably cannot happen (fall back to
-// agreement). Endorsements below the session's sequence floor never
-// count: at most f faulty replicas exist, so f_t+1 matching current
-// endorsements include a correct replica whose state satisfied the
-// lease — the certified answer is both fresh and correct.
+// acts on what the answers so far decide (see readWait.step): certify
+// when a bound payload's digest gathers f_t+1 current matching
+// endorsements, otherwise widen or fall back to agreement once the
+// replicas asked provably cannot certify. Endorsements below the
+// session's sequence floor never count: at most f faulty replicas
+// exist, so f_t+1 matching current endorsements include a correct
+// replica whose state satisfied the lease — the certified answer is
+// both fresh and correct.
 func (d *Driver) handleReadReply(from auth.NodeID, rp *ReadReply) {
 	if rp == nil || from.Role != auth.RoleVoter {
 		return
 	}
 	d.mu.Lock()
-	rw, ok := d.readWaits[rp.ReqID]
-	if !ok || rw.settled || from.Service != rw.target ||
-		rp.Replica != from.Index || from.Index < 0 || from.Index >= rw.group ||
-		rw.responded[from.Index] {
+	rw := d.readAnswer(rp.ReqID, from, rp.Replica)
+	if rw == nil {
 		d.mu.Unlock()
 		return
 	}
-	rw.responded[from.Index] = true
 	if !rp.Behind {
-		if rp.Seq >= rw.minSeq {
-			rw.endorse[from.Index] = readEndorse{digest: rp.Digest, seq: rp.Seq}
-		}
+		s := &rw.replicas[from.Index]
+		s.digest, s.seq, s.endorsed = rp.Digest, rp.Seq, rp.Seq >= rw.minSeq
 		// Bind a payload to a digest only when it actually hashes to it:
 		// a faulty responder cannot attach garbage to a digest the
 		// correct replicas endorsed.
 		if ReplyDigest(rp.ReqID, rp.Payload) == rp.Digest {
-			rw.payloads[rp.Digest] = rp.Payload
+			s.payload, s.bound = rp.Payload, true
 		}
 	}
-
-	counts := make(map[[sha256.Size]byte]int, len(rw.endorse))
-	best := 0
-	var winner [sha256.Size]byte
-	for _, e := range rw.endorse {
-		counts[e.digest]++
-		if counts[e.digest] > best {
-			best = counts[e.digest]
-			winner = e.digest
-		}
-	}
-	if best >= rw.need {
-		if payload, have := rw.payloads[winner]; have {
-			rw.settled = true
-			if rw.tmr != nil {
-				rw.tmr.Stop()
-			}
-			d.releaseSlot(rw.target, &rw.counted)
-			delete(d.readWaits, rp.ReqID)
-			// The certified sequence is the *minimum* over the matching
-			// endorsers: at least one of them is correct, so a faulty
-			// endorser inflating its stamp cannot push the floor past
-			// state a correct replica actually reached.
-			certSeq := ^uint64(0)
-			for _, e := range rw.endorse {
-				if e.digest == winner && e.seq < certSeq {
-					certSeq = e.seq
-				}
-			}
-			if certSeq > d.readFloor[rw.target] {
-				d.readFloor[rw.target] = certSeq
-			}
-			d.readStats.certified.Add(1)
-			d.mu.Unlock()
-			d.deliverReply(Reply{ReqID: rp.ReqID, Payload: payload}, nil, 0, 0)
-			return
-		}
-		if rw.responded[rw.responder] {
-			// The winning digest is certified but its payload is
-			// unobtainable: the responder answered with something else.
-			d.mu.Unlock()
-			d.readFallbackFor(rp.ReqID, false)
-			return
-		}
-		// Certified but the responder's payload is still in flight.
-		d.mu.Unlock()
-		return
-	}
-	// Even if every silent replica endorsed the current best digest it
-	// could not reach f_t+1: certification is impossible, so re-issue
-	// through agreement now rather than burn the rest of the window.
-	if best+(rw.group-len(rw.responded)) < rw.need {
-		d.mu.Unlock()
-		d.readFallbackFor(rp.ReqID, false)
-		return
-	}
-	d.mu.Unlock()
+	d.advanceRead(rp.ReqID, rw)
 }
 
 // readFallbackFor abandons the fast path for a read and re-issues the
-// same request id through full agreement. At most one answer surfaces:
-// settling is exclusive under d.mu, and replySeen dedups a late agreed
-// duplicate of an already-certified read.
+// same request id through full agreement, under the read's original
+// deadline. At most one answer surfaces: settling is exclusive under
+// d.mu, and replySeen dedups a late agreed duplicate of an
+// already-certified read.
 func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 	d.mu.Lock()
 	rw, ok := d.readWaits[reqID]
@@ -1069,18 +1245,34 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 		d.mu.Unlock()
 		return
 	}
-	rw.settled = true
-	if rw.tmr != nil {
-		rw.tmr.Stop()
-	}
-	d.releaseSlot(rw.target, &rw.counted)
-	delete(d.readWaits, reqID)
+	d.finishRead(reqID, rw)
 	d.readStats.fallbacks.Add(1)
 	if timedOut {
 		d.readStats.fallbackTimeout.Add(1)
 	} else {
 		d.readStats.fallbackDiverged.Add(1)
 	}
+	o := &outstandingReq{payload: rw.payload, responder: rw.responder}
+	if rw.replicas[o.responder].rank == 0 {
+		// A silent responder would leave the agreed reply unbundled until
+		// a retransmission rotates the role; the replica that answered
+		// the read first takes it instead.
+		for i := range rw.replicas {
+			if rw.replicas[i].rank == 1 {
+				o.responder = i
+			}
+		}
+	}
+	if !rw.deadline.IsZero() {
+		if o.timeout = time.Until(rw.deadline); o.timeout <= 0 {
+			// The deadline passed inside the fast window: abort here, as
+			// any fast-path call does at its deadline (see Driver.abort).
+			d.settleLocked(Reply{ReqID: reqID, Aborted: true}, nil, nil, 0, 0)
+			d.mu.Unlock()
+			return
+		}
+	}
+	o.fast = d.fastPath(false, o.timeout)
 	d.mu.Unlock()
 
 	tinfo, err := d.registry.Lookup(rw.target)
@@ -1088,7 +1280,6 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 		d.logf("read fallback %s: unknown target %s", reqID, rw.target)
 		return
 	}
-	o := &outstandingReq{payload: rw.payload, responder: rw.responder, timeout: rw.timeout, fast: d.fastPath(false, rw.timeout)}
 	if _, err := d.startRequest(reqID, tinfo, o); err != nil {
 		if hint, is := IsOverload(err); is {
 			// The window refilled between releasing the read's slot and
@@ -1097,7 +1288,6 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 			// until its deadline.
 			d.mu.Lock()
 			if !d.closed && !d.canceled.Contains(reqID) {
-				d.readStats.shed.Add(1)
 				d.replySeen.Put(reqID, struct{}{})
 				d.canceled.Put(reqID, struct{}{})
 				d.postReply(Reply{
@@ -1122,6 +1312,7 @@ func (d *Driver) ReadStats() ReadStats {
 		FallbackDiverged: d.readStats.fallbackDiverged.Load(),
 		Canceled:         d.readStats.canceled.Load(),
 		Shed:             d.readStats.shed.Load(),
+		Widened:          d.readStats.widened.Load(),
 	}
 }
 
@@ -1544,9 +1735,7 @@ func (d *Driver) close() {
 		}
 	}
 	for _, rw := range d.readWaits {
-		if rw.tmr != nil {
-			rw.tmr.Stop()
-		}
+		rw.tmr.Stop()
 	}
 	// Closing each registered reply channel unblocks its waiter with
 	// ErrClosed (a closed-channel receive reports ok=false).

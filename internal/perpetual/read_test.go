@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"perpetualws/internal/auth"
 )
 
 // readableEchoApp runs the echo executor on the target AND installs a
@@ -95,70 +97,114 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 	}
 }
 
+// readOnce issues one fast-path read and waits for its answer.
+func readOnce(t *testing.T, drv *Driver, body string, timeout time.Duration) (string, Reply) {
+	t.Helper()
+	id, err := drv.CallRead("t", nil, []byte(body), timeout)
+	if err != nil {
+		t.Fatalf("CallRead %s: %v", body, err)
+	}
+	r, err := drv.WaitReply(id)
+	if err != nil {
+		t.Fatalf("WaitReply %s: %v", body, err)
+	}
+	return id, r
+}
+
+// checkEcho fails the test unless r is the echo answer to body.
+func checkEcho(t *testing.T, body string, r Reply) {
+	t.Helper()
+	if want := "echo:" + body; r.Aborted || string(r.Payload) != want {
+		t.Fatalf("read %s answered %q (aborted=%v), want %q — wrong answer surfaced", body, r.Payload, r.Aborted, want)
+	}
+}
+
+// responderOf is the designated responder of read id in an n-replica
+// target group.
+func responderOf(t *testing.T, id string, n int) int {
+	t.Helper()
+	seq, ok := callerReqSeq(id, "c")
+	if !ok {
+		t.Fatalf("unparseable request id %q", id)
+	}
+	return int(seq % uint64(n))
+}
+
+// checkReconciles fails the test unless every read attempt ended in
+// exactly one outcome.
+func checkReconciles(t *testing.T, st ReadStats) {
+	t.Helper()
+	if st.Certified+st.Fallbacks+st.Shed+st.Canceled != st.Attempts {
+		t.Errorf("stats do not reconcile: %+v", st)
+	}
+}
+
 // TestByzantineReadDivergenceTable drives the fast path against one
 // Byzantine (or missing) read endorser per case and asserts the client
-// detects fewer than f_t+1 matching current endorsements, falls back to
-// agreement deterministically, and never surfaces a wrong or stale
-// answer.
+// detects fewer than f_t+1 matching current endorsements among the
+// replicas it asked, widens to the rest of the group when that can
+// still certify, falls back to agreement deterministically when it
+// cannot, and never surfaces a wrong or stale answer.
 func TestByzantineReadDivergenceTable(t *testing.T) {
 	cases := []struct {
 		name string
-		tune func(*Deployment)
+		// fault runs on replica faulty (none when nil). That replica
+		// partners the first read, whose responder is the read's request
+		// number mod 4 and whose partner is the next replica (no read has
+		// certified yet), and responds to every fourth read after.
+		fault  Behavior
+		faulty int
 		// install limits which replicas get a read executor.
 		install []int
 		// writeFirst establishes a nonzero sequence floor before the
 		// reads, so stale (seq 0) endorsements are rejectable.
-		writeFirst    bool
-		wantFallbacks bool
+		writeFirst bool
+		// wantCertified: some reads certify on the fast path; then the
+		// fallbacks are exactly the reads the faulty replica responded
+		// to. Otherwise every read falls back.
 		wantCertified bool
 	}{
 		{
 			// The corrupt replica forges result bytes (self-consistent
-			// digest). As a plain endorser it is outvoted; as the
-			// designated responder its payload does not bind to the
+			// digest). As a partner it splits the first f_t+1 answers, so
+			// the read widens and certifies on the rest of the group; as
+			// the designated responder its payload does not bind to the
 			// certified digest, so the read falls back.
-			name: "forged digest",
-			tune: func(dep *Deployment) {
-				dep.Configure("t", ServiceOptions{
-					CheckpointInterval: 16,
-					ViewChangeTimeout:  400 * time.Millisecond,
-					RetransmitInterval: 250 * time.Millisecond,
-					Behaviors:          map[int]Behavior{1: CorruptReadFault{}},
-				})
-			},
-			wantFallbacks: true,
+			name:          "forged digest",
+			fault:         CorruptReadFault{},
+			faulty:        2,
 			wantCertified: true,
 		},
 		{
 			// The stale replica claims currency while serving old state
-			// with sequence stamp 0. Once the session floor is nonzero
-			// its endorsements are rejected outright; as responder it
-			// cannot produce a bindable payload either way.
-			name: "stale sequence",
-			tune: func(dep *Deployment) {
-				dep.Configure("t", ServiceOptions{
-					CheckpointInterval: 16,
-					ViewChangeTimeout:  400 * time.Millisecond,
-					RetransmitInterval: 250 * time.Millisecond,
-					Behaviors:          map[int]Behavior{1: StaleReadFault{}},
-				})
-			},
+			// with sequence stamp 0. As the first read's partner (floor
+			// still 0) its endorsement diverges and the read widens; once
+			// the session floor is nonzero its endorsements are rejected
+			// outright. As responder it cannot produce a bindable payload
+			// either way.
+			name:          "stale sequence",
+			fault:         StaleReadFault{},
+			faulty:        3,
 			writeFirst:    true,
-			wantFallbacks: true,
 			wantCertified: true,
 		},
 		{
 			// Only one replica serves reads at all: f_t+1 matching
 			// endorsements are impossible, every read falls back.
-			name:          "short quorum",
-			install:       []int{0},
-			wantFallbacks: true,
-			wantCertified: false,
+			name:    "short quorum",
+			install: []int{0},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dep := buildPair(t, 1, 4, tc.tune)
+			dep := buildPair(t, 1, 4, func(dep *Deployment) {
+				if tc.fault == nil {
+					return
+				}
+				opts := fastOpts()
+				opts.Behaviors = map[int]Behavior{tc.faulty: tc.fault}
+				dep.Configure("t", opts)
+			})
 			readableEchoApp(t, dep, "t", tc.install...)
 			drv := dep.Drivers("c")[0]
 
@@ -172,43 +218,135 @@ func TestByzantineReadDivergenceTable(t *testing.T) {
 				}
 			}
 			// Enough reads that the responder rotation passes through the
-			// faulty replica at least once.
-			const reads = 4
+			// faulty replica twice.
+			const reads = 8
+			asResponder := 0
 			for k := 0; k < reads; k++ {
 				body := fmt.Sprintf("r%d", k)
-				rid, err := drv.CallRead("t", nil, []byte(body), 2*time.Second)
-				if err != nil {
-					t.Fatalf("CallRead %d: %v", k, err)
+				id, r := readOnce(t, drv, body, 2*time.Second)
+				checkEcho(t, body, r)
+				if k == 0 && tc.fault != nil && responderOf(t, id, 4)+1 != tc.faulty {
+					t.Fatalf("first read %s: faulty replica %d is not its partner", id, tc.faulty)
 				}
-				r, err := drv.WaitReply(rid)
-				if err != nil {
-					t.Fatalf("WaitReply %d: %v", k, err)
-				}
-				if r.Aborted {
-					t.Fatalf("read %d aborted", k)
-				}
-				if want := "echo:" + body; string(r.Payload) != want {
-					t.Fatalf("read %d answered %q, want %q — wrong answer surfaced", k, r.Payload, want)
+				if tc.fault != nil && responderOf(t, id, 4) == tc.faulty {
+					asResponder++
 				}
 			}
 			st := drv.ReadStats()
 			if st.Attempts != reads {
 				t.Errorf("attempts = %d, want %d", st.Attempts, reads)
 			}
-			if st.Certified+st.Fallbacks != st.Attempts {
-				t.Errorf("stats do not reconcile: %+v", st)
+			checkReconciles(t, st)
+			if !tc.wantCertified {
+				if st.Certified != 0 || st.Fallbacks != reads {
+					t.Errorf("expected every read to fall back with a short quorum, got %+v", st)
+				}
+				return
 			}
-			if tc.wantFallbacks && st.Fallbacks == 0 {
-				t.Errorf("expected agreement fallbacks, got %+v", st)
+			if st.Fallbacks != uint64(asResponder) {
+				t.Errorf("fallbacks = %d, want %d (the reads the faulty replica responded to): %+v", st.Fallbacks, asResponder, st)
 			}
-			if tc.wantCertified && st.Certified == 0 {
-				t.Errorf("expected some reads to certify, got %+v", st)
-			}
-			if !tc.wantCertified && st.Certified != 0 {
-				t.Errorf("expected no certifications with a short quorum, got %+v", st)
+			if st.Widened == 0 {
+				t.Errorf("a faulty partner never widened a read: %+v", st)
 			}
 		})
 	}
+}
+
+// TestReadAsksFPlusOne pins the fast path's message account on a
+// fault-free group: each read asks f_t+1 = 2 of the n = 4 replicas, so
+// it costs two request frames and two reply frames, and never widens.
+func TestReadAsksFPlusOne(t *testing.T) {
+	dep := buildPair(t, 1, 4, nil)
+	readableEchoApp(t, dep, "t")
+	drv := dep.Drivers("c")[0]
+	readFrames := func() (req, rep uint64) {
+		s := dep.TransportStats()
+		return s.Class(uint8(KindReadRequest)).SentMsgs, s.Class(uint8(KindReadReply)).SentMsgs
+	}
+
+	req0, rep0 := readFrames()
+	const reads = 100
+	for k := 0; k < reads; k++ {
+		body := fmt.Sprintf("r%d", k)
+		_, r := readOnce(t, drv, body, time.Second)
+		checkEcho(t, body, r)
+	}
+	req1, rep1 := readFrames()
+	if req1-req0 != 2*reads || rep1-rep0 != 2*reads {
+		t.Errorf("%d reads sent %d request and %d reply frames, want %d of each", reads, req1-req0, rep1-rep0, 2*reads)
+	}
+	st := drv.ReadStats()
+	if st.Certified != reads || st.Fallbacks != 0 || st.Widened != 0 {
+		t.Errorf("stats = %+v, want all %d reads certified without widening or fallback", st, reads)
+	}
+	checkReconciles(t, st)
+}
+
+// TestReadSilentReplica isolates one target voter. A silent replica
+// costs a fast window whenever it is the responder — no other replica
+// sends the payload, so the read falls back — but as a partner at most
+// once: partners are the last certified read's endorsers, so after one
+// widening the silent replica is no longer asked first.
+func TestReadSilentReplica(t *testing.T) {
+	const n, silent = 4, 2
+	dep := buildPair(t, 1, n, nil)
+	readableEchoApp(t, dep, "t")
+	dep.Network.Isolate(auth.VoterID("t", silent))
+	drv := dep.Drivers("c")[0]
+
+	const reads = 40
+	asResponder, slow := 0, 0
+	for k := 0; k < reads; k++ {
+		body := fmt.Sprintf("r%d", k)
+		start := time.Now()
+		id, r := readOnce(t, drv, body, 5*time.Second)
+		if time.Since(start) >= DefaultReadFallback {
+			slow++
+		}
+		checkEcho(t, body, r)
+		if responderOf(t, id, n) == silent {
+			asResponder++
+		}
+	}
+	st := drv.ReadStats()
+	if st.Fallbacks != uint64(asResponder) {
+		t.Errorf("fallbacks = %d, want %d (the reads the silent replica responded to): %+v", st.Fallbacks, asResponder, st)
+	}
+	if slow > asResponder+1 {
+		t.Errorf("%d of %d reads took a full fast window, want at most %d", slow, reads, asResponder+1)
+	}
+	if st.Widened == 0 {
+		t.Errorf("the silent replica never widened a read: %+v", st)
+	}
+	checkReconciles(t, st)
+}
+
+// TestReadHonoursDeadline isolates the responder of a read issued with
+// a 40 ms timeout: the fast window is cut to the deadline and the
+// fallback keeps it, so the read settles as aborted at its deadline
+// rather than a full ReadFallback window and a fresh timeout later.
+func TestReadHonoursDeadline(t *testing.T) {
+	dep := buildPair(t, 1, 4, nil)
+	readableEchoApp(t, dep, "t")
+	drv := dep.Drivers("c")[0]
+	// The driver's first request is c:1, so replica 1 responds.
+	dep.Network.Isolate(auth.VoterID("t", 1))
+
+	const timeout = 40 * time.Millisecond
+	start := time.Now()
+	id, r := readOnce(t, drv, "late", timeout)
+	elapsed := time.Since(start)
+	if responderOf(t, id, 4) != 1 {
+		t.Fatalf("read %s is not answered by the isolated replica 1", id)
+	}
+	if !r.Aborted {
+		t.Fatalf("read answered %q, want an abort at its deadline", r.Payload)
+	}
+	if elapsed > timeout+25*time.Millisecond {
+		t.Errorf("read settled after %v, want within %v of its %v deadline", elapsed, 25*time.Millisecond, timeout)
+	}
+	checkReconciles(t, drv.ReadStats())
 }
 
 func TestReadOnUnreplicatedCallerDegradesToAgreement(t *testing.T) {

@@ -46,9 +46,10 @@ type ReplicaConfig struct {
 	// RetransmitInterval tunes the driver's request retransmission
 	// backoff base; zero uses DefaultRetransmitInterval.
 	RetransmitInterval time.Duration
-	// ReadFallback tunes how long the driver's read fast path waits for
-	// f_t+1 matching speculative endorsements before re-issuing through
-	// agreement; zero uses DefaultReadFallback.
+	// ReadFallback tunes the driver's read fast window: how long the
+	// replicas a read asked have to certify it before it widens to the
+	// whole group or, once widened, re-issues through agreement (cut
+	// short by the caller's deadline); zero uses DefaultReadFallback.
 	ReadFallback time.Duration
 	// MaxIntake bounds the voter's request-intake table (distinct
 	// requests collecting admission votes); past it, requests are shed
