@@ -6,37 +6,27 @@
 //
 //	perpetualctl properties
 //	perpetualctl fig6 [-quick] [-sync] [-think 700ms] [-measure 2s]
-//	perpetualctl fig7 [-quick] [-calls 1000] [-runs 3] [-transport mem|tcp] [-batch N]
+//	perpetualctl fig7 [-quick] [-calls 1000] [-runs 3] [-batch N] [-inflight N] [-transport mem|tcp]
 //	perpetualctl fig8 [-quick] [-calls 200] [-runs 3]
 //	perpetualctl fig9 [-quick] [-calls 300] [-runs 3]
-//	perpetualctl shards [-quick] [-n 4] [-calls 1920] [-measure 3s]
-//	perpetualctl txn [-quick] [-n 4] [-calls 200]
-//	perpetualctl reshard [-quick] [-n 4] [-from 2] [-to 4] [-customers 96]
-//	perpetualctl membership [-quick] [-n 4] [-rotations 1] [-transport mem|tcp]
-//	perpetualctl readmix [-quick] [-n 4] [-calls 400] [-sessions 4] [-readpct 95] [-transport mem|tcp]
-//	perpetualctl matrix [-quick] [-cores 1,4] [-shards 1,4] [-transport mem,tcp] [-n 4] [-calls 400]
-//	perpetualctl overload [-quick] [-n 4] [-intake 16] [-deadline 250ms] [-window 1s] [-loads 1,2,4] [-readpct 0] [-transport mem|tcp]
-//	perpetualctl bench [-quick] [-json] [-out FILE] [-commit REV] [-transport mem,tcp] [-batch N] [-readmix] [-chaos] [-overload] [-cores 1,4]
-//	perpetualctl benchgate -old FILE -new FILE [-max-regress 15]
 //	perpetualctl all  [-quick]
 //
 // -quick shrinks the parameter grids so a full pass finishes in a couple
 // of minutes on a laptop; without it the sweeps match the paper's grids
-// (group sizes 1/4/7/10, RBE counts 7..70, 0..20 ms processing).
+// (group sizes 1/4/7/10, RBE counts 7..70, 0..20 ms processing). The
+// repo's performance instrument is the benchmark/ module
+// (`go run -C benchmark .`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"perpetualws/internal/bench"
+	"perpetualws/internal/perpetual"
 )
 
 func main() {
@@ -61,24 +51,6 @@ func main() {
 		err = runFig8(args)
 	case "fig9":
 		err = runFig9(args)
-	case "shards":
-		err = runShards(args)
-	case "txn":
-		err = runTxn(args)
-	case "reshard":
-		err = runReshard(args)
-	case "membership":
-		err = runMembership(args)
-	case "readmix":
-		err = runReadMix(args)
-	case "matrix":
-		err = runMatrix(args)
-	case "overload":
-		err = runOverload(args)
-	case "bench":
-		err = runBench(args)
-	case "benchgate":
-		err = runBenchGate(args)
 	case "all":
 		for _, sub := range []func([]string) error{runFig7, runFig8, runFig9, runFig6} {
 			if err = sub(args); err != nil {
@@ -96,352 +68,16 @@ func main() {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: perpetualctl <properties|fig6|fig7|fig8|fig9|shards|txn|reshard|membership|readmix|matrix|overload|bench|benchgate|all> [flags]
+	fmt.Fprintln(w, `usage: perpetualctl <properties|fig6|fig7|fig8|fig9|all> [flags]
   properties  print the paper's Figure 2 property matrix
   fig6        TPC-W WIPS vs RBE count (payment-tier replication sweep)
   fig7        replica scalability, null requests (-transport tcp runs the
               sweep over loopback sockets)
   fig8        effect of non-zero processing time
   fig9        effect of asynchronous messaging
-  shards      aggregate throughput vs shard count (sharded services)
-  txn         cross-shard atomic transactions vs single-shard baseline
-  reshard     live shard rebalancing under load (BFT state handoff)
-  membership  proactive-recovery rotation under load: crash and replace
-              every voter slot through agreement-installed membership
-              epochs, then print per-group epoch/roster status
-  readmix     browse-heavy TPC-W mix through the session-tier read fast
-              path vs the same mix forced through agreement (-transport
-              mem|tcp, -sessions N concurrent emulated browsers)
-  matrix      multi-core scalability matrix: aggregate sharded null
-              throughput over {GOMAXPROCS} x {shards} x {transport},
-              with the runtime mutex-contention profile's top lock
-              sites (-mutexprofile 0 disables sampling)
-  overload    goodput vs offered load against a bounded-admission target
-              with per-request deadlines: calibrates closed-loop peak,
-              sweeps -loads multipliers open-loop, and prints the
-              admitted/shed/expired accounting, the target voters'
-              overload counters, and (over TCP) per-peer send-queue
-              drop pressure; -readpct N makes N% of the sweep declared
-              reads (the graceful-degradation cell)
-  bench       headline figure summary; -json emits the machine-readable
-              report (use -out FILE to write e.g. BENCH_pr6.json and
-              -commit REV to stamp the measured revision); -transport
-              selects the null-cell wires, -batch the batched variant,
-              -readmix=false skips the two-tier read-mix cells,
-              -chaos=false the rotation-recovery cells, -overload=false
-              the schema-7 overload cells, -cores 1,4 adds the schema-6
-              scalability matrix
-  benchgate   compare two 'go test -bench' outputs and fail on a
-              throughput regression beyond -max-regress percent;
-              benchmark names keep their -<GOMAXPROCS> suffix, so only
-              cells measured at matching core counts compare
   all         fig7, fig8, fig9, then fig6
-common flags: -quick (reduced grids), plus the shared bench knobs
-  -n, -calls, -runs, -batch, -inflight, -transport (bench, readmix,
-  matrix, and fig7 accept the identical set)`)
-}
-
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced measurement sizes")
-	asJSON := fs.Bool("json", false, "emit the machine-readable JSON report")
-	out := fs.String("out", "", "write the report to this file instead of stdout")
-	commit := fs.String("commit", "", "git revision to stamp into the report")
-	readmix := fs.Bool("readmix", true, "measure the two-tier read-mix cells (fast path vs agreement)")
-	chaos := fs.Bool("chaos", true, "measure the rotation-recovery cells (crash/restart chaos soak)")
-	overload := fs.Bool("overload", true, "measure the overload cells (goodput vs offered load)")
-	cores := fs.String("cores", "", "comma-separated GOMAXPROCS values for the scalability matrix (empty skips it)")
-	resolve := runOptsFlags(fs, bench.RunOpts{MaxBatch: 8}, "mem,tcp")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, transports, err := resolve()
-	if err != nil {
-		return err
-	}
-	coreList, err := splitInts(*cores)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "running bench report (null throughput mem+tcp, WIPS, txn, reply path, read mix, chaos, micro)...")
-	rep, err := bench.RunReport(bench.ReportConfig{
-		Quick: *quick, Commit: *commit,
-		Transports: transports, Opts: opts,
-		SkipReadMix: !*readmix, SkipChaos: !*chaos, SkipOverload: !*overload,
-		Cores: coreList,
-	})
-	if err != nil {
-		return err
-	}
-	var payload []byte
-	if *asJSON {
-		payload, err = json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		payload = append(payload, '\n')
-	} else {
-		var b strings.Builder
-		fmt.Fprintf(&b, "headline WIPS (n=4, 42 RBEs):   %.1f\n", rep.HeadlineWIPS)
-		if len(rep.NullReqPerSec) > 0 {
-			fmt.Fprintf(&b, "null requests  n=1: %8.0f req/s   n=4: %8.0f req/s\n",
-				rep.NullReqPerSec["n=1"], rep.NullReqPerSec["n=4"])
-		}
-		if len(rep.NullReqPerSecTCP) > 0 {
-			fmt.Fprintf(&b, "null over TCP  n=1: %8.0f req/s   n=4: %8.0f req/s   (%.0f frames, %.0f B per req at n=4)\n",
-				rep.NullReqPerSecTCP["n=1"], rep.NullReqPerSecTCP["n=4"], rep.TCPFramesPerReq, rep.TCPBytesPerReq)
-		}
-		for _, cell := range []string{"mem/n=4", "tcp/n=4"} {
-			if v, ok := rep.NullReqPerSecBatched[cell]; ok {
-				fmt.Fprintf(&b, "batched (x%d)  %s: %8.0f req/s\n", rep.BatchMax, cell, v)
-			}
-		}
-		fmt.Fprintf(&b, "cross-shard txn: %.0f txn/s (baseline %.0f req/s, %.1fx overhead)\n",
-			rep.TxnPerSec, rep.TxnBaselineReqPerSec, rep.TxnOverheadX)
-		fmt.Fprintf(&b, "reply-share bytes/request (1 KiB reply, n=4): %.0f\n", rep.ReplyShareBytesPerReq)
-		if rep.ReadReqPerSecMem > 0 {
-			fmt.Fprintf(&b, "read mix (95/5) mem: %8.0f req/s (p50 %.2f ms, p99 %.2f ms) vs agreement %8.0f req/s = %.1fx; %d certified, %d fallbacks\n",
-				rep.ReadReqPerSecMem, rep.ReadP50MsMem, rep.ReadP99MsMem,
-				rep.ReadAgreementReqPerSecMem, rep.ReadSpeedupXMem,
-				rep.ReadFastCertified, rep.ReadFallbacks)
-		}
-		if rep.ReadReqPerSecTCP > 0 {
-			fmt.Fprintf(&b, "read mix (95/5) tcp: %8.0f req/s (p50 %.2f ms, p99 %.2f ms)\n",
-				rep.ReadReqPerSecTCP, rep.ReadP50MsTCP, rep.ReadP99MsTCP)
-		}
-		if rep.OverloadPeakReqPerSec > 0 {
-			fmt.Fprintf(&b, "overload (n=4): peak %8.0f req/s; goodput x1 %8.0f  x2 %8.0f (%.0f%% of peak, p99 %.1f ms)\n",
-				rep.OverloadPeakReqPerSec, rep.OverloadGoodput["x=1"], rep.OverloadGoodput["x=2"],
-				100*rep.OverloadGoodputRatio2x, rep.OverloadP99Ms2x)
-			fmt.Fprintf(&b, "overload accounting: %d admitted, %d shed, %d expired; 95/5 mix at 2x commits %8.0f req/s (%d reads shed)\n",
-				rep.OverloadAdmitted, rep.OverloadShed, rep.OverloadExpired,
-				rep.OverloadReadCommitPerSec, rep.OverloadReadShed)
-		}
-		if rep.ChaosCycles > 0 {
-			fmt.Fprintf(&b, "rotation recovery (n=4, %d cycles): p50 %.0f ms, p99 %.0f ms; min cycle tput %.1f req/s, %d stray events\n",
-				rep.ChaosCycles, rep.RotationRecoveryP50Ms, rep.RotationRecoveryP99Ms,
-				rep.ChaosMinCycleTput, rep.ChaosStrayEvents)
-		}
-		for _, name := range []string{
-			"broadcast_encode_per_receiver", "broadcast_encode_multicast",
-			"reply_share_with_payload", "reply_share_digest_only", "authenticator_build",
-		} {
-			m := rep.Micro[name]
-			fmt.Fprintf(&b, "%-30s %10.0f ns/op %8d B/op %5d allocs/op\n", name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-		}
-		payload = []byte(b.String())
-	}
-	if *out != "" {
-		return os.WriteFile(*out, payload, 0o644)
-	}
-	_, err = os.Stdout.Write(payload)
-	return err
-}
-
-func runShards(args []string) error {
-	fs := flag.NewFlagSet("shards", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced grid")
-	n := fs.Int("n", 4, "replicas per shard group (N = 3f+1)")
-	calls := fs.Int("calls", 1920, "null/db requests per cell")
-	measure := fs.Duration("measure", 3*time.Second, "TPC-W sampling window per cell")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	counts := []int{1, 2, 4, 8}
-	if *quick {
-		counts = []int{1, 2, 4}
-		*calls = 480
-		*measure = 1500 * time.Millisecond
-	}
-	fmt.Println("running shard scalability sweep...")
-	fmt.Printf("%-8s %14s %14s %10s\n", "shards", "null (req/s)", "db (req/s)", "WIPS")
-	rows, err := bench.RunShardScalability(counts, *n, *calls, *measure)
-	for _, row := range rows {
-		fmt.Printf("%-8d %14.0f %14.0f %10.0f\n", row.Shards, row.NullTput, row.ProcTput, row.StoreWIPS)
-	}
-	return err
-}
-
-func runTxn(args []string) error {
-	fs := flag.NewFlagSet("txn", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced grid")
-	n := fs.Int("n", 4, "replicas per shard group (N = 3f+1)")
-	calls := fs.Int("calls", 200, "operations per cell per workload")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	counts := []int{2, 4, 8}
-	if *quick {
-		counts = []int{2, 4}
-		*calls = 60
-	}
-	fmt.Println("running cross-shard transaction sweep...")
-	fmt.Printf("%-8s %16s %10s %12s\n", "shards", "baseline (req/s)", "txn/s", "overhead")
-	rows, err := bench.RunTxnScalability(counts, *n, *calls)
-	for _, row := range rows {
-		overhead := 0.0
-		if row.Txns > 0 {
-			overhead = row.Baseline / row.Txns
-		}
-		fmt.Printf("%-8d %16.0f %10.0f %11.1fx\n", row.Shards, row.Baseline, row.Txns, overhead)
-	}
-	return err
-}
-
-func runBenchGate(args []string) error {
-	fs := flag.NewFlagSet("benchgate", flag.ExitOnError)
-	oldPath := fs.String("old", "", "baseline 'go test -bench' output file")
-	newPath := fs.String("new", "", "candidate 'go test -bench' output file")
-	maxRegress := fs.Float64("max-regress", 15, "max tolerated throughput regression in percent")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *oldPath == "" || *newPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	oldData, err := os.ReadFile(*oldPath)
-	if err != nil {
-		return err
-	}
-	newData, err := os.ReadFile(*newPath)
-	if err != nil {
-		return err
-	}
-	rep, err := bench.CompareBenchOutputs(oldData, newData, *maxRegress)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Format())
-	if rep.Failed {
-		return fmt.Errorf("throughput regression beyond %.0f%%", *maxRegress)
-	}
-	return nil
-}
-
-func runReshard(args []string) error {
-	fs := flag.NewFlagSet("reshard", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced load windows")
-	n := fs.Int("n", 4, "replicas per shard group (N = 3f+1)")
-	from := fs.Int("from", 2, "shard count before the reshard")
-	to := fs.Int("to", 4, "shard count after the reshard")
-	customers := fs.Int("customers", 96, "TPC-W customers (keys)")
-	workers := fs.Int("workers", 4, "concurrent closed-loop clients")
-	phase := fs.Duration("phase", 2*time.Second, "steady-state window before and after")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *quick {
-		*phase = 800 * time.Millisecond
-		*customers = 48
-	}
-	fmt.Printf("running live reshard %d -> %d shards (n=%d, %d customers, %d workers)...\n",
-		*from, *to, *n, *customers, *workers)
-	res, err := bench.RunReshardDemo(bench.ReshardDemoConfig{
-		N: *n, OldShards: *from, NewShards: *to,
-		Customers: *customers, Workers: *workers, Phase: *phase,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("throughput before:  %8.0f interactions/s\n", res.BeforeTput)
-	fmt.Printf("throughput during:  %8.0f interactions/s\n", res.DuringTput)
-	fmt.Printf("throughput after:   %8.0f interactions/s\n", res.AfterTput)
-	fmt.Printf("migration latency:  %v (epoch %d, %d key ranges, %d/%d customers moved)\n",
-		res.ReshardLatency.Round(time.Millisecond), res.Reshard.NewEpoch, res.Reshard.Ranges, res.MovedCustomers, *customers)
-	fmt.Printf("interactions:       %d total, %d failed\n", res.Interactions, res.Failures)
-	if res.Failures > 0 {
-		return fmt.Errorf("%d interactions failed during the reshard", res.Failures)
-	}
-	return nil
-}
-
-func runMembership(args []string) error {
-	fs := flag.NewFlagSet("membership", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced load per recovery window")
-	n := fs.Int("n", 4, "target voter group size (N = 3f+1)")
-	rotations := fs.Int("rotations", 1, "full rotations (each replaces every slot once)")
-	workers := fs.Int("workers", 2, "concurrent closed-loop clients")
-	transportName := fs.String("transport", "mem", "transport: mem or tcp")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kind, err := bench.TransportKindOf(*transportName)
-	if err != nil {
-		return err
-	}
-	cycleCalls := 20
-	if *quick {
-		cycleCalls = 10
-	}
-	fmt.Printf("rotating all %d slots through crash + epoch-installed replacement under load (%d rotation(s), %s)...\n",
-		*n, *rotations, *transportName)
-	res, err := bench.RunChaosSoak(bench.ChaosSoakConfig{
-		N: *n, Rotations: *rotations, Workers: *workers,
-		CycleCalls: cycleCalls, Transport: kind,
-	})
-	if err != nil {
-		return err
-	}
-	for _, c := range res.Cycles {
-		fmt.Printf("  slot %d -> epoch %2d: recovered in %7.1f ms, %6.1f req/s through the cycle\n",
-			c.Slot, c.Epoch, c.RecoveryMs, c.Tput)
-	}
-	fmt.Printf("recovery p50 %.0f ms, p99 %.0f ms; %d requests completed, %d stray events\n",
-		res.RecoveryP50Ms, res.RecoveryP99Ms, res.Completed, res.StrayEvents)
-	for _, st := range res.Statuses {
-		rot := "never"
-		if !st.LastRotation.IsZero() {
-			rot = fmt.Sprintf("%s ago", time.Since(st.LastRotation).Round(time.Millisecond))
-		}
-		fmt.Printf("group %-8s epoch %2d  n=%d  catching-up %v  halted %v  last rotation %s\n",
-			st.Group, st.Epoch, st.N, st.CatchingUp, st.Halted, rot)
-	}
-	if res.StrayEvents != 0 {
-		return fmt.Errorf("%d stray events after drain (duplicated delivery)", res.StrayEvents)
-	}
-	return nil
-}
-
-func runReadMix(args []string) error {
-	fs := flag.NewFlagSet("readmix", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced measurement sizes")
-	sessions := fs.Int("sessions", 4, "concurrent emulated-browser sessions")
-	readPct := fs.Int("readpct", 95, "percentage of interactions declared read-only")
-	resolve := runOptsFlags(fs, bench.RunOpts{N: 4, Calls: 400}, "mem")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, transports, err := resolve()
-	if err != nil {
-		return err
-	}
-	if *quick {
-		opts.Calls = 150
-	}
-	fmt.Printf("running read mix (%d/%d, n=%d, %d sessions, transport=%s)...\n",
-		*readPct, 100-*readPct, opts.N, *sessions, strings.Join(transports, ","))
-	cfg := bench.ReadMixConfig{
-		RunOpts: opts, ReadPct: *readPct, Sessions: *sessions,
-	}
-	fast, err := bench.MeasureReadMix(cfg)
-	if err != nil {
-		return err
-	}
-	cfg.ForceAgreement = true
-	forced, err := bench.MeasureReadMix(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fast path:   %8.0f req/s   read p50 %.2f ms  p99 %.2f ms\n", fast.ReqPerSec, fast.ReadP50Ms, fast.ReadP99Ms)
-	fmt.Printf("agreement:   %8.0f req/s   read p50 %.2f ms  p99 %.2f ms\n", forced.ReqPerSec, forced.ReadP50Ms, forced.ReadP99Ms)
-	if forced.ReqPerSec > 0 {
-		fmt.Printf("speedup:     %.1fx\n", fast.ReqPerSec/forced.ReqPerSec)
-	}
-	fmt.Printf("fast-path counters: %d attempts, %d certified, %d fallbacks (%d timeout, %d diverged)\n",
-		fast.Stats.Attempts, fast.Stats.Certified, fast.Stats.Fallbacks,
-		fast.Stats.FallbackTimeout, fast.Stats.FallbackDiverged)
-	return nil
+every figure accepts -quick (reduced grids); run 'perpetualctl <fig> -h'
+for its flags`)
 }
 
 func runFig6(args []string) error {
@@ -471,189 +107,37 @@ func runFig6(args []string) error {
 func runFig7(args []string) error {
 	fs := flag.NewFlagSet("fig7", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "reduced grid")
-	resolve := runOptsFlags(fs, bench.RunOpts{Calls: 1000, Runs: 3}, "mem")
+	calls := fs.Int("calls", 1000, "requests per calling replica per cell")
+	runs := fs.Int("runs", 3, "runs averaged per cell")
+	batch := fs.Int("batch", 0, "CLBFT request batch size (<=1 disables batching)")
+	inflight := fs.Int("inflight", 0, "outstanding requests per caller (<=1 closed loop)")
+	transport := fs.String("transport", "mem", "transport: mem or tcp")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts, transports, err := resolve()
-	if err != nil {
-		return err
+	var kind perpetual.TransportKind
+	switch *transport {
+	case "mem":
+		kind = perpetual.TransportMem
+	case "tcp":
+		kind = perpetual.TransportTCP
+	default:
+		return fmt.Errorf("unknown transport %q (want mem or tcp)", *transport)
 	}
-	cfg := bench.Figure7Config{RunOpts: opts}
+	cfg := bench.Figure7Config{
+		Calls: *calls, Runs: *runs, MaxBatch: *batch, Inflight: *inflight, Transport: kind,
+	}
 	if *quick {
 		cfg.Degrees = []int{1, 4, 7}
 		cfg.Calls = 80
 		cfg.Runs = 1
 	}
-	fmt.Printf("running figure 7 (replica scalability, transport=%s)...\n", strings.Join(transports, ","))
+	fmt.Printf("running figure 7 (replica scalability, transport=%s)...\n", *transport)
 	fig, err := bench.RunFigure7(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Println(fig.Format())
-	return nil
-}
-
-// splitList parses a comma-separated selector list.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// splitFloats parses a comma-separated float list.
-func splitFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float list entry %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// splitInts parses a comma-separated integer list.
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list entry %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runOptsFlags registers the shared bench.RunOpts knobs — the one flag
-// surface bench, readmix, matrix, and fig7 accept identically — on fs,
-// seeded with def, and returns a resolver to call after Parse. The
-// -transport flag accepts a comma list for the subcommands that sweep
-// several wires; the resolved RunOpts.Transport is the first entry.
-func runOptsFlags(fs *flag.FlagSet, def bench.RunOpts, transportDef string) func() (bench.RunOpts, []string, error) {
-	n := fs.Int("n", def.N, "replica group size (N = 3f+1)")
-	calls := fs.Int("calls", def.Calls, "requests (or interactions) per cell")
-	runs := fs.Int("runs", def.Runs, "runs averaged per cell")
-	batch := fs.Int("batch", def.MaxBatch, "CLBFT request batch size (<=1 disables batching)")
-	inflight := fs.Int("inflight", def.Inflight, "outstanding requests per caller (<=1 closed loop)")
-	transport := fs.String("transport", transportDef, "transport(s), comma-separated: mem, tcp")
-	return func() (bench.RunOpts, []string, error) {
-		opts := bench.RunOpts{N: *n, Calls: *calls, Runs: *runs, MaxBatch: *batch, Inflight: *inflight}
-		names := splitList(*transport)
-		if len(names) > 0 {
-			kind, err := bench.TransportKindOf(names[0])
-			if err != nil {
-				return opts, nil, err
-			}
-			opts.Transport = kind
-		}
-		return opts, names, nil
-	}
-}
-
-func runMatrix(args []string) error {
-	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced measurement sizes")
-	cores := fs.String("cores", "1,4", "comma-separated GOMAXPROCS values to sweep")
-	shards := fs.String("shards", "1,4", "comma-separated shard counts to sweep")
-	mutexFrac := fs.Int("mutexprofile", 1, "mutex contention sampling rate (0 disables)")
-	resolve := runOptsFlags(fs, bench.RunOpts{N: 4, Calls: 400, Runs: 2}, "mem")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts, transports, err := resolve()
-	if err != nil {
-		return err
-	}
-	coreList, err := splitInts(*cores)
-	if err != nil {
-		return err
-	}
-	shardList, err := splitInts(*shards)
-	if err != nil {
-		return err
-	}
-	if *quick {
-		opts.Calls = 120
-		opts.Runs = 1
-	}
-	fmt.Printf("running scalability matrix (cores=%s, shards=%s, transport=%s)...\n", *cores, *shards, strings.Join(transports, ","))
-	res, err := bench.RunMatrix(bench.MatrixConfig{
-		Cores: coreList, Shards: shardList, Transports: transports,
-		RunOpts: opts, MutexFraction: *mutexFrac,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	return nil
-}
-
-func runOverload(args []string) error {
-	fs := flag.NewFlagSet("overload", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced windows and load grid")
-	n := fs.Int("n", 4, "target voter group size (N = 3f+1)")
-	intake := fs.Int("intake", 16, "target intake bound (MaxIntake)")
-	deadline := fs.Duration("deadline", 250*time.Millisecond, "per-request deadline")
-	window := fs.Duration("window", time.Second, "measured window per load point")
-	loads := fs.String("loads", "1,2,4", "comma-separated offered-load multipliers")
-	readPct := fs.Int("readpct", 0, "percentage of requests declared read-only (graceful-degradation cell)")
-	transportName := fs.String("transport", "mem", "transport: mem or tcp")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kind, err := bench.TransportKindOf(*transportName)
-	if err != nil {
-		return err
-	}
-	loadList, err := splitFloats(*loads)
-	if err != nil {
-		return err
-	}
-	if *quick {
-		*window = 400 * time.Millisecond
-		if *loads == "1,2,4" {
-			loadList = []float64{1, 2}
-		}
-	}
-	fmt.Printf("running overload sweep (n=%d, intake %d, deadline %v, %s)...\n", *n, *intake, *deadline, *transportName)
-	res, err := bench.MeasureOverload(bench.OverloadConfig{
-		RunOpts:   bench.RunOpts{N: *n, Transport: kind},
-		MaxIntake: *intake, Deadline: *deadline, Window: *window,
-		Loads: loadList, ReadPct: *readPct,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("calibrated peak: %.0f req/s\n", res.PeakPerSec)
-	fmt.Printf("%-6s %12s %12s %10s %8s %8s %10s %10s\n",
-		"load", "offered/s", "goodput/s", "admitted", "shed", "expired", "commits/s", "p99 ms")
-	for _, p := range res.Points {
-		fmt.Printf("%-6s %12.0f %12.0f %10d %8d %8d %10.0f %10.2f\n",
-			fmt.Sprintf("%gx", p.Load), p.OfferedPerSec, p.GoodputPerSec, p.Admitted, p.Shed, p.Expired,
-			p.CommitGoodputPerSec, p.P99Ms)
-	}
-	fmt.Printf("client window sheds: %d\n", res.ClientSheds)
-	fmt.Printf("target voters: %d intake sheds, %d proposer sheds, %d read sheds, %d expiry drops, %d suppressed replies\n",
-		res.Voter.ShedIntake, res.Voter.ShedProposer, res.Voter.ShedReads,
-		res.Voter.ExpiredDrops, res.Voter.SuppressedReplies)
-	if len(res.QueueDrops) > 0 {
-		fmt.Println("per-peer TCP send-queue drops:")
-		peers := make([]string, 0, len(res.QueueDrops))
-		for id := range res.QueueDrops {
-			peers = append(peers, id)
-		}
-		sort.Strings(peers)
-		for _, id := range peers {
-			fmt.Printf("  %-24s %8d\n", id, res.QueueDrops[id])
-		}
-	}
 	return nil
 }
 

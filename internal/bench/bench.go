@@ -3,14 +3,14 @@
 // payment-tier replication), Figure 7 (replica scalability with null
 // requests), Figure 8 (effect of non-zero processing time), and Figure 9
 // (effect of asynchronous messaging). Each runner returns a Figure whose
-// series mirror the paper's plots; bench_test.go and cmd/perpetualctl
-// print them.
+// series mirror the paper's plots; cmd/perpetualctl prints them.
 //
 // Absolute numbers differ from the paper (their testbed was a cluster of
 // 2 GHz Opterons on gigabit Ethernet; this harness runs every replica
 // in one process), but the comparison shapes — who wins, how overhead
 // decays with processing time, how asynchrony multiplies throughput —
-// are what the runners reproduce. See EXPERIMENTS.md.
+// are what the runners reproduce. The repo's performance instrument is
+// the benchmark/ module; this package carries only the paper's figures.
 package bench
 
 import (

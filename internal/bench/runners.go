@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"perpetualws/internal/perpetual"
 	"perpetualws/internal/soap"
 	"perpetualws/internal/tpcw"
-	"perpetualws/internal/transport"
 	"perpetualws/internal/wsengine"
 )
 
@@ -34,7 +32,6 @@ func benchOpts() perpetual.ServiceOptions {
 // in wall-clock time. On a shared-CPU in-process run, burning would
 // serialize all replicas' processing and inflate replication overhead
 // by a factor of n; waiting reproduces the testbed's per-replica cost.
-// (CPUBurner remains available for single-replica digest workloads.)
 func IncrementApp(processing time.Duration) core.Application {
 	return core.ApplicationFunc(func(ctx *core.AppContext) {
 		counter := 0
@@ -200,234 +197,15 @@ func replicaWorkload(h core.MessageHandler, calls, window int) error {
 // ReplicationDegrees are the replica-group sizes of the paper's sweeps.
 var ReplicationDegrees = []int{1, 4, 7, 10}
 
-// DefaultPipelineInflight is the outstanding-request depth of the
-// report's pipelined Figure-7 cells, and DefaultPipelineBatch the
-// agreement batch cap paired with it. Deep enough that CLBFT request
-// batching and the TCP writer's flush coalescing both engage (batches
-// and flushes only merge work that is concurrently in the pipe) and
-// that a one-core host reaches saturation; doubling either again only
-// adds queueing latency.
-const (
-	DefaultPipelineInflight = 64
-	DefaultPipelineBatch    = 32
-)
-
-// NullConfig parameterizes one Figure-7 null-request throughput cell
-// (nc = nt = N callers invoking a same-sized target group). The shared
-// knobs live in the embedded RunOpts; Inflight > 1 switches the cell to
-// the open-loop pipelined client (each calling replica issues the next
-// request as soon as any reply lands instead of waiting out the full
-// round trip), which also records per-request latency matched through
-// the reply's wsa:RelatesTo header, since completions may arrive out of
-// submission order under batching.
-type NullConfig struct {
-	RunOpts
-	// DisableTentative pins both groups to committed-only execution —
-	// the pre-tentative protocol — for interleaved A/B comparison on
-	// one tree.
-	DisableTentative bool
-}
-
-// NullResult is one null-cell measurement: throughput, per-request
-// latency percentiles (pipelined cells only — the closed-loop cell's
-// latency is just its inverse throughput), and the wire counters of the
-// final run (zero over memnet).
-type NullResult struct {
-	ReqPerSec            float64
-	P50Ms, P99Ms, P999Ms float64
-	Wire                 transport.TCPStatsSnapshot
-}
-
-// MeasureNullThroughput runs one Figure-7 cell over the selected
-// transport and returns the mean throughput across runs. It is the
-// unit the report's null_req_per_sec* fields and the TCP A/B
-// comparison are built from.
-func MeasureNullThroughput(cfg NullConfig) (float64, error) {
-	tput, _, err := MeasureNullThroughputStats(cfg)
-	return tput, err
-}
-
-// MeasureNullThroughputStats is MeasureNullThroughput also returning
-// the aggregate wire-level TCP counters of the final run (zero over
-// memnet) — frames/bytes per request on real sockets are part of the
-// TCP benchmark's observability story.
-func MeasureNullThroughputStats(cfg NullConfig) (float64, transport.TCPStatsSnapshot, error) {
-	res, err := MeasureNull(cfg)
-	return res.ReqPerSec, res.Wire, err
-}
-
-// MeasureNull runs one Figure-7 cell — closed-loop, or open-loop
-// pipelined when cfg.Inflight > 1 — and returns mean throughput across
-// runs, per-request latency percentiles pooled over every run and
-// calling replica, and the final run's wire counters.
-func MeasureNull(cfg NullConfig) (NullResult, error) {
-	if cfg.Runs <= 0 {
-		cfg.Runs = 1
-	}
-	var res NullResult
-	var lat []time.Duration
-	for r := 0; r < cfg.Runs; r++ {
-		tput, samples, st, err := measureNullOnce(cfg)
-		if err != nil {
-			return res, fmt.Errorf("bench: null cell n=%d: %w", cfg.N, err)
-		}
-		res.ReqPerSec += tput
-		lat = append(lat, samples...)
-		res.Wire = st
-	}
-	res.ReqPerSec /= float64(cfg.Runs)
-	res.P50Ms, res.P99Ms, res.P999Ms = LatencyPercentiles(lat)
-	return res, nil
-}
-
-// measureNullOnce is one warm measured run of the nc = nt = N null
-// cell, with wire counters deltad across the measured window only.
-func measureNullOnce(cfg NullConfig) (float64, []time.Duration, transport.TCPStatsSnapshot, error) {
-	if cfg.Calls <= 0 {
-		cfg.Calls = 100
-	}
-	inflight := cfg.Inflight
-	if inflight <= 0 {
-		inflight = 1
-	}
-	opts := benchOpts()
-	opts.MaxBatch = cfg.MaxBatch
-	opts.DisableTentative = cfg.DisableTentative
-	cluster, err := core.NewClusterOver([]byte("bench"), cfg.Transport,
-		core.ServiceDef{Name: "caller", N: cfg.N, Options: opts},
-		core.ServiceDef{Name: "target", N: cfg.N, App: IncrementApp(0), Options: opts},
-	)
-	if err != nil {
-		return 0, nil, transport.TCPStatsSnapshot{}, err
-	}
-	cluster.Start()
-	defer cluster.Stop()
-	if _, err := runWorkloadLatency(cluster, cfg.N, 1, 1); err != nil {
-		return 0, nil, transport.TCPStatsSnapshot{}, err
-	}
-	before := cluster.NetStats()
-	start := time.Now()
-	samples, err := runWorkloadLatency(cluster, cfg.N, cfg.Calls, inflight)
-	if err != nil {
-		return 0, nil, transport.TCPStatsSnapshot{}, err
-	}
-	elapsed := time.Since(start)
-	after := cluster.NetStats()
-	after.FramesOut -= before.FramesOut
-	after.BytesOut -= before.BytesOut
-	after.FramesIn -= before.FramesIn
-	after.BytesIn -= before.BytesIn
-	after.Flushes -= before.Flushes
-	after.QueueDrops -= before.QueueDrops
-	after.Redials -= before.Redials
-	after.DialFailures -= before.DialFailures
-	after.LinksSevered -= before.LinksSevered
-	return Throughput(cfg.Calls, elapsed), samples, after, nil
-}
-
-// runWorkloadLatency drives every calling replica through the null
-// workload keeping inflight requests outstanding, and returns the
-// per-request completion latencies pooled across replicas. inflight 1
-// is the closed-loop pattern; larger values are the open-loop pipelined
-// client (issue on any completion, never wait out a full round trip).
-func runWorkloadLatency(cluster *core.Cluster, nc, calls, inflight int) ([]time.Duration, error) {
-	var mu sync.Mutex
-	var all []time.Duration
-	var wg sync.WaitGroup
-	errs := make(chan error, nc)
-	for i := 0; i < nc; i++ {
-		h := cluster.Handler("caller", i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			samples, err := replicaWorkloadPipelined(h, calls, inflight)
-			if err == nil {
-				mu.Lock()
-				all = append(all, samples...)
-				mu.Unlock()
-			}
-			errs <- err
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return all, nil
-}
-
-// replicaWorkloadPipelined issues calls requests keeping inflight
-// outstanding and times each one individually: send time is recorded
-// under the request's wsa:MessageID (assigned by Send before it
-// returns), and each reply is matched back through its wsa:RelatesTo
-// header — order-independent, so batched and coalesced completions
-// attribute latency to the right request.
-func replicaWorkloadPipelined(h core.MessageHandler, calls, inflight int) ([]time.Duration, error) {
-	starts := make(map[string]time.Time, inflight)
-	samples := make([]time.Duration, 0, calls)
-	send := func() error {
-		mc := wsengine.NewMessageContext()
-		mc.Options.To = soap.ServiceURI("target")
-		mc.Options.Action = "urn:bench:increment"
-		mc.Envelope.Body = []byte("<inc/>")
-		if err := h.Send(mc); err != nil {
-			return err
-		}
-		starts[mc.Envelope.Header.MessageID] = time.Now()
-		return nil
-	}
-	sent, received := 0, 0
-	for sent < inflight && sent < calls {
-		if err := send(); err != nil {
-			return nil, err
-		}
-		sent++
-	}
-	for received < calls {
-		reply, err := h.ReceiveReply()
-		if err != nil {
-			return nil, err
-		}
-		received++
-		if t0, ok := starts[reply.Envelope.Header.RelatesTo]; ok {
-			samples = append(samples, time.Since(t0))
-			delete(starts, reply.Envelope.Header.RelatesTo)
-		}
-		if sent < calls {
-			if err := send(); err != nil {
-				return nil, err
-			}
-			sent++
-		}
-	}
-	return samples, nil
-}
-
-// LatencyPercentiles returns the p50, p99, and p99.9 of samples in
-// milliseconds (zeroes for an empty slice).
-func LatencyPercentiles(samples []time.Duration) (p50, p99, p999 float64) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		idx := int(q * float64(len(sorted)-1))
-		return float64(sorted[idx].Microseconds()) / 1000.0
-	}
-	return at(0.50), at(0.99), at(0.999)
-}
-
-// Figure7Config parameterizes the replica-scalability experiment. The
-// shared knobs live in the embedded RunOpts (N is ignored — the sweep
-// runs every Degrees × Degrees combination).
+// Figure7Config parameterizes the replica-scalability experiment: every
+// Degrees × Degrees combination of calling and target group sizes.
 type Figure7Config struct {
-	RunOpts
-	Degrees []int // calling and target group sizes; default {1,4,7,10}
+	Degrees   []int // calling and target group sizes; default {1,4,7,10}
+	Calls     int   // requests per calling replica
+	Runs      int   // fresh-cluster runs averaged per cell; default 1
+	MaxBatch  int   // CLBFT request batching (>1); 0/1 disables it
+	Inflight  int   // outstanding requests per calling replica; 0/1 is synchronous
+	Transport perpetual.TransportKind
 }
 
 // RunFigure7 reproduces Figure 7: request throughput of null operations
@@ -629,68 +407,6 @@ func RunFigure6(cfg Figure6Config) (Figure, error) {
 		}
 	}
 	return fig, nil
-}
-
-// MessageComplexity measures per-request transport traffic across the
-// whole deployment as the replication degree grows: an ablation backing
-// the paper's cryptographic-overhead argument (larger replica groups
-// require more MAC-authenticated messages per request-reply cycle, so
-// per-message authentication must be cheap).
-type MessageComplexity struct {
-	N           int
-	MsgsPerReq  float64
-	BytesPerReq float64
-}
-
-// RunMessageComplexity sweeps group sizes and reports per-request
-// message counts and byte volumes (sent, deployment-wide).
-func RunMessageComplexity(degrees []int, calls int) ([]MessageComplexity, error) {
-	if len(degrees) == 0 {
-		degrees = ReplicationDegrees
-	}
-	if calls <= 0 {
-		calls = 50
-	}
-	var out []MessageComplexity
-	for _, n := range degrees {
-		cluster, err := core.NewCluster([]byte("bench-msg"),
-			core.ServiceDef{Name: "caller", N: n, Options: benchOpts()},
-			core.ServiceDef{Name: "target", N: n, App: IncrementApp(0), Options: benchOpts()},
-		)
-		if err != nil {
-			return nil, err
-		}
-		cluster.Start()
-		// Warm-up excluded from counters via delta measurement.
-		if err := runWorkload(cluster, n, 1, 1); err != nil {
-			cluster.Stop()
-			return nil, err
-		}
-		before := deploymentSentStats(cluster)
-		if err := runWorkload(cluster, n, calls, 1); err != nil {
-			cluster.Stop()
-			return nil, err
-		}
-		after := deploymentSentStats(cluster)
-		cluster.Stop()
-		out = append(out, MessageComplexity{
-			N:           n,
-			MsgsPerReq:  float64(after.SentMsgs-before.SentMsgs) / float64(calls),
-			BytesPerReq: float64(after.SentBytes-before.SentBytes) / float64(calls),
-		})
-	}
-	return out, nil
-}
-
-func deploymentSentStats(cluster *core.Cluster) (total struct{ SentMsgs, SentBytes uint64 }) {
-	for _, svc := range []string{"caller", "target"} {
-		for _, r := range cluster.Deployment().Replicas(svc) {
-			st := r.TransportStats()
-			total.SentMsgs += st.SentMsgs
-			total.SentBytes += st.SentBytes
-		}
-	}
-	return total
 }
 
 func measureTPCW(n, rbes int, cfg Figure6Config) (float64, error) {

@@ -22,11 +22,6 @@ type ServiceOptions struct {
 	// MaxBatch enables CLBFT request batching (>1) for the service's
 	// voter group.
 	MaxBatch int
-	// DisableTentative pins the voter group to committed-only execution
-	// (see ReplicaConfig.DisableTentative); used for A/B measurement of
-	// the tentative-execution optimizations and by tests of the
-	// committed-only path.
-	DisableTentative bool
 	// CommitFlushDelay tunes the piggybacked-commit idle heartbeat; zero
 	// uses the clbft default.
 	CommitFlushDelay time.Duration
@@ -197,7 +192,6 @@ func (d *Deployment) buildGroup(g ServiceInfo, opts ServiceOptions, principals [
 			RetransmitInterval: opts.RetransmitInterval,
 			ReadFallback:       opts.ReadFallback,
 			MaxBatch:           opts.MaxBatch,
-			DisableTentative:   opts.DisableTentative,
 			CommitFlushDelay:   opts.CommitFlushDelay,
 			MaxIntake:          opts.MaxIntake,
 			MaxProposerQueue:   opts.MaxProposerQueue,
@@ -368,27 +362,10 @@ func (d *Deployment) NetStats() transport.TCPStatsSnapshot {
 	return total
 }
 
-// QueueDropsByPeer aggregates, across every TCP endpoint in the
-// deployment, the link-local frames dropped toward each peer (empty
-// under TransportMem). The per-peer breakdown is what distinguishes
-// one back-pressured (wedged, slow, or overloaded) principal from
-// diffuse congestion; perpetualctl's overload view prints it.
-func (d *Deployment) QueueDropsByPeer() map[auth.NodeID]uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[auth.NodeID]uint64)
-	for _, c := range d.tcpConns {
-		for peer, n := range c.QueueDropsByPeer() {
-			out[peer] += n
-		}
-	}
-	return out
-}
-
 // OverloadStats aggregates the voter-side admission counters of every
 // replica of a service (all shard groups included) — the group-level
-// accounting the overload bench asserts against: offered = admitted +
-// shed + expired.
+// accounting the overload sweep tests assert against: offered =
+// admitted + shed + expired.
 func (d *Deployment) OverloadStats(service string) OverloadStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

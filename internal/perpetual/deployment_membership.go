@@ -33,7 +33,6 @@ package perpetual
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -52,8 +51,8 @@ const membershipInstallTimeout = 30 * time.Second
 // crashed survivor, which then rebuilds onto the catch-up path instead.
 const membershipHaltWait = 5 * time.Second
 
-// GroupStatus is one voter group's membership state, the operator
-// surface behind `perpetualctl membership`.
+// GroupStatus is one voter group's membership state, as reported by
+// Deployment.MembershipStatus.
 type GroupStatus struct {
 	// Group is the concrete group name ("store", "store#2").
 	Group string
@@ -182,25 +181,6 @@ func (d *Deployment) MembershipStatus(group string) (GroupStatus, error) {
 		}
 	}
 	return st, nil
-}
-
-// MembershipStatuses reports every concrete group's membership state,
-// sorted by group name.
-func (d *Deployment) MembershipStatuses() []GroupStatus {
-	d.mu.RLock()
-	names := make([]string, 0, len(d.replicas))
-	for name := range d.replicas {
-		names = append(names, name)
-	}
-	d.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]GroupStatus, 0, len(names))
-	for _, name := range names {
-		if st, err := d.MembershipStatus(name); err == nil {
-			out = append(out, st)
-		}
-	}
-	return out
 }
 
 // changeMembership validates, proposes, and awaits one membership
@@ -430,7 +410,6 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 		RetransmitInterval: opts.RetransmitInterval,
 		ReadFallback:       opts.ReadFallback,
 		MaxBatch:           opts.MaxBatch,
-		DisableTentative:   opts.DisableTentative,
 		CommitFlushDelay:   opts.CommitFlushDelay,
 		MaxIntake:          opts.MaxIntake,
 		MaxProposerQueue:   opts.MaxProposerQueue,

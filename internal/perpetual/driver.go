@@ -1699,16 +1699,6 @@ func (d *Driver) Outstanding() int {
 	return len(d.outstanding)
 }
 
-// QueuedEvents reports how many delivered-but-unconsumed events sit in
-// the driver's queue. A drained closed-loop client should read zero: a
-// stray entry after every call completed means something was delivered
-// twice (a duplicated request) or delivered to nobody's wait.
-func (d *Driver) QueuedEvents() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.events)
-}
-
 // PrimaryHint returns the target group's believed CLBFT primary index —
 // the routing hint first request attempts unicast to. Index 0 until a
 // verified reply bundle from the target reports otherwise.

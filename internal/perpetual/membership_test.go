@@ -339,7 +339,9 @@ func TestMembershipByzantineTable(t *testing.T) {
 // miniature: under continuous closed-loop load, every slot of the group
 // is crash-killed and replaced in turn (never more than one down, so
 // the group never falls below quorum), with zero lost or duplicated
-// requests across all four rotations.
+// requests across all four rotations. The first kill waits for a stable
+// checkpoint at a survivor, so the first joiner bootstraps from a
+// donated checkpoint rather than from sequence zero.
 func TestMembershipChaosReplaceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -365,6 +367,14 @@ func TestMembershipChaosReplaceSoak(t *testing.T) {
 	var rotErr error
 	go func() {
 		defer wg.Done()
+		deadline := time.Now().Add(30 * time.Second)
+		for dep.Replicas("t")[1].StableCheckpointSeq() == 0 {
+			if time.Now().After(deadline) {
+				rotErr = fmt.Errorf("no stable checkpoint at t/1 before the first kill")
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 		for slot := 0; slot < 4; slot++ {
 			for start := completed.Load(); completed.Load() < start+10; {
 				time.Sleep(5 * time.Millisecond)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -586,4 +587,201 @@ func TestRetryPolicy(t *testing.T) {
 			t.Fatalf("slot holder failed: %v", err)
 		}
 	})
+}
+
+// The overload sweep: a one-replica caller with an 8-request client
+// window drives an n=4 target whose intake and proposer queue are
+// bounded at 8, every request carrying a 200 ms deadline. The caller
+// first measures the target's closed-loop peak, then offers open-loop
+// load at a multiple of it. Every issued request must classify as
+// admitted, shed (a typed refusal) or expired, and every refusal the
+// caller settled at the target must be backed by the f_t+1 refusals the
+// target voters counted themselves.
+const (
+	sweepIntake   = 8
+	sweepDeadline = 200 * time.Millisecond
+	sweepWindow   = 400 * time.Millisecond
+)
+
+// startOverloadSweep builds the sweep's pair, warms it with one write
+// (which also opens the session lease reads gate on) and returns the
+// caller's driver and the target's calibrated closed-loop peak in
+// requests per second.
+func startOverloadSweep(t *testing.T) (*Deployment, *Driver, float64) {
+	t.Helper()
+	dep := buildPair(t, 1, 4, func(d *Deployment) {
+		// Long suspicion and retransmission timers: a saturated run must
+		// not view-change, and refusals, not retransmissions, settle the
+		// excess.
+		opts := ServiceOptions{
+			CheckpointInterval: 256,
+			ViewChangeTimeout:  10 * time.Second,
+			RetransmitInterval: 10 * time.Second,
+		}
+		copts := opts
+		copts.MaxOutstanding = sweepIntake
+		d.Configure("c", copts)
+		opts.MaxIntake = sweepIntake
+		opts.MaxProposerQueue = sweepIntake
+		opts.RetryAfterHint = 5 * time.Millisecond
+		d.Configure("t", opts)
+	})
+	readableEchoApp(t, dep, "t")
+	drv := dep.Driver("c", 0)
+	if _, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("warm")}); err != nil {
+		t.Fatalf("warm call: %v", err)
+	}
+
+	// Four closed-loop workers for one window; refusals and expiries
+	// under calibration pressure are neither goodput nor errors.
+	var done atomic.Uint64
+	end := time.Now().Add(sweepWindow)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(end) {
+				ctx, cancel := context.WithTimeout(context.Background(), sweepDeadline)
+				_, err := drv.Do(ctx, Request{Target: "t", Payload: []byte("cal")})
+				cancel()
+				if _, shed := IsOverload(err); err != nil && !shed && !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("calibration call: %v", err)
+					return
+				}
+				if err == nil {
+					done.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	peak := float64(done.Load()) / sweepWindow.Seconds()
+	if peak <= 0 {
+		t.Fatalf("calibration measured zero peak")
+	}
+	return dep, drv, peak
+}
+
+// sweepPoint is the outcome of one offered-load point.
+type sweepPoint struct {
+	offered, admitted, shed, expired uint64
+	admittedWrites                   uint64
+	// shedAtTarget and expiredAtTarget are the refusals settled by the
+	// target voters' busy quorum (shed excludes the caller's own window
+	// refusals); voters is the target's counters over the point.
+	shedAtTarget, expiredAtTarget uint64
+	voters                        OverloadStats
+}
+
+// offerLoad issues requests open-loop at rate per second for one window,
+// readPct of every hundred declared reads, and classifies every outcome.
+// Pacing sleeps toward each request's scheduled issue time; a host that
+// cannot keep pace issues in bursts, which is still an overload arrival
+// process.
+func offerLoad(t *testing.T, dep *Deployment, drv *Driver, rate float64, readPct int) sweepPoint {
+	t.Helper()
+	total := max(1, int(rate*sweepWindow.Seconds()))
+	interval := sweepWindow / time.Duration(total)
+	before, localBefore := dep.OverloadStats("t"), drv.LocalSheds()
+
+	var mu sync.Mutex
+	var p sweepPoint
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < total; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * interval)))
+		read := i%100 < readPct
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), sweepDeadline)
+			defer cancel()
+			res, err := drv.Do(ctx, Request{Target: "t", Payload: []byte("ov"), Read: read})
+			var oe *OverloadError
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil && !res.Aborted:
+				p.admitted++
+				if !read {
+					p.admittedWrites++
+				}
+			case errors.As(err, &oe) && oe.Expired:
+				p.expired++
+				p.expiredAtTarget++
+			case errors.As(err, &oe):
+				p.shed++
+			case err == nil, errors.Is(err, context.DeadlineExceeded):
+				// An agreed timeout abort expired it inside the pipeline,
+				// or its deadline ran out at the caller.
+				p.expired++
+			default:
+				t.Errorf("request outside the overload classes: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	p.offered = uint64(total)
+	p.shedAtTarget = p.shed - min(p.shed, drv.LocalSheds()-localBefore)
+	after := dep.OverloadStats("t")
+	p.voters = OverloadStats{
+		ShedIntake:   after.ShedIntake - before.ShedIntake,
+		ShedProposer: after.ShedProposer - before.ShedProposer,
+		ShedReads:    after.ShedReads - before.ShedReads,
+		ExpiredDrops: after.ExpiredDrops - before.ExpiredDrops,
+	}
+	return p
+}
+
+// check asserts a point's accounting: admitted + shed + expired =
+// offered, and the target voters counted at least the refusals the
+// caller settled on — f_t+1 = 2 capacity refusals per shed, an expiry
+// drop per expired refusal.
+func (p sweepPoint) check(t *testing.T, label string) {
+	t.Helper()
+	t.Logf("%s: offered %d, admitted %d (%d writes), shed %d (%d at target), expired %d; voters %+v",
+		label, p.offered, p.admitted, p.admittedWrites, p.shed, p.shedAtTarget, p.expired, p.voters)
+	if got := p.admitted + p.shed + p.expired; got != p.offered {
+		t.Errorf("%s: %d admitted + %d shed + %d expired != %d offered",
+			label, p.admitted, p.shed, p.expired, p.offered)
+	}
+	if refusals := p.voters.ShedIntake + p.voters.ShedProposer + p.voters.ShedReads; refusals < 2*p.shedAtTarget {
+		t.Errorf("%s: target voters counted %d capacity refusals, fewer than f_t+1 for each of the %d sheds settled at the target",
+			label, refusals, p.shedAtTarget)
+	}
+	if p.voters.ExpiredDrops < p.expiredAtTarget {
+		t.Errorf("%s: target voters counted %d expiry drops for %d expired refusals",
+			label, p.voters.ExpiredDrops, p.expiredAtTarget)
+	}
+}
+
+// TestOverloadSweepAccounting offers 1x and 2x the calibrated peak: every
+// request is classified, the voters' counters back the caller's, and
+// goodput survives past saturation.
+func TestOverloadSweepAccounting(t *testing.T) {
+	guardGoroutines(t)
+	dep, drv, peak := startOverloadSweep(t)
+	for _, load := range []float64{1, 2} {
+		label := fmt.Sprintf("%gx", load)
+		p := offerLoad(t, dep, drv, load*peak, 0)
+		p.check(t, label)
+		if p.admitted == 0 {
+			t.Errorf("%s: zero goodput", label)
+		}
+	}
+}
+
+// TestOverloadSweepReadMix is the graceful-degradation point: at 2x the
+// peak with 95% declared reads, reads shed first and commit goodput
+// stays alive.
+func TestOverloadSweepReadMix(t *testing.T) {
+	guardGoroutines(t)
+	dep, drv, peak := startOverloadSweep(t)
+	p := offerLoad(t, dep, drv, 2*peak, 95)
+	p.check(t, "2x, 95% reads")
+	if p.admittedWrites == 0 {
+		t.Errorf("2x read-heavy overload: zero commit goodput")
+	}
 }

@@ -33,13 +33,6 @@ type ReplicaConfig struct {
 	CheckpointInterval uint64
 	ViewChangeTimeout  time.Duration
 	MaxBatch           int
-	// DisableTentative turns off the CLBFT tentative-execution and
-	// commit-piggybacking optimizations (clbft.Config.Tentative), which
-	// are on by default: requests then execute only after commit, every
-	// commit vote pays its own frame, and all reply shares are stable.
-	// Intended for A/B measurement and for tests pinning the
-	// committed-only code path.
-	DisableTentative bool
 	// CommitFlushDelay tunes the piggybacked-commit idle heartbeat (see
 	// clbft.Config.CommitFlushDelay); zero uses the clbft default.
 	CommitFlushDelay time.Duration
@@ -161,7 +154,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		CheckpointInterval: cfg.CheckpointInterval,
 		ViewChangeTimeout:  cfg.ViewChangeTimeout,
 		MaxBatch:           cfg.MaxBatch,
-		Tentative:          !cfg.DisableTentative,
+		Tentative:          true,
 		CommitFlushDelay:   cfg.CommitFlushDelay,
 	}
 	r := &Replica{
@@ -395,8 +388,8 @@ func (r *Replica) provisionPeers(master []byte, peers []auth.NodeID) {
 }
 
 // TransportStats returns the combined traffic counters of the replica's
-// voter and driver adapters (diagnostics and the message-complexity
-// ablation bench), including the per-message-kind breakdown.
+// voter and driver adapters (diagnostics and per-request message
+// counts), including the per-message-kind breakdown.
 func (r *Replica) TransportStats() transport.StatsSnapshot {
 	s := r.voterAdapter.Stats()
 	s.Add(r.driverAdapter.Stats())
