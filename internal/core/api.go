@@ -26,8 +26,10 @@ import (
 // application's single executor thread.
 type MessageHandler interface {
 	// Send transmits a request without blocking (asynchronous send).
-	// The message's wsa:MessageID and wsa:ReplyTo fields are assigned by
-	// the handler; the destination comes from the envelope's wsa:To or
+	// The handler assigns wsa:ReplyTo, and on return wsa:MessageID holds
+	// the request's Perpetual request id, the wsa:RelatesTo of its reply.
+	// The MessageID is not sent: the callee restores it from the agreed
+	// request id. The destination comes from the envelope's wsa:To or
 	// Options.To. A timeout in Options selects deterministic group-wide
 	// abort of the request.
 	Send(request *wsengine.MessageContext) error
@@ -35,8 +37,8 @@ type MessageHandler interface {
 	// blocking if none are available. Aborted requests surface as SOAP
 	// fault replies whose wsa:RelatesTo names the original message.
 	ReceiveReply() (*wsengine.MessageContext, error)
-	// ReceiveReplyFor returns the reply to a specific request, blocking
-	// if necessary.
+	// ReceiveReplyFor returns the reply to a request Send issued,
+	// blocking if necessary.
 	ReceiveReplyFor(request *wsengine.MessageContext) (*wsengine.MessageContext, error)
 	// SendReceive sends the request and waits for its reply (synchronous
 	// invocation).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -14,8 +13,9 @@ import (
 
 // Property keys the handler attaches to message contexts.
 const (
-	// PropReqID carries the Perpetual request ID of an incoming request
-	// context; SendReply uses it to route the reply.
+	// PropReqID carries a context's Perpetual request: on a request Send
+	// issued, its request id (a string), which ReceiveReplyFor waits on;
+	// on a reply, the incoming request SendReply routes it to.
 	PropReqID = "perpetual.reqID"
 	// PropAborted marks a reply context synthesized from a deterministic
 	// abort.
@@ -31,7 +31,10 @@ var (
 
 // handler implements MessageHandler and Utils over a Perpetual driver.
 // It owns the FIFO queues between the PerpetualListener pumps and the
-// application thread (paper Figure 4).
+// application thread (paper Figure 4). A call has one id on both sides
+// of the hop: the driver's request id, which the caller's handler copies
+// into the request's wsa:MessageID, the callee restores as its
+// MessageID, and the reply carries as its wsa:RelatesTo.
 type handler struct {
 	node   *Node
 	driver *perpetual.Driver
@@ -40,32 +43,11 @@ type handler struct {
 	cond   *sync.Cond
 	closed bool
 
-	msgSeq   uint64
-	reqOfMsg map[string]string // wsa:MessageID -> perpetual reqID
-	msgOfReq map[string]string // perpetual reqID -> wsa:MessageID
 	// events is the merged agreed-order queue feeding every blocking
 	// accessor; filtered pops keep mixed consumption coherent.
-	events    []Event
-	repliesIn map[string]struct{}                  // reply msgIDs queued or consumed (dedup)
-	inReq     map[string]perpetual.IncomingRequest // msgID -> perpetual request
-	// blocked holds the msgIDs of SendReceive calls not yet answered.
-	// Their replies may take the driver's reply fast path, which queues
-	// them at a point agreement did not fix, so only the blocked
-	// ReceiveReplyFor may take them: the unkeyed ReceiveReply and
-	// ReceiveEvent skip them.
-	blocked map[string]struct{}
-	// early parks replies that reached deliverReply before send recorded
-	// their request and carry no RelatesTo to file them by (aborts and
-	// unparseable-payload faults): a call settled at issue from an
-	// outcome its driver parked is answered inside SendOut, and the pump
-	// may get here first. send claims the entry once it learns the reqID;
-	// earlyOrder bounds the unclaimed ones, oldest dropped first.
-	early      map[string]*wsengine.MessageContext // perpetual reqID -> reply
-	earlyOrder []string
+	events []Event
+	inReq  map[string]perpetual.IncomingRequest // reqID -> perpetual request
 }
-
-// maxEarlyReplies bounds handler.early.
-const maxEarlyReplies = 1024
 
 // EventKind discriminates handler events.
 type EventKind uint8
@@ -81,7 +63,11 @@ const (
 type Event struct {
 	Kind  EventKind
 	MC    *wsengine.MessageContext
-	msgID string // reply correlation key
+	reqID string // the request a reply answers
+	// blocking marks a reply to a SendReceive (perpetual.Reply.Blocking):
+	// it may take the reply fast path and reach the queue at a point
+	// agreement did not fix, so only that call's ReceiveReplyFor takes it.
+	blocking bool
 }
 
 // EventSource is implemented by MessageHandlers that expose the merged
@@ -101,14 +87,9 @@ var (
 
 func newHandler(node *Node, driver *perpetual.Driver) *handler {
 	h := &handler{
-		node:      node,
-		driver:    driver,
-		reqOfMsg:  make(map[string]string),
-		msgOfReq:  make(map[string]string),
-		repliesIn: make(map[string]struct{}),
-		inReq:     make(map[string]perpetual.IncomingRequest),
-		blocked:   make(map[string]struct{}),
-		early:     make(map[string]*wsengine.MessageContext),
+		node:   node,
+		driver: driver,
+		inReq:  make(map[string]perpetual.IncomingRequest),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	return h
@@ -122,70 +103,48 @@ func (h *handler) Send(request *wsengine.MessageContext) error {
 }
 
 // send is Send; blocking marks a SendReceive, whose reply only its own
-// ReceiveReplyFor may take (see blocked and propBlocking).
+// ReceiveReplyFor may take (see Event.blocking).
 func (h *handler) send(request *wsengine.MessageContext, blocking bool) error {
 	if request == nil {
 		return errors.New("perpetualws: nil request context")
 	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if h.isClosed() {
 		return ErrClosed
 	}
-	h.msgSeq++
-	msgID := fmt.Sprintf("%s:msg:%d", h.driver.ServiceName(), h.msgSeq)
 	if blocking {
-		// Registered before the request exists anywhere, so even a reply
-		// delivered before send returns is hidden from unkeyed receives.
-		h.blocked[msgID] = struct{}{}
 		request.SetProperty(propBlocking, true)
 	}
-	h.mu.Unlock()
-
-	request.Envelope.Header.MessageID = msgID
-	if request.Envelope.Header.ReplyTo == nil {
-		request.Envelope.Header.ReplyTo = &soap.EndpointReference{
-			Address: soap.ServiceURI(h.driver.ServiceName()),
-		}
+	hdr := &request.Envelope.Header
+	// The callee restores the MessageID from the agreed request id, so
+	// none is sent.
+	hdr.MessageID = ""
+	if hdr.ReplyTo == nil {
+		hdr.ReplyTo = &soap.EndpointReference{Address: soap.ServiceURI(h.driver.ServiceName())}
 	}
-	// Through the OUT-PIPE to the PerpetualSender, which performs the
-	// actual driver.Call and reports the assigned request ID back via
-	// the context property bag.
-	err := h.node.engine.SendOut(request)
-	reqIDv, ok := request.Property(PropReqID)
-	if err == nil && !ok {
-		err = errors.New("perpetualws: transport did not record a request id")
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err != nil {
-		delete(h.blocked, msgID)
+	// Through the OUT-PIPE to the PerpetualSender, which issues the request
+	// and reports the driver's request id back via the property bag.
+	if err := h.node.engine.SendOut(request); err != nil {
 		return err
 	}
-	// A reply that won the race to this point was either filed under its
-	// RelatesTo or parked under its reqID (see deliverReply); entries
-	// recorded for it now would never be removed.
-	reqID := reqIDv.(string)
-	if mc, ok := h.early[reqID]; ok {
-		delete(h.early, reqID)
-		h.queueReplyLocked(msgID, mc)
-		return nil
+	reqID, ok := request.Property(PropReqID)
+	if !ok {
+		return errors.New("perpetualws: transport did not record a request id")
 	}
-	if _, answered := h.repliesIn[msgID]; !answered {
-		h.reqOfMsg[msgID] = reqID
-		h.msgOfReq[reqID] = msgID
-	}
+	hdr.MessageID = reqID.(string)
 	return nil
+}
+
+// isClosed reports whether the handler has been shut down.
+func (h *handler) isClosed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closed
 }
 
 // takeable reports whether an unkeyed receive may take event i (caller
 // holds h.mu): anything but a reply a SendReceive is blocked on.
 func (h *handler) takeable(i int) bool {
-	if h.events[i].Kind != EventReply {
-		return true
-	}
-	_, blocked := h.blocked[h.events[i].msgID]
-	return !blocked
+	return h.events[i].Kind != EventReply || !h.events[i].blocking
 }
 
 // popAt removes and returns the event at index i (caller holds h.mu).
@@ -196,7 +155,7 @@ func (h *handler) popAt(i int) Event {
 }
 
 // ReceiveEvent implements EventSource. Replies SendReceive calls are
-// blocked on are not part of the stream (see blocked).
+// blocked on are not part of the stream (see Event.blocking).
 func (h *handler) ReceiveEvent() (Event, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -231,29 +190,25 @@ func (h *handler) ReceiveReply() (*wsengine.MessageContext, error) {
 	}
 }
 
-// ReceiveReplyFor implements MessageHandler.
+// ReceiveReplyFor implements MessageHandler: the reply is the one filed
+// under the request id Send recorded in the request context.
 func (h *handler) ReceiveReplyFor(request *wsengine.MessageContext) (*wsengine.MessageContext, error) {
 	if request == nil {
 		return nil, errors.New("perpetualws: nil request context")
 	}
-	msgID := request.Envelope.Header.MessageID
-	if msgID == "" {
+	v, _ := request.Property(PropReqID)
+	reqID, ok := v.(string)
+	if !ok {
 		return nil, ErrUnknownRequest
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, known := h.reqOfMsg[msgID]; !known {
-		if _, arrived := h.repliesIn[msgID]; !arrived {
-			return nil, ErrUnknownRequest
-		}
-	}
 	for {
 		if h.closed {
 			return nil, ErrClosed
 		}
 		for i := range h.events {
-			if h.events[i].Kind == EventReply && h.events[i].msgID == msgID {
-				delete(h.blocked, msgID)
+			if h.events[i].Kind == EventReply && h.events[i].reqID == reqID {
 				return h.popAt(i).MC, nil
 			}
 		}
@@ -291,8 +246,8 @@ func (h *handler) ReceiveRequest() (*wsengine.MessageContext, error) {
 
 // SendReply implements MessageHandler (stage 7 of paper Figure 4): the
 // reply inherits the request's addressing (wsa:RelatesTo from its
-// MessageID, destination from its ReplyTo) and flows out through the
-// OUT-PIPE.
+// MessageID, the agreed request id; destination from its ReplyTo) and
+// flows out through the OUT-PIPE.
 func (h *handler) SendReply(reply, request *wsengine.MessageContext) error {
 	if reply == nil || request == nil {
 		return errors.New("perpetualws: nil context")
@@ -361,62 +316,22 @@ func (h *handler) deliverIncomingRequest(mc *wsengine.MessageContext, preq perpe
 	if h.closed {
 		return
 	}
-	h.inReq[mc.Envelope.Header.MessageID] = preq
+	h.inReq[preq.ReqID] = preq
 	h.events = append(h.events, Event{Kind: EventRequest, MC: mc})
 	h.cond.Broadcast()
 }
 
-// deliverReply is called by the node's event pump.
+// deliverReply is called by the node's event pump with the reply to
+// request reqID. The driver posts at most one reply per id, so nothing
+// here deduplicates.
 func (h *handler) deliverReply(reqID string, mc *wsengine.MessageContext) {
+	_, blocking := mc.Property(propBlocking)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	msgID, ok := h.msgOfReq[reqID]
-	if !ok {
-		// A request send has not recorded yet, or one this handler did
-		// not issue (e.g. issued directly against the driver). Keyed by
-		// its RelatesTo if present; otherwise parked for send.
-		msgID = mc.Envelope.Header.RelatesTo
-		if msgID == "" {
-			h.parkEarlyLocked(reqID, mc)
-			return
-		}
-	}
-	delete(h.msgOfReq, reqID)
-	delete(h.reqOfMsg, msgID)
-	h.queueReplyLocked(msgID, mc)
-}
-
-// parkEarlyLocked keeps an uncorrelated reply for send to claim (caller
-// holds h.mu), dropping the oldest unclaimed one past maxEarlyReplies.
-func (h *handler) parkEarlyLocked(reqID string, mc *wsengine.MessageContext) {
-	if _, dup := h.early[reqID]; dup {
-		return
-	}
-	h.early[reqID] = mc
-	h.earlyOrder = append(h.earlyOrder, reqID)
-	if len(h.earlyOrder) > maxEarlyReplies {
-		delete(h.early, h.earlyOrder[0])
-		h.earlyOrder = h.earlyOrder[1:]
-	}
-}
-
-// queueReplyLocked files a reply under its request's msgID and wakes the
-// receivers (caller holds h.mu); a msgID already answered is dropped.
-func (h *handler) queueReplyLocked(msgID string, mc *wsengine.MessageContext) {
-	if mc.Envelope.Header.RelatesTo == "" {
-		mc.Envelope.Header.RelatesTo = msgID
-	}
-	if _, dup := h.repliesIn[msgID]; dup {
-		return
-	}
-	h.repliesIn[msgID] = struct{}{}
-	if len(h.repliesIn) > 65536 {
-		h.repliesIn = make(map[string]struct{}) // bounded dedup window
-	}
-	h.events = append(h.events, Event{Kind: EventReply, MC: mc, msgID: msgID})
+	h.events = append(h.events, Event{Kind: EventReply, MC: mc, reqID: reqID, blocking: blocking})
 	h.cond.Broadcast()
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"perpetualws/internal/perpetual"
 	"perpetualws/internal/soap"
 	"perpetualws/internal/wsengine"
 )
@@ -12,14 +14,14 @@ import (
 func TestReceiveReplyForUnknownMessage(t *testing.T) {
 	c := newEchoCluster(t, 1, 1)
 	h := c.Handler("client", 0)
+	// A MessageID alone names no request: only Send records one.
 	unknown := wsengine.NewMessageContext()
-	unknown.Envelope.Header.MessageID = "client:msg:999"
-	if _, err := h.ReceiveReplyFor(unknown); err == nil {
-		t.Error("ReceiveReplyFor unknown message succeeded")
+	unknown.Envelope.Header.MessageID = "client:999"
+	if _, err := h.ReceiveReplyFor(unknown); err != ErrUnknownRequest {
+		t.Errorf("ReceiveReplyFor without a request id = %v, want ErrUnknownRequest", err)
 	}
-	noID := wsengine.NewMessageContext()
-	if _, err := h.ReceiveReplyFor(noID); err == nil {
-		t.Error("ReceiveReplyFor without MessageID succeeded")
+	if _, err := h.ReceiveReplyFor(wsengine.NewMessageContext()); err != ErrUnknownRequest {
+		t.Errorf("ReceiveReplyFor on an empty context = %v, want ErrUnknownRequest", err)
 	}
 }
 
@@ -141,12 +143,45 @@ func TestAppContextIdentity(t *testing.T) {
 }
 
 // TestSendRecordsNothingForEarlyReply covers a reply that reaches the
-// handler before Send has recorded its request: deliverReply files it
-// under its RelatesTo, and Send must not then record a correlation pair
-// that no reply will ever remove. The target never answers, so the
-// early reply is each call's only one.
+// handler before Send has returned its request id: a call settled at
+// issue from an outcome its driver parked is answered inside SendOut,
+// and the pump may get there first. The reply is filed under the
+// request id alone, so it waits for ReceiveReplyFor and Send leaves
+// nothing behind.
 func TestSendRecordsNothingForEarlyReply(t *testing.T) {
-	const calls = 1000
+	checkEarlyReplies(t, func(reqID string) *wsengine.MessageContext {
+		mc := wsengine.NewMessageContext()
+		mc.Envelope.Header.RelatesTo = reqID
+		mc.Envelope.Body = []byte("<early/>")
+		return mc
+	}, func(reply *wsengine.MessageContext) bool {
+		return string(reply.Envelope.Body) == "<early/>"
+	})
+}
+
+// TestSendClaimsParkedAbort covers an early reply that does not name its
+// request: an agreed abort the driver parked before issue carries no
+// RelatesTo of its own, so only the request id it is filed under ties it
+// to the Send that follows.
+func TestSendClaimsParkedAbort(t *testing.T) {
+	checkEarlyReplies(t, func(string) *wsengine.MessageContext {
+		mc := wsengine.NewMessageContext()
+		mc.Envelope.Body = soap.FaultBody(soap.Fault{Code: "soap:Receiver", Reason: "aborted"})
+		mc.SetProperty(PropAborted, true)
+		return mc
+	}, func(reply *wsengine.MessageContext) bool {
+		aborted, _ := reply.Property(PropAborted)
+		return aborted == true
+	})
+}
+
+// checkEarlyReplies delivers reply under the driver's next request id
+// before each of 1 000 Sends, and checks that ReceiveReplyFor returns it
+// (check) and that no event is left at the end. The target never
+// answers, so the early reply is each call's only one.
+func checkEarlyReplies(t *testing.T, reply func(reqID string) *wsengine.MessageContext, check func(*wsengine.MessageContext) bool) {
+	t.Helper()
+	const rounds = 1000
 	opts := fastOpts()
 	opts.RetransmitInterval = time.Minute
 	c, err := NewCluster([]byte("early"),
@@ -165,132 +200,156 @@ func TestSendRecordsNothingForEarlyReply(t *testing.T) {
 	c.Start()
 	t.Cleanup(c.Stop)
 	h := c.Node("client", 0).handler
-	for i := 0; i < calls; i++ {
-		h.mu.Lock()
-		msgID := fmt.Sprintf("client:msg:%d", h.msgSeq+1)
-		h.mu.Unlock()
-		early := wsengine.NewMessageContext()
-		early.Envelope.Header.RelatesTo = msgID
-		early.Envelope.Body = []byte("<early/>")
-		h.deliverReply("not-yet-recorded", early)
-
+	for i := 1; i <= rounds; i++ {
+		reqID := fmt.Sprintf("client:%d", i) // the driver's next request id
+		h.deliverReply(reqID, reply(reqID))
 		req := newRequest("sink", "<x/>")
 		if err := h.Send(req); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
-		if req.Envelope.Header.MessageID != msgID {
-			t.Fatalf("Send %d used %s, want %s", i, req.Envelope.Header.MessageID, msgID)
+		if req.Envelope.Header.MessageID != reqID {
+			t.Fatalf("Send %d issued %s, want %s", i, req.Envelope.Header.MessageID, reqID)
 		}
-		reply, err := h.ReceiveReplyFor(req)
-		if err != nil || string(reply.Envelope.Body) != "<early/>" {
-			t.Fatalf("ReceiveReplyFor %d = %v, %v", i, reply, err)
+		got, err := h.ReceiveReplyFor(req)
+		if err != nil || !check(got) {
+			t.Fatalf("ReceiveReplyFor %d = %v, %v; want the early reply", i, got, err)
 		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.reqOfMsg) != 0 || len(h.msgOfReq) != 0 {
-		t.Errorf("correlation maps hold %d/%d entries after %d early replies, want 0", len(h.reqOfMsg), len(h.msgOfReq), calls)
+	if len(h.events) != 0 {
+		t.Errorf("%d events left after %d early replies, want 0", len(h.events), rounds)
 	}
 }
 
-// TestSendClaimsParkedAbort covers an early reply with nothing to file
-// it by: an agreed abort the driver parked before issue settles the call
-// inside Send, and the pump can hand the handler its fault — which
-// carries no RelatesTo — before Send has learned the reqID. deliverReply
-// must park it by reqID and Send must queue it under its msgID, leaving
-// no correlation pair behind.
-func TestSendClaimsParkedAbort(t *testing.T) {
-	const calls = 1000
-	opts := fastOpts()
-	opts.RetransmitInterval = time.Minute
-	c, err := NewCluster([]byte("early-abort"),
-		ServiceDef{Name: "client", N: 1, Options: opts},
-		ServiceDef{Name: "sink", N: 1, App: ApplicationFunc(func(ctx *AppContext) {
-			for {
-				if _, err := ctx.ReceiveRequest(); err != nil {
+// TestReceiveReplySkipsBlockedReply pins the reply fast path's consumer
+// rule: a reply to a SendReceive (perpetual.Reply.Blocking) reaches the
+// handler at a point agreement did not fix, so only that caller's
+// ReceiveReplyFor may take it — never the unkeyed ReceiveReply or
+// ReceiveEvent of another application thread. Aborts carry the mark
+// too, and every reply names its request id in RelatesTo.
+func TestReceiveReplySkipsBlockedReply(t *testing.T) {
+	c := newEchoCluster(t, 1, 1)
+	n := c.Node("client", 0)
+	h := n.handler
+	reply := func(reqID string, blocking bool) perpetual.Reply {
+		env := soap.Envelope{Body: []byte("<r/>")}
+		payload, err := env.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return perpetual.Reply{ReqID: reqID, Payload: payload, Blocking: blocking}
+	}
+	n.pumpReply(reply("blocked", true))
+	n.pumpReply(perpetual.Reply{ReqID: "blocked-abort", Aborted: true, Blocking: true})
+	n.pumpReply(reply("free", false))
+
+	ev, err := h.ReceiveEvent()
+	if err != nil || ev.reqID != "free" || ev.MC.Envelope.Header.RelatesTo != "free" {
+		t.Fatalf("ReceiveEvent = %+v, %v; want the unblocked reply", ev, err)
+	}
+	n.pumpReply(reply("free2", false))
+	if mc, err := h.ReceiveReply(); err != nil || mc.Envelope.Header.RelatesTo != "free2" {
+		t.Fatalf("ReceiveReply = %v, %v; want the unblocked reply", mc, err)
+	}
+	for _, id := range []string{"blocked-abort", "blocked"} {
+		req := wsengine.NewMessageContext()
+		req.SetProperty(PropReqID, id)
+		if mc, err := h.ReceiveReplyFor(req); err != nil || mc.Envelope.Header.RelatesTo != id {
+			t.Fatalf("ReceiveReplyFor(%s) = %v, %v", id, mc, err)
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.events) != 0 {
+		t.Errorf("%d events left after every reply was taken", len(h.events))
+	}
+}
+
+// TestMessageIDCannotHijackReply is the reply-hijack regression: evil
+// sends the callee a request whose wsa:MessageID is client's, and the
+// callee holds both requests before answering either. Each caller must
+// get the reply to its own request. Were the callee to file requests by
+// the MessageID a caller chose, one reply would reach the wrong caller
+// and the other none.
+func TestMessageIDCannotHijackReply(t *testing.T) {
+	pair := ApplicationFunc(func(ctx *AppContext) {
+		for {
+			var reqs [2]*wsengine.MessageContext
+			for i := range reqs {
+				req, err := ctx.ReceiveRequest()
+				if err != nil {
+					return
+				}
+				reqs[i] = req
+			}
+			for _, req := range reqs {
+				reply := wsengine.NewMessageContext()
+				reply.Envelope.Body = append(append([]byte("<for>"), req.Envelope.Body...), "</for>"...)
+				if err := ctx.SendReply(reply, req); err != nil {
 					return
 				}
 			}
-		}), Options: fastOpts()},
+		}
+	})
+	c, err := NewCluster([]byte("hijack"),
+		ServiceDef{Name: "client", N: 1, Options: fastOpts()},
+		ServiceDef{Name: "evil", N: 1, Options: fastOpts()},
+		ServiceDef{Name: "pair", N: 1, App: pair, Options: fastOpts()},
 	)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	c.Start()
 	t.Cleanup(c.Stop)
-	h := c.Node("client", 0).handler
-	for i := 1; i <= calls; i++ {
-		reqID := fmt.Sprintf("client:%d", i) // the driver's next request id
-		abort := wsengine.NewMessageContext()
-		abort.Envelope.Body = soap.FaultBody(soap.Fault{Code: "soap:Receiver", Reason: "aborted"})
-		abort.SetProperty(PropAborted, true)
-		h.deliverReply(reqID, abort)
 
-		req := newRequest("sink", "<x/>")
-		if err := h.Send(req); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-		if got, _ := req.Property(PropReqID); got != reqID {
-			t.Fatalf("Send %d issued %v, want %s", i, got, reqID)
-		}
-		h.mu.Lock()
-		queued := len(h.events) == 1 && h.events[0].msgID == req.Envelope.Header.MessageID
-		h.mu.Unlock()
-		if !queued {
-			t.Fatalf("call %d: the parked abort was not queued under its msgID", i)
-		}
-		reply, err := h.ReceiveReplyFor(req)
-		if err != nil {
-			t.Fatalf("ReceiveReplyFor %d: %v", i, err)
-		}
-		if aborted, _ := reply.Property(PropAborted); aborted != true {
-			t.Fatalf("call %d answered by %q, want the parked abort", i, reply.Envelope.Body)
-		}
+	client := c.Handler("client", 0)
+	req := newRequest("pair", "<client/>")
+	if err := client.Send(req); err != nil {
+		t.Fatalf("client Send: %v", err)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.reqOfMsg) != 0 || len(h.msgOfReq) != 0 || len(h.early) != 0 {
-		t.Errorf("after %d parked aborts: reqOfMsg %d, msgOfReq %d, early %d entries, want 0",
-			calls, len(h.reqOfMsg), len(h.msgOfReq), len(h.early))
+	env := soap.Envelope{
+		Header: soap.Header{
+			To:        soap.ServiceURI("pair"),
+			MessageID: req.Envelope.Header.MessageID,
+			ReplyTo:   &soap.EndpointReference{Address: soap.ServiceURI("evil")},
+		},
+		Body: []byte("<evil/>"),
 	}
-}
+	payload, err := env.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil := c.Node("evil", 0).Replica().Driver()
+	if _, err := evil.Do(context.Background(), perpetual.Request{Target: "pair", Payload: payload, NoWait: true}); err != nil {
+		t.Fatalf("evil Do: %v", err)
+	}
 
-// TestReceiveReplySkipsBlockedReply pins the reply fast path's consumer
-// rule: a reply a SendReceive is blocked on reaches the handler at a
-// point agreement did not fix, so only that caller's ReceiveReplyFor
-// may take it — never the unkeyed ReceiveReply or ReceiveEvent of
-// another application thread.
-func TestReceiveReplySkipsBlockedReply(t *testing.T) {
-	c := newEchoCluster(t, 1, 1)
-	h := c.Node("client", 0).handler
-	reply := func(relatesTo string) *wsengine.MessageContext {
-		mc := wsengine.NewMessageContext()
-		mc.Envelope.Header.RelatesTo = relatesTo
-		mc.Envelope.Body = []byte("<" + relatesTo + "/>")
-		return mc
+	body := func(who string, receive func() (*wsengine.MessageContext, error)) string {
+		type result struct {
+			mc  *wsengine.MessageContext
+			err error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			mc, err := receive()
+			ch <- result{mc, err}
+		}()
+		select {
+		case r := <-ch:
+			if r.err != nil {
+				t.Fatalf("%s: %v", who, r.err)
+			}
+			return string(r.mc.Envelope.Body)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s got no reply", who)
+			return ""
+		}
 	}
-	h.mu.Lock()
-	h.blocked["blocked"] = struct{}{}
-	h.mu.Unlock()
-	h.deliverReply("r1", reply("blocked"))
-	h.deliverReply("r2", reply("free"))
-
-	ev, err := h.ReceiveEvent()
-	if err != nil || ev.msgID != "free" {
-		t.Fatalf("ReceiveEvent = %+v, %v; want the unblocked reply", ev, err)
+	if got := body("client", func() (*wsengine.MessageContext, error) { return client.ReceiveReplyFor(req) }); got != "<for><client/></for>" {
+		t.Errorf("client got %q, want the reply to its own request", got)
 	}
-	h.deliverReply("r3", reply("free2"))
-	if mc, err := h.ReceiveReply(); err != nil || mc.Envelope.Header.RelatesTo != "free2" {
-		t.Fatalf("ReceiveReply = %v, %v; want the unblocked reply", mc, err)
-	}
-	req := wsengine.NewMessageContext()
-	req.Envelope.Header.MessageID = "blocked"
-	if mc, err := h.ReceiveReplyFor(req); err != nil || mc.Envelope.Header.RelatesTo != "blocked" {
-		t.Fatalf("ReceiveReplyFor = %v, %v", mc, err)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.blocked) != 0 {
-		t.Errorf("blocked still holds %d entries after the reply was taken", len(h.blocked))
+	if got := body("evil", c.Handler("evil", 0).ReceiveReply); got != "<for><evil/></for>" {
+		t.Errorf("evil got %q, want the reply to its own request", got)
 	}
 }

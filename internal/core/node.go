@@ -99,8 +99,7 @@ func (n *Node) Replica() *perpetual.Replica { return n.replica }
 // so it must synchronize with the state it reads, produce byte-identical
 // replies for identical state across replicas, and reject any operation
 // that would mutate state (a commit must only ever execute through
-// agreement). The reply's wsa:RelatesTo is derived from the request so
-// the caller's IN-PIPE accepts it.
+// agreement). The caller files the reply under its request id.
 func (n *Node) ServeReads(h ReadHandler) {
 	n.replica.SetReadExecutor(func(payload []byte) ([]byte, error) {
 		env, err := soap.Parse(payload)
@@ -112,9 +111,6 @@ func (n *Node) ServeReads(h ReadHandler) {
 		rep, err := h(req)
 		if err != nil {
 			return nil, err
-		}
-		if rep.Envelope.Header.RelatesTo == "" {
-			rep.Envelope.Header.RelatesTo = env.Header.MessageID
 		}
 		return rep.Envelope.Marshal()
 	})
@@ -159,7 +155,7 @@ func (n *Node) logf(format string, args ...any) {
 // handler's queues, which multi-threaded executors (package detsched)
 // rely on for determinism. The one exception, a SendReceive reply taken
 // on the driver's reply fast path, is only ever consumed by the thread
-// blocked on it (see handler.blocked).
+// blocked on it (see perpetual.Reply.Blocking).
 func (n *Node) eventPump() {
 	defer n.wg.Done()
 	drv := n.replica.Driver()
@@ -209,9 +205,8 @@ func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
 			mc := wsengine.NewMessageContext()
 			mc.Envelope = soap.Envelope{
 				Header: soap.Header{
-					MessageID: "txn-outcome:" + preq.ReqID,
-					Action:    ActionTxnOutcome,
-					ReplyTo:   &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
+					Action:  ActionTxnOutcome,
+					ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
 				},
 				Body: TxnOutcomeBody(f.TxnID, f.Phase == perpetual.TxnCommit),
 			}
@@ -220,9 +215,7 @@ func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
 			// txnOutcome body, since any client could send a lookalike
 			// body as an ordinary request.
 			mc.SetProperty(PropTxnOutcome, true)
-			mc.SetProperty(propInKind, inKindRequest)
-			mc.SetProperty(propInReq, preq)
-			if err := n.engine.ReceiveIn(mc); err != nil {
+			if err := n.receiveRequest(mc, preq); err != nil {
 				n.logf("IN-PIPE rejected txn outcome %s: %v", preq.ReqID, err)
 				n.replyFault(preq, nil, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected txn outcome: %v", err))
 			}
@@ -240,12 +233,21 @@ func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
 	if txnID != "" {
 		mc.SetProperty(PropTxnID, txnID)
 	}
-	mc.SetProperty(propInKind, inKindRequest)
-	mc.SetProperty(propInReq, preq)
-	if err := n.engine.ReceiveIn(mc); err != nil {
+	if err := n.receiveRequest(mc, preq); err != nil {
 		n.logf("IN-PIPE rejected request %s: %v", preq.ReqID, err)
 		n.replyFault(preq, frame, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected request: %v", err))
 	}
+}
+
+// receiveRequest passes an agreed request to the IN-PIPE under its
+// agreed request id. Whatever wsa:MessageID the caller sent is replaced,
+// so the id its reply is routed by is one the caller authenticated and
+// no other caller can claim.
+func (n *Node) receiveRequest(mc *wsengine.MessageContext, preq perpetual.IncomingRequest) error {
+	mc.Envelope.Header.MessageID = preq.ReqID
+	mc.SetProperty(propInKind, inKindRequest)
+	mc.SetProperty(propInReq, preq)
+	return n.engine.ReceiveIn(mc)
 }
 
 // pumpHandoff turns an agreed state-handoff frame into the synthesized
@@ -287,16 +289,13 @@ func (n *Node) pumpHandoff(preq perpetual.IncomingRequest) {
 	mc := wsengine.NewMessageContext()
 	mc.Envelope = soap.Envelope{
 		Header: soap.Header{
-			MessageID: "handoff:" + preq.ReqID,
-			Action:    ActionHandoff,
-			ReplyTo:   &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
+			Action:  ActionHandoff,
+			ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
 		},
 		Body: HandoffBody(f, state),
 	}
 	mc.SetProperty(PropHandoff, f)
-	mc.SetProperty(propInKind, inKindRequest)
-	mc.SetProperty(propInReq, preq)
-	if err := n.engine.ReceiveIn(mc); err != nil {
+	if err := n.receiveRequest(mc, preq); err != nil {
 		n.logf("IN-PIPE rejected handoff %s: %v", preq.ReqID, err)
 		n.replyHandoffFault(preq, f, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected handoff: %v", err))
 	}
@@ -344,6 +343,10 @@ func (n *Node) replyFault(preq perpetual.IncomingRequest, frame *perpetual.TxnFr
 }
 
 func (n *Node) pumpReply(r perpetual.Reply) {
+	mc := wsengine.NewMessageContext()
+	if r.Blocking {
+		mc.SetProperty(propBlocking, true)
+	}
 	if r.Aborted {
 		// Synthesized locally and deterministically: surface as a
 		// SOAP fault without traversing the IN-PIPE.
@@ -359,8 +362,8 @@ func (n *Node) pumpReply(r perpetual.Reply) {
 			// RETRY-AFTER fault is still deterministic for its consumer.
 			f = soap.RetryAfterFault(time.Duration(r.RetryAfterMillis) * time.Millisecond)
 		}
-		mc := wsengine.NewMessageContext()
 		mc.Envelope.Body = soap.FaultBody(f)
+		mc.Envelope.Header.RelatesTo = r.ReqID
 		mc.SetProperty(PropAborted, true)
 		n.handler.deliverReply(r.ReqID, mc)
 		return
@@ -370,16 +373,18 @@ func (n *Node) pumpReply(r perpetual.Reply) {
 		// A compromised target may return garbage; every correct
 		// replica sees the same bytes, so this fault is deterministic
 		// too.
-		mc := wsengine.NewMessageContext()
 		mc.Envelope.Body = soap.FaultBody(soap.Fault{
 			Code:   "soap:Sender",
 			Reason: fmt.Sprintf("reply is not a SOAP envelope: %v", err),
 		})
+		mc.Envelope.Header.RelatesTo = r.ReqID
 		n.handler.deliverReply(r.ReqID, mc)
 		return
 	}
-	mc := wsengine.NewMessageContext()
 	mc.Envelope = *env
+	// The reply answers the agreed request id, whatever the callee wrote;
+	// a read-path reply carries no RelatesTo at all.
+	mc.Envelope.Header.RelatesTo = r.ReqID
 	mc.SetProperty(propInKind, inKindReply)
 	mc.SetProperty(propInReqID, r.ReqID)
 	if err := n.engine.ReceiveIn(mc); err != nil {
@@ -392,7 +397,7 @@ const (
 	propInKind  = "perpetual.inKind"
 	propInReq   = "perpetual.inReq"
 	propInReqID = "perpetual.inReqID"
-	// propBlocking marks an outbound request issued by SendReceive.
+	// propBlocking marks a SendReceive's request and its reply.
 	propBlocking = "perpetual.blocking"
 
 	inKindRequest = "request"

@@ -1,7 +1,7 @@
 package core
 
 // Cross-shard atomic transactions at the Perpetual-WS layer. The
-// perpetual driver's CallTxn (see internal/perpetual/txn.go) moves
+// perpetual driver's transactions (see internal/perpetual/txn.go) move
 // opaque payloads; this file maps its 2PC protocol onto the SOAP world
 // so unmodified-looking applications can participate:
 //
@@ -16,6 +16,7 @@ package core
 //     every MessageHandler of this package implements.
 
 import (
+	"context"
 	"encoding/xml"
 	"fmt"
 	"time"
@@ -87,22 +88,16 @@ func (h *handler) SendTxn(service string, keys []string, bodies [][]byte, timeou
 	if len(keys) == 0 || len(keys) != len(bodies) {
 		return nil, fmt.Errorf("perpetualws: SendTxn needs matching non-empty keys and bodies (%d keys, %d bodies)", len(keys), len(bodies))
 	}
+	if h.isClosed() {
+		return nil, ErrClosed
+	}
 	kb := make([][]byte, len(keys))
 	payloads := make([][]byte, len(keys))
 	for i := range keys {
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			return nil, ErrClosed
-		}
-		h.msgSeq++
-		msgID := fmt.Sprintf("%s:msg:%d", h.driver.ServiceName(), h.msgSeq)
-		h.mu.Unlock()
 		env := soap.Envelope{
 			Header: soap.Header{
-				To:        soap.ServiceURI(service),
-				MessageID: msgID,
-				ReplyTo:   &soap.EndpointReference{Address: soap.ServiceURI(h.driver.ServiceName())},
+				To:      soap.ServiceURI(service),
+				ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(h.driver.ServiceName())},
 			},
 			Body: bodies[i],
 		}
@@ -113,7 +108,11 @@ func (h *handler) SendTxn(service string, keys []string, bodies [][]byte, timeou
 		kb[i] = []byte(keys[i])
 		payloads[i] = payload
 	}
-	return h.driver.CallTxn(service, kb, payloads, time.Duration(timeoutMillis)*time.Millisecond)
+	res, err := h.driver.Do(context.Background(), perpetual.Request{
+		Target: service, Txn: true, TxnKeys: kb, TxnPayloads: payloads,
+		Timeout: time.Duration(timeoutMillis) * time.Millisecond,
+	})
+	return res.Txn, err
 }
 
 var _ TxnSender = (*handler)(nil)

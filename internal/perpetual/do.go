@@ -61,7 +61,8 @@ type Request struct {
 	// sets it for every call it waits on. Without a deadline such a call
 	// takes the reply fast path even from a replicated caller: its
 	// verified bundle is delivered directly, with no caller-side reply
-	// agreement and no caller-side abort (see Driver.fastPath).
+	// agreement and no caller-side abort (see Driver.fastPath). Every
+	// outcome of the call carries it on as Reply.Blocking.
 	Blocking bool
 	// Timeout, when non-zero, deterministically aborts the request
 	// group-wide if no reply is agreed in time (the pre-context abort
@@ -193,7 +194,7 @@ func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Dura
 	}
 	return d.startRequest("", tinfo, &outstandingReq{
 		payload: payload, timeout: timeout, class: class,
-		fast: d.fastPath(blocking, timeout),
+		blocking: blocking, fast: d.fastPath(blocking, timeout),
 	})
 }
 

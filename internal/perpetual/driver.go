@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,9 @@ type Reply struct {
 	Overloaded       bool
 	Expired          bool
 	RetryAfterMillis uint64
+	// Blocking copies Request.Blocking: only the issuing thread may take
+	// this reply, which the reply fast path may post outside agreed order.
+	Blocking bool
 }
 
 // EventKind discriminates merged driver events.
@@ -256,7 +260,8 @@ type outstandingReq struct {
 	// fast marks a reply fast-path call (see Driver.fastPath): its
 	// verified bundle settles it directly, and no caller-side agreement
 	// ever orders its outcome.
-	fast bool
+	fast     bool
+	blocking bool // Request.Blocking, copied onto the settled Reply
 }
 
 // ReadStats counts session-tier read fast-path outcomes at one driver.
@@ -327,6 +332,7 @@ type readWait struct {
 	minSeq    uint64
 	afterReq  uint64
 	settled   bool
+	blocking  bool // Request.Blocking, copied onto the settled Reply
 	// widened marks every replica of the group asked: the read widened
 	// past its first f_t+1, or the group has no others.
 	widened bool
@@ -863,6 +869,13 @@ func (d *Driver) parkable(reqID string) bool {
 	return ok && n > d.reqSeq
 }
 
+// nextReqID reserves the next request id, "<caller>:<reqSeq>" (caller
+// holds d.mu): the one id a call has, on both sides of every hop.
+func (d *Driver) nextReqID() string {
+	d.reqSeq++
+	return d.svc.Name + ":" + strconv.FormatUint(d.reqSeq, 10)
+}
+
 // startRequest registers and transmits a request (stage 1 proper),
 // filling in o's target and, for a fresh call, its responder. An empty
 // reqID reserves the next id. The reservation, the registration in
@@ -881,8 +894,7 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq
 		return "", ErrClosed
 	}
 	if reqID == "" {
-		d.reqSeq++
-		reqID = fmt.Sprintf("%s:%d", d.svc.Name, d.reqSeq)
+		reqID = d.nextReqID()
 		o.responder = int(d.reqSeq % uint64(tinfo.N))
 	} else if d.canceled.Contains(reqID) {
 		// A ctx cancel settled this id while the read fallback (the only
@@ -994,7 +1006,7 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 		return "", err
 	}
 	if d.svc.N > 1 {
-		return d.startRequest("", tinfo, &outstandingReq{payload: payload, timeout: timeout, fast: d.fastPath(blocking, timeout)})
+		return d.startRequest("", tinfo, &outstandingReq{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout)})
 	}
 
 	d.mu.Lock()
@@ -1009,14 +1021,13 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 		d.mu.Unlock()
 		return "", &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
-	d.reqSeq++
-	n := d.reqSeq
-	reqID := fmt.Sprintf("%s:%d", d.svc.Name, n)
+	reqID := d.nextReqID()
 	rw := &readWait{
 		counted:   d.maxOutstanding > 0,
+		blocking:  blocking,
 		target:    tinfo.Name,
 		payload:   payload,
-		responder: int(n % uint64(tinfo.N)),
+		responder: int(d.reqSeq % uint64(tinfo.N)),
 		need:      tinfo.F() + 1,
 		minSeq:    d.readFloor[tinfo.Name],
 		afterReq:  d.readAfter[tinfo.Name],
@@ -1179,7 +1190,7 @@ func (d *Driver) advanceRead(reqID string, rw *readWait) {
 		}
 		d.readStats.certified.Add(1)
 		d.mu.Unlock()
-		d.deliverReply(Reply{ReqID: reqID, Payload: s.payload}, nil, 0, 0)
+		d.deliverReply(Reply{ReqID: reqID, Payload: s.payload, Blocking: rw.blocking}, nil, 0, 0)
 	case readShed:
 		d.finishRead(reqID, rw)
 		d.readStats.shed.Add(1)
@@ -1187,7 +1198,7 @@ func (d *Driver) advanceRead(reqID string, rw *readWait) {
 		d.replySeen.Put(reqID, struct{}{})
 		d.canceled.Put(reqID, struct{}{})
 		d.postReply(Reply{
-			ReqID: reqID, Aborted: true,
+			ReqID: reqID, Aborted: true, Blocking: rw.blocking,
 			Overloaded: true, RetryAfterMillis: rw.retryAfter,
 		})
 		d.mu.Unlock()
@@ -1252,7 +1263,7 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 	} else {
 		d.readStats.fallbackDiverged.Add(1)
 	}
-	o := &outstandingReq{payload: rw.payload, responder: rw.responder}
+	o := &outstandingReq{payload: rw.payload, responder: rw.responder, blocking: rw.blocking}
 	if rw.replicas[o.responder].rank == 0 {
 		// A silent responder would leave the agreed reply unbundled until
 		// a retransmission rotates the role; the replica that answered
@@ -1267,7 +1278,7 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 		if o.timeout = time.Until(rw.deadline); o.timeout <= 0 {
 			// The deadline passed inside the fast window: abort here, as
 			// any fast-path call does at its deadline (see Driver.abort).
-			d.settleLocked(Reply{ReqID: reqID, Aborted: true}, nil, nil, 0, 0)
+			d.settleLocked(Reply{ReqID: reqID, Aborted: true, Blocking: rw.blocking}, nil, nil, 0, 0)
 			d.mu.Unlock()
 			return
 		}
@@ -1291,7 +1302,7 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 				d.replySeen.Put(reqID, struct{}{})
 				d.canceled.Put(reqID, struct{}{})
 				d.postReply(Reply{
-					ReqID: reqID, Aborted: true,
+					ReqID: reqID, Aborted: true, Blocking: rw.blocking,
 					Overloaded: true, RetryAfterMillis: uint64(hint.Milliseconds()),
 				})
 			}
@@ -1457,6 +1468,7 @@ func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int)
 func (d *Driver) settleLocked(r Reply, o *outstandingReq, shares []Share, epoch uint64, groupN int) {
 	d.replySeen.Put(r.ReqID, struct{}{})
 	if o != nil {
+		r.Blocking = o.blocking
 		if o.retryTmr != nil {
 			o.retryTmr.Stop()
 		}

@@ -294,8 +294,10 @@ func (v *voter) validateOp(opID string, op []byte) (any, bool) {
 func (v *voter) validOp(opID string, o *Op) bool {
 	switch o.Kind {
 	case OpRequest:
+		// A request id names its caller (Driver.nextReqID), so no caller
+		// can certify a call under another group's id and poison its dedup.
 		caller, err := v.registry.Lookup(o.Caller)
-		if err != nil {
+		if _, bound := callerReqSeq(o.ReqID, o.Caller); err != nil || !bound {
 			return false
 		}
 		req := RequestMsg{ReqID: o.ReqID, Caller: o.Caller, Target: v.svc.Name, Payload: o.Payload}
@@ -963,7 +965,7 @@ func (v *voter) sendShare(reqID string, rec replyRecord, to int, withPayload boo
 }
 
 // callerReqSeq extracts the driver-local request number from a reqID of
-// the form "<caller>:<n>" (see Driver.reserveReqID). Transaction ids and
+// the form "<caller>:<n>" (see Driver.nextReqID). Transaction ids and
 // other non-numeric suffixes report false.
 func callerReqSeq(reqID, caller string) (uint64, bool) {
 	if len(reqID) <= len(caller)+1 || reqID[:len(caller)] != caller || reqID[len(caller)] != ':' {

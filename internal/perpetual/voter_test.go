@@ -225,6 +225,17 @@ func TestVoterValidateOpRejectsGarbage(t *testing.T) {
 	if v.accepts(RequestOpID("c:7"), op.Encode()) {
 		t.Error("under-endorsed request op validated")
 	}
+	// A properly endorsed request under another group's id: c may not
+	// speak for t's call t:7.
+	forA := signedRequest(t, stores, 0, "t:7", []byte("q"), 0)
+	forB := signedRequest(t, stores, 1, "t:7", []byte("q"), 0)
+	op = &Op{
+		Kind: OpRequest, ReqID: "t:7", Caller: "c", Payload: []byte("q"),
+		Shares: []Share{{Replica: 0, Auth: forA.Auth}, {Replica: 1, Auth: forB.Auth}},
+	}
+	if v.accepts(RequestOpID("t:7"), op.Encode()) {
+		t.Error("request op under another caller's id validated")
+	}
 	// Abort and util ops.
 	if !v.accepts(AbortOpID("c:7"), (&Op{Kind: OpAbort, ReqID: "c:7"}).Encode()) {
 		t.Error("abort op rejected")
