@@ -116,8 +116,8 @@ func main() {
 	// Broadcast-style ops fan out one independent request per shard,
 	// each agreed by its own voter group. Shard groups are first-class
 	// addressable services ("kv#0".."kv#3"), so the fan-out is plain
-	// per-shard addressing; raw executors use Driver.CallAllShards for
-	// the same thing.
+	// per-shard addressing; raw executors use Driver.Do with AllShards
+	// for the same thing.
 	fmt.Println("== broadcast count across all shards ==")
 	total := 0
 	for k := 0; k < shards; k++ {

@@ -122,6 +122,10 @@ func TestBroadcastUsesMulticast(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("operation not delivered")
 	}
+	// Delivery runs inside the nested commit broadcast, before the
+	// outermost broadcast flushes its queued sends to Multicast; stopping
+	// the replica waits for the event loop to finish that flush.
+	r.Stop()
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

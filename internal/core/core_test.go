@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -459,13 +460,16 @@ func TestUndeliverableRequestGetsFaultReply(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := drv.CallTxn("echo", [][]byte{[]byte("k")}, [][]byte{[]byte("\x01garbage")}, 0)
-		done <- out{res, err}
+		res, err := drv.Do(context.Background(), perpetual.Request{
+			Target: "echo", Txn: true,
+			TxnKeys: [][]byte{[]byte("k")}, TxnPayloads: [][]byte{[]byte("\x01garbage")},
+		})
+		done <- out{res.Txn, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err != nil {
-			t.Fatalf("CallTxn: %v", o.err)
+			t.Fatalf("Txn: %v", o.err)
 		}
 		if o.res.Committed {
 			t.Fatalf("committed a PREPARE the participant could not parse: %+v", o.res)
@@ -478,19 +482,19 @@ func TestUndeliverableRequestGetsFaultReply(t *testing.T) {
 			t.Errorf("abort vote payload = %q, want fault", env.Body)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("CallTxn with unparseable PREPARE payload wedged (no vote reply)")
+		t.Fatal("Txn with unparseable PREPARE payload wedged (no vote reply)")
 	}
 
 	// Plain garbage and forged frames are likewise answered: the
 	// caller's outstanding entries settle instead of dangling forever.
-	if _, err := drv.Call("echo", []byte("\x01garbage"), 0); err != nil {
-		t.Fatalf("Call: %v", err)
+	if _, err := drv.Do(context.Background(), perpetual.Request{Target: "echo", Payload: []byte("\x01garbage"), NoWait: true}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 	forged := perpetual.EncodeTxnFrame(&perpetual.TxnFrame{
 		Phase: perpetual.TxnAbort, TxnID: "intruder:txn:1", Participants: []string{"echo"},
 	})
-	if _, err := drv.Call("echo", forged, 0); err != nil {
-		t.Fatalf("Call forged frame: %v", err)
+	if _, err := drv.Do(context.Background(), perpetual.Request{Target: "echo", Payload: forged, NoWait: true}); err != nil {
+		t.Fatalf("Do forged frame: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for drv.Outstanding() != 0 {

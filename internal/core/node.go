@@ -94,7 +94,7 @@ func (n *Node) Replica() *perpetual.Replica { return n.replica }
 // ServeReads installs the application's read handler for the
 // session-tier fast path: h evaluates a declared-read operation against
 // this replica's current state without mutating it, and its reply is
-// digested into a speculative endorsement (see Driver.CallRead). The
+// digested into a speculative endorsement (see perpetual.Request.Read). The
 // handler runs on transport goroutines, concurrently with the executor,
 // so it must synchronize with the state it reads, produce byte-identical
 // replies for identical state across replicas, and reject any operation

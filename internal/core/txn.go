@@ -49,7 +49,7 @@ const (
 // cross-shard atomic transactions: body i is delivered as a PREPARE to
 // the shard that key i routes to, and the BFT-agreed commit/abort
 // decision is reached in this service's own voter group (see
-// perpetual.Driver.CallTxn for the protocol and its determinism
+// perpetual.Request.Txn for the protocol and its determinism
 // requirements).
 type TxnSender interface {
 	SendTxn(service string, keys []string, bodies [][]byte, timeoutMillis int64) (*perpetual.TxnResult, error)

@@ -1,0 +1,278 @@
+package perpetual
+
+import (
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestCallStep drives step directly, one row per settle rule: no
+// deployment, transport, timer or goroutine is involved. Each row feeds
+// its events in order and checks the actions every one of them returns.
+func TestCallStep(t *testing.T) {
+	const (
+		id       = "c:7"
+		interval = 100 * time.Millisecond
+	)
+	fast := func() *call { return &call{id: id, target: "t", fast: true} }
+	agreed := func() *call { return &call{id: id, target: "t"} }
+	txn := func() *call { return &call{id: id, target: "t", txn: true} }
+	expiring := func() *call { return &call{id: id, target: "t", fast: true, expiry: 1} }
+
+	bundle := &ReplyBundle{ReqID: id, Target: "t", Payload: []byte("ok")}
+	foreign := &ReplyBundle{ReqID: id, Target: "u", Payload: []byte("ok")}
+	shares := []Share{{Replica: 0}, {Replica: 1}}
+	reply := Reply{ReqID: id, Payload: []byte("ok")}
+
+	// Inputs every event carries: this caller's replica count and the
+	// target group's shape (n = 4, f = 1 unless a row says otherwise).
+	in := func(callerN int, ev callEvent) callEvent {
+		ev.callerN = callerN
+		if ev.interval == 0 {
+			ev.interval = interval
+		}
+		if ev.targetN == 0 {
+			ev.targetN, ev.targetF = 4, 1
+		}
+		return ev
+	}
+	busy := func(callerN, replica int, hint uint64) callEvent {
+		return in(callerN, callEvent{kind: evBusy, from: "t", replica: replica, hint: hint})
+	}
+	settle := func(r Reply) []callAction { return []callAction{{kind: actSettle, reply: r}} }
+	abort := []callAction{{kind: actAbort}}
+	// fanOut is what a first retransmission asks for: attempt 1, the
+	// rotated responder, and the re-arm after twice the interval (a
+	// jitter draw of j leaves it unjittered).
+	fanOut := func(targetN int) []callAction {
+		return []callAction{
+			{kind: actResend, attempt: 1, responder: int((fnv64a([]byte(id)) + 1) % uint64(targetN))},
+			{kind: actArmRetry, after: 2 * interval},
+		}
+	}
+	j := int64(2*interval) / 5
+
+	rows := []struct {
+		name  string
+		c     *call
+		evs   []callEvent
+		want  [][]callAction
+		check func(c *call) bool
+	}{
+		// Bundles.
+		{
+			name: "bundle settles a fast call",
+			c:    fast(),
+			evs:  []callEvent{in(1, callEvent{kind: evBundle, bundle: bundle})},
+			want: [][]callAction{settle(reply)},
+		},
+		{
+			name: "bundle is forwarded on an agreed call",
+			c:    agreed(),
+			evs:  []callEvent{in(4, callEvent{kind: evBundle, bundle: bundle})},
+			want: [][]callAction{{{kind: actForward, bundle: bundle}}},
+		},
+		{
+			name: "bundle from another target is ignored",
+			c:    fast(),
+			evs:  []callEvent{in(1, callEvent{kind: evBundle, bundle: foreign})},
+			want: [][]callAction{nil},
+		},
+
+		// Agreed outcomes.
+		{
+			name: "agreed outcome is dropped on a fast call",
+			c:    fast(),
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: Reply{ReqID: id, Aborted: true}})},
+			want: [][]callAction{nil},
+		},
+		{
+			name: "agreed outcome settles an agreed call",
+			c:    agreed(),
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, shares: shares, epoch: 3, groupN: 4})},
+			want: [][]callAction{settle(reply)},
+		},
+		{
+			name: "agreed reply keeps its certificate on a txn call",
+			c:    txn(),
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, shares: shares, epoch: 3, groupN: 4})},
+			want: [][]callAction{{{kind: actSettle, reply: reply, cert: &ReplyBundle{
+				ReqID: id, Target: "t", Epoch: 3, GroupN: 4, Payload: reply.Payload, Shares: shares,
+			}}}},
+		},
+
+		// Outcomes parked before the issue.
+		{
+			name: "parked bundle settles a fast call",
+			c:    fast(),
+			evs:  []callEvent{in(1, callEvent{kind: evParked, bundle: bundle})},
+			want: [][]callAction{settle(reply)},
+		},
+		{
+			name: "parked agreed outcome settles an agreed call",
+			c:    agreed(),
+			evs:  []callEvent{in(4, callEvent{kind: evParked, bundle: bundle, reply: reply, agreed: true})},
+			want: [][]callAction{settle(reply)},
+		},
+		{
+			name: "parked agreed outcome is dropped on a fast call",
+			c:    fast(),
+			evs:  []callEvent{in(4, callEvent{kind: evParked, reply: reply, agreed: true})},
+			want: [][]callAction{nil},
+		},
+		{
+			name: "parked bundle is dropped on an agreed call",
+			c:    agreed(),
+			evs:  []callEvent{in(4, callEvent{kind: evParked, bundle: bundle})},
+			want: [][]callAction{nil},
+		},
+
+		// Busy replies.
+		{
+			name: "first busy below quorum fans out once, a second does not",
+			c:    agreed(),
+			evs: []callEvent{
+				in(4, callEvent{kind: evBusy, from: "t", replica: 1, hint: 5, targetN: 7, targetF: 2, jitter: j}),
+				in(4, callEvent{kind: evBusy, from: "t", replica: 2, hint: 5, targetN: 7, targetF: 2, jitter: j}),
+			},
+			want: [][]callAction{fanOut(7), nil},
+		},
+		{
+			name: "duplicate busy from one replica does not count",
+			c:    fast(),
+			evs: []callEvent{
+				in(1, callEvent{kind: evBusy, from: "t", replica: 3, hint: 5, targetN: 4, targetF: 1, jitter: j}),
+				busy(1, 3, 5),
+			},
+			want:  [][]callAction{fanOut(4), nil},
+			check: func(c *call) bool { return len(c.busy) == 1 },
+		},
+		{
+			name: "busy quorum settles locally with N = 1, largest hint and Expired",
+			c:    fast(),
+			evs: []callEvent{
+				in(1, callEvent{kind: evBusy, from: "t", replica: 2, hint: 5, refusedExpired: true, targetN: 4, targetF: 1, expired: true}),
+				busy(1, 3, 10),
+			},
+			want: [][]callAction{nil, settle(Reply{ReqID: id, Aborted: true, Overloaded: true, Expired: true, RetryAfterMillis: 10})},
+		},
+		{
+			name:  "busy quorum on a fast call with N > 1 re-arms after the hint",
+			c:     &call{id: id, target: "t", fast: true, busyFanned: true},
+			evs:   []callEvent{busy(4, 2, 5), busy(4, 3, 40)},
+			want:  [][]callAction{nil, {{kind: actArmRetry, after: 40 * time.Millisecond}}},
+			check: func(c *call) bool { return c.busy == nil && c.busyExpired == 0 },
+		},
+		{
+			name: "busy quorum with hint 0 re-arms after the retransmission interval",
+			c:    &call{id: id, target: "t", fast: true, busyFanned: true},
+			evs:  []callEvent{busy(4, 2, 0), busy(4, 3, 0)},
+			want: [][]callAction{nil, {{kind: actArmRetry, after: interval}}},
+		},
+		{
+			name: "busy quorum on an agreed call with N > 1 proposes the abort",
+			c:    &call{id: id, target: "t", busyFanned: true},
+			evs:  []callEvent{busy(4, 2, 5), busy(4, 3, 5)},
+			want: [][]callAction{nil, abort},
+		},
+		{
+			name: "txn call ignores busy replies",
+			c:    txn(),
+			evs:  []callEvent{busy(4, 2, 5), busy(4, 3, 5)},
+			want: [][]callAction{nil, nil},
+		},
+		{
+			name: "busy from another target or outside the group is ignored",
+			c:    fast(),
+			evs: []callEvent{
+				in(1, callEvent{kind: evBusy, from: "u", replica: 1}),
+				in(1, callEvent{kind: evBusy, from: "t", replica: 4}),
+			},
+			want:  [][]callAction{nil, nil},
+			check: func(c *call) bool { return len(c.busy) == 0 },
+		},
+
+		// Retry timer.
+		{
+			name: "retry after expiry is a no-op",
+			c:    expiring(),
+			evs:  []callEvent{in(1, callEvent{kind: evRetry, expired: true})},
+			want: [][]callAction{nil},
+		},
+		{
+			name:  "retry rotates the responder and backs off",
+			c:     fast(),
+			evs:   []callEvent{in(1, callEvent{kind: evRetry, jitter: j})},
+			want:  [][]callAction{fanOut(4)},
+			check: func(c *call) bool { return c.attempt == 1 && c.responder == fanOut(4)[0].responder },
+		},
+		{
+			name: "retry jitter stays within 20 percent",
+			c:    &call{id: id, target: "t", attempt: 1},
+			evs:  []callEvent{in(1, callEvent{kind: evRetry}), in(1, callEvent{kind: evRetry, jitter: 2 * int64(8*interval) / 5})},
+			want: [][]callAction{
+				{{kind: actResend, attempt: 2, responder: int((fnv64a([]byte(id)) + 2) % 4)}, {kind: actArmRetry, after: 4*interval - 4*interval/5}},
+				{{kind: actResend, attempt: 3, responder: int((fnv64a([]byte(id)) + 3) % 4)}, {kind: actArmRetry, after: 8*interval + 8*interval/5}},
+			},
+		},
+		{
+			name: "retry backoff is capped at maxRetransmitBackoff",
+			c:    &call{id: id, target: "t", attempt: 9},
+			evs:  []callEvent{in(1, callEvent{kind: evRetry, interval: time.Second, jitter: int64(maxRetransmitBackoff) / 5})},
+			want: [][]callAction{{
+				{kind: actResend, attempt: 10, responder: int((fnv64a([]byte(id)) + 10) % 4)},
+				{kind: actArmRetry, after: maxRetransmitBackoff},
+			}},
+		},
+
+		// Deadline.
+		{
+			name: "deadline settles a fast call locally",
+			c:    fast(),
+			evs:  []callEvent{in(1, callEvent{kind: evDeadline})},
+			want: [][]callAction{settle(Reply{ReqID: id, Aborted: true})},
+		},
+		{
+			name: "deadline on an agreed call proposes the abort",
+			c:    agreed(),
+			evs:  []callEvent{in(4, callEvent{kind: evDeadline})},
+			want: [][]callAction{abort},
+		},
+
+		// Cancel.
+		{
+			name:  "cancel settles a fast call locally and silently",
+			c:     fast(),
+			evs:   []callEvent{in(4, callEvent{kind: evCancel})},
+			want:  [][]callAction{settle(Reply{ReqID: id, Aborted: true})},
+			check: func(c *call) bool { return c.silent },
+		},
+		{
+			name: "cancel on an agreed call proposes an abort whose outcome never surfaces",
+			c:    agreed(),
+			evs: []callEvent{
+				in(4, callEvent{kind: evCancel}),
+				in(4, callEvent{kind: evCancel}),
+				in(4, callEvent{kind: evAgreed, reply: Reply{ReqID: id, Aborted: true}}),
+			},
+			want:  [][]callAction{abort, nil, settle(Reply{ReqID: id, Aborted: true})},
+			check: func(c *call) bool { return c.silent },
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for i, ev := range row.evs {
+				got := step(row.c, ev)
+				if len(got) == 0 {
+					got = nil
+				}
+				if !reflect.DeepEqual(got, row.want[i]) {
+					t.Fatalf("event %d: got %+v, want %+v", i, got, row.want[i])
+				}
+			}
+			if row.check != nil && !row.check(row.c) {
+				t.Fatalf("call state after the events: %+v", row.c)
+			}
+		})
+	}
+}

@@ -7,12 +7,10 @@ import (
 	"time"
 )
 
-// The unified call surface. Call/CallKey/CallRead/CallAllShards/CallTxn
-// predate context support and survive as thin wrappers; Do is the one
-// entry point every request flavor — keyed agreement calls, session-tier
-// reads, shard fan-outs, cross-shard transactions — issues through, with
-// cancellation and deadlines carried by a context.Context instead of a
-// bare timeout parameter.
+// The call surface: Do is the one entry point every request flavor —
+// keyed agreement calls, session-tier reads, shard fan-outs, cross-shard
+// transactions — issues through, with cancellation and deadlines
+// carried by a context.Context.
 
 // errRequestCanceled refuses to (re)start a request whose caller already
 // canceled it — the read fast path's deterministic fallback re-enters
@@ -31,11 +29,8 @@ type Request struct {
 	Key []byte
 	// Payload is the application request body.
 	Payload []byte
-	// Class optionally overrides the transport stats class of the
-	// request's frames; zero derives the class from the payload.
-	Class uint8
 	// Read routes the request through the session-tier read fast path
-	// (see the CallRead wrapper for its semantics). The request must be
+	// (see Driver.issueRead for its semantics). The request must be
 	// read-only; divergence deterministically falls back to agreement.
 	Read bool
 	// Txn runs a cross-shard atomic transaction: TxnKeys/TxnPayloads
@@ -90,16 +85,13 @@ type Result struct {
 }
 
 // Do issues one request and, unless req.NoWait (or req.Txn, which always
-// blocks for the agreed decision), waits for its agreed reply. It is the
-// single entry point behind every Call* wrapper.
+// blocks for the agreed decision), waits for its agreed reply.
 //
 // Cancellation: when ctx is canceled mid-call, Do returns ctx.Err() and
-// settles the request so nothing leaks — the outstanding entry is
-// suppressed and aborted (locally for a reply fast-path call, by agreed
-// group-wide abort otherwise), a fast-path read
-// wait is torn down, and a late agreed reply is swallowed instead of
-// surfacing as an orphan event (the same leak class as a failed
-// authenticator build). A replicated caller must drive Do from its
+// settles the request so nothing leaks — the call takes step's evCancel
+// row (aborted locally on the reply fast path, by agreed group-wide
+// abort otherwise, its outcome never surfacing), and a fast-path read
+// wait is torn down. A replicated caller must drive Do from its
 // deterministic executor with a non-cancelable context: a cancel is a
 // local decision, and replicas that disagree about it diverge.
 //
@@ -131,7 +123,7 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 		}
 		return res, err
 	case req.AllShards:
-		ids, err := d.fanAllShards(req.Target, req.Payload, timeout)
+		ids, sinks, err := d.fanAllShards(req.Target, req.Payload, timeout, !req.NoWait)
 		if err != nil {
 			return Result{}, err
 		}
@@ -141,37 +133,39 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 		}
 		res.Shards = make([]Reply, len(ids))
 		for i, id := range ids {
-			r, err := d.waitReplyCtx(ctx, id)
+			o, err := d.await(ctx, id, sinks[i])
 			if err != nil {
-				// waitReplyCtx settled id on a ctx error; settle the legs
-				// not yet waited on the same way.
+				// await canceled id on a ctx error; cancel the legs not yet
+				// waited on the same way.
 				for _, rest := range ids[i+1:] {
 					d.cancelRequest(rest)
 				}
 				return res, err
 			}
-			res.Shards[i] = r
+			res.Shards[i] = o.reply
 		}
 		return res, nil
 	default:
-		var id string
-		var err error
-		blocking := req.Blocking || !req.NoWait
-		if req.Read {
-			id, err = d.issueRead(req.Target, req.Key, req.Payload, timeout, blocking)
-		} else {
-			id, err = d.issueCall(req.Target, req.Key, req.Payload, timeout, req.Class, blocking)
+		var sink chan outcome
+		if !req.NoWait {
+			sink = make(chan outcome, 1)
 		}
+		issue := d.issueCall
+		if req.Read {
+			issue = d.issueRead
+		}
+		id, err := issue(req.Target, req.Key, req.Payload, timeout, req.Blocking || !req.NoWait, sink)
 		if err != nil {
 			return Result{}, err
 		}
 		if req.NoWait {
 			return Result{ReqID: id}, nil
 		}
-		r, err := d.waitReplyCtx(ctx, id)
+		o, err := d.await(ctx, id, sink)
 		if err != nil {
 			return Result{ReqID: id}, err
 		}
+		r := o.reply
 		if r.Overloaded {
 			// f_t+1 distinct target voters refused the request (see
 			// Driver.handleBusy); surface the shed as a typed error so
@@ -186,14 +180,15 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 }
 
 // issueCall resolves the target (routing a sharded one by key) and
-// issues one agreement-path request, returning its id without waiting.
-func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, class uint8, blocking bool) (string, error) {
+// issues one agreement-path request, returning its id without waiting;
+// sink is its outcome's consumer (see call.sink).
+func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan outcome) (string, error) {
 	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
 	}
-	return d.startRequest("", tinfo, &outstandingReq{
-		payload: payload, timeout: timeout, class: class,
+	return d.startRequest("", tinfo, &call{
+		payload: payload, timeout: timeout, sink: sink,
 		blocking: blocking, fast: d.fastPath(blocking, timeout),
 	})
 }
@@ -212,90 +207,48 @@ func (d *Driver) resolveShard(target string, key, payload []byte) (ServiceInfo, 
 	return tinfo.Shard(ShardFor(key, tinfo.Shards)), nil
 }
 
-// waitReplyCtx blocks until the reply for reqID arrives, honoring ctx:
-// on cancellation it settles the request (see cancelRequest) and returns
-// ctx.Err(). The wait registers a dedicated channel in d.replyCh rather
-// than polling the shared event queue, so each reply wakes exactly its
-// own waiter — thousands of concurrent Do calls (an open-loop client at
-// overload) would otherwise all rescan the queue under d.mu on every
-// broadcast.
-func (d *Driver) waitReplyCtx(ctx context.Context, reqID string) (Reply, error) {
-	if ctx.Done() == nil {
-		return d.WaitReply(reqID)
+// await blocks until the outcome of reqID reaches sink, the consumer
+// chosen for it at issue. When ctx ends first the call is canceled (see
+// cancelRequest) and ctx.Err() returned, and when the driver closes,
+// ErrClosed; an outcome handed over before either still wins.
+func (d *Driver) await(ctx context.Context, reqID string, sink chan outcome) (outcome, error) {
+	select {
+	case o := <-sink:
+		return o, nil
+	case <-ctx.Done():
+		d.cancelRequest(reqID)
+	case <-d.done:
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return Reply{}, ErrClosed
-	}
-	// The reply may have been queued before this waiter registered
-	// (NoWait issue followed by a later wait, or an AllShards batch).
-	for i := range d.events {
-		if d.events[i].Kind == EventReply && d.events[i].Reply.ReqID == reqID {
-			r := d.popAt(i).Reply
-			d.mu.Unlock()
-			return r, nil
-		}
+	select {
+	case o := <-sink:
+		return o, nil
+	default:
 	}
 	if err := ctx.Err(); err != nil {
-		d.mu.Unlock()
-		d.cancelRequest(reqID)
-		return Reply{}, err
+		return outcome{}, err
 	}
-	ch := make(chan Reply, 1)
-	d.replyCh[reqID] = ch
-	d.mu.Unlock()
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			return Reply{}, ErrClosed
-		}
-		return r, nil
-	case <-ctx.Done():
-		d.mu.Lock()
-		// The reply (or driver close) may have raced the cancellation;
-		// an outcome already handed over wins.
-		select {
-		case r, ok := <-ch:
-			d.mu.Unlock()
-			if !ok {
-				return Reply{}, ErrClosed
-			}
-			return r, nil
-		default:
-		}
-		delete(d.replyCh, reqID)
-		d.mu.Unlock()
-		d.cancelRequest(reqID)
-		return Reply{}, ctx.Err()
-	}
+	return outcome{}, ErrClosed
 }
 
-// cancelRequest settles a request whose caller gave up on it: the
-// outstanding entry (if any) is marked suppressed and aborted (see
-// Driver.abort), a fast-path read wait is torn down, and any reply
-// already queued is removed. The id is also recorded in the canceled
-// window so a reply (or the read fallback's re-issue) racing the cancel
-// cannot resurrect it.
+// cancelRequest settles a request whose caller gave up on it: a
+// fast-path read wait is torn down, an outstanding call gets step's
+// evCancel, and a reply already queued for the id is removed — all in
+// one d.mu hold, so no outcome can slip into the queue in between. The
+// id also enters the canceled window, so the read fallback's
+// asynchronous re-issue cannot resurrect it.
 func (d *Driver) cancelRequest(reqID string) {
 	d.mu.Lock()
 	d.canceled.Put(reqID, struct{}{})
-	abort := false
-	if o, ok := d.outstanding[reqID]; ok {
-		o.suppressReply = true
-		abort = true
-	}
-	if rw, ok := d.readWaits[reqID]; ok && !rw.settled {
+	if rw, ok := d.readWaits[reqID]; ok {
 		d.finishRead(reqID, rw)
 		d.readStats.canceled.Add(1)
 	}
+	fx := d.stepLocked(reqID, callEvent{kind: evCancel})
 	for i := len(d.events) - 1; i >= 0; i-- {
 		if d.events[i].Kind == EventReply && d.events[i].Reply.ReqID == reqID {
 			d.events = append(d.events[:i], d.events[i+1:]...)
 		}
 	}
 	d.mu.Unlock()
-	if abort {
-		d.abort(reqID)
-	}
+	d.perform(fx)
 }

@@ -49,11 +49,11 @@
 // Call surface: Driver.Do(ctx, Request) is the single entry point for
 // every request flavor — keyed agreement calls, session-tier reads,
 // shard fan-outs, cross-shard transactions — with cancellation and
-// deadlines carried by a context.Context. Call, CallKey, CallRead,
-// CallAllShards, and CallTxn survive as thin wrappers over Do. A
-// canceled call is settled, not abandoned: the outstanding entry is
-// suppressed and deterministically aborted group-wide, and a late
-// agreed reply is swallowed instead of surfacing as an orphan event.
+// deadlines carried by a context.Context. How an agreement-path call
+// settles is one pure decision function, step (call.go), that the
+// driver executes. A canceled call is settled, not abandoned: it is
+// aborted (locally on the reply fast path, group-wide otherwise) and
+// its outcome never surfaces as an orphan event.
 //
 // Execution parallelism: independent voter groups share no locks on the
 // per-frame path, so at GOMAXPROCS>1 shard groups run as parallel

@@ -1,7 +1,6 @@
 package perpetual
 
 import (
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -116,25 +115,18 @@ type Driver struct {
 	utilSeq uint64
 	txnSeq  uint64
 
+	// done is closed by close, releasing every waiter on a call's sink.
+	done chan struct{}
+
 	// events is the merged agreed-order queue; all blocking accessors
 	// consume from it, so mixed consumption (NextRequest on one code
 	// path, WaitReply on another) stays coherent and deterministic.
 	events []Event
-	// replySeen deduplicates reply ids queued or consumed. FIFO eviction
-	// (like the voter's delivered cache) only ever reopens the window
-	// for the oldest ids, never for every in-flight request at once.
-	replySeen *boundedCache[struct{}]
-	// replyCh holds one buffered channel per Do waiter blocked in
-	// waitReplyCtx. Delivering a reply directly to its waiter wakes
-	// exactly one goroutine; funneling replies through the shared event
-	// queue + cond.Broadcast would wake EVERY concurrent waiter per
-	// reply (each rescanning the queue under d.mu), which collapses an
-	// open-loop client under overload — precisely when replies and busy
-	// settlements are most frequent. Channels are capacity 1 and receive
-	// at most one send, guarded by replySeen/settle dedup under d.mu.
-	replyCh map[string]chan Reply
 
-	outstanding map[string]*outstandingReq
+	// outstanding holds the agreement-path calls awaiting their outcome
+	// (see call and step); a call leaves it when it settles, so nothing
+	// ever settles twice.
+	outstanding map[string]*call
 	utils       map[uint64]int64
 
 	// maxOutstanding caps the calls and fast-path reads this driver keeps
@@ -160,7 +152,7 @@ type Driver struct {
 	// bundle. Unknown targets default to index 0 (the view-0 primary).
 	primaryHint map[string]int
 
-	// Session-tier read fast path (see CallRead). readWaits collects
+	// Session-tier read fast path (see issueRead). readWaits collects
 	// speculative endorsements per outstanding read; readFloor is the
 	// per-target-group monotonic-reads floor (highest certified read
 	// sequence); readAfter is the per-target-group read-your-writes lease
@@ -174,16 +166,12 @@ type Driver struct {
 	readStats    readStatsCounters
 
 	// canceled records request ids settled by a ctx cancel (see
-	// Do/cancelRequest): a late agreed reply, or the read fallback's
-	// asynchronous re-issue, consults it so a canceled request can never
-	// resurface.
+	// cancelRequest), so the read fallback's asynchronous re-issue can
+	// never resurrect a canceled read.
 	canceled *boundedCache[struct{}]
 
-	// txnReplies feeds CallTxn: replies to transaction requests bypass
-	// the application event queue (see deliverReply).
-	txnReplies *boundedCache[txnReply]
-	// txnPending holds one decision slot per transaction this replica's
-	// CallTxn is driving; registered slots are never evicted (see
+	// txnPending holds one decision slot per transaction this replica is
+	// driving; registered slots are never evicted (see
 	// registerTxnLocked). txnEarly buffers agreed decisions that arrive
 	// before the local executor reaches the transaction — coordinator
 	// replicas run the same deterministic schedule but not in lockstep.
@@ -191,77 +179,18 @@ type Driver struct {
 	txnEarly   *boundedCache[bool]
 
 	// early holds outcomes that arrived for request ids this driver has
-	// not issued yet (id number above reqSeq): a lagging replica's
-	// executor often issues a call after the target's verified bundle, or
-	// the agreed reply, already reached its driver. startRequest consumes
-	// the entry when the call is issued (see parkable).
-	early *boundedCache[earlyOutcome]
-}
-
-// earlyOutcome is what arrived for a not-yet-issued request id. Which
-// field answers the call is only known at issue time: a fast-path call
-// takes the verified bundle, an agreed-path call the agreed outcome.
-type earlyOutcome struct {
-	bundle *ReplyBundle // verified by handleBundle before parking
-	agreed *Reply
-	// shares, epoch and groupN re-carry the agreed reply's certificate
-	// for a transaction request (see deliverReply).
-	shares []Share
-	epoch  uint64
-	groupN int
+	// not issued yet (id number above reqSeq), as one evParked event per
+	// id: a lagging replica's executor often issues a call after the
+	// target's verified bundle, or the agreed reply, already reached its
+	// driver. startRequest feeds the entry to the call when it is issued
+	// (see parkable).
+	early *boundedCache[callEvent]
 }
 
 // txnDecision is a registered transaction's decision slot.
 type txnDecision struct {
 	done   bool
 	commit bool
-}
-
-// outstandingReq tracks a request this driver issued and is awaiting.
-type outstandingReq struct {
-	target    string
-	payload   []byte
-	responder int
-	attempt   int
-	timeout   time.Duration
-	retryTmr  *time.Timer
-	abortTmr  *time.Timer
-	// txn marks a protocol-internal request (2PC, see txn.go; state
-	// handoff, see handoff.go): its agreed reply is routed to the txn
-	// wait table instead of the event queue, with the reply bundle's
-	// shares retained as the vote/handoff certificate.
-	txn bool
-	// class optionally overrides the transport stats class of the
-	// request's frames (ClassTxn for 2PC, ClassHandoff for resharding);
-	// zero derives the class from the payload as usual.
-	class uint8
-	// suppressReply marks a request settled internally (aborted by a
-	// failed CallAllShards fan-out): the application never learned its
-	// id, so the agreed abort/reply must not surface as an event.
-	suppressReply bool
-	// expiry is the absolute unix-milli deadline stamped into the
-	// request envelope (0 = none): replicas drop the request at every
-	// pre-agreement stage once it passes, and retransmission stops.
-	expiry uint64
-	// busy collects distinct target voters that refused the request
-	// under overload (index -> their retry-after hint); at f_t+1 the
-	// request settles as overloaded. busyExpired counts refusals that
-	// reported the deadline expired.
-	busy        map[int]uint64
-	busyExpired int
-	// busyFanned records the one-shot whole-group retransmit triggered by
-	// the first below-quorum busy: first attempts are primary-routed, so
-	// without the fan-out only the primary could ever refuse and the
-	// f_t+1 busy quorum would never form under honest overload.
-	busyFanned bool
-	// counted marks a request holding one of the driver's in-flight
-	// window slots (see Driver.maxOutstanding); release is idempotent.
-	counted bool
-	// fast marks a reply fast-path call (see Driver.fastPath): its
-	// verified bundle settles it directly, and no caller-side agreement
-	// ever orders its outcome.
-	fast     bool
-	blocking bool // Request.Blocking, copied onto the settled Reply
 }
 
 // ReadStats counts session-tier read fast-path outcomes at one driver.
@@ -331,8 +260,8 @@ type readWait struct {
 	need      int // f_t+1: matching endorsements certify, busys shed
 	minSeq    uint64
 	afterReq  uint64
-	settled   bool
-	blocking  bool // Request.Blocking, copied onto the settled Reply
+	blocking  bool         // Request.Blocking, copied onto the settled Reply
+	sink      chan outcome // the outcome's consumer (see call.sink)
 	// widened marks every replica of the group asked: the read widened
 	// past its first f_t+1, or the group has no others.
 	widened bool
@@ -448,16 +377,6 @@ func (rw *readWait) request(reqID, caller string) *ReadRequest {
 	}
 }
 
-// txnReply is the agreed outcome of a transaction request, with the
-// endorsement shares retained for the coordinator's decision proposal.
-type txnReply struct {
-	reply  Reply
-	bundle *ReplyBundle // nil for aborts
-}
-
-// replySeenCacheSize bounds the driver's reply dedup window.
-const replySeenCacheSize = 4 * deliveredCacheSize
-
 func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.ChannelAdapter, ks *auth.KeyStore, v *voter, logger *log.Logger) *Driver {
 	d := &Driver{
 		svc:                svc,
@@ -469,9 +388,8 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		logger:             logger,
 		retransmitInterval: DefaultRetransmitInterval,
 		readFallback:       DefaultReadFallback,
-		replySeen:          newBoundedCache[struct{}](replySeenCacheSize),
-		replyCh:            make(map[string]chan Reply),
-		outstanding:        make(map[string]*outstandingReq),
+		done:               make(chan struct{}),
+		outstanding:        make(map[string]*call),
 		inflight:           make(map[string]int),
 		utils:              make(map[uint64]int64),
 		primaryHint:        make(map[string]int),
@@ -479,11 +397,10 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		readFloor:          make(map[string]uint64),
 		readAfter:          make(map[string]uint64),
 		readPartners:       make(map[string][]int),
-		canceled:           newBoundedCache[struct{}](replySeenCacheSize),
-		txnReplies:         newBoundedCache[txnReply](inFlightCacheSize),
+		canceled:           newBoundedCache[struct{}](4 * deliveredCacheSize),
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
-		early:              newBoundedCache[earlyOutcome](inFlightCacheSize),
+		early:              newBoundedCache[callEvent](inFlightCacheSize),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -504,9 +421,8 @@ func (d *Driver) acquireSlot(target string) bool {
 	return true
 }
 
-// releaseSlot returns a held window slot (caller holds d.mu). counted
-// makes the release idempotent across the several settle paths that can
-// race to remove the same entry.
+// releaseSlot returns a held window slot (caller holds d.mu); counted
+// makes the release idempotent.
 func (d *Driver) releaseSlot(target string, counted *bool) {
 	if !*counted {
 		return
@@ -560,20 +476,9 @@ func (d *Driver) handleTransport(from auth.NodeID, payload []byte) {
 // overload — so a request (or fast-path read) settles as shed only once
 // f_t+1 DISTINCT voters refused it: that quorum contains a correct
 // voter, so the group really is refusing work (or really saw the
-// deadline pass). Below the quorum the request simply keeps waiting
-// (retransmission re-attempts admission), and a busy-read counts as a
+// deadline pass). A call's refusals feed step's evBusy row, which also
+// says who may settle overload locally; a busy-read counts as a
 // non-endorsing response toward the read's impossibility check.
-//
-// Only unreplicated callers (d.svc.N == 1: the session tier, bench
-// clients) settle overload locally — each replica of a replicated
-// caller would collect its own busy quorum at its own time with its own
-// hints, so surfacing a locally synthesized reply would diverge the
-// replicated event stream. A replicated caller instead proposes the
-// deterministic group-wide abort and observes overload as the agreed
-// abort every replica delivers identically — except on a reply
-// fast-path call, whose outcome agreement no longer orders: an agreed
-// abort there would race the certified reply, so the driver keeps
-// retransmitting, the first time after the refusers' RETRY-AFTER hint.
 func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 	if bz == nil || from.Role != auth.RoleVoter || bz.Replica != from.Index || from.Index < 0 {
 		return
@@ -582,73 +487,10 @@ func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 		d.handleBusyRead(from, bz)
 		return
 	}
-	d.mu.Lock()
-	o, ok := d.outstanding[bz.ReqID]
-	if !ok || from.Service != o.target || o.txn {
-		d.mu.Unlock()
-		return
-	}
-	tinfo, err := d.registry.Lookup(o.target)
-	if err != nil || from.Index >= tinfo.N {
-		d.mu.Unlock()
-		return
-	}
-	if o.busy == nil {
-		o.busy = make(map[int]uint64)
-	}
-	o.busy[from.Index] = bz.RetryAfterMillis
-	if bz.Expired {
-		o.busyExpired++
-	}
-	if len(o.busy) < tinfo.F()+1 {
-		// Below the quorum a single busy is unverifiable — but if the
-		// refusal is honest, the rest of the group is overloaded too and
-		// only the primary has seen the request (first attempts are
-		// primary-routed). Fan the request to the whole group once, so
-		// correct overloaded voters can join the quorum promptly; a lying
-		// voter's lone busy is instead outvoted by admission elsewhere.
-		fan := !o.busyFanned
-		o.busyFanned = true
-		d.mu.Unlock()
-		if fan {
-			d.retransmit(bz.ReqID)
-		}
-		return
-	}
-	var hint uint64
-	for _, h := range o.busy {
-		if h > hint {
-			hint = h
-		}
-	}
-	switch {
-	case d.svc.N > 1 && o.fast:
-		// Start a fresh quorum and retry once the group said it may have
-		// room; the callee's own agreement still decides the one outcome.
-		reqID := bz.ReqID
-		o.busy, o.busyExpired = nil, 0
-		if o.retryTmr != nil {
-			o.retryTmr.Stop()
-		}
-		wait := time.Duration(hint) * time.Millisecond
-		if wait <= 0 {
-			wait = d.retransmitInterval
-		}
-		o.retryTmr = time.AfterFunc(wait, func() { d.retransmit(reqID) })
-		d.mu.Unlock()
-	case d.svc.N > 1:
-		// Replicated caller: settle through the agreed abort only.
-		d.mu.Unlock()
-		d.voter.requestAbort(bz.ReqID)
-	default:
-		// Unreplicated callers only issue fast-path calls (txn traffic
-		// returned above), so the settle is local and final.
-		d.settleLocked(Reply{
-			ReqID: bz.ReqID, Aborted: true,
-			Overloaded: true, Expired: o.busyExpired > 0, RetryAfterMillis: hint,
-		}, o, nil, 0, 0)
-		d.mu.Unlock()
-	}
+	d.run(bz.ReqID, callEvent{
+		kind: evBusy, from: from.Service, replica: from.Index,
+		hint: bz.RetryAfterMillis, refusedExpired: bz.Expired,
+	})
 }
 
 // handleBusyRead folds a busy-read refusal into the read's wait: f_t+1
@@ -668,10 +510,11 @@ func (d *Driver) handleBusyRead(from auth.NodeID, bz *BusyReply) {
 	d.advanceRead(bz.ReqID, rw)
 }
 
-// handleBundle verifies a stage-6 reply bundle. A fast-path call is
-// settled by it directly; any other call forwards it to the voter group
-// primary for agreement (stage 7). A bundle for a request this driver
-// has not issued yet is parked for the issue (see parkable).
+// handleBundle verifies a stage-6 reply bundle and feeds it to its call
+// (see step's evBundle row): a fast-path call settles with it, any other
+// call forwards it to the voter group primary for agreement (stage 7). A
+// bundle for a request this driver has not issued yet is parked for the
+// issue (see parkable).
 func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 	target, err := d.registry.Lookup(b.Target)
 	if err != nil {
@@ -716,28 +559,13 @@ func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 	} else if d.primaryHint[b.Target] >= effN {
 		delete(d.primaryHint, b.Target)
 	}
-	// The outstanding check and the parking decision share this hold with
-	// startRequest's issue-time lookup: a bundle is either seen by the
-	// registered call or parked where the issue will find it.
-	o, waiting := d.outstanding[b.ReqID]
-	if !waiting {
-		if d.parkable(b.ReqID) {
-			e, _ := d.early.Get(b.ReqID)
-			e.bundle = b
-			d.early.Put(b.ReqID, e)
-		}
-		d.mu.Unlock()
-		return
-	}
-	if o.fast {
-		if b.Target == o.target {
-			d.settleLocked(Reply{ReqID: b.ReqID, Payload: b.Payload}, o, nil, 0, 0)
-		}
-		d.mu.Unlock()
-		return
-	}
 	d.mu.Unlock()
-	// Forward to our group's primary voter; non-primary voters relay.
+	d.run(b.ReqID, callEvent{kind: evBundle, bundle: b})
+}
+
+// forward hands a verified bundle to this group's primary voter for
+// agreement (stage 7); non-primary voters relay.
+func (d *Driver) forward(b *ReplyBundle) {
 	fw := &Message{Kind: KindResultForward, ResultForward: b}
 	w := wire.GetWriter(fw.SizeHint())
 	fw.EncodeTo(w)
@@ -748,102 +576,45 @@ func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 	w.Free()
 }
 
-// Call issues a request to a target service (stage 1) and returns its
-// request ID without blocking. A sharded target is routed by the
-// request's payload digest; use CallKey to route by an explicit key
-// (e.g. a customer ID) so related requests share a shard. Call is a
-// thin wrapper over Do; its bare timeout parameter is deprecated in
-// favor of Do's context (zero means never abort, the paper's default;
-// otherwise the request is deterministically aborted group-wide if no
-// reply is agreed in time).
-func (d *Driver) Call(target string, payload []byte, timeout time.Duration) (string, error) {
-	res, err := d.Do(context.Background(), Request{Target: target, Payload: payload, Timeout: timeout, NoWait: true})
-	return res.ReqID, err
-}
-
-// CallKey issues a request routed by an explicit routing key: for a
-// sharded target, every driver replica maps the same key to the same
-// shard group (ShardFor is replica-consistent), so state partitioned by
-// key stays on one shard across calls. A nil/empty key falls back to
-// the payload digest. For an unsharded target the key is ignored.
-// CallKey is a thin wrapper over Do; its bare timeout parameter is
-// deprecated in favor of Do's context.
-func (d *Driver) CallKey(target string, key, payload []byte, timeout time.Duration) (string, error) {
-	res, err := d.Do(context.Background(), Request{Target: target, Key: key, Payload: payload, Timeout: timeout, NoWait: true})
-	return res.ReqID, err
-}
-
-// CallAllShards fans a broadcast-style request out to every shard of a
-// sharded target (one independent request per shard, in shard order) and
-// returns the per-shard request IDs. On an unsharded target it degrades
-// to a single Call. The caller collects replies with WaitReply per ID;
-// aggregation across shards is application policy; fan-outs that must
-// succeed or fail together belong in CallTxn instead.
-//
-// A mid-fan-out error settles the already-issued requests with
-// deterministic aborts (every replica fails the same shard the same
-// way), so no request is left outstanding with timers running. The
-// aborts never surface as application events: the application only
-// receives the error, so replies to ids it never learned would sit in
-// the event queue unconsumable. CallAllShards is a thin wrapper over Do
-// (AllShards + NoWait); its bare timeout parameter is deprecated in
-// favor of Do's context.
-func (d *Driver) CallAllShards(target string, payload []byte, timeout time.Duration) ([]string, error) {
-	res, err := d.Do(context.Background(), Request{Target: target, Payload: payload, Timeout: timeout, AllShards: true, NoWait: true})
-	return res.ShardIDs, err
-}
-
 // fanAllShards issues one independent request per shard of a sharded
-// target, in shard order (the AllShards arm of Do).
-func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Duration) ([]string, error) {
+// target, in shard order (the AllShards arm of Do), with a sink per leg
+// when Do waits for them. A mid-fan-out error cancels the legs already
+// issued (every replica fails the same shard the same way), so no
+// request is left outstanding with timers running, and their outcomes
+// never surface: the application only learns the error, so replies to
+// ids it never learned would sit in the event queue unconsumable.
+func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Duration, wait bool) ([]string, []chan outcome, error) {
 	tinfo, err := d.registry.Lookup(target)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ids := make([]string, 0, tinfo.ShardCount())
+	var sinks []chan outcome
 	for k := 0; k < tinfo.ShardCount(); k++ {
-		id, err := d.call(tinfo.Shard(k), payload, timeout, false, 0)
+		c := &call{payload: payload, timeout: timeout, fast: d.fastPath(false, timeout)}
+		if wait {
+			c.sink = make(chan outcome, 1)
+			sinks = append(sinks, c.sink)
+		}
+		id, err := d.startRequest("", tinfo.Shard(k), c)
 		if err != nil {
-			d.suppressReplies(ids)
 			for _, issued := range ids {
-				d.abort(issued)
+				d.cancelRequest(issued)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		ids = append(ids, id)
 	}
-	return ids, nil
+	return ids, sinks, nil
 }
 
-// suppressReplies marks requests settled internally so their agreed
-// replies (typically the aborts just proposed) never surface as
-// application events. A reply that already raced into the event queue
-// is removed from it.
-func (d *Driver) suppressReplies(ids []string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, id := range ids {
-		if o, ok := d.outstanding[id]; ok {
-			o.suppressReply = true
-			continue
-		}
-		for i := len(d.events) - 1; i >= 0; i-- {
-			if d.events[i].Kind == EventReply && d.events[i].Reply.ReqID == id {
-				d.events = append(d.events[:i], d.events[i+1:]...)
-			}
-		}
-	}
-}
-
-// call issues a request to one concrete replica group. txn marks a
-// protocol-internal request (2PC vote or handoff step) whose reply is
-// routed to the transaction wait table; class optionally overrides the
-// transport stats class of its frames.
-func (d *Driver) call(tinfo ServiceInfo, payload []byte, timeout time.Duration, txn bool, class uint8) (string, error) {
-	return d.startRequest("", tinfo, &outstandingReq{
-		payload: payload, timeout: timeout, txn: txn, class: class,
-		fast: !txn && d.fastPath(false, timeout),
-	})
+// issueLeg issues one protocol-internal request (a 2PC or handoff leg)
+// to a concrete group. Its outcome, with the agreed reply's certificate,
+// goes to the returned channel and never to the event queue.
+func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Duration, class uint8) (string, chan outcome, error) {
+	sink := make(chan outcome, 1)
+	id, err := d.startRequest("", tinfo, &call{payload: payload, timeout: timeout, txn: true, class: class, sink: sink})
+	return id, sink, err
 }
 
 // fastPath is the reply fast-path rule, decided once per call at issue
@@ -877,17 +648,17 @@ func (d *Driver) nextReqID() string {
 }
 
 // startRequest registers and transmits a request (stage 1 proper),
-// filling in o's target and, for a fresh call, its responder. An empty
-// reqID reserves the next id. The reservation, the registration in
-// d.outstanding and the lookup of an outcome parked before the issue
+// filling in c's id, target and, for a fresh call, its responder. An
+// empty reqID reserves the next id. The reservation, the registration
+// in d.outstanding and the lookup of an outcome parked before the issue
 // happen under one d.mu hold, so a bundle arriving concurrently is
 // either seen by the registered call or parked where this lookup finds
 // it. The read fast path re-enters with its already-reserved id on
 // fallback, so the agreement-path reply answers the very id the caller
 // is already waiting on.
-func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq) (string, error) {
+func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, c *call) (string, error) {
 	target := tinfo.Name
-	o.target = target
+	c.target = target
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -895,14 +666,14 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq
 	}
 	if reqID == "" {
 		reqID = d.nextReqID()
-		o.responder = int(d.reqSeq % uint64(tinfo.N))
+		c.responder = int(d.reqSeq % uint64(tinfo.N))
 	} else if d.canceled.Contains(reqID) {
 		// A ctx cancel settled this id while the read fallback (the only
 		// re-entrant) was in flight; re-issuing would resurrect it.
 		d.mu.Unlock()
 		return "", errRequestCanceled
 	}
-	if !o.txn && !d.acquireSlot(target) {
+	if !c.txn && !d.acquireSlot(target) {
 		// Client-edge admission: the in-flight window to this target is
 		// full, so refuse with the deterministic RETRY-AFTER fault before
 		// building or sending anything (txn traffic is protocol-internal
@@ -910,42 +681,38 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq
 		d.mu.Unlock()
 		return "", &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
-	o.counted = !o.txn && d.maxOutstanding > 0
-	if e, ok := d.early.Get(reqID); ok {
-		d.early.Delete(reqID)
-		// The outcome that matches how the call was issued answers it
-		// without sending anything; the other kind is dropped.
-		switch {
-		case o.fast && e.bundle != nil && e.bundle.Target == target:
-			d.settleLocked(Reply{ReqID: reqID, Payload: e.bundle.Payload}, o, nil, 0, 0)
-			d.mu.Unlock()
-			return reqID, nil
-		case !o.fast && e.agreed != nil:
-			d.settleLocked(*e.agreed, o, e.shares, e.epoch, e.groupN)
-			d.mu.Unlock()
-			return reqID, nil
-		}
-	}
-	if o.timeout > 0 && !o.txn {
+	c.id = reqID
+	c.counted = !c.txn && d.maxOutstanding > 0
+	if c.timeout > 0 && !c.txn {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
 		// or explicit Timeout, both already folded into timeout) into the
 		// request envelope so replicas can drop expired work at every
 		// pre-agreement stage instead of ordering it.
-		o.expiry = uint64(time.Now().Add(o.timeout).UnixMilli())
+		c.expiry = uint64(time.Now().Add(c.timeout).UnixMilli())
 	}
-	d.outstanding[reqID] = o
+	d.outstanding[reqID] = c
+	if e, ok := d.early.Get(reqID); ok {
+		// The outcome that matches how the call was issued answers it
+		// without sending anything (step's evParked row).
+		d.early.Delete(reqID)
+		d.stepLocked(reqID, e)
+		if d.outstanding[reqID] != c {
+			d.mu.Unlock()
+			return reqID, nil
+		}
+	}
 	hint := d.primaryHint[target]
 	d.mu.Unlock()
 	if hint < 0 || hint >= tinfo.N {
 		hint = 0
 	}
 
-	req, err := d.buildRequest(reqID, tinfo, o.payload, o.responder, 0, o.expiry)
+	req, err := d.buildRequest(reqID, tinfo, c.payload, c.responder, 0, c.expiry)
 	if err != nil {
 		// The entry has no timers yet; without this removal it would
 		// never be reaped and Outstanding() would over-count forever.
 		d.mu.Lock()
-		d.releaseSlot(target, &o.counted)
+		d.releaseSlot(target, &c.counted)
 		delete(d.outstanding, reqID)
 		d.mu.Unlock()
 		return "", err
@@ -955,58 +722,188 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, o *outstandingReq
 	// retransmissions fan out to the whole group, so a crashed or
 	// superseded primary costs one retransmission interval, never
 	// liveness.
-	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(target, hint)}, o.class); err != nil {
+	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(target, hint)}, c.class); err != nil {
 		d.logf("request %s: %v", reqID, err)
 	}
 
 	d.mu.Lock()
-	if cur, ok := d.outstanding[reqID]; ok && cur.retryTmr == nil {
-		// (A busy refusal may already have re-armed retransmission.)
-		cur.retryTmr = time.AfterFunc(d.retransmitInterval, func() { d.retransmit(reqID) })
-		if o.timeout > 0 {
-			cur.abortTmr = time.AfterFunc(o.timeout, func() { d.abort(reqID) })
+	if d.outstanding[reqID] == c {
+		if c.retryTmr == nil {
+			// (A busy refusal may already have re-armed retransmission.)
+			d.armRetry(c, d.retransmitInterval)
+		}
+		if c.timeout > 0 {
+			c.abortTmr = time.AfterFunc(c.timeout, func() { d.run(reqID, callEvent{kind: evDeadline}) })
 		}
 	}
 	d.mu.Unlock()
 	return reqID, nil
 }
 
-// CallRead issues a read-only request through the session-tier fast
-// path: the request goes straight to f_t+1 replicas of the owning shard
-// group — the designated responder and f partners — skipping agreement
-// entirely, and is answered as soon as f_t+1 replicas return matching
-// digest endorsements at or above the session's lease (the monotonic
-// sequence floor, plus the read-your-writes gate the replicas enforce
-// against AfterReq). The channel MACs already authenticate both
-// endpoints, so the read carries no application-level authenticator.
-// When the replicas asked cannot certify (a divergent digest, a Behind
-// decline, a busy refusal short of the busy quorum, or a partner silent
-// through the fast window) the read asks the rest of the group once.
-// A silent or payload-less responder, or a widened read that still
-// cannot certify, deterministically re-issues the same request id
-// through the normal agreement path under the caller's original
-// deadline — the caller observes exactly one reply either way, and
-// never an uncertified one. A replicated caller (N > 1) degrades to
-// the agreement path: fast replies arrive outside agreement and so
-// could not reach its replicas deterministically; the session tier is
-// unreplicated by design. CallRead is a thin wrapper over Do (Read +
-// NoWait); its bare timeout parameter is deprecated in favor of Do's
-// context.
-func (d *Driver) CallRead(target string, key, payload []byte, timeout time.Duration) (string, error) {
-	res, err := d.Do(context.Background(), Request{Target: target, Key: key, Payload: payload, Timeout: timeout, Read: true, NoWait: true})
-	return res.ReqID, err
+// run is the executor of step: it feeds one event to the call reqID
+// names and performs the actions that follow, the bookkeeping ones
+// (settle, arm-retry) under d.mu and the network ones (forward, resend,
+// propose-abort) after releasing it.
+func (d *Driver) run(reqID string, ev callEvent) {
+	d.mu.Lock()
+	fx := d.stepLocked(reqID, ev)
+	d.mu.Unlock()
+	d.perform(fx)
+}
+
+// effects are the network actions of one step, kept for after d.mu is
+// released; the other slots of acts stay zero.
+type effects struct {
+	c     *call
+	tinfo ServiceInfo // the target group, for actResend
+	acts  [2]callAction
+}
+
+// stepLocked looks the call up, supplies step's inputs, runs it and
+// applies its settle and arm-retry actions, returning the rest (caller
+// holds d.mu). An outcome for an id not issued yet is parked for its
+// issue (see parkable); any other event for an unknown id is stale and
+// dropped.
+func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
+	if d.closed {
+		return fx
+	}
+	c, ok := d.outstanding[reqID]
+	if !ok {
+		if (ev.kind == evBundle || ev.kind == evAgreed) && d.parkable(reqID) {
+			e, _ := d.early.Get(reqID)
+			if ev.kind == evBundle {
+				e.bundle = ev.bundle
+			} else {
+				ev.bundle, ev.agreed = e.bundle, true
+				e = ev
+			}
+			e.kind = evParked
+			d.early.Put(reqID, e)
+		}
+		return fx
+	}
+	if ev.kind == evBusy || ev.kind == evRetry {
+		tinfo, err := d.registry.Lookup(c.target)
+		if err != nil {
+			return fx
+		}
+		fx.tinfo = tinfo
+		ev.targetN, ev.targetF = tinfo.N, tinfo.F()
+		ev.expired, ev.jitter = expiredStamp(c.expiry), rand.Int63()
+	}
+	ev.callerN, ev.interval = d.svc.N, d.retransmitInterval
+	fx.c = c
+	for i, a := range step(c, ev) {
+		switch a.kind {
+		case actSettle:
+			d.settle(c, a.reply, a.cert)
+		case actArmRetry:
+			d.armRetry(c, a.after)
+		default:
+			fx.acts[i] = a
+		}
+	}
+	return fx
+}
+
+// perform sends what a step asked for once d.mu is released.
+func (d *Driver) perform(fx effects) {
+	for _, a := range fx.acts {
+		switch a.kind {
+		case actForward:
+			d.forward(a.bundle)
+		case actResend:
+			d.resend(fx.c, fx.tinfo, a.attempt, a.responder)
+		case actAbort:
+			d.voter.requestAbort(fx.c.id)
+		}
+	}
+}
+
+// settle ends call c with its one outcome (caller holds d.mu): its
+// timers, window slot and outstanding entry go, and unless its caller
+// gave up on it the outcome goes to the consumer chosen at issue.
+func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
+	delete(d.outstanding, c.id)
+	if c.retryTmr != nil {
+		c.retryTmr.Stop()
+	}
+	if c.abortTmr != nil {
+		c.abortTmr.Stop()
+	}
+	d.releaseSlot(c.target, &c.counted)
+	if !c.txn && !r.Aborted {
+		// Session-lease bookkeeping: a completed agreement-path request
+		// is conservatively a write this session's later fast-path reads
+		// must observe (read-your-writes), so advance the lease to its
+		// request number.
+		if n, ok := callerReqSeq(c.id, d.svc.Name); ok && n > d.readAfter[c.target] {
+			d.readAfter[c.target] = n
+		}
+	}
+	if !c.silent {
+		r.Blocking = c.blocking
+		d.post(c.sink, outcome{reply: r, cert: cert})
+	}
+}
+
+// post hands an outcome to its consumer (caller holds d.mu): the sink
+// chosen at issue — a capacity-1 channel that receives at most one
+// outcome, waking exactly its own waiter — or, when there is none, the
+// agreed-order event queue for NextEvent/WaitReply consumers.
+func (d *Driver) post(sink chan outcome, o outcome) {
+	if sink != nil {
+		sink <- o
+		return
+	}
+	d.events = append(d.events, Event{Kind: EventReply, Reply: o.reply})
+	d.cond.Broadcast()
+}
+
+// armRetry (re)arms c's retransmission timer (caller holds d.mu).
+func (d *Driver) armRetry(c *call, after time.Duration) {
+	if c.retryTmr != nil {
+		c.retryTmr.Stop()
+	}
+	id := c.id
+	c.retryTmr = time.AfterFunc(after, func() { d.run(id, callEvent{kind: evRetry}) })
+}
+
+// resend re-sends an unanswered request to every target voter with the
+// responder and attempt step chose.
+func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
+	req, err := d.buildRequest(c.id, tinfo, c.payload, responder, attempt, c.expiry)
+	if err != nil {
+		d.logf("retransmit %s: %v", c.id, err)
+		return
+	}
+	if err := d.sendRequest(req, tinfo.VoterIDs(), c.class); err != nil {
+		d.logf("retransmit %s: %v", c.id, err)
+	}
+	d.logf("retransmitted %s (attempt %d, responder %d)", c.id, attempt, responder)
 }
 
 // issueRead resolves and issues one fast-path read (the Read arm of
-// Do), returning its id without waiting. blocking is Do's fastPath
-// input for the agreement-path degrade of a replicated caller.
-func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool) (string, error) {
+// Do), returning its id without waiting; sink is its consumer (see
+// call.sink). The read skips agreement: it goes to f_t+1 replicas of the
+// owning shard group — the designated responder and f partners — and
+// certifies on f_t+1 matching digest endorsements at or above the
+// session's lease (the monotonic floor, plus the read-your-writes gate
+// against AfterReq). Otherwise it asks the rest of the group once, and
+// then deterministically re-issues the same id through agreement under
+// the caller's original deadline (see readWait.step): the caller
+// observes exactly one reply, never an uncertified one. A replicated
+// caller (N > 1) takes the agreement path directly, since fast replies
+// could not reach its replicas deterministically; blocking is Do's
+// fastPath input for that call.
+func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan outcome) (string, error) {
 	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
 	}
 	if d.svc.N > 1 {
-		return d.startRequest("", tinfo, &outstandingReq{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout)})
+		return d.startRequest("", tinfo, &call{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout), sink: sink})
 	}
 
 	d.mu.Lock()
@@ -1025,6 +922,7 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 	rw := &readWait{
 		counted:   d.maxOutstanding > 0,
 		blocking:  blocking,
+		sink:      sink,
 		target:    tinfo.Name,
 		payload:   payload,
 		responder: int(d.reqSeq % uint64(tinfo.N)),
@@ -1124,7 +1022,7 @@ func (d *Driver) widen(reqID string, rw *readWait) {
 func (d *Driver) readWindowExpired(reqID string, widened bool) {
 	d.mu.Lock()
 	rw, ok := d.readWaits[reqID]
-	if !ok || rw.settled || rw.widened != widened {
+	if !ok || rw.widened != widened {
 		d.mu.Unlock()
 		return
 	}
@@ -1143,7 +1041,7 @@ func (d *Driver) readWindowExpired(reqID string, widened bool) {
 // Any replica of the group may answer, asked or not.
 func (d *Driver) readAnswer(reqID string, from auth.NodeID, replica int) *readWait {
 	rw, ok := d.readWaits[reqID]
-	if !ok || rw.settled || from.Service != rw.target || replica != from.Index ||
+	if !ok || from.Service != rw.target || replica != from.Index ||
 		from.Index < 0 || from.Index >= len(rw.replicas) || rw.replicas[from.Index].rank != 0 {
 		return nil
 	}
@@ -1155,7 +1053,6 @@ func (d *Driver) readAnswer(reqID string, from auth.NodeID, replica int) *readWa
 // finishRead ends a read's fast-path wait (caller holds d.mu): its
 // window timer, window slot and readWaits entry all go.
 func (d *Driver) finishRead(reqID string, rw *readWait) {
-	rw.settled = true
 	rw.tmr.Stop()
 	d.releaseSlot(rw.target, &rw.counted)
 	delete(d.readWaits, reqID)
@@ -1189,18 +1086,15 @@ func (d *Driver) advanceRead(reqID string, rw *readWait) {
 			d.readFloor[rw.target] = certSeq
 		}
 		d.readStats.certified.Add(1)
+		d.post(rw.sink, outcome{reply: Reply{ReqID: reqID, Payload: s.payload, Blocking: rw.blocking}})
 		d.mu.Unlock()
-		d.deliverReply(Reply{ReqID: reqID, Payload: s.payload, Blocking: rw.blocking}, nil, 0, 0)
 	case readShed:
 		d.finishRead(reqID, rw)
 		d.readStats.shed.Add(1)
-		// Block a late fallback re-issue and a late duplicate alike.
-		d.replySeen.Put(reqID, struct{}{})
-		d.canceled.Put(reqID, struct{}{})
-		d.postReply(Reply{
+		d.post(rw.sink, outcome{reply: Reply{
 			ReqID: reqID, Aborted: true, Blocking: rw.blocking,
 			Overloaded: true, RetryAfterMillis: rw.retryAfter,
-		})
+		}})
 		d.mu.Unlock()
 	case readWiden:
 		d.widen(reqID, rw)
@@ -1246,13 +1140,12 @@ func (d *Driver) handleReadReply(from auth.NodeID, rp *ReadReply) {
 
 // readFallbackFor abandons the fast path for a read and re-issues the
 // same request id through full agreement, under the read's original
-// deadline. At most one answer surfaces: settling is exclusive under
-// d.mu, and replySeen dedups a late agreed duplicate of an
-// already-certified read.
+// deadline and to the same consumer. At most one answer surfaces: the
+// read's wait ends under the d.mu hold that hands its id to the call.
 func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 	d.mu.Lock()
 	rw, ok := d.readWaits[reqID]
-	if !ok || rw.settled || d.closed {
+	if !ok || d.closed {
 		d.mu.Unlock()
 		return
 	}
@@ -1263,27 +1156,27 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 	} else {
 		d.readStats.fallbackDiverged.Add(1)
 	}
-	o := &outstandingReq{payload: rw.payload, responder: rw.responder, blocking: rw.blocking}
-	if rw.replicas[o.responder].rank == 0 {
+	c := &call{payload: rw.payload, responder: rw.responder, blocking: rw.blocking, sink: rw.sink}
+	if rw.replicas[c.responder].rank == 0 {
 		// A silent responder would leave the agreed reply unbundled until
 		// a retransmission rotates the role; the replica that answered
 		// the read first takes it instead.
 		for i := range rw.replicas {
 			if rw.replicas[i].rank == 1 {
-				o.responder = i
+				c.responder = i
 			}
 		}
 	}
 	if !rw.deadline.IsZero() {
-		if o.timeout = time.Until(rw.deadline); o.timeout <= 0 {
+		if c.timeout = time.Until(rw.deadline); c.timeout <= 0 {
 			// The deadline passed inside the fast window: abort here, as
-			// any fast-path call does at its deadline (see Driver.abort).
-			d.settleLocked(Reply{ReqID: reqID, Aborted: true, Blocking: rw.blocking}, nil, nil, 0, 0)
+			// any fast-path call does at its deadline (see step).
+			d.post(rw.sink, outcome{reply: Reply{ReqID: reqID, Aborted: true, Blocking: rw.blocking}})
 			d.mu.Unlock()
 			return
 		}
 	}
-	o.fast = d.fastPath(false, o.timeout)
+	c.fast = d.fastPath(false, c.timeout)
 	d.mu.Unlock()
 
 	tinfo, err := d.registry.Lookup(rw.target)
@@ -1291,7 +1184,7 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 		d.logf("read fallback %s: unknown target %s", reqID, rw.target)
 		return
 	}
-	if _, err := d.startRequest(reqID, tinfo, o); err != nil {
+	if _, err := d.startRequest(reqID, tinfo, c); err != nil {
 		if hint, is := IsOverload(err); is {
 			// The window refilled between releasing the read's slot and
 			// re-issuing through agreement: the caller is already waiting
@@ -1299,12 +1192,10 @@ func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
 			// until its deadline.
 			d.mu.Lock()
 			if !d.closed && !d.canceled.Contains(reqID) {
-				d.replySeen.Put(reqID, struct{}{})
-				d.canceled.Put(reqID, struct{}{})
-				d.postReply(Reply{
+				d.post(rw.sink, outcome{reply: Reply{
 					ReqID: reqID, Aborted: true, Blocking: rw.blocking,
 					Overloaded: true, RetryAfterMillis: uint64(hint.Milliseconds()),
-				})
+				}})
 			}
 			d.mu.Unlock()
 			return
@@ -1368,57 +1259,6 @@ func (d *Driver) buildRequest(reqID string, tinfo ServiceInfo, payload []byte, r
 	return req, nil
 }
 
-// retransmit re-sends an unanswered request to every target voter with a
-// rotated responder choice, with exponential backoff.
-func (d *Driver) retransmit(reqID string) {
-	d.mu.Lock()
-	o, ok := d.outstanding[reqID]
-	if !ok || d.closed {
-		d.mu.Unlock()
-		return
-	}
-	if expiredStamp(o.expiry) {
-		// Past the caller's deadline nothing downstream will serve this
-		// request; stop probing and let the abort timer settle it.
-		d.mu.Unlock()
-		return
-	}
-	o.attempt++
-	attempt := o.attempt
-	target := o.target
-	payload := o.payload
-	tinfo, err := d.registry.Lookup(target)
-	if err != nil {
-		d.mu.Unlock()
-		return
-	}
-	o.responder = int((fnv64a([]byte(reqID)) + uint64(attempt)) % uint64(tinfo.N))
-	responder := o.responder
-	class := o.class
-	backoff := d.retransmitInterval << uint(min(attempt, 6))
-	if backoff > maxRetransmitBackoff {
-		backoff = maxRetransmitBackoff
-	}
-	// ±20% jitter decorrelates retransmission fan-outs across drivers:
-	// without it, every caller that issued during the same outage
-	// retransmits to the whole group on the same beat forever.
-	if j := int64(backoff) / 5; j > 0 {
-		backoff += time.Duration(rand.Int63n(2*j+1) - j)
-	}
-	o.retryTmr = time.AfterFunc(backoff, func() { d.retransmit(reqID) })
-	d.mu.Unlock()
-
-	req, err := d.buildRequest(reqID, tinfo, payload, responder, attempt, o.expiry)
-	if err != nil {
-		d.logf("retransmit %s: %v", reqID, err)
-		return
-	}
-	if err := d.sendRequest(req, tinfo.VoterIDs(), class); err != nil {
-		d.logf("retransmit %s: %v", reqID, err)
-	}
-	d.logf("retransmitted %s (attempt %d, responder %d)", reqID, attempt, responder)
-}
-
 // deliverRequest enqueues an agreed incoming request (stage 3); called
 // by the co-located voter on the CLBFT delivery goroutine.
 func (d *Driver) deliverRequest(r IncomingRequest) {
@@ -1431,110 +1271,14 @@ func (d *Driver) deliverRequest(r IncomingRequest) {
 	d.cond.Broadcast()
 }
 
-// deliverReply records an agreed reply or abort (stage 9), and a
-// certified fast-path read. shares carries the agreed reply bundle's
-// endorsements, retained as the vote certificate when the request
-// belongs to a transaction; epoch/groupN are the bundle's roster
-// attestation, re-carried so the rebuilt certificate verifies under the
-// roster its shares were minted for.
+// deliverReply feeds the caller group's agreed reply or abort (stage 9)
+// to its call (see step's evAgreed row). shares carries the agreed reply
+// bundle's endorsements, retained as the certificate of a transaction
+// or handoff leg; epoch/groupN are the bundle's roster attestation,
+// re-carried so the rebuilt certificate verifies under the roster its
+// shares were minted for.
 func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed || d.replySeen.Contains(r.ReqID) {
-		return
-	}
-	o, ok := d.outstanding[r.ReqID]
-	switch {
-	case ok && o.fast:
-		// No correct replica proposes an outcome for a fast-path call; an
-		// agreed one (a faulty voter's abort) must not race the certified
-		// reply, which each replica takes from its own verified bundle.
-		return
-	case !ok && d.parkable(r.ReqID):
-		e, _ := d.early.Get(r.ReqID)
-		e.agreed, e.shares, e.epoch, e.groupN = &r, shares, epoch, groupN
-		d.early.Put(r.ReqID, e)
-		return
-	}
-	if !ok {
-		o = nil
-	}
-	d.settleLocked(r, o, shares, epoch, groupN)
-}
-
-// settleLocked records the one outcome of a request and hands it to its
-// consumer (caller holds d.mu). o is the request's outstanding entry,
-// nil when there is none (a certified read, or an id settled before).
-func (d *Driver) settleLocked(r Reply, o *outstandingReq, shares []Share, epoch uint64, groupN int) {
-	d.replySeen.Put(r.ReqID, struct{}{})
-	if o != nil {
-		r.Blocking = o.blocking
-		if o.retryTmr != nil {
-			o.retryTmr.Stop()
-		}
-		if o.abortTmr != nil {
-			o.abortTmr.Stop()
-		}
-		d.releaseSlot(o.target, &o.counted)
-		delete(d.outstanding, r.ReqID)
-		if !o.txn && !r.Aborted {
-			// Session-lease bookkeeping: a completed agreement-path request
-			// is conservatively a write this session's later fast-path
-			// reads must observe (read-your-writes), so advance the lease
-			// to its request number.
-			if n, okN := callerReqSeq(r.ReqID, d.svc.Name); okN && n > d.readAfter[o.target] {
-				d.readAfter[o.target] = n
-			}
-		}
-	}
-	if (o != nil && o.suppressReply) || d.canceled.Contains(r.ReqID) {
-		// Settled internally (failed fan-out or ctx cancel): the caller
-		// gave up on this id or never learned it, so nothing may surface.
-		return
-	}
-	if o != nil && o.txn {
-		// Transaction replies feed CallTxn, not the application event
-		// queue; agreement order still decided the content.
-		tr := txnReply{reply: r}
-		if !r.Aborted && len(shares) > 0 {
-			tr.bundle = &ReplyBundle{ReqID: r.ReqID, Target: o.target, Epoch: epoch, GroupN: groupN, Payload: r.Payload, Shares: shares}
-		}
-		d.txnReplies.Put(r.ReqID, tr)
-		d.cond.Broadcast()
-		return
-	}
-	d.postReply(r)
-}
-
-// abort settles an outstanding request its caller gave up on (timeout,
-// ctx cancel, failed fan-out). A fast-path call aborts locally: no
-// caller-side agreement orders its outcome. Any other request is
-// aborted through agreement, so every replica settles it at one point.
-func (d *Driver) abort(reqID string) {
-	d.mu.Lock()
-	if o, ok := d.outstanding[reqID]; ok && o.fast {
-		d.settleLocked(Reply{ReqID: reqID, Aborted: true}, o, nil, 0, 0)
-		d.mu.Unlock()
-		return
-	}
-	d.mu.Unlock()
-	d.voter.requestAbort(reqID)
-}
-
-// postReply hands an application-visible reply to its consumer (caller
-// holds d.mu): a Do waiter registered in replyCh receives it directly —
-// waking exactly that goroutine — and anything else joins the shared
-// event queue for NextEvent/WaitReply consumers. At most one post ever
-// happens per request id (replySeen and the settle paths gate under
-// d.mu), so the capacity-1 send cannot block.
-func (d *Driver) postReply(r Reply) {
-	if ch, ok := d.replyCh[r.ReqID]; ok {
-		delete(d.replyCh, r.ReqID)
-		ch <- r
-		return
-	}
-	d.events = append(d.events, Event{Kind: EventReply, Reply: r})
-	d.cond.Broadcast()
+	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r, shares: shares, epoch: epoch, groupN: groupN})
 }
 
 // deliverUtil records an agreed utility value.
@@ -1555,92 +1299,50 @@ func (d *Driver) popAt(i int) Event {
 	return ev
 }
 
-// NextEvent returns the next agreed event — request or reply — in
-// agreement order, blocking until one is available. Mixing NextEvent
-// with the filtered accessors is allowed: they all consume from the
-// same queue.
-func (d *Driver) NextEvent() (Event, error) {
+// take removes and returns the oldest queued event match accepts,
+// blocking until there is one. Every blocking accessor consumes from the
+// one queue this way, so mixing them stays coherent.
+func (d *Driver) take(match func(*Event) bool) (Event, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if d.closed {
 			return Event{}, ErrClosed
 		}
-		if len(d.events) > 0 {
-			return d.popAt(0), nil
+		for i := range d.events {
+			if match(&d.events[i]) {
+				return d.popAt(i), nil
+			}
 		}
 		d.cond.Wait()
 	}
+}
+
+// NextEvent returns the next agreed event — request or reply — in
+// agreement order, blocking until one is available.
+func (d *Driver) NextEvent() (Event, error) {
+	return d.take(func(*Event) bool { return true })
 }
 
 // NextReply returns the oldest unconsumed reply in agreement order,
 // blocking until one is available.
 func (d *Driver) NextReply() (Reply, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return Reply{}, ErrClosed
-		}
-		for i := range d.events {
-			if d.events[i].Kind == EventReply {
-				return d.popAt(i).Reply, nil
-			}
-		}
-		d.cond.Wait()
-	}
+	ev, err := d.take(func(e *Event) bool { return e.Kind == EventReply })
+	return ev.Reply, err
 }
 
 // WaitReply blocks until the reply for a specific request arrives and
 // returns it.
 func (d *Driver) WaitReply(reqID string) (Reply, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return Reply{}, ErrClosed
-		}
-		for i := range d.events {
-			if d.events[i].Kind == EventReply && d.events[i].Reply.ReqID == reqID {
-				return d.popAt(i).Reply, nil
-			}
-		}
-		d.cond.Wait()
-	}
+	ev, err := d.take(func(e *Event) bool { return e.Kind == EventReply && e.Reply.ReqID == reqID })
+	return ev.Reply, err
 }
 
 // NextRequest returns the oldest unexecuted incoming request, blocking
 // until one is available.
 func (d *Driver) NextRequest() (IncomingRequest, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return IncomingRequest{}, ErrClosed
-		}
-		for i := range d.events {
-			if d.events[i].Kind == EventRequest {
-				return d.popAt(i).Request, nil
-			}
-		}
-		d.cond.Wait()
-	}
-}
-
-// TryNextRequest returns an incoming request if one is queued, without
-// blocking.
-func (d *Driver) TryNextRequest() (IncomingRequest, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return IncomingRequest{}, false
-	}
-	for i := range d.events {
-		if d.events[i].Kind == EventRequest {
-			return d.popAt(i).Request, true
-		}
-	}
-	return IncomingRequest{}, false
+	ev, err := d.take(func(e *Event) bool { return e.Kind == EventRequest })
+	return ev.Request, err
 }
 
 // Reply sends the executor's result for an incoming request back through
@@ -1728,22 +1430,17 @@ func (d *Driver) close() {
 		return
 	}
 	d.closed = true
-	for _, o := range d.outstanding {
-		if o.retryTmr != nil {
-			o.retryTmr.Stop()
+	for _, c := range d.outstanding {
+		if c.retryTmr != nil {
+			c.retryTmr.Stop()
 		}
-		if o.abortTmr != nil {
-			o.abortTmr.Stop()
+		if c.abortTmr != nil {
+			c.abortTmr.Stop()
 		}
 	}
 	for _, rw := range d.readWaits {
 		rw.tmr.Stop()
 	}
-	// Closing each registered reply channel unblocks its waiter with
-	// ErrClosed (a closed-channel receive reports ok=false).
-	for id, ch := range d.replyCh {
-		delete(d.replyCh, id)
-		close(ch)
-	}
+	close(d.done)
 	d.cond.Broadcast()
 }

@@ -12,9 +12,9 @@ func TestDriverReqIDsAreSequential(t *testing.T) {
 	echoApp(t, dep, "t")
 	drv := dep.Driver("c", 0)
 	for i := 1; i <= 3; i++ {
-		id, err := drv.Call("t", nil, 0)
+		id, err := issue(drv, Request{Target: "t"})
 		if err != nil {
-			t.Fatalf("Call: %v", err)
+			t.Fatalf("Do: %v", err)
 		}
 		if want := fmt.Sprintf("c:%d", i); id != want {
 			t.Errorf("reqID = %q, want %q", id, want)
@@ -29,11 +29,11 @@ func TestDriverOutstandingCount(t *testing.T) {
 	if got := drv.Outstanding(); got != 0 {
 		t.Fatalf("initial Outstanding = %d", got)
 	}
-	if _, err := drv.Call("t", []byte("x"), 0); err != nil {
-		t.Fatalf("Call: %v", err)
+	if _, err := issue(drv, Request{Target: "t", Payload: []byte("x")}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 	if got := drv.Outstanding(); got != 1 {
-		t.Errorf("Outstanding after Call = %d", got)
+		t.Errorf("Outstanding after Do = %d", got)
 	}
 }
 
@@ -41,9 +41,9 @@ func TestDriverOutstandingDropsOnReply(t *testing.T) {
 	dep := buildPair(t, 1, 1, nil)
 	echoApp(t, dep, "t")
 	drv := dep.Driver("c", 0)
-	id, err := drv.Call("t", []byte("x"), 0)
+	id, err := issue(drv, Request{Target: "t", Payload: []byte("x")})
 	if err != nil {
-		t.Fatalf("Call: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if _, err := drv.WaitReply(id); err != nil {
 		t.Fatalf("WaitReply: %v", err)
@@ -54,7 +54,7 @@ func TestDriverOutstandingDropsOnReply(t *testing.T) {
 }
 
 func TestCallAuthenticatorFailureLeavesNothingOutstanding(t *testing.T) {
-	// Regression: `call` registers the outstanding entry before building
+	// Regression: startRequest registers the outstanding entry before building
 	// the authenticated request; a registry entry whose pairwise keys are
 	// missing from this driver's key store makes buildRequest fail, and
 	// the entry used to leak forever (no timers, never reaped).
@@ -63,11 +63,11 @@ func TestCallAuthenticatorFailureLeavesNothingOutstanding(t *testing.T) {
 	// "ghost" is registered after key provisioning, so no driver holds
 	// keys for its voters.
 	dep.Registry.Add(ServiceInfo{Name: "ghost", N: 1})
-	if _, err := drv.Call("ghost", []byte("x"), 0); err == nil {
-		t.Fatal("Call to keyless service succeeded")
+	if _, err := issue(drv, Request{Target: "ghost", Payload: []byte("x")}); err == nil {
+		t.Fatal("Do to keyless service succeeded")
 	}
 	if got := drv.Outstanding(); got != 0 {
-		t.Errorf("Outstanding after failed Call = %d, want 0", got)
+		t.Errorf("Outstanding after failed Do = %d, want 0", got)
 	}
 }
 
@@ -112,9 +112,9 @@ func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
 	dep.Registry.Add(ServiceInfo{Name: "t", N: 1, Shards: 3})
 
 	drv := dep.Driver("c", 0)
-	ids, err := drv.CallAllShards("t", []byte("bcast"), 0)
+	ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("bcast"), AllShards: true})
 	if err == nil {
-		t.Fatal("CallAllShards against keyless shard succeeded")
+		t.Fatal("AllShards Do against keyless shard succeeded")
 	}
 	if ids != nil {
 		t.Errorf("partial ids returned alongside error: %v", ids)
@@ -139,9 +139,9 @@ func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
 			break
 		}
 	}
-	probeID, err := drv.CallKey("t", probeKey, []byte("probe"), 0)
+	probeID, err := issue(drv, Request{Target: "t", Key: probeKey, Payload: []byte("probe")})
 	if err != nil {
-		t.Fatalf("probe CallKey: %v", err)
+		t.Fatalf("probe keyed Do: %v", err)
 	}
 	r, err := drv.NextReply()
 	if err != nil {
@@ -155,29 +155,29 @@ func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
 func TestReplySeenWindowSurvivesOverflow(t *testing.T) {
 	// Regression: the reply dedup set used to be wholesale-reset when it
 	// grew past its bound, reopening the duplicate window for every
-	// in-flight request at once. With FIFO eviction, only the oldest ids
-	// ever leave the window: a recent reply stays deduplicated even
-	// right after the cache turns over its capacity.
-	dep := buildPair(t, 1, 1, nil)
+	// in-flight request at once. Now a call leaves the driver's table
+	// when it settles, so a late duplicate of its agreed outcome finds
+	// nothing to settle, however many outcomes arrived since.
+	dep := buildPair(t, 4, 1, nil)
+	echoApp(t, dep, "t")
+	reqID := callAll(t, dep, "c", "t", []byte("once"), 0)
+	awaitAll(t, dep, "c", reqID)
 	drv := dep.Driver("c", 0)
-	// Count the ids as issued: outcomes for ids above reqSeq are parked
-	// for their issue instead of settled.
+	// Count the flood's ids as issued: outcomes for ids above reqSeq are
+	// parked for their issue instead of settled.
+	const flood = 4 * deliveredCacheSize
 	drv.mu.Lock()
-	drv.reqSeq = replySeenCacheSize + 1
+	drv.reqSeq += flood
 	drv.mu.Unlock()
-	for i := 0; i <= replySeenCacheSize; i++ {
+	for i := 2; i <= flood; i++ {
 		drv.deliverReply(Reply{ReqID: fmt.Sprintf("c:%d", i)}, nil, 0, 0)
 	}
-	recent := fmt.Sprintf("c:%d", replySeenCacheSize)
+	drv.deliverReply(Reply{ReqID: reqID, Payload: []byte("echo:once")}, nil, 0, 0)
 	drv.mu.Lock()
-	before := len(drv.events)
+	queued := len(drv.events)
 	drv.mu.Unlock()
-	drv.deliverReply(Reply{ReqID: recent}, nil, 0, 0) // duplicate of the newest id
-	drv.mu.Lock()
-	after := len(drv.events)
-	drv.mu.Unlock()
-	if after != before {
-		t.Errorf("duplicate recent reply re-queued: %d -> %d events", before, after)
+	if queued != 0 {
+		t.Errorf("%d outcomes queued for settled or unknown ids", queued)
 	}
 }
 
@@ -198,9 +198,9 @@ func TestWaitReplyAndNextReplyInterplay(t *testing.T) {
 	echoApp(t, dep, "t")
 	drv := dep.Driver("c", 0)
 
-	idA, _ := drv.Call("t", []byte("a"), 0)
-	idB, _ := drv.Call("t", []byte("b"), 0)
-	idC, _ := drv.Call("t", []byte("c"), 0)
+	idA, _ := issue(drv, Request{Target: "t", Payload: []byte("a")})
+	idB, _ := issue(drv, Request{Target: "t", Payload: []byte("b")})
+	idC, _ := issue(drv, Request{Target: "t", Payload: []byte("c")})
 
 	// Claim B specifically; NextReply must then yield A and C exactly
 	// once each, skipping the claimed slot.
@@ -276,9 +276,9 @@ func TestConcurrentCallsFromManyGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			payload := []byte(fmt.Sprintf("w%d", w))
-			id, err := drv.Call("t", payload, 0)
+			id, err := issue(drv, Request{Target: "t", Payload: payload})
 			if err != nil {
-				t.Errorf("worker %d Call: %v", w, err)
+				t.Errorf("worker %d Do: %v", w, err)
 				return
 			}
 			r, err := drv.WaitReply(id)

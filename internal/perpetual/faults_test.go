@@ -56,9 +56,9 @@ func TestSilentCallerReplicaDoesNotBlockOthers(t *testing.T) {
 	// but its messages go nowhere.
 	var reqID string
 	for i, drv := range dep.Drivers("c") {
-		id, err := drv.Call("t", []byte("sc"), 0)
+		id, err := issue(drv, Request{Target: "t", Payload: []byte("sc")})
 		if err != nil {
-			t.Fatalf("Call from %d: %v", i, err)
+			t.Fatalf("Do from %d: %v", i, err)
 		}
 		if reqID == "" {
 			reqID = id

@@ -58,6 +58,7 @@ package perpetual
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"time"
 
@@ -378,7 +379,7 @@ func reshardRanges(oldShards, newShards int) []reshardRange {
 // service keeps serving throughout, with requests for in-migration keys
 // answered by deterministic RETRY-AT-EPOCH faults until the flip.
 //
-// Like CallTxn, Reshard must be invoked from the calling service's
+// Like a Txn request, Reshard must be invoked from the calling service's
 // deterministic executor on every replica: each replica drives the same
 // protocol, the per-phase requests accumulate the usual f_c+1 matching
 // copies, and the epoch flip is idempotent across replicas. A non-zero
@@ -474,11 +475,11 @@ func (d *Driver) Reshard(service string, newShards int, timeout time.Duration) (
 // returns the decoded wrapper and, for exports, the agreed reply bundle
 // (the handoff certificate).
 func (d *Driver) handoffCall(group ServiceInfo, f *HandoffFrame, timeout time.Duration) (*HandoffState, *ReplyBundle, error) {
-	id, err := d.call(group, EncodeHandoffFrame(f), timeout, true, transport.ClassHandoff)
+	id, sink, err := d.issueLeg(group, EncodeHandoffFrame(f), timeout, transport.ClassHandoff)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := d.waitTxnReply(id)
+	tr, err := d.await(context.Background(), id, sink)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -495,7 +496,7 @@ func (d *Driver) handoffCall(group ServiceInfo, f *HandoffFrame, timeout time.Du
 	if !hs.MatchesFrame(f) {
 		return nil, nil, fmt.Errorf("perpetual: handoff %s to %s acknowledged a different reshard", f.Phase, group.Name)
 	}
-	return hs, tr.bundle, nil
+	return hs, tr.cert, nil
 }
 
 // cancelHandoff aborts an in-progress reshard: every source that

@@ -287,9 +287,9 @@ func kvCall(t *testing.T, drv *Driver, key, payload string) (string, int) {
 	t.Helper()
 	retries := 0
 	for attempt := 0; attempt < 4000; attempt++ {
-		id, err := drv.CallKey("t", []byte(key), []byte(payload), 20*time.Second)
+		id, err := issue(drv, Request{Target: "t", Key: []byte(key), Payload: []byte(payload), Timeout: 20 * time.Second})
 		if err != nil {
-			t.Fatalf("CallKey(%s): %v", payload, err)
+			t.Fatalf("keyed Do(%s): %v", payload, err)
 		}
 		r, err := drv.WaitReply(id)
 		if err != nil {
@@ -456,9 +456,9 @@ func TestLiveReshardZeroLoss(t *testing.T) {
 			}
 			// Physical single residence after the drop phase.
 			present := 0
-			ids, err := drv.CallAllShards("t", []byte("has:"+ks.key), 20*time.Second)
+			ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("has:" + ks.key), Timeout: 20 * time.Second, AllShards: true})
 			if err != nil {
-				t.Fatalf("CallAllShards: %v", err)
+				t.Fatalf("AllShards Do: %v", err)
 			}
 			for _, id := range ids {
 				r, err := drv.WaitReply(id)

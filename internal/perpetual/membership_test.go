@@ -44,7 +44,7 @@ func closedLoopLoad(t *testing.T, drv *Driver, target string, stop chan struct{}
 				return
 			default:
 			}
-			id, err := drv.Call(target, []byte{byte(k), byte(k >> 8)}, 0)
+			id, err := issue(drv, Request{Target: target, Payload: []byte{byte(k), byte(k >> 8)}})
 			if err != nil {
 				done <- fmt.Errorf("call %d: %w", k, err)
 				return
@@ -325,9 +325,9 @@ func TestMembershipByzantineTable(t *testing.T) {
 			}
 		}
 		// And the group stays live throughout all of the above abuse.
-		id, err := drv.Call("t", []byte("alive"), 0)
+		id, err := issue(drv, Request{Target: "t", Payload: []byte("alive")})
 		if err != nil {
-			t.Fatalf("Call: %v", err)
+			t.Fatalf("Do: %v", err)
 		}
 		if _, err := drv.WaitReply(id); err != nil {
 			t.Fatalf("WaitReply: %v", err)

@@ -197,17 +197,31 @@ func TestVoterExpiryGateShedsStaleEnvelope(t *testing.T) {
 		r.voter.handleExternalRequest(from, req)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
-	defer cancel()
-	reply, err := drv.waitReplyCtx(ctx, res.ReqID)
-	if err != nil {
-		t.Fatalf("waitReplyCtx: %v", err)
-	}
+	reply := waitQueued(t, drv, res.ReqID)
 	if !reply.Overloaded || !reply.Expired {
 		t.Fatalf("want expired-overload settle, got %+v", reply)
 	}
 	if stats := dep.OverloadStats("t"); stats.ExpiredDrops < uint64(len(dep.Replicas("t"))) {
 		t.Fatalf("ExpiredDrops = %d, want one per voter (%d)", stats.ExpiredDrops, len(dep.Replicas("t")))
+	}
+}
+
+// waitQueued takes reqID's reply from the driver's event queue, failing
+// the test if none arrives within 8 s.
+func waitQueued(t *testing.T, drv *Driver, reqID string) Reply {
+	t.Helper()
+	got := make(chan Reply, 1)
+	go func() {
+		if r, err := drv.WaitReply(reqID); err == nil {
+			got <- r
+		}
+	}()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(8 * time.Second):
+		t.Fatalf("no reply for %s", reqID)
+		return Reply{}
 	}
 }
 
@@ -399,12 +413,7 @@ func TestByzantineBusyQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv.handleBusy(auth.VoterID("t", 3), &BusyReply{ReqID: res.ReqID, Replica: 3, RetryAfterMillis: 50})
-	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
-	defer cancel()
-	reply, err := drv.waitReplyCtx(ctx, res.ReqID)
-	if err != nil {
-		t.Fatalf("waitReplyCtx: %v", err)
-	}
+	reply := waitQueued(t, drv, res.ReqID)
 	if reply.Overloaded || reply.Aborted {
 		t.Fatalf("lone busy aborted the call: %+v", reply)
 	}
@@ -420,10 +429,7 @@ func TestByzantineBusyQuorum(t *testing.T) {
 	}
 	drv.handleBusy(auth.VoterID("t", 2), &BusyReply{ReqID: res.ReqID, Replica: 2, RetryAfterMillis: 5})
 	drv.handleBusy(auth.VoterID("t", 3), &BusyReply{ReqID: res.ReqID, Replica: 3, RetryAfterMillis: 10})
-	reply, err = drv.waitReplyCtx(ctx, res.ReqID)
-	if err != nil {
-		t.Fatalf("waitReplyCtx: %v", err)
-	}
+	reply = waitQueued(t, drv, res.ReqID)
 	if !reply.Overloaded || reply.RetryAfterMillis != 10 {
 		t.Fatalf("want overloaded settle with max hint 10ms, got %+v", reply)
 	}
@@ -436,10 +442,7 @@ func TestByzantineBusyQuorum(t *testing.T) {
 	}
 	drv.handleBusy(auth.VoterID("t", 3), &BusyReply{ReqID: res.ReqID, Replica: 3, RetryAfterMillis: 5})
 	drv.handleBusy(auth.VoterID("t", 3), &BusyReply{ReqID: res.ReqID, Replica: 3, RetryAfterMillis: 5})
-	reply, err = drv.waitReplyCtx(ctx, res.ReqID)
-	if err != nil {
-		t.Fatalf("waitReplyCtx: %v", err)
-	}
+	reply = waitQueued(t, drv, res.ReqID)
 	if reply.Overloaded {
 		t.Fatalf("duplicate busys from one replica formed a quorum: %+v", reply)
 	}

@@ -2,6 +2,7 @@ package perpetual
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -72,6 +73,29 @@ func buildPair(t *testing.T, nc, nt int, tune func(*Deployment)) *Deployment {
 	return dep
 }
 
+// issue starts req through Do without waiting (NoWait), the way the
+// engine's asynchronous pump issues, and returns its request id; the
+// reply is then taken from the event queue with WaitReply or NextReply.
+func issue(drv *Driver, req Request) (string, error) {
+	req.NoWait = true
+	res, err := drv.Do(context.Background(), req)
+	return res.ReqID, err
+}
+
+// issueAll is issue for an AllShards fan-out: it returns the per-shard
+// request ids.
+func issueAll(drv *Driver, req Request) ([]string, error) {
+	req.NoWait = true
+	res, err := drv.Do(context.Background(), req)
+	return res.ShardIDs, err
+}
+
+// doTxn runs a Txn request through Do and returns its outcome.
+func doTxn(drv *Driver, req Request) (*TxnResult, error) {
+	res, err := drv.Do(context.Background(), req)
+	return res.Txn, err
+}
+
 // callAll issues the same request from every caller driver (replicated
 // deterministic executors issue identical request sequences) and returns
 // the per-replica request IDs (all equal).
@@ -79,9 +103,9 @@ func callAll(t *testing.T, dep *Deployment, caller, target string, payload []byt
 	t.Helper()
 	var reqID string
 	for i, drv := range dep.Drivers(caller) {
-		id, err := drv.Call(target, payload, timeout)
+		id, err := issue(drv, Request{Target: target, Payload: payload, Timeout: timeout})
 		if err != nil {
-			t.Fatalf("Call from %s/%d: %v", caller, i, err)
+			t.Fatalf("Do from %s/%d: %v", caller, i, err)
 		}
 		if reqID == "" {
 			reqID = id
@@ -202,9 +226,9 @@ func TestNextReplyDeliversInAgreementOrder(t *testing.T) {
 	drv := dep.Driver("c", 0)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id, err := drv.Call("t", []byte(fmt.Sprintf("%d", i)), 0)
+		id, err := issue(drv, Request{Target: "t", Payload: []byte(fmt.Sprintf("%d", i))})
 		if err != nil {
-			t.Fatalf("Call: %v", err)
+			t.Fatalf("Do: %v", err)
 		}
 		ids = append(ids, id)
 	}
@@ -417,7 +441,7 @@ func TestThreeTierChain(t *testing.T) {
 				if err != nil {
 					return
 				}
-				id, err := drv.Call("bank", req.Payload, 0)
+				id, err := issue(drv, Request{Target: "bank", Payload: req.Payload})
 				if err != nil {
 					return
 				}
@@ -461,7 +485,7 @@ func TestDriverCloseUnblocksWaiters(t *testing.T) {
 
 func TestCallUnknownTarget(t *testing.T) {
 	dep := buildPair(t, 1, 1, nil)
-	if _, err := dep.Driver("c", 0).Call("nowhere", nil, 0); err == nil {
-		t.Error("Call to unknown service succeeded")
+	if _, err := issue(dep.Driver("c", 0), Request{Target: "nowhere"}); err == nil {
+		t.Error("Do to unknown service succeeded")
 	}
 }

@@ -35,9 +35,9 @@ func TestReadFastPathCertifies(t *testing.T) {
 	readableEchoApp(t, dep, "t")
 	drv := dep.Drivers("c")[0]
 
-	reqID, err := drv.CallRead("t", nil, []byte("ping"), time.Second)
+	reqID, err := issue(drv, Request{Target: "t", Payload: []byte("ping"), Timeout: time.Second, Read: true})
 	if err != nil {
-		t.Fatalf("CallRead: %v", err)
+		t.Fatalf("read Do: %v", err)
 	}
 	r, err := drv.WaitReply(reqID)
 	if err != nil {
@@ -58,9 +58,9 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 	drv := dep.Drivers("c")[0]
 
 	// A committed write moves the session's read-your-writes lease...
-	wid, err := drv.Call("t", []byte("write"), time.Second)
+	wid, err := issue(drv, Request{Target: "t", Payload: []byte("write"), Timeout: time.Second})
 	if err != nil {
-		t.Fatalf("Call: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if _, err := drv.WaitReply(wid); err != nil {
 		t.Fatalf("WaitReply(write): %v", err)
@@ -75,9 +75,9 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 	// ...and the next fast-path read both certifies (replicas hold the
 	// read until their horizons pass the lease) and raises the monotonic
 	// sequence floor for later reads.
-	rid, err := drv.CallRead("t", nil, []byte("r1"), time.Second)
+	rid, err := issue(drv, Request{Target: "t", Payload: []byte("r1"), Timeout: time.Second, Read: true})
 	if err != nil {
-		t.Fatalf("CallRead: %v", err)
+		t.Fatalf("read Do: %v", err)
 	}
 	r, err := drv.WaitReply(rid)
 	if err != nil {
@@ -100,9 +100,9 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 // readOnce issues one fast-path read and waits for its answer.
 func readOnce(t *testing.T, drv *Driver, body string, timeout time.Duration) (string, Reply) {
 	t.Helper()
-	id, err := drv.CallRead("t", nil, []byte(body), timeout)
+	id, err := issue(drv, Request{Target: "t", Payload: []byte(body), Timeout: timeout, Read: true})
 	if err != nil {
-		t.Fatalf("CallRead %s: %v", body, err)
+		t.Fatalf("read Do %s: %v", body, err)
 	}
 	r, err := drv.WaitReply(id)
 	if err != nil {
@@ -209,9 +209,9 @@ func TestByzantineReadDivergenceTable(t *testing.T) {
 			drv := dep.Drivers("c")[0]
 
 			if tc.writeFirst {
-				wid, err := drv.Call("t", []byte("w"), time.Second)
+				wid, err := issue(drv, Request{Target: "t", Payload: []byte("w"), Timeout: time.Second})
 				if err != nil {
-					t.Fatalf("Call: %v", err)
+					t.Fatalf("Do: %v", err)
 				}
 				if _, err := drv.WaitReply(wid); err != nil {
 					t.Fatalf("WaitReply(write): %v", err)
@@ -352,16 +352,16 @@ func TestReadHonoursDeadline(t *testing.T) {
 func TestReadOnUnreplicatedCallerDegradesToAgreement(t *testing.T) {
 	// Replicated callers must not take the fast path: fast replies are
 	// delivered locally without agreement, which would diverge the
-	// replicated executors. CallRead from an N>1 caller degrades to a
-	// normal agreed call.
+	// replicated executors. A Read request from an N>1 caller degrades to
+	// a normal agreed call.
 	dep := buildPair(t, 2, 4, nil)
 	readableEchoApp(t, dep, "t")
 
 	reqID := ""
 	for i, drv := range dep.Drivers("c") {
-		id, err := drv.CallRead("t", nil, []byte("x"), time.Second)
+		id, err := issue(drv, Request{Target: "t", Payload: []byte("x"), Timeout: time.Second, Read: true})
 		if err != nil {
-			t.Fatalf("CallRead from c/%d: %v", i, err)
+			t.Fatalf("read Do from c/%d: %v", i, err)
 		}
 		if reqID == "" {
 			reqID = id

@@ -280,7 +280,7 @@ func (r *Replica) Driver() *Driver { return r.driver }
 // a function that evaluates a declared-read operation against the
 // replica's current local state without mutating it. Once installed,
 // this replica answers session-tier fast-path reads (see
-// Driver.CallRead) with digest endorsements stamped by the agreement
+// Request.Read) with digest endorsements stamped by the agreement
 // sequence the observed state reflects; replicas without an executor
 // decline with Behind, shrinking the fast-path quorum. The executor
 // runs on transport goroutines concurrently with the agreement

@@ -181,9 +181,9 @@ func callAllKey(t *testing.T, dep *Deployment, target string, key, payload []byt
 	t.Helper()
 	var reqID string
 	for i, drv := range dep.Drivers("c") {
-		id, err := drv.CallKey(target, key, payload, 0)
+		id, err := issue(drv, Request{Target: target, Key: key, Payload: payload})
 		if err != nil {
-			t.Fatalf("CallKey from c/%d: %v", i, err)
+			t.Fatalf("keyed Do from c/%d: %v", i, err)
 		}
 		if reqID == "" {
 			reqID = id
@@ -240,12 +240,12 @@ func TestCallAllShardsBroadcast(t *testing.T) {
 	const shards = 3
 	dep := buildSharded(t, 1, 1, shards, nil)
 	drv := dep.Driver("c", 0)
-	ids, err := drv.CallAllShards("t", []byte("bcast"), 0)
+	ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("bcast"), AllShards: true})
 	if err != nil {
-		t.Fatalf("CallAllShards: %v", err)
+		t.Fatalf("AllShards Do: %v", err)
 	}
 	if len(ids) != shards {
-		t.Fatalf("CallAllShards returned %d ids, want %d", len(ids), shards)
+		t.Fatalf("AllShards Do returned %d ids, want %d", len(ids), shards)
 	}
 	for k, id := range ids {
 		r, err := drv.WaitReply(id)
@@ -263,9 +263,9 @@ func TestCallAllShardsOnUnshardedTarget(t *testing.T) {
 	dep := buildPair(t, 1, 1, nil)
 	echoApp(t, dep, "t")
 	drv := dep.Driver("c", 0)
-	ids, err := drv.CallAllShards("t", []byte("one"), 0)
+	ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("one"), AllShards: true})
 	if err != nil || len(ids) != 1 {
-		t.Fatalf("CallAllShards = %v, %v; want one id", ids, err)
+		t.Fatalf("AllShards Do = %v, %v; want one id", ids, err)
 	}
 	r, err := drv.WaitReply(ids[0])
 	if err != nil || r.Aborted || string(r.Payload) != "echo:one" {
@@ -280,9 +280,9 @@ func TestShardedDefaultDigestRouting(t *testing.T) {
 	drv := dep.Driver("c", 0)
 	for i := 0; i < 4; i++ {
 		payload := []byte(fmt.Sprintf("auto-%d", i))
-		id, err := drv.Call("t", payload, 0)
+		id, err := issue(drv, Request{Target: "t", Payload: payload})
 		if err != nil {
-			t.Fatalf("Call: %v", err)
+			t.Fatalf("Do: %v", err)
 		}
 		r, err := drv.WaitReply(id)
 		if err != nil {
@@ -308,9 +308,9 @@ func TestShardAgreementIndependence(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		id, err := drv.CallKey("t", key, []byte(fmt.Sprintf("v%d", i)), 0)
+		id, err := issue(drv, Request{Target: "t", Key: key, Payload: []byte(fmt.Sprintf("v%d", i))})
 		if err != nil {
-			t.Fatalf("CallKey: %v", err)
+			t.Fatalf("keyed Do: %v", err)
 		}
 		if _, err := drv.WaitReply(id); err != nil {
 			t.Fatalf("WaitReply: %v", err)

@@ -40,7 +40,7 @@ func TestSustainedLoadKeepsStateBounded(t *testing.T) {
 		drv := drv
 		go func() {
 			for k := 0; k < calls; k++ {
-				id, err := drv.Call("t", []byte{byte(k)}, 0)
+				id, err := issue(drv, Request{Target: "t", Payload: []byte{byte(k)}})
 				if err != nil {
 					done <- err
 					return

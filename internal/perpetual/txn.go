@@ -2,8 +2,8 @@ package perpetual
 
 // Cross-shard atomic transactions. PR 1 sharded services into
 // independent CLBFT voter groups, which made multi-key operations
-// non-atomic: CallAllShards issues one independent request per shard
-// with no way to make them succeed or fail together. This file adds a
+// non-atomic: an AllShards fan-out issues one independent request per
+// shard with no way to make them succeed or fail together. This file adds a
 // two-phase commit layer in which the *calling service's voter group*
 // is the replicated coordinator, following Zhao's "A Byzantine Fault
 // Tolerant Distributed Commit Protocol": each participant's vote is the
@@ -137,7 +137,7 @@ func DecodeTxnFrame(buf []byte) (*TxnFrame, bool) {
 }
 
 // DecodeTxnFrameFrom decodes a transaction frame and authenticates its
-// coordinator: CallTxn mints ids of the form "<caller>:txn:<n>", so a
+// coordinator: a Txn request mints ids of the form "<caller>:txn:<n>", so a
 // frame whose TxnID was not minted by the (transport-authenticated)
 // calling service is rejected. Without this check any service able to
 // reach a shard could forge the COMMIT/ABORT of someone else's
@@ -242,37 +242,19 @@ type TxnResult struct {
 	Votes []TxnVote
 }
 
-// CallTxn runs a cross-shard atomic transaction against a (sharded)
-// target: payload i is delivered as a PREPARE to the shard key i routes
-// to, the per-shard votes are collected as BFT-agreed replies, the
-// commit/abort decision (commit iff every vote is commit) is agreed in
-// this service's own CLBFT log as an OpTxnDecision, and the agreed
-// outcome is fanned out as COMMIT/ABORT to every participant shard.
-// CallTxn returns after all participants have acknowledged the outcome,
-// so prepared state is settled on return.
-//
-// Like Call, CallTxn must be invoked from the application's
-// deterministic executor thread: every replica of this service issues
-// the same transaction and arrives at the same agreed decision,
-// tolerating f faulty coordinator replicas. A non-zero timeout bounds
-// each phase per request (an unresponsive shard then yields an abort
-// vote deterministically); a zero timeout waits forever, so use a
-// timeout whenever a participant shard may be compromised. CallTxn is a
-// thin wrapper over Do (Txn + TxnKeys/TxnPayloads); its bare timeout
-// parameter is deprecated in favor of Do's context deadline.
-func (d *Driver) CallTxn(target string, keys [][]byte, payloads [][]byte, timeout time.Duration) (*TxnResult, error) {
-	res, err := d.Do(context.Background(), Request{Target: target, Txn: true, TxnKeys: keys, TxnPayloads: payloads, Timeout: timeout})
-	return res.Txn, err
-}
-
-// runTxn is the transaction protocol behind Do/CallTxn. ctx is honored
-// during vote collection (a cancel aborts the outstanding PREPAREs and
-// releases the participants); once the decision is proposed the
-// protocol runs to completion regardless of ctx, because the decision
-// is group-agreed state every participant must learn.
+// runTxn is the transaction protocol behind a Txn request: payload i is
+// a PREPARE to the shard key i routes to, the per-shard votes are
+// BFT-agreed replies, the decision (commit iff every vote is commit) is
+// agreed in this service's own log as an OpTxnDecision, and the outcome
+// goes out as COMMIT/ABORT to every participant, whose acknowledgements
+// runTxn awaits. Every replica runs it on its deterministic executor and
+// reaches the same decision. A non-zero timeout bounds each phase per
+// request (an unresponsive shard then votes abort); zero waits forever.
+// ctx is honored during vote collection only: once proposed, the
+// decision is group-agreed state every participant must learn.
 func (d *Driver) runTxn(ctx context.Context, target string, keys [][]byte, payloads [][]byte, timeout time.Duration) (*TxnResult, error) {
 	if len(keys) == 0 || len(keys) != len(payloads) {
-		return nil, fmt.Errorf("perpetual: CallTxn needs matching non-empty keys and payloads (%d keys, %d payloads)", len(keys), len(payloads))
+		return nil, fmt.Errorf("perpetual: a transaction needs matching non-empty keys and payloads (%d keys, %d payloads)", len(keys), len(payloads))
 	}
 	tinfo, err := d.registry.Lookup(target)
 	if err != nil {
@@ -312,12 +294,13 @@ func (d *Driver) runTxn(ctx context.Context, target string, keys [][]byte, paylo
 	// Phase 1: one PREPARE per key, routed to the key's shard.
 	votes := make([]TxnVote, len(keys))
 	prepIDs := make([]string, len(keys))
+	sinks := make([]chan outcome, len(keys))
 	for i := range keys {
 		frame := EncodeTxnFrame(&TxnFrame{
 			Phase: TxnPrepare, TxnID: txnID, Participants: participants,
 			Prepares: len(keys), Payload: payloads[i],
 		})
-		id, err := d.call(keyShards[i], frame, timeout, true, transport.ClassTxn)
+		id, sink, err := d.issueLeg(keyShards[i], frame, timeout, transport.ClassTxn)
 		if err != nil {
 			// Settle the prepares already issued: deterministic aborts
 			// on the coordinator side, plus TxnAbort frames so the
@@ -325,30 +308,30 @@ func (d *Driver) runTxn(ctx context.Context, target string, keys [][]byte, paylo
 			// reservations (every replica fails identically, keeping
 			// the fan-out deterministic).
 			for _, issued := range prepIDs[:i] {
-				d.voter.requestAbort(issued)
+				d.cancelRequest(issued)
 			}
 			d.releaseParticipants(txnID, participants, len(keys), coveredShards(keyShards[:i]), timeout)
 			return nil, fmt.Errorf("perpetual: txn %s prepare to %s: %w", txnID, keyShards[i].Name, err)
 		}
-		prepIDs[i] = id
+		prepIDs[i], sinks[i] = id, sink
 		votes[i] = TxnVote{Shard: keyShards[i].Name, ReqID: id}
 	}
 
-	// Collect the agreed votes. Replies to transaction requests bypass
-	// the application event queue (deliverReply routes them to the txn
-	// wait table), so CallTxn composes with executors that consume
-	// NextEvent concurrently — including the core event pump.
+	// Collect the agreed votes. Each leg's outcome goes to its own sink,
+	// never to the application event queue, so a transaction composes
+	// with executors that consume NextEvent concurrently — including the
+	// core event pump.
 	commit := true
 	certs := make([]ReplyBundle, 0, len(keys))
 	for i := range prepIDs {
-		tr, err := d.waitTxnReplyCtx(ctx, prepIDs[i])
+		tr, err := d.await(ctx, prepIDs[i], sinks[i])
 		if err != nil {
 			if ctx.Err() != nil {
 				// Canceled mid-collection: settle every PREPARE with a
 				// deterministic abort and release the participants'
 				// reservations, exactly like a failed prepare fan-out.
 				for _, issued := range prepIDs {
-					d.voter.requestAbort(issued)
+					d.cancelRequest(issued)
 				}
 				d.releaseParticipants(txnID, participants, len(keys), shards, timeout)
 			}
@@ -365,14 +348,14 @@ func (d *Driver) runTxn(ctx context.Context, target string, keys [][]byte, paylo
 		switch {
 		case !votes[i].Commit:
 			commit = false
-		case tr.bundle == nil:
+		case tr.cert == nil:
 			// No retained certificate (cannot happen for an agreed,
 			// non-aborted reply); a commit we cannot certify must not be
 			// proposed.
 			votes[i].Commit = false
 			commit = false
 		default:
-			certs = append(certs, *tr.bundle)
+			certs = append(certs, *tr.cert)
 		}
 	}
 
@@ -401,23 +384,24 @@ func (d *Driver) runTxn(ctx context.Context, target string, keys [][]byte, paylo
 	res := &TxnResult{TxnID: txnID, Committed: decided, Votes: votes}
 	var fanErr error
 	ackIDs := make([]string, 0, len(shards))
+	ackSinks := make([]chan outcome, 0, len(shards))
 	for _, sh := range shards {
 		frame := EncodeTxnFrame(&TxnFrame{Phase: phase, TxnID: txnID, Participants: participants, Prepares: len(keys)})
-		id, err := d.call(sh, frame, timeout, true, transport.ClassTxn)
+		id, sink, err := d.issueLeg(sh, frame, timeout, transport.ClassTxn)
 		if err != nil {
 			if fanErr == nil {
 				fanErr = fmt.Errorf("perpetual: txn %s %s to %s: %w", txnID, phase, sh.Name, err)
 			}
 			continue
 		}
-		ackIDs = append(ackIDs, id)
+		ackIDs, ackSinks = append(ackIDs, id), append(ackSinks, sink)
 	}
-	for _, id := range ackIDs {
+	for i, id := range ackIDs {
 		// Ack content is irrelevant; a deterministic abort of the ack
 		// (dead shard) is tolerated — the decision is already agreed and
 		// retransmission will re-deliver the outcome when the shard
 		// recovers within the retransmission window.
-		if _, err := d.waitTxnReply(id); err != nil {
+		if _, err := d.await(context.Background(), id, ackSinks[i]); err != nil {
 			return res, err
 		}
 	}
@@ -441,61 +425,14 @@ func coveredShards(keyShards []ServiceInfo) []ServiceInfo {
 // releaseParticipants fires TxnAbort frames at shards that received a
 // PREPARE of a transaction that will never reach a decision (prepare
 // fan-out failed), so their reservations are released. The acks are not
-// awaited: the caller is already on an error path, and the abort
-// replies settle in the bounded txn wait table.
+// awaited: the caller is already on an error path, and each abort reply
+// settles into its leg's own sink, which nothing reads.
 func (d *Driver) releaseParticipants(txnID string, participants []string, prepares int, shards []ServiceInfo, timeout time.Duration) {
 	for _, sh := range shards {
 		frame := EncodeTxnFrame(&TxnFrame{Phase: TxnAbort, TxnID: txnID, Participants: participants, Prepares: prepares})
-		if _, err := d.call(sh, frame, timeout, true, transport.ClassTxn); err != nil {
+		if _, _, err := d.issueLeg(sh, frame, timeout, transport.ClassTxn); err != nil {
 			d.logf("txn %s release to %s: %v", txnID, sh.Name, err)
 		}
-	}
-}
-
-// waitTxnReply blocks until the agreed reply for a transaction request
-// arrives and consumes it.
-func (d *Driver) waitTxnReply(reqID string) (txnReply, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return txnReply{}, ErrClosed
-		}
-		if tr, ok := d.txnReplies.Get(reqID); ok {
-			d.txnReplies.Delete(reqID)
-			return tr, nil
-		}
-		d.cond.Wait()
-	}
-}
-
-// waitTxnReplyCtx is waitTxnReply honoring ctx: on cancellation it
-// returns ctx.Err() without consuming anything (the caller settles the
-// transaction's outstanding legs).
-func (d *Driver) waitTxnReplyCtx(ctx context.Context, reqID string) (txnReply, error) {
-	if ctx.Done() == nil {
-		return d.waitTxnReply(reqID)
-	}
-	stop := context.AfterFunc(ctx, func() {
-		d.mu.Lock()
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
-	defer stop()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return txnReply{}, ErrClosed
-		}
-		if tr, ok := d.txnReplies.Get(reqID); ok {
-			d.txnReplies.Delete(reqID)
-			return tr, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return txnReply{}, err
-		}
-		d.cond.Wait()
 	}
 }
 

@@ -232,9 +232,9 @@ func TestCrossShardTxnCommits(t *testing.T) {
 	keys := keysOnDistinctShards(t, shards)
 	payloads := [][]byte{[]byte("credit:a"), []byte("debit:b")}
 
-	res, err := drv.CallTxn("t", keys, payloads, 0)
+	res, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: payloads})
 	if err != nil {
-		t.Fatalf("CallTxn: %v", err)
+		t.Fatalf("Txn Do: %v", err)
 	}
 	if !res.Committed {
 		t.Fatalf("transaction aborted: %+v", res)
@@ -263,9 +263,9 @@ func TestCrossShardTxnAbortsOnVoteAbort(t *testing.T) {
 	drv := dep.Driver("c", 0)
 	keys := keysOnDistinctShards(t, shards)
 
-	res, err := drv.CallTxn("t", keys, [][]byte{[]byte("ok:a"), []byte("fail:b")}, 0)
+	res, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: [][]byte{[]byte("ok:a"), []byte("fail:b")}})
 	if err != nil {
-		t.Fatalf("CallTxn: %v", err)
+		t.Fatalf("Txn Do: %v", err)
 	}
 	if res.Committed {
 		t.Fatalf("transaction committed despite abort vote: %+v", res)
@@ -342,9 +342,9 @@ func TestCrossShardTxnAbortsOnTimeout(t *testing.T) {
 
 	drv := dep.Driver("c", 0)
 	keys := keysOnDistinctShards(t, shards)
-	res, err := drv.CallTxn("t", keys, [][]byte{[]byte("a"), []byte("b")}, 600*time.Millisecond)
+	res, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: [][]byte{[]byte("a"), []byte("b")}, Timeout: 600 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("CallTxn: %v", err)
+		t.Fatalf("Txn Do: %v", err)
 	}
 	if res.Committed {
 		t.Fatalf("transaction committed despite a timed-out participant: %+v", res)
@@ -362,9 +362,9 @@ func TestCrossShardTxnOnUnshardedTarget(t *testing.T) {
 	// service still runs the full prepare/decide/commit cycle.
 	dep, rec := buildTxn(t, 1, 1, 1, nil)
 	drv := dep.Driver("c", 0)
-	res, err := drv.CallTxn("t", [][]byte{[]byte("k")}, [][]byte{[]byte("solo")}, 0)
+	res, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: [][]byte{[]byte("k")}, TxnPayloads: [][]byte{[]byte("solo")}})
 	if err != nil || !res.Committed {
-		t.Fatalf("CallTxn = %+v, %v", res, err)
+		t.Fatalf("Txn Do = %+v, %v", res, err)
 	}
 	if got := rec.committed("t/0"); len(got) != 1 || string(got[0]) != "solo" {
 		t.Errorf("applied %q", got)
@@ -378,21 +378,21 @@ func TestCrossShardTxnSequentialIDsAndIsolation(t *testing.T) {
 	dep, _ := buildTxn(t, 1, 1, shards, nil)
 	drv := dep.Driver("c", 0)
 	keys := keysOnDistinctShards(t, shards)
-	r1, err := drv.CallTxn("t", keys, [][]byte{[]byte("p1"), []byte("p2")}, 0)
+	r1, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: [][]byte{[]byte("p1"), []byte("p2")}})
 	if err != nil {
-		t.Fatalf("CallTxn 1: %v", err)
+		t.Fatalf("Txn Do 1: %v", err)
 	}
-	id, err := drv.CallKey("t", keys[0], []byte("plain"), 0)
+	id, err := issue(drv, Request{Target: "t", Key: keys[0], Payload: []byte("plain")})
 	if err != nil {
-		t.Fatalf("CallKey: %v", err)
+		t.Fatalf("keyed Do: %v", err)
 	}
 	r, err := drv.WaitReply(id)
 	if err != nil || r.Aborted || string(r.Payload) != "echo:plain" {
 		t.Fatalf("ordinary call after txn: %+v, %v", r, err)
 	}
-	r2, err := drv.CallTxn("t", keys, [][]byte{[]byte("p3"), []byte("p4")}, 0)
+	r2, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: [][]byte{[]byte("p3"), []byte("p4")}})
 	if err != nil {
-		t.Fatalf("CallTxn 2: %v", err)
+		t.Fatalf("Txn Do 2: %v", err)
 	}
 	if r1.TxnID == r2.TxnID || !strings.HasPrefix(r2.TxnID, "c:txn:") {
 		t.Errorf("txn ids %q, %q", r1.TxnID, r2.TxnID)
@@ -402,14 +402,14 @@ func TestCrossShardTxnSequentialIDsAndIsolation(t *testing.T) {
 func TestCrossShardTxnValidatesArgs(t *testing.T) {
 	dep, _ := buildTxn(t, 1, 1, 2, nil)
 	drv := dep.Driver("c", 0)
-	if _, err := drv.CallTxn("t", nil, nil, 0); err == nil {
-		t.Error("CallTxn with no keys succeeded")
+	if _, err := doTxn(drv, Request{Target: "t", Txn: true}); err == nil {
+		t.Error("Txn Do with no keys succeeded")
 	}
-	if _, err := drv.CallTxn("t", [][]byte{[]byte("k")}, [][]byte{[]byte("a"), []byte("b")}, 0); err == nil {
-		t.Error("CallTxn with mismatched lengths succeeded")
+	if _, err := doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: [][]byte{[]byte("k")}, TxnPayloads: [][]byte{[]byte("a"), []byte("b")}}); err == nil {
+		t.Error("Txn Do with mismatched lengths succeeded")
 	}
-	if _, err := drv.CallTxn("nowhere", [][]byte{[]byte("k")}, [][]byte{[]byte("a")}, 0); err == nil {
-		t.Error("CallTxn to unknown service succeeded")
+	if _, err := doTxn(drv, Request{Target: "nowhere", Txn: true, TxnKeys: [][]byte{[]byte("k")}, TxnPayloads: [][]byte{[]byte("a")}}); err == nil {
+		t.Error("Txn Do to unknown service succeeded")
 	}
 }
 
@@ -438,7 +438,7 @@ func TestCrossShardTxnToleratesFaultyVoterPerGroup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = drv.CallTxn("t", keys, payloads, 15*time.Second)
+			results[i], errs[i] = doTxn(drv, Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: payloads, Timeout: 15 * time.Second})
 		}()
 	}
 	done := make(chan struct{})
@@ -446,7 +446,7 @@ func TestCrossShardTxnToleratesFaultyVoterPerGroup(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("timed out waiting for replicated CallTxn")
+		t.Fatal("timed out waiting for replicated Txn Do")
 	}
 	for i := range results {
 		if errs[i] != nil {
@@ -494,9 +494,9 @@ func TestForgedOutcomeFromNonCoordinatorIgnored(t *testing.T) {
 	// The forged frame names c's first transaction id before c runs it.
 	evil := dep.Driver("evil", 0)
 	forged := EncodeTxnFrame(&TxnFrame{Phase: TxnAbort, TxnID: "c:txn:1", Participants: []string{"t#0", "t#1"}})
-	id, err := evil.CallKey("t", keys[0], forged, 0)
+	id, err := issue(evil, Request{Target: "t", Key: keys[0], Payload: forged})
 	if err != nil {
-		t.Fatalf("evil CallKey: %v", err)
+		t.Fatalf("evil keyed Do: %v", err)
 	}
 	r, err := evil.WaitReply(id)
 	if err != nil {
@@ -515,7 +515,7 @@ func TestForgedOutcomeFromNonCoordinatorIgnored(t *testing.T) {
 	}
 
 	// c's genuine transaction is unaffected.
-	res, err := dep.Driver("c", 0).CallTxn("t", keys, [][]byte{[]byte("a"), []byte("b")}, 0)
+	res, err := doTxn(dep.Driver("c", 0), Request{Target: "t", Txn: true, TxnKeys: keys, TxnPayloads: [][]byte{[]byte("a"), []byte("b")}})
 	if err != nil || !res.Committed {
 		t.Fatalf("genuine txn after forgery = %+v, %v", res, err)
 	}
@@ -665,7 +665,7 @@ func TestTxnDecisionFloodDoesNotWedgeRegisteredTxn(t *testing.T) {
 	// Regression: decisions used to land in a bounded FIFO cache, so a
 	// faulty replica pushing agreed abort decisions for fresh txn ids
 	// could evict a real pending decision before the executor consumed
-	// it, wedging CallTxn forever. Registered decision slots are now
+	// it, wedging the transaction forever. Registered decision slots are now
 	// immune to eviction, and a decision agreed before this replica
 	// reaches the transaction is buffered and picked up at registration.
 	d := newDriver(ServiceInfo{Name: "c", N: 1}, 0, nil, nil, nil, nil, nil)

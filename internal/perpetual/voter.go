@@ -1326,9 +1326,9 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare) {
 // handleResultForward implements stage 7-8 on the calling side: a
 // co-located driver group member forwards a verified bundle; the voter
 // re-verifies it and proposes agreement. Reply fast-path calls never get
-// here: their drivers settle them from the verified bundle directly
-// (Driver.handleBundle), and drop any outcome agreement delivers for
-// them (Driver.deliverReply).
+// here: their drivers settle them from the verified bundle directly,
+// and drop any outcome agreement delivers for them (step's evBundle and
+// evAgreed rows).
 func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 	if b == nil || from.Service != v.svc.Name {
 		return // forwards come from this service's drivers (or voters relaying)
