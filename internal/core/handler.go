@@ -38,6 +38,9 @@ var (
 type handler struct {
 	node   *Node
 	driver *perpetual.Driver
+	// replyTo is the ReplyTo every outbound request carries. Shared by
+	// all of them, so it is never modified.
+	replyTo *soap.EndpointReference
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -87,9 +90,10 @@ var (
 
 func newHandler(node *Node, driver *perpetual.Driver) *handler {
 	h := &handler{
-		node:   node,
-		driver: driver,
-		inReq:  make(map[string]perpetual.IncomingRequest),
+		node:    node,
+		driver:  driver,
+		replyTo: &soap.EndpointReference{Address: soap.ServiceURI(driver.ServiceName())},
+		inReq:   make(map[string]perpetual.IncomingRequest),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	return h
@@ -119,7 +123,7 @@ func (h *handler) send(request *wsengine.MessageContext, blocking bool) error {
 	// none is sent.
 	hdr.MessageID = ""
 	if hdr.ReplyTo == nil {
-		hdr.ReplyTo = &soap.EndpointReference{Address: soap.ServiceURI(h.driver.ServiceName())}
+		hdr.ReplyTo = h.replyTo
 	}
 	// Through the OUT-PIPE to the PerpetualSender, which issues the request
 	// and reports the driver's request id back via the property bag.

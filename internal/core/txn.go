@@ -97,7 +97,7 @@ func (h *handler) SendTxn(service string, keys []string, bodies [][]byte, timeou
 		env := soap.Envelope{
 			Header: soap.Header{
 				To:      soap.ServiceURI(service),
-				ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(h.driver.ServiceName())},
+				ReplyTo: h.replyTo,
 			},
 			Body: bodies[i],
 		}

@@ -73,66 +73,56 @@ func (e *Envelope) Marshal() ([]byte, error) {
 	if e.Header.ReplyTo != nil {
 		n += len(e.Header.ReplyTo.Address)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n))
-	buf.WriteString(xml.Header)
-	buf.WriteString(`<soap:Envelope xmlns:soap="` + NSEnvelope + `" xmlns:wsa="` + NSAddressing + `">`)
-	buf.WriteString("<soap:Header>")
-	writeTextElem(buf, "wsa:To", e.Header.To)
-	writeTextElem(buf, "wsa:Action", e.Header.Action)
-	writeTextElem(buf, "wsa:MessageID", e.Header.MessageID)
-	writeTextElem(buf, "wsa:RelatesTo", e.Header.RelatesTo)
+	buf := make([]byte, 0, n)
+	buf = append(buf, canonPrefix...)
+	buf = appendTextElem(buf, "wsa:To", e.Header.To)
+	buf = appendTextElem(buf, "wsa:Action", e.Header.Action)
+	buf = appendTextElem(buf, "wsa:MessageID", e.Header.MessageID)
+	buf = appendTextElem(buf, "wsa:RelatesTo", e.Header.RelatesTo)
 	if e.Header.ReplyTo != nil {
-		buf.WriteString("<wsa:ReplyTo>")
 		// Unlike the omitempty text headers, a present ReplyTo always
 		// renders its Address element, as the reflective encoder did.
-		buf.WriteString("<wsa:Address>")
-		writeEscaped(buf, e.Header.ReplyTo.Address)
-		buf.WriteString("</wsa:Address>")
-		buf.WriteString("</wsa:ReplyTo>")
+		buf = append(buf, "<wsa:ReplyTo><wsa:Address>"...)
+		buf = appendEscaped(buf, e.Header.ReplyTo.Address)
+		buf = append(buf, "</wsa:Address></wsa:ReplyTo>"...)
 	}
-	buf.WriteString("</soap:Header>")
-	buf.WriteString("<soap:Body>")
-	buf.Write(e.Body) // opaque inner XML, passed through unescaped
-	buf.WriteString("</soap:Body></soap:Envelope>")
-	return buf.Bytes(), nil
+	buf = append(buf, canonHdrEnd...)
+	buf = append(buf, e.Body...) // opaque inner XML, passed through unescaped
+	buf = append(buf, canonBodyEnd...)
+	return append(buf, canonTail...), nil
 }
 
-// writeTextElem writes <name>escaped text</name>, omitting empty values
-// (the omitempty behavior of the old marshalling shape).
-func writeTextElem(buf *bytes.Buffer, name, text string) {
+// appendTextElem appends <name>escaped text</name>, omitting empty
+// values (the omitempty behavior of the old marshalling shape).
+func appendTextElem(buf []byte, name, text string) []byte {
 	if text == "" {
-		return
+		return buf
 	}
-	buf.WriteByte('<')
-	buf.WriteString(name)
-	buf.WriteByte('>')
-	writeEscaped(buf, text)
-	buf.WriteString("</")
-	buf.WriteString(name)
-	buf.WriteByte('>')
+	buf = append(buf, '<')
+	buf = append(buf, name...)
+	buf = append(buf, '>')
+	buf = appendEscaped(buf, text)
+	buf = append(buf, '<', '/')
+	buf = append(buf, name...)
+	return append(buf, '>')
 }
 
-// writeEscaped writes s as XML character data. The fast path covers
+// appendEscaped appends s as XML character data. The fast path covers
 // text with nothing to escape (service URIs, message ids); anything
 // else goes through xml.EscapeText for full fidelity.
-func writeEscaped(buf *bytes.Buffer, s string) {
-	plain := true
+func appendEscaped(buf []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
 		// Anything outside plain printable ASCII falls back to
 		// EscapeText: markup characters, control bytes (XML-invalid;
-		// EscapeText substitutes �), and non-ASCII (surrogate /
+		// EscapeText substitutes U+FFFD), and non-ASCII (surrogate /
 		// validity edge cases).
-		if c < 0x20 || c >= 0x80 || c == '<' || c == '>' || c == '&' || c == '\'' || c == '"' {
-			plain = false
-			break
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '<' || c == '>' || c == '&' || c == '\'' || c == '"' {
+			var esc bytes.Buffer
+			_ = xml.EscapeText(&esc, []byte(s))
+			return append(buf, esc.Bytes()...)
 		}
 	}
-	if plain {
-		buf.WriteString(s)
-		return
-	}
-	_ = xml.EscapeText(buf, []byte(s))
+	return append(buf, s...)
 }
 
 // parsedEnvelope is the unmarshalling shape; namespace-qualified so any
@@ -173,71 +163,78 @@ var (
 // body is not well-formed XML parses here where the reflective decoder
 // would reject it; all replicas run the same parser, so determinism is
 // unaffected.
+//
+// Ownership: the header strings are substrings of one private copy of
+// the header block and the body is a private copy, so the result never
+// aliases data.
 func parseCanonical(data []byte) (*Envelope, bool) {
 	rest, ok := bytes.CutPrefix(data, canonPrefix)
 	if !ok {
 		return nil, false
 	}
+	// Header values cannot contain '<' (canonText), so the header block
+	// ends at the first close sequence.
+	end := bytes.Index(rest, canonHdrEnd)
+	if end < 0 {
+		return nil, false
+	}
+	body := rest[end+len(canonHdrEnd):]
+	// The body is raw inner XML running to the envelope's closing tags.
+	// Requiring the first body close tag — with or without the space an
+	// XML end tag may carry before its '>' — to be exactly the envelope's
+	// closing sequence keeps this unambiguous: a body that closes the
+	// Body element itself fails the check and falls back.
+	i := bytes.Index(body, canonBodyEnd[:len(canonBodyEnd)-1])
+	if i < 0 || !bytes.HasPrefix(body[i:], canonBodyEnd) || !bytes.Equal(body[i+len(canonBodyEnd):], canonTail) {
+		return nil, false
+	}
 	e := &Envelope{}
-	for {
-		if r, done := bytes.CutPrefix(rest, canonHdrEnd); done {
-			rest = r
-			break
-		}
-		var target *string
+	for hdr := string(rest[:end]); hdr != ""; {
+		var open, close string
+		var out *string
 		switch {
-		case bytes.HasPrefix(rest, []byte("<wsa:To>")):
-			target = &e.Header.To
-			rest, ok = canonText(rest[len("<wsa:To>"):], "</wsa:To>", target)
-		case bytes.HasPrefix(rest, []byte("<wsa:Action>")):
-			target = &e.Header.Action
-			rest, ok = canonText(rest[len("<wsa:Action>"):], "</wsa:Action>", target)
-		case bytes.HasPrefix(rest, []byte("<wsa:MessageID>")):
-			target = &e.Header.MessageID
-			rest, ok = canonText(rest[len("<wsa:MessageID>"):], "</wsa:MessageID>", target)
-		case bytes.HasPrefix(rest, []byte("<wsa:RelatesTo>")):
-			target = &e.Header.RelatesTo
-			rest, ok = canonText(rest[len("<wsa:RelatesTo>"):], "</wsa:RelatesTo>", target)
-		case bytes.HasPrefix(rest, []byte("<wsa:ReplyTo><wsa:Address>")):
-			e.Header.ReplyTo = &EndpointReference{}
-			rest, ok = canonText(rest[len("<wsa:ReplyTo><wsa:Address>"):], "</wsa:Address></wsa:ReplyTo>", &e.Header.ReplyTo.Address)
+		case strings.HasPrefix(hdr, "<wsa:To>"):
+			open, close, out = "<wsa:To>", "</wsa:To>", &e.Header.To
+		case strings.HasPrefix(hdr, "<wsa:Action>"):
+			open, close, out = "<wsa:Action>", "</wsa:Action>", &e.Header.Action
+		case strings.HasPrefix(hdr, "<wsa:MessageID>"):
+			open, close, out = "<wsa:MessageID>", "</wsa:MessageID>", &e.Header.MessageID
+		case strings.HasPrefix(hdr, "<wsa:RelatesTo>"):
+			open, close, out = "<wsa:RelatesTo>", "</wsa:RelatesTo>", &e.Header.RelatesTo
+		case strings.HasPrefix(hdr, "<wsa:ReplyTo><wsa:Address>"):
+			if e.Header.ReplyTo == nil {
+				e.Header.ReplyTo = &EndpointReference{}
+			}
+			open, close, out = "<wsa:ReplyTo><wsa:Address>", "</wsa:Address></wsa:ReplyTo>", &e.Header.ReplyTo.Address
 		default:
 			return nil, false
 		}
-		if !ok {
+		if hdr, ok = canonText(hdr[len(open):], close, out); !ok {
 			return nil, false
 		}
-	}
-	// The body is raw inner XML running to the envelope's closing tags.
-	// Requiring the first body close tag to be immediately followed by
-	// exactly the envelope close keeps this unambiguous: a body that
-	// itself contains the close sequence fails the check and falls back.
-	i := bytes.Index(rest, canonBodyEnd)
-	if i < 0 || !bytes.Equal(rest[i+len(canonBodyEnd):], canonTail) {
-		return nil, false
 	}
 	// Copy the body: the general parser materializes it off the token
 	// stream, so Parse's result must never alias the (possibly pooled)
 	// input buffer.
-	e.Body = append([]byte(nil), bytes.TrimSpace(rest[:i])...)
+	e.Body = append([]byte(nil), bytes.TrimSpace(body[:i])...)
 	return e, true
 }
 
-// canonText extracts an unescaped text value up to the literal closing
-// tag. Values containing markup or entities (anything Marshal would
-// have escaped) force the fallback parser.
-func canonText(rest []byte, close string, out *string) ([]byte, bool) {
-	i := bytes.Index(rest, []byte(close))
-	if i < 0 {
-		return nil, false
+// canonText sets *out to the text value up to the literal closing tag,
+// as a substring of rest. Only ASCII text Marshal writes unescaped stays
+// on the fast path: no control bytes, markup or entities.
+func canonText(rest, close string, out *string) (string, bool) {
+	i := strings.IndexByte(rest, '<')
+	if i < 0 || !strings.HasPrefix(rest[i:], close) {
+		return "", false
 	}
 	v := rest[:i]
-	for _, c := range v {
-		if c == '&' || c == '<' {
-			return nil, false
+	for j := 0; j < len(v); j++ {
+		if c := v[j]; c < 0x20 || c >= 0x80 || c == '&' || c == '>' {
+			return "", false
 		}
 	}
-	*out = string(bytes.TrimSpace(v))
+	*out = strings.TrimSpace(v)
 	return rest[i+len(close):], true
 }
 
@@ -247,6 +244,11 @@ func Parse(data []byte) (*Envelope, error) {
 	if e, ok := parseCanonical(data); ok {
 		return e, nil
 	}
+	return parseGeneral(data)
+}
+
+// parseGeneral is Parse's encoding/xml branch, for any envelope shape.
+func parseGeneral(data []byte) (*Envelope, error) {
 	var pe parsedEnvelope
 	if err := xml.Unmarshal(data, &pe); err != nil {
 		return nil, fmt.Errorf("soap: parse: %w", err)

@@ -239,6 +239,36 @@ func TestParseCanonicalMatchesGeneral(t *testing.T) {
 	}
 }
 
+// TestEnvelopeAllocBudget pins the allocation counts of the envelope
+// codec on the delivery path: Marshal renders into one buffer, and a
+// canonical Parse makes the Envelope, one copy of the header block, the
+// ReplyTo and the body copy.
+func TestEnvelopeAllocBudget(t *testing.T) {
+	env := Envelope{Header: Header{To: ServiceURI("bank"), Action: "urn:tpcw:issuer-check", MessageID: "pge:123456",
+		RelatesTo: "store:7", ReplyTo: &EndpointReference{Address: ServiceURI("pge")}},
+		Body: []byte("<authorize><card>4111-0001-0007</card><amount>12345</amount></authorize>")}
+	data, err := env.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Envelope.Marshal", 1, func() { _, _ = env.Marshal() }},
+		{"Parse of a canonical envelope with ReplyTo", 4, func() {
+			if _, err := Parse(data); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got > c.max {
+			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)
+		}
+	}
+}
+
 // TestParseDoesNotAliasInput: the parsed body must survive the caller
 // scribbling over the input buffer (inbound transport frames are
 // pooled and reused).

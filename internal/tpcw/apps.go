@@ -1,10 +1,14 @@
 package tpcw
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/xml"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"perpetualws/internal/core"
@@ -32,14 +36,33 @@ type authorizeReply struct {
 	Txn      string   `xml:"txn,attr"`
 }
 
+// Canonical authorize request markup, as encoding/xml renders
+// authorizeRequest (hand-rolled; see xmlwire.go).
+const (
+	authorizeOpen  = "<authorize><card>"
+	authorizeMid   = "</card><amount>"
+	authorizeClose = "</amount></authorize>"
+)
+
 // EncodeAuthorize builds an authorize request body.
 func EncodeAuthorize(card string, amountCts int64) []byte {
-	b, _ := xml.Marshal(authorizeRequest{Card: card, Amount: amountCts})
-	return b
+	if !printableASCII(card) {
+		b, _ := xml.Marshal(authorizeRequest{Card: card, Amount: amountCts})
+		return b
+	}
+	buf := make([]byte, 0, len(authorizeOpen)+len(card)+len(authorizeMid)+20+len(authorizeClose))
+	buf = append(buf, authorizeOpen...)
+	buf = appendEscaped(buf, card)
+	buf = append(buf, authorizeMid...)
+	buf = strconv.AppendInt(buf, amountCts, 10)
+	return append(buf, authorizeClose...)
 }
 
 // DecodeAuthorize parses an authorize request body.
 func DecodeAuthorize(body []byte) (card string, amountCts int64, err error) {
+	if c, amount, ok := scanAuthorize(body); ok {
+		return string(c), amount, nil
+	}
 	var r authorizeRequest
 	if err := xml.Unmarshal(body, &r); err != nil {
 		return "", 0, fmt.Errorf("tpcw: parsing authorize request: %w", err)
@@ -47,14 +70,64 @@ func DecodeAuthorize(body []byte) (card string, amountCts int64, err error) {
 	return r.Card, r.Amount, nil
 }
 
+// scanAuthorize reads the canonical request shape: a plain card and an
+// unsigned amount of at most 18 digits. Anything else reports !ok.
+func scanAuthorize(body []byte) (card []byte, amountCts int64, ok bool) {
+	rest, ok := bytes.CutPrefix(body, []byte(authorizeOpen))
+	i := bytes.IndexByte(rest, '<')
+	if !ok || i < 0 || !plainValue(rest[:i]) {
+		return nil, 0, false
+	}
+	card = rest[:i]
+	digits, ok := bytes.CutPrefix(rest[i:], []byte(authorizeMid))
+	digits, ok2 := bytes.CutSuffix(digits, []byte(authorizeClose))
+	if !ok || !ok2 || len(digits) == 0 || len(digits) > 18 {
+		return nil, 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return nil, 0, false
+		}
+		amountCts = amountCts*10 + int64(c-'0')
+	}
+	return card, amountCts, true
+}
+
 // EncodeAuthorization builds an authorization reply body.
 func EncodeAuthorization(approved bool, txn string) []byte {
-	b, _ := xml.Marshal(authorizeReply{Approved: approved, Txn: txn})
-	return b
+	if !printableASCII(txn) {
+		b, _ := xml.Marshal(authorizeReply{Approved: approved, Txn: txn})
+		return b
+	}
+	buf := make([]byte, 0, len(`<authorization approved="false" txn=""></authorization>`)+len(txn))
+	buf = append(buf, `<authorization approved="`...)
+	buf = strconv.AppendBool(buf, approved)
+	buf = append(buf, '"')
+	buf = appendStrAttr(buf, "txn", txn)
+	return append(buf, "></authorization>"...)
 }
 
 // DecodeAuthorization parses an authorization reply body.
 func DecodeAuthorization(body []byte) (approved bool, txn string, err error) {
+	seen := 0
+	sc := newAttrScanner(body, "authorization")
+	for {
+		name, val, done := sc.next()
+		if done {
+			break
+		}
+		switch {
+		case name == "approved" && seen&1 == 0 && (val == "true" || val == "false"):
+			approved, seen = val == "true", seen|1
+		case name == "txn" && seen&2 == 0 && !strings.Contains(val, "&"):
+			txn, seen = val, seen|2
+		default:
+			sc.ok = false
+		}
+	}
+	if sc.ok && seen == 3 {
+		return approved, txn, nil
+	}
 	var r authorizeReply
 	if err := xml.Unmarshal(body, &r); err != nil {
 		return false, "", fmt.Errorf("tpcw: parsing authorization reply: %w", err)
@@ -65,15 +138,8 @@ func DecodeAuthorization(body []byte) (approved bool, txn string, err error) {
 // BankDecision is the issuing bank's deterministic policy: approve
 // unless the (card, amount) hash falls in the decline bucket (~5%).
 func BankDecision(card string, amountCts int64) (bool, string) {
-	h := sha256.New()
-	h.Write([]byte(card))
-	var amt [8]byte
-	binary.BigEndian.PutUint64(amt[:], uint64(amountCts))
-	h.Write(amt[:])
-	sum := h.Sum(nil)
-	approved := sum[0]%20 != 0
-	txn := fmt.Sprintf("txn-%x", sum[:6])
-	return approved, txn
+	sum := sha256.Sum256(binary.BigEndian.AppendUint64([]byte(card), uint64(amountCts)))
+	return sum[0]%20 != 0, string(hex.AppendEncode([]byte("txn-"), sum[:6]))
 }
 
 // BankApp is the credit-card-issuing bank: a passive deterministic

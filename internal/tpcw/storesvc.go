@@ -57,28 +57,34 @@ func EncodeInteraction(customerID int, i Interaction, arg int) []byte {
 
 // DecodeInteraction parses an interaction request body.
 func DecodeInteraction(body []byte) (customerID int, i Interaction, arg int, err error) {
-	r := interactionRequest{Customer: -1 << 30, Kind: -1 << 30, Arg: -1 << 30}
+	var r interactionRequest
+	seen := 0
 	sc := newAttrScanner(body, "interaction")
-	for sc.ok {
+	for {
 		name, val, done := sc.next()
 		if done {
 			break
 		}
+		// strconv.Atoi accepts exactly the integers encoding/xml does
+		// (sign included) once the value has no surrounding space.
 		n, perr := strconv.Atoi(val)
-		if perr != nil {
+		var field *int
+		var bit int
+		switch name {
+		case "customer":
+			field, bit = &r.Customer, 1
+		case "kind":
+			field, bit = &r.Kind, 2
+		case "arg":
+			field, bit = &r.Arg, 4
+		}
+		if perr != nil || field == nil || seen&bit != 0 {
 			sc.ok = false
 			break
 		}
-		switch name {
-		case "customer":
-			r.Customer = n
-		case "kind":
-			r.Kind = n
-		case "arg":
-			r.Arg = n
-		}
+		*field, seen = n, seen|bit
 	}
-	if !sc.ok || r.Customer == -1<<30 || r.Kind == -1<<30 || r.Arg == -1<<30 {
+	if !sc.ok || seen != 7 {
 		// Non-canonical shape: take the general XML path.
 		r = interactionRequest{}
 		if err := xml.Unmarshal(body, &r); err != nil {
@@ -93,6 +99,10 @@ func DecodeInteraction(body []byte) (customerID int, i Interaction, arg int, err
 
 // EncodePage builds a page reply body (hand-rolled; see xmlwire.go).
 func EncodePage(p Page) []byte {
+	if !printableASCII(p.Detail) {
+		b, _ := xml.Marshal(pageReply{Interaction: int(p.Interaction), Size: p.Size, Detail: p.Detail})
+		return b
+	}
 	buf := make([]byte, 0, 64+len(p.Detail))
 	buf = append(buf, "<page"...)
 	buf = appendIntAttr(buf, "interaction", int(p.Interaction))
@@ -104,31 +114,32 @@ func EncodePage(p Page) []byte {
 // DecodePage parses a page reply body.
 func DecodePage(body []byte) (Page, error) {
 	var p Page
-	found := 0
+	seen := 0
 	sc := newAttrScanner(body, "page")
-	for sc.ok {
+	for {
 		name, val, done := sc.next()
 		if done {
 			break
 		}
+		var n, bit int
+		var perr error
 		switch name {
 		case "interaction":
-			n, perr := strconv.Atoi(val)
-			if perr != nil {
-				sc.ok = false
-			}
-			p.Interaction, found = Interaction(n), found+1
+			n, perr = strconv.Atoi(val)
+			p.Interaction, bit = Interaction(n), 1
 		case "size":
-			n, perr := strconv.Atoi(val)
-			if perr != nil {
-				sc.ok = false
-			}
-			p.Size, found = n, found+1
+			n, perr = strconv.Atoi(val)
+			p.Size, bit = n, 2
 		case "detail":
-			p.Detail, found = unescapeXML(val), found+1
+			p.Detail, bit = unescapeXML(val), 4
 		}
+		if perr != nil || bit == 0 || seen&bit != 0 {
+			sc.ok = false
+			break
+		}
+		seen |= bit
 	}
-	if sc.ok && found == 3 {
+	if sc.ok && seen == 7 {
 		return p, nil
 	}
 	var r pageReply

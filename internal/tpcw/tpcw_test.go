@@ -192,6 +192,22 @@ func TestBankDecisionDeterministic(t *testing.T) {
 	if a1 != a2 || t1 != t2 {
 		t.Error("BankDecision is not deterministic")
 	}
+	// Pinned outputs: every bank replica, old or new, must decide alike.
+	for _, c := range []struct {
+		card     string
+		amount   int64
+		approved bool
+		txn      string
+	}{
+		{"4111-1111", 995, true, "txn-517633eee4fb"},
+		{"4111-0001-0007", 12345, false, "txn-50494e28e822"},
+		{"", 0, true, "txn-af5570f5a181"},
+		{"card", -1, true, "txn-688b0f0f7fd7"},
+	} {
+		if approved, txn := BankDecision(c.card, c.amount); approved != c.approved || txn != c.txn {
+			t.Errorf("BankDecision(%q, %d) = %v, %q; want %v, %q", c.card, c.amount, approved, txn, c.approved, c.txn)
+		}
+	}
 	// Roughly 5% declines over many cards.
 	declines := 0
 	const n = 2000
@@ -223,6 +239,35 @@ func TestAuthorizePayloadRoundTrip(t *testing.T) {
 	}
 	if !approved || txn != "txn-9" {
 		t.Errorf("decoded %v %q", approved, txn)
+	}
+}
+
+// TestAuthorizeCodecAllocBudget pins the payment tier's codecs at one
+// allocation each on canonical input: the encoded buffer, or the one
+// decoded string.
+func TestAuthorizeCodecAllocBudget(t *testing.T) {
+	req := EncodeAuthorize("4111-0001-0007", 12345)
+	reply := EncodeAuthorization(true, "txn-0a1b2c3d4e5f")
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"EncodeAuthorize", func() { EncodeAuthorize("4111-0001-0007", 12345) }},
+		{"DecodeAuthorize", func() {
+			if _, _, err := DecodeAuthorize(req); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EncodeAuthorization", func() { EncodeAuthorization(true, "txn-0a1b2c3d4e5f") }},
+		{"DecodeAuthorization", func() {
+			if _, _, err := DecodeAuthorization(reply); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got > 1 {
+			t.Errorf("%s: %.0f allocs per run, budget 1", c.name, got)
+		}
 	}
 }
 

@@ -401,73 +401,48 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// BenchmarkTCPLinkPipeline is the interleaved transport-level A/B for
-// the rewrite: the pre-rewrite synchronous TCPConn (global write lock,
-// two syscalls per frame, preserved below as legacyTCPConn) against the
-// per-link asynchronous pipeline, pushing pipelined frames from one
-// sender to three receivers. Frames/sec is reported; run with -count=N
-// for an interleaved comparison on one machine.
+// BenchmarkTCPLinkPipeline measures the per-link asynchronous pipeline
+// pushing pipelined frames from one sender to three receivers over
+// loopback. Frames/sec is reported.
 func BenchmarkTCPLinkPipeline(b *testing.B) {
-	for _, impl := range []string{"legacy", "pipeline"} {
-		impl := impl
-		b.Run(impl, func(b *testing.B) {
-			ids := []auth.NodeID{auth.VoterID("ab", 0), auth.VoterID("ab", 1), auth.VoterID("ab", 2), auth.VoterID("ab", 3)}
-			book := NewAddressBook()
-			var total atomic.Int64
-			var sender interface {
-				Send(auth.NodeID, []byte) error
-				Close() error
-			}
-			for i, id := range ids {
-				handler := func([]byte) { total.Add(1) }
-				if impl == "legacy" {
-					c, err := listenLegacyTCP(id, "127.0.0.1:0", book)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer c.Close()
-					book.Set(id, c.Addr())
-					c.SetHandler(handler)
-					if i == 0 {
-						sender = c
-					}
-				} else {
-					c, err := ListenTCP(id, "127.0.0.1:0", book, WithQueueDepth(1<<16))
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer c.Close()
-					book.Set(id, c.Addr())
-					c.SetHandler(handler)
-					if i == 0 {
-						sender = c
-					}
-				}
-			}
-			frame := bytes.Repeat([]byte{0xAA}, 512)
-			b.SetBytes(int64(len(frame) * 3))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, to := range ids[1:] {
-					if err := sender.Send(to, frame); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// Drain: the pipeline may drop under overload (by contract), so
-			// wait for deliveries to settle rather than for an exact count.
-			last := int64(-1)
-			for total.Load() != last {
-				last = total.Load()
-				time.Sleep(20 * time.Millisecond)
-			}
-			b.StopTimer()
-			if total.Load() == 0 {
-				b.Fatal("no frames delivered")
-			}
-			b.ReportMetric(float64(total.Load())/b.Elapsed().Seconds(), "frames/s")
-		})
+	ids := []auth.NodeID{auth.VoterID("ab", 0), auth.VoterID("ab", 1), auth.VoterID("ab", 2), auth.VoterID("ab", 3)}
+	book := NewAddressBook()
+	var total atomic.Int64
+	var sender *TCPConn
+	for i, id := range ids {
+		c, err := ListenTCP(id, "127.0.0.1:0", book, WithQueueDepth(1<<16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		book.Set(id, c.Addr())
+		c.SetHandler(func([]byte) { total.Add(1) })
+		if i == 0 {
+			sender = c
+		}
 	}
+	frame := bytes.Repeat([]byte{0xAA}, 512)
+	b.SetBytes(int64(len(frame) * 3))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, to := range ids[1:] {
+			if err := sender.Send(to, frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Drain: the pipeline may drop under overload (by contract), so
+	// wait for deliveries to settle rather than for an exact count.
+	last := int64(-1)
+	for total.Load() != last {
+		last = total.Load()
+		time.Sleep(20 * time.Millisecond)
+	}
+	b.StopTimer()
+	if total.Load() == 0 {
+		b.Fatal("no frames delivered")
+	}
+	b.ReportMetric(float64(total.Load())/b.Elapsed().Seconds(), "frames/s")
 }
 
 // failing dial addresses must never stall the sender loop even when the

@@ -24,8 +24,24 @@ type MessageContext struct {
 	Envelope soap.Envelope
 	// Options carries invocation settings (timeout, target).
 	Options Options
-	// Properties is a free-form bag handlers may use to communicate.
-	Properties map[string]any
+
+	// The property bag handlers use to communicate (SetProperty,
+	// Property): the first propsInline entries live in the context
+	// itself, the rest in overflow.
+	props    [propsInline]property
+	nprops   int
+	overflow []property
+}
+
+// propsInline is the property bag's inline capacity. Package core sets
+// at most four properties on any message, so a context never allocates
+// beyond itself for them.
+const propsInline = 4
+
+// property is one entry of the property bag.
+type property struct {
+	key string
+	val any
 }
 
 // Options mirrors the Axis2 client Options object. The timeout, as in
@@ -58,23 +74,47 @@ func (o Options) Timeout() time.Duration {
 	return time.Duration(o.TimeoutMillis) * time.Millisecond
 }
 
-// NewMessageContext creates a context with an initialized property bag.
+// NewMessageContext creates an empty context. The zero value is ready
+// to use as well.
 func NewMessageContext() *MessageContext {
-	return &MessageContext{Properties: make(map[string]any)}
+	return &MessageContext{}
 }
 
-// SetProperty stores a handler-visible property.
-func (mc *MessageContext) SetProperty(key string, v any) {
-	if mc.Properties == nil {
-		mc.Properties = make(map[string]any)
+// find returns the slot holding key, or nil.
+func (mc *MessageContext) find(key string) *property {
+	for i := range mc.props[:mc.nprops] {
+		if mc.props[i].key == key {
+			return &mc.props[i]
+		}
 	}
-	mc.Properties[key] = v
+	for i := range mc.overflow {
+		if mc.overflow[i].key == key {
+			return &mc.overflow[i]
+		}
+	}
+	return nil
+}
+
+// SetProperty stores a handler-visible property, replacing any value
+// already stored under key.
+func (mc *MessageContext) SetProperty(key string, v any) {
+	switch p := mc.find(key); {
+	case p != nil:
+		p.val = v
+	case mc.nprops < propsInline:
+		mc.props[mc.nprops] = property{key, v}
+		mc.nprops++
+	default:
+		mc.overflow = append(mc.overflow, property{key, v})
+	}
 }
 
 // Property retrieves a handler-visible property.
 func (mc *MessageContext) Property(key string) (any, bool) {
-	v, ok := mc.Properties[key]
-	return v, ok
+	if p := mc.find(key); p != nil {
+		return p.val, true
+	}
+	return nil, false
 }
 
 // Handler processes a message context as part of a pipe, like an Axis2

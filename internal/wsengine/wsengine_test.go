@@ -162,6 +162,58 @@ func TestMessageContextProperties(t *testing.T) {
 	}
 }
 
+// TestMessageContextPropertyOverwriteAndGrowth: setting a key again
+// replaces its value wherever it lives, and keys past the inline
+// capacity spill without losing the inline ones.
+func TestMessageContextPropertyOverwriteAndGrowth(t *testing.T) {
+	mc := NewMessageContext()
+	const n = 2*propsInline + 1
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = string(rune('a' + i))
+		mc.SetProperty(keys[i], i)
+	}
+	mc.SetProperty(keys[0], "inline again")
+	mc.SetProperty(keys[n-1], "spilled again")
+	for i, k := range keys {
+		var want any = i
+		switch i {
+		case 0:
+			want = "inline again"
+		case n - 1:
+			want = "spilled again"
+		}
+		if v, ok := mc.Property(k); !ok || v != want {
+			t.Errorf("Property(%q) = %v, %v; want %v", k, v, ok, want)
+		}
+	}
+	if mc.nprops != propsInline || len(mc.overflow) != n-propsInline {
+		t.Errorf("%d inline + %d spilled entries for %d keys", mc.nprops, len(mc.overflow), n)
+	}
+}
+
+// TestMessageContextAllocBudget: a context carrying as many properties
+// as core sets on one message (pointers and bools) is one allocation.
+func TestMessageContextAllocBudget(t *testing.T) {
+	req := &struct{ id int }{7}
+	got := testing.AllocsPerRun(200, func() {
+		mc := NewMessageContext()
+		mc.SetProperty("perpetual.inKind", req)
+		mc.SetProperty("perpetual.inReq", req)
+		mc.SetProperty("perpetual.blocking", true)
+		mc.SetProperty("perpetual.txnOutcome", false)
+		if _, ok := mc.Property("perpetual.inReq"); !ok {
+			t.Fatal("property lost")
+		}
+		if _, ok := mc.Property("missing"); ok {
+			t.Fatal("found missing property")
+		}
+	})
+	if got > 1 {
+		t.Errorf("%.0f allocs per run, budget 1", got)
+	}
+}
+
 func TestOptionsTimeout(t *testing.T) {
 	o := Options{TimeoutMillis: 1500}
 	if got := o.Timeout().Milliseconds(); got != 1500 {
