@@ -14,12 +14,15 @@
 package auth
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,8 +101,8 @@ func (id NodeID) AppendTo(dst []byte) []byte {
 }
 
 // ParseNodeID parses the "service/role/index" form produced by String.
-// It is called once per decoded frame and per authenticator entry, so
-// it avoids the allocations of strings.Split.
+// Frame decoding reaches it on every intern miss (a frame's sender, an
+// authenticator's signer), so it avoids the allocations of strings.Split.
 func ParseNodeID(s string) (NodeID, error) {
 	i := strings.IndexByte(s, '/')
 	if i < 0 {
@@ -125,7 +128,7 @@ func ParseNodeID(s string) (NodeID, error) {
 }
 
 // NodeID interning: the wire carries node ids as strings, and the hot
-// paths (frame decoding, authenticator entries) parse the same handful
+// paths (frame senders, authenticator signers) parse the same handful
 // of principals over and over. A bounded cache maps the wire bytes to
 // their parsed NodeID without allocating on hits. The wire bytes are
 // unauthenticated at intern time (frame decoding runs before MAC
@@ -414,7 +417,8 @@ var (
 // SetKey clones under the mutex. Keys change only at bring-up and
 // membership provisioning, so clones are rare.
 type KeyStore struct {
-	self NodeID
+	self   NodeID
+	selfID []byte // self's canonical wire id: the receiver id its vector entries carry
 
 	mu   sync.Mutex // serializes SetKey; readers never take it
 	snap atomic.Pointer[keyStoreState]
@@ -429,7 +433,7 @@ type keyStoreState struct {
 
 // NewKeyStore creates an empty key store for principal self.
 func NewKeyStore(self NodeID) *KeyStore {
-	ks := &KeyStore{self: self}
+	ks := &KeyStore{self: self, selfID: self.AppendTo(nil)}
 	ks.snap.Store(&keyStoreState{
 		keys:   make(map[NodeID]Key),
 		states: make(map[NodeID]*macState),
@@ -568,21 +572,59 @@ func (ks *KeyStore) VerifyDomain(sender NodeID, domain byte, msg, mac []byte) er
 	return nil
 }
 
-// Entry is one receiver's MAC within an Authenticator. The MAC is a
-// fixed-size array so a vector of entries is one allocation and an
-// entry of any other length cannot exist past the decoder.
-type Entry struct {
-	Receiver NodeID
-	MAC      [MACSize]byte
-}
-
 // Authenticator is a vector of MACs, one per intended receiver, as used
 // by PBFT-style protocols that authenticate multicast messages with
 // pairwise MACs. A receiver can verify only its own entry; entries for
-// other receivers are opaque to it.
+// other receivers are opaque to it. So the vector stays in its wire form
+// from signer to verifier: nothing parses the entries a principal cannot
+// check, and each receiver scans for its own in place.
+//
+// Vector is that wire form: a uvarint entry count, then per entry the
+// receiver's id and its MAC, each a uvarint length followed by the bytes
+// (see VectorLen). A nil Vector has no entries.
 type Authenticator struct {
-	Sender  NodeID
-	Entries []Entry
+	Sender NodeID
+	Vector []byte
+}
+
+// minEntryWire is the least one vector entry occupies: an empty
+// receiver id, then a length-prefixed MAC.
+const minEntryWire = 1 + 1 + MACSize
+
+var (
+	errVector    = errors.New("auth: malformed MAC vector")
+	errMACLength = errors.New("auth: MAC vector entry of the wrong length")
+)
+
+// uvarintLen is the length of the minimal uvarint encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// VectorLen validates the MAC vector at the front of b and returns its
+// length in bytes. The entry count is bounded by what b can hold before
+// anything trusts it; a truncated field, a MAC that is not MACSize bytes,
+// and a count or length not in minimal uvarint form are errors, so an
+// accepted vector has exactly one encoding. A receiver id is not parsed:
+// one that names no principal simply never matches.
+func VectorLen(b []byte) (int, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || k != uvarintLen(n) || n > uint64(len(b)-k)/minEntryWire {
+		return 0, errVector
+	}
+	rest := b[k:]
+	for ; n > 0; n-- {
+		var mac []byte
+		var ok bool
+		if _, rest, ok = cutField(rest); ok {
+			mac, rest, ok = cutField(rest)
+		}
+		if !ok {
+			return 0, errVector
+		}
+		if len(mac) != MACSize {
+			return 0, errMACLength
+		}
+	}
+	return len(b) - len(rest), nil
 }
 
 // NewAuthenticator computes an authenticator over msg for the given
@@ -594,34 +636,90 @@ type Authenticator struct {
 // an authenticator for n receivers costs one long hash plus n
 // constant-size MACs instead of n long hashes (the vector-of-MACs
 // optimization the paper's cryptographic-overhead argument rests on).
-// VerifyFor recomputes the same digest, so the two sides agree. Each
-// MAC is signed in place in its entry: the entry vector is the only
-// allocation.
+// VerifyFor recomputes the same digest, so the two sides agree. The
+// vector is sized exactly and each MAC is signed in place into it: the
+// vector is the only allocation.
 func NewAuthenticator(ks *KeyStore, msg []byte, receivers []NodeID) (Authenticator, error) {
-	a := Authenticator{Sender: ks.Self(), Entries: make([]Entry, 0, len(receivers))}
+	self := ks.Self()
+	var id [64]byte // node ids are rendered here, not into a string each
+	n, size := 0, 0
+	for _, r := range receivers {
+		if r != self {
+			l := len(r.AppendTo(id[:0]))
+			n, size = n+1, size+uvarintLen(uint64(l))+l+1+MACSize
+		}
+	}
+	vec := make([]byte, 0, uvarintLen(uint64(n))+size)
+	vec = binary.AppendUvarint(vec, uint64(n))
 	digest := sha256.Sum256(msg)
 	for _, r := range receivers {
-		if r == ks.Self() {
+		if r == self {
 			continue
 		}
-		a.Entries = append(a.Entries, Entry{Receiver: r})
-		e := &a.Entries[len(a.Entries)-1]
-		if _, err := ks.AppendSignDomain(e.MAC[:0], r, domainAuthenticator, digest[:]); err != nil {
+		rid := r.AppendTo(id[:0])
+		vec = binary.AppendUvarint(vec, uint64(len(rid)))
+		vec = append(vec, rid...)
+		vec = append(vec, MACSize)
+		var err error
+		if vec, err = ks.AppendSignDomain(vec, r, domainAuthenticator, digest[:]); err != nil {
 			return Authenticator{}, err
 		}
 	}
-	return a, nil
+	return Authenticator{Sender: self, Vector: vec}, nil
 }
 
-// EntryFor returns the MAC entry destined for the given receiver. The
-// slice aliases the authenticator's entry.
+// Len returns the number of entries in the vector.
+func (a Authenticator) Len() int {
+	n, k := binary.Uvarint(a.Vector)
+	if k <= 0 {
+		return 0
+	}
+	return int(n)
+}
+
+// EntryFor returns the MAC entry destined for the given receiver,
+// aliasing the vector. An entry matches only under the receiver's
+// canonical id, the bytes NodeID.AppendTo renders: correct signers write
+// nothing else, so "svc/voter/01" or "svc/voter/+1" never names voter 1.
 func (a Authenticator) EntryFor(receiver NodeID) ([]byte, bool) {
-	for i := range a.Entries {
-		if e := &a.Entries[i]; e.Receiver == receiver {
-			return e.MAC[:], true
+	var id [64]byte
+	return a.entryFor(receiver.AppendTo(id[:0]))
+}
+
+// entryFor scans the vector for the entry whose receiver id is want. It
+// checks every bound itself, so a vector nobody validated is safe too.
+func (a Authenticator) entryFor(want []byte) ([]byte, bool) {
+	n, off := binary.Uvarint(a.Vector)
+	if off <= 0 {
+		return nil, false
+	}
+	rest := a.Vector[off:]
+	for ; n > 0; n-- {
+		var id, mac []byte
+		var ok bool
+		if id, rest, ok = cutField(rest); !ok {
+			return nil, false
+		}
+		if mac, rest, ok = cutField(rest); !ok {
+			return nil, false
+		}
+		if len(mac) == MACSize && bytes.Equal(id, want) {
+			return mac, true
 		}
 	}
 	return nil, false
+}
+
+// cutField splits a field, a minimal uvarint length and that many bytes,
+// off the front of b. The field is capped, so that an append to it cannot
+// write over what follows.
+func cutField(b []byte) (field, rest []byte, ok bool) {
+	l, k := binary.Uvarint(b)
+	if k <= 0 || k != uvarintLen(l) || l > uint64(len(b)-k) {
+		return nil, nil, false
+	}
+	end := k + int(l)
+	return b[k:end:end], b[end:], true
 }
 
 // VerifyFor checks the authenticator entry destined for the owner of ks.
@@ -629,13 +727,19 @@ func (a Authenticator) EntryFor(receiver NodeID) ([]byte, bool) {
 // message's SHA-256 digest, matching NewAuthenticator — verifies under
 // the pairwise key shared with the authenticator's sender.
 func (a Authenticator) VerifyFor(ks *KeyStore, msg []byte) error {
+	return a.VerifyDigestFor(ks, sha256.Sum256(msg))
+}
+
+// VerifyDigestFor is VerifyFor given the message's SHA-256 digest, for
+// callers that check several authenticators over one message and hash
+// it once.
+func (a Authenticator) VerifyDigestFor(ks *KeyStore, digest [sha256.Size]byte) error {
 	if a.Sender == ks.Self() {
 		return nil // self-addressed messages are implicitly trusted
 	}
-	mac, ok := a.EntryFor(ks.Self())
+	mac, ok := a.entryFor(ks.selfID)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoEntry, ks.Self())
 	}
-	digest := sha256.Sum256(msg)
 	return ks.VerifyDomain(a.Sender, domainAuthenticator, digest[:], mac)
 }

@@ -2,6 +2,8 @@ package auth
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -176,8 +178,8 @@ func TestAuthenticatorVerifyFor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAuthenticator: %v", err)
 	}
-	if len(a.Entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(a.Entries))
+	if a.Len() != 2 {
+		t.Fatalf("got %d entries, want 2", a.Len())
 	}
 	if err := a.VerifyFor(ks1, msg); err != nil {
 		t.Errorf("r1 verify: %v", err)
@@ -206,8 +208,8 @@ func TestAuthenticatorSkipsSelf(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAuthenticator: %v", err)
 	}
-	if len(a.Entries) != 1 {
-		t.Fatalf("got %d entries, want 1 (self skipped)", len(a.Entries))
+	if a.Len() != 1 {
+		t.Fatalf("got %d entries, want 1 (self skipped)", a.Len())
 	}
 	// Self-addressed verification always succeeds.
 	if err := a.VerifyFor(ks, []byte("anything")); err == nil {
@@ -430,7 +432,7 @@ func TestMACAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"NewAuthenticator (the entry vector)", 1, func() {
+		{"NewAuthenticator (the vector)", 1, func() {
 			if _, err := NewAuthenticator(ks, msg, receivers); err != nil {
 				t.Fatal(err)
 			}
@@ -440,9 +442,87 @@ func TestMACAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"Authenticator.EntryFor", 0, func() {
+			if _, ok := authn.EntryFor(b); !ok {
+				t.Fatal("no entry")
+			}
+		}},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got > c.max {
 			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)
 		}
+	}
+}
+
+// TestAuthenticatorVectorIsExact: NewAuthenticator sizes its vector
+// exactly, in the wire form VectorLen accepts, and VerifyDigestFor
+// agrees with VerifyFor.
+func TestAuthenticatorVectorIsExact(t *testing.T) {
+	master := []byte("m")
+	sender := VoterID("a-rather-long-service-name", 0)
+	receivers := []NodeID{sender, DriverID("c", 0), DriverID("c", 12345), VoterID("c", 7)}
+	ks := NewDerivedKeyStore(master, sender, receivers)
+	a, err := NewAuthenticator(ks, []byte("msg"), receivers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Vector) != cap(a.Vector) {
+		t.Errorf("vector of %d bytes in a buffer of %d", len(a.Vector), cap(a.Vector))
+	}
+	if n, err := VectorLen(append(a.Vector, "trailer"...)); err != nil || n != len(a.Vector) {
+		t.Errorf("VectorLen = %d, %v; want %d", n, err, len(a.Vector))
+	}
+	peer := NewDerivedKeyStore(master, receivers[2], receivers)
+	if err := a.VerifyDigestFor(peer, sha256.Sum256([]byte("msg"))); err != nil {
+		t.Errorf("VerifyDigestFor: %v", err)
+	}
+	if err := a.VerifyDigestFor(peer, sha256.Sum256([]byte("other"))); err == nil {
+		t.Error("VerifyDigestFor accepted another message's digest")
+	}
+}
+
+// rawVector is a one-entry MAC vector naming recv, carrying mac.
+func rawVector(recv string, mac []byte) []byte {
+	v := binary.AppendUvarint(nil, 1)
+	v = binary.AppendUvarint(v, uint64(len(recv)))
+	v = append(v, recv...)
+	v = binary.AppendUvarint(v, uint64(len(mac)))
+	return append(v, mac...)
+}
+
+// TestNonCanonicalReceiverNeverMatches: an entry names its receiver by
+// the bytes NodeID.AppendTo renders and nothing else. Spellings that
+// ParseNodeID maps to the same NodeID never match, and never verify,
+// even under a MAC that is otherwise correct for that receiver.
+func TestNonCanonicalReceiverNeverMatches(t *testing.T) {
+	master := []byte("m")
+	sender, recv := DriverID("c", 0), VoterID("svc", 1)
+	ksS := NewDerivedKeyStore(master, sender, []NodeID{sender, recv})
+	ksR := NewDerivedKeyStore(master, recv, []NodeID{sender, recv})
+	good, err := NewAuthenticator(ksS, []byte("msg"), []NodeID{recv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mac, ok := good.EntryFor(recv)
+	if !ok {
+		t.Fatal("no entry under the canonical id")
+	}
+	for _, spelling := range []string{"svc/voter/01", "svc/voter/+1", "svc/voter/001"} {
+		if id, err := ParseNodeID(spelling); err != nil || id != recv {
+			t.Fatalf("%q parses to %v, %v: not a respelling of %s", spelling, id, err, recv)
+		}
+		a := Authenticator{Sender: sender, Vector: rawVector(spelling, mac)}
+		if _, err := VectorLen(a.Vector); err != nil {
+			t.Fatalf("%q: vector rejected: %v", spelling, err)
+		}
+		if _, ok := a.EntryFor(recv); ok {
+			t.Errorf("entry for %q matched %s", spelling, recv)
+		}
+		if err := a.VerifyFor(ksR, []byte("msg")); err == nil {
+			t.Errorf("entry for %q verified for %s", spelling, recv)
+		}
+	}
+	if err := (Authenticator{Sender: sender, Vector: rawVector("svc/voter/1", mac)}).VerifyFor(ksR, []byte("msg")); err != nil {
+		t.Errorf("canonical spelling: %v", err)
 	}
 }

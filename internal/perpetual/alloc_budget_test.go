@@ -42,8 +42,8 @@ func TestVoterAllocBudget(t *testing.T) {
 		// The collection and its slots; at f+1 shares the share list, the
 		// bundle and its message.
 		{"acceptShare, f+1 shares and the bundle", 5, func() {
-			v.acceptShare(1, shares[next][0])
-			v.acceptShare(0, shares[next][1])
+			v.acceptShare(1, shares[next][0], false)
+			v.acceptShare(0, shares[next][1], true)
 			next++
 		}},
 	} {

@@ -2,16 +2,18 @@ package perpetual
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"perpetualws/internal/auth"
 )
 
-// fuzzAuth is an authenticator with real-looking entries.
+// fuzzAuth is a real authenticator from sender for receivers.
 func fuzzAuth(sender auth.NodeID, receivers ...auth.NodeID) auth.Authenticator {
-	a := auth.Authenticator{Sender: sender}
-	for i, r := range receivers {
-		a.Entries = append(a.Entries, auth.Entry{Receiver: r, MAC: [auth.MACSize]byte{byte(i + 1), 0xAB}})
+	ks := auth.NewDerivedKeyStore([]byte("fuzz"), sender, receivers)
+	a, err := auth.NewAuthenticator(ks, []byte("fuzz seed"), receivers)
+	if err != nil {
+		panic(err)
 	}
 	return a
 }
@@ -146,10 +148,20 @@ func FuzzPeekClientReqID(f *testing.F) {
 	})
 }
 
+// withoutVectors is a copy of shares with their vectors emptied.
+func withoutVectors(shares []Share) []Share {
+	out := slices.Clone(shares)
+	for i := range out {
+		out[i].Auth.Vector = nil
+	}
+	return out
+}
+
 // FuzzDecodeOp: never a panic; decode∘encode is the identity on accepted
-// input; and ownership as DecodeOp documents it — Payload aliases the
-// input, everything else (ids, names, authenticators, votes) is a copy
-// that survives the input being overwritten.
+// input; and ownership as DecodeOp documents it — Payload and the share
+// vectors (TxnVotes' too) alias the input, everything else (ids, names,
+// signers, share lists, votes' payloads) is a copy that survives the
+// input being overwritten.
 func FuzzDecodeOp(f *testing.F) {
 	for _, seed := range fuzzOpSeeds() {
 		f.Add(seed)
@@ -167,10 +179,15 @@ func FuzzDecodeOp(f *testing.F) {
 		if !bytes.Equal(again.Encode(), enc) {
 			t.Fatalf("decode∘encode is not the identity:\n first %x\nsecond %x", enc, again.Encode())
 		}
-		// Everything but the aliased payload, before and after.
+		// Everything but the aliased payload and vectors, before and after.
 		copied := func() []byte {
 			c := *o
 			c.Payload = nil
+			c.Shares = withoutVectors(c.Shares)
+			c.TxnVotes = slices.Clone(c.TxnVotes)
+			for i := range c.TxnVotes {
+				c.TxnVotes[i].Shares = withoutVectors(c.TxnVotes[i].Shares)
+			}
 			return c.Encode()
 		}
 		before := copied()

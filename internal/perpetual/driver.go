@@ -452,9 +452,13 @@ func (d *Driver) ServiceName() string { return d.svc.Name }
 func (d *Driver) Index() int { return d.index }
 
 // handleTransport dispatches inbound driver-addressed messages (reply
-// bundles from responders).
+// bundles from responders). A bundle's share vectors alias the frame:
+// verification, the fast-path settle (which keeps only the copied
+// payload) and the forward to the voter group all finish before the
+// handler returns, and the one path that keeps a bundle, parking it in
+// d.early, keeps a detached copy.
 func (d *Driver) handleTransport(from auth.NodeID, payload []byte) {
-	m, err := DecodeMessage(payload)
+	m, err := decodeMessage(payload, true)
 	if err != nil {
 		d.logf("malformed message from %s: %v", from, err)
 		return
@@ -773,7 +777,7 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 		if (ev.kind == evBundle || ev.kind == evAgreed) && d.parkable(reqID) {
 			e, _ := d.early.Get(reqID)
 			if ev.kind == evBundle {
-				e.bundle = ev.bundle
+				e.bundle = ev.bundle.detached()
 			} else {
 				ev.bundle, ev.agreed = e.bundle, true
 				e = ev

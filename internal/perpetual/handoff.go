@@ -174,7 +174,7 @@ func DecodeHandoffFrame(buf []byte) (*HandoffFrame, bool) {
 		Dest:      int(r.Uvarint()),
 	}
 	if r.Bool() {
-		f.Cert = decodeBundle(r)
+		f.Cert = decodeBundle(r, false)
 	}
 	if r.Done() != nil || f.Service == "" {
 		return nil, false

@@ -1,8 +1,8 @@
 package perpetual
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -443,14 +443,7 @@ func (m *Message) SizeHint() int {
 	}
 }
 
-func authSize(a *auth.Authenticator) int {
-	n := len(a.Sender.Service) + 16
-	for i := range a.Entries {
-		e := &a.Entries[i]
-		n += len(e.Receiver.Service) + 16 + len(e.MAC) + 2
-	}
-	return n
-}
+func authSize(a *auth.Authenticator) int { return len(a.Sender.Service) + 16 + len(a.Vector) }
 
 func shareSize(s *Share) int { return 4 + authSize(&s.Auth) }
 
@@ -511,12 +504,18 @@ func internName(b []byte) string {
 // is copied out of buf — transport frames are pooled and reused once the
 // handler returns — except the body of a KindBFT message, which aliases
 // it: the voter decodes and discards that body inside the handler.
-func DecodeMessage(buf []byte) (*Message, error) {
+func DecodeMessage(buf []byte) (*Message, error) { return decodeMessage(buf, false) }
+
+// decodeMessage is DecodeMessage, with the authenticator vectors of
+// requests, shares and bundles aliasing buf when aliasVectors is set:
+// for a handler that is done with them before it returns, as the
+// driver's is (see Driver.handleTransport).
+func decodeMessage(buf []byte, aliasVectors bool) (*Message, error) {
 	r := wire.NewReader(buf)
 	m := &Message{Kind: Kind(r.Uint8()), Epoch: r.Uvarint()}
 	switch m.Kind {
 	case KindRequest:
-		m.Request = decodeRequest(r)
+		m.Request = decodeRequest(r, aliasVectors)
 	case KindBFT:
 		// Aliases the input: the wrapped CLBFT message is decoded (with
 		// its own copies of retained fields) and discarded within the
@@ -525,13 +524,13 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	case KindReplyShare:
 		rs := &ReplyShare{ReqID: r.String(), Caller: internName(r.Bytes())}
 		copy(rs.Digest[:], r.Bytes())
-		rs.Share = decodeShare(r)
+		rs.Share = decodeShare(r, aliasVectors)
 		rs.Payload = r.BytesCopy()
 		m.ReplyShare = rs
 	case KindReplyBundle:
-		m.ReplyBundle = decodeBundle(r)
+		m.ReplyBundle = decodeBundle(r, aliasVectors)
 	case KindResultForward:
-		m.ResultForward = decodeBundle(r)
+		m.ResultForward = decodeBundle(r, aliasVectors)
 	case KindUtilForward:
 		m.UtilForward = &UtilForward{K: r.Uint64()}
 	case KindAbortForward:
@@ -590,7 +589,7 @@ func encodeRequest(w *wire.Writer, req *RequestMsg) {
 	encodeAuthenticator(w, &req.Auth)
 }
 
-func decodeRequest(r *wire.Reader) *RequestMsg {
+func decodeRequest(r *wire.Reader, aliasVector bool) *RequestMsg {
 	req := &RequestMsg{
 		ReqID:     r.String(),
 		Caller:    internName(r.Bytes()),
@@ -600,52 +599,40 @@ func decodeRequest(r *wire.Reader) *RequestMsg {
 		Expiry:    r.Uvarint(),
 		Payload:   r.BytesCopy(),
 	}
-	req.Auth = decodeAuthenticator(r)
+	req.Auth = decodeAuthenticator(r, aliasVector)
 	return req
 }
 
 func encodeAuthenticator(w *wire.Writer, a *auth.Authenticator) {
-	var id [64]byte // node ids are rendered here, not into a string each
+	var id [64]byte // the sender id is rendered here, not into a string
 	w.PutBytes(a.Sender.AppendTo(id[:0]))
-	w.PutUvarint(uint64(len(a.Entries)))
-	for i := range a.Entries {
-		e := &a.Entries[i]
-		w.PutBytes(e.Receiver.AppendTo(id[:0]))
-		w.PutBytes(e.MAC[:])
+	if len(a.Vector) == 0 {
+		w.PutUvarint(0) // the empty vector
+		return
 	}
+	w.PutRaw(a.Vector)
 }
 
-// minEntryWire is the least an encoded authenticator entry occupies: an
-// empty receiver, and a length-prefixed MAC.
-const minEntryWire = 1 + 1 + auth.MACSize
-
-var errMACLength = errors.New("perpetual: authenticator MAC of the wrong length")
-
-// decodeAuthenticator copies everything it keeps: the entry vector is
-// its one allocation. An entry whose MAC is not MACSize bytes fails the
-// whole decode; one naming an unparseable receiver is skipped, since no
-// principal could be asked to verify it.
-func decodeAuthenticator(r *wire.Reader) auth.Authenticator {
+// decodeAuthenticator reads an authenticator, its vector validated by
+// auth.VectorLen but its entries left unparsed. The vector aliases the
+// reader's buffer when alias is set, and is otherwise its one allocation,
+// a copy. A vector with no entries decodes as nil, the empty vector's
+// one form. A sender that does not parse decodes as the zero NodeID,
+// which no share or request check accepts.
+func decodeAuthenticator(r *wire.Reader, alias bool) auth.Authenticator {
 	var a auth.Authenticator
 	if sender, err := auth.InternNodeID(r.Bytes()); err == nil {
 		a.Sender = sender
 	}
-	n := int(r.Uvarint())
-	if n > r.Remaining()/minEntryWire {
-		r.Fail(wire.ErrTooLarge) // a hostile count must not size the allocation
+	n, err := auth.VectorLen(r.Peek())
+	if err != nil {
+		r.Fail(err)
 		return a
 	}
-	if n > 0 {
-		a.Entries = make([]auth.Entry, 0, n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		recv, err := auth.InternNodeID(r.Bytes())
-		mac := r.Bytes()
-		if r.Err() == nil && len(mac) != auth.MACSize {
-			r.Fail(errMACLength)
-		}
-		if err == nil && r.Err() == nil {
-			a.Entries = append(a.Entries, auth.Entry{Receiver: recv, MAC: [auth.MACSize]byte(mac)})
+	if vec := r.Raw(n); len(vec) > 1 {
+		a.Vector = vec
+		if !alias {
+			a.Vector = bytes.Clone(vec)
 		}
 	}
 	return a
@@ -661,8 +648,8 @@ func encodeShare(w *wire.Writer, s *Share) {
 	encodeAuthenticator(w, &s.Auth)
 }
 
-func decodeShare(r *wire.Reader) Share {
-	return Share{Replica: int(r.Uvarint()), Tentative: r.Uint8() == 1, Auth: decodeAuthenticator(r)}
+func decodeShare(r *wire.Reader, aliasVector bool) Share {
+	return Share{Replica: int(r.Uvarint()), Tentative: r.Uint8() == 1, Auth: decodeAuthenticator(r, aliasVector)}
 }
 
 func encodeBundle(w *wire.Writer, b *ReplyBundle) {
@@ -678,7 +665,9 @@ func encodeBundle(w *wire.Writer, b *ReplyBundle) {
 	}
 }
 
-func decodeBundle(r *wire.Reader) *ReplyBundle {
+// decodeBundle reads a bundle; its payload is a copy, and its share
+// vectors alias the reader's buffer when aliasVectors is set.
+func decodeBundle(r *wire.Reader, aliasVectors bool) *ReplyBundle {
 	b := &ReplyBundle{ReqID: r.String(), Target: internName(r.Bytes()), Primary: int(r.Uvarint()),
 		Epoch: r.Uvarint(), GroupN: int(r.Uvarint()), Payload: r.BytesCopy()}
 	n := int(r.Uvarint())
@@ -689,9 +678,20 @@ func decodeBundle(r *wire.Reader) *ReplyBundle {
 		b.Shares = make([]Share, 0, n)
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		b.Shares = append(b.Shares, decodeShare(r))
+		b.Shares = append(b.Shares, decodeShare(r, aliasVectors))
 	}
 	return b
+}
+
+// detached returns a copy of b that keeps nothing of the frame b was
+// decoded from with aliased vectors: its share vectors are copied.
+func (b *ReplyBundle) detached() *ReplyBundle {
+	c := *b
+	c.Shares = slices.Clone(b.Shares)
+	for i := range c.Shares {
+		c.Shares[i].Auth.Vector = bytes.Clone(c.Shares[i].Auth.Vector)
+	}
+	return &c
 }
 
 // VerifyBundle checks a reply bundle against the verifier's key store.
@@ -729,10 +729,10 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 	needStable := eff.F() + 1
 	needAny := eff.Quorum()
 	digest := ReplyDigest(b.ReqID, b.Payload)
-	msgStable := replyAuthMsg(b.ReqID, digest, false, b.Epoch, b.GroupN)
-	defer msgStable.Free()
-	msgTent := replyAuthMsg(b.ReqID, digest, true, b.Epoch, b.GroupN)
-	defer msgTent.Free()
+	// The MAC'd message of each tier (stable, tentative), hashed the first
+	// time a share of that tier reaches its MAC check.
+	var tierDigest [2][sha256.Size]byte
+	var hashed [2]bool
 	var seen [8]int // replica indices with a valid share; spills to the heap past 8
 	valid := seen[:0]
 	stable := 0
@@ -748,11 +748,16 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 		if s.Auth.Sender != want {
 			continue // share must be authenticated by the claimed voter
 		}
-		msg := msgStable
+		tier := 0
 		if s.Tentative {
-			msg = msgTent
+			tier = 1
 		}
-		if err := s.Auth.VerifyFor(ks, msg.Bytes()); err != nil {
+		if !hashed[tier] {
+			msg := replyAuthMsg(b.ReqID, digest, s.Tentative, b.Epoch, b.GroupN)
+			tierDigest[tier], hashed[tier] = sha256.Sum256(msg.Bytes()), true
+			msg.Free()
+		}
+		if err := s.Auth.VerifyDigestFor(ks, tierDigest[tier]); err != nil {
 			continue
 		}
 		valid = append(valid, s.Replica)

@@ -52,16 +52,13 @@ func TestRequestMessageRoundTrip(t *testing.T) {
 
 func TestReplyShareAndBundleRoundTrip(t *testing.T) {
 	digest := ReplyDigest("c:9", []byte("payload"))
-	share := Share{
-		Replica: 3,
-		Auth: auth.Authenticator{
-			Sender: auth.VoterID("t", 3),
-			Entries: []auth.Entry{
-				{Receiver: auth.DriverID("c", 0), MAC: [auth.MACSize]byte{1, 1, 1}},
-				{Receiver: auth.VoterID("c", 0), MAC: [auth.MACSize]byte{2, 2, 2}},
-			},
-		},
+	voter := auth.VoterID("t", 3)
+	ks := testKeyStores(t, []byte("m"), voter, auth.DriverID("c", 0), auth.VoterID("c", 0))
+	a, err := auth.NewAuthenticator(ks[voter], []byte("endorsed"), []auth.NodeID{auth.DriverID("c", 0), auth.VoterID("c", 0)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	share := Share{Replica: 3, Auth: a}
 	rs := &Message{Kind: KindReplyShare, ReplyShare: &ReplyShare{
 		ReqID: "c:9", Caller: "c", Digest: digest, Share: share, Payload: []byte("payload"),
 	}}
@@ -138,11 +135,21 @@ func TestDecodeMessageNeverPanics(t *testing.T) {
 	}
 }
 
+// TestOpsRoundTrip: an operation decodes to what was encoded. A share
+// whose authenticator has no entries is built with a nil vector and
+// decodes to one: the empty vector has a single form on both sides.
 func TestOpsRoundTrip(t *testing.T) {
 	share := Share{Replica: 1, Auth: auth.Authenticator{Sender: auth.VoterID("t", 1)}}
+	signer := auth.DriverID("c", 0)
+	ks := testKeyStores(t, []byte("m"), signer, auth.VoterID("t", 0), auth.VoterID("t", 1))
+	a, err := auth.NewAuthenticator(ks[signer], []byte("endorsed"), []auth.NodeID{auth.VoterID("t", 0), auth.VoterID("t", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := Share{Replica: 0, Auth: a}
 	ops := []*Op{
-		{Kind: OpRequest, ReqID: "c:1", Caller: "c", Responder: 2, Payload: []byte("p"), Shares: []Share{share}},
-		{Kind: OpReply, ReqID: "c:1", Target: "t", Payload: []byte("r"), Shares: []Share{share, share}},
+		{Kind: OpRequest, ReqID: "c:1", Caller: "c", Responder: 2, Payload: []byte("p"), Shares: []Share{share, signed}},
+		{Kind: OpReply, ReqID: "c:1", Target: "t", Payload: []byte("r"), Shares: []Share{share, signed}},
 		{Kind: OpAbort, ReqID: "c:2"},
 		{Kind: OpUtil, K: 9, Value: -12345},
 	}
@@ -303,8 +310,8 @@ func TestDecodeRejectsMalformedAuthenticator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed request rejected: %v", err)
 	}
-	if n := len(m.Request.Auth.Entries); n != 1 || m.Request.Auth.Entries[0].MAC[0] != 5 {
-		t.Fatalf("decoded %d entries: %+v", n, m.Request.Auth)
+	if mac, ok := m.Request.Auth.EntryFor(auth.VoterID("t", 0)); m.Request.Auth.Len() != 1 || !ok || mac[0] != 5 {
+		t.Fatalf("decoded %d entries: %+v", m.Request.Auth.Len(), m.Request.Auth)
 	}
 	for _, macLen := range []int{0, 1, auth.MACSize - 1, auth.MACSize + 1, 2 * auth.MACSize} {
 		if _, err := DecodeMessage(rawRequest(1, macLen)); err == nil {
@@ -323,9 +330,12 @@ func TestDecodeRejectsMalformedAuthenticator(t *testing.T) {
 // the timed benchmark.
 func TestCodecAllocBudget(t *testing.T) {
 	master := []byte("alloc-budget")
-	driver := auth.DriverID("c", 0)
-	voters := ServiceInfo{Name: "t", N: 4}.VoterIDs()
-	ks := testKeyStores(t, master, append([]auth.NodeID{driver}, voters...)...)
+	caller := ServiceInfo{Name: "c", N: 4}
+	target := ServiceInfo{Name: "t", N: 4}
+	principals := append(caller.DriverIDs(), caller.VoterIDs()...)
+	principals = append(principals, target.VoterIDs()...)
+	ks := testKeyStores(t, master, principals...)
+	driver, voters := auth.DriverID("c", 0), target.VoterIDs()
 	a, err := auth.NewAuthenticator(ks[driver], []byte("msg"), voters)
 	if err != nil {
 		t.Fatal(err)
@@ -333,9 +343,31 @@ func TestCodecAllocBudget(t *testing.T) {
 	w := wire.NewWriter(512)
 	encodeAuthenticator(w, &a)
 	encAuth := w.Bytes()
+	// An OpRequest with f+1 driver shares.
+	shares := make([]Share, caller.F()+1)
+	for i := range shares {
+		sa, err := auth.NewAuthenticator(ks[auth.DriverID("c", i)], []byte("msg"), voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares[i] = Share{Replica: i, Auth: sa}
+	}
 	op := &Op{Kind: OpRequest, ReqID: "c:123456", Caller: "c", Responder: 1,
-		Payload: bytes.Repeat([]byte{1}, 300), Shares: []Share{{Replica: 0, Auth: a}}}
+		Payload: bytes.Repeat([]byte{1}, 300), Shares: shares}
 	encOp := op.Encode()
+	// A reply bundle of 4 shares × 8 entries (the caller's drivers and voters).
+	b := &ReplyBundle{ReqID: "c:123456", Target: "t", Payload: bytes.Repeat([]byte{2}, 300), GroupN: 4}
+	for i, v := range voters {
+		sa, err := auth.NewAuthenticator(ks[v], []byte("reply"), caller.principals())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Shares = append(b.Shares, Share{Replica: i, Auth: sa})
+	}
+	if n := b.Shares[0].Auth.Len(); n != 8 {
+		t.Fatalf("share vectors of %d entries, want 8", n)
+	}
+	frame := (&Message{Kind: KindReplyBundle, ReplyBundle: b}).Encode()
 
 	for _, c := range []struct {
 		name string
@@ -347,15 +379,33 @@ func TestCodecAllocBudget(t *testing.T) {
 			encodeAuthenticator(w, &a)
 			w.Free()
 		}},
-		{"decodeAuthenticator (the entry vector)", 1, func() {
-			if got := decodeAuthenticator(wire.NewReader(encAuth)); len(got.Entries) != len(voters) {
-				t.Fatalf("decoded %d entries", len(got.Entries))
+		{"decodeAuthenticator, copying (the vector)", 1, func() {
+			if got := decodeAuthenticator(wire.NewReader(encAuth), false); got.Len() != len(voters) {
+				t.Fatalf("decoded %d entries", got.Len())
 			}
 		}},
-		// The Op, its two strings, the share vector and that share's entry
-		// vector; the payload aliases the input.
-		{"DecodeOp of a one-share OpRequest", 5, func() {
+		{"decodeAuthenticator, aliasing", 0, func() {
+			if got := decodeAuthenticator(wire.NewReader(encAuth), true); got.Len() != len(voters) {
+				t.Fatalf("decoded %d entries", got.Len())
+			}
+		}},
+		// The Op, its request id and the share list; the payload and the
+		// share vectors alias the input.
+		{"DecodeOp of an OpRequest with f+1 shares", 3, func() {
 			if _, err := DecodeOp(encOp); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The message, the bundle, its request id, its payload and its
+		// share list; the share vectors alias the frame.
+		{"driver-side decode of a 4×8 reply bundle", 5, func() {
+			if _, err := decodeMessage(frame, true); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// As above, plus one copy per share vector.
+		{"DecodeMessage of a 4×8 reply bundle", 5 + 4, func() {
+			if _, err := DecodeMessage(frame); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -375,8 +425,14 @@ func TestCodecAllocBudget(t *testing.T) {
 // payload points into the input (no copy), capped so that appending to
 // it cannot write over the rest of the operation.
 func TestDecodeOpAliasesItsInput(t *testing.T) {
+	signer := auth.DriverID("c", 1)
+	ks := testKeyStores(t, []byte("m"), signer, auth.VoterID("t", 0))
+	a, err := auth.NewAuthenticator(ks[signer], []byte("endorsed"), []auth.NodeID{auth.VoterID("t", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	op := &Op{Kind: OpRequest, ReqID: "c:1", Caller: "c", Payload: []byte("payload"),
-		Shares: []Share{{Replica: 1, Auth: auth.Authenticator{Sender: auth.DriverID("c", 1)}}}}
+		Shares: []Share{{Replica: 1, Auth: a}}}
 	enc := op.Encode()
 	orig := bytes.Clone(enc)
 	got, err := DecodeOp(enc)
@@ -386,8 +442,12 @@ func TestDecodeOpAliasesItsInput(t *testing.T) {
 	if i := bytes.Index(enc, []byte("payload")); &got.Payload[0] != &enc[i] {
 		t.Error("DecodeOp copied the payload")
 	}
+	if i := bytes.Index(enc, a.Vector); &got.Shares[0].Auth.Vector[0] != &enc[i] {
+		t.Error("DecodeOp copied the share vector")
+	}
 	_ = append(got.Payload, "overrun"...)
+	_ = append(got.Shares[0].Auth.Vector, "overrun"...)
 	if !bytes.Equal(enc, orig) {
-		t.Error("appending to the decoded payload wrote into the operation's buffer")
+		t.Error("appending to a decoded field wrote into the operation's buffer")
 	}
 }

@@ -182,11 +182,12 @@ func aliasBytes(r *wire.Reader) []byte {
 }
 
 // DecodeOp parses an agreed operation. The result aliases buf: Payload
-// points into it, so the caller must own buf and leave it unmodified for
-// as long as the Op is referenced. Agreed operations qualify — clbft
-// hands the validator and the delivery callback buffers it copied off
-// the wire and never reuses. Everything else — strings, authenticators,
-// TxnVotes — is a copy.
+// and the authenticator vector of every share (TxnVotes' shares
+// included) point into it, so the caller must own buf and leave it
+// unmodified for as long as the Op is referenced. Agreed operations
+// qualify — clbft hands the validator and the delivery callback buffers
+// it copied off the wire and never reuses. Everything else — strings,
+// share lists, TxnVotes' payloads — is a copy.
 func DecodeOp(buf []byte) (*Op, error) {
 	r := wire.NewReader(buf)
 	o := &Op{Kind: OpKind(r.Uint8())}
@@ -204,7 +205,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 			o.Shares = make([]Share, 0, n)
 		}
 		for i := 0; i < n && r.Err() == nil; i++ {
-			o.Shares = append(o.Shares, decodeShare(r))
+			o.Shares = append(o.Shares, decodeShare(r, true))
 		}
 	case OpReply:
 		o.ReqID = r.String()
@@ -220,7 +221,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 			o.Shares = make([]Share, 0, n)
 		}
 		for i := 0; i < n && r.Err() == nil; i++ {
-			o.Shares = append(o.Shares, decodeShare(r))
+			o.Shares = append(o.Shares, decodeShare(r, true))
 		}
 	case OpAbort:
 		o.ReqID = r.String()
@@ -238,7 +239,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 			o.TxnVotes = make([]ReplyBundle, 0, n)
 		}
 		for i := 0; i < n && r.Err() == nil; i++ {
-			o.TxnVotes = append(o.TxnVotes, *decodeBundle(r))
+			o.TxnVotes = append(o.TxnVotes, *decodeBundle(r, true))
 		}
 	case OpMembership:
 		o.Payload = aliasBytes(r)

@@ -219,3 +219,47 @@ func TestReplyFastPathIgnoresAgreedAbort(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedBundleOutlivesFrame: the driver decodes reply bundles with
+// their share vectors aliasing the frame, which the transport recycles
+// once the handler returns. A bundle it parks for a call not issued yet
+// is the one thing it keeps, so parking must copy: with the frame
+// overwritten, the parked bundle still verifies and the call issued next
+// settles with it.
+func TestParkedBundleOutlivesFrame(t *testing.T) {
+	dep := buildPair(t, 1, 4, func(d *Deployment) {
+		opts := fastOpts()
+		opts.RetransmitInterval = time.Minute
+		d.Configure("c", opts)
+	})
+	dep.Network.Isolate(auth.DriverID("c", 0))
+	drv := dep.Driver("c", 0)
+	drv.mu.Lock()
+	next := fmt.Sprintf("c:%d", drv.reqSeq+1)
+	drv.mu.Unlock()
+	payload := []byte("parked")
+	frame := (&Message{Kind: KindReplyBundle, ReplyBundle: mintBundle(t, dep, next, payload)}).Encode()
+	drv.handleTransport(auth.VoterID("t", 0), frame)
+	scribble(frame)
+
+	drv.mu.Lock()
+	e, ok := drv.early.Get(next)
+	drv.mu.Unlock()
+	if !ok || e.bundle == nil {
+		t.Fatal("the bundle was not parked")
+	}
+	target, err := drv.registry.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyBundle(drv.ks, target, e.bundle); err != nil {
+		t.Fatalf("parked bundle no longer verifies once its frame is overwritten: %v", err)
+	}
+	res, err := drv.Do(context.Background(), Request{Target: "t", Payload: payload, NoWait: true})
+	if err != nil || res.ReqID != next {
+		t.Fatalf("Do = %+v, %v; want the call %s", res, err, next)
+	}
+	if r, ok := takeQueuedReply(drv, next); !ok || r.Aborted || !bytes.Equal(r.Payload, payload) {
+		t.Fatalf("reply %+v (queued %v), want the parked payload", r, ok)
+	}
+}

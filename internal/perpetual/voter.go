@@ -393,7 +393,8 @@ func (v *voter) validOp(opID string, o *Op) bool {
 		}
 		req := RequestMsg{ReqID: o.ReqID, Caller: o.Caller, Target: v.svc.Name, Payload: o.Payload}
 		msg := requestAuthMsg(o.ReqID, req.Digest())
-		defer msg.Free()
+		authDigest := sha256.Sum256(msg.Bytes()) // one hash for every share's check
+		msg.Free()
 		need := caller.F() + 1
 		var seen [8]int // caller replicas with a valid share; spills to the heap past 8
 		valid := seen[:0]
@@ -405,7 +406,7 @@ func (v *voter) validOp(opID string, o *Op) bool {
 			if s.Auth.Sender != auth.DriverID(caller.Name, s.Replica) {
 				continue
 			}
-			if err := s.Auth.VerifyFor(v.ks, msg.Bytes()); err != nil {
+			if err := s.Auth.VerifyDigestFor(v.ks, authDigest); err != nil {
 				continue
 			}
 			valid = append(valid, s.Replica)
@@ -1000,7 +1001,7 @@ func (v *voter) sendShareTo(reqID string, rec replyRecord, responder int) {
 			Digest:  rec.digest,
 			Share:   rec.share,
 			Payload: rec.payload,
-		})
+		}, true)
 		return
 	}
 	v.sendShare(reqID, rec, responder, false)
@@ -1241,7 +1242,7 @@ func (v *voter) handleReplyShare(from auth.NodeID, rs *ReplyShare) {
 	if rs.Share.Replica != from.Index {
 		return
 	}
-	v.acceptShare(from.Index, rs)
+	v.acceptShare(from.Index, rs, false)
 }
 
 // handlePayloadFetch serves a responder that lacks (or diverged from)
@@ -1269,7 +1270,9 @@ func (v *voter) handlePayloadFetch(from auth.NodeID, pf *PayloadFetch) {
 // is pulled from an endorsing voter via PayloadFetch, so safety is
 // unchanged — the bundle the callers verify still needs f_t+1 matching
 // MAC shares, the payload merely has to hash to the endorsed digest.
-func (v *voter) acceptShare(fromIndex int, rs *ReplyShare) {
+// own marks this voter's own share, whose digest handleLocalResult
+// computed from the very payload it carries.
+func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
 	caller, err := v.registry.Lookup(rs.Caller)
 	if err != nil || fromIndex < 0 {
 		return
@@ -1291,8 +1294,9 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare) {
 	// computed, or the assembled bundle would fail VerifyBundle at every
 	// caller and stall the reply until retransmission. (Digest-only
 	// shares bind here exactly when the reply payload is empty, which is
-	// then the correct binding.)
-	if ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest {
+	// then the correct binding.) This voter's own share is bound as is:
+	// its digest was computed from its payload.
+	if own || ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest {
 		s.bound, s.payload, s.payloadDigest = true, rs.Payload, rs.Digest
 	}
 

@@ -153,7 +153,7 @@ func TestAcceptShareRejectsForgedPayloads(t *testing.T) {
 	v.acceptShare(2, &ReplyShare{
 		ReqID: "c:9", Caller: "c", Digest: digest,
 		Share: Share{Replica: 2}, Payload: []byte("poison"),
-	})
+	}, false)
 	v.mu.Lock()
 	sc, ok := v.shareBuf.Get("c:9")
 	if !ok {
@@ -172,7 +172,7 @@ func TestAcceptShareRejectsForgedPayloads(t *testing.T) {
 	v.acceptShare(1, &ReplyShare{
 		ReqID: "c:9", Caller: "c", Digest: digest,
 		Share: Share{Replica: 1}, Payload: truth,
-	})
+	}, false)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if p, have := sc.payloadFor(digest); !have || string(p) != "ok" {
@@ -188,8 +188,8 @@ func TestAcceptShareStoresLegitimateNilPayload(t *testing.T) {
 	// digest, so the digest check must not block it.
 	v, _, _ := newBareVoter(t)
 	digest := ReplyDigest("c:10", nil)
-	v.acceptShare(0, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 0}})
-	v.acceptShare(1, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 1}})
+	v.acceptShare(0, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 0}}, false)
+	v.acceptShare(1, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 1}}, false)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	sc, ok := v.shareBuf.Get("c:10")
@@ -220,11 +220,11 @@ func TestBundleSharesInVoterOrder(t *testing.T) {
 		return &ReplyShare{ReqID: "c:11", Caller: "c", Digest: digest, Share: Share{Replica: i, Tentative: true}}
 	}
 	// Tentative shares certify at the quorum, three of four.
-	v.acceptShare(3, share(3))
-	v.acceptShare(2, share(2))
+	v.acceptShare(3, share(3), false)
+	v.acceptShare(2, share(2), false)
 	own := share(0)
 	own.Payload = []byte("ok")
-	v.acceptShare(0, own)
+	v.acceptShare(0, own, false)
 	select {
 	case b := <-got:
 		var order []int

@@ -256,6 +256,26 @@ func (r *Reader) BytesCopy() []byte {
 	return out
 }
 
+// Peek returns the unread bytes without consuming them, or nil after an
+// error. It lets a decoder measure a field whose framing it validates
+// itself before reading it with Raw; the slice aliases the buffer.
+func (r *Reader) Peek() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.off:]
+}
+
+// Raw reads the next n bytes as they are, with no length prefix. The
+// returned slice aliases the reader's buffer, capped like Bytes.
+func (r *Reader) Raw(n int) []byte {
+	if n < 0 {
+		r.Fail(ErrTooLarge)
+		return nil
+	}
+	return r.take(n)
+}
+
 // String reads a uvarint-length-prefixed string.
 func (r *Reader) String() string {
 	b := r.Bytes()

@@ -199,3 +199,28 @@ func TestWriterPoolDropsOversizedBuffers(t *testing.T) {
 	}
 	w.Free()
 }
+
+// TestPeekRaw: Peek shows the unread bytes without consuming them, Raw
+// consumes exactly n of them (capped, aliasing the buffer), and both
+// honour the sticky error.
+func TestPeekRaw(t *testing.T) {
+	buf := []byte{1, 2, 3, 4, 5}
+	r := NewReader(buf)
+	r.Uint8()
+	if got := r.Peek(); !bytes.Equal(got, buf[1:]) || r.Remaining() != 4 {
+		t.Fatalf("Peek = %v, remaining %d", got, r.Remaining())
+	}
+	raw := r.Raw(3)
+	if !bytes.Equal(raw, []byte{2, 3, 4}) || &raw[0] != &buf[1] || cap(raw) != 3 {
+		t.Fatalf("Raw(3) = %v (cap %d)", raw, cap(raw))
+	}
+	if r.Uint8() != 5 || r.Done() != nil {
+		t.Fatal("Raw consumed the wrong number of bytes")
+	}
+	if r.Raw(1) != nil || r.Peek() != nil || r.Err() == nil {
+		t.Fatal("Raw past the end did not fail, or Peek ignored the error")
+	}
+	if r := NewReader(buf); r.Raw(-1) != nil || r.Err() == nil {
+		t.Fatal("Raw(-1) did not fail")
+	}
+}
