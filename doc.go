@@ -36,7 +36,8 @@
 // vets, builds and tests the module under the race detector and the
 // benchmark/ module, runs the protocol suites (cancellation, txn,
 // resharding, read and reply fast paths, membership, overload) under
-// -race, enforces the TCP frames-per-request ceiling, smoke-runs
+// -race, prints the tier-1 coverage of internal/ with every uncovered
+// function, enforces the TCP frames-per-request ceiling, smoke-runs
 // `perpetualctl fig7` and `fig9`, runs a fault/soak job, and pins
 // staticcheck/govulncheck steps.
 package perpetualws

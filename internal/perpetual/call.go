@@ -1,9 +1,14 @@
 package perpetual
 
-import "time"
+import (
+	"crypto/sha256"
+	"time"
 
-// call is one agreement-path request this driver issued and awaits: an
-// ordinary call, a shard fan-out leg, or a 2PC or handoff leg. How it
+	"perpetualws/internal/auth"
+)
+
+// call is one request this driver issued and awaits: an ordinary call, a
+// shard fan-out leg, a 2PC or handoff leg, or a fast-path read. How it
 // settles is decided by step alone; the executor (Driver.run) owns its
 // timers and performs what step asks for.
 type call struct {
@@ -40,10 +45,52 @@ type call struct {
 	// only the primary could refuse and no busy quorum would ever form.
 	busyFanned bool
 	counted    bool // holds an in-flight window slot (Driver.maxOutstanding)
-	// retryTmr and abortTmr are armed and stopped by the executor only.
+	// read is a fast-path read's state while read.need > 0 (see
+	// Driver.issueRead); the fallback to agreement zeroes it, turning the
+	// call into an ordinary one in place.
+	read readState
+	// retryTmr is the retransmission timer, or while the call is a read
+	// its fast window; it and abortTmr, the deadline timer, are armed and
+	// stopped by the executor only.
 	retryTmr, abortTmr *time.Timer
 	acts               [2]callAction // backs step's result, so steps allocate none
 }
+
+// readState is the fast-path part of a read call: which replicas of the
+// target group it asked and what each answered.
+type readState struct {
+	need     int // f_t+1: matching endorsements certify, busys shed
+	minSeq   uint64
+	afterReq uint64
+	// widened marks every replica of the group asked: the read widened
+	// past its first f_t+1, or the group has no others.
+	widened    bool
+	replicas   []readReplica // indexed by target replica
+	answers    int           // replicas heard from, incl. Behind declines and busys
+	busy       int           // busy-read refusals among them
+	retryAfter uint64        // largest busy-read backoff hint
+	// partners is the group's last certified endorser order at issue (see
+	// askFirst); a certify reuses its array for the new order.
+	partners []int
+}
+
+// readReplica is one target replica's part in a fast-path read.
+type readReplica struct {
+	asked bool
+	rank  int // answer order, from 1; 0 = not heard from
+	// endorsed marks a current endorsement of digest: not a Behind
+	// decline, stamped at or above the read's MinSeq.
+	endorsed bool
+	digest   [sha256.Size]byte
+	seq      uint64
+	// bound marks payload as hashing to digest; normally only the
+	// responder attaches one.
+	bound   bool
+	payload []byte
+}
+
+// reading reports whether c is still a fast-path read.
+func (c *call) reading() bool { return c.read.need > 0 }
 
 // outcome is what a settled call hands its consumer: the reply, and for
 // a txn call's agreed reply the bundle that certifies it (the 2PC vote
@@ -57,18 +104,22 @@ type outcome struct {
 type callEventKind uint8
 
 const (
-	evBundle   callEventKind = iota + 1 // a verified reply bundle from a target voter
-	evAgreed                            // the caller group's agreed reply or abort
-	evParked                            // outcomes that arrived before the call was issued
-	evBusy                              // one target voter refused the request under overload
-	evRetry                             // the retransmission timer fired
-	evDeadline                          // the caller's deadline passed
-	evCancel                            // the caller gave up on the call
+	evBundle     callEventKind = iota + 1 // a verified reply bundle from a target voter
+	evAgreed                              // the caller group's agreed reply or abort
+	evParked                              // outcomes that arrived before the call was issued
+	evBusy                                // one target voter refused the request under overload
+	evRetry                               // the retransmission timer fired
+	evDeadline                            // the caller's deadline passed
+	evCancel                              // the caller gave up on the call
+	evReadAnswer                          // one target replica's speculative read answer
+	evBusyRead                            // one target replica refused a read under overload
+	evWindow                              // a read's fast window expired
 )
 
 // callEvent is one event fed to step, with the inputs step may not
 // fetch itself: the group sizes, the clock's verdict on the call's
-// expiry and the retransmission jitter.
+// expiry, the retransmission jitter, and whether a read answer's payload
+// hashes to its digest.
 type callEvent struct {
 	kind   callEventKind
 	bundle *ReplyBundle // evBundle; evParked's parked bundle, if any
@@ -79,12 +130,21 @@ type callEvent struct {
 	shares []Share
 	epoch  uint64
 	groupN int
-	// evBusy: the refusing voter's group and index, its retry-after hint,
-	// and whether it refused because the deadline had passed.
+	// evBusy, evBusyRead, evReadAnswer: the sending voter's group and
+	// index; evBusy, evBusyRead: its retry-after hint; evBusy: whether it
+	// refused because the deadline had passed.
 	from           string
 	replica        int
 	hint           uint64
 	refusedExpired bool
+	// evReadAnswer: a Behind decline, or an endorsement of digest at seq,
+	// with payload when bound (it hashes to digest).
+	behind  bool
+	seq     uint64
+	digest  [sha256.Size]byte
+	bound   bool
+	payload []byte
+	widened bool // evWindow: the window was armed after the read widened
 
 	callerN  int           // this service's replica count
 	interval time.Duration // the driver's initial retransmission interval
@@ -103,6 +163,10 @@ const (
 	actResend                             // resend to the whole target group (attempt, responder)
 	actAbort                              // propose the agreed abort
 	actArmRetry                           // re-arm the retransmission timer after `after`
+	actCertify                            // end a read with reply; seq and replicas update the session
+	actShed                               // end a read as shed by its target group
+	actWiden                              // ask replicas too and re-arm the read's window
+	actFallBack                           // send the read, now an ordinary call, through agreement
 )
 
 // callAction is one thing step asks the executor to do.
@@ -114,6 +178,10 @@ type callAction struct {
 	attempt   int
 	responder int
 	after     time.Duration
+	// seq is actCertify's new monotonic-reads floor; replicas is its
+	// endorsers in answer order, or actWiden's newly asked replicas.
+	seq      uint64
+	replicas []int
 }
 
 // step is the whole settle policy of an agreement-path call: it applies
@@ -148,11 +216,19 @@ type callAction struct {
 //   - evCancel: as evDeadline, but the outcome never surfaces; a second
 //     cancel does nothing.
 //
+// A read (see stepRead) takes only evReadAnswer, evBusyRead and evWindow
+// besides evDeadline and evCancel, which settle it as they do any fast
+// call; every other event is dropped until it falls back.
+//
 // The actions are settle(reply, cert), forward-bundle-to-primary,
-// resend-to-group(attempt, responder), propose-abort and
-// arm-retry(after).
+// resend-to-group(attempt, responder), propose-abort, arm-retry(after),
+// and for reads certify(reply, seq, endorsers), shed(reply),
+// widen(replicas) and fall-back(responder).
 func step(c *call, ev callEvent) []callAction {
 	acts := c.acts[:0]
+	if c.reading() && ev.kind != evDeadline && ev.kind != evCancel {
+		return c.stepRead(acts, ev)
+	}
 	switch ev.kind {
 	case evBundle:
 		switch {
@@ -258,4 +334,203 @@ func (c *call) retransmit(acts []callAction, ev callEvent) []callAction {
 	return append(acts,
 		callAction{kind: actResend, attempt: c.attempt, responder: c.responder},
 		callAction{kind: actArmRetry, after: backoff})
+}
+
+// askFirst marks the f_t+1 replicas a read asks first and returns their
+// voter ids: the responder, then as its f partners the endorsers of this
+// driver's last certified read of the group, in the order they
+// answered, topped up with responder+1, responder+2, … Which replicas
+// partner never matters for safety — certification still takes f_t+1
+// matching endorsements — only for speed: a partner that just answered a
+// read is unlikely to be the silent one, so a crashed replica stops
+// costing a widening window after its first.
+func (c *call) askFirst() []auth.NodeID {
+	r := &c.read
+	n := len(r.replicas)
+	ids := make([]auth.NodeID, 0, r.need)
+	ask := func(i int) {
+		if i < n && !r.replicas[i].asked && len(ids) < r.need {
+			r.replicas[i].asked = true
+			ids = append(ids, auth.VoterID(c.target, i))
+		}
+	}
+	ask(c.responder)
+	for _, i := range r.partners {
+		ask(i)
+	}
+	for k := 1; k < n; k++ {
+		ask((c.responder + k) % n)
+	}
+	r.widened = len(ids) == n
+	return ids
+}
+
+// readRequest builds the read's wire request.
+func (c *call) readRequest(caller string) *ReadRequest {
+	return &ReadRequest{
+		ReqID:     c.id,
+		Caller:    caller,
+		Target:    c.target,
+		Responder: c.responder,
+		MinSeq:    c.read.minSeq,
+		AfterReq:  c.read.afterReq,
+		Payload:   c.payload,
+	}
+}
+
+// stepRead is step for a fast-path read, one row per rule:
+//
+//   - evReadAnswer, evBusyRead: counted once per replica of the target
+//     group, asked or not; a Behind decline and an endorsement below
+//     MinSeq never endorse, and a busy counts toward the shed quorum.
+//     Then f_t+1 busys shed the read with the largest hint, and a bound
+//     payload with f_t+1 matching endorsements certifies it. Nothing is
+//     decided while the replicas asked but not heard from could still
+//     complete a certificate or a busy quorum. Otherwise the read widens,
+//     unless it already asked the whole group, or the responder answered
+//     with no payload and no busy needs company — only the responder
+//     attaches the payload, so then no endorsement from the rest of the
+//     group could complete it — when it falls back.
+//   - evWindow: a fire for a window other than the current one is
+//     dropped. If the responder answered, the silence is a partner's and
+//     the first window widens; otherwise — a silent responder, whose
+//     payload no other replica sends, or the widened window — the read
+//     falls back.
+//
+// Widening asks every replica not asked yet, once. Falling back turns c
+// into a fast call in place — reads take the fast path only from an
+// unreplicated caller — keeping its id, sink, window slot, expiry and
+// deadline, with the first answerer as responder if the responder
+// stayed silent.
+func (c *call) stepRead(acts []callAction, ev callEvent) []callAction {
+	r := &c.read
+	switch ev.kind {
+	case evReadAnswer, evBusyRead:
+		if ev.from != c.target || ev.replica < 0 || ev.replica >= len(r.replicas) || r.replicas[ev.replica].rank != 0 {
+			return nil
+		}
+		s := &r.replicas[ev.replica]
+		r.answers++
+		s.rank = r.answers
+		switch {
+		case ev.kind == evBusyRead:
+			r.busy++
+			r.retryAfter = max(r.retryAfter, ev.hint)
+		case !ev.behind:
+			s.digest, s.seq, s.endorsed = ev.digest, ev.seq, ev.seq >= r.minSeq
+			s.payload, s.bound = ev.payload, ev.bound
+		}
+		return c.decideRead(acts)
+	case evWindow:
+		if ev.widened != r.widened {
+			return nil
+		}
+		if !r.widened && r.replicas[c.responder].rank != 0 {
+			return c.widen(acts)
+		}
+		return c.fallBack(acts)
+	}
+	return nil
+}
+
+// decideRead is what a read's answers so far call for (see stepRead).
+func (c *call) decideRead(acts []callAction) []callAction {
+	r := &c.read
+	if r.busy >= r.need {
+		return append(acts, callAction{kind: actShed, reply: Reply{
+			ReqID: c.id, Aborted: true, Overloaded: true, RetryAfterMillis: r.retryAfter,
+		}})
+	}
+	pending, best := 0, 0
+	for i := range r.replicas {
+		s := &r.replicas[i]
+		if s.asked && s.rank == 0 {
+			pending++
+		}
+		if s.bound && r.endorsements(s.digest) >= r.need {
+			return c.certify(acts, s)
+		}
+		if s.endorsed {
+			best = max(best, r.endorsements(s.digest))
+		}
+	}
+	// The most matching endorsements a digest with an obtainable payload
+	// could still gather among the replicas asked.
+	resp := &r.replicas[c.responder]
+	possible := 0
+	switch {
+	case resp.rank == 0:
+		possible = best + pending
+	case resp.bound:
+		possible = r.endorsements(resp.digest) + pending
+	}
+	if possible >= r.need || r.busy+pending >= r.need {
+		return nil
+	}
+	if r.widened || (resp.rank != 0 && !resp.bound && r.busy == 0) {
+		return c.fallBack(acts)
+	}
+	return c.widen(acts)
+}
+
+// endorsements counts the current endorsements of digest.
+func (r *readState) endorsements(digest [sha256.Size]byte) int {
+	n := 0
+	for i := range r.replicas {
+		if r.replicas[i].endorsed && r.replicas[i].digest == digest {
+			n++
+		}
+	}
+	return n
+}
+
+// certify settles the read with cert's bound payload. The new floor is
+// the *minimum* sequence over the matching endorsers: at least one of
+// them is correct, so a faulty endorser inflating its stamp cannot push
+// the floor past state a correct replica actually reached. The
+// endorsers, in answer order, partner the group's next read.
+func (c *call) certify(acts []callAction, cert *readReplica) []callAction {
+	r := &c.read
+	seq := ^uint64(0)
+	partners := r.partners[:0]
+	for rank := 1; rank <= r.answers; rank++ {
+		for i := range r.replicas {
+			if e := &r.replicas[i]; e.rank == rank && e.endorsed && e.digest == cert.digest {
+				partners = append(partners, i)
+				seq = min(seq, e.seq)
+			}
+		}
+	}
+	return append(acts, callAction{kind: actCertify, reply: Reply{ReqID: c.id, Payload: cert.payload}, seq: seq, replicas: partners})
+}
+
+// widen asks every replica of the group not asked yet.
+func (c *call) widen(acts []callAction) []callAction {
+	r := &c.read
+	var ask []int
+	for i := range r.replicas {
+		if s := &r.replicas[i]; !s.asked {
+			s.asked = true
+			ask = append(ask, i)
+		}
+	}
+	r.widened = true
+	return append(acts, callAction{kind: actWiden, replicas: ask})
+}
+
+// fallBack turns the read into a fast call bound for agreement. A
+// silent responder would leave the agreed reply unbundled until a
+// retransmission rotates the role, so the replica that answered the read
+// first takes it instead.
+func (c *call) fallBack(acts []callAction) []callAction {
+	r := &c.read
+	if r.replicas[c.responder].rank == 0 {
+		for i := range r.replicas {
+			if r.replicas[i].rank == 1 {
+				c.responder = i
+			}
+		}
+	}
+	c.read, c.fast = readState{}, true
+	return append(acts, callAction{kind: actFallBack, responder: c.responder})
 }

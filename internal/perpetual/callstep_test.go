@@ -52,6 +52,40 @@ func TestCallStep(t *testing.T) {
 	}
 	j := int64(2*interval) / 5
 
+	// aRead is a fast-path read from an unreplicated caller to t: its
+	// responder is replica 1, it asked replicas 1 and 2 first, and its
+	// session floor is 5.
+	aRead := func() *call {
+		c := &call{id: id, target: "t", fast: true, responder: 1, expiry: 99,
+			read: readState{need: 2, minSeq: 5, replicas: make([]readReplica, 4)}}
+		c.read.replicas[1].asked, c.read.replicas[2].asked = true, true
+		return c
+	}
+	dOK, dNo := ReplyDigest(id, []byte("ok")), ReplyDigest(id, []byte("no"))
+	// answer is replica's endorsement of digest at seq; bound ones carry
+	// the payload dOK digests.
+	answer := func(replica int, digest [32]byte, seq uint64, bound bool) callEvent {
+		ev := in(1, callEvent{kind: evReadAnswer, from: "t", replica: replica, digest: digest, seq: seq, bound: bound})
+		if bound {
+			ev.payload = []byte("ok")
+		}
+		return ev
+	}
+	behind := func(replica int) callEvent {
+		return in(1, callEvent{kind: evReadAnswer, from: "t", replica: replica, behind: true})
+	}
+	busyRead := func(replica int, hint uint64) callEvent {
+		return in(1, callEvent{kind: evBusyRead, from: "t", replica: replica, hint: hint})
+	}
+	window := func(widened bool) callEvent { return in(1, callEvent{kind: evWindow, widened: widened}) }
+	widen := []callAction{{kind: actWiden, replicas: []int{0, 3}}}
+	fallBack := func(responder int) []callAction { return []callAction{{kind: actFallBack, responder: responder}} }
+	fellBack := func(responder int) func(c *call) bool {
+		return func(c *call) bool {
+			return !c.reading() && c.fast && c.responder == responder && c.expiry == 99 && c.attempt == 0
+		}
+	}
+
 	rows := []struct {
 		name  string
 		c     *call
@@ -257,6 +291,86 @@ func TestCallStep(t *testing.T) {
 			},
 			want:  [][]callAction{abort, nil, settle(Reply{ReqID: id, Aborted: true})},
 			check: func(c *call) bool { return c.silent },
+		},
+
+		// Fast-path reads.
+		{
+			name: "read certifies on f_t+1 matching bound endorsements",
+			c:    aRead(),
+			evs:  []callEvent{answer(2, dOK, 6, false), answer(1, dOK, 7, true)},
+			want: [][]callAction{nil, {{kind: actCertify, reply: reply, seq: 6, replicas: []int{2, 1}}}},
+		},
+		{
+			name: "read never counts a Behind decline or an endorsement below MinSeq",
+			c:    aRead(),
+			evs:  []callEvent{answer(1, dOK, 7, true), behind(2), answer(3, dOK, 4, false), answer(0, dOK, 3, false)},
+			want: [][]callAction{nil, widen, nil, fallBack(1)},
+		},
+		{
+			name: "read sheds on f_t+1 busy reads with the largest hint",
+			c:    aRead(),
+			evs:  []callEvent{busyRead(1, 5), busyRead(2, 40)},
+			want: [][]callAction{nil, {{kind: actShed, reply: Reply{ReqID: id, Aborted: true, Overloaded: true, RetryAfterMillis: 40}}}},
+		},
+		{
+			name: "read awaits while the replicas pending could complete a certificate or a busy quorum",
+			c:    aRead(),
+			evs:  []callEvent{answer(2, dNo, 6, false), busyRead(0, 5)},
+			want: [][]callAction{nil, nil},
+		},
+		{
+			name: "read widens once when its responder answered",
+			c:    aRead(),
+			evs:  []callEvent{answer(2, dNo, 6, false), answer(1, dOK, 7, true), answer(0, dNo, 6, false), answer(3, dNo, 6, false)},
+			want: [][]callAction{nil, widen, nil, fallBack(1)},
+		},
+		{
+			name: "read window widens after its responder answered, and a stale first-window fire is dropped",
+			c:    aRead(),
+			evs:  []callEvent{answer(1, dOK, 7, true), window(false), window(false), window(true)},
+			want: [][]callAction{nil, widen, nil, fallBack(1)},
+		},
+		{
+			name:  "read falls back on a silent responder at window expiry, to its first answerer, keeping its expiry",
+			c:     aRead(),
+			evs:   []callEvent{answer(2, dOK, 6, false), window(false), answer(1, dOK, 7, true), in(1, callEvent{kind: evBundle, bundle: bundle})},
+			want:  [][]callAction{nil, fallBack(2), nil, settle(reply)},
+			check: fellBack(2),
+		},
+		{
+			name:  "read falls back on a responder that answered with no payload and no busy",
+			c:     aRead(),
+			evs:   []callEvent{answer(1, dOK, 7, false)},
+			want:  [][]callAction{fallBack(1)},
+			check: fellBack(1),
+		},
+		{
+			name: "read deadline settles it as aborted",
+			c:    aRead(),
+			evs:  []callEvent{in(1, callEvent{kind: evDeadline})},
+			want: [][]callAction{settle(Reply{ReqID: id, Aborted: true})},
+		},
+		{
+			name:  "read cancel settles it silently, and a second cancel does nothing",
+			c:     aRead(),
+			evs:   []callEvent{in(1, callEvent{kind: evCancel}), in(1, callEvent{kind: evCancel})},
+			want:  [][]callAction{settle(Reply{ReqID: id, Aborted: true}), nil},
+			check: func(c *call) bool { return c.silent },
+		},
+		{
+			name: "read ignores foreign, out-of-group and repeated answers, and agreement-path events",
+			c:    aRead(),
+			evs: []callEvent{
+				in(1, callEvent{kind: evReadAnswer, from: "u", replica: 1, digest: dOK, seq: 7, bound: true}),
+				answer(4, dOK, 7, true),
+				answer(1, dOK, 7, true),
+				answer(1, dOK, 7, true),
+				in(1, callEvent{kind: evBundle, bundle: bundle}),
+				busy(1, 2, 5),
+				in(1, callEvent{kind: evRetry}),
+			},
+			want:  [][]callAction{nil, nil, nil, nil, nil, nil, nil},
+			check: func(c *call) bool { return c.reading() && c.read.answers == 1 },
 		},
 	}
 	for _, row := range rows {

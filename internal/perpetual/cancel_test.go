@@ -31,13 +31,12 @@ func slowEchoApp(t *testing.T, dep *Deployment, service string, delay time.Durat
 }
 
 // driverPending snapshots the driver state a canceled call must not
-// leak: outstanding request entries, fast-path read waits, and queued
-// reply events for reqID.
-func driverPending(d *Driver, reqID string) (outstanding, readWaits, replies int) {
+// leak: outstanding calls and fast-path reads, and queued reply events
+// for reqID.
+func driverPending(d *Driver, reqID string) (outstanding, replies int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	outstanding = len(d.outstanding)
-	readWaits = len(d.readWaits)
 	for _, ev := range d.events {
 		if ev.Kind == EventReply && ev.Reply.ReqID == reqID {
 			replies++
@@ -88,7 +87,7 @@ func TestDoCancelLeavesNoOutstanding(t *testing.T) {
 
 			// Cancel only once the request is actually in flight.
 			waitPending(t, "request to become outstanding", func() bool {
-				o, _, _ := driverPending(drv, "")
+				o, _ := driverPending(drv, "")
 				return o > 0
 			})
 			cancel()
@@ -108,15 +107,15 @@ func TestDoCancelLeavesNoOutstanding(t *testing.T) {
 			// The entry settles through the group-wide abort; nothing may
 			// stay outstanding.
 			waitPending(t, "outstanding entry to settle", func() bool {
-				o, rw, _ := driverPending(drv, got.res.ReqID)
-				return o == 0 && rw == 0
+				o, _ := driverPending(drv, got.res.ReqID)
+				return o == 0
 			})
 
 			// The executor's late reply lands after delay; it must be
 			// swallowed, not surface as an orphan event.
 			time.Sleep(delay + 200*time.Millisecond)
-			if o, rw, replies := driverPending(drv, got.res.ReqID); o != 0 || rw != 0 || replies != 0 {
-				t.Fatalf("after late reply: %d outstanding, %d read waits, %d queued replies; want all zero", o, rw, replies)
+			if o, replies := driverPending(drv, got.res.ReqID); o != 0 || replies != 0 {
+				t.Fatalf("after late reply: %d outstanding, %d queued replies; want both zero", o, replies)
 			}
 
 			// The driver still works: a fresh call on the same session
@@ -133,9 +132,9 @@ func TestDoCancelLeavesNoOutstanding(t *testing.T) {
 }
 
 // TestDoCancelReadFastPath cancels a fast-path read mid-wait on both
-// transports: the read wait must be torn down (counted in ReadStats),
-// the deterministic fallback must not resurrect the request, and no
-// reply may surface later.
+// transports: the read must settle (counted in ReadStats), the
+// deterministic fallback must not resurrect it, and no reply may surface
+// later.
 func TestDoCancelReadFastPath(t *testing.T) {
 	const delay = 400 * time.Millisecond
 	for _, kind := range []TransportKind{TransportMem, TransportTCP} {
@@ -155,9 +154,9 @@ func TestDoCancelReadFastPath(t *testing.T) {
 				reqID = res.ReqID
 				errc <- err
 			}()
-			waitPending(t, "read to enter the fast path or fall back", func() bool {
-				o, rw, _ := driverPending(drv, "")
-				return o > 0 || rw > 0
+			waitPending(t, "read to be outstanding", func() bool {
+				o, _ := driverPending(drv, "")
+				return o > 0
 			})
 			cancel()
 			select {
@@ -168,13 +167,13 @@ func TestDoCancelReadFastPath(t *testing.T) {
 			case <-time.After(8 * time.Second):
 				t.Fatal("read Do did not return after cancel")
 			}
-			waitPending(t, "read wait and outstanding entry to settle", func() bool {
-				o, rw, _ := driverPending(drv, reqID)
-				return o == 0 && rw == 0
+			waitPending(t, "read to settle", func() bool {
+				o, _ := driverPending(drv, reqID)
+				return o == 0
 			})
 			time.Sleep(delay + 200*time.Millisecond)
-			if o, rw, replies := driverPending(drv, reqID); o != 0 || rw != 0 || replies != 0 {
-				t.Fatalf("after cancel: %d outstanding, %d read waits, %d queued replies; want all zero", o, rw, replies)
+			if o, replies := driverPending(drv, reqID); o != 0 || replies != 0 {
+				t.Fatalf("after cancel: %d outstanding, %d queued replies; want both zero", o, replies)
 			}
 		})
 	}

@@ -27,7 +27,8 @@ func fuzzBundle() *ReplyBundle {
 		}}
 }
 
-// fuzzMessageSeeds is one encoded message of every kind, from the encoder.
+// fuzzMessageSeeds is one encoded message of every kind, plus the other
+// flag settings of a read reply and a busy, from the encoder.
 func fuzzMessageSeeds() [][]byte {
 	digest := ReplyDigest("c:9", []byte("<reply/>"))
 	msgs := []*Message{
@@ -39,13 +40,13 @@ func fuzzMessageSeeds() [][]byte {
 			Share: fuzzBundle().Shares[0], Payload: []byte("<reply/>")}},
 		{Kind: KindReplyBundle, Epoch: 2, ReplyBundle: fuzzBundle()},
 		{Kind: KindResultForward, ResultForward: fuzzBundle()},
-		{Kind: KindUtilForward, UtilForward: &UtilForward{K: 42}},
-		{Kind: KindAbortForward, AbortForward: &AbortForward{ReqID: "c:9"}},
 		{Kind: KindPayloadFetch, PayloadFetch: &PayloadFetch{ReqID: "c:9", Digest: digest}},
 		{Kind: KindReadRequest, ReadRequest: &ReadRequest{ReqID: "c:10", Caller: "c", Target: "t", Responder: 1,
 			MinSeq: 7, AfterReq: 9, Payload: []byte("<home/>")}},
 		{Kind: KindReadReply, ReadReply: &ReadReply{ReqID: "c:10", Replica: 1, Seq: 7, Digest: digest, Payload: []byte("<page/>")}},
 		{Kind: KindBusy, Busy: &BusyReply{ReqID: "c:11", Replica: 3, RetryAfterMillis: 20, Expired: true, Read: true}},
+		{Kind: KindReadReply, ReadReply: &ReadReply{ReqID: "c:12", Replica: 2, Behind: true}},
+		{Kind: KindBusy, Busy: &BusyReply{ReqID: "c:13", Replica: 0, RetryAfterMillis: 5}},
 	}
 	seeds := make([][]byte, len(msgs))
 	for i, m := range msgs {

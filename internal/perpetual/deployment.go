@@ -16,15 +16,9 @@ type ServiceOptions struct {
 	CheckpointInterval uint64
 	ViewChangeTimeout  time.Duration
 	RetransmitInterval time.Duration
-	// ReadFallback tunes the drivers' read fast-path window; zero uses
-	// DefaultReadFallback.
-	ReadFallback time.Duration
 	// MaxBatch enables CLBFT request batching (>1) for the service's
 	// voter group.
 	MaxBatch int
-	// CommitFlushDelay tunes the piggybacked-commit idle heartbeat; zero
-	// uses the clbft default.
-	CommitFlushDelay time.Duration
 	// MaxIntake / MaxProposerQueue bound the voters' request admission
 	// (intake table and CLBFT pending backlog respectively); zero
 	// disables each bound. RetryAfterHint tunes the backoff hint busy
@@ -190,9 +184,7 @@ func (d *Deployment) buildGroup(g ServiceInfo, opts ServiceOptions, principals [
 			CheckpointInterval: opts.CheckpointInterval,
 			ViewChangeTimeout:  opts.ViewChangeTimeout,
 			RetransmitInterval: opts.RetransmitInterval,
-			ReadFallback:       opts.ReadFallback,
 			MaxBatch:           opts.MaxBatch,
-			CommitFlushDelay:   opts.CommitFlushDelay,
 			MaxIntake:          opts.MaxIntake,
 			MaxProposerQueue:   opts.MaxProposerQueue,
 			RetryAfterHint:     opts.RetryAfterHint,

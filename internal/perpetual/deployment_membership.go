@@ -408,9 +408,7 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 		CheckpointInterval: opts.CheckpointInterval,
 		ViewChangeTimeout:  opts.ViewChangeTimeout,
 		RetransmitInterval: opts.RetransmitInterval,
-		ReadFallback:       opts.ReadFallback,
 		MaxBatch:           opts.MaxBatch,
-		CommitFlushDelay:   opts.CommitFlushDelay,
 		MaxIntake:          opts.MaxIntake,
 		MaxProposerQueue:   opts.MaxProposerQueue,
 		RetryAfterHint:     opts.RetryAfterHint,

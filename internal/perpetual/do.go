@@ -3,7 +3,6 @@ package perpetual
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"time"
 )
 
@@ -11,12 +10,6 @@ import (
 // keyed agreement calls, session-tier reads, shard fan-outs, cross-shard
 // transactions — issues through, with cancellation and deadlines
 // carried by a context.Context.
-
-// errRequestCanceled refuses to (re)start a request whose caller already
-// canceled it — the read fast path's deterministic fallback re-enters
-// startRequest asynchronously, so without this check a cancel racing the
-// fallback would resurrect the request it just settled.
-var errRequestCanceled = errors.New("perpetual: request canceled by caller")
 
 // Request describes one call issued through Do.
 type Request struct {
@@ -89,11 +82,11 @@ type Result struct {
 //
 // Cancellation: when ctx is canceled mid-call, Do returns ctx.Err() and
 // settles the request so nothing leaks — the call takes step's evCancel
-// row (aborted locally on the reply fast path, by agreed group-wide
-// abort otherwise, its outcome never surfacing), and a fast-path read
-// wait is torn down. A replicated caller must drive Do from its
-// deterministic executor with a non-cancelable context: a cancel is a
-// local decision, and replicas that disagree about it diverge.
+// row (aborted locally on the reply fast path and on a fast-path read,
+// by agreed group-wide abort otherwise, its outcome never surfacing). A
+// replicated caller must drive Do from its deterministic executor with a
+// non-cancelable context: a cancel is a local decision, and replicas
+// that disagree about it diverge.
 //
 // Transactions run each phase under ctx during vote collection, but once
 // the commit/abort decision is proposed the protocol runs to completion
@@ -187,7 +180,7 @@ func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Dura
 	if err != nil {
 		return "", err
 	}
-	return d.startRequest("", tinfo, &call{
+	return d.startRequest(tinfo, &call{
 		payload: payload, timeout: timeout, sink: sink,
 		blocking: blocking, fast: d.fastPath(blocking, timeout),
 	})
@@ -230,19 +223,12 @@ func (d *Driver) await(ctx context.Context, reqID string, sink chan outcome) (ou
 	return outcome{}, ErrClosed
 }
 
-// cancelRequest settles a request whose caller gave up on it: a
-// fast-path read wait is torn down, an outstanding call gets step's
-// evCancel, and a reply already queued for the id is removed — all in
-// one d.mu hold, so no outcome can slip into the queue in between. The
-// id also enters the canceled window, so the read fallback's
-// asynchronous re-issue cannot resurrect it.
+// cancelRequest settles a request whose caller gave up on it: the
+// outstanding call gets step's evCancel, and a reply already queued for
+// the id is removed — both in one d.mu hold, so no outcome can slip into
+// the queue in between.
 func (d *Driver) cancelRequest(reqID string) {
 	d.mu.Lock()
-	d.canceled.Put(reqID, struct{}{})
-	if rw, ok := d.readWaits[reqID]; ok {
-		d.finishRead(reqID, rw)
-		d.readStats.canceled.Add(1)
-	}
 	fx := d.stepLocked(reqID, callEvent{kind: evCancel})
 	for i := len(d.events) - 1; i >= 0; i-- {
 		if d.events[i].Kind == EventReply && d.events[i].Reply.ReqID == reqID {

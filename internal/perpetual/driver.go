@@ -1,7 +1,6 @@
 package perpetual
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log"
@@ -32,8 +31,8 @@ const maxRetransmitBackoff = 30 * time.Second
 // DefaultReadFallback is the length of a fast-path read's window: how
 // long the replicas it asked have to return f_t+1 matching speculative
 // endorsements before the read widens to the whole group or, once
-// widened, deterministically re-issues the same request id through full
-// agreement.
+// widened, deterministically falls back to full agreement under the
+// same request id. The caller's deadline is the call's own timer.
 const DefaultReadFallback = 150 * time.Millisecond
 
 // IncomingRequest is an agreed external request awaiting execution.
@@ -105,7 +104,6 @@ type Driver struct {
 	logger   *log.Logger
 
 	retransmitInterval time.Duration
-	readFallback       time.Duration
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -123,9 +121,9 @@ type Driver struct {
 	// path, WaitReply on another) stays coherent and deterministic.
 	events []Event
 
-	// outstanding holds the agreement-path calls awaiting their outcome
-	// (see call and step); a call leaves it when it settles, so nothing
-	// ever settles twice.
+	// outstanding holds the calls and fast-path reads awaiting their
+	// outcome (see call and step); a call leaves it when it settles, so
+	// nothing ever settles twice.
 	outstanding map[string]*call
 	utils       map[uint64]int64
 
@@ -152,23 +150,17 @@ type Driver struct {
 	// bundle. Unknown targets default to index 0 (the view-0 primary).
 	primaryHint map[string]int
 
-	// Session-tier read fast path (see issueRead). readWaits collects
-	// speculative endorsements per outstanding read; readFloor is the
+	// Session-tier read fast path (see issueRead). readFloor is the
 	// per-target-group monotonic-reads floor (highest certified read
 	// sequence); readAfter is the per-target-group read-your-writes lease
 	// (highest completed agreement-path request number); readPartners
 	// lists, per target group, the endorsers of the last certified read
-	// in the order they answered (see askFirst).
-	readWaits    map[string]*readWait
+	// in the order they answered (see askFirst); readStats counts read
+	// outcomes (see stepLocked).
 	readFloor    map[string]uint64
 	readAfter    map[string]uint64
 	readPartners map[string][]int
-	readStats    readStatsCounters
-
-	// canceled records request ids settled by a ctx cancel (see
-	// cancelRequest), so the read fallback's asynchronous re-issue can
-	// never resurrect a canceled read.
-	canceled *boundedCache[struct{}]
+	readStats    ReadStats
 
 	// txnPending holds one decision slot per transaction this replica is
 	// driving; registered slots are never evicted (see
@@ -195,7 +187,7 @@ type txnDecision struct {
 
 // ReadStats counts session-tier read fast-path outcomes at one driver.
 // The fast path is an optimization, never a correctness lever: every
-// fallback re-issues the identical request through full agreement, so
+// fallback sends the identical request through full agreement, so
 // Attempts == Certified + Fallbacks + Shed + Canceled + still-in-flight
 // at all times.
 type ReadStats struct {
@@ -205,11 +197,11 @@ type ReadStats struct {
 	// speculative digest endorsements (agreement skipped entirely).
 	Certified uint64
 	// Fallbacks is the number of reads that left the fast path
-	// uncertified: re-issued through agreement (or refused by a full
-	// client window on the way), or aborted there because the caller's
-	// deadline passed inside the fast window.
+	// uncertified: sent through agreement, or aborted because the
+	// caller's deadline passed inside the fast window.
 	Fallbacks uint64
-	// FallbackTimeout counts fallbacks whose fast window expired.
+	// FallbackTimeout counts fallbacks whose fast window or deadline
+	// expired.
 	FallbackTimeout uint64
 	// FallbackDiverged counts fallbacks forced by conflicting digests,
 	// stale endorsements, behind replicas, or an unobtainable payload.
@@ -227,156 +219,6 @@ type ReadStats struct {
 	Widened uint64
 }
 
-// paddedUint64 is an atomic counter alone on its cache line, so two hot
-// counters incremented by different goroutines never invalidate each
-// other's line (the false-sharing half of multi-core stats cost).
-type paddedUint64 struct {
-	atomic.Uint64
-	_ [56]byte
-}
-
-// readStatsCounters is the driver's live form of ReadStats: padded
-// atomics, updated outside d.mu, so the read fast path's bookkeeping
-// neither lengthens the driver's critical sections nor bounces one
-// shared cache line between the transport goroutines settling reads.
-type readStatsCounters struct {
-	attempts         paddedUint64
-	certified        paddedUint64
-	fallbacks        paddedUint64
-	fallbackTimeout  paddedUint64
-	fallbackDiverged paddedUint64
-	canceled         paddedUint64
-	shed             paddedUint64
-	widened          paddedUint64
-}
-
-// readWait tracks a fast-path read: which replicas of the target group
-// it asked, what each answered, and its fast window (see issueRead).
-type readWait struct {
-	target    string    // concrete (shard) group name
-	payload   []byte    // the request payload
-	deadline  time.Time // the caller's deadline (zero = none)
-	responder int
-	need      int // f_t+1: matching endorsements certify, busys shed
-	minSeq    uint64
-	afterReq  uint64
-	blocking  bool         // Request.Blocking, copied onto the settled Reply
-	sink      chan outcome // the outcome's consumer (see call.sink)
-	// widened marks every replica of the group asked: the read widened
-	// past its first f_t+1, or the group has no others.
-	widened bool
-	tmr     *time.Timer
-	counted bool // holds an in-flight window slot (Driver.maxOutstanding)
-
-	replicas   []readReplica // indexed by target replica
-	answers    int           // replicas heard from, incl. Behind declines and busys
-	busy       int           // busy-read refusals among them
-	retryAfter uint64        // largest busy-read backoff hint
-}
-
-// readReplica is one target replica's part in a fast-path read.
-type readReplica struct {
-	asked bool
-	rank  int // answer order, from 1; 0 = not heard from
-	// endorsed marks a current endorsement of digest: not a Behind
-	// decline, stamped at or above the read's MinSeq.
-	endorsed bool
-	digest   [sha256.Size]byte
-	seq      uint64
-	// bound marks payload as hashing to digest; normally only the
-	// responder attaches one.
-	bound   bool
-	payload []byte
-}
-
-// endorsements counts the current endorsements of digest.
-func (rw *readWait) endorsements(digest [sha256.Size]byte) int {
-	c := 0
-	for i := range rw.replicas {
-		if rw.replicas[i].endorsed && rw.replicas[i].digest == digest {
-			c++
-		}
-	}
-	return c
-}
-
-// readStep is what a fast-path read's answers so far call for.
-type readStep uint8
-
-const (
-	readAwait    readStep = iota // an outcome is still possible among the replicas asked
-	readCertify                  // a bound payload has f_t+1 matching endorsements
-	readShed                     // f_t+1 replicas refused the read as busy
-	readWiden                    // ask the rest of the group
-	readFallBack                 // re-issue through agreement
-)
-
-// step decides a read's next move from its answers so far; for
-// readCertify, cert is the replica whose bound payload certified.
-// Nothing is decided while the replicas asked but not yet heard from
-// could still complete a certificate or a busy quorum. Otherwise the
-// read widens, unless it already asked the whole group, or the
-// responder answered with no payload and no refusal needs company:
-// only the responder attaches the payload, so then no endorsement from
-// the rest of the group could complete the read.
-func (rw *readWait) step() (step readStep, cert int) {
-	if rw.busy >= rw.need {
-		return readShed, 0
-	}
-	pending, best := 0, 0
-	for i := range rw.replicas {
-		s := &rw.replicas[i]
-		if s.asked && s.rank == 0 {
-			pending++
-		}
-		if s.bound && rw.endorsements(s.digest) >= rw.need {
-			return readCertify, i
-		}
-		if s.endorsed {
-			best = max(best, rw.endorsements(s.digest))
-		}
-	}
-	// The most matching endorsements a digest with an obtainable payload
-	// could still gather among the replicas asked.
-	r := &rw.replicas[rw.responder]
-	possible := 0
-	switch {
-	case r.rank == 0:
-		possible = best + pending
-	case r.bound:
-		possible = rw.endorsements(r.digest) + pending
-	}
-	if possible >= rw.need || rw.busy+pending >= rw.need {
-		return readAwait, 0
-	}
-	if rw.widened || (r.rank != 0 && !r.bound && rw.busy == 0) {
-		return readFallBack, 0
-	}
-	return readWiden, 0
-}
-
-// window is the length of the read's next fast window: ReadFallback,
-// cut short by the caller's deadline.
-func (rw *readWait) window(fast time.Duration) time.Duration {
-	if !rw.deadline.IsZero() {
-		fast = min(fast, time.Until(rw.deadline))
-	}
-	return fast
-}
-
-// request rebuilds the read's wire request.
-func (rw *readWait) request(reqID, caller string) *ReadRequest {
-	return &ReadRequest{
-		ReqID:     reqID,
-		Caller:    caller,
-		Target:    rw.target,
-		Responder: rw.responder,
-		MinSeq:    rw.minSeq,
-		AfterReq:  rw.afterReq,
-		Payload:   rw.payload,
-	}
-}
-
 func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.ChannelAdapter, ks *auth.KeyStore, v *voter, logger *log.Logger) *Driver {
 	d := &Driver{
 		svc:                svc,
@@ -387,17 +229,14 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		voter:              v,
 		logger:             logger,
 		retransmitInterval: DefaultRetransmitInterval,
-		readFallback:       DefaultReadFallback,
 		done:               make(chan struct{}),
 		outstanding:        make(map[string]*call),
 		inflight:           make(map[string]int),
 		utils:              make(map[uint64]int64),
 		primaryHint:        make(map[string]int),
-		readWaits:          make(map[string]*readWait),
 		readFloor:          make(map[string]uint64),
 		readAfter:          make(map[string]uint64),
 		readPartners:       make(map[string][]int),
-		canceled:           newBoundedCache[struct{}](4 * deliveredCacheSize),
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
 		early:              newBoundedCache[callEvent](inFlightCacheSize),
@@ -481,37 +320,21 @@ func (d *Driver) handleTransport(from auth.NodeID, payload []byte) {
 // f_t+1 DISTINCT voters refused it: that quorum contains a correct
 // voter, so the group really is refusing work (or really saw the
 // deadline pass). A call's refusals feed step's evBusy row, which also
-// says who may settle overload locally; a busy-read counts as a
-// non-endorsing response toward the read's impossibility check.
+// says who may settle overload locally; a read's feed evBusyRead, which
+// sheds the read without the agreement fallback (falling back would add
+// agreement load exactly when the target shed the read to protect it).
 func (d *Driver) handleBusy(from auth.NodeID, bz *BusyReply) {
 	if bz == nil || from.Role != auth.RoleVoter || bz.Replica != from.Index || from.Index < 0 {
 		return
 	}
+	kind := evBusy
 	if bz.Read {
-		d.handleBusyRead(from, bz)
-		return
+		kind = evBusyRead
 	}
 	d.run(bz.ReqID, callEvent{
-		kind: evBusy, from: from.Service, replica: from.Index,
+		kind: kind, from: from.Service, replica: from.Index,
 		hint: bz.RetryAfterMillis, refusedExpired: bz.Expired,
 	})
-}
-
-// handleBusyRead folds a busy-read refusal into the read's wait: f_t+1
-// refusals settle the read as overloaded WITHOUT the agreement fallback
-// (falling back would add agreement load exactly when the target shed
-// the read to protect it); fewer behave like Behind declines toward
-// certification (see readWait.step).
-func (d *Driver) handleBusyRead(from auth.NodeID, bz *BusyReply) {
-	d.mu.Lock()
-	rw := d.readAnswer(bz.ReqID, from, bz.Replica)
-	if rw == nil {
-		d.mu.Unlock()
-		return
-	}
-	rw.busy++
-	rw.retryAfter = max(rw.retryAfter, bz.RetryAfterMillis)
-	d.advanceRead(bz.ReqID, rw)
 }
 
 // handleBundle verifies a stage-6 reply bundle and feeds it to its call
@@ -600,7 +423,7 @@ func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Durati
 			c.sink = make(chan outcome, 1)
 			sinks = append(sinks, c.sink)
 		}
-		id, err := d.startRequest("", tinfo.Shard(k), c)
+		id, err := d.startRequest(tinfo.Shard(k), c)
 		if err != nil {
 			for _, issued := range ids {
 				d.cancelRequest(issued)
@@ -617,7 +440,7 @@ func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Durati
 // goes to the returned channel and never to the event queue.
 func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Duration, class uint8) (string, chan outcome, error) {
 	sink := make(chan outcome, 1)
-	id, err := d.startRequest("", tinfo, &call{payload: payload, timeout: timeout, txn: true, class: class, sink: sink})
+	id, err := d.startRequest(tinfo, &call{payload: payload, timeout: timeout, txn: true, class: class, sink: sink})
 	return id, sink, err
 }
 
@@ -651,41 +474,26 @@ func (d *Driver) nextReqID() string {
 	return d.svc.Name + ":" + strconv.FormatUint(d.reqSeq, 10)
 }
 
-// startRequest registers and transmits a request (stage 1 proper),
-// filling in c's id, target and, for a fresh call, its responder. An
-// empty reqID reserves the next id. The reservation, the registration
-// in d.outstanding and the lookup of an outcome parked before the issue
-// happen under one d.mu hold, so a bundle arriving concurrently is
-// either seen by the registered call or parked where this lookup finds
-// it. The read fast path re-enters with its already-reserved id on
-// fallback, so the agreement-path reply answers the very id the caller
-// is already waiting on.
-func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, c *call) (string, error) {
-	target := tinfo.Name
-	c.target = target
-	d.mu.Lock()
+// admit reserves c's id and registers it toward tinfo (caller holds
+// d.mu): it claims the in-flight window slot, stamps the expiry, enters
+// d.outstanding and arms the deadline timer. Reservation and
+// registration share the caller's d.mu hold, so an outcome for the id is
+// either seen by the registered call or parked where the issue finds it
+// (see parkable).
+func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if d.closed {
-		d.mu.Unlock()
-		return "", ErrClosed
+		return ErrClosed
 	}
-	if reqID == "" {
-		reqID = d.nextReqID()
-		c.responder = int(d.reqSeq % uint64(tinfo.N))
-	} else if d.canceled.Contains(reqID) {
-		// A ctx cancel settled this id while the read fallback (the only
-		// re-entrant) was in flight; re-issuing would resurrect it.
-		d.mu.Unlock()
-		return "", errRequestCanceled
-	}
-	if !c.txn && !d.acquireSlot(target) {
+	if !c.txn && !d.acquireSlot(tinfo.Name) {
 		// Client-edge admission: the in-flight window to this target is
 		// full, so refuse with the deterministic RETRY-AFTER fault before
 		// building or sending anything (txn traffic is protocol-internal
 		// 2PC/handoff machinery and is never shed here).
-		d.mu.Unlock()
-		return "", &OverloadError{RetryAfter: DefaultRetryAfterHint}
+		return &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
-	c.id = reqID
+	c.target = tinfo.Name
+	c.id = d.nextReqID()
+	c.responder = int(d.reqSeq % uint64(tinfo.N))
 	c.counted = !c.txn && d.maxOutstanding > 0
 	if c.timeout > 0 && !c.txn {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
@@ -694,60 +502,87 @@ func (d *Driver) startRequest(reqID string, tinfo ServiceInfo, c *call) (string,
 		// pre-agreement stage instead of ordering it.
 		c.expiry = uint64(time.Now().Add(c.timeout).UnixMilli())
 	}
-	d.outstanding[reqID] = c
-	if e, ok := d.early.Get(reqID); ok {
-		// The outcome that matches how the call was issued answers it
-		// without sending anything (step's evParked row).
-		d.early.Delete(reqID)
-		d.stepLocked(reqID, e)
-		if d.outstanding[reqID] != c {
-			d.mu.Unlock()
-			return reqID, nil
-		}
+	d.outstanding[c.id] = c
+	if c.timeout > 0 {
+		id := c.id
+		c.abortTmr = time.AfterFunc(c.timeout, func() { d.run(id, callEvent{kind: evDeadline}) })
 	}
-	hint := d.primaryHint[target]
-	d.mu.Unlock()
-	if hint < 0 || hint >= tinfo.N {
-		hint = 0
-	}
+	return nil
+}
 
-	req, err := d.buildRequest(reqID, tinfo, c.payload, c.responder, 0, c.expiry)
-	if err != nil {
-		// The entry has no timers yet; without this removal it would
-		// never be reaped and Outstanding() would over-count forever.
-		d.mu.Lock()
-		d.releaseSlot(target, &c.counted)
-		delete(d.outstanding, reqID)
+// startRequest issues an agreement-path request (stage 1 proper): it
+// admits c, feeds it an outcome parked before the issue, and sends the
+// first attempt unless that outcome already settled it.
+func (d *Driver) startRequest(tinfo ServiceInfo, c *call) (string, error) {
+	d.mu.Lock()
+	if err := d.admit(tinfo, c); err != nil {
 		d.mu.Unlock()
 		return "", err
 	}
-	// First attempt goes to the believed primary — the hint learned from
-	// the target's reply bundles, index 0 before the first bundle;
-	// retransmissions fan out to the whole group, so a crashed or
-	// superseded primary costs one retransmission interval, never
-	// liveness.
-	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(target, hint)}, c.class); err != nil {
-		d.logf("request %s: %v", reqID, err)
+	if e, ok := d.early.Get(c.id); ok {
+		// The outcome that matches how the call was issued answers it
+		// without sending anything (step's evParked row).
+		d.early.Delete(c.id)
+		d.stepLocked(c.id, e)
+		if d.outstanding[c.id] != c {
+			d.mu.Unlock()
+			return c.id, nil
+		}
 	}
+	responder, hint := c.responder, d.primaryHint[c.target]
+	d.mu.Unlock()
+	if err := d.sendFirst(c, tinfo, responder, hint); err != nil {
+		// Without this the entry would never be reaped and Outstanding()
+		// would over-count forever; its caller only learns the error.
+		d.abandon(c, true)
+		return "", err
+	}
+	return c.id, nil
+}
 
+// sendFirst transmits c's first attempt and arms its retransmission —
+// the send half of startRequest, which a read's fallback shares. The
+// first attempt goes to the believed primary, hint — learned from the
+// target's reply bundles, index 0 before the first bundle;
+// retransmissions fan out to the whole group, so a crashed or superseded
+// primary costs one retransmission interval, never liveness.
+func (d *Driver) sendFirst(c *call, tinfo ServiceInfo, responder, hint int) error {
+	if hint < 0 || hint >= tinfo.N {
+		hint = 0
+	}
+	req, err := d.buildRequest(c.id, tinfo, c.payload, responder, 0, c.expiry)
+	if err != nil {
+		return err
+	}
+	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}, c.class); err != nil {
+		d.logf("request %s: %v", c.id, err)
+	}
 	d.mu.Lock()
-	if d.outstanding[reqID] == c {
-		if c.retryTmr == nil {
-			// (A busy refusal may already have re-armed retransmission.)
-			d.armRetry(c, d.retransmitInterval)
-		}
-		if c.timeout > 0 {
-			c.abortTmr = time.AfterFunc(c.timeout, func() { d.run(reqID, callEvent{kind: evDeadline}) })
-		}
+	if d.outstanding[c.id] == c && c.retryTmr == nil {
+		// (A busy refusal may already have re-armed retransmission.)
+		d.armRetry(c, d.retransmitInterval)
 	}
 	d.mu.Unlock()
-	return reqID, nil
+	return nil
+}
+
+// abandon settles c as aborted when its first attempt could not be built,
+// silently when the caller learns the error instead.
+func (d *Driver) abandon(c *call, silent bool) {
+	d.mu.Lock()
+	if d.outstanding[c.id] == c {
+		c.silent = c.silent || silent
+		d.settle(c, Reply{ReqID: c.id, Aborted: true}, nil)
+	}
+	d.mu.Unlock()
 }
 
 // run is the executor of step: it feeds one event to the call reqID
 // names and performs the actions that follow, the bookkeeping ones
-// (settle, arm-retry) under d.mu and the network ones (forward, resend,
-// propose-abort) after releasing it.
+// (settle, certify, shed, arm-retry, and the timers of widen and
+// fall-back) under d.mu and the network ones (forward, resend,
+// propose-abort, and the sends of widen and fall-back) after releasing
+// it.
 func (d *Driver) run(reqID string, ev callEvent) {
 	d.mu.Lock()
 	fx := d.stepLocked(reqID, ev)
@@ -761,13 +596,15 @@ type effects struct {
 	c     *call
 	tinfo ServiceInfo // the target group, for actResend
 	acts  [2]callAction
+	read  *ReadRequest // actWiden's request
+	hint  int          // actFallBack's primary hint
 }
 
 // stepLocked looks the call up, supplies step's inputs, runs it and
-// applies its settle and arm-retry actions, returning the rest (caller
-// holds d.mu). An outcome for an id not issued yet is parked for its
-// issue (see parkable); any other event for an unknown id is stale and
-// dropped.
+// applies its bookkeeping actions, counting a read's outcomes in
+// d.readStats, and returns the rest (caller holds d.mu). An outcome for
+// an id not issued yet is parked for its issue (see parkable); any other
+// event for an unknown id is stale and dropped.
 func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 	if d.closed {
 		return fx
@@ -798,12 +635,50 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 	}
 	ev.callerN, ev.interval = d.svc.N, d.retransmitInterval
 	fx.c = c
+	reading := c.reading()
 	for i, a := range step(c, ev) {
 		switch a.kind {
 		case actSettle:
+			if reading {
+				// A read ended by its caller, or by its deadline inside the
+				// fast window.
+				if ev.kind == evCancel {
+					d.readStats.Canceled++
+				} else {
+					d.readStats.Fallbacks++
+					d.readStats.FallbackTimeout++
+				}
+			}
 			d.settle(c, a.reply, a.cert)
+		case actCertify:
+			d.readStats.Certified++
+			d.readPartners[c.target] = a.replicas
+			if a.seq > d.readFloor[c.target] {
+				d.readFloor[c.target] = a.seq
+			}
+			d.settle(c, a.reply, nil)
+		case actShed:
+			d.readStats.Shed++
+			d.settle(c, a.reply, nil)
 		case actArmRetry:
 			d.armRetry(c, a.after)
+		case actWiden:
+			d.readStats.Widened++
+			d.armRetry(c, DefaultReadFallback)
+			fx.read = c.readRequest(d.svc.Name)
+			fx.acts[i] = a
+		case actFallBack:
+			d.readStats.Fallbacks++
+			if ev.kind == evWindow {
+				d.readStats.FallbackTimeout++
+			} else {
+				d.readStats.FallbackDiverged++
+			}
+			// The fast window is over; sendFirst arms retransmission.
+			c.retryTmr.Stop()
+			c.retryTmr = nil
+			fx.hint = d.primaryHint[c.target]
+			fx.acts[i] = a
 		default:
 			fx.acts[i] = a
 		}
@@ -821,6 +696,21 @@ func (d *Driver) perform(fx effects) {
 			d.resend(fx.c, fx.tinfo, a.attempt, a.responder)
 		case actAbort:
 			d.voter.requestAbort(fx.c.id)
+		case actWiden:
+			ids := make([]auth.NodeID, len(a.replicas))
+			for k, i := range a.replicas {
+				ids[k] = auth.VoterID(fx.c.target, i)
+			}
+			d.sendRead(fx.read, ids)
+		case actFallBack:
+			tinfo, err := d.registry.Lookup(fx.c.target)
+			if err == nil {
+				err = d.sendFirst(fx.c, tinfo, a.responder, fx.hint)
+			}
+			if err != nil {
+				d.logf("read fallback %s: %v", fx.c.id, err)
+				d.abandon(fx.c, false)
+			}
 		}
 	}
 }
@@ -837,7 +727,7 @@ func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
 		c.abortTmr.Stop()
 	}
 	d.releaseSlot(c.target, &c.counted)
-	if !c.txn && !r.Aborted {
+	if !c.txn && !c.reading() && !r.Aborted {
 		// Session-lease bookkeeping: a completed agreement-path request
 		// is conservatively a write this session's later fast-path reads
 		// must observe (read-your-writes), so advance the lease to its
@@ -865,13 +755,22 @@ func (d *Driver) post(sink chan outcome, o outcome) {
 	d.cond.Broadcast()
 }
 
-// armRetry (re)arms c's retransmission timer (caller holds d.mu).
+// armRetry (re)arms c's retransmission timer, or while c is a read its
+// fast window (caller holds d.mu). A window remembers whether it was
+// armed before or after the read widened, so step can drop the first
+// window's fire arriving late.
 func (d *Driver) armRetry(c *call, after time.Duration) {
 	if c.retryTmr != nil {
 		c.retryTmr.Stop()
 	}
-	id := c.id
-	c.retryTmr = time.AfterFunc(after, func() { d.run(id, callEvent{kind: evRetry}) })
+	id, reading, widened := c.id, c.reading(), c.read.widened
+	c.retryTmr = time.AfterFunc(after, func() {
+		if reading {
+			d.run(id, callEvent{kind: evWindow, widened: widened})
+		} else {
+			d.run(id, callEvent{kind: evRetry})
+		}
+	})
 }
 
 // resend re-sends an unanswered request to every target voter with the
@@ -895,94 +794,44 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 // certifies on f_t+1 matching digest endorsements at or above the
 // session's lease (the monotonic floor, plus the read-your-writes gate
 // against AfterReq). Otherwise it asks the rest of the group once, and
-// then deterministically re-issues the same id through agreement under
-// the caller's original deadline (see readWait.step): the caller
-// observes exactly one reply, never an uncertified one. A replicated
-// caller (N > 1) takes the agreement path directly, since fast replies
-// could not reach its replicas deterministically; blocking is Do's
-// fastPath input for that call.
+// then deterministically falls back to agreement as the same call (see
+// stepRead): the caller observes exactly one reply, never an
+// uncertified one. A replicated caller (N > 1) takes the agreement path
+// directly, since fast replies could not reach its replicas
+// deterministically; blocking is Do's fastPath input for that call.
 func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan outcome) (string, error) {
 	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
 	}
+	c := &call{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout), sink: sink}
 	if d.svc.N > 1 {
-		return d.startRequest("", tinfo, &call{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout), sink: sink})
+		return d.startRequest(tinfo, c)
 	}
-
 	d.mu.Lock()
-	if d.closed {
+	// Reads respect the same client-edge window as calls, and hold their
+	// slot through a fallback: a read flood would otherwise fan
+	// authenticated frames at the whole group exactly when it is shedding
+	// to protect agreement.
+	if err := d.admit(tinfo, c); err != nil {
 		d.mu.Unlock()
-		return "", ErrClosed
+		return "", err
 	}
-	if !d.acquireSlot(tinfo.Name) {
-		// Reads respect the same client-edge window as calls: a read
-		// flood would otherwise fan authenticated frames at the whole
-		// group exactly when it is shedding to protect agreement.
-		d.mu.Unlock()
-		return "", &OverloadError{RetryAfter: DefaultRetryAfterHint}
+	c.read = readState{
+		need:     tinfo.F() + 1,
+		minSeq:   d.readFloor[tinfo.Name],
+		afterReq: d.readAfter[tinfo.Name],
+		replicas: make([]readReplica, tinfo.N),
+		partners: d.readPartners[tinfo.Name],
 	}
-	reqID := d.nextReqID()
-	rw := &readWait{
-		counted:   d.maxOutstanding > 0,
-		blocking:  blocking,
-		sink:      sink,
-		target:    tinfo.Name,
-		payload:   payload,
-		responder: int(d.reqSeq % uint64(tinfo.N)),
-		need:      tinfo.F() + 1,
-		minSeq:    d.readFloor[tinfo.Name],
-		afterReq:  d.readAfter[tinfo.Name],
-		replicas:  make([]readReplica, tinfo.N),
-	}
-	if timeout > 0 {
-		rw.deadline = time.Now().Add(timeout)
-	}
-	ids := d.askFirst(rw)
-	d.readWaits[reqID] = rw
-	d.readStats.attempts.Add(1)
-	d.armReadWindow(reqID, rw)
-	rr := rw.request(reqID, d.svc.Name)
+	ids := c.askFirst()
+	d.readStats.Attempts++
+	d.armRetry(c, DefaultReadFallback)
+	rr := c.readRequest(d.svc.Name)
 	d.mu.Unlock()
 
 	d.sendRead(rr, ids)
-	return reqID, nil
-}
-
-// askFirst marks the f_t+1 replicas a read asks first and returns their
-// voter ids (caller holds d.mu): the responder, then as its f partners
-// the endorsers of this driver's last certified read of the group, in
-// the order they answered, topped up with responder+1, responder+2, …
-// Which replicas partner never matters for safety — certification
-// still takes f_t+1 matching endorsements — only for speed: a partner
-// that just answered a read is unlikely to be the silent one, so a
-// crashed replica stops costing a widening window after its first.
-func (d *Driver) askFirst(rw *readWait) []auth.NodeID {
-	n := len(rw.replicas)
-	ids := make([]auth.NodeID, 0, rw.need)
-	ask := func(i int) {
-		if i < n && !rw.replicas[i].asked && len(ids) < rw.need {
-			rw.replicas[i].asked = true
-			ids = append(ids, auth.VoterID(rw.target, i))
-		}
-	}
-	ask(rw.responder)
-	for _, i := range d.readPartners[rw.target] {
-		ask(i)
-	}
-	for k := 1; k < n; k++ {
-		ask((rw.responder + k) % n)
-	}
-	rw.widened = len(ids) == n
-	return ids
-}
-
-// armReadWindow starts the read's current fast window (caller holds
-// d.mu). The timer remembers which window it was armed for, so the
-// first window's timer firing late, after the read widened, is ignored.
-func (d *Driver) armReadWindow(reqID string, rw *readWait) {
-	widened := rw.widened
-	rw.tmr = time.AfterFunc(rw.window(d.readFallback), func() { d.readWindowExpired(reqID, widened) })
+	return c.id, nil
 }
 
 // sendRead transmits a fast-path read request to the given target
@@ -997,229 +846,33 @@ func (d *Driver) sendRead(rr *ReadRequest, ids []auth.NodeID) {
 	w.Free()
 }
 
-// widen asks every replica of the group not asked yet and re-arms the
-// fast window, again bounded by the caller's deadline (caller holds
-// d.mu, which widen releases). A read widens at most once.
-func (d *Driver) widen(reqID string, rw *readWait) {
-	ids := make([]auth.NodeID, 0, len(rw.replicas))
-	for i := range rw.replicas {
-		if s := &rw.replicas[i]; !s.asked {
-			s.asked = true
-			ids = append(ids, auth.VoterID(rw.target, i))
-		}
-	}
-	rw.widened = true
-	d.readStats.widened.Add(1)
-	rw.tmr.Stop()
-	d.armReadWindow(reqID, rw)
-	rr := rw.request(reqID, d.svc.Name)
-	d.mu.Unlock()
-	d.sendRead(rr, ids)
-}
-
-// readWindowExpired ends a read's fast window; widened says which
-// window the timer was armed for. If the responder has answered, the
-// silence is a partner's, and the rest of the group can stand in for
-// it: the first window widens the read while the deadline allows.
-// Otherwise — a silent responder, whose payload no other replica
-// sends, or the widened window — the read falls back.
-func (d *Driver) readWindowExpired(reqID string, widened bool) {
-	d.mu.Lock()
-	rw, ok := d.readWaits[reqID]
-	if !ok || rw.widened != widened {
-		d.mu.Unlock()
-		return
-	}
-	if !rw.widened && rw.replicas[rw.responder].rank != 0 && rw.window(d.readFallback) > 0 {
-		d.widen(reqID, rw)
-		return
-	}
-	d.mu.Unlock()
-	d.readFallbackFor(reqID, true)
-}
-
-// readAnswer admits one replica's answer to a read and returns the
-// read, or nil when the answer does not count: an unknown or settled
-// read, a sender outside the target group or speaking for another
-// index, or a second answer from the same replica (caller holds d.mu).
-// Any replica of the group may answer, asked or not.
-func (d *Driver) readAnswer(reqID string, from auth.NodeID, replica int) *readWait {
-	rw, ok := d.readWaits[reqID]
-	if !ok || from.Service != rw.target || replica != from.Index ||
-		from.Index < 0 || from.Index >= len(rw.replicas) || rw.replicas[from.Index].rank != 0 {
-		return nil
-	}
-	rw.answers++
-	rw.replicas[from.Index].rank = rw.answers
-	return rw
-}
-
-// finishRead ends a read's fast-path wait (caller holds d.mu): its
-// window timer, window slot and readWaits entry all go.
-func (d *Driver) finishRead(reqID string, rw *readWait) {
-	rw.tmr.Stop()
-	d.releaseSlot(rw.target, &rw.counted)
-	delete(d.readWaits, reqID)
-}
-
-// advanceRead acts on what the read's answers so far decide (caller
-// holds d.mu, which advanceRead releases).
-func (d *Driver) advanceRead(reqID string, rw *readWait) {
-	step, cert := rw.step()
-	switch step {
-	case readCertify:
-		s := &rw.replicas[cert]
-		d.finishRead(reqID, rw)
-		// The certified sequence is the *minimum* over the matching
-		// endorsers: at least one of them is correct, so a faulty
-		// endorser inflating its stamp cannot push the floor past state a
-		// correct replica actually reached. The endorsers, in answer
-		// order, partner the next read of the group (see askFirst).
-		certSeq := ^uint64(0)
-		partners := d.readPartners[rw.target][:0]
-		for rank := 1; rank <= rw.answers; rank++ {
-			for i := range rw.replicas {
-				if e := &rw.replicas[i]; e.rank == rank && e.endorsed && e.digest == s.digest {
-					partners = append(partners, i)
-					certSeq = min(certSeq, e.seq)
-				}
-			}
-		}
-		d.readPartners[rw.target] = partners
-		if certSeq > d.readFloor[rw.target] {
-			d.readFloor[rw.target] = certSeq
-		}
-		d.readStats.certified.Add(1)
-		d.post(rw.sink, outcome{reply: Reply{ReqID: reqID, Payload: s.payload, Blocking: rw.blocking}})
-		d.mu.Unlock()
-	case readShed:
-		d.finishRead(reqID, rw)
-		d.readStats.shed.Add(1)
-		d.post(rw.sink, outcome{reply: Reply{
-			ReqID: reqID, Aborted: true, Blocking: rw.blocking,
-			Overloaded: true, RetryAfterMillis: rw.retryAfter,
-		}})
-		d.mu.Unlock()
-	case readWiden:
-		d.widen(reqID, rw)
-	case readFallBack:
-		d.mu.Unlock()
-		d.readFallbackFor(reqID, false)
-	default:
-		d.mu.Unlock()
-	}
-}
-
-// handleReadReply collects one replica's speculative endorsement and
-// acts on what the answers so far decide (see readWait.step): certify
-// when a bound payload's digest gathers f_t+1 current matching
-// endorsements, otherwise widen or fall back to agreement once the
-// replicas asked provably cannot certify. Endorsements below the
-// session's sequence floor never count: at most f faulty replicas
-// exist, so f_t+1 matching current endorsements include a correct
-// replica whose state satisfied the lease — the certified answer is
-// both fresh and correct.
+// handleReadReply feeds one replica's speculative answer to its read
+// (see stepRead). Endorsements below the session's sequence floor never
+// count: at most f faulty replicas exist, so f_t+1 matching current
+// endorsements include a correct replica whose state satisfied the
+// lease — the certified answer is both fresh and correct.
 func (d *Driver) handleReadReply(from auth.NodeID, rp *ReadReply) {
-	if rp == nil || from.Role != auth.RoleVoter {
+	if rp == nil || from.Role != auth.RoleVoter || rp.Replica != from.Index {
 		return
 	}
-	d.mu.Lock()
-	rw := d.readAnswer(rp.ReqID, from, rp.Replica)
-	if rw == nil {
-		d.mu.Unlock()
-		return
+	ev := callEvent{
+		kind: evReadAnswer, from: from.Service, replica: from.Index,
+		behind: rp.Behind, seq: rp.Seq, digest: rp.Digest,
 	}
-	if !rp.Behind {
-		s := &rw.replicas[from.Index]
-		s.digest, s.seq, s.endorsed = rp.Digest, rp.Seq, rp.Seq >= rw.minSeq
-		// Bind a payload to a digest only when it actually hashes to it:
-		// a faulty responder cannot attach garbage to a digest the
-		// correct replicas endorsed.
-		if ReplyDigest(rp.ReqID, rp.Payload) == rp.Digest {
-			s.payload, s.bound = rp.Payload, true
-		}
+	// Bind a payload to a digest only when it actually hashes to it — a
+	// faulty responder cannot attach garbage to a digest the correct
+	// replicas endorsed — checked before run, outside d.mu.
+	if !rp.Behind && ReplyDigest(rp.ReqID, rp.Payload) == rp.Digest {
+		ev.payload, ev.bound = rp.Payload, true
 	}
-	d.advanceRead(rp.ReqID, rw)
-}
-
-// readFallbackFor abandons the fast path for a read and re-issues the
-// same request id through full agreement, under the read's original
-// deadline and to the same consumer. At most one answer surfaces: the
-// read's wait ends under the d.mu hold that hands its id to the call.
-func (d *Driver) readFallbackFor(reqID string, timedOut bool) {
-	d.mu.Lock()
-	rw, ok := d.readWaits[reqID]
-	if !ok || d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.finishRead(reqID, rw)
-	d.readStats.fallbacks.Add(1)
-	if timedOut {
-		d.readStats.fallbackTimeout.Add(1)
-	} else {
-		d.readStats.fallbackDiverged.Add(1)
-	}
-	c := &call{payload: rw.payload, responder: rw.responder, blocking: rw.blocking, sink: rw.sink}
-	if rw.replicas[c.responder].rank == 0 {
-		// A silent responder would leave the agreed reply unbundled until
-		// a retransmission rotates the role; the replica that answered
-		// the read first takes it instead.
-		for i := range rw.replicas {
-			if rw.replicas[i].rank == 1 {
-				c.responder = i
-			}
-		}
-	}
-	if !rw.deadline.IsZero() {
-		if c.timeout = time.Until(rw.deadline); c.timeout <= 0 {
-			// The deadline passed inside the fast window: abort here, as
-			// any fast-path call does at its deadline (see step).
-			d.post(rw.sink, outcome{reply: Reply{ReqID: reqID, Aborted: true, Blocking: rw.blocking}})
-			d.mu.Unlock()
-			return
-		}
-	}
-	c.fast = d.fastPath(false, c.timeout)
-	d.mu.Unlock()
-
-	tinfo, err := d.registry.Lookup(rw.target)
-	if err != nil {
-		d.logf("read fallback %s: unknown target %s", reqID, rw.target)
-		return
-	}
-	if _, err := d.startRequest(reqID, tinfo, c); err != nil {
-		if hint, is := IsOverload(err); is {
-			// The window refilled between releasing the read's slot and
-			// re-issuing through agreement: the caller is already waiting
-			// on this id, so settle it as shed rather than stranding it
-			// until its deadline.
-			d.mu.Lock()
-			if !d.closed && !d.canceled.Contains(reqID) {
-				d.post(rw.sink, outcome{reply: Reply{
-					ReqID: reqID, Aborted: true, Blocking: rw.blocking,
-					Overloaded: true, RetryAfterMillis: uint64(hint.Milliseconds()),
-				}})
-			}
-			d.mu.Unlock()
-			return
-		}
-		d.logf("read fallback %s: %v", reqID, err)
-	}
+	d.run(rp.ReqID, ev)
 }
 
 // ReadStats reports the driver's session-read fast-path counters.
 func (d *Driver) ReadStats() ReadStats {
-	return ReadStats{
-		Attempts:         d.readStats.attempts.Load(),
-		Certified:        d.readStats.certified.Load(),
-		Fallbacks:        d.readStats.fallbacks.Load(),
-		FallbackTimeout:  d.readStats.fallbackTimeout.Load(),
-		FallbackDiverged: d.readStats.fallbackDiverged.Load(),
-		Canceled:         d.readStats.canceled.Load(),
-		Shed:             d.readStats.shed.Load(),
-		Widened:          d.readStats.widened.Load(),
-	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.readStats
 }
 
 // sendRequest encodes a request message once and transmits it to the
@@ -1441,9 +1094,6 @@ func (d *Driver) close() {
 		if c.abortTmr != nil {
 			c.abortTmr.Stop()
 		}
-	}
-	for _, rw := range d.readWaits {
-		rw.tmr.Stop()
 	}
 	close(d.done)
 	d.cond.Broadcast()

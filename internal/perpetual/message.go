@@ -31,12 +31,6 @@ const (
 	// KindResultForward carries a verified reply bundle from a calling
 	// driver to its voter group's primary (stage 7).
 	KindResultForward
-	// KindUtilForward forwards a driver's utility-value demand to the
-	// voter group primary, which proposes an agreed value.
-	KindUtilForward
-	// KindAbortForward forwards a driver's timeout abort demand to the
-	// voter group primary.
-	KindAbortForward
 	// KindPayloadFetch is the responder's pull of a reply payload it
 	// lacks: reply shares carry only digests (stage 5 is digest-only),
 	// and the responder normally bundles its own locally-executed
@@ -79,10 +73,6 @@ func (k Kind) String() string {
 		return "reply-bundle"
 	case KindResultForward:
 		return "result-forward"
-	case KindUtilForward:
-		return "util-forward"
-	case KindAbortForward:
-		return "abort-forward"
 	case KindPayloadFetch:
 		return "payload-fetch"
 	case KindReadRequest:
@@ -297,18 +287,6 @@ type ReplyBundle struct {
 	GroupN int
 }
 
-// UtilForward asks the voter primary to propose an agreed utility value
-// for slot K.
-type UtilForward struct {
-	K uint64
-}
-
-// AbortForward asks the voter primary to propose a deterministic abort
-// for an outstanding request.
-type AbortForward struct {
-	ReqID string
-}
-
 // Message is the tagged union moved by the ChannelAdapter between
 // Perpetual principals.
 type Message struct {
@@ -328,8 +306,6 @@ type Message struct {
 	ReplyShare    *ReplyShare
 	ReplyBundle   *ReplyBundle
 	ResultForward *ReplyBundle // same shape as a bundle
-	UtilForward   *UtilForward
-	AbortForward  *AbortForward
 	PayloadFetch  *PayloadFetch
 	ReadRequest   *ReadRequest
 	ReadReply     *ReadReply
@@ -366,10 +342,6 @@ func (m *Message) EncodeTo(w *wire.Writer) {
 		encodeBundle(w, m.ReplyBundle)
 	case KindResultForward:
 		encodeBundle(w, m.ResultForward)
-	case KindUtilForward:
-		w.PutUint64(m.UtilForward.K)
-	case KindAbortForward:
-		w.PutString(m.AbortForward.ReqID)
 	case KindPayloadFetch:
 		w.PutString(m.PayloadFetch.ReqID)
 		w.PutBytes(m.PayloadFetch.Digest[:])
@@ -531,10 +503,6 @@ func decodeMessage(buf []byte, aliasVectors bool) (*Message, error) {
 		m.ReplyBundle = decodeBundle(r, aliasVectors)
 	case KindResultForward:
 		m.ResultForward = decodeBundle(r, aliasVectors)
-	case KindUtilForward:
-		m.UtilForward = &UtilForward{K: r.Uint64()}
-	case KindAbortForward:
-		m.AbortForward = &AbortForward{ReqID: r.String()}
 	case KindPayloadFetch:
 		pf := &PayloadFetch{ReqID: r.String()}
 		copy(pf.Digest[:], r.Bytes())

@@ -97,15 +97,15 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got.BFT, bft.BFT) {
 		t.Errorf("bft round trip: %v %v", got, err)
 	}
-	uf := &Message{Kind: KindUtilForward, UtilForward: &UtilForward{K: 42}}
-	got, err = DecodeMessage(uf.Encode())
-	if err != nil || got.UtilForward.K != 42 {
-		t.Errorf("util round trip: %v %v", got, err)
+	pf := &Message{Kind: KindPayloadFetch, PayloadFetch: &PayloadFetch{ReqID: "c:1", Digest: ReplyDigest("c:1", []byte("x"))}}
+	got, err = DecodeMessage(pf.Encode())
+	if err != nil || *got.PayloadFetch != *pf.PayloadFetch {
+		t.Errorf("payload fetch round trip: %v %v", got, err)
 	}
-	af := &Message{Kind: KindAbortForward, AbortForward: &AbortForward{ReqID: "c:1"}}
-	got, err = DecodeMessage(af.Encode())
-	if err != nil || got.AbortForward.ReqID != "c:1" {
-		t.Errorf("abort round trip: %v %v", got, err)
+	bz := &Message{Kind: KindBusy, Busy: &BusyReply{ReqID: "c:2", Replica: 3, RetryAfterMillis: 7, Read: true}}
+	got, err = DecodeMessage(bz.Encode())
+	if err != nil || *got.Busy != *bz.Busy {
+		t.Errorf("busy round trip: %v %v", got, err)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 	if _, err := DecodeMessage([]byte{0xEE}); err == nil {
 		t.Error("decoded unknown kind")
 	}
-	m := &Message{Kind: KindUtilForward, UtilForward: &UtilForward{K: 1}}
+	m := &Message{Kind: KindPayloadFetch, PayloadFetch: &PayloadFetch{ReqID: "c:1"}}
 	enc := m.Encode()
 	for i := 1; i < len(enc); i++ {
 		if _, err := DecodeMessage(enc[:i]); err == nil {

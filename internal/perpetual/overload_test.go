@@ -47,7 +47,7 @@ func guardGoroutines(t *testing.T) {
 // TestDoFailFastExpiredCtx covers the client edge of deadline
 // propagation on both transports: a context that is already canceled or
 // past its deadline must fail before any work is issued — no envelope
-// on the wire, no outstanding entry, no read wait.
+// on the wire, no outstanding call or read.
 func TestDoFailFastExpiredCtx(t *testing.T) {
 	for _, kind := range []TransportKind{TransportMem, TransportTCP} {
 		kind := kind
@@ -87,8 +87,8 @@ func TestDoFailFastExpiredCtx(t *testing.T) {
 			if el := time.Since(start); el > 200*time.Millisecond {
 				t.Fatalf("pre-expired Do took %v, not fail-fast", el)
 			}
-			if out, rw, _ := driverPending(drv, ""); out != 0 || rw != 0 {
-				t.Fatalf("refused calls leaked state: outstanding=%d readWaits=%d", out, rw)
+			if out, _ := driverPending(drv, ""); out != 0 {
+				t.Fatalf("refused calls and reads leaked state: outstanding=%d", out)
 			}
 			// Nothing was sent for the refused calls: the per-voter
 			// request-frame counts are exactly what the warm call left.
@@ -120,7 +120,7 @@ func TestClientWindowShedsLocally(t *testing.T) {
 			done <- err
 		}()
 		waitPending(t, "holder in flight", func() bool {
-			out, _, _ := driverPending(drv, "")
+			out, _ := driverPending(drv, "")
 			return out == 1
 		})
 		return done
@@ -162,6 +162,101 @@ func TestClientWindowShedsLocally(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("second holder failed: %v", err)
+	}
+}
+
+// TestClientWindowHeldAcrossReadFallback: a fast-path read holds its
+// window slot from issue to settle, through its fallback to agreement.
+// With MaxOutstanding = 1 and the read's responder (replica 1, since the
+// read is the driver's first request) silent or corrupt, a Do issued
+// while the read is in its fast window or in agreement is refused, and
+// the read itself still answers correctly, never as shed.
+func TestClientWindowHeldAcrossReadFallback(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		// silent isolates the responder, whose read then waits out the
+		// fast window; otherwise it corrupts its read answers, and the
+		// read falls back as soon as it has heard from the whole group.
+		silent bool
+	}{{"silent responder", true}, {"corrupt responder", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			guardGoroutines(t)
+			dep := buildPair(t, 1, 4, func(d *Deployment) {
+				copts := fastOpts()
+				copts.MaxOutstanding = 1
+				d.Configure("c", copts)
+				if !tc.silent {
+					topts := fastOpts()
+					topts.Behaviors = map[int]Behavior{1: CorruptReadFault{}}
+					d.Configure("t", topts)
+				}
+			})
+			slowEchoApp(t, dep, "t", delay)
+			for _, r := range dep.Replicas("t") {
+				r.SetReadExecutor(func(payload []byte) ([]byte, error) {
+					return append([]byte("echo:"), payload...), nil
+				})
+			}
+			if tc.silent {
+				dep.Network.Isolate(auth.VoterID("t", 1))
+			}
+			drv := dep.Driver("c", 0)
+
+			type result struct {
+				res Result
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				res, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("r"), Read: true})
+				done <- result{res, err}
+			}()
+			refused := func(phase string) {
+				t.Helper()
+				_, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("shed")})
+				if _, is := IsOverload(err); !is {
+					t.Fatalf("Do while the read is %s: got %v, want OverloadError", phase, err)
+				}
+			}
+
+			waitPending(t, "read to be outstanding", func() bool {
+				o, _ := driverPending(drv, "")
+				return o == 1
+			})
+			if tc.silent {
+				refused("in its fast window")
+				if st := drv.ReadStats(); st.Fallbacks != 0 {
+					t.Fatalf("read fell back before the fast-window refusal was checked: %+v", st)
+				}
+			}
+			waitPending(t, "read to fall back", func() bool { return drv.ReadStats().Fallbacks == 1 })
+			refused("in agreement")
+			select {
+			case <-done:
+				t.Fatal("read settled before the agreement-phase refusal was checked")
+			default:
+			}
+
+			var got result
+			select {
+			case got = <-done:
+			case <-time.After(8 * time.Second):
+				t.Fatal("read did not settle after its fallback")
+			}
+			if got.err != nil || got.res.Aborted || string(got.res.Payload) != "echo:r" {
+				t.Fatalf("read = %q (aborted=%v), err %v; want echo:r", got.res.Payload, got.res.Aborted, got.err)
+			}
+			st := drv.ReadStats()
+			if st.Attempts != 1 || st.Fallbacks != 1 || st.Shed != 0 {
+				t.Errorf("stats = %+v, want one read that fell back", st)
+			}
+			checkReconciles(t, st)
+			// The read's settle released the slot.
+			if _, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("after")}); err != nil {
+				t.Fatalf("Do after the read settled: %v", err)
+			}
+		})
 	}
 }
 
@@ -494,7 +589,7 @@ func TestRetryPolicy(t *testing.T) {
 			done <- err
 		}()
 		waitPending(t, "holder in flight", func() bool {
-			out, _, _ := driverPending(drv, "")
+			out, _ := driverPending(drv, "")
 			return out == 1
 		})
 		return done
@@ -575,7 +670,7 @@ func TestRetryPolicy(t *testing.T) {
 		// The slow echo keeps the first call inside the policy long
 		// enough for the second to block on the limiter.
 		waitPending(t, "limited call in flight", func() bool {
-			out, _, _ := driverPending(drv, "")
+			out, _ := driverPending(drv, "")
 			return out == 1
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -323,9 +323,9 @@ func TestReadSilentReplica(t *testing.T) {
 }
 
 // TestReadHonoursDeadline isolates the responder of a read issued with
-// a 40 ms timeout: the fast window is cut to the deadline and the
-// fallback keeps it, so the read settles as aborted at its deadline
-// rather than a full ReadFallback window and a fresh timeout later.
+// a 40 ms timeout: the read's deadline timer, armed at issue, fires
+// inside the fast window, so the read settles as aborted at its
+// deadline rather than after a full DefaultReadFallback window.
 func TestReadHonoursDeadline(t *testing.T) {
 	dep := buildPair(t, 1, 4, nil)
 	readableEchoApp(t, dep, "t")

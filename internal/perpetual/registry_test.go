@@ -225,7 +225,7 @@ func TestDedupShares(t *testing.T) {
 
 func TestKindAndOpKindStrings(t *testing.T) {
 	kinds := []Kind{KindRequest, KindBFT, KindReplyShare, KindReplyBundle,
-		KindResultForward, KindUtilForward, KindAbortForward, Kind(99)}
+		KindResultForward, KindPayloadFetch, KindReadRequest, KindReadReply, KindBusy, Kind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty string for kind %d", uint8(k))

@@ -33,17 +33,9 @@ type ReplicaConfig struct {
 	CheckpointInterval uint64
 	ViewChangeTimeout  time.Duration
 	MaxBatch           int
-	// CommitFlushDelay tunes the piggybacked-commit idle heartbeat (see
-	// clbft.Config.CommitFlushDelay); zero uses the clbft default.
-	CommitFlushDelay time.Duration
 	// RetransmitInterval tunes the driver's request retransmission
 	// backoff base; zero uses DefaultRetransmitInterval.
 	RetransmitInterval time.Duration
-	// ReadFallback tunes the driver's read fast window: how long the
-	// replicas a read asked have to certify it before it widens to the
-	// whole group or, once widened, re-issues through agreement (cut
-	// short by the caller's deadline); zero uses DefaultReadFallback.
-	ReadFallback time.Duration
 	// MaxIntake bounds the voter's request-intake table (distinct
 	// requests collecting admission votes); past it, requests are shed
 	// eldest-first with busy replies. Zero disables the bound. See
@@ -130,9 +122,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.RetransmitInterval > 0 {
 		d.retransmitInterval = cfg.RetransmitInterval
 	}
-	if cfg.ReadFallback > 0 {
-		d.readFallback = cfg.ReadFallback
-	}
 	d.maxOutstanding = cfg.MaxOutstanding
 	v.driver = d
 	v.membershipHook = cfg.MembershipHook
@@ -155,7 +144,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ViewChangeTimeout:  cfg.ViewChangeTimeout,
 		MaxBatch:           cfg.MaxBatch,
 		Tentative:          true,
-		CommitFlushDelay:   cfg.CommitFlushDelay,
 	}
 	r := &Replica{
 		svc:           svc,

@@ -570,10 +570,6 @@ func (v *voter) handleTransport(from auth.NodeID, payload []byte) {
 		v.handlePayloadFetch(from, m.PayloadFetch)
 	case KindResultForward:
 		v.handleResultForward(from, m.ResultForward)
-	case KindUtilForward:
-		v.handleUtilForward(from, m.UtilForward)
-	case KindAbortForward:
-		v.handleAbortForward(from, m.AbortForward)
 	}
 }
 
@@ -1393,28 +1389,12 @@ func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 	v.bft().Submit(ReplyOpID(b.ReqID), op.Encode())
 }
 
-// handleUtilForward makes the primary propose an agreed utility value.
-func (v *voter) handleUtilForward(from auth.NodeID, u *UtilForward) {
-	if u == nil || from.Service != v.svc.Name {
-		return
-	}
-	v.proposeUtil(u.K)
-}
-
 // proposeUtil proposes the local clock reading for utility slot k. Only
 // the current primary's proposal is ordered first; duplicates are
 // deduplicated by OpID.
 func (v *voter) proposeUtil(k uint64) {
 	op := &Op{Kind: OpUtil, K: k, Value: time.Now().UnixMilli()}
 	v.bft().Submit(UtilOpID(k), op.Encode())
-}
-
-// handleAbortForward proposes a deterministic abort.
-func (v *voter) handleAbortForward(from auth.NodeID, a *AbortForward) {
-	if a == nil || from.Service != v.svc.Name {
-		return
-	}
-	v.proposeAbort(a.ReqID)
 }
 
 func (v *voter) proposeAbort(reqID string) {
