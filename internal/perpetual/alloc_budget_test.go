@@ -9,9 +9,9 @@ import (
 	"perpetualws/internal/auth"
 )
 
-// TestVoterAllocBudget pins the allocation counts of the voter's two
-// per-request collectors. sync.Pool drops items at random under the
-// race detector, so this runs only without it.
+// TestVoterAllocBudget pins the allocation counts of the voter's
+// request record as it collects copies and then shares. sync.Pool drops
+// items at random under the race detector, so this runs only without it.
 func TestVoterAllocBudget(t *testing.T) {
 	v, _, stores := newBareVoter(t)
 	const runs = 200
@@ -34,12 +34,12 @@ func TestVoterAllocBudget(t *testing.T) {
 		max  float64
 		f    func()
 	}{
-		// The vote and its driver slots.
+		// The record and its driver slots.
 		{"handleExternalRequest, a request's first copy", 2, func() {
 			v.handleExternalRequest(driver, reqs[next])
 			next++
 		}},
-		// The collection and its slots; at f+1 shares the share list, the
+		// The share slots on the record; at f+1 shares the share list, the
 		// bundle and its message.
 		{"acceptShare, f+1 shares and the bundle", 5, func() {
 			v.acceptShare(1, shares[next][0], false)
@@ -52,7 +52,13 @@ func TestVoterAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)
 		}
 	}
-	if len(v.reqVotes) != runs+1 || v.shareBuf.Len() != runs+1 {
-		t.Fatalf("%d votes and %d share collections, want %d of each", len(v.reqVotes), v.shareBuf.Len(), runs+1)
+	collections := 0
+	for _, r := range v.reqs.recs {
+		if r.slots != nil {
+			collections++
+		}
+	}
+	if v.reqs.collecting.n != runs+1 || collections != runs+1 {
+		t.Fatalf("%d votes and %d share collections, want %d of each", v.reqs.collecting.n, collections, runs+1)
 	}
 }

@@ -1,11 +1,11 @@
 package perpetual
 
-// boundedCache is a FIFO-eviction map used for reply caches,
-// delivered-result tracking, and share collection. Perpetual state that
+// boundedCache is a FIFO-eviction map used for delivered-result
+// tracking and the driver's early-event tables. Perpetual state that
 // grows with traffic must be bounded: a compromised peer can replay
 // ancient request IDs forever, and an unbounded map would be a memory
 // exhaustion vector. Not safe for concurrent use; callers hold the
-// voter mutex.
+// owner's mutex.
 type boundedCache[V any] struct {
 	max   int
 	items map[string]V

@@ -20,9 +20,9 @@ type ServiceOptions struct {
 	// voter group.
 	MaxBatch int
 	// MaxIntake / MaxProposerQueue bound the voters' request admission
-	// (intake table and CLBFT pending backlog respectively); zero
-	// disables each bound. RetryAfterHint tunes the backoff hint busy
-	// replies carry. See ReplicaConfig and overload.go.
+	// (intake table, 8192 if zero; CLBFT pending backlog, none if zero).
+	// RetryAfterHint tunes the backoff hint busy replies carry. See
+	// ReplicaConfig and overload.go.
 	MaxIntake        int
 	MaxProposerQueue int
 	RetryAfterHint   time.Duration

@@ -239,7 +239,7 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		readPartners:       make(map[string][]int),
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
-		early:              newBoundedCache[callEvent](inFlightCacheSize),
+		early:              newBoundedCache[callEvent](reqTableSize),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -695,7 +695,7 @@ func (d *Driver) perform(fx effects) {
 		case actResend:
 			d.resend(fx.c, fx.tinfo, a.attempt, a.responder)
 		case actAbort:
-			d.voter.requestAbort(fx.c.id)
+			d.voter.proposeAbort(fx.c.id)
 		case actWiden:
 			ids := make([]auth.NodeID, len(a.replicas))
 			for k, i := range a.replicas {
@@ -1028,7 +1028,7 @@ func (d *Driver) AgreedTimeMillis() (int64, error) {
 	k := d.utilSeq
 	d.mu.Unlock()
 
-	d.voter.requestUtil(k)
+	d.voter.proposeUtil(k)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -32,10 +32,6 @@ import (
 // deployment does not configure one.
 const DefaultRetryAfterHint = 25 * time.Millisecond
 
-// reqExpiryCacheSize bounds the voter's reqID -> deadline side table
-// (consulted for pre-reply send suppression).
-const reqExpiryCacheSize = inFlightCacheSize
-
 // OverloadError is the error Do returns when f_t+1 distinct target
 // voters refused the request under overload (or reported its deadline
 // expired). It unwraps from the errors Do and RetryPolicy.Do return.
@@ -239,41 +235,4 @@ func (v *voter) sendBusy(to auth.NodeID, reqID string, expired, read bool) {
 		v.logf("busy for %s to %s: %v", reqID, to, err)
 	}
 	w.Free()
-}
-
-// evictEldestVote implements the CoDel-style eldest-first shed at the
-// intake bound: rather than refusing the *newest* request (which would
-// starve fresh work behind a standing queue of stale work), the oldest
-// not-yet-proposed vote entry is evicted to make room. Returns the
-// evicted entry (so the caller can busy its voters after unlocking) or
-// nil when every entry is already in the agreement pipeline. Caller
-// holds v.mu.
-func (v *voter) evictEldestVote() (string, *reqVote) {
-	for i := 0; i < len(v.voteOrder); i++ {
-		id := v.voteOrder[i]
-		vote, ok := v.reqVotes[id]
-		if !ok || vote.proposed {
-			continue // stale order entry, or already in the pipeline
-		}
-		v.voteOrder = append(v.voteOrder[:i], v.voteOrder[i+1:]...)
-		delete(v.reqVotes, id)
-		return id, vote
-	}
-	return "", nil
-}
-
-// compactVoteOrder drops stale ids (entries already agreed or evicted)
-// once the order slice has outgrown the live map, keeping eviction scans
-// amortized O(1). Caller holds v.mu.
-func (v *voter) compactVoteOrder() {
-	if len(v.voteOrder) <= 2*len(v.reqVotes)+64 {
-		return
-	}
-	live := v.voteOrder[:0]
-	for _, id := range v.voteOrder {
-		if _, ok := v.reqVotes[id]; ok {
-			live = append(live, id)
-		}
-	}
-	v.voteOrder = live
 }

@@ -323,20 +323,16 @@ func waitQueued(t *testing.T, drv *Driver, reqID string) Reply {
 // so tests can stage exact intake occupancy without racing agreement.
 func seedVote(v *voter, reqID string, proposed bool) {
 	v.mu.Lock()
-	v.reqVotes[reqID] = &reqVote{
-		caller:   "c",
-		proposed: proposed,
-		drivers:  []driverVote{{req: &RequestMsg{ReqID: reqID}}},
-	}
-	v.voteOrder = append(v.voteOrder, reqID)
-	v.intakeA.Store(int64(len(v.reqVotes)))
+	r := v.reqs.at(reqID, "c")
+	r.proposed, r.collecting = proposed, true
+	r.drivers = []driverVote{{req: &RequestMsg{ReqID: reqID}}}
+	v.reqs.refile(r)
 	v.mu.Unlock()
 }
 
 func unseedVote(v *voter, reqID string) {
 	v.mu.Lock()
-	delete(v.reqVotes, reqID)
-	v.intakeA.Store(int64(len(v.reqVotes)))
+	v.reqs.drop(v.reqs.recs[reqID])
 	v.mu.Unlock()
 }
 
@@ -435,7 +431,8 @@ func TestIntakeEvictsEldestFirst(t *testing.T) {
 		t.Fatalf("primary ShedIntake = %d, want exactly 1 (the eviction)", got)
 	}
 	prim.mu.Lock()
-	_, still := prim.reqVotes["synthetic-eldest"]
+	r := prim.reqs.recs["synthetic-eldest"]
+	still := r != nil && r.collecting
 	prim.mu.Unlock()
 	if still {
 		t.Fatal("eldest entry still in intake after eviction")

@@ -208,7 +208,7 @@ func TestRostersSharedReadOnly(t *testing.T) {
 // lists them in driver index order.
 func TestDedupShares(t *testing.T) {
 	var digest [sha256.Size]byte
-	vote := &reqVote{drivers: make([]driverVote, 4)}
+	vote := &inReq{drivers: make([]driverVote, 4)}
 	for _, i := range []int{1, 2, 1, 3, 2} {
 		vote.drivers[i] = driverVote{req: &RequestMsg{}, digest: digest}
 	}

@@ -38,8 +38,8 @@ type ReplicaConfig struct {
 	RetransmitInterval time.Duration
 	// MaxIntake bounds the voter's request-intake table (distinct
 	// requests collecting admission votes); past it, requests are shed
-	// eldest-first with busy replies. Zero disables the bound. See
-	// overload.go.
+	// eldest-first with busy replies. Zero means the default bound,
+	// reqTableSize (8192). See overload.go.
 	MaxIntake int
 	// MaxProposerQueue bounds the CLBFT pending backlog a new proposal
 	// may join; at the bound the proposal is deferred with a busy reply
@@ -126,9 +126,9 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	v.driver = d
 	v.membershipHook = cfg.MembershipHook
 	v.memEpoch.Store(cfg.MembershipEpoch)
-	v.maxIntake = cfg.MaxIntake
 	v.maxProposer = cfg.MaxProposerQueue
 	if cfg.MaxIntake > 0 {
+		v.maxIntake = cfg.MaxIntake
 		// Reads shed at half the write bound, so the fast path gives way
 		// well before the agreement path starts refusing work.
 		v.readShedAt = max(1, cfg.MaxIntake/2)

@@ -20,11 +20,11 @@ func mintBundle(t *testing.T, dep *Deployment, reqID string, payload []byte) *Re
 	b := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, GroupN: 4}
 	digest := ReplyDigest(reqID, payload)
 	for k := 0; k < 2; k++ {
-		a, err := dep.Replicas("t")[k].voter.authenticateReply(reqID, "c", payload, digest, false, 0)
+		rec, err := dep.Replicas("t")[k].voter.mint(reqID, "c", payload, digest, false)
 		if err != nil {
 			t.Fatalf("minting share %d: %v", k, err)
 		}
-		b.Shares = append(b.Shares, Share{Replica: k, Auth: a})
+		b.Shares = append(b.Shares, rec.share)
 	}
 	return b
 }
@@ -208,7 +208,7 @@ func TestReplyFastPathIgnoresAgreedAbort(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	dep.Replicas("c")[3].voter.requestAbort("c:1")
+	dep.Replicas("c")[3].voter.proposeAbort("c:1")
 	wg.Wait()
 	if n := dep.Replicas("c")[0].AgreementCount(); n != 1 {
 		t.Fatalf("caller group ordered %d operations, want exactly the abort", n)

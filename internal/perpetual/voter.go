@@ -15,113 +15,6 @@ import (
 	"perpetualws/internal/wire"
 )
 
-// cache bounds: tuned for long-running deployments; see boundedCache.
-const (
-	repliesCacheSize   = 8192
-	inFlightCacheSize  = 8192
-	sharesCacheSize    = 4096
-	deliveredCacheSize = 16384
-)
-
-// replyRecord is a cached executed reply, kept for retransmission
-// service after the original share was sent. seq and tentative remember
-// the agreement position and endorsement tier the share was minted at:
-// once the group's commit horizon passes seq, a retransmission upgrades
-// the cached tentative share to a stable one (re-MAC'd — the tier is
-// inside the authenticated message).
-type replyRecord struct {
-	caller    string
-	digest    [sha256.Size]byte
-	payload   []byte
-	share     Share
-	seq       uint64
-	tentative bool
-	// epoch is the membership epoch the share was minted under; a
-	// retransmission served after an epoch flip re-mints the share so
-	// its MAC matches the roster the new bundle will advertise.
-	epoch uint64
-}
-
-// execInfo tracks an agreed request awaiting (or during) execution.
-type execInfo struct {
-	caller    string
-	responder int
-	seq       uint64 // agreement sequence that ordered the request
-}
-
-// shareCollect accumulates reply shares at the responder, one slot per
-// target voter index. Shares are digest-only; payloads come from the
-// responder's own execution (the common case) and from payload-fetch
-// answers (the divergent case).
-type shareCollect struct {
-	caller  string
-	slots   []shareSlot // by target voter index
-	sent    bool
-	fetched bool // payload-fetch fired for the winning digest
-}
-
-// shareSlot is one target voter's latest share, and the latest payload
-// it sent that hashes to the digest it came with.
-type shareSlot struct {
-	have          bool
-	share         Share
-	digest        [sha256.Size]byte // the digest the share endorses
-	bound         bool              // payload hashes to payloadDigest
-	payload       []byte
-	payloadDigest [sha256.Size]byte
-}
-
-// certified finds a certifiable digest: f_t+1 stable endorsements, or
-// a full agreement quorum of endorsements in any tier (the two
-// acceptance tiers of VerifyBundle — under tentative execution the
-// common case is every voter endorsing tentatively, which certifies at
-// quorum without waiting for commits; short tentative sets wait for the
-// retransmission-driven stable upgrade). Ties go to the lowest voter
-// index.
-func (sc *shareCollect) certified(info ServiceInfo) ([sha256.Size]byte, bool) {
-	for i := range sc.slots {
-		s := &sc.slots[i]
-		if !s.have {
-			continue
-		}
-		count, stable := 0, 0
-		for j := range sc.slots {
-			if o := &sc.slots[j]; o.have && o.digest == s.digest {
-				count++
-				if !o.share.Tentative {
-					stable++
-				}
-			}
-		}
-		if stable >= info.F()+1 || count >= info.Quorum() {
-			return s.digest, true
-		}
-	}
-	return [sha256.Size]byte{}, false
-}
-
-// payloadFor returns a payload some voter sent bound to digest.
-func (sc *shareCollect) payloadFor(digest [sha256.Size]byte) ([]byte, bool) {
-	for i := range sc.slots {
-		if s := &sc.slots[i]; s.bound && s.payloadDigest == digest {
-			return s.payload, true
-		}
-	}
-	return nil, false
-}
-
-// endorsements lists the shares endorsing digest in voter index order,
-// so identical runs assemble identical bundles.
-func (sc *shareCollect) endorsements(digest [sha256.Size]byte) []Share {
-	out := make([]Share, 0, len(sc.slots))
-	for i := range sc.slots {
-		if s := &sc.slots[i]; s.have && s.digest == digest {
-			out = append(out, s.share)
-		}
-	}
-	return out
-}
-
 // voter is the passive half of a Perpetual replica: a CLBFT group member
 // that orders external requests, replies, aborts, and utility values,
 // and runs the responder/share machinery of the reply path.
@@ -190,17 +83,12 @@ type voter struct {
 	// write it trails — bounded by readParkWindow.
 	parkedReads []*parkedRead
 
-	// Overload control (see overload.go and DESIGN.md). Zero bounds
-	// disable the corresponding gate, preserving unbounded-admission
-	// behavior. voteOrder tracks reqVotes insertion order for the
-	// eldest-first intake shed; intakeA mirrors len(reqVotes) so the
-	// read path can consult pressure without taking mu.
-	maxIntake   int           // bound on reqVotes entries (intake admission)
+	// Overload control (see overload.go and DESIGN.md); zero disables
+	// each gate but maxIntake, which defaults to reqTableSize.
+	maxIntake   int           // bound on collecting records (intake admission)
 	maxProposer int           // bound on the CLBFT pending backlog new proposals may join
-	readShedAt  int           // reqVotes size at which fast-path reads shed (reads shed first)
+	readShedAt  int           // intake at which fast-path reads shed (reads shed first)
 	retryHint   time.Duration // backoff hint carried by busy replies
-	voteOrder   []string      // guarded by mu
-	intakeA     atomic.Int64
 
 	shedIntake    atomic.Uint64 // requests refused at the intake bound
 	shedProposer  atomic.Uint64 // proposals deferred at the proposer-queue gate
@@ -218,55 +106,16 @@ type voter struct {
 	laneDrops  atomic.Uint64 // client frames refused at the lane bound (also counted as sheds)
 
 	mu sync.Mutex
-	// Target side.
-	reqVotes  map[string]*reqVote   // collecting f_c+1 matching requests
-	reqExpiry *boundedCache[uint64] // reqID -> deadline stamp, for pre-reply suppression
-	inFlight  *boundedCache[execInfo]
-	replies   *boundedCache[replyRecord]
-	shareBuf  *boundedCache[*shareCollect]
-	delivered *boundedCache[struct{}] // reqIDs with a delivered result (reply or abort)
-}
-
-// reqVote collects request copies from distinct calling drivers, one
-// slot per caller replica index holding that driver's current copy.
-type reqVote struct {
-	caller   string       // calling service, for busy replies on eviction
-	drivers  []driverVote // by caller replica index
-	proposed bool
-}
-
-// driverVote is one calling driver's current copy of a request; req is
-// nil until the driver has voted.
-type driverVote struct {
-	req    *RequestMsg
-	digest [sha256.Size]byte
-}
-
-// count counts distinct drivers whose current copy has digest.
-func (vote *reqVote) count(digest [sha256.Size]byte) int {
-	n := 0
-	for i := range vote.drivers {
-		if d := &vote.drivers[i]; d.req != nil && d.digest == digest {
-			n++
-		}
-	}
-	return n
-}
-
-// shares lists the authenticators of the drivers whose current copy has
-// digest, one per driver, in driver index order.
-func (vote *reqVote) shares(digest [sha256.Size]byte) []Share {
-	out := make([]Share, 0, len(vote.drivers))
-	for i := range vote.drivers {
-		if d := &vote.drivers[i]; d.req != nil && d.digest == digest {
-			out = append(out, Share{Replica: i, Auth: d.req.Auth})
-		}
-	}
-	return out
+	// reqs holds this group's side of every call made to it, one record
+	// per request id (see inreq.go).
+	reqs reqTable
+	// delivered dedups the agreed replies and aborts of this group's own
+	// outbound calls: caller-side state, apart from reqs.
+	delivered *boundedCache[struct{}]
 }
 
 func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.ChannelAdapter, ks *auth.KeyStore, logger *log.Logger) *voter {
-	return &voter{
+	v := &voter{
 		svc:       svc,
 		index:     index,
 		registry:  reg,
@@ -274,14 +123,12 @@ func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.Chan
 		ks:        ks,
 		logger:    logger,
 		retryHint: DefaultRetryAfterHint,
+		maxIntake: reqTableSize,
 		execHi:    make(map[string]uint64),
-		reqVotes:  make(map[string]*reqVote),
-		reqExpiry: newBoundedCache[uint64](reqExpiryCacheSize),
-		inFlight:  newBoundedCache[execInfo](inFlightCacheSize),
-		replies:   newBoundedCache[replyRecord](repliesCacheSize),
-		shareBuf:  newBoundedCache[*shareCollect](sharesCacheSize),
 		delivered: newBoundedCache[struct{}](deliveredCacheSize),
 	}
+	v.reqs.init()
+	return v
 }
 
 func (v *voter) logf(format string, args ...any) {
@@ -304,19 +151,20 @@ func (v *voter) curInfo() ServiceInfo {
 	return s
 }
 
-// adoptEpoch flips the voter's perpetual-level state to a freshly
-// installed membership epoch. Share collections restart clean (mixed-
-// epoch shares can never certify), and every pending request vote is
-// re-armed for proposing: agreement work above the install barrier was
-// abandoned, so requests whose proposal died with the old instance must
-// be re-proposed when the callers' retransmissions arrive.
+// adoptEpoch flips the voter to a freshly installed membership epoch.
+// Share collections restart clean (mixed-epoch shares never certify),
+// and collecting records are re-armed: proposals above the install
+// barrier died with the old instance, so the callers' retransmissions
+// must re-propose them. Minted replies stay, re-minted on retransmission.
 func (v *voter) adoptEpoch(epoch uint64) {
 	v.memEpoch.Store(epoch)
 	v.mu.Lock()
 	v.pendingMC = nil
-	v.shareBuf = newBoundedCache[*shareCollect](sharesCacheSize)
-	for _, vote := range v.reqVotes {
-		vote.proposed = false
+	for _, r := range v.reqs.recs {
+		r.slots, r.sent, r.fetched, r.proposed = nil, false, false, false
+	}
+	for w := &v.reqs.waiting; w.n > 0; { // share slots were all they held
+		v.reqs.drop(w.root.next)
 	}
 	v.mu.Unlock()
 }
@@ -612,63 +460,68 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 	}
 
 	v.mu.Lock()
-	// Already executed? Serve the cached reply toward the requested
-	// responder (and directly to the asking driver if we are it). A
-	// retransmission is also the tier-upgrade point: if the share was
-	// minted tentative and the agreement has since committed past its
-	// sequence, re-mint it stable so f_t+1 upgraded shares can certify a
-	// reply that stalled below the tentative quorum tier.
-	if rec, ok := v.replies.Get(req.ReqID); ok {
+	r := v.reqs.recs[req.ReqID]
+	switch {
+	case r != nil && r.minted:
+		// Already executed: send the minted share toward the requested
+		// responder. A retransmission is also the re-mint point. If the
+		// share was minted tentative and the agreement has since committed
+		// past its sequence, the stable re-mint lets f_t+1 upgraded shares
+		// certify a reply that stalled below the tentative quorum tier. If
+		// the membership epoch flipped since minting, the pre-flip share
+		// could never enter a post-flip bundle (the MAC'd roster would not
+		// match); post-flip the commit floor is the install barrier, which
+		// is >= every pre-flip sequence, so that re-mint is stable too.
+		rec, seq, owner := r.reply, r.seq, r.caller
 		v.mu.Unlock()
-		// Re-mint when the tier can upgrade (tentative -> stable) or the
-		// membership epoch flipped since minting: a pre-flip share can
-		// never enter a post-flip bundle (the MAC'd roster would not
-		// match). Post-flip the commit floor is the install barrier, which
-		// is >= every pre-flip sequence, so the re-mint is always stable.
-		if (rec.tentative && v.bft().CommittedSeq() >= rec.seq) || rec.epoch != v.memEpoch.Load() {
-			rec = v.upgradeShare(req.ReqID, rec)
+		if (rec.share.Tentative && v.bft().CommittedSeq() >= seq) || rec.epoch != v.memEpoch.Load() {
+			if up, err := v.mint(req.ReqID, owner, rec.payload, rec.digest, false); err != nil {
+				v.logf("re-minting share for %s: %v", req.ReqID, err)
+			} else {
+				rec = up
+				v.mu.Lock()
+				r.reply = rec
+				v.mu.Unlock()
+			}
 		}
-		v.sendShareTo(req.ReqID, rec, req.Responder)
+		v.sendShare(req.ReqID, owner, rec, req.Responder, false)
 		return
-	}
-	// Already agreed and executing: update the desired responder so the
-	// eventual reply routes to where the caller is now listening.
-	if info, ok := v.inFlight.Get(req.ReqID); ok {
-		info.responder = req.Responder
-		v.inFlight.Put(req.ReqID, info)
+	case r != nil && r.executing:
+		// Agreed and executing: the eventual share routes to where the
+		// caller is now listening.
+		r.responder = req.Responder
 		v.mu.Unlock()
 		return
 	}
-	vote, ok := v.reqVotes[req.ReqID]
-	var evictedID string
-	var evicted *reqVote
-	if !ok {
+	var shedID, shedCaller string
+	var shedVotes []driverVote
+	if r == nil || !r.collecting {
 		// Intake admission: past the bound, shed eldest-first (CoDel
-		// style) — evict the oldest vote entry not yet in the agreement
-		// pipeline and admit the fresh request; when everything old is
-		// already proposed, refuse the new request instead.
-		if v.maxIntake > 0 && len(v.reqVotes) >= v.maxIntake {
-			evictedID, evicted = v.evictEldestVote()
-			if evicted == nil {
+		// style) — evict the oldest collecting record not yet in the
+		// agreement pipeline and admit the fresh request; when everything
+		// old is already proposed, refuse the new request instead.
+		if v.reqs.collecting.n >= v.maxIntake {
+			eldest := v.reqs.eldestUnproposed()
+			if eldest == nil {
 				v.mu.Unlock()
 				v.shedIntake.Add(1)
 				v.sendBusy(from, req.ReqID, false, false)
 				return
 			}
+			shedID, shedCaller, shedVotes = eldest.id, eldest.caller, eldest.drivers
+			v.reqs.release(eldest)
 		}
-		vote = &reqVote{caller: req.Caller, drivers: make([]driverVote, caller.N)}
-		v.reqVotes[req.ReqID] = vote
-		v.voteOrder = append(v.voteOrder, req.ReqID)
-		v.compactVoteOrder()
-		v.intakeA.Store(int64(len(v.reqVotes)))
+		r = v.reqs.at(req.ReqID, req.Caller)
+		r.caller, r.drivers, r.collecting = req.Caller, make([]driverVote, caller.N), true
+		v.reqs.refile(r)
 	}
 	if req.Expiry != 0 {
-		v.reqExpiry.Put(req.ReqID, req.Expiry)
+		r.expiry = req.Expiry
 	}
-	for len(vote.drivers) <= from.Index { // the caller group grew since the vote began
-		vote.drivers = append(vote.drivers, driverVote{})
+	for len(r.drivers) <= from.Index { // the caller group grew since the vote began
+		r.drivers = append(r.drivers, driverVote{})
 	}
-	slot := &vote.drivers[from.Index]
+	slot := &r.drivers[from.Index]
 	if slot.req != nil && slot.digest == digest {
 		// Duplicate vote; nothing new. (A changed digest replaces the
 		// driver's vote: the last copy wins, matching retransmission.)
@@ -679,45 +532,44 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 
 	var propose *Op
 	var busyGated, busyExpired bool
-	if !vote.proposed && vote.count(digest) >= caller.F()+1 {
+	if !r.proposed && r.count(digest) >= caller.F()+1 {
 		switch {
 		case expiredStamp(req.Expiry):
 			// Pre-proposal deadline gate: the vote quorum formed after the
 			// caller's deadline passed. The request never entered
-			// agreement, so dropping the whole entry is a local decision.
-			delete(v.reqVotes, req.ReqID)
-			v.intakeA.Store(int64(len(v.reqVotes)))
+			// agreement, so ending its collection is a local decision.
+			v.reqs.release(r)
 			v.expiredDrops.Add(1)
 			busyGated, busyExpired = true, true
 		case v.maxProposer > 0 && v.bft().PendingLen() >= v.maxProposer:
 			// Proposer-queue gate: the agreement backlog is at its bound.
-			// vote.proposed stays false so a retransmission re-attempts
-			// once the backlog drains.
+			// r.proposed stays false so a retransmission re-attempts once
+			// the backlog drains.
 			v.shedProposer.Add(1)
 			busyGated = true
 		default:
-			vote.proposed = true
+			r.proposed = true
 			propose = &Op{
 				Kind:      OpRequest,
 				ReqID:     req.ReqID,
 				Caller:    req.Caller,
 				Responder: req.Responder,
 				Payload:   req.Payload,
-				Shares:    vote.shares(digest),
+				Shares:    r.shares(digest),
 			}
 		}
 	}
 	v.mu.Unlock()
 
-	if evicted != nil {
+	if shedVotes != nil {
 		// Busy every driver that voted for the evicted request so its
 		// callers can settle it as shed instead of waiting out their
 		// retransmission timers.
-		if ecaller, err := v.registry.Lookup(evicted.caller); err == nil {
+		if ecaller, err := v.registry.Lookup(shedCaller); err == nil {
 			v.shedIntake.Add(1)
-			for idx, d := range evicted.drivers {
+			for idx, d := range shedVotes {
 				if d.req != nil && idx < ecaller.N {
-					v.sendBusy(auth.DriverID(ecaller.Name, idx), evictedID, false, false)
+					v.sendBusy(auth.DriverID(ecaller.Name, idx), shedID, false, false)
 				}
 			}
 		}
@@ -750,33 +602,29 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 	switch o.Kind {
 	case OpRequest:
 		v.mu.Lock()
-		delete(v.reqVotes, o.ReqID)
-		v.intakeA.Store(int64(len(v.reqVotes)))
-		responder := o.Responder
-		if info, ok := v.inFlight.Get(o.ReqID); ok {
-			responder = info.responder // retransmission moved it
+		r := v.reqs.at(o.ReqID, o.Caller)
+		r.collecting, r.drivers, r.proposed = false, nil, false
+		if !r.executing { // else a retransmission may have moved the responder
+			r.responder = o.Responder
 		}
-		v.inFlight.Put(o.ReqID, execInfo{caller: o.Caller, responder: responder, seq: d.Seq})
+		r.caller, r.seq, r.executing = o.Caller, d.Seq, true
+		v.reqs.refile(r)
 		v.mu.Unlock()
 		v.driver.deliverRequest(IncomingRequest{ReqID: o.ReqID, Caller: o.Caller, Payload: o.Payload, Seq: d.Seq})
-	case OpReply:
+	case OpReply, OpAbort:
+		// The first agreed outcome of this group's own call wins: an abort
+		// after the reply, or a duplicate, is a no-op.
 		v.mu.Lock()
-		if v.delivered.Contains(o.ReqID) {
-			v.mu.Unlock()
-			return
-		}
+		done := v.delivered.Contains(o.ReqID)
 		v.delivered.Put(o.ReqID, struct{}{})
 		v.mu.Unlock()
-		v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload}, o.Shares, o.Epoch, o.GroupN)
-	case OpAbort:
-		v.mu.Lock()
-		if v.delivered.Contains(o.ReqID) {
-			v.mu.Unlock()
-			return // the reply won the race; the abort is a no-op
+		switch {
+		case done:
+		case o.Kind == OpAbort:
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true}, nil, 0, 0)
+		default:
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload}, o.Shares, o.Epoch, o.GroupN)
 		}
-		v.delivered.Put(o.ReqID, struct{}{})
-		v.mu.Unlock()
-		v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true}, nil, 0, 0)
 	case OpUtil:
 		v.driver.deliverUtil(o.K, o.Value)
 	case OpTxnDecision:
@@ -833,89 +681,72 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 		payload = nil
 	}
 	v.mu.Lock()
-	info, ok := v.inFlight.Get(reqID)
-	if !ok {
+	r := v.reqs.recs[reqID]
+	if r == nil || !r.executing {
 		v.mu.Unlock()
 		v.logf("result for unknown request %s dropped", reqID)
 		return
 	}
-	v.inFlight.Delete(reqID)
+	caller, seq := r.caller, r.seq
 	v.mu.Unlock()
 
 	// Advance the session-read horizons: local state now provably
 	// reflects this operation, so speculative reads may be stamped with
 	// its agreement sequence and the caller's read-your-writes lease may
 	// cover its request number.
-	if n, ok := callerReqSeq(reqID, info.caller); ok {
+	if n, ok := callerReqSeq(reqID, caller); ok {
 		v.readMu.Lock()
-		if n > v.execHi[info.caller] {
-			v.execHi[info.caller] = n
+		if n > v.execHi[caller] {
+			v.execHi[caller] = n
 		}
 		v.readMu.Unlock()
 	}
 	for {
 		cur := v.execSeqHi.Load()
-		if info.seq <= cur || v.execSeqHi.CompareAndSwap(cur, info.seq) {
+		if seq <= cur || v.execSeqHi.CompareAndSwap(cur, seq) {
 			break
 		}
 	}
 	v.drainParkedReads()
 
-	if _, err := v.registry.Lookup(info.caller); err != nil {
-		v.logf("result for %s: unknown caller %s", reqID, info.caller)
-		return
-	}
-	digest := ReplyDigest(reqID, payload)
 	// The endorsement tier is decided here, once, against the agreement's
 	// commit horizon: a result executed ahead of the horizon (tentative
 	// execution) is endorsed tentatively — callers then need a full
 	// quorum of matching shares instead of f_t+1 (see VerifyBundle).
-	tentative := v.bft().CommittedSeq() < info.seq
-	epoch := v.memEpoch.Load()
-	a, err := v.authenticateReply(reqID, info.caller, payload, digest, tentative, epoch)
+	rec, err := v.mint(reqID, caller, payload, ReplyDigest(reqID, payload), v.bft().CommittedSeq() < seq)
 	if err != nil {
 		v.logf("result for %s: authenticator: %v", reqID, err)
 		return
 	}
-	rec := replyRecord{
-		caller:    info.caller,
-		digest:    digest,
-		payload:   payload,
-		share:     Share{Replica: v.index, Tentative: tentative, Auth: a},
-		seq:       info.seq,
-		tentative: tentative,
-		epoch:     epoch,
-	}
 	v.mu.Lock()
-	v.replies.Put(reqID, rec)
-	stamp, stamped := v.reqExpiry.Get(reqID)
-	if stamped {
-		v.reqExpiry.Delete(reqID)
+	if v.reqs.recs[reqID] == r { // else evicted while minting
+		r.executing, r.minted, r.reply = false, true, rec
+		v.reqs.refile(r)
 	}
+	responder, stamp := r.responder, r.expiry
 	v.mu.Unlock()
 	// Pre-reply deadline gate: the agreed operation HAS executed (local
-	// clocks must never skip agreed execution — replicas would diverge),
-	// but if the caller's deadline passed, sending the share is wasted
-	// bandwidth. Only the send is suppressed: the minted reply stays
-	// cached above, so a late retransmission (a caller whose clock
-	// disagrees, or one that refreshed its deadline) is still served —
-	// without the cached record the re-proposal would be deduplicated by
-	// agreement and the caller would hang until its abort.
-	if stamped && expiredStamp(stamp) {
+	// clocks must never skip agreed execution), but past the caller's
+	// deadline the share send is wasted bandwidth. Only the send is
+	// suppressed: the minted reply stays on the record, so a late
+	// retransmission is still served rather than deduplicated by
+	// agreement into a hang until the caller's abort.
+	if expiredStamp(stamp) {
 		v.replySuppress.Add(1)
 		return
 	}
-	v.sendShareTo(reqID, rec, info.responder)
+	v.sendShare(reqID, caller, rec, responder, false)
 }
 
-// authenticateReply MACs a reply-digest endorsement toward every
+// mint makes this voter's reply share for reqID under the current
+// membership epoch: a reply-digest endorsement MAC'd toward every
 // principal that may need to verify it. The MAC'd content includes the
-// membership epoch the share is minted under and the group's current
-// size (the roster attestation; see replyAuthMsg).
-func (v *voter) authenticateReply(reqID, callerName string, payload []byte, digest [sha256.Size]byte, tentative bool, epoch uint64) (auth.Authenticator, error) {
+// tier, the epoch and the group's current size (the roster attestation;
+// see replyAuthMsg).
+func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Size]byte, tentative bool) (replyRecord, error) {
 	caller, err := v.registry.Lookup(callerName)
 	if err != nil {
-		return auth.Authenticator{}, err
+		return replyRecord{}, err
 	}
 	receivers := caller.principals() // shared: the appends below copy it
 	// A handoff-export reply doubles as the state-handoff certificate the
@@ -930,29 +761,12 @@ func (v *voter) authenticateReply(reqID, callerName string, payload []byte, dige
 			receivers = append(receivers, dg.DriverIDs()...)
 		}
 	}
-	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N)
-	defer msg.Free()
-	return auth.NewAuthenticator(v.ks, msg.Bytes(), receivers)
-}
-
-// upgradeShare re-mints a cached share as stable under the current
-// membership epoch — after the agreement committed past its sequence,
-// or after an epoch flip invalidated the original mint — and re-caches
-// the result.
-func (v *voter) upgradeShare(reqID string, rec replyRecord) replyRecord {
 	epoch := v.memEpoch.Load()
-	a, err := v.authenticateReply(reqID, rec.caller, rec.payload, rec.digest, false, epoch)
-	if err != nil {
-		v.logf("upgrading share for %s: %v", reqID, err)
-		return rec
-	}
-	rec.share = Share{Replica: v.index, Auth: a}
-	rec.tentative = false
-	rec.epoch = epoch
-	v.mu.Lock()
-	v.replies.Put(reqID, rec)
-	v.mu.Unlock()
-	return rec
+	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N)
+	a, err := auth.NewAuthenticator(v.ks, msg.Bytes(), receivers)
+	msg.Free()
+	return replyRecord{digest: digest, payload: payload, epoch: epoch,
+		share: Share{Replica: v.index, Tentative: tentative, Auth: a}}, err
 }
 
 // onRollback is the CLBFT rollback handler: a view change revoked a
@@ -983,37 +797,20 @@ func (v *voter) onRollback(d clbft.Delivery) bool {
 	return false
 }
 
-// sendShareTo routes this voter's reply share to the responder voter
-// (or, when this voter is the responder, feeds the local collection).
-// Remote shares are digest-only: the responder executed the same agreed
-// request and bundles its own payload, so shipping the payload n−1
-// times would multiply reply bandwidth by the replication degree for
-// nothing (the divergent-responder case is covered by PayloadFetch).
-func (v *voter) sendShareTo(reqID string, rec replyRecord, responder int) {
-	if responder == v.index {
-		v.acceptShare(v.index, &ReplyShare{
-			ReqID:   reqID,
-			Caller:  rec.caller,
-			Digest:  rec.digest,
-			Share:   rec.share,
-			Payload: rec.payload,
-		}, true)
-		return
-	}
-	v.sendShare(reqID, rec, responder, false)
-}
-
-// sendShare transmits this voter's share for reqID to another group
-// member, with the payload attached only for payload-fetch answers.
-func (v *voter) sendShare(reqID string, rec replyRecord, to int, withPayload bool) {
-	rs := &ReplyShare{
-		ReqID:  reqID,
-		Caller: rec.caller,
-		Digest: rec.digest,
-		Share:  rec.share,
-	}
-	if withPayload {
+// sendShare routes this voter's reply share for reqID to voter to,
+// feeding the local collection when this voter is the responder. Remote
+// shares are digest-only unless withPayload (a payload-fetch answer):
+// the responder executed the same agreed request and bundles its own
+// payload, so shipping the payload n−1 times would multiply reply
+// bandwidth by the replication degree for nothing.
+func (v *voter) sendShare(reqID, caller string, rec replyRecord, to int, withPayload bool) {
+	rs := &ReplyShare{ReqID: reqID, Caller: caller, Digest: rec.digest, Share: rec.share}
+	if withPayload || to == v.index {
 		rs.Payload = rec.payload
+	}
+	if to == v.index {
+		v.acceptShare(v.index, rs, true)
+		return
 	}
 	msg := &Message{Kind: KindReplyShare, ReplyShare: rs, Epoch: v.memEpoch.Load()}
 	w := wire.GetWriter(msg.SizeHint())
@@ -1111,7 +908,7 @@ func (v *voter) handleReadRequest(from auth.NodeID, rr *ReadRequest) {
 	// caller's agreement fallback — falling back would add agreement
 	// load exactly when the group asked for less — it settles the read
 	// as overloaded once f_t+1 voters say so (see Driver.handleBusy).
-	if v.readShedAt > 0 && int(v.intakeA.Load()) >= v.readShedAt {
+	if v.readShedAt > 0 && int(v.reqs.intakeA.Load()) >= v.readShedAt {
 		v.shedReads.Add(1)
 		v.sendBusy(from, rr.ReqID, false, true)
 		return
@@ -1242,7 +1039,7 @@ func (v *voter) handleReplyShare(from auth.NodeID, rs *ReplyShare) {
 }
 
 // handlePayloadFetch serves a responder that lacks (or diverged from)
-// the f_t+1-endorsed reply payload: if this voter's cached reply
+// the f_t+1-endorsed reply payload: if this voter's minted reply
 // matches the requested digest, it re-sends its share with the payload
 // attached.
 func (v *voter) handlePayloadFetch(from auth.NodeID, pf *PayloadFetch) {
@@ -1250,12 +1047,14 @@ func (v *voter) handlePayloadFetch(from auth.NodeID, pf *PayloadFetch) {
 		return // only group members assemble bundles
 	}
 	v.mu.Lock()
-	rec, ok := v.replies.Get(pf.ReqID)
-	v.mu.Unlock()
-	if !ok || rec.digest != pf.Digest {
+	r := v.reqs.recs[pf.ReqID]
+	if r == nil || !r.minted || r.reply.digest != pf.Digest {
+		v.mu.Unlock()
 		return // we never endorsed that digest; nothing to serve
 	}
-	v.sendShare(pf.ReqID, rec, from.Index, true)
+	rec, caller := r.reply, r.caller
+	v.mu.Unlock()
+	v.sendShare(pf.ReqID, caller, rec, from.Index, true)
 }
 
 // acceptShare records a share and assembles the bundle at f_t+1
@@ -1275,15 +1074,12 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
 	}
 	info := v.curInfo() // thresholds follow the installed membership size
 	v.mu.Lock()
-	sc, ok := v.shareBuf.Get(rs.ReqID)
-	if !ok {
-		sc = &shareCollect{caller: rs.Caller, slots: make([]shareSlot, max(info.N, v.index+1))}
-		v.shareBuf.Put(rs.ReqID, sc)
+	r := v.reqs.at(rs.ReqID, rs.Caller) // a share may beat the delivery here
+	v.reqs.refile(r)
+	if n := max(info.N, v.index+1, fromIndex+1); len(r.slots) < n { // the group may have grown
+		r.slots = append(r.slots, make([]shareSlot, n-len(r.slots))...)
 	}
-	for len(sc.slots) <= fromIndex { // the group grew since the collection began
-		sc.slots = append(sc.slots, shareSlot{})
-	}
-	s := &sc.slots[fromIndex]
+	s := &r.slots[fromIndex]
 	s.have, s.share, s.digest = true, rs.Share, rs.Digest
 	// Bind a payload to a digest only when it actually hashes to it: a
 	// faulty voter must not attach garbage bytes to a digest it never
@@ -1296,26 +1092,26 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
 		s.bound, s.payload, s.payloadDigest = true, rs.Payload, rs.Digest
 	}
 
-	winner, found := sc.certified(info)
-	if !found || sc.sent {
+	winner, found := r.certified(info)
+	if !found || r.sent {
 		v.mu.Unlock()
 		return
 	}
-	payload, have := sc.payloadFor(winner)
+	payload, have := r.payloadFor(winner)
 	if !have {
 		// Common case: our own execution has not finished yet — its share
 		// (with payload) will re-enter acceptShare shortly. Divergent
 		// case: our local result exists but hashes elsewhere; pull the
 		// winning payload from the voters that endorsed it.
-		own := &sc.slots[v.index]
-		if !own.have || own.digest == winner || sc.fetched {
+		own := &r.slots[v.index]
+		if !own.have || own.digest == winner || r.fetched {
 			v.mu.Unlock()
 			return
 		}
-		sc.fetched = true
+		r.fetched = true
 		var fetchFrom []int
-		for idx := range sc.slots {
-			if o := &sc.slots[idx]; idx != v.index && o.have && o.digest == winner {
+		for idx := range r.slots {
+			if o := &r.slots[idx]; idx != v.index && o.have && o.digest == winner {
 				fetchFrom = append(fetchFrom, idx)
 			}
 		}
@@ -1333,8 +1129,8 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
 		w.Free()
 		return
 	}
-	sc.sent = true
-	shares := sc.endorsements(winner)
+	r.sent = true
+	shares := r.endorsements(winner)
 	v.mu.Unlock()
 
 	primary := 0
@@ -1374,10 +1170,7 @@ func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 	if err != nil {
 		return
 	}
-	v.mu.Lock()
-	done := v.delivered.Contains(b.ReqID)
-	v.mu.Unlock()
-	if done {
+	if v.isDelivered(b.ReqID) {
 		return
 	}
 	if err := VerifyBundle(v.ks, target, b); err != nil {
@@ -1389,23 +1182,28 @@ func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 	v.bft().Submit(ReplyOpID(b.ReqID), op.Encode())
 }
 
-// proposeUtil proposes the local clock reading for utility slot k. Only
-// the current primary's proposal is ordered first; duplicates are
-// deduplicated by OpID.
+// isDelivered reports whether an outcome of this group's own call reqID
+// was agreed.
+func (v *voter) isDelivered(reqID string) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.delivered.Contains(reqID)
+}
+
+// proposeUtil proposes the local clock reading for utility slot k (for
+// the co-located driver). Only the current primary's proposal is ordered
+// first; duplicates are deduplicated by OpID.
 func (v *voter) proposeUtil(k uint64) {
 	op := &Op{Kind: OpUtil, K: k, Value: time.Now().UnixMilli()}
 	v.bft().Submit(UtilOpID(k), op.Encode())
 }
 
+// proposeAbort proposes aborting this group's own call reqID, for the
+// co-located driver when the call's timeout expires.
 func (v *voter) proposeAbort(reqID string) {
-	v.mu.Lock()
-	done := v.delivered.Contains(reqID)
-	v.mu.Unlock()
-	if done {
-		return
+	if !v.isDelivered(reqID) {
+		v.bft().Submit(AbortOpID(reqID), (&Op{Kind: OpAbort, ReqID: reqID}).Encode())
 	}
-	op := &Op{Kind: OpAbort, ReqID: reqID}
-	v.bft().Submit(AbortOpID(reqID), op.Encode())
 }
 
 // proposeTxnDecision submits the co-located driver's transaction
@@ -1441,15 +1239,4 @@ func (v *voter) proposeMembership(mc *MembershipChange) {
 // sequence (clbft checkpoint hook; runs on the CLBFT event loop).
 func (v *voter) onStableCheckpoint(seq uint64, _ clbft.Digest) {
 	v.stableCkpt.Store(seq)
-}
-
-// requestUtil is called in-process by the co-located driver.
-func (v *voter) requestUtil(k uint64) {
-	v.proposeUtil(k)
-}
-
-// requestAbort is called in-process by the co-located driver when a
-// request's timeout expires.
-func (v *voter) requestAbort(reqID string) {
-	v.proposeAbort(reqID)
 }

@@ -70,51 +70,51 @@ func TestVoterRejectsMalformedExternalRequests(t *testing.T) {
 
 	// Wrong sender role: a voter cannot originate external requests.
 	v.handleExternalRequest(auth.VoterID("c", 0), good)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request from a voter principal was counted")
 	}
 	// Caller mismatch between envelope and authenticated sender.
 	bad := *good
 	bad.Caller = "someone-else"
 	v.handleExternalRequest(driver, &bad)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request with mismatched caller was counted")
 	}
 	// Wrong target.
 	bad = *good
 	bad.Target = "other"
 	v.handleExternalRequest(driver, &bad)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request for another service was counted")
 	}
 	// Out-of-range responder.
 	bad = *good
 	bad.Responder = 99
 	v.handleExternalRequest(driver, &bad)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request with out-of-range responder was counted")
 	}
 	// Tampered payload invalidates the authenticator.
 	bad = *good
 	bad.Payload = []byte("tampered")
 	v.handleExternalRequest(driver, &bad)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request with tampered payload was counted")
 	}
 	// Empty request id.
 	bad = *good
 	bad.ReqID = ""
 	v.handleExternalRequest(driver, &bad)
-	if len(v.reqVotes) != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("request without id was counted")
 	}
 	// The genuine request is counted (once per driver).
 	v.handleExternalRequest(driver, good)
-	if len(v.reqVotes) != 1 {
-		t.Fatalf("genuine request not counted: %d", len(v.reqVotes))
+	if len(v.reqs.recs) != 1 {
+		t.Fatalf("genuine request not counted: %d", len(v.reqs.recs))
 	}
 	v.handleExternalRequest(driver, good)
-	if n := len(v.reqVotes["c:1"].shares(good.Digest())); n != 1 {
+	if n := len(v.reqs.recs["c:1"].shares(good.Digest())); n != 1 {
 		t.Errorf("duplicate vote counted: %d", n)
 	}
 }
@@ -124,16 +124,16 @@ func TestVoterRejectsForeignShares(t *testing.T) {
 	// Shares must come from this voter group.
 	rs := &ReplyShare{ReqID: "c:9", Caller: "c", Share: Share{Replica: 1}}
 	v.handleReplyShare(auth.VoterID("other", 1), rs)
-	if v.shareBuf.Len() != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("share from foreign service accepted")
 	}
 	v.handleReplyShare(auth.DriverID("t", 1), rs)
-	if v.shareBuf.Len() != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("share from a driver principal accepted")
 	}
 	// Share claiming a different replica index than its sender.
 	v.handleReplyShare(auth.VoterID("t", 2), rs)
-	if v.shareBuf.Len() != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("share with mismatched replica index accepted")
 	}
 }
@@ -155,8 +155,8 @@ func TestAcceptShareRejectsForgedPayloads(t *testing.T) {
 		Share: Share{Replica: 2}, Payload: []byte("poison"),
 	}, false)
 	v.mu.Lock()
-	sc, ok := v.shareBuf.Get("c:9")
-	if !ok {
+	sc := v.reqs.recs["c:9"]
+	if sc == nil {
 		v.mu.Unlock()
 		t.Fatal("share not collected")
 	}
@@ -192,9 +192,9 @@ func TestAcceptShareStoresLegitimateNilPayload(t *testing.T) {
 	v.acceptShare(1, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 1}}, false)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	sc, ok := v.shareBuf.Get("c:10")
-	if !ok || !sc.sent {
-		t.Fatalf("empty reply did not assemble (ok=%v)", ok)
+	sc := v.reqs.recs["c:10"]
+	if sc == nil || !sc.sent {
+		t.Fatalf("empty reply did not assemble (ok=%v)", sc != nil)
 	}
 	if p, have := sc.payloadFor(digest); !have || len(p) != 0 {
 		t.Errorf("nil payload not stored: %q (have=%v)", p, have)
@@ -311,7 +311,7 @@ func TestVoterLocalResultForUnknownRequestDropped(t *testing.T) {
 	// No in-flight record: the result is dropped without touching the
 	// network or the reply cache.
 	v.handleLocalResult("never-agreed", []byte("x"))
-	if v.replies.Len() != 0 {
+	if len(v.reqs.recs) != 0 {
 		t.Error("orphan result cached")
 	}
 }
@@ -319,17 +319,19 @@ func TestVoterLocalResultForUnknownRequestDropped(t *testing.T) {
 func TestUpdateResponderViaRetransmission(t *testing.T) {
 	v, _, stores := newBareVoter(t)
 	v.mu.Lock()
-	v.inFlight.Put("c:5", execInfo{caller: "c", responder: 1})
+	r := v.reqs.at("c:5", "c")
+	r.executing, r.responder = true, 1
+	v.reqs.refile(r)
 	v.mu.Unlock()
 	// A retransmission asking for responder 3 moves the routing.
 	req := signedRequest(t, stores, 0, "c:5", []byte("p"), 3)
 	req.Attempt = 2
 	v.handleExternalRequest(auth.DriverID("c", 0), req)
 	v.mu.Lock()
-	info, ok := v.inFlight.Get("c:5")
+	got := v.reqs.recs["c:5"]
 	v.mu.Unlock()
-	if !ok || info.responder != 3 {
-		t.Errorf("responder = %+v, want 3", info)
+	if got == nil || got.responder != 3 {
+		t.Errorf("responder = %+v, want 3", got)
 	}
 	_ = time.Now()
 }

@@ -94,14 +94,13 @@ const tcpMaxFrame = MaxFrameSize + 4096
 
 // tcpConfig carries the tunables of one endpoint.
 type tcpConfig struct {
-	queueDepth   int
-	dialTimeout  time.Duration
-	writeTimeout time.Duration
-	backoffMin   time.Duration
-	backoffMax   time.Duration
+	queueDepth int
+	backoffMin time.Duration
+	backoffMax time.Duration
 }
 
-// Defaults for TCPOption-tunable knobs.
+// Defaults for the TCPOption-tunable queue depth, and the fixed dial
+// timeout.
 const (
 	// DefaultTCPQueueDepth bounds each per-peer outbound queue. At the
 	// default, a wedged peer strands at most queueDepth frames; BFT
@@ -119,30 +118,6 @@ func WithQueueDepth(n int) TCPOption {
 	return func(c *tcpConfig) {
 		if n > 0 {
 			c.queueDepth = n
-		}
-	}
-}
-
-// WithDialTimeout bounds each background connection attempt.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(c *tcpConfig) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithWriteTimeout bounds one coalesced write burst before the link is
-// severed and redialed. It is off by default: a peer that merely stops
-// reading costs only its own bounded queue (frames drop there), writes
-// resume via TCP flow control if it recovers, and dead peers are
-// reaped by TCP keepalive — while arming a runtime timer per burst is
-// measurable on the hot path. Enable it to bound how long a wedged
-// connection pins its writer goroutine.
-func WithWriteTimeout(d time.Duration) TCPOption {
-	return func(c *tcpConfig) {
-		if d > 0 {
-			c.writeTimeout = d
 		}
 	}
 }
@@ -168,10 +143,9 @@ func ListenTCP(id auth.NodeID, addr string, book *AddressBook, opts ...TCPOption
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	cfg := tcpConfig{
-		queueDepth:  DefaultTCPQueueDepth,
-		dialTimeout: DefaultTCPDialTimeout,
-		backoffMin:  20 * time.Millisecond,
-		backoffMax:  2 * time.Second,
+		queueDepth: DefaultTCPQueueDepth,
+		backoffMin: 20 * time.Millisecond,
+		backoffMax: 2 * time.Second,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -440,7 +414,7 @@ func (l *tcpLink) run() {
 				}
 				continue
 			}
-			d := net.Dialer{Timeout: c.cfg.dialTimeout}
+			d := net.Dialer{Timeout: DefaultTCPDialTimeout}
 			conn, err := d.DialContext(c.closeCtx, "tcp", addr)
 			if err != nil {
 				c.stats.dialFails.Add(1)
@@ -483,9 +457,8 @@ func (l *tcpLink) run() {
 			bw = nil
 			continue
 		}
-		if c.cfg.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.writeTimeout))
-		}
+		// No write deadline: a peer that stops reading costs only its own
+		// bounded queue, and TCP keepalive reaps dead peers.
 		err := l.writeFrame(bw, hdr[:], f)
 		yielded := false
 		for err == nil {

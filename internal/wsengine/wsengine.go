@@ -10,7 +10,6 @@ package wsengine
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -269,21 +268,6 @@ func AddressingInHandler() Handler {
 			h := mc.Envelope.Header
 			if h.MessageID == "" && h.RelatesTo == "" {
 				return errors.New("message carries neither wsa:MessageID nor wsa:RelatesTo")
-			}
-			return nil
-		},
-	}
-}
-
-// LoggingHandler traces message flow through a pipe.
-func LoggingHandler(name string, logger *log.Logger) Handler {
-	return HandlerFunc{
-		HandlerName: name,
-		Fn: func(mc *MessageContext) error {
-			if logger != nil {
-				h := mc.Envelope.Header
-				logger.Printf("%s: to=%s action=%s id=%s relatesTo=%s bytes=%d",
-					name, h.To, h.Action, h.MessageID, h.RelatesTo, len(mc.Envelope.Body))
 			}
 			return nil
 		},
