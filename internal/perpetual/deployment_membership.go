@@ -3,7 +3,7 @@ package perpetual
 // Deployment-side membership orchestration: the install machinery behind
 // agreement-installed voter-group epochs (see membership.go for the
 // protocol model) and the proactive-recovery operator surface built on
-// it (ReplaceReplica / GrowGroup / ShrinkGroup / RotateAll).
+// it (ReplaceReplica / GrowGroup / ShrinkGroup).
 //
 // The flow: an operator method proposes an OpMembership through the
 // current group's survivors; agreement orders it, the CLBFT barrier
@@ -112,28 +112,6 @@ func (d *Deployment) KillReplica(group string, slot int) error {
 		return fmt.Errorf("perpetual: kill %s/%d: no such replica", group, slot)
 	}
 	replicas[slot].Stop()
-	return nil
-}
-
-// RotateAll proactively recovers a voter group: each slot in turn is
-// replaced with a fresh incarnation and waited for until it has caught
-// up, so the group never has more than one recovering member and never
-// drops below quorum. One full pass bounds the age of every
-// incarnation's state — the proactive-recovery loop of the operator
-// runbook.
-func (d *Deployment) RotateAll(group string) error {
-	_, n := d.Registry.GroupMembership(group)
-	if n == 0 {
-		return fmt.Errorf("perpetual: rotate %s: unknown group", group)
-	}
-	for slot := 0; slot < n; slot++ {
-		if err := d.ReplaceReplica(group, slot); err != nil {
-			return fmt.Errorf("rotating %s/%d: %w", group, slot, err)
-		}
-		if err := d.WaitCaughtUp(group, slot, membershipInstallTimeout); err != nil {
-			return fmt.Errorf("rotating %s/%d: %w", group, slot, err)
-		}
-	}
 	return nil
 }
 

@@ -66,8 +66,8 @@
 //
 // Overload control: every stage of the request path is bounded, and
 // every refusal is deterministic. A ctx deadline is stamped into the
-// request envelope; voters drop expired work pre-admission,
-// pre-proposal, and pre-reply instead of ordering it. Intake is
+// request envelope; voters drop expired work pre-admission and
+// suppress its reply share pre-reply. Intake is
 // bounded (MaxIntake, shedding eldest-first so the freshest request —
 // the one with deadline left — is the one admitted), the CLBFT
 // proposer queue is bounded (MaxProposerQueue), and session-tier
@@ -97,5 +97,5 @@
 // fencing departed incarnations deterministically. Reply bundles carry
 // (Epoch, GroupN) inside the MAC'd reply message, so drivers learn
 // roster changes only from verified replies. Deployment.ReplaceReplica
-// and RotateAll expose this as the proactive-recovery loop.
+// exposes this as the proactive-recovery step.
 package perpetual

@@ -631,7 +631,7 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 		}
 		fx.tinfo = tinfo
 		ev.targetN, ev.targetF = tinfo.N, tinfo.F()
-		ev.expired, ev.jitter = expiredStamp(c.expiry), rand.Int63()
+		ev.expired, ev.jitter = passed(c.expiry, nowMillis()), rand.Int63()
 	}
 	ev.callerN, ev.interval = d.svc.N, d.retransmitInterval
 	fx.c = c

@@ -104,7 +104,7 @@ func TestVoterRequestRecord(t *testing.T) {
 			// intake bound; one faulty voter sends shares for ids nobody
 			// called, twice as many as the waiting list holds.
 			drv := auth.DriverID("c", 0)
-			for i := range v.maxIntake {
+			for i := range v.reqs.maxIntake {
 				v.handleExternalRequest(drv, signedRequest(t, fx.stores, 0, "c:"+strconv.Itoa(10+i), nil, 0))
 			}
 			for i := range reqTableSize {
@@ -115,8 +115,8 @@ func TestVoterRequestRecord(t *testing.T) {
 			eldest := v.reqs.recs["c:100000"] != nil
 			newest := v.reqs.recs["c:"+strconv.Itoa(100000+reqTableSize-1)] != nil
 			v.mu.Unlock()
-			if collecting != v.maxIntake || v.reqs.intakeA.Load() != int64(collecting) {
-				t.Errorf("intake %d (gauge %d), want every copy collecting: %d", collecting, v.reqs.intakeA.Load(), v.maxIntake)
+			if collecting != v.reqs.maxIntake || v.reqs.intakeA.Load() != int64(collecting) {
+				t.Errorf("intake %d (gauge %d), want every copy collecting: %d", collecting, v.reqs.intakeA.Load(), v.reqs.maxIntake)
 			}
 			if waiting != reqTableSize/2 || eldest || !newest {
 				t.Errorf("%d share-only records (eldest kept %v, newest kept %v), want the newest %d",

@@ -98,8 +98,8 @@ type RequestMsg struct {
 	Attempt   int    // retransmission counter
 	// Expiry is the caller's deadline as absolute unix milliseconds
 	// (0 = none), stamped from Do's ctx. Voters drop expired work before
-	// admission and before proposing it for agreement, and suppress
-	// replies whose caller can no longer be waiting — but never skip
+	// admission and suppress replies whose caller can no longer be
+	// waiting — but never skip
 	// *agreed* execution on a local clock, which would diverge replicated
 	// state. Excluded from Digest like Attempt: a retransmission carrying
 	// a refreshed stamp still counts toward the same request.

@@ -12,15 +12,8 @@ import (
 // End-to-end overload control (see DESIGN.md, "Overload & graceful
 // degradation"). The load-shedding surface has three voter-side gates —
 // intake admission, the proposer-queue gate, and the read fast path —
-// plus deadline-expiry drops at every stage where a local clock can be
-// consulted without touching agreed state:
-//
-//   - pre-admission and pre-proposal, where the request has not entered
-//     agreement yet, so dropping it is a local routing decision; and
-//   - pre-reply, where the agreed operation HAS executed (skipping an
-//     agreed execution on a local clock would diverge replicated state)
-//     and only the share *send* is suppressed — the minted reply stays
-//     cached so a late retransmission is still served.
+// plus deadline-expiry drops before admission, before proposal and
+// before the reply share is sent (see reqTable.step).
 //
 // Every refusal is answered with a KindBusy frame, never a silent drop:
 // the calling driver settles the request as overloaded only once f_t+1
@@ -194,7 +187,7 @@ func (v *voter) enqueueClient(from auth.NodeID, payload []byte) {
 		v.laneDrops.Add(1)
 		switch kind, reqID := peekClientReqID(payload); kind {
 		case KindRequest:
-			v.shedIntake.Add(1)
+			v.reqs.shedIntake.Add(1)
 			if reqID != "" {
 				v.sendBusy(from, reqID, false, false)
 			}
@@ -213,26 +206,11 @@ func (v *voter) enqueueClient(from auth.NodeID, payload []byte) {
 // retries), never divergence.
 func nowMillis() uint64 { return uint64(time.Now().UnixMilli()) }
 
-// expired reports whether a deadline stamp (0 = none) has passed.
-func expiredStamp(stamp uint64) bool { return stamp != 0 && nowMillis() > stamp }
-
 // sendBusy answers a driver's request (or read) with a refusal frame.
 // Busy frames are advisory and unauthenticated beyond the channel MAC:
 // a forged or lying busy is harmless because drivers require f_t+1
 // distinct voter refusals before settling anything.
 func (v *voter) sendBusy(to auth.NodeID, reqID string, expired, read bool) {
-	bz := &BusyReply{
-		ReqID:            reqID,
-		Replica:          v.index,
-		RetryAfterMillis: uint64(v.retryHint.Milliseconds()),
-		Expired:          expired,
-		Read:             read,
-	}
-	msg := &Message{Kind: KindBusy, Busy: bz}
-	w := wire.GetWriter(msg.SizeHint())
-	msg.EncodeTo(w)
-	if err := v.adapter.Send(to, w.Bytes()); err != nil {
-		v.logf("busy for %s to %s: %v", reqID, to, err)
-	}
-	w.Free()
+	v.sendTo(to, &Message{Kind: KindBusy, Busy: &BusyReply{ReqID: reqID, Replica: v.index,
+		RetryAfterMillis: uint64(v.retryHint.Milliseconds()), Expired: expired, Read: read}})
 }

@@ -427,7 +427,7 @@ func TestIntakeEvictsEldestFirst(t *testing.T) {
 	if _, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("fresh")}); err != nil {
 		t.Fatalf("fresh request must be admitted over the eldest: %v", err)
 	}
-	if got := prim.shedIntake.Load(); got != 1 {
+	if got := prim.reqs.shedIntake.Load(); got != 1 {
 		t.Fatalf("primary ShedIntake = %d, want exactly 1 (the eviction)", got)
 	}
 	prim.mu.Lock()

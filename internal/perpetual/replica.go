@@ -128,7 +128,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	v.memEpoch.Store(cfg.MembershipEpoch)
 	v.maxProposer = cfg.MaxProposerQueue
 	if cfg.MaxIntake > 0 {
-		v.maxIntake = cfg.MaxIntake
+		v.reqs.maxIntake = cfg.MaxIntake
 		// Reads shed at half the write bound, so the fast path gives way
 		// well before the agreement path starts refusing work.
 		v.readShedAt = max(1, cfg.MaxIntake/2)
@@ -314,11 +314,11 @@ func (r *Replica) StaleEpochDrops() uint64 { return r.voter.staleEpochDrops.Load
 // suppressed) is in exactly one bucket (diagnostic / bench surface).
 func (r *Replica) OverloadStats() OverloadStats {
 	return OverloadStats{
-		ShedIntake:        r.voter.shedIntake.Load(),
-		ShedProposer:      r.voter.shedProposer.Load(),
+		ShedIntake:        r.voter.reqs.shedIntake.Load(),
+		ShedProposer:      r.voter.reqs.shedProposer.Load(),
 		ShedReads:         r.voter.shedReads.Load(),
-		ExpiredDrops:      r.voter.expiredDrops.Load(),
-		SuppressedReplies: r.voter.replySuppress.Load(),
+		ExpiredDrops:      r.voter.reqs.expiredDrops.Load(),
+		SuppressedReplies: r.voter.reqs.replySuppress.Load(),
 	}
 }
 

@@ -84,17 +84,11 @@ type voter struct {
 	parkedReads []*parkedRead
 
 	// Overload control (see overload.go and DESIGN.md); zero disables
-	// each gate but maxIntake, which defaults to reqTableSize.
-	maxIntake   int           // bound on collecting records (intake admission)
+	// each gate. The intake bound and the request counters sit on reqs.
 	maxProposer int           // bound on the CLBFT pending backlog new proposals may join
 	readShedAt  int           // intake at which fast-path reads shed (reads shed first)
 	retryHint   time.Duration // backoff hint carried by busy replies
-
-	shedIntake    atomic.Uint64 // requests refused at the intake bound
-	shedProposer  atomic.Uint64 // proposals deferred at the proposer-queue gate
-	shedReads     atomic.Uint64 // fast-path reads refused under pressure
-	expiredDrops  atomic.Uint64 // requests dropped pre-agreement for an expired deadline
-	replySuppress atomic.Uint64 // executed replies whose share send was suppressed
+	shedReads   atomic.Uint64 // fast-path reads refused under pressure
 
 	// clientLane decouples the client plane (external requests,
 	// fast-path reads) from the protocol plane (CLBFT, reply shares):
@@ -123,11 +117,10 @@ func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.Chan
 		ks:        ks,
 		logger:    logger,
 		retryHint: DefaultRetryAfterHint,
-		maxIntake: reqTableSize,
 		execHi:    make(map[string]uint64),
 		delivered: newBoundedCache[struct{}](deliveredCacheSize),
 	}
-	v.reqs.init()
+	v.reqs.init(index)
 	return v
 }
 
@@ -151,21 +144,13 @@ func (v *voter) curInfo() ServiceInfo {
 	return s
 }
 
-// adoptEpoch flips the voter to a freshly installed membership epoch.
-// Share collections restart clean (mixed-epoch shares never certify),
-// and collecting records are re-armed: proposals above the install
-// barrier died with the old instance, so the callers' retransmissions
-// must re-propose them. Minted replies stay, re-minted on retransmission.
+// adoptEpoch flips the voter to a freshly installed membership epoch
+// (see reqTable.resetShares).
 func (v *voter) adoptEpoch(epoch uint64) {
 	v.memEpoch.Store(epoch)
 	v.mu.Lock()
 	v.pendingMC = nil
-	for _, r := range v.reqs.recs {
-		r.slots, r.sent, r.fetched, r.proposed = nil, false, false, false
-	}
-	for w := &v.reqs.waiting; w.n > 0; { // share slots were all they held
-		v.reqs.drop(w.root.next)
-	}
+	v.reqs.resetShares()
 	v.mu.Unlock()
 }
 
@@ -421,9 +406,9 @@ func (v *voter) handleTransport(from auth.NodeID, payload []byte) {
 	}
 }
 
-// handleExternalRequest implements stage 2: collect f_c+1 matching
-// request copies, then run agreement. Retransmissions of executed
-// requests are served from the reply cache.
+// handleExternalRequest implements stage 2: it checks a request copy
+// and feeds it to step, which collects f_c+1 matching copies for
+// agreement and serves retransmissions of executed requests.
 func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 	if req == nil || req.ReqID == "" {
 		return
@@ -432,10 +417,7 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 		return
 	}
 	caller, err := v.registry.Lookup(req.Caller)
-	if err != nil || from.Index < 0 || from.Index >= caller.N {
-		return
-	}
-	if req.Responder < 0 || req.Responder >= v.curInfo().N {
+	if err != nil || from.Index < 0 || from.Index >= caller.N || req.Responder < 0 || req.Responder >= v.curInfo().N {
 		return
 	}
 	digest := req.Digest()
@@ -448,142 +430,65 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 		v.logf("request %s from %s: bad authenticator: %v", req.ReqID, from, err)
 		return
 	}
-	// Pre-admission deadline gate: a request whose envelope deadline has
-	// already passed is answered with an expired busy instead of queued —
-	// the caller has (or is about to) give up, so ordering it is pure
-	// overhead. The stamp is outside the request digest, so this never
-	// splits the f_c+1 vote.
-	if expiredStamp(req.Expiry) {
-		v.expiredDrops.Add(1)
-		v.sendBusy(from, req.ReqID, true, false)
-		return
+	ev := reqEvent{kind: inCopy, now: nowMillis(), req: req, digest: digest, from: from.Index,
+		callerN: caller.N, callerF: caller.F(), epoch: v.memEpoch.Load()}
+	if b := v.bft(); b != nil {
+		ev.committed = b.CommittedSeq()
+		ev.backlogFull = v.maxProposer > 0 && b.PendingLen() >= v.maxProposer
 	}
+	v.apply(&ev)
+}
 
+// apply runs step on ev under v.mu and performs its actions after.
+func (v *voter) apply(ev *reqEvent) {
+	var buf [1]reqAction // the common events ask for at most one action
 	v.mu.Lock()
-	r := v.reqs.recs[req.ReqID]
-	switch {
-	case r != nil && r.minted:
-		// Already executed: send the minted share toward the requested
-		// responder. A retransmission is also the re-mint point. If the
-		// share was minted tentative and the agreement has since committed
-		// past its sequence, the stable re-mint lets f_t+1 upgraded shares
-		// certify a reply that stalled below the tentative quorum tier. If
-		// the membership epoch flipped since minting, the pre-flip share
-		// could never enter a post-flip bundle (the MAC'd roster would not
-		// match); post-flip the commit floor is the install barrier, which
-		// is >= every pre-flip sequence, so that re-mint is stable too.
-		rec, seq, owner := r.reply, r.seq, r.caller
-		v.mu.Unlock()
-		if (rec.share.Tentative && v.bft().CommittedSeq() >= seq) || rec.epoch != v.memEpoch.Load() {
-			if up, err := v.mint(req.ReqID, owner, rec.payload, rec.digest, false); err != nil {
-				v.logf("re-minting share for %s: %v", req.ReqID, err)
-			} else {
-				rec = up
-				v.mu.Lock()
-				r.reply = rec
-				v.mu.Unlock()
-			}
-		}
-		v.sendShare(req.ReqID, owner, rec, req.Responder, false)
-		return
-	case r != nil && r.executing:
-		// Agreed and executing: the eventual share routes to where the
-		// caller is now listening.
-		r.responder = req.Responder
-		v.mu.Unlock()
-		return
-	}
-	var shedID, shedCaller string
-	var shedVotes []driverVote
-	if r == nil || !r.collecting {
-		// Intake admission: past the bound, shed eldest-first (CoDel
-		// style) — evict the oldest collecting record not yet in the
-		// agreement pipeline and admit the fresh request; when everything
-		// old is already proposed, refuse the new request instead.
-		if v.reqs.collecting.n >= v.maxIntake {
-			eldest := v.reqs.eldestUnproposed()
-			if eldest == nil {
-				v.mu.Unlock()
-				v.shedIntake.Add(1)
-				v.sendBusy(from, req.ReqID, false, false)
-				return
-			}
-			shedID, shedCaller, shedVotes = eldest.id, eldest.caller, eldest.drivers
-			v.reqs.release(eldest)
-		}
-		r = v.reqs.at(req.ReqID, req.Caller)
-		r.caller, r.drivers, r.collecting = req.Caller, make([]driverVote, caller.N), true
-		v.reqs.refile(r)
-	}
-	if req.Expiry != 0 {
-		r.expiry = req.Expiry
-	}
-	for len(r.drivers) <= from.Index { // the caller group grew since the vote began
-		r.drivers = append(r.drivers, driverVote{})
-	}
-	slot := &r.drivers[from.Index]
-	if slot.req != nil && slot.digest == digest {
-		// Duplicate vote; nothing new. (A changed digest replaces the
-		// driver's vote: the last copy wins, matching retransmission.)
-		v.mu.Unlock()
-		return
-	}
-	*slot = driverVote{req: req, digest: digest}
-
-	var propose *Op
-	var busyGated, busyExpired bool
-	if !r.proposed && r.count(digest) >= caller.F()+1 {
-		switch {
-		case expiredStamp(req.Expiry):
-			// Pre-proposal deadline gate: the vote quorum formed after the
-			// caller's deadline passed. The request never entered
-			// agreement, so ending its collection is a local decision.
-			v.reqs.release(r)
-			v.expiredDrops.Add(1)
-			busyGated, busyExpired = true, true
-		case v.maxProposer > 0 && v.bft().PendingLen() >= v.maxProposer:
-			// Proposer-queue gate: the agreement backlog is at its bound.
-			// r.proposed stays false so a retransmission re-attempts once
-			// the backlog drains.
-			v.shedProposer.Add(1)
-			busyGated = true
-		default:
-			r.proposed = true
-			propose = &Op{
-				Kind:      OpRequest,
-				ReqID:     req.ReqID,
-				Caller:    req.Caller,
-				Responder: req.Responder,
-				Payload:   req.Payload,
-				Shares:    r.shares(digest),
-			}
-		}
-	}
+	acts := v.reqs.step(buf[:0], ev)
 	v.mu.Unlock()
+	v.perform(acts)
+}
 
-	if shedVotes != nil {
-		// Busy every driver that voted for the evicted request so its
-		// callers can settle it as shed instead of waiting out their
-		// retransmission timers.
-		if ecaller, err := v.registry.Lookup(shedCaller); err == nil {
-			v.shedIntake.Add(1)
-			for idx, d := range shedVotes {
-				if d.req != nil && idx < ecaller.N {
-					v.sendBusy(auth.DriverID(ecaller.Name, idx), shedID, false, false)
-				}
+// perform carries out step's actions. Minting needs this voter's keys, so
+// a re-mint happens here and comes back to step as inExecuted.
+func (v *voter) perform(acts []reqAction) {
+	for i := range acts {
+		switch a := &acts[i]; a.kind {
+		case doPropose:
+			// Submit via our own CLBFT replica: if we are not the primary,
+			// clbft forwards the proposal, so a correct voter suffices to
+			// get the request ordered regardless of which replica the
+			// caller contacted.
+			op := Op{Kind: OpRequest, ReqID: a.req.ReqID, Caller: a.req.Caller, Responder: a.req.Responder,
+				Payload: a.req.Payload, Shares: a.shares}
+			v.bft().Submit(RequestOpID(op.ReqID), op.Encode())
+		case doExecute:
+			v.driver.deliverRequest(IncomingRequest{ReqID: a.op.ReqID, Caller: a.op.Caller, Payload: a.op.Payload, Seq: a.seq})
+		case doMint:
+			rec, err := v.mint(a.id, a.caller, a.reply.payload, a.reply.digest, false)
+			if err != nil {
+				v.logf("re-minting share for %s: %v", a.id, err)
+				continue
 			}
+			v.apply(&reqEvent{kind: inExecuted, id: a.id, reply: rec, remint: true})
+		case doShare:
+			rs := ReplyShare{ReqID: a.id, Caller: a.caller, Digest: a.reply.digest, Share: a.reply.share}
+			if a.withPayload {
+				rs.Payload = a.reply.payload
+			}
+			if a.voter == v.index {
+				v.acceptShare(v.index, &rs, true)
+			} else {
+				v.sendTo(auth.VoterID(v.svc.Name, a.voter), &Message{Kind: KindReplyShare, ReplyShare: &rs, Epoch: v.memEpoch.Load()})
+			}
+		case doBundle:
+			v.sendBundle(a)
+		case doFetch:
+			v.logf("reply %s: local result diverged from endorsed digest; fetching payload from %d", a.id, a.voter)
+			v.sendTo(auth.VoterID(v.svc.Name, a.voter), &Message{Kind: KindPayloadFetch,
+				PayloadFetch: &PayloadFetch{ReqID: a.id, Digest: a.digest}, Epoch: v.memEpoch.Load()})
+		case doBusy:
+			v.sendBusy(a.to, a.id, a.expired, false)
 		}
-	}
-	if busyGated {
-		v.sendBusy(from, req.ReqID, busyExpired, false)
-		return
-	}
-	if propose != nil {
-		// Submit via our own CLBFT replica: if we are not the primary,
-		// clbft forwards the proposal, so a correct voter suffices to
-		// get the request ordered regardless of which replica the
-		// caller contacted.
-		v.bft().Submit(RequestOpID(req.ReqID), propose.Encode())
 	}
 }
 
@@ -601,16 +506,7 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 	}
 	switch o.Kind {
 	case OpRequest:
-		v.mu.Lock()
-		r := v.reqs.at(o.ReqID, o.Caller)
-		r.collecting, r.drivers, r.proposed = false, nil, false
-		if !r.executing { // else a retransmission may have moved the responder
-			r.responder = o.Responder
-		}
-		r.caller, r.seq, r.executing = o.Caller, d.Seq, true
-		v.reqs.refile(r)
-		v.mu.Unlock()
-		v.driver.deliverRequest(IncomingRequest{ReqID: o.ReqID, Caller: o.Caller, Payload: o.Payload, Seq: d.Seq})
+		v.apply(&reqEvent{kind: inAgreed, op: o, seq: d.Seq})
 	case OpReply, OpAbort:
 		// The first agreed outcome of this group's own call wins: an abort
 		// after the reply, or a duplicate, is a no-op.
@@ -670,8 +566,8 @@ func (v *voter) onHalt(seq uint64, state clbft.Digest) {
 }
 
 // handleLocalResult implements stages 4-5: the co-located driver passes
-// an executor result; the voter authenticates it for the caller and
-// routes a share to the responder.
+// an executor result; the voter authenticates it for the caller and step
+// routes the share to the responder.
 func (v *voter) handleLocalResult(reqID string, payload []byte) {
 	// Fault injection: a Byzantine replica endorses a wrong result.
 	if v.corruptResults {
@@ -718,24 +614,7 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 		v.logf("result for %s: authenticator: %v", reqID, err)
 		return
 	}
-	v.mu.Lock()
-	if v.reqs.recs[reqID] == r { // else evicted while minting
-		r.executing, r.minted, r.reply = false, true, rec
-		v.reqs.refile(r)
-	}
-	responder, stamp := r.responder, r.expiry
-	v.mu.Unlock()
-	// Pre-reply deadline gate: the agreed operation HAS executed (local
-	// clocks must never skip agreed execution), but past the caller's
-	// deadline the share send is wasted bandwidth. Only the send is
-	// suppressed: the minted reply stays on the record, so a late
-	// retransmission is still served rather than deduplicated by
-	// agreement into a hang until the caller's abort.
-	if expiredStamp(stamp) {
-		v.replySuppress.Add(1)
-		return
-	}
-	v.sendShare(reqID, caller, rec, responder, false)
+	v.apply(&reqEvent{kind: inExecuted, now: nowMillis(), id: reqID, reply: rec})
 }
 
 // mint makes this voter's reply share for reqID under the current
@@ -797,26 +676,31 @@ func (v *voter) onRollback(d clbft.Delivery) bool {
 	return false
 }
 
-// sendShare routes this voter's reply share for reqID to voter to,
-// feeding the local collection when this voter is the responder. Remote
-// shares are digest-only unless withPayload (a payload-fetch answer):
-// the responder executed the same agreed request and bundles its own
-// payload, so shipping the payload n−1 times would multiply reply
-// bandwidth by the replication degree for nothing.
-func (v *voter) sendShare(reqID, caller string, rec replyRecord, to int, withPayload bool) {
-	rs := &ReplyShare{ReqID: reqID, Caller: caller, Digest: rec.digest, Share: rec.share}
-	if withPayload || to == v.index {
-		rs.Payload = rec.payload
-	}
-	if to == v.index {
-		v.acceptShare(v.index, rs, true)
+// sendBundle sends a certified reply bundle to its caller's drivers.
+func (v *voter) sendBundle(a *reqAction) {
+	caller, err := v.registry.Lookup(a.caller)
+	if err != nil {
 		return
 	}
-	msg := &Message{Kind: KindReplyShare, ReplyShare: rs, Epoch: v.memEpoch.Load()}
+	b := ReplyBundle{ReqID: a.id, Target: v.svc.Name, Payload: a.payload, Shares: a.shares, Epoch: a.epoch, GroupN: a.groupN}
+	if bft := v.bft(); bft != nil {
+		b.Primary = bft.Primary() // advisory routing hint for the callers
+	}
+	msg := &Message{Kind: KindReplyBundle, ReplyBundle: &b, Epoch: a.epoch}
 	w := wire.GetWriter(msg.SizeHint())
 	msg.EncodeTo(w)
-	if err := v.adapter.Send(auth.VoterID(v.svc.Name, to), w.Bytes()); err != nil {
-		v.logf("share for %s to voter %d: %v", reqID, to, err)
+	if err := v.adapter.SendMulti(caller.DriverIDs(), w.Bytes()); err != nil {
+		v.logf("bundle for %s: %v", a.id, err)
+	}
+	w.Free()
+}
+
+// sendTo encodes msg and sends it to one principal.
+func (v *voter) sendTo(to auth.NodeID, msg *Message) {
+	w := wire.GetWriter(msg.SizeHint())
+	msg.EncodeTo(w)
+	if err := v.adapter.Send(to, w.Bytes()); err != nil {
+		v.logf("%v to %s: %v", msg.Kind, to, err)
 	}
 	w.Free()
 }
@@ -961,13 +845,7 @@ func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
 			}
 		}
 	}
-	msg := &Message{Kind: KindReadReply, ReadReply: rp, Epoch: v.memEpoch.Load()}
-	w := wire.GetWriter(msg.SizeHint())
-	msg.EncodeTo(w)
-	if err := v.adapter.Send(from, w.Bytes()); err != nil {
-		v.logf("read reply %s to %s: %v", rr.ReqID, from, err)
-	}
-	w.Free()
+	v.sendTo(from, &Message{Kind: KindReadReply, ReadReply: rp, Epoch: v.memEpoch.Load()})
 }
 
 // drainParkedReads re-evaluates parked reads after the execution
@@ -1029,11 +907,8 @@ func (v *voter) closeReads() {
 
 // handleReplyShare implements the responder's side of stage 5.
 func (v *voter) handleReplyShare(from auth.NodeID, rs *ReplyShare) {
-	if rs == nil || from.Service != v.svc.Name || from.Role != auth.RoleVoter {
-		return // shares come from this voter group only
-	}
-	if rs.Share.Replica != from.Index {
-		return
+	if rs == nil || from.Service != v.svc.Name || from.Role != auth.RoleVoter || rs.Share.Replica != from.Index {
+		return // shares come from this voter group only, each from its minter
 	}
 	v.acceptShare(from.Index, rs, false)
 }
@@ -1046,114 +921,22 @@ func (v *voter) handlePayloadFetch(from auth.NodeID, pf *PayloadFetch) {
 	if pf == nil || from.Service != v.svc.Name || from.Role != auth.RoleVoter {
 		return // only group members assemble bundles
 	}
-	v.mu.Lock()
-	r := v.reqs.recs[pf.ReqID]
-	if r == nil || !r.minted || r.reply.digest != pf.Digest {
-		v.mu.Unlock()
-		return // we never endorsed that digest; nothing to serve
-	}
-	rec, caller := r.reply, r.caller
-	v.mu.Unlock()
-	v.sendShare(pf.ReqID, caller, rec, from.Index, true)
+	v.apply(&reqEvent{kind: inFetch, id: pf.ReqID, digest: pf.Digest, from: from.Index})
 }
 
-// acceptShare records a share and assembles the bundle at f_t+1
-// matching digests (stage 6). Shares are digest-only: the winning
-// payload normally comes from this responder's own execution of the
-// same agreed request; when the local result diverged from the
-// f_t+1-endorsed digest (this replica is faulty or stale), the payload
-// is pulled from an endorsing voter via PayloadFetch, so safety is
-// unchanged — the bundle the callers verify still needs f_t+1 matching
-// MAC shares, the payload merely has to hash to the endorsed digest.
-// own marks this voter's own share, whose digest handleLocalResult
-// computed from the very payload it carries.
+// acceptShare feeds a reply share to step (stage 6). Shares are
+// digest-only; own marks this voter's own share, which carries the
+// payload its digest was computed from. Any other payload binds to the
+// share only if it hashes to the share's digest: a faulty voter must not
+// attach bytes to a digest it never computed, or every caller would
+// reject the bundle.
 func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
-	caller, err := v.registry.Lookup(rs.Caller)
-	if err != nil || fromIndex < 0 {
+	if fromIndex < 0 {
 		return
 	}
 	info := v.curInfo() // thresholds follow the installed membership size
-	v.mu.Lock()
-	r := v.reqs.at(rs.ReqID, rs.Caller) // a share may beat the delivery here
-	v.reqs.refile(r)
-	if n := max(info.N, v.index+1, fromIndex+1); len(r.slots) < n { // the group may have grown
-		r.slots = append(r.slots, make([]shareSlot, n-len(r.slots))...)
-	}
-	s := &r.slots[fromIndex]
-	s.have, s.share, s.digest = true, rs.Share, rs.Digest
-	// Bind a payload to a digest only when it actually hashes to it: a
-	// faulty voter must not attach garbage bytes to a digest it never
-	// computed, or the assembled bundle would fail VerifyBundle at every
-	// caller and stall the reply until retransmission. (Digest-only
-	// shares bind here exactly when the reply payload is empty, which is
-	// then the correct binding.) This voter's own share is bound as is:
-	// its digest was computed from its payload.
-	if own || ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest {
-		s.bound, s.payload, s.payloadDigest = true, rs.Payload, rs.Digest
-	}
-
-	winner, found := r.certified(info)
-	if !found || r.sent {
-		v.mu.Unlock()
-		return
-	}
-	payload, have := r.payloadFor(winner)
-	if !have {
-		// Common case: our own execution has not finished yet — its share
-		// (with payload) will re-enter acceptShare shortly. Divergent
-		// case: our local result exists but hashes elsewhere; pull the
-		// winning payload from the voters that endorsed it.
-		own := &r.slots[v.index]
-		if !own.have || own.digest == winner || r.fetched {
-			v.mu.Unlock()
-			return
-		}
-		r.fetched = true
-		var fetchFrom []int
-		for idx := range r.slots {
-			if o := &r.slots[idx]; idx != v.index && o.have && o.digest == winner {
-				fetchFrom = append(fetchFrom, idx)
-			}
-		}
-		v.mu.Unlock()
-		v.logf("reply %s: local result diverged from endorsed digest; fetching payload", rs.ReqID)
-		pf := &Message{Kind: KindPayloadFetch, PayloadFetch: &PayloadFetch{ReqID: rs.ReqID, Digest: winner},
-			Epoch: v.memEpoch.Load()}
-		w := wire.GetWriter(pf.SizeHint())
-		pf.EncodeTo(w)
-		for _, idx := range fetchFrom {
-			if err := v.adapter.Send(auth.VoterID(v.svc.Name, idx), w.Bytes()); err != nil {
-				v.logf("payload fetch for %s to %d: %v", rs.ReqID, idx, err)
-			}
-		}
-		w.Free()
-		return
-	}
-	r.sent = true
-	shares := r.endorsements(winner)
-	v.mu.Unlock()
-
-	primary := 0
-	if b := v.bft(); b != nil {
-		primary = b.Primary() // advisory routing hint for the callers
-	}
-	epoch := v.memEpoch.Load()
-	bundle := &ReplyBundle{
-		ReqID:   rs.ReqID,
-		Target:  v.svc.Name,
-		Payload: payload,
-		Shares:  shares,
-		Primary: primary,
-		Epoch:   epoch,
-		GroupN:  info.N,
-	}
-	msg := &Message{Kind: KindReplyBundle, ReplyBundle: bundle, Epoch: epoch}
-	w := wire.GetWriter(msg.SizeHint())
-	msg.EncodeTo(w)
-	if err := v.adapter.SendMulti(caller.DriverIDs(), w.Bytes()); err != nil {
-		v.logf("bundle for %s: %v", rs.ReqID, err)
-	}
-	w.Free()
+	v.apply(&reqEvent{kind: inShare, share: *rs, from: fromIndex, bound: own || ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest,
+		groupN: info.N, f: info.F(), quorum: info.Quorum(), epoch: v.memEpoch.Load()})
 }
 
 // handleResultForward implements stage 7-8 on the calling side: a
