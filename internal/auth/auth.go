@@ -9,19 +9,23 @@
 // per receiver, each computed under the pairwise symmetric key shared by
 // the sender and that receiver.
 //
-// The paper's prototype used MDx-MAC; we use HMAC-SHA256, which is in the
-// same cost class and available in the Go standard library.
+// The paper's prototype used MDx-MAC; we use AES-256-CMAC (NIST SP
+// 800-38B) with a 16-byte tag: the standard library provides AES, on the
+// CPU's AES instructions where it has them, and a MAC over a digest
+// costs three AES blocks. Every MAC covers a domain byte followed by its
+// message. HMAC-SHA256 appears only in key derivation.
 package auth
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -194,94 +198,131 @@ func (id NodeID) Less(other NodeID) bool {
 	return id.Index < other.Index
 }
 
-// MACSize is the size in bytes of a single MAC.
-const MACSize = sha256.Size
+// MACSize is the size in bytes of a single MAC: one AES block.
+const MACSize = aes.BlockSize
 
 // Key is a pairwise symmetric key.
 type Key []byte
 
-// MAC computes the HMAC-SHA256 of msg under key.
-func MAC(key Key, msg []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(msg)
-	return m.Sum(nil)
-}
+// cmacKeyLabel is the HMAC message that turns a pairwise key into its
+// AES-256 CMAC key.
+const cmacKeyLabel = "perpetual-cmac-key\x00"
 
-// macState holds the serialized SHA-256 states of an HMAC key's inner
-// and outer pads, precomputed once per pairwise key — one inner state
-// per MAC domain (the domain byte is absorbed into the precomputed
-// state, so domain-tagged MACs cost no extra hashing or allocation at
-// MAC time). Resuming from these states skips the two key-schedule
-// compressions and the pad buffers hmac.New pays on every call — the
-// dominant crypto cost on the hot path, where every protocol message is
-// MACed per receiver. The output is bit-identical to crypto/hmac's
-// HMAC-SHA256 (of domain||msg for tagged domains).
+// macState is one pairwise key made ready for AES-CMAC (NIST SP 800-38B,
+// RFC 4493): the expanded AES-256 cipher and the two subkeys, derived
+// once per key by SetKey so that a MAC costs only its AES blocks.
 type macState struct {
-	inner [numDomains][]byte // indexed by domain; 0 = untagged
-	outer []byte
+	block  cipher.Block
+	k1, k2 [aes.BlockSize]byte
 }
 
-// newMACState precomputes the pad states for key.
-func newMACState(key Key) macState {
-	k := []byte(key)
-	if len(k) > sha256.BlockSize {
-		d := sha256.Sum256(k)
-		k = d[:]
+// newMACState derives the CMAC key of a pairwise key, HMAC-SHA256 of it
+// under cmacKeyLabel, and expands it.
+func newMACState(key Key) *macState {
+	h := hmac.New(sha256.New, key)
+	h.Write([]byte(cmacKeyLabel))
+	return newCMAC(h.Sum(nil))
+}
+
+// newCMAC expands an AES key and derives the CMAC subkeys: K1 is
+// E_K(0^128) doubled in GF(2^128), K2 is K1 doubled.
+func newCMAC(aesKey []byte) *macState {
+	block, err := aes.NewCipher(aesKey)
+	if err != nil {
+		panic(err) // unreachable: the key is a 32-byte HMAC-SHA256 sum or a test vector
 	}
-	var pad [sha256.BlockSize]byte
-	absorb := func(b byte, extra ...byte) []byte {
-		for i := range pad {
-			pad[i] = b
-		}
-		for i, kb := range k {
-			pad[i] ^= kb
-		}
-		h := sha256.New()
-		h.Write(pad[:])
-		h.Write(extra)
-		st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			return nil
-		}
-		return st
-	}
-	var st macState
-	st.outer = absorb(0x5c)
-	st.inner[0] = absorb(0x36)
-	for d := byte(1); d < numDomains; d++ {
-		st.inner[d] = absorb(0x36, d)
-	}
+	st := &macState{block: block}
+	block.Encrypt(st.k1[:], st.k1[:])
+	double(&st.k1, &st.k1)
+	double(&st.k2, &st.k1)
 	return st
 }
 
-// macHasher is a SHA-256 digest together with the buffers one HMAC
-// needs, pooled as a unit. Arguments to hash.Hash methods escape (the
-// calls go through an interface), so a caller's stack buffer handed to
-// Write or Sum moves to the heap; staging the input through in and
-// writing both sums into out keeps every such argument inside this
-// already-heap object, and a MAC allocates nothing.
-type macHasher struct {
-	h   hash.Hash
-	u   encoding.BinaryUnmarshaler
-	in  [256]byte         // input staging; covers a digest or a raw-mode frame in one Write
-	out [sha256.Size]byte // inner sum, then the MAC
+// double sets dst to src·x in GF(2^128) under the CMAC polynomial.
+func double(dst, src *[aes.BlockSize]byte) {
+	carry := src[0] >> 7
+	for i := 0; i < aes.BlockSize-1; i++ {
+		dst[i] = src[i]<<1 | src[i+1]>>7
+	}
+	dst[aes.BlockSize-1] = src[aes.BlockSize-1]<<1 ^ carry*0x87
 }
 
-var macHasherPool = sync.Pool{New: func() any {
-	h := sha256.New()
-	u, _ := h.(encoding.BinaryUnmarshaler) // nil only if macState.valid() is false everywhere
-	return &macHasher{h: h, u: u}
-}}
+// sum finishes the CMAC of a message into x, whose first m bytes already
+// hold the message's leading bytes and whose rest is zero: every block
+// but the last is chained through the cipher, and the last is masked
+// with K1 when it is full, or padded and masked with K2 when not. That
+// length-dependent mask is what CMAC adds to plain CBC-MAC, which is
+// forgeable on messages of varying length. x is the tag buffer itself,
+// so the whole MAC is computed in place in one AES block of memory.
+func (st *macState) sum(x []byte, m int, msg []byte) {
+	n := copy(x[m:], msg) // the first block's bytes land on zeros
+	m, msg = m+n, msg[n:]
+	for len(msg) > 0 { // x holds a full block that is not the last
+		st.block.Encrypt(x, x)
+		if m = min(len(msg), aes.BlockSize); m == aes.BlockSize {
+			xorBlock(x, msg)
+		} else {
+			xorInto(x, msg)
+		}
+		msg = msg[m:]
+	}
+	k := &st.k1
+	if m < aes.BlockSize {
+		x[m] ^= 0x80
+		k = &st.k2
+	}
+	xorBlock(x, k[:])
+	st.block.Encrypt(x, x)
+}
+
+// xorBlock sets the AES block at x to x XOR y, eight bytes at a time.
+func xorBlock(x, y []byte) {
+	_, _ = x[aes.BlockSize-1], y[aes.BlockSize-1]
+	le := binary.LittleEndian
+	le.PutUint64(x, le.Uint64(x)^le.Uint64(y))
+	le.PutUint64(x[8:], le.Uint64(x[8:])^le.Uint64(y[8:]))
+}
+
+// xorInto XORs y, shorter than a block, into x.
+func xorInto(x, y []byte) {
+	for i, b := range y {
+		x[i] ^= b
+	}
+}
+
+// appendMAC appends the CMAC of domain||msg to dst, computing it in the
+// appended bytes so that callers assembling wire frames or authenticator
+// entries sign in place.
+func (st *macState) appendMAC(dst []byte, domain byte, msg []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, MACSize)...)
+	dst[n] = domain
+	st.sum(dst[n:], 1, msg)
+	return dst
+}
+
+// tagPool holds the buffers verification computes its expected MAC in:
+// a block handed to the cipher through its interface escapes, so a stack
+// buffer would cost an allocation per verify.
+var tagPool = sync.Pool{New: func() any { return new([MACSize]byte) }}
+
+// verify reports, in constant time, whether mac is the MAC of domain||msg.
+func (st *macState) verify(domain byte, msg, mac []byte) bool {
+	x := tagPool.Get().(*[MACSize]byte)
+	defer tagPool.Put(x)
+	*x = [MACSize]byte{domain}
+	st.sum(x[:], 1, msg)
+	return subtle.ConstantTimeCompare(x[:], mac) == 1
+}
 
 // MAC domains separate the contexts a pairwise key authenticates.
 // Without them, a MAC harvested in one context verifies in another
 // under the same key: a transport MAC over a large payload's digest
 // would double as a valid MAC for a small frame whose payload IS that
 // digest, and an authenticator entry (also a MAC over a message
-// digest) would double as a transport-frame MAC. Every domain-tagged
-// MAC covers the domain byte followed by its message, so the contexts
-// can never collide with each other (or with legacy domainless MACs,
-// which remain plain HMAC over the message alone).
+// digest) would double as a transport-frame MAC. Every MAC covers the
+// domain byte followed by its message, so the contexts can never
+// collide with each other.
 const (
 	// DomainFrameRaw authenticates a transport frame by its raw
 	// payload (payloads below the digest-MAC threshold).
@@ -292,63 +333,7 @@ const (
 	// domainAuthenticator authenticates an Authenticator entry by the
 	// message's SHA-256 digest.
 	domainAuthenticator byte = 0x03
-
-	// numDomains bounds the domain space (0 = untagged legacy MACs).
-	numDomains = 4
 )
-
-// sum computes HMAC-SHA256 over domain||msg into m.out by resuming the
-// precomputed pad states. A zero domain reproduces plain HMAC(msg).
-func (st *macState) sum(m *macHasher, domain byte, msg []byte) bool {
-	if domain >= numDomains || m.u == nil || m.u.UnmarshalBinary(st.inner[domain]) != nil {
-		return false
-	}
-	for len(msg) > 0 {
-		n := copy(m.in[:], msg)
-		m.h.Write(m.in[:n])
-		msg = msg[n:]
-	}
-	m.h.Sum(m.out[:0])
-	if m.u.UnmarshalBinary(st.outer) != nil {
-		return false
-	}
-	m.h.Write(m.out[:])
-	m.h.Sum(m.out[:0])
-	return true
-}
-
-// appendMAC appends the MAC of domain||msg to dst, so callers
-// assembling wire frames or authenticator entries write it in place.
-// It returns nil if the MAC cannot be computed.
-func (st *macState) appendMAC(dst []byte, domain byte, msg []byte) []byte {
-	m := macHasherPool.Get().(*macHasher)
-	defer macHasherPool.Put(m)
-	if !st.sum(m, domain, msg) {
-		return nil
-	}
-	return append(dst, m.out[:]...)
-}
-
-// verify reports, in constant time, whether mac is the MAC of
-// domain||msg; ok is false if the MAC cannot be computed.
-func (st *macState) verify(domain byte, msg, mac []byte) (equal, ok bool) {
-	m := macHasherPool.Get().(*macHasher)
-	defer macHasherPool.Put(m)
-	if !st.sum(m, domain, msg) {
-		return false, false
-	}
-	return hmac.Equal(m.out[:], mac), true
-}
-
-// valid reports whether precomputation succeeded (it can only fail if
-// the hash implementation stops supporting state marshaling).
-func (st *macState) valid() bool { return st.inner[0] != nil && st.outer != nil }
-
-// VerifyMAC reports whether mac is a valid MAC for msg under key, in
-// constant time.
-func VerifyMAC(key Key, msg, mac []byte) bool {
-	return hmac.Equal(MAC(key, msg), mac)
-}
 
 // DeriveKey derives the pairwise key between principals a and b from a
 // shared deployment master secret. The derivation is symmetric in (a, b)
@@ -406,9 +391,8 @@ var (
 	ErrNoEntry          = errors.New("auth: authenticator has no entry for receiver")
 )
 
-// KeyStore holds the pairwise keys of one principal, with the HMAC pad
-// states of each key precomputed (see macState). It is safe for
-// concurrent use.
+// KeyStore holds the pairwise keys of one principal, each with its CMAC
+// state derived once (see macState). It is safe for concurrent use.
 //
 // Like the intern cache above, the key table is copy-on-write: every
 // frame signed or verified reads it, and concurrent MAC computations
@@ -474,8 +458,7 @@ func (ks *KeyStore) SetKey(peer NodeID, key Key) {
 		next.states[k] = v
 	}
 	next.keys[peer] = key
-	st := newMACState(key)
-	next.states[peer] = &st
+	next.states[peer] = newMACState(key)
 	ks.snap.Store(next)
 }
 
@@ -504,11 +487,6 @@ func (ks *KeyStore) Peers() []NodeID {
 	return out
 }
 
-// Sign computes the MAC of msg for a single receiver (no domain tag).
-func (ks *KeyStore) Sign(receiver NodeID, msg []byte) ([]byte, error) {
-	return ks.SignDomain(receiver, 0, msg)
-}
-
 // SignDomain computes the MAC of domain||msg for a single receiver
 // (see the Domain constants for why contexts are separated).
 func (ks *KeyStore) SignDomain(receiver NodeID, domain byte, msg []byte) ([]byte, error) {
@@ -520,53 +498,22 @@ func (ks *KeyStore) SignDomain(receiver NodeID, domain byte, msg []byte) ([]byte
 // Neither dst nor msg is retained, and signing into a buffer with room
 // allocates nothing.
 func (ks *KeyStore) AppendSignDomain(dst []byte, receiver NodeID, domain byte, msg []byte) ([]byte, error) {
-	if st := ks.snap.Load().states[receiver]; st != nil && st.valid() {
-		if m := st.appendMAC(dst, domain, msg); m != nil {
-			return m, nil
-		}
+	st := ks.snap.Load().states[receiver]
+	if st == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownPrincipal, receiver)
 	}
-	k, err := ks.Key(receiver)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, slowMAC(k, domain, msg)...), nil
-}
-
-// slowMAC is crypto/hmac's HMAC-SHA256 of domain||msg (plain msg for
-// domain 0): what the pad-state fast path reproduces, and the fallback
-// should the hash ever stop marshaling its state. It hashes a copy so
-// that msg does not escape through the hash interface on this cold path
-// and cost every fast-path caller a heap-allocated message.
-func slowMAC(k Key, domain byte, msg []byte) []byte {
-	m := hmac.New(sha256.New, k)
-	if domain != 0 {
-		m.Write([]byte{domain})
-	}
-	m.Write(append([]byte(nil), msg...))
-	return m.Sum(nil)
-}
-
-// Verify checks a single MAC allegedly produced by sender over msg.
-func (ks *KeyStore) Verify(sender NodeID, msg, mac []byte) error {
-	return ks.VerifyDomain(sender, 0, msg, mac)
+	return st.appendMAC(dst, domain, msg), nil
 }
 
 // VerifyDomain checks a domain-tagged MAC allegedly produced by sender,
 // comparing in constant time. It retains neither msg nor mac and
 // allocates nothing on success.
 func (ks *KeyStore) VerifyDomain(sender NodeID, domain byte, msg, mac []byte) error {
-	equal, ok := false, false
-	if st := ks.snap.Load().states[sender]; st != nil && st.valid() {
-		equal, ok = st.verify(domain, msg, mac)
+	st := ks.snap.Load().states[sender]
+	if st == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownPrincipal, sender)
 	}
-	if !ok {
-		k, err := ks.Key(sender)
-		if err != nil {
-			return err
-		}
-		equal = hmac.Equal(slowMAC(k, domain, msg), mac)
-	}
-	if !equal {
+	if !st.verify(domain, msg, mac) {
 		return fmt.Errorf("%w: from %s", ErrBadMAC, sender)
 	}
 	return nil

@@ -2,8 +2,11 @@ package auth
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -84,21 +87,40 @@ func TestNodeIDLessIsStrictOrder(t *testing.T) {
 	}
 }
 
+// pairStores returns key stores for a and b sharing key.
+func pairStores(a, b NodeID, key Key) (ksA, ksB *KeyStore) {
+	ksA, ksB = NewKeyStore(a), NewKeyStore(b)
+	ksA.SetKey(b, key)
+	ksB.SetKey(a, key)
+	return ksA, ksB
+}
+
 func TestMACVerify(t *testing.T) {
-	key := Key("0123456789abcdef")
+	a, b := VoterID("s", 0), VoterID("s", 1)
+	ksA, ksB := pairStores(a, b, Key("0123456789abcdef"))
 	msg := []byte("the quick brown fox")
-	mac := MAC(key, msg)
-	if !VerifyMAC(key, msg, mac) {
-		t.Fatal("valid MAC rejected")
+	mac, err := ksA.SignDomain(b, DomainFrameRaw, msg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if VerifyMAC(key, append([]byte("x"), msg...), mac) {
+	if len(mac) != MACSize {
+		t.Fatalf("MAC of %d bytes, want %d", len(mac), MACSize)
+	}
+	if err := ksB.VerifyDomain(a, DomainFrameRaw, msg, mac); err != nil {
+		t.Fatalf("valid MAC rejected: %v", err)
+	}
+	if ksB.VerifyDomain(a, DomainFrameRaw, append([]byte("x"), msg...), mac) == nil {
 		t.Error("MAC accepted for different message")
 	}
-	if VerifyMAC(Key("otherkey"), msg, mac) {
+	_, other := pairStores(a, b, Key("otherkey"))
+	if other.VerifyDomain(a, DomainFrameRaw, msg, mac) == nil {
 		t.Error("MAC accepted under different key")
 	}
+	if ksB.VerifyDomain(VoterID("s", 2), DomainFrameRaw, msg, mac) == nil {
+		t.Error("MAC accepted from a principal with no key")
+	}
 	mac[0] ^= 1
-	if VerifyMAC(key, msg, mac) {
+	if ksB.VerifyDomain(a, DomainFrameRaw, msg, mac) == nil {
 		t.Error("corrupted MAC accepted")
 	}
 }
@@ -152,15 +174,15 @@ func TestDerivedKeyStoreInterop(t *testing.T) {
 	ksA := NewDerivedKeyStore(master, a, all)
 	ksB := NewDerivedKeyStore(master, b, all)
 	msg := []byte("hello")
-	mac, err := ksA.Sign(b, msg)
+	mac, err := ksA.SignDomain(b, DomainFrameRaw, msg)
 	if err != nil {
-		t.Fatalf("Sign: %v", err)
+		t.Fatalf("SignDomain: %v", err)
 	}
-	if err := ksB.Verify(a, msg, mac); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := ksB.VerifyDomain(a, DomainFrameRaw, msg, mac); err != nil {
+		t.Fatalf("VerifyDomain: %v", err)
 	}
-	if err := ksB.Verify(a, []byte("tampered"), mac); err == nil {
-		t.Error("Verify accepted tampered message")
+	if err := ksB.VerifyDomain(a, DomainFrameRaw, []byte("tampered"), mac); err == nil {
+		t.Error("VerifyDomain accepted tampered message")
 	}
 }
 
@@ -222,12 +244,11 @@ func TestAuthenticatorSkipsSelf(t *testing.T) {
 // Property: for any message and key, the MAC verifies, and any bit flip
 // in the message invalidates it.
 func TestMACProperty(t *testing.T) {
+	a, b := VoterID("s", 0), VoterID("s", 1)
 	f := func(key, msg []byte, flip uint) bool {
-		if len(key) == 0 {
-			key = []byte{0}
-		}
-		mac := MAC(key, msg)
-		if !VerifyMAC(key, msg, mac) {
+		ksA, ksB := pairStores(a, b, key)
+		mac, err := ksA.SignDomain(b, DomainFrameRaw, msg)
+		if err != nil || ksB.VerifyDomain(a, DomainFrameRaw, msg, mac) != nil {
 			return false
 		}
 		if len(msg) == 0 {
@@ -235,7 +256,7 @@ func TestMACProperty(t *testing.T) {
 		}
 		tampered := append([]byte(nil), msg...)
 		tampered[int(flip%uint(len(msg)))] ^= 0x01
-		return !VerifyMAC(key, tampered, mac)
+		return ksB.VerifyDomain(a, DomainFrameRaw, tampered, mac) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -264,13 +285,24 @@ func TestNodeIDRoundTripProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkMAC times a domain-tagged sign into a buffer with room, as the
+// transport and authenticator sign: over a SHA-256 digest (digest-mode
+// frames and every authenticator entry) and over a 1 KiB message.
 func BenchmarkMAC(b *testing.B) {
-	key := Key(bytes.Repeat([]byte{7}, 32))
-	msg := bytes.Repeat([]byte{1}, 1024)
-	b.SetBytes(int64(len(msg)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MAC(key, msg)
+	self, peer := VoterID("s", 0), VoterID("s", 1)
+	ks, _ := pairStores(self, peer, Key(bytes.Repeat([]byte{7}, 32)))
+	for _, size := range []int{sha256.Size, 1024} {
+		b.Run(strconv.Itoa(size)+"B", func(b *testing.B) {
+			msg := bytes.Repeat([]byte{1}, size)
+			buf := make([]byte, 0, MACSize)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ks.AppendSignDomain(buf, peer, DomainFrameDigest, msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -293,26 +325,101 @@ func BenchmarkAuthenticator10(b *testing.B) {
 	}
 }
 
-// The precomputed-pad-state MAC fast path must produce bit-identical
-// HMAC-SHA256, including for keys longer than the hash block size.
-func TestMACStateMatchesHMAC(t *testing.T) {
-	for _, keyLen := range []int{1, 32, 64, 65, 200} {
-		key := Key(bytes.Repeat([]byte{0xA5}, keyLen))
-		st := newMACState(key)
-		if !st.valid() {
-			t.Fatalf("keyLen %d: state precompute failed", keyLen)
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// cmacOf is the CMAC core run on a whole message from an empty block.
+func cmacOf(st *macState, msg []byte) []byte {
+	x := make([]byte, MACSize)
+	st.sum(x, 0, msg)
+	return x
+}
+
+// TestCMACKnownAnswers checks the CMAC core against the published
+// examples: NIST SP 800-38B's for AES-256 (the key size the key store
+// uses) and RFC 4493's for AES-128, each over the first 0, 16, 40 and
+// 64 bytes of the same message.
+func TestCMACKnownAnswers(t *testing.T) {
+	msg := unhex(t, "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"+
+		"30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710")
+	for _, c := range []struct {
+		key  string
+		tags [4]string
+	}{
+		{"603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4", [4]string{
+			"028962f61b7bf89efc6b551f4667d983", "28a7023f452e8f82bd4bf28d8c37c35c",
+			"aaf3d8f1de5640c232f5b169b9c911e6", "e1992190549f6ed5696a2c056c315410"}},
+		{"2b7e151628aed2a6abf7158809cf4f3c", [4]string{
+			"bb1d6929e95937287fa37d129b756746", "070a16b46b4d4144f79bdd9dd04a287c",
+			"dfa66747de9ae63030ca32611497c827", "51f0bebf7e3b9d92fc49741779363cfe"}},
+	} {
+		st := newCMAC(unhex(t, c.key))
+		for i, n := range []int{0, 16, 40, 64} {
+			if got := hex.EncodeToString(cmacOf(st, msg[:n])); got != c.tags[i] {
+				t.Errorf("key %s…, %d-byte message: tag %s, want %s", c.key[:8], n, got, c.tags[i])
+			}
 		}
-		for _, msgLen := range []int{0, 1, 63, 64, 65, 1000} {
-			msg := bytes.Repeat([]byte{7}, msgLen)
-			if !bytes.Equal(st.appendMAC(nil, 0, msg), MAC(key, msg)) {
-				t.Errorf("keyLen %d msgLen %d: fast-path MAC diverges from HMAC-SHA256", keyLen, msgLen)
+	}
+}
+
+// TestSignDomainIsCMAC: a domain-tagged MAC is the CMAC of the domain
+// byte followed by the message, under the AES-256 key derived from the
+// pairwise key, for messages around every block boundary.
+func TestSignDomainIsCMAC(t *testing.T) {
+	a, b := VoterID("s", 0), VoterID("s", 1)
+	key := DeriveKey([]byte("kat-master"), a, b)
+	ks, _ := pairStores(a, b, key)
+	h := hmac.New(sha256.New, key)
+	h.Write([]byte(cmacKeyLabel))
+	st := newCMAC(h.Sum(nil))
+	for _, domain := range []byte{DomainFrameRaw, DomainFrameDigest, domainAuthenticator} {
+		for _, n := range []int{0, 1, 14, 15, 16, 17, 31, 32, 33, 47, 300} {
+			msg := bytes.Repeat([]byte{byte(n)}, n)
+			got, err := ks.SignDomain(b, domain, msg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Domain-tagged MACs are HMAC over domain||msg.
-			if !bytes.Equal(st.appendMAC(nil, DomainFrameRaw, msg), MAC(key, append([]byte{DomainFrameRaw}, msg...))) {
-				t.Errorf("keyLen %d msgLen %d: domain-tagged fast path diverges", keyLen, msgLen)
+			if want := cmacOf(st, append([]byte{domain}, msg...)); !bytes.Equal(got, want) {
+				t.Errorf("domain %d, %d-byte message: %x, want %x", domain, n, got, want)
 			}
-			if bytes.Equal(st.appendMAC(nil, DomainFrameRaw, msg), st.appendMAC(nil, DomainFrameDigest, msg)) {
-				t.Errorf("keyLen %d msgLen %d: distinct domains produced identical MACs", keyLen, msgLen)
+		}
+	}
+}
+
+// TestMACDomainSeparation: a MAC made under one domain never verifies
+// under another, and a MAC with a flipped bit, or one of the old 32-byte
+// length, is rejected.
+func TestMACDomainSeparation(t *testing.T) {
+	a, b := VoterID("s", 0), VoterID("s", 1)
+	ksA, ksB := pairStores(a, b, Key("separation-key"))
+	domains := []byte{DomainFrameRaw, DomainFrameDigest, domainAuthenticator}
+	for _, n := range []int{0, 15, 32, 100} {
+		msg := bytes.Repeat([]byte{0x5a}, n)
+		for _, d := range domains {
+			mac, err := ksA.SignDomain(b, d, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, other := range domains {
+				if err := ksB.VerifyDomain(a, other, msg, mac); (err == nil) != (other == d) {
+					t.Errorf("%d-byte message, MAC of domain %d checked under %d: err %v", n, d, other, err)
+				}
+			}
+			for bit := 0; bit < 8*MACSize; bit += 37 {
+				flipped := append([]byte(nil), mac...)
+				flipped[bit/8] ^= 1 << (bit % 8)
+				if ksB.VerifyDomain(a, d, msg, flipped) == nil {
+					t.Errorf("%d-byte message, domain %d: MAC with bit %d flipped accepted", n, d, bit)
+				}
+			}
+			if ksB.VerifyDomain(a, d, msg, append(mac, mac...)) == nil {
+				t.Errorf("%d-byte message, domain %d: 32-byte MAC accepted", n, d)
 			}
 		}
 	}
@@ -367,7 +474,7 @@ func TestAppendSignDomainMatchesSignDomain(t *testing.T) {
 	a, b := VoterID("s", 0), VoterID("s", 1)
 	ks := NewDerivedKeyStore(master, a, []NodeID{a, b})
 	msg := []byte("the covered bytes")
-	for _, domain := range []byte{0, DomainFrameRaw, DomainFrameDigest} {
+	for _, domain := range []byte{DomainFrameRaw, DomainFrameDigest} {
 		want, err := ks.SignDomain(b, domain, msg)
 		if err != nil {
 			t.Fatalf("SignDomain(%d): %v", domain, err)
@@ -407,7 +514,7 @@ func TestMACAllocBudget(t *testing.T) {
 	ks := NewDerivedKeyStore(master, a, []NodeID{a, b})
 	peer := NewDerivedKeyStore(master, b, []NodeID{a, b})
 	receivers := []NodeID{a, b}
-	msg := bytes.Repeat([]byte{7}, 300) // longer than the hasher's staging buffer
+	msg := bytes.Repeat([]byte{7}, 300) // many AES blocks
 	frame := make([]byte, 0, 2*MACSize)
 	mac, err := ks.SignDomain(b, DomainFrameRaw, msg)
 	if err != nil {

@@ -108,9 +108,9 @@ func TestChannelAdapterRejectsForgery(t *testing.T) {
 	// tries to impersonate A.
 	eveKS := auth.NewDerivedKeyStore([]byte("evil"), idA, all)
 	evePort := net.Port(idA) // same port registration as A would use
-	mac, err := eveKS.Sign(idB, []byte("forged"))
+	mac, err := eveKS.SignDomain(idB, auth.DomainFrameRaw, []byte("forged"))
 	if err != nil {
-		t.Fatalf("Sign: %v", err)
+		t.Fatalf("SignDomain: %v", err)
 	}
 	if err := evePort.Send(idB, encodeFrame(idA, mac, []byte("forged"))); err != nil {
 		t.Fatalf("Send: %v", err)
