@@ -28,6 +28,7 @@ import (
 
 	"perpetualws/internal/bench"
 	"perpetualws/internal/core"
+	"perpetualws/internal/perpetual"
 	"perpetualws/internal/tpcw"
 	"perpetualws/internal/wsengine"
 )
@@ -88,12 +89,11 @@ func main() {
 		logger = log.New(os.Stderr, "", log.Lmicroseconds)
 	}
 	node, err := core.StartTCPNode(core.TCPNodeConfig{
-		Topology:          topo,
-		Service:           *service,
-		Index:             *index,
-		App:               application,
-		ViewChangeTimeout: *vcTimeout,
-		Logger:            logger,
+		Topology: topo,
+		Service:  *service,
+		Index:    *index,
+		App:      application,
+		Options:  perpetual.ServiceOptions{ViewChangeTimeout: *vcTimeout, Logger: logger},
 	})
 	if err != nil {
 		log.Fatalf("replica: %v", err)

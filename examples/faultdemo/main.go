@@ -46,25 +46,31 @@ func main() {
 		ViewChangeTimeout:  800 * time.Millisecond,
 		RetransmitInterval: 500 * time.Millisecond,
 	}
+	// Byzantine faults travel in the service's options, by replica index.
+	faulty := func(faults map[int]perpetual.Behavior) perpetual.ServiceOptions {
+		opts := tune
+		opts.Behaviors = faults
+		return opts
+	}
 	cluster, err := core.NewCluster([]byte("fault-demo"),
 		core.ServiceDef{Name: "client", N: 1, Options: tune},
 		// Inventory: 4 replicas, f = 1 tolerated — but we inject TWO
 		// different faults that each stay within the voting margins of
 		// the reply path (one corrupt, one silent).
 		core.ServiceDef{
-			Name: "inventory", N: 4, App: inventoryApp, Options: tune,
-			Behaviors: map[int]perpetual.Behavior{
+			Name: "inventory", N: 4, App: inventoryApp,
+			Options: faulty(map[int]perpetual.Behavior{
 				1: perpetual.CorruptResultFault{},
 				3: perpetual.SilentFault{},
-			},
+			}),
 		},
 		// Pricing: compromised — every replica silent.
 		core.ServiceDef{
-			Name: "pricing", N: 4, App: inventoryApp, Options: tune,
-			Behaviors: map[int]perpetual.Behavior{
+			Name: "pricing", N: 4, App: inventoryApp,
+			Options: faulty(map[int]perpetual.Behavior{
 				0: perpetual.SilentFault{}, 1: perpetual.SilentFault{},
 				2: perpetual.SilentFault{}, 3: perpetual.SilentFault{},
-			},
+			}),
 		},
 	)
 	if err != nil {

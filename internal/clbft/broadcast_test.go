@@ -13,7 +13,8 @@ type gatedTransport struct {
 	gate chan struct{}
 }
 
-func (g *gatedTransport) Send(to int, m *Message) { <-g.gate }
+func (g *gatedTransport) Send(to int, m *Message)         { <-g.gate }
+func (g *gatedTransport) Multicast(tos []int, m *Message) { <-g.gate }
 
 // TestBroadcastLocalFirst is the regression test for broadcast
 // ordering: the replica must process its own copy of a broadcast before
@@ -64,7 +65,7 @@ func TestBroadcastLocalFirst(t *testing.T) {
 	}
 }
 
-// recordingTransport records Multicast calls and falls back sends.
+// recordingTransport records Multicast calls and counts single Sends.
 type recordingTransport struct {
 	mu    sync.Mutex
 	multi [][]int
@@ -87,8 +88,7 @@ func (rt *recordingTransport) Multicast(tos []int, m *Message) {
 }
 
 // TestBroadcastUsesMulticast verifies broadcasts go through the
-// transport's encode-once Multicast when it implements the extension,
-// with one call covering every other group member, and that nested
+// transport's encode-once Multicast, with one call covering every other group member, and that nested
 // broadcasts hit the wire in causal order (a backup's commit, decided
 // while processing its own prepare, must not precede the prepare).
 func TestBroadcastUsesMulticast(t *testing.T) {
@@ -130,7 +130,7 @@ func TestBroadcastUsesMulticast(t *testing.T) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.sends != 0 {
-		t.Errorf("broadcast fell back to %d Send calls with a Multicaster transport", rt.sends)
+		t.Errorf("broadcast made %d single Send calls instead of one Multicast", rt.sends)
 	}
 	if len(rt.multi) < 2 {
 		t.Fatalf("got %d multicasts, want at least prepare+commit", len(rt.multi))

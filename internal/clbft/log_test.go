@@ -238,7 +238,8 @@ func TestDebugStateOnStoppedReplica(t *testing.T) {
 
 type clbftNopTransport struct{}
 
-func (clbftNopTransport) Send(int, *Message) {}
+func (clbftNopTransport) Send(int, *Message)        {}
+func (clbftNopTransport) Multicast([]int, *Message) {}
 
 // hasLiveOpScan is the lookup hasLiveOp replaced, kept as its reference:
 // a scan of every entry in the log window.

@@ -32,17 +32,12 @@ type Delivery struct {
 
 // Transport sends protocol messages to other members of the voter group,
 // addressed by replica index. Implementations must not block for long;
-// the Perpetual ChannelAdapter satisfies this.
+// the Perpetual ChannelAdapter satisfies this. Multicast delivers one
+// message to several receivers; every broadcast goes through it, so a
+// transport can serialize the message once and vary only per-receiver
+// authentication.
 type Transport interface {
 	Send(to int, m *Message)
-}
-
-// Multicaster is an optional Transport extension: a transport that can
-// deliver one message to several receivers more cheaply than repeated
-// Sends (typically by serializing it once and varying only per-receiver
-// authentication). Replica broadcasts use it when available and fall
-// back to a Send loop otherwise.
-type Multicaster interface {
 	Multicast(tos []int, m *Message)
 }
 
@@ -51,6 +46,13 @@ type TransportFunc func(to int, m *Message)
 
 // Send implements Transport.
 func (f TransportFunc) Send(to int, m *Message) { f(to, m) }
+
+// Multicast implements Transport with one call per receiver.
+func (f TransportFunc) Multicast(tos []int, m *Message) {
+	for _, to := range tos {
+		f(to, m)
+	}
+}
 
 type eventKind uint8
 
@@ -545,8 +547,8 @@ func (r *Replica) flushPiggy() {
 	r.multicastOthers(&Message{Type: MsgCommitBatch, CommitBatch: cb})
 }
 
-// multicastOthers sends m to every group member but this one, through
-// the transport's encode-once path when it has one.
+// multicastOthers sends m to every group member but this one in one
+// transport Multicast.
 func (r *Replica) multicastOthers(m *Message) {
 	if r.cfg.N <= 1 {
 		return
@@ -554,18 +556,10 @@ func (r *Replica) multicastOthers(m *Message) {
 	r.multicastTo(r.others, m)
 }
 
-// multicastTo sends m to the given replica indices, preferring the
-// transport's encode-once Multicast over a Send loop.
+// multicastTo sends m to the given replica indices.
 func (r *Replica) multicastTo(tos []int, m *Message) {
-	if len(tos) == 0 {
-		return
-	}
-	if mc, ok := r.transport.(Multicaster); ok {
-		mc.Multicast(tos, m)
-		return
-	}
-	for _, i := range tos {
-		r.transport.Send(i, m)
+	if len(tos) > 0 {
+		r.transport.Multicast(tos, m)
 	}
 }
 

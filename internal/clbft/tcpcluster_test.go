@@ -59,7 +59,7 @@ func (tr *tcpBFTTransport) Multicast(tos []int, m *Message) {
 	_ = tr.adapter().SendMulti(ids, m.Encode())
 }
 
-var _ Multicaster = (*tcpBFTTransport)(nil)
+var _ Transport = (*tcpBFTTransport)(nil)
 
 func newTCPCluster(t *testing.T, n int, opts ...func(*Config)) *tcpCluster {
 	t.Helper()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -29,12 +28,23 @@ type ServiceDef struct {
 	// App is the executor run on every replica; nil deploys a node
 	// whose MessageHandler is driven externally (clients, tests).
 	App Application
-	// Options tunes the underlying Perpetual replicas.
+	// Options tunes the underlying Perpetual replicas; its Behaviors
+	// inject Byzantine faults per replica index (tests), and its Logger
+	// receives replica and node diagnostics.
 	Options perpetual.ServiceOptions
-	// Behaviors injects Byzantine faults per replica index (tests).
-	Behaviors map[int]perpetual.Behavior
-	// Logger receives node diagnostics.
-	Logger *log.Logger
+}
+
+// nodeOptions are the options a node starts with: its application, if
+// any, and the service's logger.
+func nodeOptions(app Application, opts perpetual.ServiceOptions) []NodeOption {
+	var nodeOpts []NodeOption
+	if app != nil {
+		nodeOpts = append(nodeOpts, WithApplication(app))
+	}
+	if opts.Logger != nil {
+		nodeOpts = append(nodeOpts, WithNodeLogger(opts.Logger))
+	}
+	return nodeOpts
 }
 
 // Cluster is an in-process Perpetual-WS deployment: every replica of
@@ -78,12 +88,7 @@ func NewClusterOver(master []byte, kind perpetual.TransportKind, defs ...Service
 	}
 	for _, d := range defs {
 		c.defs[d.Name] = d
-		opts := d.Options
-		opts.Behaviors = d.Behaviors
-		if opts.Logger == nil {
-			opts.Logger = d.Logger
-		}
-		dep.Configure(d.Name, opts)
+		dep.Configure(d.Name, d.Options)
 	}
 	if err := dep.Build(); err != nil {
 		return nil, err
@@ -101,14 +106,7 @@ func NewClusterOver(master []byte, kind perpetual.TransportKind, defs ...Service
 			replicas := dep.Replicas(groupName)
 			group := make([]*Node, len(replicas))
 			for i, r := range replicas {
-				var nodeOpts []NodeOption
-				if d.App != nil {
-					nodeOpts = append(nodeOpts, WithApplication(d.App))
-				}
-				if d.Logger != nil {
-					nodeOpts = append(nodeOpts, WithNodeLogger(d.Logger))
-				}
-				group[i] = NewNode(r, nodeOpts...)
+				group[i] = NewNode(r, nodeOptions(d.App, d.Options)...)
 			}
 			c.nodes[groupName] = group
 		}
@@ -242,14 +240,7 @@ func (c *Cluster) Reshard(service string, newShards int, coordinator string, tim
 		replicas := c.dep.Replicas(groupName)
 		group := make([]*Node, len(replicas))
 		for i, r := range replicas {
-			var nodeOpts []NodeOption
-			if def.App != nil {
-				nodeOpts = append(nodeOpts, WithApplication(def.App))
-			}
-			if def.Logger != nil {
-				nodeOpts = append(nodeOpts, WithNodeLogger(def.Logger))
-			}
-			group[i] = NewNode(r, nodeOpts...)
+			group[i] = NewNode(r, nodeOptions(def.App, def.Options)...)
 			group[i].Start()
 		}
 		c.mu.Lock()

@@ -5,9 +5,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"time"
 
 	"perpetualws/internal/auth"
 	"perpetualws/internal/perpetual"
@@ -133,11 +131,9 @@ type TCPNodeConfig struct {
 	Index    int
 	// App is the executor; nil for externally driven nodes.
 	App Application
-	// Tuning (zero values use defaults).
-	CheckpointInterval uint64
-	ViewChangeTimeout  time.Duration
-	RetransmitInterval time.Duration
-	Logger             *log.Logger
+	// Options tunes the replica; its Logger also receives node
+	// diagnostics.
+	Options perpetual.ServiceOptions
 }
 
 // TCPNode is a started Perpetual-WS replica listening on real sockets.
@@ -193,17 +189,14 @@ func StartTCPNode(cfg TCPNodeConfig) (*TCPNode, error) {
 	}
 
 	replica, err := perpetual.NewReplica(perpetual.ReplicaConfig{
-		Service:            cfg.Service,
-		Index:              cfg.Index,
-		Registry:           registry,
-		VoterConn:          voterConn,
-		DriverConn:         driverConn,
-		VoterKeys:          auth.NewDerivedKeyStore(master, voterID, principals),
-		DriverKeys:         auth.NewDerivedKeyStore(master, driverID, principals),
-		CheckpointInterval: cfg.CheckpointInterval,
-		ViewChangeTimeout:  cfg.ViewChangeTimeout,
-		RetransmitInterval: cfg.RetransmitInterval,
-		Logger:             cfg.Logger,
+		Service:    cfg.Service,
+		Index:      cfg.Index,
+		Registry:   registry,
+		VoterConn:  voterConn,
+		DriverConn: driverConn,
+		VoterKeys:  auth.NewDerivedKeyStore(master, voterID, principals),
+		DriverKeys: auth.NewDerivedKeyStore(master, driverID, principals),
+		Options:    cfg.Options,
 	})
 	if err != nil {
 		voterConn.Close()
@@ -211,14 +204,7 @@ func StartTCPNode(cfg TCPNodeConfig) (*TCPNode, error) {
 		return nil, err
 	}
 
-	var nodeOpts []NodeOption
-	if cfg.App != nil {
-		nodeOpts = append(nodeOpts, WithApplication(cfg.App))
-	}
-	if cfg.Logger != nil {
-		nodeOpts = append(nodeOpts, WithNodeLogger(cfg.Logger))
-	}
-	node := NewNode(replica, nodeOpts...)
+	node := NewNode(replica, nodeOptions(cfg.App, cfg.Options)...)
 
 	replica.Start()
 	node.Start()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"perpetualws/internal/perpetual"
 	"perpetualws/internal/wsengine"
 )
 
@@ -106,8 +107,10 @@ func TestTCPNodesEndToEnd(t *testing.T) {
 
 	echoNode, err := StartTCPNode(TCPNodeConfig{
 		Topology: topo, Service: "echo", Index: 0, App: echoService,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		RetransmitInterval: 300 * time.Millisecond,
+		Options: perpetual.ServiceOptions{
+			ViewChangeTimeout:  400 * time.Millisecond,
+			RetransmitInterval: 300 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatalf("StartTCPNode echo: %v", err)
@@ -116,8 +119,10 @@ func TestTCPNodesEndToEnd(t *testing.T) {
 
 	clientNode, err := StartTCPNode(TCPNodeConfig{
 		Topology: topo, Service: "client", Index: 0,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		RetransmitInterval: 300 * time.Millisecond,
+		Options: perpetual.ServiceOptions{
+			ViewChangeTimeout:  400 * time.Millisecond,
+			RetransmitInterval: 300 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatalf("StartTCPNode client: %v", err)

@@ -22,6 +22,13 @@ func fastOpts() perpetual.ServiceOptions {
 	}
 }
 
+// faultyOpts is fastOpts with Byzantine behaviors by replica index.
+func faultyOpts(faults map[int]perpetual.Behavior) perpetual.ServiceOptions {
+	opts := fastOpts()
+	opts.Behaviors = faults
+	return opts
+}
+
 // echoService is an Application answering every request with
 // <echoed>original body</echoed>.
 var echoService = ApplicationFunc(func(ctx *AppContext) {
@@ -391,11 +398,11 @@ func TestFaultIsolationAcrossTiers(t *testing.T) {
 	c, err := NewCluster([]byte("m"),
 		ServiceDef{Name: "store", N: 4, Options: fastOpts()},
 		ServiceDef{
-			Name: "deadpge", N: 4, App: echoService, Options: fastOpts(),
-			Behaviors: map[int]perpetual.Behavior{
+			Name: "deadpge", N: 4, App: echoService,
+			Options: faultyOpts(map[int]perpetual.Behavior{
 				0: perpetual.SilentFault{}, 1: perpetual.SilentFault{},
 				2: perpetual.SilentFault{}, 3: perpetual.SilentFault{},
-			},
+			}),
 		},
 		ServiceDef{Name: "inventory", N: 4, App: echoService, Options: fastOpts()},
 	)
@@ -438,6 +445,40 @@ func TestFaultIsolationAcrossTiers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+func TestOptionsFaultSilencesClient(t *testing.T) {
+	// A fault given through ServiceDef.Options.Behaviors is installed:
+	// the silent N=1 client's request never leaves its replica, so the
+	// call settles at most as its deadline's abort fault and never with
+	// the echo reply. A cluster that dropped the fault would answer it.
+	c, err := NewCluster([]byte("m"),
+		ServiceDef{Name: "client", N: 1, Options: faultyOpts(map[int]perpetual.Behavior{0: perpetual.SilentFault{}})},
+		ServiceDef{Name: "echo", N: 4, App: echoService, Options: fastOpts()},
+	)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+
+	req := newRequest("echo", "<ping/>")
+	req.Options.TimeoutMillis = 500
+	replies := make(chan *wsengine.MessageContext, 1)
+	go func() {
+		reply, _ := c.Handler("client", 0).SendReceive(req)
+		replies <- reply
+	}()
+	select {
+	case reply := <-replies:
+		if reply == nil {
+			return
+		}
+		if _, isFault := soap.IsFault(reply.Envelope.Body); !isFault {
+			t.Fatalf("silent client's call completed with %q", reply.Envelope.Body)
+		}
+	case <-time.After(2 * time.Second):
+	}
 }
 
 func TestUndeliverableRequestGetsFaultReply(t *testing.T) {

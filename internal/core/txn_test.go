@@ -175,10 +175,10 @@ func TestSendTxnReplicatedCoordinatorAndShards(t *testing.T) {
 	// committed outcome.
 	const shards = 2
 	c, err := NewCluster([]byte("core-txn-bft"),
-		ServiceDef{Name: "client", N: 4, Options: fastOpts(),
-			Behaviors: map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}}},
-		ServiceDef{Name: "kv", N: 4, Shards: shards, App: txnKVApp, Options: fastOpts(),
-			Behaviors: map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}}},
+		ServiceDef{Name: "client", N: 4,
+			Options: faultyOpts(map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}})},
+		ServiceDef{Name: "kv", N: 4, Shards: shards, App: txnKVApp,
+			Options: faultyOpts(map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}})},
 	)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)

@@ -8,32 +8,55 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/clbft"
 	"perpetualws/internal/transport"
 )
 
-// ServiceOptions tunes one service's replicas within a Deployment.
+// ServiceOptions is a service's one tuning struct. It travels whole
+// from the deployment edge (core.ServiceDef, core.TCPNodeConfig,
+// Deployment.Configure) through ReplicaConfig to the voter group's
+// clbft.Config, and every field's zero value selects the default its
+// comment names.
 type ServiceOptions struct {
+	// CheckpointInterval is the number of executed operations between
+	// CLBFT checkpoints; the log window is twice it. Zero uses
+	// clbft.DefaultCheckpointInterval (64).
 	CheckpointInterval uint64
-	ViewChangeTimeout  time.Duration
+	// ViewChangeTimeout is how long a voter waits for a submitted
+	// operation to execute before suspecting the primary. Zero uses
+	// clbft.DefaultViewChangeTimeout (500 ms).
+	ViewChangeTimeout time.Duration
+	// RetransmitInterval is the base of the driver's request
+	// retransmission backoff. Zero uses DefaultRetransmitInterval (1 s).
 	RetransmitInterval time.Duration
-	// MaxBatch enables CLBFT request batching (>1) for the service's
-	// voter group.
+	// MaxBatch lets the CLBFT primary order up to this many operations
+	// under one sequence number. Zero or one disables batching.
 	MaxBatch int
-	// MaxIntake / MaxProposerQueue bound the voters' request admission
-	// (intake table, 8192 if zero; CLBFT pending backlog, none if zero).
-	// RetryAfterHint tunes the backoff hint busy replies carry. See
-	// ReplicaConfig and overload.go.
-	MaxIntake        int
+	// MaxIntake bounds the voter's intake table (distinct requests
+	// collecting admission votes); past it, requests are shed
+	// eldest-first with busy replies, and fast-path reads shed at half
+	// of it. Zero uses reqTableSize (8192) and sheds no reads on intake.
+	// See overload.go.
+	MaxIntake int
+	// MaxProposerQueue bounds the CLBFT pending backlog a new proposal
+	// may join; at the bound the proposal is deferred with a busy reply.
+	// Zero disables the bound.
 	MaxProposerQueue int
-	RetryAfterHint   time.Duration
-	// MaxOutstanding caps each driver's in-flight calls and reads per
-	// target group (client-edge admission); zero disables. See
-	// ReplicaConfig.MaxOutstanding.
+	// RetryAfterHint is the backoff hint the voter's busy replies carry.
+	// Zero uses DefaultRetryAfterHint (25 ms).
+	RetryAfterHint time.Duration
+	// MaxOutstanding caps each driver's in-flight calls and fast-path
+	// reads per target group; past it a call fails fast with the
+	// RETRY-AFTER fault without sending anything. Zero disables the cap.
 	MaxOutstanding int
-	// Behaviors optionally assigns Byzantine behaviors to replica
-	// indices.
+	// Behaviors injects Byzantine faults by replica index (tests and
+	// demos). Only the groups Build assembles take them; shard groups
+	// ProvisionShards adds and membership joiners start correct. Nil
+	// means every replica is correct.
 	Behaviors map[int]Behavior
-	Logger    *log.Logger
+	// Logger receives replica, node and deployment diagnostics. Nil
+	// discards them.
+	Logger *log.Logger
 }
 
 // TransportKind selects the Connection implementation a Deployment
@@ -160,51 +183,52 @@ func (d *Deployment) Build() error {
 
 // buildGroup assembles one concrete replica group.
 func (d *Deployment) buildGroup(g ServiceInfo, opts ServiceOptions, principals []auth.NodeID) ([]*Replica, error) {
+	epoch, _ := d.Registry.GroupMembership(g.Name)
 	group := make([]*Replica, g.N)
-	for i := 0; i < g.N; i++ {
-		voterID := auth.VoterID(g.Name, i)
-		driverID := auth.DriverID(g.Name, i)
-		voterConn, err := d.newConn(voterID)
+	for i := range group {
+		r, err := d.newReplica(g.Name, i, opts, principals, epoch, nil)
 		if err != nil {
-			return nil, fmt.Errorf("perpetual: transport for %s: %w", voterID, err)
-		}
-		driverConn, err := d.newConn(driverID)
-		if err != nil {
-			_ = voterConn.Close()
-			return nil, fmt.Errorf("perpetual: transport for %s: %w", driverID, err)
-		}
-		cfg := ReplicaConfig{
-			Service:            g.Name,
-			Index:              i,
-			Registry:           d.Registry,
-			VoterConn:          voterConn,
-			DriverConn:         driverConn,
-			VoterKeys:          auth.NewDerivedKeyStore(d.master, voterID, principals),
-			DriverKeys:         auth.NewDerivedKeyStore(d.master, driverID, principals),
-			CheckpointInterval: opts.CheckpointInterval,
-			ViewChangeTimeout:  opts.ViewChangeTimeout,
-			RetransmitInterval: opts.RetransmitInterval,
-			MaxBatch:           opts.MaxBatch,
-			MaxIntake:          opts.MaxIntake,
-			MaxProposerQueue:   opts.MaxProposerQueue,
-			RetryAfterHint:     opts.RetryAfterHint,
-			MaxOutstanding:     opts.MaxOutstanding,
-			Logger:             opts.Logger,
-			MembershipHook:     d.onMembership,
-		}
-		if epoch, _ := d.Registry.GroupMembership(g.Name); epoch > 0 {
-			cfg.MembershipEpoch = epoch
-		}
-		if opts.Behaviors != nil {
-			cfg.Behavior = opts.Behaviors[i]
-		}
-		r, err := NewReplica(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("perpetual: building %s/%d: %w", g.Name, i, err)
+			return nil, err
 		}
 		group[i] = r
 	}
 	return group, nil
+}
+
+// newReplica builds replica i of a group: its voter and driver
+// connections, their key stores derived from the master secret over
+// principals, then the replica under opts (Behaviors included). A
+// membership joiner passes the bootstrap it starts from; a fresh group
+// passes nil.
+func (d *Deployment) newReplica(group string, i int, opts ServiceOptions, principals []auth.NodeID, epoch uint64, bs *clbft.Bootstrap) (*Replica, error) {
+	voterID := auth.VoterID(group, i)
+	driverID := auth.DriverID(group, i)
+	voterConn, err := d.newConn(voterID)
+	if err != nil {
+		return nil, fmt.Errorf("perpetual: transport for %s: %w", voterID, err)
+	}
+	driverConn, err := d.newConn(driverID)
+	if err != nil {
+		_ = voterConn.Close()
+		return nil, fmt.Errorf("perpetual: transport for %s: %w", driverID, err)
+	}
+	r, err := NewReplica(ReplicaConfig{
+		Service:         group,
+		Index:           i,
+		Registry:        d.Registry,
+		VoterConn:       voterConn,
+		DriverConn:      driverConn,
+		VoterKeys:       auth.NewDerivedKeyStore(d.master, voterID, principals),
+		DriverKeys:      auth.NewDerivedKeyStore(d.master, driverID, principals),
+		Options:         opts,
+		Bootstrap:       bs,
+		MembershipEpoch: epoch,
+		MembershipHook:  d.onMembership,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("perpetual: building %s/%d: %w", group, i, err)
+	}
+	return r, nil
 }
 
 // ProvisionShards materializes the replica groups a reshard to n shards

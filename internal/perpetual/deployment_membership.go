@@ -364,39 +364,9 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 		bs.Seq, bs.StateDigest = donor.StableSeq, donor.StableDigest
 		bs.Executed = donor.Executed
 	}
-	voterID := auth.VoterID(g.Name, mc.Slot)
-	driverID := auth.DriverID(g.Name, mc.Slot)
-	voterConn, err := d.newConn(voterID)
-	if err != nil {
-		return nil, fmt.Errorf("transport for %s: %w", voterID, err)
-	}
-	driverConn, err := d.newConn(driverID)
-	if err != nil {
-		_ = voterConn.Close()
-		return nil, fmt.Errorf("transport for %s: %w", driverID, err)
-	}
-	cfg := ReplicaConfig{
-		Service:            g.Name,
-		Index:              mc.Slot,
-		Registry:           d.Registry,
-		VoterConn:          voterConn,
-		DriverConn:         driverConn,
-		VoterKeys:          auth.NewDerivedKeyStore(d.master, voterID, principals),
-		DriverKeys:         auth.NewDerivedKeyStore(d.master, driverID, principals),
-		CheckpointInterval: opts.CheckpointInterval,
-		ViewChangeTimeout:  opts.ViewChangeTimeout,
-		RetransmitInterval: opts.RetransmitInterval,
-		MaxBatch:           opts.MaxBatch,
-		MaxIntake:          opts.MaxIntake,
-		MaxProposerQueue:   opts.MaxProposerQueue,
-		RetryAfterHint:     opts.RetryAfterHint,
-		MaxOutstanding:     opts.MaxOutstanding,
-		Logger:             opts.Logger,
-		Bootstrap:          bs,
-		MembershipEpoch:    mc.NewEpoch,
-		MembershipHook:     d.onMembership,
-	}
-	r, err := NewReplica(cfg)
+	// A joiner starts correct, whatever faults the group was built with.
+	opts.Behaviors = nil
+	r, err := d.newReplica(g.Name, mc.Slot, opts, principals, mc.NewEpoch, bs)
 	if err != nil {
 		return nil, err
 	}

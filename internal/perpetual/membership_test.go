@@ -208,6 +208,50 @@ func TestMembershipGrowShrink(t *testing.T) {
 	}
 }
 
+// TestOnlyBuiltGroupsTakeFaults reads the fault installed in every
+// replica a deployment builds. The groups Build assembles take
+// Options.Behaviors[i]; a shard group ProvisionShards adds and a
+// membership joiner start correct even where Behaviors has an entry
+// for their index.
+func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
+	faulty := func(r *Replica) bool { return r.voter.corruptResults }
+	dep := buildSharded(t, 1, 4, 2, func(dep *Deployment) {
+		opts := fastOpts()
+		opts.Behaviors = map[int]Behavior{1: CorruptResultFault{}, 4: CorruptResultFault{}}
+		dep.Configure("t", opts)
+	})
+	for k := 0; k < 2; k++ {
+		for i, r := range dep.ShardReplicas("t", k) {
+			if got := faulty(r); got != (i == 1) {
+				t.Errorf("Build: shard %d replica %d faulty = %v, want %v", k, i, got, i == 1)
+			}
+		}
+	}
+
+	if err := dep.ProvisionShards("t", 3); err != nil {
+		t.Fatalf("ProvisionShards: %v", err)
+	}
+	for i, r := range dep.ShardReplicas("t", 2) {
+		if faulty(r) {
+			t.Errorf("ProvisionShards: shard 2 replica %d is faulty", i)
+		}
+	}
+
+	if err := dep.GrowGroup("t#0"); err != nil {
+		t.Fatalf("GrowGroup: %v", err)
+	}
+	group := dep.Replicas("t#0")
+	if len(group) != 5 {
+		t.Fatalf("after grow: %d replicas, want 5", len(group))
+	}
+	if faulty(group[4]) {
+		t.Error("GrowGroup: joiner in slot 4 is faulty")
+	}
+	if !faulty(group[1]) {
+		t.Error("GrowGroup: survivor in slot 1 lost its fault")
+	}
+}
+
 // TestMembershipByzantineTable covers the adversarial membership moves:
 // each must be rejected deterministically without wedging the group.
 func TestMembershipByzantineTable(t *testing.T) {

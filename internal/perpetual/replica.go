@@ -2,9 +2,7 @@ package perpetual
 
 import (
 	"fmt"
-	"log"
 	"sync/atomic"
-	"time"
 
 	"perpetualws/internal/auth"
 	"perpetualws/internal/clbft"
@@ -27,37 +25,9 @@ type ReplicaConfig struct {
 	// VoterKeys and DriverKeys hold the principals' pairwise MAC keys.
 	VoterKeys  *auth.KeyStore
 	DriverKeys *auth.KeyStore
-	// CheckpointInterval, ViewChangeTimeout, and MaxBatch tune the
-	// voter group's CLBFT instance; zero values use clbft defaults
-	// (batching disabled).
-	CheckpointInterval uint64
-	ViewChangeTimeout  time.Duration
-	MaxBatch           int
-	// RetransmitInterval tunes the driver's request retransmission
-	// backoff base; zero uses DefaultRetransmitInterval.
-	RetransmitInterval time.Duration
-	// MaxIntake bounds the voter's request-intake table (distinct
-	// requests collecting admission votes); past it, requests are shed
-	// eldest-first with busy replies. Zero means the default bound,
-	// reqTableSize (8192). See overload.go.
-	MaxIntake int
-	// MaxProposerQueue bounds the CLBFT pending backlog a new proposal
-	// may join; at the bound the proposal is deferred with a busy reply
-	// until retransmission finds the backlog drained. Zero disables.
-	MaxProposerQueue int
-	// RetryAfterHint is the backoff hint the voter's busy replies carry;
-	// zero uses DefaultRetryAfterHint.
-	RetryAfterHint time.Duration
-	// MaxOutstanding caps the co-located driver's in-flight calls and
-	// fast-path reads per target group; past it Do fails fast with the
-	// RETRY-AFTER fault without sending anything. Zero disables. See
-	// Driver.maxOutstanding for why client-edge shedding must be cheap.
-	MaxOutstanding int
-	// Logger receives diagnostics; nil discards them.
-	Logger *log.Logger
-	// Behavior optionally injects Byzantine faults for testing; nil
-	// means correct behavior.
-	Behavior Behavior
+	// Options tunes the replica; NewReplica installs
+	// Options.Behaviors[Index], if any.
+	Options ServiceOptions
 	// Bootstrap resumes (or joins) the voter's CLBFT instance from a
 	// membership-boundary snapshot instead of a fresh log (see
 	// clbft.NewFromBootstrap). Nil starts from sequence 0.
@@ -109,40 +79,42 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, fmt.Errorf("perpetual: replica %s/%d needs voter and driver connections", svc.Name, cfg.Index)
 	}
 
+	opts := cfg.Options
+	behavior := opts.Behaviors[cfg.Index]
 	voterConn, driverConn := cfg.VoterConn, cfg.DriverConn
-	if cfg.Behavior != nil {
-		voterConn = cfg.Behavior.wrapVoterConn(voterConn)
-		driverConn = cfg.Behavior.wrapDriverConn(driverConn)
+	if behavior != nil {
+		voterConn = behavior.wrapVoterConn(voterConn)
+		driverConn = behavior.wrapDriverConn(driverConn)
 	}
 	voterAdapter := transport.NewChannelAdapter(cfg.VoterKeys, voterConn)
 	driverAdapter := transport.NewChannelAdapter(cfg.DriverKeys, driverConn)
 
-	v := newVoter(svc, cfg.Index, cfg.Registry, voterAdapter, cfg.VoterKeys, cfg.Logger)
-	d := newDriver(svc, cfg.Index, cfg.Registry, driverAdapter, cfg.DriverKeys, v, cfg.Logger)
-	if cfg.RetransmitInterval > 0 {
-		d.retransmitInterval = cfg.RetransmitInterval
+	v := newVoter(svc, cfg.Index, cfg.Registry, voterAdapter, cfg.VoterKeys, opts.Logger)
+	d := newDriver(svc, cfg.Index, cfg.Registry, driverAdapter, cfg.DriverKeys, v, opts.Logger)
+	if opts.RetransmitInterval > 0 {
+		d.retransmitInterval = opts.RetransmitInterval
 	}
-	d.maxOutstanding = cfg.MaxOutstanding
+	d.maxOutstanding = opts.MaxOutstanding
 	v.driver = d
 	v.membershipHook = cfg.MembershipHook
 	v.memEpoch.Store(cfg.MembershipEpoch)
-	v.maxProposer = cfg.MaxProposerQueue
-	if cfg.MaxIntake > 0 {
-		v.reqs.maxIntake = cfg.MaxIntake
+	v.maxProposer = opts.MaxProposerQueue
+	if opts.MaxIntake > 0 {
+		v.reqs.maxIntake = opts.MaxIntake
 		// Reads shed at half the write bound, so the fast path gives way
 		// well before the agreement path starts refusing work.
-		v.readShedAt = max(1, cfg.MaxIntake/2)
+		v.readShedAt = max(1, opts.MaxIntake/2)
 	}
-	if cfg.RetryAfterHint > 0 {
-		v.retryHint = cfg.RetryAfterHint
+	if opts.RetryAfterHint > 0 {
+		v.retryHint = opts.RetryAfterHint
 	}
 
 	bftCfg := clbft.Config{
 		ID:                 cfg.Index,
 		N:                  svc.N,
-		CheckpointInterval: cfg.CheckpointInterval,
-		ViewChangeTimeout:  cfg.ViewChangeTimeout,
-		MaxBatch:           cfg.MaxBatch,
+		CheckpointInterval: opts.CheckpointInterval,
+		ViewChangeTimeout:  opts.ViewChangeTimeout,
+		MaxBatch:           opts.MaxBatch,
 		Tentative:          true,
 	}
 	r := &Replica{
@@ -161,8 +133,8 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, err
 	}
 	v.bftp.Store(bft)
-	if cfg.Behavior != nil {
-		cfg.Behavior.install(r)
+	if behavior != nil {
+		behavior.install(r)
 	}
 	return r, nil
 }

@@ -171,7 +171,7 @@ type bftTransport struct {
 	ids []auth.NodeID
 }
 
-var _ clbft.Multicaster = (*bftTransport)(nil)
+var _ clbft.Transport = (*bftTransport)(nil)
 
 func (t *bftTransport) Send(to int, m *clbft.Message) {
 	t.Multicast([]int{to}, m)

@@ -157,13 +157,11 @@ func TestReplyFastPathByzantineBank(t *testing.T) {
 	for fname, fault := range faults {
 		for aname, app := range apps {
 			t.Run(fname+"/"+aname, func(t *testing.T) {
-				bankOpts := fastOpts()
-				bankOpts.Behaviors = map[int]perpetual.Behavior{1: fault}
 				log := newReplyLog(4)
 				cluster, err := core.NewCluster([]byte("byz"),
 					core.ServiceDef{Name: "store", N: 1, Options: fastOpts()},
 					core.ServiceDef{Name: "pge", N: 4, App: log.wrap(app("bank")), Options: fastOpts()},
-					core.ServiceDef{Name: "bank", N: 4, App: BankApp(), Options: bankOpts},
+					core.ServiceDef{Name: "bank", N: 4, App: BankApp(), Options: faultyOpts(map[int]perpetual.Behavior{1: fault})},
 				)
 				if err != nil {
 					t.Fatalf("NewCluster: %v", err)

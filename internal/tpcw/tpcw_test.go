@@ -297,6 +297,13 @@ func fastOpts() perpetual.ServiceOptions {
 	}
 }
 
+// faultyOpts is fastOpts with Byzantine behaviors by replica index.
+func faultyOpts(faults map[int]perpetual.Behavior) perpetual.ServiceOptions {
+	opts := fastOpts()
+	opts.Behaviors = faults
+	return opts
+}
+
 // TestEndToEndTPCW wires the full Figure 5 configuration: RBEs ->
 // bookstore -> replicated PGE -> replicated Bank, with asynchronous
 // payment-tier messaging.

@@ -181,15 +181,12 @@ func TestTransferOrderToleratesFaultyVoterPerGroup(t *testing.T) {
 	// every caller replica must reach the same agreed decision.
 	const shards = 2
 	cluster, err := core.NewCluster([]byte("tpcw-txn-bft"),
-		core.ServiceDef{Name: "client", N: 4, Options: fastOpts(),
-			Behaviors: map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}}},
+		core.ServiceDef{Name: "client", N: 4,
+			Options: faultyOpts(map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}})},
 		core.ServiceDef{
 			Name: "store", N: 4, Shards: shards,
 			App:     StoreApp(StoreConfig{Items: 100, Customers: 64}),
-			Options: fastOpts(),
-			Behaviors: map[int]perpetual.Behavior{
-				1: perpetual.CorruptResultFault{},
-			},
+			Options: faultyOpts(map[int]perpetual.Behavior{1: perpetual.CorruptResultFault{}}),
 		},
 	)
 	if err != nil {
