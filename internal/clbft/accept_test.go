@@ -184,3 +184,60 @@ func TestDecodeBatchAliasesBody(t *testing.T) {
 		t.Error("appending to a decoded entry wrote into the batch body")
 	}
 }
+
+// TestAcceptBoundsBatchToPosition: an operation's index in its batch is
+// the low 16 bits of its position, so a batch of 1<<16 operations is
+// refused whatever MaxBatch is, and one of 1<<16 − 1 fits when batching
+// is unbounded by configuration.
+func TestAcceptBoundsBatchToPosition(t *testing.T) {
+	batch := func(n int) *Request {
+		ops := make([]*Request, n)
+		for i := range ops {
+			ops[i] = &Request{OpID: fmt.Sprint("op-", i), Op: []byte{1}}
+		}
+		return encodeBatch(ops)
+	}
+	over, full := batch(1<<16), batch(1<<16-1)
+	for _, maxBatch := range []int{0, 32} {
+		r, err := New(Config{ID: 1, N: 4, MaxBatch: maxBatch}, clbftNopTransport{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := r.accept(over, over.Digest()); ok {
+			t.Errorf("MaxBatch %d: a batch of 1<<16 operations was accepted", maxBatch)
+		}
+		if _, ops, ok := r.accept(full, full.Digest()); ok != (maxBatch == 0) || (ok && len(ops) != 1<<16-1) {
+			t.Errorf("MaxBatch %d: a batch of 1<<16-1 operations accepted %v with %d ops", maxBatch, ok, len(ops))
+		}
+	}
+}
+
+// TestDeliveryPositionNamesTheOperation: every operation of a batch is
+// delivered under its batch's sequence with its own position, and an
+// unbatched one at index 0; positions order the deliveries.
+func TestDeliveryPositionNamesTheOperation(t *testing.T) {
+	var delivered []Delivery
+	r, err := New(Config{ID: 0, N: 1}, clbftNopTransport{}, func(d Delivery) { delivered = append(delivered, d) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.onSubmit(&Request{OpID: "solo", Op: []byte{0}})
+	b := encodeBatch([]*Request{{OpID: "a", Op: []byte{1}}, {OpID: "b", Op: []byte{2}}})
+	d, ops, ok := r.accept(b, b.Digest())
+	if !ok {
+		t.Fatal("batch refused")
+	}
+	r.applyOp(2, b, d, ops, false)
+	want := []uint64{Position(1, 0), Position(2, 0), Position(2, 1)}
+	if len(delivered) != len(want) {
+		t.Fatalf("%d deliveries, want %d", len(delivered), len(want))
+	}
+	if want[0] >= want[1] || want[1] >= want[2] {
+		t.Errorf("positions %#x do not order the deliveries", want)
+	}
+	for i, d := range delivered {
+		if d.Pos != want[i] || SeqOf(d.Pos) != d.Seq {
+			t.Errorf("delivery %d (%s) at seq %d has position %#x, want %#x", i, d.OpID, d.Seq, d.Pos, want[i])
+		}
+	}
+}

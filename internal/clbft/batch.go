@@ -14,6 +14,17 @@ import (
 // across the batch. The batch is transparent above this package: each
 // inner operation is delivered (and deduplicated) individually.
 
+// maxBatchOps bounds a batch's length whatever Config.MaxBatch is: an
+// operation's index in its batch is the low 16 bits of its position
+// (Delivery.Pos).
+const maxBatchOps = 1<<16 - 1
+
+// Position is the position of the i-th operation agreed at seq.
+func Position(seq uint64, i int) uint64 { return seq<<16 | uint64(i) }
+
+// SeqOf is the agreement sequence of position pos.
+func SeqOf(pos uint64) uint64 { return pos >> 16 }
+
 // batchPrefix marks batch OpIDs. Application OpIDs never collide with it
 // because batch OpIDs embed a content hash computed here.
 const batchPrefix = "\x00batch:"
@@ -74,7 +85,7 @@ func decodeBatch(r *Request) ([]agreedOp, error) {
 	}
 	rd := wire.NewReader(r.Op)
 	n := int(rd.Uvarint())
-	if n <= 0 || n > rd.Remaining()+1 {
+	if n <= 0 || n > maxBatchOps || n > rd.Remaining()+1 {
 		return nil, fmt.Errorf("clbft: batch with %d entries", n)
 	}
 	out := make([]agreedOp, 0, n)

@@ -22,8 +22,14 @@ import (
 // decode what its validator already decoded. It is nil without a
 // validator, and for operations the validator never saw: history
 // replayed by catch-up, and rollbacks.
+//
+// Pos names the operation, not its batch: Position(Seq, i), where i is
+// the operation's index in the request agreed at Seq (0 for an unbatched
+// operation). Positions order deliveries as the group executes them, so
+// "state reflects position p" is one comparison.
 type Delivery struct {
 	Seq       uint64
+	Pos       uint64
 	OpID      string
 	Op        []byte
 	Parsed    any
@@ -630,10 +636,7 @@ func (r *Replica) proposePending() {
 	if r.seqCounter >= r.h+r.cfg.LogWindow() {
 		return // window full; retried after the next stable checkpoint
 	}
-	maxBatch := r.cfg.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
+	maxBatch := min(max(r.cfg.MaxBatch, 1), maxBatchOps)
 	// Batching only amortizes agreement traffic when concurrent requests
 	// share a sequence number, and they only can if a backlog is allowed
 	// to form: propose-on-arrival (the unbatched, paper-faithful mode)
@@ -967,7 +970,7 @@ func (r *Replica) applyOp(seq uint64, req *Request, reqDigest Digest, ops []agre
 				r.haltA.Store(seq)
 			}
 			if r.deliver != nil {
-				r.deliver(Delivery{Seq: seq, OpID: op.OpID, Op: op.Op, Parsed: op.parsed, Tentative: tentative})
+				r.deliver(Delivery{Seq: seq, Pos: Position(seq, i), OpID: op.OpID, Op: op.Op, Parsed: op.parsed, Tentative: tentative})
 			}
 		}
 	}

@@ -59,9 +59,8 @@ type call struct {
 // readState is the fast-path part of a read call: which replicas of the
 // target group it asked and what each answered.
 type readState struct {
-	need     int // f_t+1: matching endorsements certify, busys shed
-	minSeq   uint64
-	afterReq uint64
+	need   int    // f_t+1: matching endorsements certify, busys shed
+	minSeq uint64 // the session's lease toward the target (Driver.readFloor)
 	// widened marks every replica of the group asked: the read widened
 	// past its first f_t+1, or the group has no others.
 	widened    bool
@@ -79,7 +78,7 @@ type readReplica struct {
 	asked bool
 	rank  int // answer order, from 1; 0 = not heard from
 	// endorsed marks a current endorsement of digest: not a Behind
-	// decline, stamped at or above the read's MinSeq.
+	// decline, stamped at or above the read's lease.
 	endorsed bool
 	digest   [sha256.Size]byte
 	seq      uint64
@@ -123,13 +122,12 @@ const (
 type callEvent struct {
 	kind   callEventKind
 	bundle *ReplyBundle // evBundle; evParked's parked bundle, if any
-	// reply, with its certificate's shares and roster attestation, is
-	// evAgreed's outcome, or evParked's when agreed is set.
+	// reply is evAgreed's outcome, or evParked's when agreed is set;
+	// cert carries the shares and MAC'd fields of the bundle agreement
+	// ordered it with (nil for an abort).
 	reply  Reply
 	agreed bool
-	shares []Share
-	epoch  uint64
-	groupN int
+	cert   *ReplyBundle
 	// evBusy, evBusyRead, evReadAnswer: the sending voter's group and
 	// index; evBusy, evBusyRead: its retry-after hint; evBusy: whether it
 	// refused because the deadline had passed.
@@ -178,8 +176,10 @@ type callAction struct {
 	attempt   int
 	responder int
 	after     time.Duration
-	// seq is actCertify's new monotonic-reads floor; replicas is its
-	// endorsers in answer order, or actWiden's newly asked replicas.
+	// seq raises the session's lease toward the target: actCertify's
+	// stamp, or the position of actSettle's bundle. replicas is
+	// actCertify's endorsers in answer order, or actWiden's newly asked
+	// replicas.
 	seq      uint64
 	replicas []int
 }
@@ -189,8 +189,8 @@ type callAction struct {
 // lock, timer, clock, randomness or network. One row per rule:
 //
 //   - evBundle: a bundle from another target is ignored; a fast call
-//     settles with its payload; any other call forwards it for
-//     agreement (stage 7).
+//     settles with its payload, raising the lease to its position; any
+//     other call forwards it for agreement (stage 7).
 //   - evAgreed: dropped on a fast call — no correct replica proposes an
 //     outcome for one, so an agreed one (a faulty voter's abort) must
 //     not race the certified reply; it settles any other call, and a
@@ -235,7 +235,7 @@ func step(c *call, ev callEvent) []callAction {
 		case ev.bundle.Target != c.target:
 			return nil
 		case c.fast:
-			return append(acts, callAction{kind: actSettle, reply: Reply{ReqID: c.id, Payload: ev.bundle.Payload}})
+			return append(acts, callAction{kind: actSettle, reply: Reply{ReqID: c.id, Payload: ev.bundle.Payload}, seq: ev.bundle.Pos})
 		}
 		return append(acts, callAction{kind: actForward, bundle: ev.bundle})
 	case evAgreed:
@@ -246,7 +246,7 @@ func step(c *call, ev callEvent) []callAction {
 	case evParked:
 		switch {
 		case c.fast && ev.bundle != nil && ev.bundle.Target == c.target:
-			return append(acts, callAction{kind: actSettle, reply: Reply{ReqID: c.id, Payload: ev.bundle.Payload}})
+			return append(acts, callAction{kind: actSettle, reply: Reply{ReqID: c.id, Payload: ev.bundle.Payload}, seq: ev.bundle.Pos})
 		case !c.fast && ev.agreed:
 			return append(acts, c.settleAgreed(ev))
 		}
@@ -308,8 +308,10 @@ func step(c *call, ev callEvent) []callAction {
 // settleAgreed is the settle action for an agreed outcome.
 func (c *call) settleAgreed(ev callEvent) callAction {
 	a := callAction{kind: actSettle, reply: ev.reply}
-	if c.txn && !ev.reply.Aborted && len(ev.shares) > 0 {
-		a.cert = &ReplyBundle{ReqID: c.id, Target: c.target, Epoch: ev.epoch, GroupN: ev.groupN, Payload: ev.reply.Payload, Shares: ev.shares}
+	if c.txn && !ev.reply.Aborted && ev.cert != nil && len(ev.cert.Shares) > 0 {
+		cert := *ev.cert
+		cert.ReqID, cert.Target, cert.Payload = c.id, c.target, ev.reply.Payload
+		a.cert = &cert
 	}
 	return a
 }
@@ -373,7 +375,6 @@ func (c *call) readRequest(caller string) *ReadRequest {
 		Target:    c.target,
 		Responder: c.responder,
 		MinSeq:    c.read.minSeq,
-		AfterReq:  c.read.afterReq,
 		Payload:   c.payload,
 	}
 }
@@ -382,7 +383,7 @@ func (c *call) readRequest(caller string) *ReadRequest {
 //
 //   - evReadAnswer, evBusyRead: counted once per replica of the target
 //     group, asked or not; a Behind decline and an endorsement below
-//     MinSeq never endorse, and a busy counts toward the shed quorum.
+//     the lease never endorse, and a busy counts toward the shed quorum.
 //     Then f_t+1 busys shed the read with the largest hint, and a bound
 //     payload with f_t+1 matching endorsements certifies it. Nothing is
 //     decided while the replicas asked but not heard from could still

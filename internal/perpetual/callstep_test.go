@@ -19,7 +19,7 @@ func TestCallStep(t *testing.T) {
 	txn := func() *call { return &call{id: id, target: "t", txn: true} }
 	expiring := func() *call { return &call{id: id, target: "t", fast: true, expiry: 1} }
 
-	bundle := &ReplyBundle{ReqID: id, Target: "t", Payload: []byte("ok")}
+	bundle := &ReplyBundle{ReqID: id, Target: "t", Payload: []byte("ok"), Pos: 23}
 	foreign := &ReplyBundle{ReqID: id, Target: "u", Payload: []byte("ok")}
 	shares := []Share{{Replica: 0}, {Replica: 1}}
 	reply := Reply{ReqID: id, Payload: []byte("ok")}
@@ -40,6 +40,9 @@ func TestCallStep(t *testing.T) {
 		return in(callerN, callEvent{kind: evBusy, from: "t", replica: replica, hint: hint})
 	}
 	settle := func(r Reply) []callAction { return []callAction{{kind: actSettle, reply: r}} }
+	// settled is the settle from bundle, which raises the session's lease
+	// to the bundle's position.
+	settled := []callAction{{kind: actSettle, reply: reply, seq: bundle.Pos}}
 	abort := []callAction{{kind: actAbort}}
 	// fanOut is what a first retransmission asks for: attempt 1, the
 	// rotated responder, and the re-arm after twice the interval (a
@@ -98,7 +101,7 @@ func TestCallStep(t *testing.T) {
 			name: "bundle settles a fast call",
 			c:    fast(),
 			evs:  []callEvent{in(1, callEvent{kind: evBundle, bundle: bundle})},
-			want: [][]callAction{settle(reply)},
+			want: [][]callAction{settled},
 		},
 		{
 			name: "bundle is forwarded on an agreed call",
@@ -123,15 +126,15 @@ func TestCallStep(t *testing.T) {
 		{
 			name: "agreed outcome settles an agreed call",
 			c:    agreed(),
-			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, shares: shares, epoch: 3, groupN: 4})},
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, cert: &ReplyBundle{Shares: shares, Epoch: 3, GroupN: 4, Pos: 17}})},
 			want: [][]callAction{settle(reply)},
 		},
 		{
 			name: "agreed reply keeps its certificate on a txn call",
 			c:    txn(),
-			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, shares: shares, epoch: 3, groupN: 4})},
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, cert: &ReplyBundle{Shares: shares, Epoch: 3, GroupN: 4, Pos: 17}})},
 			want: [][]callAction{{{kind: actSettle, reply: reply, cert: &ReplyBundle{
-				ReqID: id, Target: "t", Epoch: 3, GroupN: 4, Payload: reply.Payload, Shares: shares,
+				ReqID: id, Target: "t", Epoch: 3, GroupN: 4, Pos: 17, Payload: reply.Payload, Shares: shares,
 			}}}},
 		},
 
@@ -140,7 +143,7 @@ func TestCallStep(t *testing.T) {
 			name: "parked bundle settles a fast call",
 			c:    fast(),
 			evs:  []callEvent{in(1, callEvent{kind: evParked, bundle: bundle})},
-			want: [][]callAction{settle(reply)},
+			want: [][]callAction{settled},
 		},
 		{
 			name: "parked agreed outcome settles an agreed call",
@@ -334,7 +337,7 @@ func TestCallStep(t *testing.T) {
 			name:  "read falls back on a silent responder at window expiry, to its first answerer, keeping its expiry",
 			c:     aRead(),
 			evs:   []callEvent{answer(2, dOK, 6, false), window(false), answer(1, dOK, 7, true), in(1, callEvent{kind: evBundle, bundle: bundle})},
-			want:  [][]callAction{nil, fallBack(2), nil, settle(reply)},
+			want:  [][]callAction{nil, fallBack(2), nil, settled},
 			check: fellBack(2),
 		},
 		{

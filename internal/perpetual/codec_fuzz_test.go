@@ -20,7 +20,7 @@ func fuzzAuth(sender auth.NodeID, receivers ...auth.NodeID) auth.Authenticator {
 
 // fuzzBundle is a reply bundle as a responder would assemble it.
 func fuzzBundle() *ReplyBundle {
-	return &ReplyBundle{ReqID: "c:9", Target: "t", Payload: []byte("<reply/>"), Primary: 1, Epoch: 2, GroupN: 4,
+	return &ReplyBundle{ReqID: "c:9", Target: "t", Payload: []byte("<reply/>"), Primary: 1, Epoch: 2, GroupN: 4, Pos: 0x70003,
 		Shares: []Share{
 			{Replica: 0, Auth: fuzzAuth(auth.VoterID("t", 0), auth.DriverID("c", 0), auth.VoterID("c", 0))},
 			{Replica: 2, Tentative: true, Auth: fuzzAuth(auth.VoterID("t", 2), auth.DriverID("c", 0))},
@@ -42,7 +42,7 @@ func fuzzMessageSeeds() [][]byte {
 		{Kind: KindResultForward, ResultForward: fuzzBundle()},
 		{Kind: KindPayloadFetch, PayloadFetch: &PayloadFetch{ReqID: "c:9", Digest: digest}},
 		{Kind: KindReadRequest, ReadRequest: &ReadRequest{ReqID: "c:10", Caller: "c", Target: "t", Responder: 1,
-			MinSeq: 7, AfterReq: 9, Payload: []byte("<home/>")}},
+			MinSeq: 0x70003, Payload: []byte("<home/>")}},
 		{Kind: KindReadReply, ReadReply: &ReadReply{ReqID: "c:10", Replica: 1, Seq: 7, Digest: digest, Payload: []byte("<page/>")}},
 		{Kind: KindBusy, Busy: &BusyReply{ReqID: "c:11", Replica: 3, RetryAfterMillis: 20, Expired: true, Read: true}},
 		{Kind: KindReadReply, ReadReply: &ReadReply{ReqID: "c:12", Replica: 2, Behind: true}},
@@ -61,7 +61,7 @@ func fuzzOpSeeds() [][]byte {
 	ops := []*Op{
 		{Kind: OpRequest, ReqID: "c:9", Caller: "c", Responder: 2, Payload: []byte("<inc/>"),
 			Shares: []Share{{Replica: 0, Auth: fuzzAuth(auth.DriverID("c", 0), ServiceInfo{Name: "t", N: 4}.VoterIDs()...)}}},
-		{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Epoch: b.Epoch, GroupN: b.GroupN, Payload: b.Payload, Shares: b.Shares},
+		{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Epoch: b.Epoch, GroupN: b.GroupN, Pos: b.Pos, Payload: b.Payload, Shares: b.Shares},
 		{Kind: OpAbort, ReqID: "c:9"},
 		{Kind: OpUtil, K: 9, Value: -12345},
 		{Kind: OpTxnDecision, TxnID: "t:txn:1", Commit: true, TxnVotes: []ReplyBundle{*b, *b}},

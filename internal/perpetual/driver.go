@@ -151,14 +151,14 @@ type Driver struct {
 	primaryHint map[string]int
 
 	// Session-tier read fast path (see issueRead). readFloor is the
-	// per-target-group monotonic-reads floor (highest certified read
-	// sequence); readAfter is the per-target-group read-your-writes lease
-	// (highest completed agreement-path request number); readPartners
-	// lists, per target group, the endorsers of the last certified read
-	// in the order they answered (see askFirst); readStats counts read
-	// outcomes (see stepLocked).
+	// session's lease per target group: the highest agreement position
+	// (clbft.Delivery.Pos) a certified read was stamped with or a write
+	// settled from a verified bundle at, so later reads are both
+	// monotonic and see the session's writes. readPartners lists, per
+	// target group, the endorsers of the last certified read in the
+	// order they answered (see askFirst); readStats counts read outcomes
+	// (see stepLocked).
 	readFloor    map[string]uint64
-	readAfter    map[string]uint64
 	readPartners map[string][]int
 	readStats    ReadStats
 
@@ -235,7 +235,6 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		utils:              make(map[uint64]int64),
 		primaryHint:        make(map[string]int),
 		readFloor:          make(map[string]uint64),
-		readAfter:          make(map[string]uint64),
 		readPartners:       make(map[string][]int),
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
@@ -467,6 +466,24 @@ func (d *Driver) parkable(reqID string) bool {
 	return ok && n > d.reqSeq
 }
 
+// callerReqSeq extracts the driver-local request number from a reqID of
+// the form "<caller>:<n>" (see Driver.nextReqID). Transaction ids and
+// other non-numeric suffixes report false.
+func callerReqSeq(reqID, caller string) (uint64, bool) {
+	if len(reqID) <= len(caller)+1 || reqID[:len(caller)] != caller || reqID[len(caller)] != ':' {
+		return 0, false
+	}
+	var n uint64
+	for i := len(caller) + 1; i < len(reqID); i++ {
+		c := reqID[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n, true
+}
+
 // nextReqID reserves the next request id, "<caller>:<reqSeq>" (caller
 // holds d.mu): the one id a call has, on both sides of every hop.
 func (d *Driver) nextReqID() string {
@@ -637,6 +654,9 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 	fx.c = c
 	reading := c.reading()
 	for i, a := range step(c, ev) {
+		if a.seq > d.readFloor[c.target] {
+			d.readFloor[c.target] = a.seq
+		}
 		switch a.kind {
 		case actSettle:
 			if reading {
@@ -653,9 +673,6 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 		case actCertify:
 			d.readStats.Certified++
 			d.readPartners[c.target] = a.replicas
-			if a.seq > d.readFloor[c.target] {
-				d.readFloor[c.target] = a.seq
-			}
 			d.settle(c, a.reply, nil)
 		case actShed:
 			d.readStats.Shed++
@@ -727,15 +744,6 @@ func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
 		c.abortTmr.Stop()
 	}
 	d.releaseSlot(c.target, &c.counted)
-	if !c.txn && !c.reading() && !r.Aborted {
-		// Session-lease bookkeeping: a completed agreement-path request
-		// is conservatively a write this session's later fast-path reads
-		// must observe (read-your-writes), so advance the lease to its
-		// request number.
-		if n, ok := callerReqSeq(c.id, d.svc.Name); ok && n > d.readAfter[c.target] {
-			d.readAfter[c.target] = n
-		}
-	}
 	if !c.silent {
 		r.Blocking = c.blocking
 		d.post(c.sink, outcome{reply: r, cert: cert})
@@ -792,10 +800,9 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 // call.sink). The read skips agreement: it goes to f_t+1 replicas of the
 // owning shard group — the designated responder and f partners — and
 // certifies on f_t+1 matching digest endorsements at or above the
-// session's lease (the monotonic floor, plus the read-your-writes gate
-// against AfterReq). Otherwise it asks the rest of the group once, and
-// then deterministically falls back to agreement as the same call (see
-// stepRead): the caller observes exactly one reply, never an
+// session's lease (readFloor). Otherwise it asks the rest of the group
+// once, and then deterministically falls back to agreement as the same
+// call (see stepRead): the caller observes exactly one reply, never an
 // uncertified one. A replicated caller (N > 1) takes the agreement path
 // directly, since fast replies could not reach its replicas
 // deterministically; blocking is Do's fastPath input for that call.
@@ -820,7 +827,6 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 	c.read = readState{
 		need:     tinfo.F() + 1,
 		minSeq:   d.readFloor[tinfo.Name],
-		afterReq: d.readAfter[tinfo.Name],
 		replicas: make([]readReplica, tinfo.N),
 		partners: d.readPartners[tinfo.Name],
 	}
@@ -929,13 +935,12 @@ func (d *Driver) deliverRequest(r IncomingRequest) {
 }
 
 // deliverReply feeds the caller group's agreed reply or abort (stage 9)
-// to its call (see step's evAgreed row). shares carries the agreed reply
-// bundle's endorsements, retained as the certificate of a transaction
-// or handoff leg; epoch/groupN are the bundle's roster attestation,
-// re-carried so the rebuilt certificate verifies under the roster its
-// shares were minted for.
-func (d *Driver) deliverReply(r Reply, shares []Share, epoch uint64, groupN int) {
-	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r, shares: shares, epoch: epoch, groupN: groupN})
+// to its call (see step's evAgreed row). cert carries the agreed reply
+// bundle's endorsements and MAC'd fields, retained as the certificate of
+// a transaction or handoff leg, so the rebuilt certificate verifies
+// under the roster and position its shares were minted for.
+func (d *Driver) deliverReply(r Reply, cert *ReplyBundle) {
+	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r, cert: cert})
 }
 
 // deliverUtil records an agreed utility value.

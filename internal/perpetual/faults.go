@@ -83,23 +83,25 @@ func (d *dropConn) Send(to auth.NodeID, frame []byte) error {
 	return d.Connection.Send(to, frame)
 }
 
+// FaultFirings counts the results and read answers this replica's flag
+// fault (one of the four below, installed as voter.fault) falsified: a
+// test installing one shows with it that the fault ran, not only that
+// the system survived it.
+func (r *Replica) FaultFirings() uint64 { return r.voter.faultFired.Load() }
+
 // CorruptResultFault makes the replica's executor results wrong: the
 // driver's replies are bit-flipped before the voter endorses them. Up to
 // f such replicas must not affect the reply the caller accepts, because
 // bundles need f_t+1 matching endorsements.
 type CorruptResultFault struct{ CorrectBehavior }
 
-func (CorruptResultFault) install(r *Replica) {
-	r.voter.corruptResults = true
-}
+func (f CorruptResultFault) install(r *Replica) { r.voter.fault = f }
 
 // StaleResultFault makes the replica endorse an empty reply for every
 // request, modeling a replica whose state diverged.
 type StaleResultFault struct{ CorrectBehavior }
 
-func (StaleResultFault) install(r *Replica) {
-	r.voter.staleResults = true
-}
+func (f StaleResultFault) install(r *Replica) { r.voter.fault = f }
 
 // CorruptReadFault makes the replica's speculative fast-path read
 // answers wrong: read results are prefixed with garbage before being
@@ -108,17 +110,13 @@ func (StaleResultFault) install(r *Replica) {
 // back to agreement, never a wrong certified read.
 type CorruptReadFault struct{ CorrectBehavior }
 
-func (CorruptReadFault) install(r *Replica) {
-	r.voter.corruptReads = true
-}
+func (f CorruptReadFault) install(r *Replica) { r.voter.fault = f }
 
 // StaleReadFault makes the replica answer fast-path reads from a stale
 // state while claiming currency: it serves an empty answer stamped with
-// sequence 0 and Behind unset, modeling a Byzantine replica lying about
+// position 0 and Behind unset, modeling a Byzantine replica lying about
 // its lease. Clients reject the endorsement once their session floor is
 // positive.
 type StaleReadFault struct{ CorrectBehavior }
 
-func (StaleReadFault) install(r *Replica) {
-	r.voter.staleReads = true
-}
+func (f StaleReadFault) install(r *Replica) { r.voter.fault = f }

@@ -106,7 +106,7 @@ func newHandoffCertFixture(t *testing.T) *handoffCertFixture {
 		shares := make([]Share, 0, len(voters))
 		for _, v := range voters {
 			ks := auth.NewDerivedKeyStore(master, auth.VoterID("svc#0", v), principals)
-			a, err := auth.NewAuthenticator(ks, replyAuthMsg(reqID, digest, false, 0, 0).Bytes(), receivers)
+			a, err := auth.NewAuthenticator(ks, replyAuthMsg(reqID, digest, false, 0, 0, 0).Bytes(), receivers)
 			if err != nil {
 				t.Fatalf("authenticator: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/clbft"
 )
 
 // Bounds of the voter's request table and of its delivered-outcome
@@ -33,7 +34,7 @@ type inReq struct {
 
 	// Agreement and execution (stages 3-4).
 	executing bool   // agreed, and no reply minted since
-	seq       uint64 // agreement sequence that ordered the request
+	pos       uint64 // agreement position that ordered the request, 0 until agreed
 	responder int    // the voter this replica's share goes to
 
 	// The minted reply (stage 5).
@@ -302,8 +303,8 @@ type reqEvent struct {
 	req    *RequestMsg       // inCopy
 	digest [sha256.Size]byte // inCopy: req's digest; inFetch: the digest asked for
 	from   int               // inCopy: the driver's index; inShare, inFetch: the voter's
-	op     *Op               // inAgreed, with its sequence
-	seq    uint64
+	op     *Op               // inAgreed, with its position
+	pos    uint64
 	id     string      // inExecuted, inFetch
 	reply  replyRecord // inExecuted
 	remint bool        // inExecuted: a retransmission's re-mint, not the first
@@ -322,10 +323,10 @@ type reqActionKind uint8
 
 const (
 	doPropose reqActionKind = iota + 1 // submit req for agreement, endorsed by shares
-	doExecute                          // hand op, agreed at seq, to the executor
-	doMint                             // re-mint reply stable, then feed inExecuted
+	doExecute                          // hand op, agreed at pos, to the executor
+	doMint                             // re-mint reply, agreed at pos, stable, then feed inExecuted
 	doShare                            // send reply's share to voter, with the payload if withPayload
-	doBundle                           // send payload and shares, minted under epoch and groupN, to the caller
+	doBundle                           // send payload and shares, minted under epoch, groupN and pos, to the caller
 	doFetch                            // ask voter for the payload of digest
 	doBusy                             // refuse id to driver to, expired or overloaded
 )
@@ -338,7 +339,7 @@ type reqAction struct {
 	id, caller  string
 	req         *RequestMsg
 	op          *Op
-	seq         uint64
+	pos         uint64
 	reply       replyRecord
 	voter       int
 	withPayload bool
@@ -393,9 +394,9 @@ func (t *reqTable) step(acts []reqAction, ev *reqEvent) []reqAction {
 		if !r.executing { // else a retransmission may have moved the responder
 			r.responder = ev.op.Responder
 		}
-		r.caller, r.seq, r.executing = ev.op.Caller, ev.seq, true
+		r.caller, r.pos, r.executing = ev.op.Caller, ev.pos, true
 		t.refile(r)
-		acts = append(acts, reqAction{kind: doExecute, op: ev.op, seq: ev.seq})
+		acts = append(acts, reqAction{kind: doExecute, op: ev.op, pos: ev.pos})
 	case inExecuted:
 		r := t.recs[ev.id]
 		if r == nil || (ev.remint && !r.minted) || (!ev.remint && !r.executing) {
@@ -433,12 +434,12 @@ func (t *reqTable) stepCopy(acts []reqAction, ev *reqEvent) []reqAction {
 		switch {
 		case !r.minted:
 			return acts
-		case (r.reply.share.Tentative && ev.committed >= r.seq) || r.reply.epoch != ev.epoch:
+		case (r.reply.share.Tentative && ev.committed >= clbft.SeqOf(r.pos)) || r.reply.epoch != ev.epoch:
 			// A stable re-mint lets f_t+1 upgraded shares certify a reply
 			// that stalled below the tentative quorum. A pre-flip share can
 			// never enter a post-flip bundle, and post-flip the commit floor
 			// is the install barrier, so that re-mint is stable too.
-			return append(acts, reqAction{kind: doMint, id: r.id, caller: r.caller, reply: r.reply})
+			return append(acts, reqAction{kind: doMint, id: r.id, caller: r.caller, reply: r.reply, pos: r.pos})
 		}
 		return append(acts, t.shareAction(r, r.responder, false))
 	}
@@ -498,13 +499,13 @@ func (t *reqTable) stepShare(acts []reqAction, ev *reqEvent) []reqAction {
 		s.bound, s.payload, s.payloadDigest = true, rs.Payload, rs.Digest
 	}
 	winner, found := r.certified(ev.f, ev.quorum)
-	if !found || r.sent {
+	if !found || r.sent || r.pos == 0 { // the shares MAC a position this voter must know
 		return acts
 	}
 	if payload, have := r.payloadFor(winner); have {
 		r.sent = true
 		return append(acts, reqAction{kind: doBundle, id: r.id, caller: r.caller, payload: payload,
-			shares: r.endorsements(winner), epoch: ev.epoch, groupN: ev.groupN})
+			shares: r.endorsements(winner), epoch: ev.epoch, groupN: ev.groupN, pos: r.pos})
 	}
 	// No payload yet: usually this voter's own share, which carries it,
 	// is still to come. If it came and endorses another digest, fetch.

@@ -40,7 +40,7 @@ func TestVoterRequestRecord(t *testing.T) {
 		return &fixture{v: v, stores: stores, driver: listen(auth.DriverID("c", 0)), peer: listen(auth.VoterID("t", 1))}
 	}
 	deliver := func(v *voter, seq uint64, id string, responder int) {
-		v.onDeliver(clbft.Delivery{Seq: seq, OpID: RequestOpID(id),
+		v.onDeliver(clbft.Delivery{Seq: seq, Pos: clbft.Position(seq, 0), OpID: RequestOpID(id),
 			Parsed: &Op{Kind: OpRequest, ReqID: id, Caller: "c", Responder: responder, Payload: []byte("p")}})
 	}
 	share := func(id string, from int, payload string) *ReplyShare {

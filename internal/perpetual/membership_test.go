@@ -214,7 +214,7 @@ func TestMembershipGrowShrink(t *testing.T) {
 // membership joiner start correct even where Behaviors has an entry
 // for their index.
 func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
-	faulty := func(r *Replica) bool { return r.voter.corruptResults }
+	faulty := func(r *Replica) bool { return r.voter.fault == (CorruptResultFault{}) }
 	dep := buildSharded(t, 1, 4, 2, func(dep *Deployment) {
 		opts := fastOpts()
 		opts.Behaviors = map[int]Behavior{1: CorruptResultFault{}, 4: CorruptResultFault{}}
@@ -323,7 +323,7 @@ func TestMembershipByzantineTable(t *testing.T) {
 		digest := ReplyDigest(reqID, payload)
 		mkShare := func(i int, epoch uint64, groupN int) Share {
 			a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)],
-				replyAuthMsg(reqID, digest, false, epoch, groupN).Bytes(), []auth.NodeID{callerDriver})
+				replyAuthMsg(reqID, digest, false, epoch, groupN, 0).Bytes(), []auth.NodeID{callerDriver})
 			if err != nil {
 				t.Fatalf("share: %v", err)
 			}

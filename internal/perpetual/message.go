@@ -147,11 +147,13 @@ func ReplyDigest(reqID string, payload []byte) [sha256.Size]byte {
 // advertises the roster it was minted under (ReplyBundle.Epoch/GroupN),
 // and since every correct voter only ever endorses under the roster it
 // actually runs, a responder cannot forge a roster without breaking
-// every correct share in the bundle.
+// every correct share in the bundle. The position the request executed
+// at (clbft.Delivery.Pos) is MAC'd likewise, so a verified bundle's Pos
+// is one a correct voter executed the request at.
 //
 // The string is built in a pooled writer the caller frees once the
 // authenticator over it is computed or checked.
-func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, groupN int) *wire.Writer {
+func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, groupN int, pos uint64) *wire.Writer {
 	w := wire.GetWriter(len(reqID) + len(digest) + 32)
 	w.PutString("perpetual-reply")
 	w.PutString(reqID)
@@ -163,6 +165,7 @@ func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch 
 	}
 	w.PutUint64(epoch)
 	w.PutUvarint(uint64(groupN))
+	w.PutUint64(pos)
 	return w
 }
 
@@ -215,25 +218,23 @@ type PayloadFetch struct {
 
 // ReadRequest is a session-tier read shipped around agreement: the
 // calling driver multicasts it to every voter of the owning shard, which
-// execute it speculatively against last-executed state. MinSeq and
-// AfterReq are the session's consistency gates — a replica whose state
-// reflects an older agreement sequence than MinSeq, or that has not yet
-// executed the session's AfterReq-th completed write, must answer
-// Behind instead of serving a stale view.
+// execute it speculatively against last-executed state. MinSeq is the
+// session's lease, an agreement position (clbft.Delivery.Pos): a replica
+// whose state does not reflect it must answer Behind instead of serving
+// a stale view.
 type ReadRequest struct {
 	ReqID     string // reserved from the driver's ordinary id space
 	Caller    string // calling service name
 	Target    string // target (shard group) service name
 	Responder int    // target voter index whose reply carries the payload
-	MinSeq    uint64 // monotonic-reads floor: minimum agreement seq to serve at
-	AfterReq  uint64 // read-your-writes gate: the session's highest completed write
+	MinSeq    uint64 // the highest position the session wrote at or read
 	Payload   []byte
 }
 
 // ReadReply is one voter's speculative read answer, returned directly
 // to the asking driver. Replica echoes the sender index (cross-checked
 // against the channel-authenticated transport identity); Seq stamps the
-// agreement sequence the executed state reflects; Behind refuses the
+// agreement position the executed state reflects; Behind refuses the
 // read (consistency gate failed, no read executor, or execution error).
 // Payload is attached only by the designated responder — the other
 // voters endorse with Digest alone, mirroring the digest-only reply
@@ -285,6 +286,10 @@ type ReplyBundle struct {
 	// voter's share and the bundle fails verification.
 	Epoch  uint64
 	GroupN int
+	// Pos is the agreement position the request executed at, MAC'd by
+	// every share like Epoch: a write that settles from the bundle raises
+	// its session's read lease to it.
+	Pos uint64
 }
 
 // Message is the tagged union moved by the ChannelAdapter between
@@ -352,7 +357,6 @@ func (m *Message) EncodeTo(w *wire.Writer) {
 		w.PutString(rr.Target)
 		w.PutUvarint(uint64(rr.Responder))
 		w.PutUint64(rr.MinSeq)
-		w.PutUint64(rr.AfterReq)
 		w.PutBytes(rr.Payload)
 	case KindReadReply:
 		rp := m.ReadReply
@@ -404,7 +408,7 @@ func (m *Message) SizeHint() int {
 		return base + len(m.PayloadFetch.ReqID) + sha256.Size
 	case KindReadRequest:
 		rr := m.ReadRequest
-		return base + len(rr.ReqID) + len(rr.Caller) + len(rr.Target) + len(rr.Payload) + 24
+		return base + len(rr.ReqID) + len(rr.Caller) + len(rr.Target) + len(rr.Payload) + 16
 	case KindReadReply:
 		rp := m.ReadReply
 		return base + len(rp.ReqID) + sha256.Size + len(rp.Payload) + 16
@@ -420,7 +424,7 @@ func authSize(a *auth.Authenticator) int { return len(a.Sender.Service) + 16 + l
 func shareSize(s *Share) int { return 4 + authSize(&s.Auth) }
 
 func bundleSize(b *ReplyBundle) int {
-	n := len(b.ReqID) + len(b.Target) + len(b.Payload) + 16
+	n := len(b.ReqID) + len(b.Target) + len(b.Payload) + 24
 	for i := range b.Shares {
 		n += shareSize(&b.Shares[i])
 	}
@@ -514,7 +518,6 @@ func decodeMessage(buf []byte, aliasVectors bool) (*Message, error) {
 			Target:    internName(r.Bytes()),
 			Responder: int(r.Uvarint()),
 			MinSeq:    r.Uint64(),
-			AfterReq:  r.Uint64(),
 			Payload:   r.BytesCopy(),
 		}
 	case KindReadReply:
@@ -626,6 +629,7 @@ func encodeBundle(w *wire.Writer, b *ReplyBundle) {
 	w.PutUvarint(uint64(b.Primary))
 	w.PutUvarint(b.Epoch)
 	w.PutUvarint(uint64(b.GroupN))
+	w.PutUvarint(b.Pos)
 	w.PutBytes(b.Payload)
 	w.PutUvarint(uint64(len(b.Shares)))
 	for i := range b.Shares {
@@ -637,7 +641,7 @@ func encodeBundle(w *wire.Writer, b *ReplyBundle) {
 // vectors alias the reader's buffer when aliasVectors is set.
 func decodeBundle(r *wire.Reader, aliasVectors bool) *ReplyBundle {
 	b := &ReplyBundle{ReqID: r.String(), Target: internName(r.Bytes()), Primary: int(r.Uvarint()),
-		Epoch: r.Uvarint(), GroupN: int(r.Uvarint()), Payload: r.BytesCopy()}
+		Epoch: r.Uvarint(), GroupN: int(r.Uvarint()), Pos: r.Uvarint(), Payload: r.BytesCopy()}
 	n := int(r.Uvarint())
 	if n > r.Remaining() {
 		return b
@@ -721,7 +725,7 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 			tier = 1
 		}
 		if !hashed[tier] {
-			msg := replyAuthMsg(b.ReqID, digest, s.Tentative, b.Epoch, b.GroupN)
+			msg := replyAuthMsg(b.ReqID, digest, s.Tentative, b.Epoch, b.GroupN, b.Pos)
 			tierDigest[tier], hashed[tier] = sha256.Sum256(msg.Bytes()), true
 			msg.Free()
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/clbft"
 	"perpetualws/internal/wire"
 )
 
@@ -209,7 +210,8 @@ func TestVerifyBundle(t *testing.T) {
 	payload := []byte("the reply")
 	reqID := "c:33"
 	digest := ReplyDigest(reqID, payload)
-	msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
+	pos := clbft.Position(5, 1)
+	msg := replyAuthMsg(reqID, digest, false, 0, 0, pos).Bytes()
 
 	mkShare := func(i int) Share {
 		a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)], msg, []auth.NodeID{callerDriver})
@@ -219,27 +221,37 @@ func TestVerifyBundle(t *testing.T) {
 		return Share{Replica: i, Auth: a}
 	}
 
-	good := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload,
+	good := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: pos,
 		Shares: []Share{mkShare(0), mkShare(2)}}
 	if err := VerifyBundle(ks[callerDriver], target, good); err != nil {
 		t.Errorf("valid bundle rejected: %v", err)
 	}
 
+	// A position changed after minting breaks every share, so a responder
+	// cannot raise (or lower) the lease a write settles at.
+	for _, p := range []uint64{0, clbft.Position(5, 2), clbft.Position(6, 1)} {
+		moved := *good
+		moved.Pos = p
+		if err := VerifyBundle(ks[callerDriver], target, &moved); err == nil {
+			t.Errorf("bundle minted at position %#x accepted at %#x", pos, p)
+		}
+	}
+
 	// f+1 = 2 needed; one share is insufficient.
-	short := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Shares: []Share{mkShare(0)}}
+	short := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: pos, Shares: []Share{mkShare(0)}}
 	if err := VerifyBundle(ks[callerDriver], target, short); err == nil {
 		t.Error("bundle with 1 share accepted")
 	}
 
 	// Duplicate replica indices must count once.
-	dup := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload,
+	dup := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: pos,
 		Shares: []Share{mkShare(1), mkShare(1)}}
 	if err := VerifyBundle(ks[callerDriver], target, dup); err == nil {
 		t.Error("bundle with duplicate shares accepted")
 	}
 
 	// Tampered payload invalidates all endorsements.
-	tampered := &ReplyBundle{ReqID: reqID, Target: "t", Payload: []byte("forged"),
+	tampered := &ReplyBundle{ReqID: reqID, Target: "t", Payload: []byte("forged"), Pos: pos,
 		Shares: good.Shares}
 	if err := VerifyBundle(ks[callerDriver], target, tampered); err == nil {
 		t.Error("tampered bundle accepted")
@@ -248,7 +260,7 @@ func TestVerifyBundle(t *testing.T) {
 	// A share claiming a voter identity it does not hold keys for.
 	forged := mkShare(0)
 	forged.Replica = 3
-	wrongID := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload,
+	wrongID := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: pos,
 		Shares: []Share{forged, mkShare(1)}}
 	if err := VerifyBundle(ks[callerDriver], target, wrongID); err == nil {
 		t.Error("bundle with mismatched share identity accepted")
@@ -257,7 +269,7 @@ func TestVerifyBundle(t *testing.T) {
 	// Out-of-range replica index.
 	oob := mkShare(0)
 	oob.Replica = 9
-	oobBundle := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload,
+	oobBundle := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: pos,
 		Shares: []Share{oob, mkShare(1)}}
 	if err := VerifyBundle(ks[callerDriver], target, oobBundle); err == nil {
 		t.Error("bundle with out-of-range share accepted")

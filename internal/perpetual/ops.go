@@ -67,14 +67,14 @@ type Op struct {
 	Payload   []byte
 
 	// OpReply reuses ReqID and Payload; Shares carries the f_t+1
-	// endorsements so every voter can re-verify the bundle. Epoch and
-	// GroupN echo the bundle's MAC-covered roster attestation — without
-	// them the validator could not recompute the share MACs after a
-	// membership change of the target group.
+	// endorsements so every voter can re-verify the bundle. Epoch, GroupN
+	// and Pos echo the bundle's MAC-covered fields — without them the
+	// validator could not recompute the share MACs.
 	Shares []Share
 	Target string
 	Epoch  uint64
 	GroupN int
+	Pos    uint64
 
 	// OpUtil fields.
 	K     uint64
@@ -149,6 +149,7 @@ func (o *Op) Encode() []byte {
 		w.PutString(o.Target)
 		w.PutUvarint(o.Epoch)
 		w.PutUvarint(uint64(o.GroupN))
+		w.PutUvarint(o.Pos)
 		w.PutBytes(o.Payload)
 		w.PutUvarint(uint64(len(o.Shares)))
 		for i := range o.Shares {
@@ -212,6 +213,7 @@ func DecodeOp(buf []byte) (*Op, error) {
 		o.Target = internName(r.Bytes())
 		o.Epoch = r.Uvarint()
 		o.GroupN = int(r.Uvarint())
+		o.Pos = r.Uvarint()
 		o.Payload = aliasBytes(r)
 		n := int(r.Uvarint())
 		if n > r.Remaining() {

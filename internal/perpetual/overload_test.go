@@ -251,6 +251,9 @@ func TestClientWindowHeldAcrossReadFallback(t *testing.T) {
 			if st.Attempts != 1 || st.Fallbacks != 1 || st.Shed != 0 {
 				t.Errorf("stats = %+v, want one read that fell back", st)
 			}
+			if !tc.silent && dep.Replicas("t")[1].FaultFirings() == 0 {
+				t.Error("the corrupt responder's fault never fired")
+			}
 			checkReconciles(t, st)
 			// The read's settle released the slot.
 			if _, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("after")}); err != nil {

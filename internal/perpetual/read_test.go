@@ -2,8 +2,13 @@ package perpetual
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,7 +62,9 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 	readableEchoApp(t, dep, "t")
 	drv := dep.Drivers("c")[0]
 
-	// A committed write moves the session's read-your-writes lease...
+	// A completed write raises the session's lease to the position its
+	// verified bundle was minted at, the position every replica of t
+	// executed it at...
 	wid, err := issue(drv, Request{Target: "t", Payload: []byte("write"), Timeout: time.Second})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -66,15 +73,21 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 		t.Fatalf("WaitReply(write): %v", err)
 	}
 	drv.mu.Lock()
-	after := drv.readAfter["t"]
+	lease := drv.readFloor["t"]
 	drv.mu.Unlock()
-	if after == 0 {
-		t.Fatalf("readAfter lease not advanced by completed write")
+	for i, r := range dep.Replicas("t") {
+		waitPending(t, "the write's result at every replica", func() bool { return r.voter.execPos.Load() >= lease })
+		r.voter.mu.Lock()
+		rec := r.voter.reqs.recs[wid]
+		r.voter.mu.Unlock()
+		if lease == 0 || rec == nil || rec.pos != lease {
+			t.Fatalf("lease %#x after the write, replica %d executed it at %+v", lease, i, rec)
+		}
 	}
 
 	// ...and the next fast-path read both certifies (replicas hold the
-	// read until their horizons pass the lease) and raises the monotonic
-	// sequence floor for later reads.
+	// read until their horizons pass the lease) and keeps the floor at
+	// or above it for later reads.
 	rid, err := issue(drv, Request{Target: "t", Payload: []byte("r1"), Timeout: time.Second, Read: true})
 	if err != nil {
 		t.Fatalf("read Do: %v", err)
@@ -89,12 +102,115 @@ func TestReadAfterWriteSeesLeaseAndAdvancesFloor(t *testing.T) {
 	drv.mu.Lock()
 	floor := drv.readFloor["t"]
 	drv.mu.Unlock()
-	if floor == 0 {
-		t.Errorf("certified read did not advance the monotonic seq floor")
+	if floor < lease {
+		t.Errorf("certified read moved the floor from %#x down to %#x", lease, floor)
 	}
 	if st := drv.ReadStats(); st.Certified != 1 {
 		t.Errorf("stats = %+v, want the read certified on the fast path", st)
 	}
+}
+
+// keySetApp runs a set of keys on every replica of service: an agreed
+// "w:k" adds k and answers "ok"; anything else, agreed or read on the
+// fast path, answers the sorted keys.
+func keySetApp(dep *Deployment, service string) {
+	for i, drv := range dep.Drivers(service) {
+		var mu sync.Mutex
+		var keys []string
+		read := func([]byte) ([]byte, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			return []byte(strings.Join(keys, ",")), nil
+		}
+		dep.Replicas(service)[i].SetReadExecutor(read)
+		go func() {
+			for {
+				req, err := drv.NextRequest()
+				if err != nil {
+					return
+				}
+				out, _ := read(nil)
+				if k, ok := strings.CutPrefix(string(req.Payload), "w:"); ok {
+					mu.Lock()
+					keys = append(keys, k)
+					slices.Sort(keys)
+					mu.Unlock()
+					out = []byte("ok")
+				}
+				if drv.Reply(req, out) != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// TestReadYourWritesAcrossSessions runs two sessions of one unreplicated
+// driver against one target group whose writes batch, with one
+// replica's links jittered by a seeded delay. Each session writes a key
+// and then reads the set: every read, certified or fallen back, must
+// hold every key either session saw written before it issued the read.
+// The bare-voter rows of TestVoterReadGate pin the two orders that used
+// to break this; here they meet the whole path.
+func TestReadYourWritesAcrossSessions(t *testing.T) {
+	const sessions, writes, slow = 2, 15, 3
+	dep := buildPair(t, 1, 4, func(d *Deployment) {
+		opts := fastOpts()
+		opts.MaxBatch = 8
+		d.Configure("t", opts)
+	})
+	keySetApp(dep, "t")
+	var rngMu sync.Mutex
+	rng := rand.New(rand.NewSource(47))
+	dep.Network.SetLatency(func(from, to auth.NodeID) time.Duration {
+		if from != auth.VoterID("t", slow) && to != auth.VoterID("t", slow) {
+			return 0
+		}
+		rngMu.Lock()
+		defer rngMu.Unlock()
+		return time.Duration(rng.Intn(3000)) * time.Microsecond
+	})
+	drv := dep.Drivers("c")[0]
+
+	var mu sync.Mutex
+	var written []string // keys whose write returned, in either session
+	var wg sync.WaitGroup
+	for s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range writes {
+				key := fmt.Sprintf("s%d-%02d", s, k)
+				res, err := drv.Do(context.Background(), Request{Target: "t", Payload: []byte("w:" + key), Timeout: 5 * time.Second})
+				if err != nil || res.Aborted {
+					t.Errorf("write %s: %v (aborted %v)", key, err, res.Aborted)
+					return
+				}
+				mu.Lock()
+				written = append(written, key)
+				seen := slices.Clone(written)
+				mu.Unlock()
+				res, err = drv.Do(context.Background(), Request{Target: "t", Payload: []byte("r"), Timeout: 5 * time.Second, Read: true})
+				if err != nil || res.Aborted {
+					t.Errorf("read after %s: %v (aborted %v)", key, err, res.Aborted)
+					return
+				}
+				have := strings.Split(string(res.Payload), ",")
+				for _, w := range seen {
+					if !slices.Contains(have, w) {
+						t.Errorf("read after %s misses %s, written before it was issued: %q", key, w, res.Payload)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := drv.ReadStats()
+	if st.Attempts != sessions*writes || st.Certified == 0 {
+		t.Errorf("stats = %+v, want %d reads, some certified on the fast path", st, sessions*writes)
+	}
+	checkReconciles(t, st)
 }
 
 // readOnce issues one fast-path read and waits for its answer.
@@ -231,6 +347,9 @@ func TestByzantineReadDivergenceTable(t *testing.T) {
 				if tc.fault != nil && responderOf(t, id, 4) == tc.faulty {
 					asResponder++
 				}
+			}
+			if tc.fault != nil && dep.Replicas("t")[tc.faulty].FaultFirings() == 0 {
+				t.Errorf("the %T on replica %d never fired", tc.fault, tc.faulty)
 			}
 			st := drv.ReadStats()
 			if st.Attempts != reads {
@@ -381,7 +500,7 @@ func TestReadOnUnreplicatedCallerDegradesToAgreement(t *testing.T) {
 func TestReadMessageCodecRoundTrip(t *testing.T) {
 	rr := &ReadRequest{
 		ReqID: "c:12", Caller: "c", Target: "t",
-		Responder: 2, MinSeq: 7, AfterReq: 11,
+		Responder: 2, MinSeq: 0x70003,
 		Payload: []byte("<interaction/>"),
 	}
 	m := &Message{Kind: KindReadRequest, ReadRequest: rr}

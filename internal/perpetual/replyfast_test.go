@@ -14,13 +14,14 @@ import (
 )
 
 // mintBundle builds the bundle target group "t" would certify for reqID:
-// f_t+1 = 2 stable shares over payload from voters 0 and 1.
+// f_t+1 = 2 stable shares over payload from voters 0 and 1, executed at
+// position 1.
 func mintBundle(t *testing.T, dep *Deployment, reqID string, payload []byte) *ReplyBundle {
 	t.Helper()
-	b := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, GroupN: 4}
+	b := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, GroupN: 4, Pos: 1}
 	digest := ReplyDigest(reqID, payload)
 	for k := 0; k < 2; k++ {
-		rec, err := dep.Replicas("t")[k].voter.mint(reqID, "c", payload, digest, false)
+		rec, err := dep.Replicas("t")[k].voter.mint(reqID, "c", payload, digest, false, b.Pos)
 		if err != nil {
 			t.Fatalf("minting share %d: %v", k, err)
 		}

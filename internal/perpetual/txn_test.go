@@ -543,7 +543,7 @@ func TestTxnDecisionValidation(t *testing.T) {
 	certify := func(reqID string, frame *TxnFrame, voteCommit bool) ReplyBundle {
 		votePayload := EncodeTxnVote(frame, voteCommit, []byte("ready"))
 		digest := ReplyDigest(reqID, votePayload)
-		msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
+		msg := replyAuthMsg(reqID, digest, false, 0, 0, 0).Bytes()
 		bundle := ReplyBundle{ReqID: reqID, Target: "c", Payload: votePayload}
 		for _, idx := range []int{0, 1} {
 			a, err := auth.NewAuthenticator(stores[auth.VoterID("c", idx)], msg, []auth.NodeID{auth.VoterID("t", 0)})
@@ -628,7 +628,7 @@ func TestTxnDecisionValidationIsPerVoteNotPerShard(t *testing.T) {
 	certify := func(reqID string) ReplyBundle {
 		votePayload := EncodeTxnVote(frame, true, []byte("ready"))
 		digest := ReplyDigest(reqID, votePayload)
-		msg := replyAuthMsg(reqID, digest, false, 0, 0).Bytes()
+		msg := replyAuthMsg(reqID, digest, false, 0, 0, 0).Bytes()
 		bundle := ReplyBundle{ReqID: reqID, Target: "c", Payload: votePayload}
 		for _, idx := range []int{0, 1} {
 			a, err := auth.NewAuthenticator(stores[auth.VoterID("c", idx)], msg, []auth.NodeID{auth.VoterID("t", 0)})

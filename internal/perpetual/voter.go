@@ -49,38 +49,32 @@ type voter struct {
 	// membership change; cleared if a view change rolls the barrier back.
 	pendingMC *MembershipChange
 
-	// Fault injection flags (see faults.go); set before Start.
-	corruptResults bool
-	staleResults   bool
-	corruptReads   bool
-	staleReads     bool
+	// Fault injection (see faults.go): fault is the flag fault set before
+	// Start, if any, and faultFired counts the answers it falsified.
+	fault      Behavior
+	faultFired atomic.Uint64
 
 	// stableCkpt mirrors the CLBFT group's last stable checkpoint
 	// sequence (fed by the checkpoint hook; see StableCheckpointSeq).
 	stableCkpt atomic.Uint64
 
-	// execSeqHi is the highest agreement sequence whose operation the
-	// application has provably finished executing (its Reply reached
-	// handleLocalResult). Speculative reads are stamped with this value:
-	// unlike the CLBFT delivery horizon, it never runs ahead of the
-	// application state a read actually observes.
-	execSeqHi atomic.Uint64
+	// execPos is the read horizon: the highest agreement position
+	// (clbft.Delivery.Pos) whose result the application returned to
+	// handleLocalResult. Reads are stamped with it and served against
+	// leases up to it: unlike the CLBFT delivery horizon, it never runs
+	// ahead of the application state a read actually observes.
+	execPos atomic.Uint64
 
 	// readMu guards the session-read state below, which is touched from
 	// transport goroutines (reads execute speculatively, off the
 	// agreement path) concurrently with the executor.
 	readMu   sync.Mutex
 	readExec func([]byte) ([]byte, error)
-	// execHi tracks, per calling service, the highest driver-local
-	// request number this replica has finished executing — the
-	// read-your-writes lease: a read gated on AfterReq=n is only served
-	// once the session's write n is reflected in local state.
-	execHi map[string]uint64
-	// parkedReads holds reads whose lease point this replica has not
-	// reached yet: instead of declining immediately (forcing the caller
-	// toward agreement fallback), the read waits until the execution
-	// horizons advance past its gates — normally microseconds after the
-	// write it trails — bounded by readParkWindow.
+	// parkedReads holds reads whose lease this replica has not reached
+	// yet: instead of declining immediately (forcing the caller toward
+	// agreement fallback), the read waits until the horizon passes its
+	// lease — normally microseconds after the write it trails — bounded
+	// by readParkWindow.
 	parkedReads []*parkedRead
 
 	// Overload control (see overload.go and DESIGN.md); zero disables
@@ -117,7 +111,6 @@ func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.Chan
 		ks:        ks,
 		logger:    logger,
 		retryHint: DefaultRetryAfterHint,
-		execHi:    make(map[string]uint64),
 		delivered: newBoundedCache[struct{}](deliveredCacheSize),
 	}
 	v.reqs.init(index)
@@ -251,7 +244,7 @@ func (v *voter) validOp(opID string, o *Op) bool {
 			return false
 		}
 		b := &ReplyBundle{ReqID: o.ReqID, Target: o.Target, Payload: o.Payload, Shares: o.Shares,
-			Epoch: o.Epoch, GroupN: o.GroupN}
+			Epoch: o.Epoch, GroupN: o.GroupN, Pos: o.Pos}
 		return VerifyBundle(v.ks, target, b) == nil
 	case OpAbort:
 		// Aborts carry no certificate: any single replica of the group
@@ -462,9 +455,9 @@ func (v *voter) perform(acts []reqAction) {
 				Payload: a.req.Payload, Shares: a.shares}
 			v.bft().Submit(RequestOpID(op.ReqID), op.Encode())
 		case doExecute:
-			v.driver.deliverRequest(IncomingRequest{ReqID: a.op.ReqID, Caller: a.op.Caller, Payload: a.op.Payload, Seq: a.seq})
+			v.driver.deliverRequest(IncomingRequest{ReqID: a.op.ReqID, Caller: a.op.Caller, Payload: a.op.Payload, Seq: clbft.SeqOf(a.pos)})
 		case doMint:
-			rec, err := v.mint(a.id, a.caller, a.reply.payload, a.reply.digest, false)
+			rec, err := v.mint(a.id, a.caller, a.reply.payload, a.reply.digest, false, a.pos)
 			if err != nil {
 				v.logf("re-minting share for %s: %v", a.id, err)
 				continue
@@ -506,7 +499,7 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 	}
 	switch o.Kind {
 	case OpRequest:
-		v.apply(&reqEvent{kind: inAgreed, op: o, seq: d.Seq})
+		v.apply(&reqEvent{kind: inAgreed, op: o, pos: d.Pos})
 	case OpReply, OpAbort:
 		// The first agreed outcome of this group's own call wins: an abort
 		// after the reply, or a duplicate, is a no-op.
@@ -517,9 +510,10 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 		switch {
 		case done:
 		case o.Kind == OpAbort:
-			v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true}, nil, 0, 0)
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true}, nil)
 		default:
-			v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload}, o.Shares, o.Epoch, o.GroupN)
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload},
+				&ReplyBundle{Shares: o.Shares, Epoch: o.Epoch, GroupN: o.GroupN, Pos: o.Pos})
 		}
 	case OpUtil:
 		v.driver.deliverUtil(o.K, o.Value)
@@ -569,13 +563,6 @@ func (v *voter) onHalt(seq uint64, state clbft.Digest) {
 // an executor result; the voter authenticates it for the caller and step
 // routes the share to the responder.
 func (v *voter) handleLocalResult(reqID string, payload []byte) {
-	// Fault injection: a Byzantine replica endorses a wrong result.
-	if v.corruptResults {
-		payload = append([]byte("corrupted:"), payload...)
-	}
-	if v.staleResults {
-		payload = nil
-	}
 	v.mu.Lock()
 	r := v.reqs.recs[reqID]
 	if r == nil || !r.executing {
@@ -583,23 +570,22 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 		v.logf("result for unknown request %s dropped", reqID)
 		return
 	}
-	caller, seq := r.caller, r.seq
+	caller, pos := r.caller, r.pos
 	v.mu.Unlock()
-
-	// Advance the session-read horizons: local state now provably
-	// reflects this operation, so speculative reads may be stamped with
-	// its agreement sequence and the caller's read-your-writes lease may
-	// cover its request number.
-	if n, ok := callerReqSeq(reqID, caller); ok {
-		v.readMu.Lock()
-		if n > v.execHi[caller] {
-			v.execHi[caller] = n
-		}
-		v.readMu.Unlock()
+	// Fault injection: a Byzantine replica endorses a wrong result.
+	switch v.fault.(type) {
+	case CorruptResultFault:
+		payload = append([]byte("corrupted:"), payload...)
+		v.faultFired.Add(1)
+	case StaleResultFault:
+		payload = nil
+		v.faultFired.Add(1)
 	}
+
+	// Local state now provably reflects pos: advance the read horizon.
 	for {
-		cur := v.execSeqHi.Load()
-		if seq <= cur || v.execSeqHi.CompareAndSwap(cur, seq) {
+		cur := v.execPos.Load()
+		if pos <= cur || v.execPos.CompareAndSwap(cur, pos) {
 			break
 		}
 	}
@@ -609,7 +595,7 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 	// commit horizon: a result executed ahead of the horizon (tentative
 	// execution) is endorsed tentatively — callers then need a full
 	// quorum of matching shares instead of f_t+1 (see VerifyBundle).
-	rec, err := v.mint(reqID, caller, payload, ReplyDigest(reqID, payload), v.bft().CommittedSeq() < seq)
+	rec, err := v.mint(reqID, caller, payload, ReplyDigest(reqID, payload), v.bft().CommittedSeq() < clbft.SeqOf(pos), pos)
 	if err != nil {
 		v.logf("result for %s: authenticator: %v", reqID, err)
 		return
@@ -617,12 +603,12 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 	v.apply(&reqEvent{kind: inExecuted, now: nowMillis(), id: reqID, reply: rec})
 }
 
-// mint makes this voter's reply share for reqID under the current
-// membership epoch: a reply-digest endorsement MAC'd toward every
-// principal that may need to verify it. The MAC'd content includes the
-// tier, the epoch and the group's current size (the roster attestation;
-// see replyAuthMsg).
-func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Size]byte, tentative bool) (replyRecord, error) {
+// mint makes this voter's reply share for reqID, executed at pos, under
+// the current membership epoch: a reply-digest endorsement MAC'd toward
+// every principal that may need to verify it. The MAC'd content includes
+// the tier, the epoch, the group's current size (the roster attestation)
+// and pos (see replyAuthMsg).
+func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Size]byte, tentative bool, pos uint64) (replyRecord, error) {
 	caller, err := v.registry.Lookup(callerName)
 	if err != nil {
 		return replyRecord{}, err
@@ -641,7 +627,7 @@ func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Si
 		}
 	}
 	epoch := v.memEpoch.Load()
-	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N)
+	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N, pos)
 	a, err := auth.NewAuthenticator(v.ks, msg.Bytes(), receivers)
 	msg.Free()
 	return replyRecord{digest: digest, payload: payload, epoch: epoch,
@@ -682,7 +668,7 @@ func (v *voter) sendBundle(a *reqAction) {
 	if err != nil {
 		return
 	}
-	b := ReplyBundle{ReqID: a.id, Target: v.svc.Name, Payload: a.payload, Shares: a.shares, Epoch: a.epoch, GroupN: a.groupN}
+	b := ReplyBundle{ReqID: a.id, Target: v.svc.Name, Payload: a.payload, Shares: a.shares, Epoch: a.epoch, GroupN: a.groupN, Pos: a.pos}
 	if bft := v.bft(); bft != nil {
 		b.Primary = bft.Primary() // advisory routing hint for the callers
 	}
@@ -705,24 +691,6 @@ func (v *voter) sendTo(to auth.NodeID, msg *Message) {
 	w.Free()
 }
 
-// callerReqSeq extracts the driver-local request number from a reqID of
-// the form "<caller>:<n>" (see Driver.nextReqID). Transaction ids and
-// other non-numeric suffixes report false.
-func callerReqSeq(reqID, caller string) (uint64, bool) {
-	if len(reqID) <= len(caller)+1 || reqID[:len(caller)] != caller || reqID[len(caller)] != ':' {
-		return 0, false
-	}
-	var n uint64
-	for i := len(caller) + 1; i < len(reqID); i++ {
-		c := reqID[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	return n, true
-}
-
 // setReadExec installs the application's speculative read executor
 // (wired by the core layer via Replica.SetReadExecutor).
 func (v *voter) setReadExec(fn func([]byte) ([]byte, error)) {
@@ -736,10 +704,10 @@ func (v *voter) setReadExec(fn func([]byte) ([]byte, error)) {
 }
 
 // readParkWindow bounds how long a behind replica holds a read waiting
-// for its execution horizons to catch up before declining. It must stay
-// well under DefaultReadFallback so a genuinely stuck replica still
-// surfaces as a Behind decline in time for the caller's impossibility
-// detection, not as a fallback timeout.
+// for its horizon to catch up before declining. It must stay well under
+// DefaultReadFallback so a genuinely stuck replica still surfaces as a
+// Behind decline in time for the caller's impossibility detection, not
+// as a fallback timeout.
 const readParkWindow = 25 * time.Millisecond
 
 // maxParkedReads bounds the park queue; beyond it reads decline
@@ -747,7 +715,7 @@ const readParkWindow = 25 * time.Millisecond
 const maxParkedReads = 1024
 
 // parkedRead is one read waiting out readParkWindow for this replica's
-// horizons to pass its lease gates.
+// horizon to pass its lease.
 type parkedRead struct {
 	from auth.NodeID
 	rr   *ReadRequest
@@ -758,23 +726,23 @@ type parkedRead struct {
 }
 
 // readBehind reports whether local state has not yet reached the read's
-// session-lease gates. Callers hold readMu (for readExec and execHi).
+// session lease. Callers hold readMu (for readExec).
 func (v *voter) readBehind(rr *ReadRequest) bool {
-	return v.readExec == nil || v.execSeqHi.Load() < rr.MinSeq || v.execHi[rr.Caller] < rr.AfterReq
+	return v.readExec == nil || v.execPos.Load() < rr.MinSeq
 }
 
 // handleReadRequest serves the session-tier read fast path: the read
 // executes speculatively against last-stable local state — no agreement,
 // no authenticator (the channel MAC already proves both endpoints) — and
 // the reply carries a digest-only endorsement stamped with the agreement
-// sequence the observed state reflects. Only the caller-designated
+// position the observed state reflects. Only the caller-designated
 // responder attaches the payload, mirroring the digest-only reply-share
 // economy of the agreement path. A replica whose state is behind the
-// caller's session lease (MinSeq / AfterReq) parks the read briefly —
-// the write it trails is normally executed microseconds later — and
-// declines with Behind only if the horizons still lag after
-// readParkWindow; the caller falls back to agreement when fewer than
-// f_t+1 current endorsements match.
+// caller's session lease (MinSeq) parks the read briefly — the write it
+// trails is normally executed microseconds later — and declines with
+// Behind only if the horizon still lags after readParkWindow; the caller
+// falls back to agreement when fewer than f_t+1 current endorsements
+// match.
 func (v *voter) handleReadRequest(from auth.NodeID, rr *ReadRequest) {
 	if rr == nil || rr.ReqID == "" || rr.Target != v.svc.Name {
 		return
@@ -797,15 +765,16 @@ func (v *voter) handleReadRequest(from auth.NodeID, rr *ReadRequest) {
 		v.sendBusy(from, rr.ReqID, false, true)
 		return
 	}
+	_, stale := v.fault.(StaleReadFault)
 	v.readMu.Lock()
-	if !v.staleReads && v.readBehind(rr) && len(v.parkedReads) < maxParkedReads {
+	behind := !stale && v.readBehind(rr)
+	if behind && len(v.parkedReads) < maxParkedReads {
 		p := &parkedRead{from: from, rr: rr}
 		p.tmr = time.AfterFunc(readParkWindow, func() { v.expireParkedRead(p) })
 		v.parkedReads = append(v.parkedReads, p)
 		v.readMu.Unlock()
 		return
 	}
-	behind := !v.staleReads && v.readBehind(rr)
 	v.readMu.Unlock()
 	v.answerRead(from, rr, behind)
 }
@@ -819,26 +788,30 @@ func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
 	v.readMu.Unlock()
 
 	rp := &ReadReply{ReqID: rr.ReqID, Replica: v.index}
+	_, stale := v.fault.(StaleReadFault)
+	_, corrupt := v.fault.(CorruptReadFault)
 	switch {
-	case v.staleReads:
+	case stale:
 		// Fault injection: a Byzantine replica claims currency while
-		// serving an old (here: empty) state with a forged sequence.
+		// serving an old (here: empty) state with a forged position.
 		rp.Digest = ReplyDigest(rr.ReqID, nil)
+		v.faultFired.Add(1)
 	case behind || exec == nil:
 		rp.Behind = true
 	default:
-		// Load the sequence *before* executing: concurrent agreement may
+		// Load the horizon *before* executing: concurrent agreement may
 		// advance state mid-read, so the stamp is a safe lower bound on
 		// what the read observed.
-		seq := v.execSeqHi.Load()
+		pos := v.execPos.Load()
 		out, err := exec(rr.Payload)
 		if err != nil {
 			rp.Behind = true
 		} else {
-			if v.corruptReads {
+			if corrupt {
 				out = append([]byte("corrupted:"), out...)
+				v.faultFired.Add(1)
 			}
-			rp.Seq = seq
+			rp.Seq = pos
 			rp.Digest = ReplyDigest(rr.ReqID, out)
 			if v.index == rr.Responder {
 				rp.Payload = out
@@ -848,8 +821,8 @@ func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
 	v.sendTo(from, &Message{Kind: KindReadReply, ReadReply: rp, Epoch: v.memEpoch.Load()})
 }
 
-// drainParkedReads re-evaluates parked reads after the execution
-// horizons advanced, answering every read whose gates now pass.
+// drainParkedReads re-evaluates parked reads after the horizon
+// advanced, answering every read whose lease it now passes.
 func (v *voter) drainParkedReads() {
 	v.readMu.Lock()
 	if len(v.parkedReads) == 0 {
@@ -875,7 +848,7 @@ func (v *voter) drainParkedReads() {
 }
 
 // expireParkedRead fires when a parked read waited out readParkWindow
-// without the horizons catching up: decline with Behind so the caller's
+// without the horizon catching up: decline with Behind so the caller's
 // quorum accounting (and, if needed, agreement fallback) proceeds.
 func (v *voter) expireParkedRead(p *parkedRead) {
 	v.readMu.Lock()
@@ -961,7 +934,7 @@ func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 		return
 	}
 	op := &Op{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Payload: b.Payload, Shares: b.Shares,
-		Epoch: b.Epoch, GroupN: b.GroupN}
+		Epoch: b.Epoch, GroupN: b.GroupN, Pos: b.Pos}
 	v.bft().Submit(ReplyOpID(b.ReqID), op.Encode())
 }
 

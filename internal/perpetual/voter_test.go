@@ -38,6 +38,15 @@ func newBareVoterOn(t *testing.T, net *transport.Network) (*voter, *Registry, ma
 	return v, reg, stores
 }
 
+// agree feeds v the agreement of request id at position pos, as
+// onDeliver would, without handing the request to an executor: a
+// responder bundles only replies whose position it knows.
+func agree(v *voter, id string, pos uint64) {
+	v.mu.Lock()
+	v.reqs.step(nil, &reqEvent{kind: inAgreed, pos: pos, op: &Op{Kind: OpRequest, ReqID: id, Caller: "c", Payload: []byte("p")}})
+	v.mu.Unlock()
+}
+
 // accepts is validateOp's verdict alone.
 func (v *voter) accepts(opID string, op []byte) bool {
 	_, ok := v.validateOp(opID, op)
@@ -148,6 +157,7 @@ func TestAcceptShareRejectsForgedPayloads(t *testing.T) {
 	v, _, _ := newBareVoter(t)
 	truth := []byte("ok")
 	digest := ReplyDigest("c:9", truth)
+	agree(v, "c:9", clbft.Position(1, 0))
 
 	// Faulty voter 2 claims the honest digest but ships garbage bytes.
 	v.acceptShare(2, &ReplyShare{
@@ -188,6 +198,7 @@ func TestAcceptShareStoresLegitimateNilPayload(t *testing.T) {
 	// digest, so the digest check must not block it.
 	v, _, _ := newBareVoter(t)
 	digest := ReplyDigest("c:10", nil)
+	agree(v, "c:10", clbft.Position(1, 0))
 	v.acceptShare(0, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 0}}, false)
 	v.acceptShare(1, &ReplyShare{ReqID: "c:10", Caller: "c", Digest: digest, Share: Share{Replica: 1}}, false)
 	v.mu.Lock()
@@ -216,6 +227,7 @@ func TestBundleSharesInVoterOrder(t *testing.T) {
 		}
 	})
 	digest := ReplyDigest("c:11", []byte("ok"))
+	agree(v, "c:11", clbft.Position(1, 0))
 	share := func(i int) *ReplyShare {
 		return &ReplyShare{ReqID: "c:11", Caller: "c", Digest: digest, Share: Share{Replica: i, Tentative: true}}
 	}

@@ -39,10 +39,12 @@ func TestVoterStep(t *testing.T) {
 	}
 	busy := func(driver int, expired bool) []reqAction { return []reqAction{busyFor(id, driver, expired)} }
 
-	// The request is agreed at sequence 5 with voter 2 as responder.
+	// The request is agreed at sequence 5, as the second operation of its
+	// batch, with voter 2 as responder.
+	pos := clbft.Position(5, 1)
 	op := &Op{Kind: OpRequest, ReqID: id, Caller: "c", Responder: 2, Payload: []byte("p")}
-	agreed := reqEvent{kind: inAgreed, op: op, seq: 5}
-	execute := []reqAction{{kind: doExecute, op: op, seq: 5}}
+	agreed := reqEvent{kind: inAgreed, op: op, pos: pos}
+	execute := []reqAction{{kind: doExecute, op: op, pos: pos}}
 
 	reply := func(payload string, tentative bool, epoch uint64) replyRecord {
 		return replyRecord{digest: ReplyDigest(id, []byte(payload)), payload: []byte(payload),
@@ -59,7 +61,7 @@ func TestVoterStep(t *testing.T) {
 		return []reqAction{{kind: doShare, id: id, caller: "c", reply: rec, voter: voter, withPayload: withPayload}}
 	}
 	remint := func(rec replyRecord) []reqAction {
-		return []reqAction{{kind: doMint, id: id, caller: "c", reply: rec}}
+		return []reqAction{{kind: doMint, id: id, caller: "c", reply: rec, pos: pos}}
 	}
 
 	// share is voter from's share of payload, which carries the payload
@@ -75,7 +77,7 @@ func TestVoterStep(t *testing.T) {
 	tent := func(i int) Share { return Share{Replica: i, Tentative: true} }
 	stable := func(i int) Share { return Share{Replica: i} }
 	bundle := func(payload string, shares ...Share) []reqAction {
-		return []reqAction{{kind: doBundle, id: id, caller: "c", payload: []byte(payload), shares: shares, groupN: 4}}
+		return []reqAction{{kind: doBundle, id: id, caller: "c", payload: []byte(payload), shares: shares, groupN: 4, pos: pos}}
 	}
 	fetch := func(voters ...int) []reqAction {
 		var acts []reqAction
@@ -193,7 +195,7 @@ func TestVoterStep(t *testing.T) {
 			evs:  []reqEvent{agreed},
 			want: [][]reqAction{execute},
 			check: func(tb *reqTable, r *inReq) bool {
-				return r.executing && !r.collecting && r.drivers == nil && r.responder == 2 && r.seq == 5 &&
+				return r.executing && !r.collecting && r.drivers == nil && r.responder == 2 && r.pos == pos &&
 					tb.collecting.n == 0 && tb.executing.n == 1
 			},
 		},
@@ -314,11 +316,20 @@ func TestVoterStep(t *testing.T) {
 		},
 		{
 			name: "f_t+1 stable shares certify, and the bundle waits for this voter's payload",
-			pre:  []reqEvent{cp(0, "p")},
+			pre:  []reqEvent{agreed},
 			evs:  []reqEvent{share(1, "ok", false, false), share(2, "ok", false, false), share(0, "ok", true, true)},
 			want: [][]reqAction{nil, nil, bundle("ok", tent(0), stable(1), stable(2))},
 			check: func(tb *reqTable, r *inReq) bool {
-				return r.sent && r.collecting && tb.collecting.n == 1 && tb.waiting.n == 0
+				return r.sent && r.executing && tb.executing.n == 1 && tb.waiting.n == 0
+			},
+		},
+		{
+			name: "a certified reply waits for its position: an unagreed record never bundles, and keeps collecting",
+			pre:  []reqEvent{cp(0, "p")},
+			evs:  []reqEvent{share(1, "ok", false, true), share(2, "ok", false, false), share(3, "ok", false, false)},
+			want: [][]reqAction{nil, nil, nil},
+			check: func(tb *reqTable, r *inReq) bool {
+				return !r.sent && r.collecting && tb.collecting.n == 1 && tb.waiting.n == 0
 			},
 		},
 		{
@@ -330,6 +341,7 @@ func TestVoterStep(t *testing.T) {
 		},
 		{
 			name: "a diverged own result fetches the winning payload once from its endorsers",
+			pre:  []reqEvent{agreed},
 			evs: []reqEvent{share(0, "bad", false, true), share(1, "ok", false, false), share(2, "ok", false, false),
 				share(3, "ok", false, false), share(1, "ok", false, true)},
 			want:  [][]reqAction{nil, nil, fetch(1, 2), nil, bundle("ok", stable(1), stable(2), stable(3))},
@@ -448,24 +460,27 @@ func TestVoterLocalResultReadsTheRecord(t *testing.T) {
 		from: 0, callerN: 4, callerF: 1})
 	v.handleLocalResult("c:4", []byte("x")) // collecting, not executing
 	v.handleLocalResult("c:9", []byte("x")) // unknown
-	v.readMu.Lock()
-	_, moved := v.execHi["c"]
-	v.readMu.Unlock()
-	if moved || v.execSeqHi.Load() != 0 || v.reqs.recs["c:4"].minted {
-		t.Fatalf("a result with no executing record moved the horizons (execHi %v, execSeqHi %d) or minted",
-			moved, v.execSeqHi.Load())
+	if v.execPos.Load() != 0 || v.reqs.recs["c:4"].minted {
+		t.Fatalf("a result with no executing record moved the horizon to %#x or minted", v.execPos.Load())
 	}
 
-	v.reqs.step(nil, &reqEvent{kind: inAgreed, seq: 3,
+	pos := clbft.Position(3, 2)
+	v.reqs.step(nil, &reqEvent{kind: inAgreed, pos: pos,
 		op: &Op{Kind: OpRequest, ReqID: "c:2", Caller: "c", Responder: 0, Payload: []byte("p")}})
 	v.handleLocalResult("c:2", []byte("ok"))
-	v.readMu.Lock()
-	hi := v.execHi["c"]
-	v.readMu.Unlock()
 	r := v.reqs.recs["c:2"]
-	if hi != 2 || v.execSeqHi.Load() != 3 || !r.minted || !r.reply.share.Tentative {
-		t.Fatalf("execHi %d, execSeqHi %d, minted %v tentative %v; want 2, 3, a tentative share",
-			hi, v.execSeqHi.Load(), r.minted, r.reply.share.Tentative)
+	if v.execPos.Load() != pos || !r.minted || !r.reply.share.Tentative {
+		t.Fatalf("horizon %#x, minted %v tentative %v; want %#x, a tentative share",
+			v.execPos.Load(), r.minted, r.reply.share.Tentative, pos)
+	}
+	// The share MACs the record's position, and no other.
+	for _, p := range []uint64{pos, clbft.Position(3, 0)} {
+		msg := replyAuthMsg("c:2", r.reply.digest, true, 0, 4, p)
+		err := r.reply.share.Auth.VerifyFor(stores[auth.DriverID("c", 0)], msg.Bytes())
+		msg.Free()
+		if (err == nil) != (p == pos) {
+			t.Errorf("share minted at %#x: verifying at %#x gives %v", pos, p, err)
+		}
 	}
 }
 
@@ -474,7 +489,7 @@ func TestVoterLocalResultReadsTheRecord(t *testing.T) {
 // revoked membership change is forgotten and re-buffered.
 func TestVoterOnRollback(t *testing.T) {
 	v, _, _ := newBareVoter(t)
-	v.reqs.step(nil, &reqEvent{kind: inAgreed, seq: 3,
+	v.reqs.step(nil, &reqEvent{kind: inAgreed, pos: clbft.Position(3, 0),
 		op: &Op{Kind: OpRequest, ReqID: "c:1", Caller: "c", Responder: 2, Payload: []byte("p")}})
 	r := v.reqs.recs["c:1"]
 	before := *r
@@ -491,5 +506,47 @@ func TestVoterOnRollback(t *testing.T) {
 	}
 	if v.pendingMC != nil {
 		t.Error("a rolled-back membership change stayed pending")
+	}
+}
+
+// TestVoterReadGate checks the one read gate on a bare voter: a read is
+// served only once the horizon reaches the session's lease, the position
+// of the last write the session saw complete. Each row agrees two writes
+// of caller c, executes only the first, and asks for a read leased on
+// the second, which must wait; once the second executes it is served.
+//   - cross-session: c:10 and c:9 come from two sessions of one driver
+//     and are agreed in reverse request order, so the executed c:10
+//     carries the higher request number;
+//   - same batch: c:10 and c:9 are operations 0 and 1 of one agreed
+//     batch, so both carry its sequence.
+func TestVoterReadGate(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		ten, nine uint64 // the positions c:10 and c:9 are agreed at
+	}{
+		{"cross-session writes agreed in reverse request order", clbft.Position(3, 0), clbft.Position(4, 0)},
+		{"the second operation of a batch", clbft.Position(3, 0), clbft.Position(3, 1)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			v, _, stores := newBareVoter(t)
+			v.bftp.Store((&verdictFixture{t: t, v: v, stores: stores}).start(&clbft.Bootstrap{}))
+			v.readExec = func(p []byte) ([]byte, error) { return p, nil }
+			for _, w := range []struct {
+				id  string
+				pos uint64
+			}{{"c:10", row.ten}, {"c:9", row.nine}} {
+				v.reqs.step(nil, &reqEvent{kind: inAgreed, pos: w.pos,
+					op: &Op{Kind: OpRequest, ReqID: w.id, Caller: "c", Payload: []byte(w.id)}})
+			}
+			v.handleLocalResult("c:10", []byte("ok"))
+			rr := &ReadRequest{ReqID: "c:11", Caller: "c", Target: "t", MinSeq: row.nine}
+			if !v.readBehind(rr) {
+				t.Fatalf("horizon %#x served a read leased on c:9 at %#x before c:9 executed", v.execPos.Load(), row.nine)
+			}
+			v.handleLocalResult("c:9", []byte("ok"))
+			if v.readBehind(rr) || v.execPos.Load() != row.nine {
+				t.Fatalf("horizon %#x after c:9 executed at %#x: the read still waits", v.execPos.Load(), row.nine)
+			}
+		})
 	}
 }

@@ -184,6 +184,14 @@ func TestReplyFastPathByzantineBank(t *testing.T) {
 					want[req.Envelope.Header.MessageID] = EncodeAuthorization(approved, txn)
 				}
 				log.awaitAll(t, calls, 20*time.Second)
+				// The faulty replica may trail the quorum that answered.
+				byz := cluster.Deployment().Replicas("bank")[1]
+				for deadline := time.Now().Add(5 * time.Second); byz.FaultFirings() == 0 && time.Now().Before(deadline); {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if byz.FaultFirings() == 0 {
+					t.Errorf("the %T on bank replica 1 never fired", fault)
+				}
 				for i := 0; i < 4; i++ {
 					log.mu.Lock()
 					for id, body := range want {
