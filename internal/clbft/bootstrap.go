@@ -202,12 +202,6 @@ func JoinBootstrap(seq uint64, state Digest, view uint64) *Bootstrap {
 	return &Bootstrap{InitialView: view, CatchUpSeq: seq, CatchUpDigest: state}
 }
 
-// AdoptBootstrap builds the Bootstrap for a member (or deep joiner)
-// that adopts the install point without replayable history.
-func AdoptBootstrap(seq uint64, state Digest, view uint64) *Bootstrap {
-	return &Bootstrap{Seq: seq, StateDigest: state, InitialView: view}
-}
-
 // joining reports whether the replica is still replaying history toward
 // its join target; a joining replica emits no agreement votes.
 func (r *Replica) joining() bool {

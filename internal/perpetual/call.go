@@ -208,9 +208,10 @@ type callAction struct {
 //     retransmission interval when the hint is 0) on a fresh quorum,
 //     and proposes the abort of any other.
 //   - evRetry: a no-op once the expiry stamp has passed; otherwise the
-//     request is resent to the whole group with the responder rotated,
-//     and the timer backs off exponentially, capped at
-//     maxRetransmitBackoff, with ±20% jitter.
+//     request is resent to the whole group with the responder moved on
+//     by one voter, so attempt k asks (first + k) mod n and never the
+//     voter that just stayed silent; the timer backs off exponentially,
+//     capped at maxRetransmitBackoff, with ±20% jitter.
 //   - evDeadline: a fast call settles as aborted; any other proposes the
 //     abort.
 //   - evCancel: as evDeadline, but the outcome never surfaces; a second
@@ -317,15 +318,15 @@ func (c *call) settleAgreed(ev callEvent) callAction {
 }
 
 // retransmit appends a resend to the whole group, with the responder
-// rotated, and the backed-off re-arm of the retry timer — unless the
-// expiry stamp has passed, when nothing downstream would serve the
-// request and the deadline timer settles it instead.
+// moved on to the next voter, and the backed-off re-arm of the retry
+// timer — unless the expiry stamp has passed, when nothing downstream
+// would serve the request and the deadline timer settles it instead.
 func (c *call) retransmit(acts []callAction, ev callEvent) []callAction {
 	if ev.expired {
 		return nil
 	}
 	c.attempt++
-	c.responder = int((fnv64a([]byte(c.id)) + uint64(c.attempt)) % uint64(ev.targetN))
+	c.responder = (c.responder + 1) % ev.targetN
 	backoff := min(ev.interval<<uint(min(c.attempt, 6)), maxRetransmitBackoff)
 	// ±20% jitter decorrelates retransmission fan-outs across drivers:
 	// without it, every caller that issued during the same outage

@@ -44,14 +44,13 @@ func TestCallStep(t *testing.T) {
 	// to the bundle's position.
 	settled := []callAction{{kind: actSettle, reply: reply, seq: bundle.Pos}}
 	abort := []callAction{{kind: actAbort}}
-	// fanOut is what a first retransmission asks for: attempt 1, the
-	// rotated responder, and the re-arm after twice the interval (a
-	// jitter draw of j leaves it unjittered).
-	fanOut := func(targetN int) []callAction {
-		return []callAction{
-			{kind: actResend, attempt: 1, responder: int((fnv64a([]byte(id)) + 1) % uint64(targetN))},
-			{kind: actArmRetry, after: 2 * interval},
-		}
+	// fanOut is what a first retransmission of a call whose responder
+	// was voter 0 asks for: attempt 1, the next voter as responder, and
+	// the re-arm after twice the interval (a jitter draw of j leaves it
+	// unjittered).
+	fanOut := []callAction{
+		{kind: actResend, attempt: 1, responder: 1},
+		{kind: actArmRetry, after: 2 * interval},
 	}
 	j := int64(2*interval) / 5
 
@@ -172,7 +171,7 @@ func TestCallStep(t *testing.T) {
 				in(4, callEvent{kind: evBusy, from: "t", replica: 1, hint: 5, targetN: 7, targetF: 2, jitter: j}),
 				in(4, callEvent{kind: evBusy, from: "t", replica: 2, hint: 5, targetN: 7, targetF: 2, jitter: j}),
 			},
-			want: [][]callAction{fanOut(7), nil},
+			want: [][]callAction{fanOut, nil},
 		},
 		{
 			name: "duplicate busy from one replica does not count",
@@ -181,7 +180,7 @@ func TestCallStep(t *testing.T) {
 				in(1, callEvent{kind: evBusy, from: "t", replica: 3, hint: 5, targetN: 4, targetF: 1, jitter: j}),
 				busy(1, 3, 5),
 			},
-			want:  [][]callAction{fanOut(4), nil},
+			want:  [][]callAction{fanOut, nil},
 			check: func(c *call) bool { return len(c.busy) == 1 },
 		},
 		{
@@ -240,16 +239,26 @@ func TestCallStep(t *testing.T) {
 			name:  "retry rotates the responder and backs off",
 			c:     fast(),
 			evs:   []callEvent{in(1, callEvent{kind: evRetry, jitter: j})},
-			want:  [][]callAction{fanOut(4)},
-			check: func(c *call) bool { return c.attempt == 1 && c.responder == fanOut(4)[0].responder },
+			want:  [][]callAction{fanOut},
+			check: func(c *call) bool { return c.attempt == 1 && c.responder == 1 },
+		},
+		{
+			// Its responder is the voter fnv64a(id)+1 names, the one a
+			// rotation keyed on the id and the attempt would pick again
+			// on attempt 1; stepping from the responder moves on.
+			name:  "retry never re-asks the responder that stayed silent",
+			c:     &call{id: id, target: "t", fast: true, responder: int((fnv64a([]byte(id)) + 1) % 4)},
+			evs:   []callEvent{in(1, callEvent{kind: evRetry, jitter: j})},
+			want:  [][]callAction{{{kind: actResend, attempt: 1, responder: int((fnv64a([]byte(id)) + 2) % 4)}, {kind: actArmRetry, after: 2 * interval}}},
+			check: func(c *call) bool { return c.responder != int((fnv64a([]byte(id))+1)%4) },
 		},
 		{
 			name: "retry jitter stays within 20 percent",
 			c:    &call{id: id, target: "t", attempt: 1},
 			evs:  []callEvent{in(1, callEvent{kind: evRetry}), in(1, callEvent{kind: evRetry, jitter: 2 * int64(8*interval) / 5})},
 			want: [][]callAction{
-				{{kind: actResend, attempt: 2, responder: int((fnv64a([]byte(id)) + 2) % 4)}, {kind: actArmRetry, after: 4*interval - 4*interval/5}},
-				{{kind: actResend, attempt: 3, responder: int((fnv64a([]byte(id)) + 3) % 4)}, {kind: actArmRetry, after: 8*interval + 8*interval/5}},
+				{{kind: actResend, attempt: 2, responder: 1}, {kind: actArmRetry, after: 4*interval - 4*interval/5}},
+				{{kind: actResend, attempt: 3, responder: 2}, {kind: actArmRetry, after: 8*interval + 8*interval/5}},
 			},
 		},
 		{
@@ -257,7 +266,7 @@ func TestCallStep(t *testing.T) {
 			c:    &call{id: id, target: "t", attempt: 9},
 			evs:  []callEvent{in(1, callEvent{kind: evRetry, interval: time.Second, jitter: int64(maxRetransmitBackoff) / 5})},
 			want: [][]callAction{{
-				{kind: actResend, attempt: 10, responder: int((fnv64a([]byte(id)) + 10) % 4)},
+				{kind: actResend, attempt: 10, responder: 1},
 				{kind: actArmRetry, after: maxRetransmitBackoff},
 			}},
 		},

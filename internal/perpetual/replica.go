@@ -277,10 +277,6 @@ func (r *Replica) PiggybackedCommits() uint64 { return r.voter.bft().Piggybacked
 // as this replica knows it (diagnostic / operator surface).
 func (r *Replica) MembershipEpoch() uint64 { return r.voter.memEpoch.Load() }
 
-// StaleEpochDrops returns how many same-group voter frames this replica
-// discarded for carrying a non-current membership epoch (diagnostic).
-func (r *Replica) StaleEpochDrops() uint64 { return r.voter.staleEpochDrops.Load() }
-
 // OverloadStats returns this replica's voter-side admission counters:
 // every request or read the voter refused (or whose reply send it
 // suppressed) is in exactly one bucket (diagnostic / bench surface).

@@ -103,8 +103,7 @@ func KeyMoves(key []byte, oldShards, newShards int) (from, to int, moved bool) {
 	return from, to, from != to
 }
 
-// fnv64a is the 64-bit FNV-1a hash, shared by shard routing and the
-// driver's responder rotation.
+// fnv64a is the 64-bit FNV-1a hash shard routing keys on.
 func fnv64a(data []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
