@@ -1,7 +1,5 @@
 package clbft
 
-import "time"
-
 // Membership bootstrap: a voter group changes composition by agreeing a
 // membership operation through the current group's quorum (the embedder
 // marks it via WithBarrier), halting execution at that operation's
@@ -224,22 +222,28 @@ func (r *Replica) JoinTarget() uint64 { return r.joinA.Load() }
 // (0 when not halted).
 func (r *Replica) HaltedAt() uint64 { return r.haltA.Load() }
 
-// onJoinRetry re-issues the catch-up fetch until the join target is
-// reached; fetches ride an unreliable transport and may be dropped.
-func (r *Replica) onJoinRetry() {
+// start handles evStart, the first event: a joiner opens its catch-up
+// fetch, and requests carried across a membership boundary are
+// re-proposed (primary) or re-forwarded. For plain New it does nothing.
+func (r *Replica) start() {
+	r.joinFetch()
+	if len(r.pendingOrder) > 0 {
+		if r.isPrimaryLocked() && !r.inViewChange {
+			r.proposePending()
+		} else if !r.joining() {
+			r.forwardPending()
+		}
+		r.armTimer()
+	}
+}
+
+// joinFetch asks peers for the history a joiner lacks and arms the join
+// timer to ask again, since fetches ride an unreliable transport and may
+// be dropped. A replica that is not joining does nothing.
+func (r *Replica) joinFetch() {
 	if !r.joining() {
 		return
 	}
 	r.requestCatchUp(r.joinTarget)
-	r.armJoinRetry()
-}
-
-// armJoinRetry schedules the next catch-up retry.
-func (r *Replica) armJoinRetry() {
-	r.joinTimer = time.AfterFunc(r.cfg.ViewChangeTimeout/2, func() {
-		select {
-		case r.inbox <- event{kind: evJoinRetry}:
-		case <-r.stopped:
-		}
-	})
+	r.arm(timerJoin, r.cfg.ViewChangeTimeout/2)
 }

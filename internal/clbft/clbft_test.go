@@ -101,32 +101,61 @@ func (c *testCluster) deliveredAt(i int) []Delivery {
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
+	if !poll(timeout, cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// poll reports whether cond held before timeout passed.
+func poll(timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if cond() {
-			return
+			return true
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	return false
+}
+
+// waitDeliveredAt waits until every replica in idxs delivered count ops,
+// as deliveredAt reports them. On a timeout it logs every replica's
+// DebugState before failing, so the failure leaves its shape behind.
+func waitDeliveredAt(t *testing.T, timeout time.Duration, replicas []*Replica, deliveredAt func(int) []Delivery, count int, idxs ...int) {
+	t.Helper()
+	if len(idxs) == 0 {
+		for i := range replicas {
+			idxs = append(idxs, i)
+		}
+	}
+	if poll(timeout, func() bool {
+		for _, i := range idxs {
+			if len(deliveredAt(i)) < count {
+				return false
+			}
+		}
+		return true
+	}) {
+		return
+	}
+	for i, r := range replicas {
+		st := make(chan DebugState, 1)
+		go func() { st <- r.DebugState() }()
+		select {
+		case s := <-st:
+			t.Logf("replica %d: view %d in-view-change %v low-watermark %d last-exec %d log %d pending %d delivered %d",
+				i, s.View, s.InViewChange, s.LowWatermark, s.LastExec, s.LogLen, s.PendingLen, len(deliveredAt(i)))
+		case <-time.After(time.Second):
+			t.Logf("replica %d: event loop did not answer DebugState", i)
+		}
+	}
+	t.Fatalf("timed out waiting for %d deliveries", count)
 }
 
 // waitDelivered waits until every replica in idxs delivered count ops.
 func (c *testCluster) waitDelivered(count int, idxs ...int) {
 	c.t.Helper()
-	if len(idxs) == 0 {
-		for i := 0; i < c.n; i++ {
-			idxs = append(idxs, i)
-		}
-	}
-	waitFor(c.t, 15*time.Second, fmt.Sprintf("%d deliveries", count), func() bool {
-		for _, i := range idxs {
-			if len(c.deliveredAt(i)) < count {
-				return false
-			}
-		}
-		return true
-	})
+	waitDeliveredAt(c.t, 15*time.Second, c.replicas, c.deliveredAt, count, idxs...)
 }
 
 // checkConsistent asserts all listed replicas delivered identical

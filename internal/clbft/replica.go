@@ -63,22 +63,35 @@ func (f TransportFunc) Multicast(tos []int, m *Message) {
 type eventKind uint8
 
 const (
-	evMessage eventKind = iota + 1
+	evStart eventKind = iota + 1
+	evMessage
 	evSubmit
-	evTimer
-	evFlush
+	evFire
 	evStop
 	evDebug
-	evJoinRetry
 )
 
+// timerKind names a replica timer. A handler arms one by setting its due
+// time (arm); its fire is an evFire event for the kind.
+type timerKind uint8
+
+const (
+	timerSuspect timerKind = iota // suspicion: outstanding work did not execute
+	timerFlush                    // commit flush: queued votes found no carrier
+	timerJoin                     // join retry: re-issue the catch-up fetch
+	numTimers
+)
+
+// event is one input to the replica. now is the time the loop shell took
+// it from the inbox; it is the only clock a handler sees.
 type event struct {
-	kind     eventKind
-	from     int
-	msg      *Message
-	req      *Request
-	timerGen uint64
-	debug    *debugRequest
+	kind  eventKind
+	timer timerKind
+	now   time.Time
+	from  int
+	msg   *Message
+	req   *Request
+	debug *debugRequest
 }
 
 // inboxDepth bounds the replica's event queue. Overflow drops protocol
@@ -123,7 +136,6 @@ type Replica struct {
 	lastCommitted uint64
 	chainAt       map[uint64]Digest
 	pendingPiggy  []Commit
-	flush         replicaTimer // the commit-flush heartbeat (evFlush)
 
 	pending      map[string]*pendingReq
 	pendingOrder []string
@@ -145,9 +157,9 @@ type Replica struct {
 	haltAt     uint64
 	haltFired  bool
 	joinTarget uint64
-	joinTimer  *time.Timer
 
-	timer replicaTimer // the suspicion timer (evTimer)
+	now time.Time            // the current event's time
+	due [numTimers]time.Time // each timer's due time, zero while disarmed
 
 	// others lists every replica index but this one (broadcast
 	// destinations), computed once.
@@ -411,54 +423,105 @@ func (r *Replica) PendingLen() int { return int(r.pendingA.Load()) }
 // mutation.
 func (r *Replica) pubPendingLen() { r.pendingA.Store(int64(len(r.pending))) }
 
-// Config returns the replica's configuration.
-func (r *Replica) Config() Config { return r.cfg }
-
 func (r *Replica) logf(format string, args ...any) {
 	if r.logger != nil {
 		r.logger.Printf("clbft[%d v%d]: "+format, append([]any{r.cfg.ID, r.view}, args...)...)
 	}
 }
 
+// run is the loop shell, the one place clbft reads the clock or runs a
+// time.Timer: it stamps each event with the time it was taken, hands it
+// to handle (evStart first), and then syncs its timers to the due times.
 func (r *Replica) run() {
-	defer close(r.stopped)
-	// Bootstrap preamble (no-ops for plain New): a joiner opens its
-	// catch-up fetch immediately, and requests carried across a
-	// membership boundary are re-proposed (primary) or re-forwarded.
-	if r.joining() {
-		r.requestCatchUp(r.joinTarget)
-		r.armJoinRetry()
-	}
-	if len(r.pendingOrder) > 0 {
-		if r.isPrimaryLocked() && !r.inViewChange {
-			r.proposePending()
-		} else if !r.joining() {
-			r.forwardPending()
+	var timers shellTimers
+	defer func() {
+		clear(r.due[:]) // disarm every timer, so sync stops them
+		timers.sync(r)
+		close(r.stopped)
+	}()
+	for ev := (event{kind: evStart}); ev.kind != evStop; ev = <-r.inbox {
+		ev.now = time.Now()
+		if ev.kind == evFire {
+			timers.due[ev.timer] = time.Time{} // that timer has run out
 		}
-		r.armTimer()
+		r.handle(ev)
+		timers.sync(r)
 	}
-	for ev := range r.inbox {
-		switch ev.kind {
-		case evStop:
-			r.timer.stop()
-			r.flush.stop()
-			if r.joinTimer != nil {
-				r.joinTimer.Stop()
-			}
-			return
-		case evSubmit:
-			r.onSubmit(ev.req)
-		case evMessage:
-			r.onMessage(ev.from, ev.msg)
-		case evTimer:
-			r.onTimer(ev.timerGen)
-		case evFlush:
-			r.onFlush(ev.timerGen)
-		case evDebug:
-			r.onDebug(ev.debug)
-		case evJoinRetry:
-			r.onJoinRetry()
+}
+
+// shellTimers is the shell's timer bookkeeping: one reusable time.Timer
+// per timer kind, and the due time each is set for.
+type shellTimers struct {
+	t   [numTimers]*time.Timer
+	due [numTimers]time.Time
+}
+
+// sync resets each timer whose due time the last event moved and stops
+// each it cleared. A timer is made once, then re-armed without allocating.
+func (s *shellTimers) sync(r *Replica) {
+	for k := range s.t {
+		due := r.due[k]
+		if due.Equal(s.due[k]) {
+			continue
 		}
+		s.due[k] = due
+		switch {
+		case due.IsZero():
+			s.t[k].Stop()
+		case s.t[k] != nil:
+			s.t[k].Reset(due.Sub(r.now))
+		default:
+			s.t[k] = time.AfterFunc(due.Sub(r.now), func() {
+				select {
+				case r.inbox <- event{kind: evFire, timer: timerKind(k)}:
+				case <-r.stopped:
+				}
+			})
+		}
+	}
+}
+
+// handle applies one event to the replica's state. It is the replica's
+// only entry, and ev.now its only clock.
+func (r *Replica) handle(ev event) {
+	r.now = ev.now
+	switch ev.kind {
+	case evStart:
+		r.start()
+	case evSubmit:
+		r.onSubmit(ev.req)
+	case evMessage:
+		r.onMessage(ev.from, ev.msg)
+	case evFire:
+		r.onFire(ev.timer)
+	case evDebug:
+		r.onDebug(ev.debug)
+	}
+}
+
+// arm sets timer k to fire d after the current event.
+func (r *Replica) arm(k timerKind, d time.Duration) { r.due[k] = r.now.Add(d) }
+
+// disarm clears timer k; a fire already on its way is then dropped.
+func (r *Replica) disarm(k timerKind) { r.due[k] = time.Time{} }
+
+func (r *Replica) armed(k timerKind) bool { return !r.due[k].IsZero() }
+
+// onFire runs timer k's action if k is armed and due, disarming it first.
+// Any other fire is stale: one for a disarmed timer, or an earlier
+// arming's, which arrives before the current due time.
+func (r *Replica) onFire(k timerKind) {
+	if !r.armed(k) || r.now.Before(r.due[k]) {
+		return
+	}
+	r.disarm(k)
+	switch k {
+	case timerSuspect:
+		r.onSuspect()
+	case timerFlush:
+		r.flushPiggy()
+	case timerJoin:
+		r.joinFetch()
 	}
 }
 
@@ -515,29 +578,18 @@ func (r *Replica) attachPiggy(m *Message) {
 	// carrier-less idle time from the next queued vote, instead of firing
 	// mid-traffic and paying a standalone frame for votes the next
 	// carrier (typically under a request period away) would carry free.
-	r.disarmFlush()
+	r.disarm(timerFlush)
 }
-
-// disarmFlush cancels a scheduled commit-batch heartbeat and
-// invalidates any fire already in the inbox.
-func (r *Replica) disarmFlush() { r.flush.stop() }
 
 // armFlush schedules the commit-batch heartbeat: if no carrier message
 // picks the queued votes up within CommitFlushDelay, they go out in
 // their own frame so peers' committed horizons (and with them
 // checkpoints and reply stability) keep advancing when traffic stops.
 func (r *Replica) armFlush() {
-	if r.flush.armed || r.cfg.N <= 1 {
+	if r.armed(timerFlush) || r.cfg.N <= 1 {
 		return
 	}
-	r.flush.arm(r, evFlush, r.cfg.CommitFlushDelay)
-}
-
-func (r *Replica) onFlush(gen uint64) {
-	if !r.flush.take(gen) {
-		return
-	}
-	r.flushPiggy()
+	r.arm(timerFlush, r.cfg.CommitFlushDelay)
 }
 
 // flushPiggy sends queued commit votes standalone. Called by the
@@ -549,7 +601,7 @@ func (r *Replica) flushPiggy() {
 	}
 	cb := &CommitBatch{Replica: r.cfg.ID, Commits: r.pendingPiggy}
 	r.pendingPiggy = nil
-	r.disarmFlush()
+	r.disarm(timerFlush)
 	r.multicastOthers(&Message{Type: MsgCommitBatch, CommitBatch: cb})
 }
 
@@ -1095,71 +1147,17 @@ func (r *Replica) hasOutstanding() bool {
 	return len(r.pending) > 0 || r.log.hasLive() || r.lastExec > r.lastCommitted
 }
 
-// replicaTimer is one of the replica's reusable timers (suspicion,
-// commit flush): a time.Timer made on first use and re-armed with
-// Reset, so that arming allocates nothing. Its fields belong to the
-// event loop, except genA, which the fire callback reads. A fire can be
-// in flight when the timer is re-armed or stopped, so take accepts a
-// fire only while the timer is armed, for the current generation, and
-// at or after the due time; anything else is a stale fire.
-type replicaTimer struct {
-	t     *time.Timer
-	armed bool
-	due   time.Time
-	gen   uint64
-	genA  atomic.Uint64 // gen as of the last arm, for the fire callback
-}
-
-// arm (re)starts the timer: after d, an event of kind reaches r's inbox.
-func (rt *replicaTimer) arm(r *Replica, kind eventKind, d time.Duration) {
-	rt.gen++
-	rt.genA.Store(rt.gen)
-	rt.armed = true
-	rt.due = time.Now().Add(d)
-	if rt.t != nil {
-		rt.t.Reset(d)
-		return
-	}
-	rt.t = time.AfterFunc(d, func() {
-		select {
-		case r.inbox <- event{kind: kind, timerGen: rt.genA.Load()}:
-		case <-r.stopped:
-		}
-	})
-}
-
-// stop disarms the timer.
-func (rt *replicaTimer) stop() {
-	if rt.armed {
-		rt.t.Stop()
-		rt.armed = false
-	}
-}
-
-// take reports whether a fire carrying gen is the armed timer's own due
-// fire, and disarms the timer if it is.
-func (rt *replicaTimer) take(gen uint64) bool {
-	if !rt.armed || gen != rt.gen || time.Now().Before(rt.due) {
-		return false
-	}
-	rt.armed = false
-	return true
-}
-
 // armTimer starts the suspicion timer if outstanding work needs one and
 // no timer is already running.
 func (r *Replica) armTimer() {
 	if !r.inViewChange && !r.hasOutstanding() {
 		return
 	}
-	if r.timer.armed {
+	if r.armed(timerSuspect) {
 		return // already armed; progressTimer restarts it on execution
 	}
-	r.startTimer(r.vcTimeout)
+	r.arm(timerSuspect, r.vcTimeout)
 }
-
-// startTimer (re)arms the suspicion timer.
-func (r *Replica) startTimer(d time.Duration) { r.timer.arm(r, evTimer, d) }
 
 // progressTimer restarts the suspicion window after progress (an
 // execution), or clears the timer when nothing is outstanding.
@@ -1168,25 +1166,21 @@ func (r *Replica) progressTimer() {
 		return // the view-change timer stays armed until new-view
 	}
 	if !r.hasOutstanding() {
-		r.stopTimer()
+		r.disarm(timerSuspect)
 		return
 	}
-	r.startTimer(r.vcTimeout)
+	r.arm(timerSuspect, r.vcTimeout)
 }
 
-func (r *Replica) stopTimer() { r.timer.stop() }
-
-func (r *Replica) onTimer(gen uint64) {
-	if !r.timer.take(gen) {
-		return // stale fire
-	}
+// onSuspect is the suspicion timer's action.
+func (r *Replica) onSuspect() {
 	if !r.inViewChange && !r.hasOutstanding() {
 		return // nothing outstanding
 	}
 	if r.joining() {
 		// A joiner does not suspect the primary for backlog it cannot yet
 		// execute; catch-up has its own retry timer.
-		r.startTimer(r.vcTimeout)
+		r.arm(timerSuspect, r.vcTimeout)
 		return
 	}
 	// Share outstanding requests with every replica first (the PBFT

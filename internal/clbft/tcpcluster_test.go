@@ -168,19 +168,7 @@ func (c *tcpCluster) deliveredAt(i int) []Delivery {
 
 func (c *tcpCluster) waitDelivered(count int, idxs ...int) {
 	c.t.Helper()
-	if len(idxs) == 0 {
-		for i := 0; i < c.n; i++ {
-			idxs = append(idxs, i)
-		}
-	}
-	waitFor(c.t, 20*time.Second, fmt.Sprintf("%d deliveries over TCP", count), func() bool {
-		for _, i := range idxs {
-			if len(c.deliveredAt(i)) < count {
-				return false
-			}
-		}
-		return true
-	})
+	waitDeliveredAt(c.t, 20*time.Second, c.replicas, c.deliveredAt, count, idxs...)
 }
 
 // checkAgreement asserts the listed replicas delivered identical

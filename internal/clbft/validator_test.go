@@ -194,7 +194,7 @@ func TestValidatorRejectionAtBackupsOnly(t *testing.T) {
 			// Not strictly required (the primary could have re-proposed
 			// only the good op in view 0), but with the poison op stuck
 			// a view change is the expected recovery path.
-			t.Logf("note: replica %d still in view 0", r.Config().ID)
+			t.Logf("note: replica %d still in view 0", r.cfg.ID)
 		}
 	}
 	_ = fmt.Sprint() // keep fmt for potential debugging

@@ -32,7 +32,7 @@ func (r *Replica) startViewChange(newView uint64) {
 	r.broadcast(&Message{Type: MsgViewChange, ViewChange: vc})
 	// Wait for the new primary's new-view; if it never comes, the timer
 	// pushes us to the next view.
-	r.startTimer(r.vcTimeout)
+	r.arm(timerSuspect, r.vcTimeout)
 }
 
 func (r *Replica) onViewChange(from int, vc *ViewChange) {
@@ -230,7 +230,7 @@ func (r *Replica) enterNewView(nv *NewView) {
 	r.curView.Store(nv.View)
 	r.inViewChange = false
 	r.vcTimeout = r.cfg.ViewChangeTimeout // progress: reset backoff
-	r.stopTimer()
+	r.disarm(timerSuspect)
 
 	// Adopt the certificate's stable checkpoint bound for proposal
 	// numbering. (Execution state catches up via the fetch protocol if
@@ -258,7 +258,7 @@ func (r *Replica) enterNewView(nv *NewView) {
 	// are revoked before the replay: their prepared certificates did
 	// not survive into the new view, so other replicas may order
 	// different requests at those sequence numbers.
-	r.rollbackTentative(nv)
+	r.rollbackTentative(nv, minS)
 
 	// Replay the re-proposed pre-prepares through the normal path. Each
 	// replica (including the new primary) records them; backups emit
@@ -299,21 +299,15 @@ func (r *Replica) enterNewView(nv *NewView) {
 }
 
 // rollbackTentative revokes tentative executions the new view does not
-// re-propose with the same request. Because an operation executes
-// tentatively only when everything below it has committed, the
-// tentative suffix is at most one sequence number; committed
-// executions always survive (their commit certificate proves a quorum
-// prepared them, so every new-view certificate re-proposes them
-// unchanged).
-func (r *Replica) rollbackTentative(nv *NewView) {
+// re-propose with the same request; minS is its certificate's stable
+// checkpoint bound. Because an operation executes tentatively only when
+// everything below it has committed, the tentative suffix is at most one
+// sequence number; committed executions always survive (their commit
+// certificate proves a quorum prepared them, so every new-view
+// certificate re-proposes them unchanged).
+func (r *Replica) rollbackTentative(nv *NewView, minS uint64) {
 	if !r.cfg.Tentative || r.lastExec <= r.lastCommitted {
 		return
-	}
-	var minS uint64
-	for i := range nv.ViewChanges {
-		if nv.ViewChanges[i].LastStable > minS {
-			minS = nv.ViewChanges[i].LastStable
-		}
 	}
 	keep := r.lastExec
 	for seq := r.lastCommitted + 1; seq <= r.lastExec; seq++ {
