@@ -145,6 +145,10 @@ func waitDeliveredAt(t *testing.T, timeout time.Duration, replicas []*Replica, d
 		case s := <-st:
 			t.Logf("replica %d: view %d in-view-change %v low-watermark %d last-exec %d log %d pending %d delivered %d",
 				i, s.View, s.InViewChange, s.LowWatermark, s.LastExec, s.LogLen, s.PendingLen, len(deliveredAt(i)))
+			for _, e := range s.Entries {
+				t.Logf("replica %d:   seq %d view %d pre-prepared %v prepares %d commits %d",
+					i, e.Seq, e.View, e.PrePrepared, e.Prepares, e.Commits)
+			}
 		case <-time.After(time.Second):
 			t.Logf("replica %d: event loop did not answer DebugState", i)
 		}

@@ -1,5 +1,10 @@
 package clbft
 
+import (
+	"cmp"
+	"slices"
+)
+
 // DebugState is a consistent snapshot of a replica's protocol state,
 // taken on the event-loop goroutine. It exists for tests and operational
 // introspection; production code paths do not depend on it.
@@ -11,6 +16,16 @@ type DebugState struct {
 	LogLen       int
 	PendingLen   int
 	StateDigest  Digest
+	Entries      []DebugEntry // the log's entries, by sequence number
+}
+
+// DebugEntry is one message-log entry: its position, whether its
+// pre-prepare was taken in, and its prepare and commit votes — those
+// matching the pre-prepared digest once there is one, all before.
+type DebugEntry struct {
+	Seq, View         uint64
+	PrePrepared       bool
+	Prepares, Commits int
 }
 
 type debugRequest struct {
@@ -36,6 +51,12 @@ func (r *Replica) DebugState() DebugState {
 }
 
 func (r *Replica) onDebug(req *debugRequest) {
+	entries := make([]DebugEntry, 0, len(r.log.entries))
+	for _, e := range r.log.entries {
+		entries = append(entries, DebugEntry{Seq: e.seq, View: e.view, PrePrepared: e.prePrepared,
+			Prepares: e.debugVotes(e.prepares), Commits: e.debugVotes(e.commits)})
+	}
+	slices.SortFunc(entries, func(a, b DebugEntry) int { return cmp.Compare(a.Seq, b.Seq) })
 	req.reply <- DebugState{
 		View:         r.view,
 		InViewChange: r.inViewChange,
@@ -44,5 +65,17 @@ func (r *Replica) onDebug(req *debugRequest) {
 		LogLen:       len(r.log.entries),
 		PendingLen:   len(r.pending),
 		StateDigest:  r.stateDigest,
+		Entries:      entries,
 	}
+}
+
+// debugVotes counts the votes in vs that DebugEntry reports.
+func (e *entry) debugVotes(vs []vote) int {
+	n := 0
+	for _, v := range vs {
+		if v.set && (!e.prePrepared || v.d == e.digest) {
+			n++
+		}
+	}
+	return n
 }

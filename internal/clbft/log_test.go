@@ -222,6 +222,12 @@ func TestDebugStateSnapshot(t *testing.T) {
 	if st.View != 0 {
 		t.Errorf("View = %d", st.View)
 	}
+	if len(st.Entries) != st.LogLen || len(st.Entries) == 0 {
+		t.Fatalf("Entries = %+v, LogLen %d", st.Entries, st.LogLen)
+	}
+	if e := st.Entries[0]; e.Seq != 1 || !e.PrePrepared || e.Prepares < 2 || e.Commits < 3 {
+		t.Errorf("executed entry = %+v, want seq 1 pre-prepared with 2f prepares and 2f+1 commits", e)
+	}
 }
 
 func TestDebugStateOnStoppedReplica(t *testing.T) {

@@ -74,8 +74,7 @@ type Event struct {
 }
 
 // EventSource is implemented by MessageHandlers that expose the merged
-// agreed event stream (used by deterministic multi-threaded executors;
-// see package detsched).
+// agreed event stream.
 type EventSource interface {
 	// ReceiveEvent returns the next agreed event — request or reply —
 	// blocking until one is available. Mixing ReceiveEvent with the

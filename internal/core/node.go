@@ -152,8 +152,7 @@ func (n *Node) logf(format string, args ...any) {
 // agreement order — extracts MessageContexts, and passes them to the
 // engine (stages 5-6 and 9-12 of Figure 4). A single pump preserves the
 // agreed interleaving of requests and replies all the way into the
-// handler's queues, which multi-threaded executors (package detsched)
-// rely on for determinism. The one exception, a SendReceive reply taken
+// handler's queues. The one exception, a SendReceive reply taken
 // on the driver's reply fast path, is only ever consumed by the thread
 // blocked on it (see perpetual.Reply.Blocking).
 func (n *Node) eventPump() {

@@ -10,7 +10,7 @@ import (
 // call is one request this driver issued and awaits: an ordinary call, a
 // shard fan-out leg, a 2PC or handoff leg, or a fast-path read. How it
 // settles is decided by step alone; the executor (Driver.run) owns its
-// timers and performs what step asks for.
+// due times and performs what step asks for.
 type call struct {
 	id        string
 	target    string
@@ -49,11 +49,12 @@ type call struct {
 	// Driver.issueRead); the fallback to agreement zeroes it, turning the
 	// call into an ordinary one in place.
 	read readState
-	// retryTmr is the retransmission timer, or while the call is a read
-	// its fast window; it and abortTmr, the deadline timer, are armed and
-	// stopped by the executor only.
-	retryTmr, abortTmr *time.Timer
-	acts               [2]callAction // backs step's result, so steps allocate none
+	// deadline and retryAt are the due times the executor sets (zero =
+	// none): the caller's timeout, and the next retransmission or, while
+	// a read, its fast window. slot is the call's index in the due heap.
+	deadline, retryAt time.Time
+	slot              int
+	acts              [2]callAction // backs step's result, so steps allocate none
 }
 
 // readState is the fast-path part of a read call: which replicas of the
@@ -91,6 +92,15 @@ type readReplica struct {
 // reading reports whether c is still a fast-path read.
 func (c *call) reading() bool { return c.read.need > 0 }
 
+// due is c's earliest due time, its deadline or its retryAt, whichever
+// is set and sooner; zero when neither is.
+func (c *call) due() time.Time {
+	if c.retryAt.IsZero() || (!c.deadline.IsZero() && c.deadline.Before(c.retryAt)) {
+		return c.deadline
+	}
+	return c.retryAt
+}
+
 // outcome is what a settled call hands its consumer: the reply, and for
 // a txn call's agreed reply the bundle that certifies it (the 2PC vote
 // or handoff certificate).
@@ -107,7 +117,7 @@ const (
 	evAgreed                              // the caller group's agreed reply or abort
 	evParked                              // outcomes that arrived before the call was issued
 	evBusy                                // one target voter refused the request under overload
-	evRetry                               // the retransmission timer fired
+	evRetry                               // the next retransmission came due
 	evDeadline                            // the caller's deadline passed
 	evCancel                              // the caller gave up on the call
 	evReadAnswer                          // one target replica's speculative read answer
@@ -118,9 +128,11 @@ const (
 // callEvent is one event fed to step, with the inputs step may not
 // fetch itself: the group sizes, the clock's verdict on the call's
 // expiry, the retransmission jitter, and whether a read answer's payload
-// hashes to its digest.
+// hashes to its digest. now is when the executor's shell took the
+// event; step never reads it.
 type callEvent struct {
 	kind   callEventKind
+	now    time.Time
 	bundle *ReplyBundle // evBundle; evParked's parked bundle, if any
 	// reply is evAgreed's outcome, or evParked's when agreed is set;
 	// cert carries the shares and MAC'd fields of the bundle agreement
@@ -142,7 +154,6 @@ type callEvent struct {
 	digest  [sha256.Size]byte
 	bound   bool
 	payload []byte
-	widened bool // evWindow: the window was armed after the read widened
 
 	callerN  int           // this service's replica count
 	interval time.Duration // the driver's initial retransmission interval
@@ -160,7 +171,7 @@ const (
 	actForward                            // forward bundle to this group's primary voter
 	actResend                             // resend to the whole target group (attempt, responder)
 	actAbort                              // propose the agreed abort
-	actArmRetry                           // re-arm the retransmission timer after `after`
+	actArmRetry                           // set the next retransmission due `after` from now
 	actCertify                            // end a read with reply; seq and replicas update the session
 	actShed                               // end a read as shed by its target group
 	actWiden                              // ask replicas too and re-arm the read's window
@@ -210,7 +221,7 @@ type callAction struct {
 //   - evRetry: a no-op once the expiry stamp has passed; otherwise the
 //     request is resent to the whole group with the responder moved on
 //     by one voter, so attempt k asks (first + k) mod n and never the
-//     voter that just stayed silent; the timer backs off exponentially,
+//     voter that just stayed silent; the retry backs off exponentially,
 //     capped at maxRetransmitBackoff, with ±20% jitter.
 //   - evDeadline: a fast call settles as aborted; any other proposes the
 //     abort.
@@ -318,9 +329,9 @@ func (c *call) settleAgreed(ev callEvent) callAction {
 }
 
 // retransmit appends a resend to the whole group, with the responder
-// moved on to the next voter, and the backed-off re-arm of the retry
-// timer — unless the expiry stamp has passed, when nothing downstream
-// would serve the request and the deadline timer settles it instead.
+// moved on to the next voter, and the backed-off re-arm of the next
+// retransmission — unless the expiry stamp has passed, when nothing
+// downstream would serve the request and the deadline settles it.
 func (c *call) retransmit(acts []callAction, ev callEvent) []callAction {
 	if ev.expired {
 		return nil
@@ -393,9 +404,8 @@ func (c *call) readRequest(caller string) *ReadRequest {
 //     with no payload and no busy needs company — only the responder
 //     attaches the payload, so then no endorsement from the rest of the
 //     group could complete it — when it falls back.
-//   - evWindow: a fire for a window other than the current one is
-//     dropped. If the responder answered, the silence is a partner's and
-//     the first window widens; otherwise — a silent responder, whose
+//   - evWindow: if the responder answered, the silence is a partner's
+//     and the first window widens; otherwise — a silent responder, whose
 //     payload no other replica sends, or the widened window — the read
 //     falls back.
 //
@@ -424,9 +434,6 @@ func (c *call) stepRead(acts []callAction, ev callEvent) []callAction {
 		}
 		return c.decideRead(acts)
 	case evWindow:
-		if ev.widened != r.widened {
-			return nil
-		}
 		if !r.widened && r.replicas[c.responder].rank != 0 {
 			return c.widen(acts)
 		}

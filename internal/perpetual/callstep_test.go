@@ -79,7 +79,7 @@ func TestCallStep(t *testing.T) {
 	busyRead := func(replica int, hint uint64) callEvent {
 		return in(1, callEvent{kind: evBusyRead, from: "t", replica: replica, hint: hint})
 	}
-	window := func(widened bool) callEvent { return in(1, callEvent{kind: evWindow, widened: widened}) }
+	window := in(1, callEvent{kind: evWindow})
 	widen := []callAction{{kind: actWiden, replicas: []int{0, 3}}}
 	fallBack := func(responder int) []callAction { return []callAction{{kind: actFallBack, responder: responder}} }
 	fellBack := func(responder int) func(c *call) bool {
@@ -337,15 +337,9 @@ func TestCallStep(t *testing.T) {
 			want: [][]callAction{nil, widen, nil, fallBack(1)},
 		},
 		{
-			name: "read window widens after its responder answered, and a stale first-window fire is dropped",
-			c:    aRead(),
-			evs:  []callEvent{answer(1, dOK, 7, true), window(false), window(false), window(true)},
-			want: [][]callAction{nil, widen, nil, fallBack(1)},
-		},
-		{
 			name:  "read falls back on a silent responder at window expiry, to its first answerer, keeping its expiry",
 			c:     aRead(),
-			evs:   []callEvent{answer(2, dOK, 6, false), window(false), answer(1, dOK, 7, true), in(1, callEvent{kind: evBundle, bundle: bundle})},
+			evs:   []callEvent{answer(2, dOK, 6, false), window, answer(1, dOK, 7, true), in(1, callEvent{kind: evBundle, bundle: bundle})},
 			want:  [][]callAction{nil, fallBack(2), nil, settled},
 			check: fellBack(2),
 		},

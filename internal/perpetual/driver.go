@@ -1,6 +1,7 @@
 package perpetual
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"log"
@@ -32,7 +33,7 @@ const maxRetransmitBackoff = 30 * time.Second
 // long the replicas it asked have to return f_t+1 matching speculative
 // endorsements before the read widens to the whole group or, once
 // widened, deterministically falls back to full agreement under the
-// same request id. The caller's deadline is the call's own timer.
+// same request id. The caller's deadline is the call's own due time.
 const DefaultReadFallback = 150 * time.Millisecond
 
 // IncomingRequest is an agreed external request awaiting execution.
@@ -80,9 +81,7 @@ const (
 
 // Event is one agreed event in the driver's merged queue: either an
 // incoming request or a reply/abort. The merged order is the voter
-// group's agreement order, identical on every replica, which is what
-// lets multi-threaded executors (package detsched) interleave
-// deterministically.
+// group's agreement order, identical on every replica.
 type Event struct {
 	Kind    EventKind
 	Request IncomingRequest // when Kind == EventRequest
@@ -126,6 +125,14 @@ type Driver struct {
 	// nothing ever settles twice.
 	outstanding map[string]*call
 	utils       map[uint64]int64
+
+	// timer is the driver's one timer, set for wakeAt (zero once it ran
+	// out); due heaps the calls that have a due time (see onFire). jitter
+	// is seeded from the driver's identity, so one seed replays it.
+	timer  *time.Timer
+	wakeAt time.Time
+	due    dueHeap
+	jitter *rand.Rand
 
 	// maxOutstanding caps the calls and fast-path reads this driver keeps
 	// in flight per target group (0 = unbounded); inflight is the gauge.
@@ -239,6 +246,7 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		txnPending:         make(map[string]*txnDecision),
 		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
 		early:              newBoundedCache[callEvent](reqTableSize),
+		jitter:             rand.New(rand.NewSource(int64(fnv64a([]byte(svc.Name)) + uint64(index)))),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -285,9 +293,6 @@ func (d *Driver) logf(format string, args ...any) {
 
 // ServiceName returns the name of the service this driver belongs to.
 func (d *Driver) ServiceName() string { return d.svc.Name }
-
-// Index returns the replica index of this driver.
-func (d *Driver) Index() int { return d.index }
 
 // handleTransport dispatches inbound driver-addressed messages (reply
 // bundles from responders). A bundle's share vectors alias the frame:
@@ -492,11 +497,12 @@ func (d *Driver) nextReqID() string {
 }
 
 // admit reserves c's id and registers it toward tinfo (caller holds
-// d.mu): it claims the in-flight window slot, stamps the expiry, enters
-// d.outstanding and arms the deadline timer. Reservation and
+// d.mu): it claims the in-flight window slot, enters d.outstanding, and
+// from one clock reading stamps the expiry and sets the deadline and the
+// first retransmission, or a read's first window. Reservation and
 // registration share the caller's d.mu hold, so an outcome for the id is
 // either seen by the registered call or parked where the issue finds it
-// (see parkable).
+// (see parkable). It is a shell function: it makes the driver's timer.
 func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if d.closed {
 		return ErrClosed
@@ -512,18 +518,27 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	c.id = d.nextReqID()
 	c.responder = int(d.reqSeq % uint64(tinfo.N))
 	c.counted = !c.txn && d.maxOutstanding > 0
+	now, first := time.Now(), d.retransmitInterval
+	if c.reading() {
+		first = DefaultReadFallback
+	}
+	c.retryAt = now.Add(first)
+	if c.timeout > 0 {
+		c.deadline = now.Add(c.timeout)
+	}
 	if c.timeout > 0 && !c.txn {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
 		// or explicit Timeout, both already folded into timeout) into the
 		// request envelope so replicas can drop expired work at every
 		// pre-agreement stage instead of ordering it.
-		c.expiry = uint64(time.Now().Add(c.timeout).UnixMilli())
+		c.expiry = uint64(c.deadline.UnixMilli())
 	}
 	d.outstanding[c.id] = c
-	if c.timeout > 0 {
-		id := c.id
-		c.abortTmr = time.AfterFunc(c.timeout, func() { d.run(id, callEvent{kind: evDeadline}) })
+	d.schedule(c)
+	if d.timer == nil {
+		d.timer = time.AfterFunc(first, d.fire) // wake sets it
 	}
+	d.wake(now)
 	return nil
 }
 
@@ -557,12 +572,12 @@ func (d *Driver) startRequest(tinfo ServiceInfo, c *call) (string, error) {
 	return c.id, nil
 }
 
-// sendFirst transmits c's first attempt and arms its retransmission —
-// the send half of startRequest, which a read's fallback shares. The
-// first attempt goes to the believed primary, hint — learned from the
-// target's reply bundles, index 0 before the first bundle;
-// retransmissions fan out to the whole group, so a crashed or superseded
-// primary costs one retransmission interval, never liveness.
+// sendFirst transmits c's first attempt — the send half of startRequest,
+// which a read's fallback shares. The first attempt goes to the believed
+// primary, hint — learned from the target's reply bundles, index 0
+// before the first bundle; retransmissions fan out to the whole group,
+// so a crashed or superseded primary costs one retransmission interval,
+// never liveness.
 func (d *Driver) sendFirst(c *call, tinfo ServiceInfo, responder, hint int) error {
 	if hint < 0 || hint >= tinfo.N {
 		hint = 0
@@ -574,12 +589,6 @@ func (d *Driver) sendFirst(c *call, tinfo ServiceInfo, responder, hint int) erro
 	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}, c.class); err != nil {
 		d.logf("request %s: %v", c.id, err)
 	}
-	d.mu.Lock()
-	if d.outstanding[c.id] == c && c.retryTmr == nil {
-		// (A busy refusal may already have re-armed retransmission.)
-		d.armRetry(c, d.retransmitInterval)
-	}
-	d.mu.Unlock()
 	return nil
 }
 
@@ -594,17 +603,93 @@ func (d *Driver) abandon(c *call, silent bool) {
 	d.mu.Unlock()
 }
 
-// run is the executor of step: it feeds one event to the call reqID
-// names and performs the actions that follow, the bookkeeping ones
-// (settle, certify, shed, arm-retry, and the timers of widen and
-// fall-back) under d.mu and the network ones (forward, resend,
-// propose-abort, and the sends of widen and fall-back) after releasing
-// it.
+// run is the executor of step, and a shell function: it stamps one
+// event with the time, feeds it to the call reqID names and performs the
+// actions that follow, the bookkeeping ones (settle, certify, shed,
+// arm-retry, and the due times of widen and fall-back) under d.mu and
+// the network ones (forward, resend, propose-abort, and the sends of
+// widen and fall-back) after releasing it.
 func (d *Driver) run(reqID string, ev callEvent) {
+	ev.now = time.Now()
 	d.mu.Lock()
 	fx := d.stepLocked(reqID, ev)
+	d.wake(ev.now)
 	d.mu.Unlock()
 	d.perform(fx)
+}
+
+// fire is the timer's shell function: it stamps the fire with the time.
+func (d *Driver) fire() { d.onFire(time.Now()) }
+
+// onFire clears the earliest due time of each call due at or before now
+// and feeds it that event: evDeadline, or evRetry (evWindow while it is
+// a read). Then it re-arms the timer and performs the network actions
+// once d.mu is released. An early fire finds nothing due.
+func (d *Driver) onFire(now time.Time) {
+	var fxs []effects
+	d.mu.Lock()
+	d.wakeAt = time.Time{}
+	for len(d.due) > 0 && !now.Before(d.due[0].due()) {
+		c, ev := d.due[0], callEvent{kind: evRetry, now: now}
+		if c.reading() {
+			ev.kind = evWindow
+		}
+		if c.due().Equal(c.deadline) {
+			c.deadline, ev.kind = time.Time{}, evDeadline
+		} else {
+			c.retryAt = time.Time{}
+		}
+		d.schedule(c)
+		fxs = append(fxs, d.stepLocked(c.id, ev))
+	}
+	d.wake(now)
+	d.mu.Unlock()
+	for _, fx := range fxs {
+		d.perform(fx)
+	}
+}
+
+// schedule moves c's slot in the due heap to its earliest due time, or
+// out of the heap when it has none (caller holds d.mu).
+func (d *Driver) schedule(c *call) {
+	if c.slot < len(d.due) && d.due[c.slot] == c {
+		heap.Remove(&d.due, c.slot)
+	}
+	if !c.due().IsZero() {
+		heap.Push(&d.due, c)
+	}
+}
+
+// wake moves the timer sooner when the earliest due time is (caller
+// holds d.mu); a fire with nothing due re-arms it for later.
+func (d *Driver) wake(now time.Time) {
+	if len(d.due) > 0 && (d.wakeAt.IsZero() || d.due[0].due().Before(d.wakeAt)) {
+		d.wakeAt = d.due[0].due()
+		d.timer.Reset(d.wakeAt.Sub(now))
+	}
+}
+
+// dueHeap is a min-heap of calls by due time; each keeps its index in
+// slot.
+type dueHeap []*call
+
+func (h dueHeap) Len() int           { return len(h) }
+func (h dueHeap) Less(i, j int) bool { return h[i].due().Before(h[j].due()) }
+func (h dueHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+func (h *dueHeap) Push(x any) {
+	c := x.(*call)
+	c.slot = len(*h)
+	*h = append(*h, c)
+}
+func (h *dueHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return c
 }
 
 // effects are the network actions of one step, kept for after d.mu is
@@ -648,7 +733,7 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 		}
 		fx.tinfo = tinfo
 		ev.targetN, ev.targetF = tinfo.N, tinfo.F()
-		ev.expired, ev.jitter = passed(c.expiry, nowMillis()), rand.Int63()
+		ev.expired, ev.jitter = passed(c.expiry, uint64(ev.now.UnixMilli())), d.jitter.Int63()
 	}
 	ev.callerN, ev.interval = d.svc.N, d.retransmitInterval
 	fx.c = c
@@ -678,10 +763,10 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 			d.readStats.Shed++
 			d.settle(c, a.reply, nil)
 		case actArmRetry:
-			d.armRetry(c, a.after)
+			c.retryAt = ev.now.Add(a.after)
 		case actWiden:
 			d.readStats.Widened++
-			d.armRetry(c, DefaultReadFallback)
+			c.retryAt = ev.now.Add(DefaultReadFallback)
 			fx.read = c.readRequest(d.svc.Name)
 			fx.acts[i] = a
 		case actFallBack:
@@ -691,15 +776,15 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 			} else {
 				d.readStats.FallbackDiverged++
 			}
-			// The fast window is over; sendFirst arms retransmission.
-			c.retryTmr.Stop()
-			c.retryTmr = nil
+			// The fast window is over; retransmission takes its place.
+			c.retryAt = ev.now.Add(d.retransmitInterval)
 			fx.hint = d.primaryHint[c.target]
 			fx.acts[i] = a
 		default:
 			fx.acts[i] = a
 		}
 	}
+	d.schedule(c) // the actions may have moved c's due times
 	return fx
 }
 
@@ -732,17 +817,13 @@ func (d *Driver) perform(fx effects) {
 	}
 }
 
-// settle ends call c with its one outcome (caller holds d.mu): its
-// timers, window slot and outstanding entry go, and unless its caller
+// settle ends call c with its one outcome (caller holds d.mu): its due
+// times, window slot and outstanding entry go, and unless its caller
 // gave up on it the outcome goes to the consumer chosen at issue.
 func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
 	delete(d.outstanding, c.id)
-	if c.retryTmr != nil {
-		c.retryTmr.Stop()
-	}
-	if c.abortTmr != nil {
-		c.abortTmr.Stop()
-	}
+	c.deadline, c.retryAt = time.Time{}, time.Time{}
+	d.schedule(c)
 	d.releaseSlot(c.target, &c.counted)
 	if !c.silent {
 		r.Blocking = c.blocking
@@ -761,24 +842,6 @@ func (d *Driver) post(sink chan outcome, o outcome) {
 	}
 	d.events = append(d.events, Event{Kind: EventReply, Reply: o.reply})
 	d.cond.Broadcast()
-}
-
-// armRetry (re)arms c's retransmission timer, or while c is a read its
-// fast window (caller holds d.mu). A window remembers whether it was
-// armed before or after the read widened, so step can drop the first
-// window's fire arriving late.
-func (d *Driver) armRetry(c *call, after time.Duration) {
-	if c.retryTmr != nil {
-		c.retryTmr.Stop()
-	}
-	id, reading, widened := c.id, c.reading(), c.read.widened
-	c.retryTmr = time.AfterFunc(after, func() {
-		if reading {
-			d.run(id, callEvent{kind: evWindow, widened: widened})
-		} else {
-			d.run(id, callEvent{kind: evRetry})
-		}
-	})
 }
 
 // resend re-sends an unanswered request to every target voter with the
@@ -816,6 +879,12 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 		return d.startRequest(tinfo, c)
 	}
 	d.mu.Lock()
+	c.read = readState{
+		need:     tinfo.F() + 1,
+		minSeq:   d.readFloor[tinfo.Name],
+		replicas: make([]readReplica, tinfo.N),
+		partners: d.readPartners[tinfo.Name],
+	}
 	// Reads respect the same client-edge window as calls, and hold their
 	// slot through a fallback: a read flood would otherwise fan
 	// authenticated frames at the whole group exactly when it is shedding
@@ -824,15 +893,8 @@ func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Dura
 		d.mu.Unlock()
 		return "", err
 	}
-	c.read = readState{
-		need:     tinfo.F() + 1,
-		minSeq:   d.readFloor[tinfo.Name],
-		replicas: make([]readReplica, tinfo.N),
-		partners: d.readPartners[tinfo.Name],
-	}
 	ids := c.askFirst()
 	d.readStats.Attempts++
-	d.armRetry(c, DefaultReadFallback)
 	rr := c.readRequest(d.svc.Name)
 	d.mu.Unlock()
 
@@ -1092,13 +1154,9 @@ func (d *Driver) close() {
 		return
 	}
 	d.closed = true
-	for _, c := range d.outstanding {
-		if c.retryTmr != nil {
-			c.retryTmr.Stop()
-		}
-		if c.abortTmr != nil {
-			c.abortTmr.Stop()
-		}
+	d.due = nil // so wake never sets the timer again
+	if d.timer != nil {
+		d.timer.Stop()
 	}
 	close(d.done)
 	d.cond.Broadcast()
