@@ -73,15 +73,6 @@ type Event struct {
 	blocking bool
 }
 
-// EventSource is implemented by MessageHandlers that expose the merged
-// agreed event stream.
-type EventSource interface {
-	// ReceiveEvent returns the next agreed event — request or reply —
-	// blocking until one is available. Mixing ReceiveEvent with the
-	// filtered accessors is allowed.
-	ReceiveEvent() (Event, error)
-}
-
 var (
 	_ MessageHandler = (*handler)(nil)
 	_ Utils          = (*handler)(nil)
@@ -155,24 +146,6 @@ func (h *handler) popAt(i int) Event {
 	ev := h.events[i]
 	h.events = append(h.events[:i], h.events[i+1:]...)
 	return ev
-}
-
-// ReceiveEvent implements EventSource. Replies SendReceive calls are
-// blocked on are not part of the stream (see Event.blocking).
-func (h *handler) ReceiveEvent() (Event, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for {
-		if h.closed {
-			return Event{}, ErrClosed
-		}
-		for i := range h.events {
-			if h.takeable(i) {
-				return h.popAt(i), nil
-			}
-		}
-		h.cond.Wait()
-	}
 }
 
 // ReceiveReply implements MessageHandler. It never takes the reply a

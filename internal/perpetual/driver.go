@@ -126,11 +126,10 @@ type Driver struct {
 	outstanding map[string]*call
 	utils       map[uint64]int64
 
-	// timer is the driver's one timer, set for wakeAt (zero once it ran
-	// out); due heaps the calls that have a due time (see onFire). jitter
-	// is seeded from the driver's identity, so one seed replays it.
-	timer  *time.Timer
-	wakeAt time.Time
+	// alarm is the driver's one timer; due heaps the calls that have a
+	// due time (see onFire). jitter is seeded from the driver's identity,
+	// so one seed replays it.
+	alarm  alarm
 	due    dueHeap
 	jitter *rand.Rand
 
@@ -249,6 +248,7 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		jitter:             rand.New(rand.NewSource(int64(fnv64a([]byte(svc.Name)) + uint64(index)))),
 	}
 	d.cond = sync.NewCond(&d.mu)
+	d.alarm = newAlarm(d.fire)
 	return d
 }
 
@@ -502,7 +502,7 @@ func (d *Driver) nextReqID() string {
 // first retransmission, or a read's first window. Reservation and
 // registration share the caller's d.mu hold, so an outcome for the id is
 // either seen by the registered call or parked where the issue finds it
-// (see parkable). It is a shell function: it makes the driver's timer.
+// (see parkable). It is a shell function.
 func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if d.closed {
 		return ErrClosed
@@ -535,9 +535,6 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	}
 	d.outstanding[c.id] = c
 	d.schedule(c)
-	if d.timer == nil {
-		d.timer = time.AfterFunc(first, d.fire) // wake sets it
-	}
 	d.wake(now)
 	return nil
 }
@@ -628,7 +625,6 @@ func (d *Driver) fire() { d.onFire(time.Now()) }
 func (d *Driver) onFire(now time.Time) {
 	var fxs []effects
 	d.mu.Lock()
-	d.wakeAt = time.Time{}
 	for len(d.due) > 0 && !now.Before(d.due[0].due()) {
 		c, ev := d.due[0], callEvent{kind: evRetry, now: now}
 		if c.reading() {
@@ -660,12 +656,36 @@ func (d *Driver) schedule(c *call) {
 	}
 }
 
-// wake moves the timer sooner when the earliest due time is (caller
-// holds d.mu); a fire with nothing due re-arms it for later.
+// wake sets the alarm for the earliest due time (caller holds d.mu).
 func (d *Driver) wake(now time.Time) {
-	if len(d.due) > 0 && (d.wakeAt.IsZero() || d.due[0].due().Before(d.wakeAt)) {
-		d.wakeAt = d.due[0].due()
-		d.timer.Reset(d.wakeAt.Sub(now))
+	if len(d.due) > 0 {
+		d.alarm.set(d.due[0].due(), now)
+	}
+}
+
+// alarm is a node's one reusable timer, set for at. Callers pass set the
+// earliest due time they hold; set moves the timer only sooner, unless
+// now has reached at: then the timer ran out, and set re-arms it.
+type alarm struct {
+	t  *time.Timer
+	at time.Time
+}
+
+// newAlarm is a shell function: it makes a node's timer, stopped.
+func newAlarm(fire func()) alarm {
+	t := time.AfterFunc(time.Hour, fire)
+	t.Stop()
+	return alarm{t: t}
+}
+
+// set arms the alarm for due (zero: none) as of now.
+func (a *alarm) set(due, now time.Time) {
+	if !a.at.IsZero() && !now.Before(a.at) {
+		a.at = time.Time{} // it ran out
+	}
+	if !due.IsZero() && (a.at.IsZero() || due.Before(a.at)) {
+		a.at = due
+		a.t.Reset(due.Sub(now))
 	}
 }
 
@@ -1095,7 +1115,7 @@ func (d *Driver) AgreedTimeMillis() (int64, error) {
 	k := d.utilSeq
 	d.mu.Unlock()
 
-	d.voter.proposeUtil(k)
+	d.voter.proposeUtil(k, time.Now().UnixMilli())
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1155,9 +1175,7 @@ func (d *Driver) close() {
 	}
 	d.closed = true
 	d.due = nil // so wake never sets the timer again
-	if d.timer != nil {
-		d.timer.Stop()
-	}
+	d.alarm.t.Stop()
 	close(d.done)
 	d.cond.Broadcast()
 }

@@ -184,7 +184,6 @@ func (v *voter) enqueueClient(from auth.NodeID, payload []byte) {
 	select {
 	case v.clientLane <- it:
 	default:
-		v.laneDrops.Add(1)
 		switch kind, reqID := peekClientReqID(payload); kind {
 		case KindRequest:
 			v.reqs.shedIntake.Add(1)
@@ -199,12 +198,6 @@ func (v *voter) enqueueClient(from auth.NodeID, payload []byte) {
 		}
 	}
 }
-
-// nowMillis is the local wall clock in the unit request expiry stamps
-// use. Expiry is advisory load-shedding state, never agreed state, so
-// bounded clock skew costs at most a premature busy (the caller
-// retries), never divergence.
-func nowMillis() uint64 { return uint64(time.Now().UnixMilli()) }
 
 // sendBusy answers a driver's request (or read) with a refusal frame.
 // Busy frames are advisory and unauthenticated beyond the channel MAC:

@@ -285,7 +285,7 @@ func TestVoterExpiryGateShedsStaleEnvelope(t *testing.T) {
 	// Rebuild the request's envelope with an expiry stamp in the past —
 	// what a retransmission delayed past the caller's deadline looks
 	// like on arrival — and hand it to every voter directly.
-	req, err := drv.buildRequest(res.ReqID, tinfo, []byte("stale"), 0, 1, nowMillis()-1000)
+	req, err := drv.buildRequest(res.ReqID, tinfo, []byte("stale"), 0, 1, uint64(time.Now().UnixMilli())-1000)
 	if err != nil {
 		t.Fatalf("buildRequest: %v", err)
 	}

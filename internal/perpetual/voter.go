@@ -73,9 +73,10 @@ type voter struct {
 	// parkedReads holds reads whose lease this replica has not reached
 	// yet: instead of declining immediately (forcing the caller toward
 	// agreement fallback), the read waits until the horizon passes its
-	// lease — normally microseconds after the write it trails — bounded
-	// by readParkWindow.
-	parkedReads []*parkedRead
+	// lease — normally microseconds after the write it trails — or
+	// until its due time, when it is declined (see serveParked).
+	parkedReads []parkedRead
+	alarm       alarm
 
 	// Overload control (see overload.go and DESIGN.md); zero disables
 	// each gate. The intake bound and the request counters sit on reqs.
@@ -91,7 +92,6 @@ type voter struct {
 	// flood cannot head-of-line block agreement traffic (see startLane).
 	clientLane chan laneItem
 	laneStop   chan struct{}
-	laneDrops  atomic.Uint64 // client frames refused at the lane bound (also counted as sheds)
 
 	mu sync.Mutex
 	// reqs holds this group's side of every call made to it, one record
@@ -114,6 +114,7 @@ func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.Chan
 		delivered: newBoundedCache[struct{}](deliveredCacheSize),
 	}
 	v.reqs.init(index)
+	v.alarm = newAlarm(v.fire)
 	return v
 }
 
@@ -401,7 +402,8 @@ func (v *voter) handleTransport(from auth.NodeID, payload []byte) {
 
 // handleExternalRequest implements stage 2: it checks a request copy
 // and feeds it to step, which collects f_c+1 matching copies for
-// agreement and serves retransmissions of executed requests.
+// agreement and serves retransmissions of executed requests. It is a
+// shell function: it stamps the event with the time.
 func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 	if req == nil || req.ReqID == "" {
 		return
@@ -423,7 +425,7 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 		v.logf("request %s from %s: bad authenticator: %v", req.ReqID, from, err)
 		return
 	}
-	ev := reqEvent{kind: inCopy, now: nowMillis(), req: req, digest: digest, from: from.Index,
+	ev := reqEvent{kind: inCopy, now: uint64(time.Now().UnixMilli()), req: req, digest: digest, from: from.Index,
 		callerN: caller.N, callerF: caller.F(), epoch: v.memEpoch.Load()}
 	if b := v.bft(); b != nil {
 		ev.committed = b.CommittedSeq()
@@ -561,7 +563,8 @@ func (v *voter) onHalt(seq uint64, state clbft.Digest) {
 
 // handleLocalResult implements stages 4-5: the co-located driver passes
 // an executor result; the voter authenticates it for the caller and step
-// routes the share to the responder.
+// routes the share to the responder. It is a shell function: one clock
+// reading serves the parked reads and stamps the event.
 func (v *voter) handleLocalResult(reqID string, payload []byte) {
 	v.mu.Lock()
 	r := v.reqs.recs[reqID]
@@ -589,7 +592,8 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 			break
 		}
 	}
-	v.drainParkedReads()
+	now := time.Now()
+	v.serveParked(now)
 
 	// The endorsement tier is decided here, once, against the agreement's
 	// commit horizon: a result executed ahead of the horizon (tentative
@@ -600,7 +604,7 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 		v.logf("result for %s: authenticator: %v", reqID, err)
 		return
 	}
-	v.apply(&reqEvent{kind: inExecuted, now: nowMillis(), id: reqID, reply: rec})
+	v.apply(&reqEvent{kind: inExecuted, now: uint64(now.UnixMilli()), id: reqID, reply: rec})
 }
 
 // mint makes this voter's reply share for reqID, executed at pos, under
@@ -699,8 +703,8 @@ func (v *voter) setReadExec(fn func([]byte) ([]byte, error)) {
 	v.readMu.Unlock()
 	// Reads that arrived before the application installed its executor
 	// sit parked as behind; serve them now instead of letting them
-	// expire into Behind declines.
-	v.drainParkedReads()
+	// expire into Behind declines. The zero time expires nothing.
+	v.serveParked(time.Time{})
 }
 
 // readParkWindow bounds how long a behind replica holds a read waiting
@@ -714,15 +718,12 @@ const readParkWindow = 25 * time.Millisecond
 // immediately (a flood of unservable reads must not grow memory).
 const maxParkedReads = 1024
 
-// parkedRead is one read waiting out readParkWindow for this replica's
-// horizon to pass its lease.
+// parkedRead is one read waiting for this replica's horizon to pass its
+// lease until due, readParkWindow after it parked.
 type parkedRead struct {
 	from auth.NodeID
 	rr   *ReadRequest
-	tmr  *time.Timer
-	// answered flips (under readMu) when either the drain or the expiry
-	// path claims the read, so exactly one reply is ever sent.
-	answered bool
+	due  time.Time
 }
 
 // readBehind reports whether local state has not yet reached the read's
@@ -740,9 +741,10 @@ func (v *voter) readBehind(rr *ReadRequest) bool {
 // economy of the agreement path. A replica whose state is behind the
 // caller's session lease (MinSeq) parks the read briefly — the write it
 // trails is normally executed microseconds later — and declines with
-// Behind only if the horizon still lags after readParkWindow; the caller
-// falls back to agreement when fewer than f_t+1 current endorsements
-// match.
+// Behind only if the horizon still lags at its due time, readParkWindow
+// later; the caller falls back to agreement when fewer than f_t+1
+// current endorsements match. It is a shell function: a read that parks
+// takes its due time from the clock.
 func (v *voter) handleReadRequest(from auth.NodeID, rr *ReadRequest) {
 	if rr == nil || rr.ReqID == "" || rr.Target != v.svc.Name {
 		return
@@ -769,22 +771,22 @@ func (v *voter) handleReadRequest(from auth.NodeID, rr *ReadRequest) {
 	v.readMu.Lock()
 	behind := !stale && v.readBehind(rr)
 	if behind && len(v.parkedReads) < maxParkedReads {
-		p := &parkedRead{from: from, rr: rr}
-		p.tmr = time.AfterFunc(readParkWindow, func() { v.expireParkedRead(p) })
-		v.parkedReads = append(v.parkedReads, p)
+		now := time.Now()
+		v.parkedReads = append(v.parkedReads, parkedRead{from: from, rr: rr, due: now.Add(readParkWindow)})
 		v.readMu.Unlock()
+		v.serveParked(now) // hands the alarm the earliest due time
 		return
 	}
 	v.readMu.Unlock()
-	v.answerRead(from, rr, behind)
+	v.answerRead(from, rr)
 }
 
-// answerRead builds and sends this replica's read reply. With behind
-// set the reply is a Behind decline; otherwise the read executes
-// speculatively and the reply endorses the result.
-func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
+// answerRead builds and sends this replica's read reply: a Behind
+// decline while the horizon is short of the read's lease, otherwise an
+// endorsement of the read's speculative result.
+func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest) {
 	v.readMu.Lock()
-	exec := v.readExec
+	exec, behind := v.readExec, v.readBehind(rr)
 	v.readMu.Unlock()
 
 	rp := &ReadReply{ReqID: rr.ReqID, Replica: v.index}
@@ -796,7 +798,7 @@ func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
 		// serving an old (here: empty) state with a forged position.
 		rp.Digest = ReplyDigest(rr.ReqID, nil)
 		v.faultFired.Add(1)
-	case behind || exec == nil:
+	case behind:
 		rp.Behind = true
 	default:
 		// Load the horizon *before* executing: concurrent agreement may
@@ -821,60 +823,44 @@ func (v *voter) answerRead(from auth.NodeID, rr *ReadRequest, behind bool) {
 	v.sendTo(from, &Message{Kind: KindReadReply, ReadReply: rp, Epoch: v.memEpoch.Load()})
 }
 
-// drainParkedReads re-evaluates parked reads after the horizon
-// advanced, answering every read whose lease it now passes.
-func (v *voter) drainParkedReads() {
+// serveParked answers each parked read whose lease the horizon has
+// passed or whose due time is at or before now, the latter with a Behind
+// decline, and sets the alarm for the earliest due time left. The zero
+// time expires nothing and leaves the alarm alone.
+func (v *voter) serveParked(now time.Time) {
 	v.readMu.Lock()
-	if len(v.parkedReads) == 0 {
-		v.readMu.Unlock()
-		return
-	}
-	var ready []*parkedRead
+	var served []parkedRead
+	var next time.Time
 	rest := v.parkedReads[:0]
 	for _, p := range v.parkedReads {
-		if !v.readBehind(p.rr) {
-			p.answered = true
-			p.tmr.Stop()
-			ready = append(ready, p)
-		} else {
+		switch {
+		case !v.readBehind(p.rr), !now.Before(p.due):
+			served = append(served, p)
+		default:
 			rest = append(rest, p)
+			if next.IsZero() || p.due.Before(next) {
+				next = p.due
+			}
 		}
 	}
 	v.parkedReads = rest
+	if !now.IsZero() {
+		v.alarm.set(next, now)
+	}
 	v.readMu.Unlock()
-	for _, p := range ready {
-		v.answerRead(p.from, p.rr, false)
+	for _, p := range served {
+		v.answerRead(p.from, p.rr)
 	}
 }
 
-// expireParkedRead fires when a parked read waited out readParkWindow
-// without the horizon catching up: decline with Behind so the caller's
-// quorum accounting (and, if needed, agreement fallback) proceeds.
-func (v *voter) expireParkedRead(p *parkedRead) {
-	v.readMu.Lock()
-	if p.answered {
-		v.readMu.Unlock()
-		return
-	}
-	p.answered = true
-	for i, q := range v.parkedReads {
-		if q == p {
-			v.parkedReads = append(v.parkedReads[:i], v.parkedReads[i+1:]...)
-			break
-		}
-	}
-	v.readMu.Unlock()
-	v.answerRead(p.from, p.rr, true)
-}
+// fire is the alarm's shell function: it stamps the fire with the time.
+func (v *voter) fire() { v.serveParked(time.Now()) }
 
-// closeReads releases parked reads on shutdown.
+// closeReads drops the parked reads unanswered on shutdown.
 func (v *voter) closeReads() {
 	v.readMu.Lock()
-	for _, p := range v.parkedReads {
-		p.answered = true
-		p.tmr.Stop()
-	}
 	v.parkedReads = nil
+	v.alarm.t.Stop()
 	v.readMu.Unlock()
 }
 
@@ -946,11 +932,11 @@ func (v *voter) isDelivered(reqID string) bool {
 	return v.delivered.Contains(reqID)
 }
 
-// proposeUtil proposes the local clock reading for utility slot k (for
-// the co-located driver). Only the current primary's proposal is ordered
-// first; duplicates are deduplicated by OpID.
-func (v *voter) proposeUtil(k uint64) {
-	op := &Op{Kind: OpUtil, K: k, Value: time.Now().UnixMilli()}
+// proposeUtil proposes ms, the co-located driver's clock reading, for
+// utility slot k. Only the current primary's proposal is ordered first;
+// duplicates are deduplicated by OpID.
+func (v *voter) proposeUtil(k uint64, ms int64) {
+	op := &Op{Kind: OpUtil, K: k, Value: ms}
 	v.bft().Submit(UtilOpID(k), op.Encode())
 }
 
