@@ -12,8 +12,7 @@
 // and metrics BENCHMARK.json declares.
 //
 // Beyond the paper, services shard across independent voter groups
-// (rendezvous-hash key routing), commit cross-shard transactions via
-// BFT two-phase commit, and rebalance online: a sharded service
+// (rendezvous-hash key routing) and rebalance online: a sharded service
 // live-migrates between shard counts with BFT state handoff (certified
 // exports, epoch-stamped routing, deterministic RETRY-AT-EPOCH
 // re-routing; see examples/resharding). The TCP transport is a
@@ -34,7 +33,7 @@
 // through full agreement deterministically (see DESIGN.md, "Two-tier
 // read path"; the benchmark's browse_mix workload measures it). CI
 // vets, builds and tests the module under the race detector and the
-// benchmark/ module, runs the protocol suites (cancellation, txn,
+// benchmark/ module, runs the protocol suites (cancellation,
 // resharding, read and reply fast paths, membership, overload) under
 // -race, prints the tier-1 coverage of internal/ with every uncovered
 // function, enforces the TCP frames-per-request ceiling, smoke-runs

@@ -88,8 +88,8 @@ func main() {
 
 	// Context-first invocation: Driver.Do is the unified entry point at
 	// the driver tier — one Request struct covers keyed calls, fast-path
-	// reads, shard fan-outs, and transactions, with cancellation and
-	// deadlines carried by a context instead of bare timeout parameters.
+	// reads and shard fan-outs, with cancellation and deadlines carried
+	// by a context instead of bare timeout parameters.
 	// (Under a core cluster the engine issues through Do in NoWait mode
 	// and the event pump consumes the reply; here we drive a raw
 	// perpetual deployment so Do's blocking wait is ours.)

@@ -8,28 +8,11 @@ import (
 	"perpetualws/internal/perpetual"
 )
 
-// The outcome and handoff bodies reach the application as the bodies of
-// synthesized requests, and applications probe arbitrary request bodies
-// with these decoders. Each target checks that the decoder never
-// panics and that whatever it accepts re-renders to a body that decodes
-// to the same value.
-
-// FuzzDecodeTxnOutcome covers DecodeTxnOutcome against TxnOutcomeBody.
-func FuzzDecodeTxnOutcome(f *testing.F) {
-	f.Add(TxnOutcomeBody("c:txn:1", true))
-	f.Add(TxnOutcomeBody("c:txn:2", false))
-	f.Add(TxnOutcomeBody("a<&>\"'\t\n", true))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		id, commit, ok := DecodeTxnOutcome(in)
-		if !ok {
-			return
-		}
-		id2, commit2, ok := DecodeTxnOutcome(TxnOutcomeBody(id, commit))
-		if !ok || id2 != id || commit2 != commit {
-			t.Fatalf("re-rendered outcome decodes to (%q, %v, ok %v), want (%q, %v)", id2, commit2, ok, id, commit)
-		}
-	})
-}
+// The handoff body reaches the application as the body of a synthesized
+// request, and applications probe arbitrary request bodies with its
+// decoder. The target checks that the decoder never panics and that
+// whatever it accepts re-renders to a body that decodes to the same
+// value.
 
 // FuzzDecodeHandoff covers DecodeHandoff against HandoffBody, for every
 // phase and with and without installed state.

@@ -483,59 +483,44 @@ func TestOptionsFaultSilencesClient(t *testing.T) {
 
 func TestUndeliverableRequestGetsFaultReply(t *testing.T) {
 	// Regression: a request the node could not hand to the application —
-	// an agreed payload failing soap.Parse, or a transaction frame
-	// failing the coordinator-ownership check — was dropped with no
-	// reply at all, stalling the caller until its timeout fired, and
-	// forever at the paper-default zero timeout. The node now settles
-	// such requests with a deterministic SOAP fault.
+	// an agreed payload failing soap.Parse — was dropped with no reply at
+	// all, stalling the caller until its timeout fired, and forever at
+	// the paper-default zero timeout. The node now settles such requests
+	// with a deterministic SOAP fault.
 	c := newEchoCluster(t, 1, 1)
 	drv := c.Node("client", 0).Replica().Driver()
 
-	// The review scenario: a PREPARE whose inner payload is not a SOAP
-	// envelope. The participant's fault becomes its abort vote, so the
-	// zero-timeout transaction below settles instead of wedging the
-	// coordinator forever.
+	// A zero-timeout call whose payload is not a SOAP envelope settles
+	// with the fault instead of wedging its caller forever.
 	type out struct {
-		res *perpetual.TxnResult
+		res perpetual.Result
 		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := drv.Do(context.Background(), perpetual.Request{
-			Target: "echo", Txn: true,
-			TxnKeys: [][]byte{[]byte("k")}, TxnPayloads: [][]byte{[]byte("\x01garbage")},
-		})
-		done <- out{res.Txn, err}
+		res, err := drv.Do(context.Background(), perpetual.Request{Target: "echo", Payload: []byte("\x01garbage")})
+		done <- out{res, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err != nil {
-			t.Fatalf("Txn: %v", o.err)
+			t.Fatalf("Do: %v", o.err)
 		}
-		if o.res.Committed {
-			t.Fatalf("committed a PREPARE the participant could not parse: %+v", o.res)
-		}
-		env, err := soap.Parse(o.res.Votes[0].Payload)
+		env, err := soap.Parse(o.res.Payload)
 		if err != nil {
-			t.Fatalf("abort vote payload is not an envelope: %v", err)
+			t.Fatalf("fault reply is not an envelope: %v", err)
 		}
 		if _, isFault := soap.IsFault(env.Body); !isFault {
-			t.Errorf("abort vote payload = %q, want fault", env.Body)
+			t.Errorf("reply = %q, want fault", env.Body)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Txn with unparseable PREPARE payload wedged (no vote reply)")
+		t.Fatal("call with an unparseable payload wedged (no reply)")
 	}
 
-	// Plain garbage and forged frames are likewise answered: the
-	// caller's outstanding entries settle instead of dangling forever.
+	// An issue-only call is likewise answered: the caller's outstanding
+	// entry settles instead of dangling forever.
 	if _, err := drv.Do(context.Background(), perpetual.Request{Target: "echo", Payload: []byte("\x01garbage"), NoWait: true}); err != nil {
 		t.Fatalf("Do: %v", err)
-	}
-	forged := perpetual.EncodeTxnFrame(&perpetual.TxnFrame{
-		Phase: perpetual.TxnAbort, TxnID: "intruder:txn:1", Participants: []string{"echo"},
-	})
-	if _, err := drv.Do(context.Background(), perpetual.Request{Target: "echo", Payload: forged, NoWait: true}); err != nil {
-		t.Fatalf("Do forged frame: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for drv.Outstanding() != 0 {

@@ -173,68 +173,21 @@ func (n *Node) eventPump() {
 }
 
 func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
-	payload := preq.Payload
-	if _, isHandoff := perpetual.DecodeHandoffFrame(payload); isHandoff {
+	if _, isHandoff := perpetual.DecodeHandoffFrame(preq.Payload); isHandoff {
 		n.pumpHandoff(preq)
 		return
 	}
-	var txnID string
-	var frame *perpetual.TxnFrame
-	if _, isFrame := perpetual.DecodeTxnFrame(payload); isFrame {
-		// Only a transaction's own coordinator may drive its phases:
-		// DecodeTxnFrameFrom checks the frame's TxnID was minted by the
-		// (transport-authenticated) calling service, so no third party
-		// can forge the COMMIT/ABORT of someone else's transaction.
-		f, ok := perpetual.DecodeTxnFrameFrom(preq)
-		if !ok {
-			n.logf("agreed request %s carries a txn frame not owned by caller %s", preq.ReqID, preq.Caller)
-			n.replyFault(preq, nil, "soap:Sender", "transaction frame not owned by the calling service")
-			return
-		}
-		switch f.Phase {
-		case perpetual.TxnPrepare:
-			// The PREPARE's inner envelope becomes an ordinary-looking
-			// request tagged with the transaction id; the application's
-			// reply (fault = abort) is its vote.
-			payload, txnID, frame = f.Payload, f.TxnID, f
-		default:
-			// COMMIT/ABORT: synthesize the outcome request the
-			// application consumes to apply or release its prepared
-			// state. The acknowledgement reply routes back normally.
-			mc := wsengine.NewMessageContext()
-			mc.Envelope = soap.Envelope{
-				Header: soap.Header{
-					Action:  ActionTxnOutcome,
-					ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
-				},
-				Body: TxnOutcomeBody(f.TxnID, f.Phase == perpetual.TxnCommit),
-			}
-			// PropTxnOutcome marks the context as a genuine agreed
-			// outcome; applications must require it before acting on a
-			// txnOutcome body, since any client could send a lookalike
-			// body as an ordinary request.
-			mc.SetProperty(PropTxnOutcome, true)
-			if err := n.receiveRequest(mc, preq); err != nil {
-				n.logf("IN-PIPE rejected txn outcome %s: %v", preq.ReqID, err)
-				n.replyFault(preq, nil, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected txn outcome: %v", err))
-			}
-			return
-		}
-	}
-	env, err := soap.Parse(payload)
+	env, err := soap.Parse(preq.Payload)
 	if err != nil {
 		n.logf("agreed request %s has malformed envelope: %v", preq.ReqID, err)
-		n.replyFault(preq, frame, "soap:Sender", fmt.Sprintf("request is not a SOAP envelope: %v", err))
+		n.replyFault(preq, "soap:Sender", fmt.Sprintf("request is not a SOAP envelope: %v", err))
 		return
 	}
 	mc := wsengine.NewMessageContext()
 	mc.Envelope = *env
-	if txnID != "" {
-		mc.SetProperty(PropTxnID, txnID)
-	}
 	if err := n.receiveRequest(mc, preq); err != nil {
 		n.logf("IN-PIPE rejected request %s: %v", preq.ReqID, err)
-		n.replyFault(preq, frame, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected request: %v", err))
+		n.replyFault(preq, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected request: %v", err))
 	}
 }
 
@@ -319,22 +272,17 @@ func (n *Node) replyHandoffFault(preq perpetual.IncomingRequest, f *perpetual.Ha
 }
 
 // replyFault settles an agreed incoming request the node cannot hand to
-// the application — an unowned transaction frame, an unparseable
-// envelope, an IN-PIPE rejection — with a SOAP fault instead of staying
-// silent: the caller is blocked on this request, and with a zero
-// timeout a dropped request would stall it forever. Every correct
-// replica sees the same agreed bytes and produces the same fault, so
-// the reply is deterministic. For a transaction PREPARE the fault is
-// wrapped as the shard's abort vote.
-func (n *Node) replyFault(preq perpetual.IncomingRequest, frame *perpetual.TxnFrame, code, reason string) {
+// the application — an unparseable envelope, an IN-PIPE rejection —
+// with a SOAP fault instead of staying silent: the caller is blocked on
+// this request, and with a zero timeout a dropped request would stall it
+// forever. Every correct replica sees the same agreed bytes and produces
+// the same fault, so the reply is deterministic.
+func (n *Node) replyFault(preq perpetual.IncomingRequest, code, reason string) {
 	env := soap.Envelope{Body: soap.FaultBody(soap.Fault{Code: code, Reason: reason})}
 	payload, err := env.Marshal()
 	if err != nil {
 		n.logf("fault reply for %s: %v", preq.ReqID, err)
 		return
-	}
-	if frame != nil && frame.Phase == perpetual.TxnPrepare {
-		payload = perpetual.EncodeTxnVote(frame, false, payload)
 	}
 	if err := n.replica.Driver().Reply(preq, payload); err != nil {
 		n.logf("fault reply for %s: %v", preq.ReqID, err)
@@ -426,22 +374,6 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 				// marks the phase refused.
 				_, isFault := soap.IsFault(mc.Envelope.Body)
 				payload = perpetual.EncodeHandoffState(hf, preq.Seq, !isFault, payload)
-				return drv.Reply(preq, payload)
-			}
-			if f, isTxn := perpetual.DecodeTxnFrame(preq.Payload); isTxn {
-				// Replies to transaction requests carry the vote wrapper
-				// the coordinator's decision protocol consumes: a SOAP
-				// fault answering a PREPARE is an abort vote; outcome
-				// acknowledgements always "vote" commit. The wrapper
-				// echoes the frame's TxnID and participant set, turning
-				// the f_t+1-endorsed reply into a certificate for
-				// exactly this transaction.
-				commit := true
-				if f.Phase == perpetual.TxnPrepare {
-					_, isFault := soap.IsFault(mc.Envelope.Body)
-					commit = !isFault
-				}
-				payload = perpetual.EncodeTxnVote(f, commit, payload)
 			}
 			return drv.Reply(preq, payload)
 		}

@@ -49,8 +49,8 @@ func (c *boundedCache[V]) Put(key string, v V) {
 	c.items[key] = v
 	c.order = append(c.order, key)
 	// Deletes leave stale slots in order; without compaction a workload
-	// that deletes most entries (the txn wait tables) grows order — and
-	// the evicted backing array behind it — without bound.
+	// that deletes most entries (the parked-outcome table) grows order —
+	// and the evicted backing array behind it — without bound.
 	if len(c.order) >= 2*c.max && len(c.order) > 2*len(c.items) {
 		c.compact()
 	}

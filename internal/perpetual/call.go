@@ -8,7 +8,7 @@ import (
 )
 
 // call is one request this driver issued and awaits: an ordinary call, a
-// shard fan-out leg, a 2PC or handoff leg, or a fast-path read. How it
+// shard fan-out leg, a handoff leg, or a fast-path read. How it
 // settles is decided by step alone; the executor (Driver.run) owns its
 // due times and performs what step asks for.
 type call struct {
@@ -22,9 +22,9 @@ type call struct {
 	// request envelope (0 = none): replicas drop the request at every
 	// pre-agreement stage once it passes, and retransmission stops.
 	expiry uint64
-	class  uint8 // transport stats class override (ClassTxn, ClassHandoff)
-	// txn marks a 2PC or handoff leg (see txn.go, handoff.go).
-	txn bool
+	// leg marks a handoff leg (see handoff.go), sent under the stats
+	// class ClassHandoff.
+	leg bool
 	// fast marks a reply fast-path call (see Driver.fastPath): no
 	// caller-side agreement ever orders its outcome.
 	fast     bool
@@ -33,8 +33,8 @@ type call struct {
 	// fan-out): it still settles, but its outcome never surfaces.
 	silent bool
 	// sink is the outcome's one consumer, chosen at issue: the channel a
-	// waiting Do, txn leg or handoff leg receives on, or nil for the
-	// agreed-order event queue.
+	// waiting Do or handoff leg receives on, or nil for the agreed-order
+	// event queue.
 	sink chan outcome
 	// busy maps each distinct target voter that refused the request to
 	// its retry-after hint; busyExpired counts expired-deadline refusals.
@@ -102,8 +102,8 @@ func (c *call) due() time.Time {
 }
 
 // outcome is what a settled call hands its consumer: the reply, and for
-// a txn call's agreed reply the bundle that certifies it (the 2PC vote
-// or handoff certificate).
+// a leg's agreed reply the bundle that certifies it (the handoff
+// certificate).
 type outcome struct {
 	reply Reply
 	cert  *ReplyBundle
@@ -205,11 +205,11 @@ type callAction struct {
 //   - evAgreed: dropped on a fast call — no correct replica proposes an
 //     outcome for one, so an agreed one (a faulty voter's abort) must
 //     not race the certified reply; it settles any other call, and a
-//     txn call keeps the reply's shares as its certificate.
+//     leg keeps the reply's shares as its certificate.
 //   - evParked: a parked bundle settles a fast call and a parked agreed
 //     outcome any other call; the other kind is dropped, and the call
 //     goes out as usual.
-//   - evBusy: ignored on a txn call, from another target, or from
+//   - evBusy: ignored on a leg, from another target, or from
 //     outside the group. Below the f_t+1 quorum of distinct refusers the
 //     first refusal fans the request out to the whole group once. At the
 //     quorum an unreplicated caller (N = 1) settles the call as
@@ -264,7 +264,7 @@ func step(c *call, ev callEvent) []callAction {
 		}
 		return nil
 	case evBusy:
-		if c.txn || ev.from != c.target || ev.replica >= ev.targetN {
+		if c.leg || ev.from != c.target || ev.replica >= ev.targetN {
 			return nil
 		}
 		if c.busy == nil {
@@ -320,7 +320,7 @@ func step(c *call, ev callEvent) []callAction {
 // settleAgreed is the settle action for an agreed outcome.
 func (c *call) settleAgreed(ev callEvent) callAction {
 	a := callAction{kind: actSettle, reply: ev.reply}
-	if c.txn && !ev.reply.Aborted && ev.cert != nil && len(ev.cert.Shares) > 0 {
+	if c.leg && !ev.reply.Aborted && ev.cert != nil && len(ev.cert.Shares) > 0 {
 		cert := *ev.cert
 		cert.ReqID, cert.Target, cert.Payload = c.id, c.target, ev.reply.Payload
 		a.cert = &cert

@@ -16,7 +16,7 @@ func TestCallStep(t *testing.T) {
 	)
 	fast := func() *call { return &call{id: id, target: "t", fast: true} }
 	agreed := func() *call { return &call{id: id, target: "t"} }
-	txn := func() *call { return &call{id: id, target: "t", txn: true} }
+	leg := func() *call { return &call{id: id, target: "t", leg: true} }
 	expiring := func() *call { return &call{id: id, target: "t", fast: true, expiry: 1} }
 
 	bundle := &ReplyBundle{ReqID: id, Target: "t", Payload: []byte("ok"), Pos: 23}
@@ -129,8 +129,8 @@ func TestCallStep(t *testing.T) {
 			want: [][]callAction{settle(reply)},
 		},
 		{
-			name: "agreed reply keeps its certificate on a txn call",
-			c:    txn(),
+			name: "agreed reply keeps its certificate on a leg",
+			c:    leg(),
 			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, cert: &ReplyBundle{Shares: shares, Epoch: 3, GroupN: 4, Pos: 17}})},
 			want: [][]callAction{{{kind: actSettle, reply: reply, cert: &ReplyBundle{
 				ReqID: id, Target: "t", Epoch: 3, GroupN: 4, Pos: 17, Payload: reply.Payload, Shares: shares,
@@ -212,8 +212,8 @@ func TestCallStep(t *testing.T) {
 			want: [][]callAction{nil, abort},
 		},
 		{
-			name: "txn call ignores busy replies",
-			c:    txn(),
+			name: "leg ignores busy replies",
+			c:    leg(),
 			evs:  []callEvent{busy(4, 2, 5), busy(4, 3, 5)},
 			want: [][]callAction{nil, nil},
 		},

@@ -7,9 +7,8 @@ import (
 )
 
 // The call surface: Do is the one entry point every request flavor —
-// keyed agreement calls, session-tier reads, shard fan-outs, cross-shard
-// transactions — issues through, with cancellation and deadlines
-// carried by a context.Context.
+// keyed agreement calls, session-tier reads, shard fan-outs — issues
+// through, with cancellation and deadlines carried by a context.Context.
 
 // Request describes one call issued through Do.
 type Request struct {
@@ -26,13 +25,6 @@ type Request struct {
 	// (see Driver.issueRead for its semantics). The request must be
 	// read-only; divergence deterministically falls back to agreement.
 	Read bool
-	// Txn runs a cross-shard atomic transaction: TxnKeys/TxnPayloads
-	// supply one (key, PREPARE payload) pair per operation, and the
-	// result carries the agreed decision and per-key votes. Target, Key,
-	// Payload, Read, and NoWait are ignored for transactions.
-	Txn         bool
-	TxnKeys     [][]byte
-	TxnPayloads [][]byte
 	// AllShards fans the request out to every shard of a sharded target
 	// (one independent request per shard, in shard order). The Result
 	// carries the per-shard request ids, plus the per-shard replies
@@ -62,14 +54,12 @@ type Request struct {
 
 // Result is the outcome of one Do call.
 type Result struct {
-	// ReqID is the issued request id (the transaction id for Txn).
+	// ReqID is the issued request id.
 	ReqID string
-	// Payload and Aborted mirror the agreed Reply (blocking, non-txn,
-	// non-fan-out calls only).
+	// Payload and Aborted mirror the agreed Reply (blocking, non-fan-out
+	// calls only).
 	Payload []byte
 	Aborted bool
-	// Txn is the transaction outcome for Txn requests.
-	Txn *TxnResult
 	// ShardIDs are the per-shard request ids of an AllShards fan-out.
 	ShardIDs []string
 	// Shards are the per-shard agreed replies of a blocking AllShards
@@ -77,8 +67,8 @@ type Result struct {
 	Shards []Reply
 }
 
-// Do issues one request and, unless req.NoWait (or req.Txn, which always
-// blocks for the agreed decision), waits for its agreed reply.
+// Do issues one request and, unless req.NoWait, waits for its agreed
+// reply.
 //
 // Cancellation: when ctx is canceled mid-call, Do returns ctx.Err() and
 // settles the request so nothing leaks — the call takes step's evCancel
@@ -87,11 +77,6 @@ type Result struct {
 // replicated caller must drive Do from its deterministic executor with a
 // non-cancelable context: a cancel is a local decision, and replicas
 // that disagree about it diverge.
-//
-// Transactions run each phase under ctx during vote collection, but once
-// the commit/abort decision is proposed the protocol runs to completion
-// regardless of ctx — the decision is group-agreed state and every
-// participant must learn it. Bound phases with Timeout instead.
 func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -108,13 +93,6 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 		}
 	}
 	switch {
-	case req.Txn:
-		tr, err := d.runTxn(ctx, req.Target, req.TxnKeys, req.TxnPayloads, timeout)
-		res := Result{Txn: tr}
-		if tr != nil {
-			res.ReqID = tr.TxnID
-		}
-		return res, err
 	case req.AllShards:
 		ids, sinks, err := d.fanAllShards(req.Target, req.Payload, timeout, !req.NoWait)
 		if err != nil {

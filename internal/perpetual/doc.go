@@ -48,13 +48,13 @@
 //
 // Call surface: Driver.Do(ctx, Request) is the single entry point for
 // every request flavor — keyed agreement calls, session-tier reads,
-// shard fan-outs, cross-shard transactions — with cancellation and
-// deadlines carried by a context.Context. How a call settles — a
-// session-tier read included, through its widening and its fallback to
-// agreement — is one pure decision function, step (call.go), that the
-// driver executes. A canceled call is settled, not abandoned: it is
-// aborted (locally on the reply and read fast paths, group-wide
-// otherwise) and its outcome never surfaces as an orphan event.
+// shard fan-outs — with cancellation and deadlines carried by a
+// context.Context. How a call settles — a session-tier read included,
+// through its widening and its fallback to agreement — is one pure
+// decision function, step (call.go), that the driver executes. A
+// canceled call is settled, not abandoned: it is aborted (locally on the
+// reply and read fast paths, group-wide otherwise) and its outcome never
+// surfaces as an orphan event.
 //
 // Execution parallelism: independent voter groups share no locks on the
 // per-frame path, so at GOMAXPROCS>1 shard groups run as parallel

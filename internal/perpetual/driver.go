@@ -110,7 +110,6 @@ type Driver struct {
 
 	reqSeq  uint64
 	utilSeq uint64
-	txnSeq  uint64
 
 	// done is closed by close, releasing every waiter on a call's sink.
 	done chan struct{}
@@ -168,14 +167,6 @@ type Driver struct {
 	readPartners map[string][]int
 	readStats    ReadStats
 
-	// txnPending holds one decision slot per transaction this replica is
-	// driving; registered slots are never evicted (see
-	// registerTxnLocked). txnEarly buffers agreed decisions that arrive
-	// before the local executor reaches the transaction — coordinator
-	// replicas run the same deterministic schedule but not in lockstep.
-	txnPending map[string]*txnDecision
-	txnEarly   *boundedCache[bool]
-
 	// early holds outcomes that arrived for request ids this driver has
 	// not issued yet (id number above reqSeq), as one evParked event per
 	// id: a lagging replica's executor often issues a call after the
@@ -183,12 +174,6 @@ type Driver struct {
 	// driver. startRequest feeds the entry to the call when it is issued
 	// (see parkable).
 	early *boundedCache[callEvent]
-}
-
-// txnDecision is a registered transaction's decision slot.
-type txnDecision struct {
-	done   bool
-	commit bool
 }
 
 // ReadStats counts session-tier read fast-path outcomes at one driver.
@@ -242,8 +227,6 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 		primaryHint:        make(map[string]int),
 		readFloor:          make(map[string]uint64),
 		readPartners:       make(map[string][]int),
-		txnPending:         make(map[string]*txnDecision),
-		txnEarly:           newBoundedCache[bool](deliveredCacheSize),
 		early:              newBoundedCache[callEvent](reqTableSize),
 		jitter:             rand.New(rand.NewSource(int64(fnv64a([]byte(svc.Name)) + uint64(index)))),
 	}
@@ -439,12 +422,12 @@ func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Durati
 	return ids, sinks, nil
 }
 
-// issueLeg issues one protocol-internal request (a 2PC or handoff leg)
-// to a concrete group. Its outcome, with the agreed reply's certificate,
-// goes to the returned channel and never to the event queue.
-func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Duration, class uint8) (string, chan outcome, error) {
+// issueLeg issues one handoff leg, a protocol-internal request, to a
+// concrete group. Its outcome, with the agreed reply's certificate, goes
+// to the returned channel and never to the event queue.
+func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Duration) (string, chan outcome, error) {
 	sink := make(chan outcome, 1)
-	id, err := d.startRequest(tinfo, &call{payload: payload, timeout: timeout, txn: true, class: class, sink: sink})
+	id, err := d.startRequest(tinfo, &call{payload: payload, timeout: timeout, leg: true, sink: sink})
 	return id, sink, err
 }
 
@@ -456,8 +439,8 @@ func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Durati
 // order to agree on; or the issuing thread is blocked on exactly this
 // reply and set no caller-side deadline, so it consumes the reply
 // whenever it arrives and nothing could abort it first. Every other
-// call (asynchronous issue, a deadline, txn and handoff traffic) keeps
-// the agreed OpReply/OpAbort path.
+// call (asynchronous issue, a deadline, handoff traffic) keeps the
+// agreed OpReply/OpAbort path.
 func (d *Driver) fastPath(blocking bool, timeout time.Duration) bool {
 	return d.svc.N == 1 || (blocking && timeout == 0)
 }
@@ -472,8 +455,8 @@ func (d *Driver) parkable(reqID string) bool {
 }
 
 // callerReqSeq extracts the driver-local request number from a reqID of
-// the form "<caller>:<n>" (see Driver.nextReqID). Transaction ids and
-// other non-numeric suffixes report false.
+// the form "<caller>:<n>" (see Driver.nextReqID). Non-numeric suffixes
+// report false.
 func callerReqSeq(reqID, caller string) (uint64, bool) {
 	if len(reqID) <= len(caller)+1 || reqID[:len(caller)] != caller || reqID[len(caller)] != ':' {
 		return 0, false
@@ -507,17 +490,17 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if !c.txn && !d.acquireSlot(tinfo.Name) {
+	if !c.leg && !d.acquireSlot(tinfo.Name) {
 		// Client-edge admission: the in-flight window to this target is
 		// full, so refuse with the deterministic RETRY-AFTER fault before
-		// building or sending anything (txn traffic is protocol-internal
-		// 2PC/handoff machinery and is never shed here).
+		// building or sending anything (a handoff leg is protocol-internal
+		// and is never shed here).
 		return &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
 	c.target = tinfo.Name
 	c.id = d.nextReqID()
 	c.responder = int(d.reqSeq % uint64(tinfo.N))
-	c.counted = !c.txn && d.maxOutstanding > 0
+	c.counted = !c.leg && d.maxOutstanding > 0
 	now, first := time.Now(), d.retransmitInterval
 	if c.reading() {
 		first = DefaultReadFallback
@@ -526,7 +509,7 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if c.timeout > 0 {
 		c.deadline = now.Add(c.timeout)
 	}
-	if c.timeout > 0 && !c.txn {
+	if c.timeout > 0 && !c.leg {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
 		// or explicit Timeout, both already folded into timeout) into the
 		// request envelope so replicas can drop expired work at every
@@ -583,7 +566,7 @@ func (d *Driver) sendFirst(c *call, tinfo ServiceInfo, responder, hint int) erro
 	if err != nil {
 		return err
 	}
-	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}, c.class); err != nil {
+	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}, c.leg); err != nil {
 		d.logf("request %s: %v", c.id, err)
 	}
 	return nil
@@ -656,11 +639,14 @@ func (d *Driver) schedule(c *call) {
 	}
 }
 
-// wake sets the alarm for the earliest due time (caller holds d.mu).
+// wake sets the alarm for the earliest due time, none when nothing is
+// due (caller holds d.mu).
 func (d *Driver) wake(now time.Time) {
+	var due time.Time
 	if len(d.due) > 0 {
-		d.alarm.set(d.due[0].due(), now)
+		due = d.due[0].due()
 	}
+	d.alarm.set(due, now)
 }
 
 // alarm is a node's one reusable timer, set for at. Callers pass set the
@@ -872,7 +858,7 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 		d.logf("retransmit %s: %v", c.id, err)
 		return
 	}
-	if err := d.sendRequest(req, tinfo.VoterIDs(), c.class); err != nil {
+	if err := d.sendRequest(req, tinfo.VoterIDs(), c.leg); err != nil {
 		d.logf("retransmit %s: %v", c.id, err)
 	}
 	d.logf("retransmitted %s (attempt %d, responder %d)", c.id, attempt, responder)
@@ -966,15 +952,16 @@ func (d *Driver) ReadStats() ReadStats {
 // sendRequest encodes a request message once and transmits it to the
 // given target voters (one for first attempts, the whole group for
 // retransmissions) through the adapter's encode-once multicast path.
-// Protocol-internal requests carry a reserved stats class (ClassTxn,
-// ClassHandoff) so 2PC and migration bandwidth are separable from
-// ordinary request traffic; class zero derives from the payload.
-func (d *Driver) sendRequest(req *RequestMsg, tos []auth.NodeID, class uint8) error {
+// A handoff leg carries the reserved stats class ClassHandoff, so
+// migration bandwidth is separable from ordinary request traffic; any
+// other request's class derives from the payload.
+func (d *Driver) sendRequest(req *RequestMsg, tos []auth.NodeID, leg bool) error {
 	msg := &Message{Kind: KindRequest, Request: req}
 	w := wire.GetWriter(msg.SizeHint())
 	msg.EncodeTo(w)
-	if class == 0 {
-		class = transport.ClassOf(w.Bytes())
+	class := transport.ClassOf(w.Bytes())
+	if leg {
+		class = transport.ClassHandoff
 	}
 	err := d.adapter.SendMultiTagged(tos, w.Bytes(), class)
 	w.Free()
@@ -1019,8 +1006,8 @@ func (d *Driver) deliverRequest(r IncomingRequest) {
 // deliverReply feeds the caller group's agreed reply or abort (stage 9)
 // to its call (see step's evAgreed row). cert carries the agreed reply
 // bundle's endorsements and MAC'd fields, retained as the certificate of
-// a transaction or handoff leg, so the rebuilt certificate verifies
-// under the roster and position its shares were minted for.
+// a handoff leg, so the rebuilt certificate verifies under the roster
+// and position its shares were minted for.
 func (d *Driver) deliverReply(r Reply, cert *ReplyBundle) {
 	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r, cert: cert})
 }

@@ -6,42 +6,13 @@ import (
 	"testing"
 )
 
-// The decoders below run on bytes the voter did not produce: a PREPARE
-// vote inside a proposed commit decision (validOp), a membership change
-// inside a proposed or agreed operation (validOp, onDeliver), and a
-// handoff-export reply the voter is about to endorse (mint). Each target
+// The decoders below run on bytes the voter did not produce: a
+// membership change inside a proposed or agreed operation (validOp,
+// onDeliver), and a handoff-export reply the voter is about to endorse
+// (mint). Each target
 // checks that the decoder never panics, that whatever it accepts
 // re-encodes to bytes it decodes to the same value, and that the value
 // keeps nothing of the input buffer.
-
-// FuzzDecodeTxnVote covers DecodeTxnVote against EncodeTxnVote.
-func FuzzDecodeTxnVote(f *testing.F) {
-	for _, fr := range []*TxnFrame{
-		{Phase: TxnPrepare, TxnID: "c:txn:1", Participants: []string{"store#0", "store#1"}, Prepares: 2},
-		{Phase: TxnCommit, TxnID: "c:txn:2", Participants: []string{"store#1"}, Prepares: 1},
-		{Phase: TxnAbort, TxnID: "c:txn:3"},
-	} {
-		f.Add(EncodeTxnVote(fr, true, []byte("<ok/>")))
-		f.Add(EncodeTxnVote(fr, false, nil))
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		v, ok := DecodeTxnVote(in)
-		if !ok {
-			return
-		}
-		enc := EncodeTxnVote(&TxnFrame{Phase: v.Phase, TxnID: v.TxnID, Participants: v.Participants, Prepares: v.Prepares},
-			v.Commit, v.Payload)
-		again, ok := DecodeTxnVote(enc)
-		if !ok || !reflect.DeepEqual(again, v) {
-			t.Fatalf("re-encoded vote decodes to %+v (ok %v), want %+v", again, ok, v)
-		}
-		scribble(in)
-		if !bytes.Equal(EncodeTxnVote(&TxnFrame{Phase: v.Phase, TxnID: v.TxnID, Participants: v.Participants,
-			Prepares: v.Prepares}, v.Commit, v.Payload), enc) {
-			t.Fatal("decoded vote changed when the input buffer was overwritten")
-		}
-	})
-}
 
 // FuzzDecodeMembershipChange covers DecodeMembershipChange against
 // Encode, and Validate on whatever decodes, as validOp runs it.

@@ -6,14 +6,13 @@ package perpetual
 // adds live resharding: Driver.Reshard migrates the keys a shard-count
 // change moves between groups while the service keeps serving traffic.
 //
-// The protocol follows the certificate pattern of the transaction layer
-// (Zhao's BFT distributed commit, txn.go) and the state-migration shape
-// of Dearle et al.'s BFT-services-on-Chord work: state moves between
-// replica *groups*, never between individual replicas, and every
-// transfer carries a group-level certificate so a Byzantine source
-// group (up to f faulty members) cannot feed the joining group forged
-// state. Three phases per moving key range (source shard s, destination
-// shard d, epoch E -> E+1):
+// The protocol follows the state-migration shape of Dearle et al.'s
+// BFT-services-on-Chord work: state moves between replica *groups*,
+// never between individual replicas, and every transfer carries a
+// group-level certificate so a Byzantine source group (up to f faulty
+// members) cannot feed the joining group forged state. Three phases per
+// moving key range (source shard s, destination shard d, epoch
+// E -> E+1):
 //
 //  1. EXPORT — the coordinator sends a HandoffExport frame to the
 //     source group as an ordinary agreed request. At its deterministic
@@ -63,7 +62,6 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
-	"perpetualws/internal/transport"
 	"perpetualws/internal/wire"
 )
 
@@ -104,7 +102,7 @@ func (p HandoffPhase) String() string {
 }
 
 // Frame and state magics: the leading NUL guarantees no collision with
-// XML/SOAP application payloads (same scheme as the txn layer).
+// XML/SOAP application payloads.
 var (
 	handoffFrameMagic = []byte{0x00, 'p', 'h', 'n', 'd'}
 	handoffStateMagic = []byte{0x00, 'p', 'h', 's', 't'}
@@ -379,10 +377,10 @@ func reshardRanges(oldShards, newShards int) []reshardRange {
 // service keeps serving throughout, with requests for in-migration keys
 // answered by deterministic RETRY-AT-EPOCH faults until the flip.
 //
-// Like a Txn request, Reshard must be invoked from the calling service's
-// deterministic executor on every replica: each replica drives the same
-// protocol, the per-phase requests accumulate the usual f_c+1 matching
-// copies, and the epoch flip is idempotent across replicas. A non-zero
+// Reshard must be invoked from the calling service's deterministic
+// executor on every replica: each replica drives the same protocol, the
+// per-phase requests accumulate the usual f_c+1 matching copies, and the
+// epoch flip is idempotent across replicas. A non-zero
 // timeout bounds each phase per request; zero waits forever.
 func (d *Driver) Reshard(service string, newShards int, timeout time.Duration) (*ReshardResult, error) {
 	info, err := d.registry.Lookup(service)
@@ -475,7 +473,7 @@ func (d *Driver) Reshard(service string, newShards int, timeout time.Duration) (
 // returns the decoded wrapper and, for exports, the agreed reply bundle
 // (the handoff certificate).
 func (d *Driver) handoffCall(group ServiceInfo, f *HandoffFrame, timeout time.Duration) (*HandoffState, *ReplyBundle, error) {
-	id, sink, err := d.issueLeg(group, EncodeHandoffFrame(f), timeout, transport.ClassHandoff)
+	id, sink, err := d.issueLeg(group, EncodeHandoffFrame(f), timeout)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,11 +21,6 @@ const (
 	OpAbort
 	// OpUtil orders an agreed utility value (clock reading / seed).
 	OpUtil
-	// OpTxnDecision orders the commit/abort decision of a cross-shard
-	// transaction in the coordinator group's log, so every coordinator
-	// replica decides identically (see txn.go). Commit decisions carry
-	// the f_t+1-endorsed per-shard PREPARE votes as certificates.
-	OpTxnDecision
 	// OpMembership orders a membership change of the agreeing group
 	// itself (see membership.go): the operation's own sequence number
 	// becomes the epoch's install point. The agreement validator rejects
@@ -47,8 +42,6 @@ func (k OpKind) String() string {
 		return "op-abort"
 	case OpUtil:
 		return "op-util"
-	case OpTxnDecision:
-		return "op-txn-decision"
 	case OpMembership:
 		return "op-membership"
 	default:
@@ -79,14 +72,6 @@ type Op struct {
 	// OpUtil fields.
 	K     uint64
 	Value int64
-
-	// OpTxnDecision fields. TxnVotes carries, for commit decisions, the
-	// verified reply bundle of every PREPARE vote so the agreement
-	// validator can re-check that each participant shard really voted
-	// commit with f_t+1 endorsements.
-	TxnID    string
-	Commit   bool
-	TxnVotes []ReplyBundle
 }
 
 // OpIDs deduplicate proposals within the voter group's CLBFT instance.
@@ -103,9 +88,6 @@ func AbortOpID(reqID string) string { return "abt:" + reqID }
 // UtilOpID returns the agreement OpID for utility slot k.
 func UtilOpID(k uint64) string { return fmt.Sprintf("utl:%d", k) }
 
-// TxnOpID returns the agreement OpID for a transaction decision.
-func TxnOpID(txnID string) string { return "txn:" + txnID }
-
 // MembershipOpPrefix marks membership-change operations; the CLBFT
 // barrier predicate halts execution at ops whose ID carries it.
 const MembershipOpPrefix = "mem:"
@@ -120,12 +102,9 @@ func MembershipOpID(group string, newEpoch uint64) string {
 // sizeHint estimates the encoded size from the operation's content, so
 // Encode allocates its buffer once.
 func (o *Op) sizeHint() int {
-	n := 32 + len(o.ReqID) + len(o.Caller) + len(o.Target) + len(o.TxnID) + len(o.Payload)
+	n := 32 + len(o.ReqID) + len(o.Caller) + len(o.Target) + len(o.Payload)
 	for i := range o.Shares {
 		n += shareSize(&o.Shares[i])
-	}
-	for i := range o.TxnVotes {
-		n += bundleSize(&o.TxnVotes[i])
 	}
 	return n
 }
@@ -160,13 +139,6 @@ func (o *Op) Encode() []byte {
 	case OpUtil:
 		w.PutUint64(o.K)
 		w.PutInt64(o.Value)
-	case OpTxnDecision:
-		w.PutString(o.TxnID)
-		w.PutBool(o.Commit)
-		w.PutUvarint(uint64(len(o.TxnVotes)))
-		for i := range o.TxnVotes {
-			encodeBundle(w, &o.TxnVotes[i])
-		}
 	case OpMembership:
 		w.PutBytes(o.Payload) // encoded MembershipChange
 	}
@@ -183,12 +155,11 @@ func aliasBytes(r *wire.Reader) []byte {
 }
 
 // DecodeOp parses an agreed operation. The result aliases buf: Payload
-// and the authenticator vector of every share (TxnVotes' shares
-// included) point into it, so the caller must own buf and leave it
-// unmodified for as long as the Op is referenced. Agreed operations
-// qualify — clbft hands the validator and the delivery callback buffers
-// it copied off the wire and never reuses. Everything else — strings,
-// share lists, TxnVotes' payloads — is a copy.
+// and the authenticator vector of every share point into it, so the
+// caller must own buf and leave it unmodified for as long as the Op is
+// referenced. Agreed operations qualify — clbft hands the validator and
+// the delivery callback buffers it copied off the wire and never reuses.
+// Everything else — strings, share lists — is a copy.
 func DecodeOp(buf []byte) (*Op, error) {
 	r := wire.NewReader(buf)
 	o := &Op{Kind: OpKind(r.Uint8())}
@@ -230,19 +201,6 @@ func DecodeOp(buf []byte) (*Op, error) {
 	case OpUtil:
 		o.K = r.Uint64()
 		o.Value = r.Int64()
-	case OpTxnDecision:
-		o.TxnID = r.String()
-		o.Commit = r.Bool()
-		n := int(r.Uvarint())
-		if n > r.Remaining() {
-			return nil, fmt.Errorf("perpetual: txn decision op with %d votes exceeds input", n)
-		}
-		if n > 0 {
-			o.TxnVotes = make([]ReplyBundle, 0, n)
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			o.TxnVotes = append(o.TxnVotes, *decodeBundle(r, true))
-		}
 	case OpMembership:
 		o.Payload = aliasBytes(r)
 	default:

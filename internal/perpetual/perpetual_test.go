@@ -90,12 +90,6 @@ func issueAll(drv *Driver, req Request) ([]string, error) {
 	return res.ShardIDs, err
 }
 
-// doTxn runs a Txn request through Do and returns its outcome.
-func doTxn(drv *Driver, req Request) (*TxnResult, error) {
-	res, err := drv.Do(context.Background(), req)
-	return res.Txn, err
-}
-
 // callAll issues the same request from every caller driver (replicated
 // deterministic executors issue identical request sequences) and returns
 // the per-replica request IDs (all equal).

@@ -5,38 +5,11 @@ import (
 	"testing"
 )
 
-// The transaction and handoff frames ride inside agreed requests, so a
-// participant or a shard group decodes bytes some other service chose.
-// Each target checks that the decoder never panics, that whatever it
-// accepts re-encodes to bytes that decode and re-encode to themselves,
-// and that the decoded frame keeps nothing of the input buffer.
-
-// FuzzDecodeTxnFrame covers DecodeTxnFrame against EncodeTxnFrame.
-func FuzzDecodeTxnFrame(f *testing.F) {
-	for _, fr := range []*TxnFrame{
-		{Phase: TxnPrepare, TxnID: "c:txn:1", Participants: []string{"store#0", "store#1"}, Prepares: 2,
-			Payload: []byte("<debit/>")},
-		{Phase: TxnCommit, TxnID: "c:txn:2", Participants: []string{"store#1"}, Prepares: 1},
-		{Phase: TxnAbort, TxnID: "c:txn:3"},
-	} {
-		f.Add(EncodeTxnFrame(fr))
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		fr, ok := DecodeTxnFrame(in)
-		if !ok {
-			return
-		}
-		enc := EncodeTxnFrame(fr)
-		again, ok := DecodeTxnFrame(enc)
-		if !ok || !bytes.Equal(EncodeTxnFrame(again), enc) {
-			t.Fatalf("re-encoded frame decodes to %+v (ok %v), want %+v", again, ok, fr)
-		}
-		scribble(in)
-		if !bytes.Equal(EncodeTxnFrame(fr), enc) {
-			t.Fatal("decoded frame changed when the input buffer was overwritten")
-		}
-	})
-}
+// The handoff frame rides inside agreed requests, so a shard group
+// decodes bytes some other service chose. The target checks that the
+// decoder never panics, that whatever it accepts re-encodes to bytes
+// that decode and re-encode to themselves, and that the decoded frame
+// keeps nothing of the input buffer.
 
 // FuzzDecodeHandoffFrame covers DecodeHandoffFrame against
 // EncodeHandoffFrame, with and without an install certificate.

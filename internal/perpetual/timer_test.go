@@ -131,9 +131,25 @@ func checkDueHeap(t *testing.T, d *Driver) {
 	}
 }
 
+// checkAlarm fails unless the driver's alarm is set for the earliest due
+// time in its heap, or for none when the heap is empty.
+func checkAlarm(t *testing.T, d *Driver) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var want time.Time
+	if len(d.due) > 0 {
+		want = d.due[0].due()
+	}
+	if !d.alarm.at.Equal(want) {
+		t.Fatalf("the alarm is set for %v, want %v, the earliest due time left", d.alarm.at, want)
+	}
+}
+
 // TestDriverFire drives the driver's one timer with synthetic fire
 // times: a fire acts only on the calls whose due time has passed, feeds
-// each the event of that due time, and re-arms from the fire's time.
+// each the event of that due time, and re-arms from the fire's time,
+// leaving the alarm at the earliest due time left.
 func TestDriverFire(t *testing.T) {
 	const interval = 250 * time.Millisecond // fastOpts' retransmission interval
 
@@ -150,6 +166,7 @@ func TestDriverFire(t *testing.T) {
 		if got := rec.since(1); len(got) != 0 || !c.retryAt.Equal(due) {
 			t.Fatalf("a fire 1ns early sent %v and moved the retry from %v to %v", got, due, c.retryAt)
 		}
+		checkAlarm(t, d)
 		d.onFire(due)
 		got := rec.since(1)
 		slices.SortFunc(got, func(a, b sentRequest) int { return a.to.Index - b.to.Index })
@@ -165,6 +182,7 @@ func TestDriverFire(t *testing.T) {
 			t.Fatalf("the due retry re-armed for %v, want %v", c.retryAt, due.Add(backoff))
 		}
 		checkDueHeap(t, d)
+		checkAlarm(t, d)
 	})
 
 	t.Run("a deadline settles a fast call as aborted and leaves the heap", func(t *testing.T) {
@@ -182,6 +200,7 @@ func TestDriverFire(t *testing.T) {
 		if outstandingCall(d, ids[0]) == nil {
 			t.Fatal("a fire 1ns before the deadline settled the call")
 		}
+		checkAlarm(t, d)
 		d.onFire(c.deadline)
 		if r := waitQueued(t, d, ids[0]); !r.Aborted {
 			t.Fatalf("the deadline settled the fast call with %+v, want an abort", r)
@@ -190,6 +209,15 @@ func TestDriverFire(t *testing.T) {
 			t.Fatal("the deadline fire did not settle just the call it was due for")
 		}
 		checkDueHeap(t, d) // so the settled call left the heap
+		checkAlarm(t, d)
+		// The last call's deadline fire retransmits it, then settles it:
+		// nothing is left due, and the alarm is set for nothing.
+		d.onFire(outstandingCall(d, ids[1]).deadline)
+		if r := waitQueued(t, d, ids[1]); !r.Aborted {
+			t.Fatalf("the deadline settled the fast call with %+v, want an abort", r)
+		}
+		checkDueHeap(t, d)
+		checkAlarm(t, d)
 	})
 
 	t.Run("a deadline proposes the abort of an agreed-path call", func(t *testing.T) {
@@ -202,7 +230,17 @@ func TestDriverFire(t *testing.T) {
 		if c.fast {
 			t.Fatal("an asynchronous call with a deadline from a replicated caller took the reply fast path")
 		}
+		retry := c.retryAt
 		d.onFire(c.deadline)
+		// The fire leaves the retransmission due. The agreed abort may
+		// settle the call before this check, but a settle never moves the
+		// alarm, so it is set for the retry either way.
+		d.mu.Lock()
+		at := d.alarm.at
+		d.mu.Unlock()
+		if !at.Equal(retry) {
+			t.Fatalf("the deadline fire set the alarm for %v, want the retry at %v", at, retry)
+		}
 		if r := waitQueued(t, d, id); !r.Aborted {
 			t.Fatalf("the agreed-path call settled with %+v, want the agreed abort", r)
 		}
@@ -235,12 +273,14 @@ func TestDriverFire(t *testing.T) {
 			t.Fatalf("the first window's fire: %+v, window re-armed for %v; want one widen and %v",
 				st, c.retryAt, first.Add(DefaultReadFallback))
 		}
+		checkAlarm(t, d)
 		// A fire the first window would have sent, arriving late, is early
 		// for the widened one.
 		d.onFire(first.Add(time.Millisecond))
 		if st := d.ReadStats(); st.Widened != 1 || st.Fallbacks != 0 || !c.reading() {
 			t.Fatalf("an early fire reached the widened read: %+v", st)
 		}
+		checkAlarm(t, d)
 		widened := c.retryAt
 		d.onFire(widened)
 		if st := d.ReadStats(); st.Fallbacks != 1 || st.FallbackTimeout != 1 || c.reading() {
@@ -251,6 +291,7 @@ func TestDriverFire(t *testing.T) {
 				got, c.retryAt, widened.Add(interval))
 		}
 		checkDueHeap(t, d)
+		checkAlarm(t, d)
 	})
 
 	t.Run("drivers with one identity draw one jitter sequence", func(t *testing.T) {

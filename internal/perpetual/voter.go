@@ -256,71 +256,6 @@ func (v *voter) validOp(opID string, o *Op) bool {
 		// Utility values are the primary's suggestion by design (paper
 		// Section 4.2); agreement only makes them consistent.
 		return true
-	case OpTxnDecision:
-		// Decisions are agreed in the coordinator's own log, so a valid
-		// TxnID is always one this service minted ("<svc>:txn:<n>").
-		// Without the ownership check a faulty replica could push
-		// decisions for arbitrary foreign ids through agreement.
-		if o.TxnID == "" || !strings.HasPrefix(o.TxnID, v.svc.Name+":txn:") {
-			return false
-		}
-		if !o.Commit {
-			// Like OpAbort, aborting a transaction is always safe: any
-			// replica may propose it for liveness.
-			return true
-		}
-		// A commit must certify every PREPARE's vote: each carried
-		// bundle is an f_t+1-endorsed PREPARE reply whose payload votes
-		// commit *for this very transaction* — the vote echoes the
-		// TxnID, phase, participant set, and PREPARE count from the
-		// PREPARE frame, so a faulty coordinator primary can neither
-		// replay commit votes from another transaction, nor pass an
-		// outcome acknowledgement off as a PREPARE vote, nor certify a
-		// partial vote set. Coverage is checked per vote (distinct
-		// request ids, one per PREPARE), not per shard: when two keys
-		// route to the same shard, a shard-level check would accept a
-		// commit that omits the abort vote of one of them.
-		if len(o.TxnVotes) == 0 {
-			return false
-		}
-		covered := make(map[string]bool, len(o.TxnVotes))
-		reqIDs := make(map[string]bool, len(o.TxnVotes))
-		var participants []string
-		prepares := 0
-		for i := range o.TxnVotes {
-			b := &o.TxnVotes[i]
-			target, err := v.registry.Lookup(b.Target)
-			if err != nil {
-				return false
-			}
-			if VerifyBundle(v.ks, target, b) != nil {
-				return false
-			}
-			vote, ok := DecodeTxnVote(b.Payload)
-			if !ok || !vote.Commit || vote.TxnID != o.TxnID || vote.Phase != TxnPrepare {
-				return false
-			}
-			if i == 0 {
-				participants = vote.Participants
-				prepares = vote.Prepares
-			} else if !slices.Equal(vote.Participants, participants) || vote.Prepares != prepares {
-				return false // votes disagree on the membership or size
-			}
-			if reqIDs[b.ReqID] {
-				return false // the same vote cannot certify two PREPAREs
-			}
-			reqIDs[b.ReqID] = true
-			covered[b.Target] = true
-		}
-		if len(participants) == 0 || len(o.TxnVotes) != prepares {
-			return false // a PREPARE's commit vote is missing
-		}
-		for _, p := range participants {
-			if !covered[p] {
-				return false // a participant's commit vote is missing
-			}
-		}
-		return true
 	case OpMembership:
 		// A membership change must target this very group and advance its
 		// installed epoch by exactly one — every correct replica refuses
@@ -519,8 +454,6 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 		}
 	case OpUtil:
 		v.driver.deliverUtil(o.K, o.Value)
-	case OpTxnDecision:
-		v.driver.deliverTxnDecision(o.TxnID, o.Commit)
 	case OpMembership:
 		// The barrier predicate has already halted execution at this very
 		// sequence; stash the change and wait for the halt hook — the
@@ -946,13 +879,6 @@ func (v *voter) proposeAbort(reqID string) {
 	if !v.isDelivered(reqID) {
 		v.bft().Submit(AbortOpID(reqID), (&Op{Kind: OpAbort, ReqID: reqID}).Encode())
 	}
-}
-
-// proposeTxnDecision submits the co-located driver's transaction
-// decision for agreement; every correct replica of the coordinator
-// group proposes identical bytes, deduplicated by OpID.
-func (v *voter) proposeTxnDecision(op *Op) {
-	v.bft().Submit(TxnOpID(op.TxnID), op.Encode())
 }
 
 // membershipBarrier is the CLBFT barrier predicate: execution halts at

@@ -98,16 +98,8 @@ type DB struct {
 	customers []Customer
 	orders    []Order
 	carts     map[int][]OrderLine // customer -> active cart
-	holds     map[string]heldLine // reservation ref -> held cart line
 	bestSell  []int               // precomputed best-seller item ids
 	newProd   []int               // precomputed newest item ids
-}
-
-// heldLine is a cart line reserved under a cross-shard transaction:
-// removed from the owner's cart but not yet released or dropped.
-type heldLine struct {
-	CustomerID int
-	Line       OrderLine
 }
 
 // NewDB populates a deterministic database with nItems items and
@@ -119,7 +111,7 @@ func NewDB(nItems, nCustomers int) *DB {
 	if nCustomers <= 0 {
 		nCustomers = DefaultCustomers
 	}
-	db := &DB{carts: make(map[int][]OrderLine), holds: make(map[string]heldLine)}
+	db := &DB{carts: make(map[int][]OrderLine)}
 	db.items = make([]Item, nItems)
 	for i := range db.items {
 		db.items[i] = Item{
@@ -216,10 +208,6 @@ func (db *DB) Search(subject string, limit int) []int {
 func (db *DB) CartAdd(customerID, itemID, qty int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.cartAddLocked(customerID, itemID, qty)
-}
-
-func (db *DB) cartAddLocked(customerID, itemID, qty int) error {
 	if customerID < 0 || customerID >= len(db.customers) {
 		return fmt.Errorf("tpcw: unknown customer %d", customerID)
 	}
@@ -239,74 +227,6 @@ func (db *DB) cartAddLocked(customerID, itemID, qty int) error {
 	}
 	db.carts[customerID] = append(cart, OrderLine{ItemID: itemID, Qty: qty})
 	return nil
-}
-
-// CartReserve moves qty units of an item out of a customer's cart into
-// a named hold — the PREPARE half of a cross-shard transfer. The hold
-// either becomes permanent (CommitHold) or returns to the cart
-// (ReleaseHold); until then the units are invisible to checkout.
-func (db *DB) CartReserve(customerID, itemID, qty int, ref string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.holds[ref]; dup {
-		return fmt.Errorf("tpcw: hold %q already exists", ref)
-	}
-	if qty <= 0 {
-		return fmt.Errorf("tpcw: non-positive quantity %d", qty)
-	}
-	cart := db.carts[customerID]
-	for i := range cart {
-		if cart[i].ItemID != itemID {
-			continue
-		}
-		if cart[i].Qty < qty {
-			return fmt.Errorf("tpcw: customer %d holds %d of item %d, need %d", customerID, cart[i].Qty, itemID, qty)
-		}
-		cart[i].Qty -= qty
-		if cart[i].Qty == 0 {
-			cart = append(cart[:i], cart[i+1:]...)
-		}
-		if len(cart) == 0 {
-			delete(db.carts, customerID)
-		} else {
-			db.carts[customerID] = cart
-		}
-		db.holds[ref] = heldLine{CustomerID: customerID, Line: OrderLine{ItemID: itemID, Qty: qty}}
-		return nil
-	}
-	return fmt.Errorf("tpcw: item %d not in customer %d's cart", itemID, customerID)
-}
-
-// CommitHold drops a hold permanently (the reserved units left this
-// shard for good).
-func (db *DB) CommitHold(ref string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.holds[ref]; !ok {
-		return fmt.Errorf("tpcw: unknown hold %q", ref)
-	}
-	delete(db.holds, ref)
-	return nil
-}
-
-// ReleaseHold returns a hold's units to their owner's cart (transaction
-// aborted).
-func (db *DB) ReleaseHold(ref string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	h, ok := db.holds[ref]
-	if !ok {
-		return fmt.Errorf("tpcw: unknown hold %q", ref)
-	}
-	delete(db.holds, ref)
-	return db.cartAddLocked(h.CustomerID, h.Line.ItemID, h.Line.Qty)
-}
-
-// Holds reports the number of outstanding reservations (diagnostics).
-func (db *DB) Holds() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.holds)
 }
 
 // Cart returns a copy of the customer's cart.

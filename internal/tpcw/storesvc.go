@@ -199,8 +199,6 @@ func StoreApp(cfg StoreConfig) core.Application {
 		store := NewBookstore(NewDB(cfg.Items, cfg.Customers), pay)
 		sessions := make(map[int]*Session)
 		handoff := newStoreHandoff(store, sessions, ctx.ServiceName)
-		txns := newStoreTxns(store)
-		txns.handoff = handoff
 		// Declare the browse pages readable through the session fast
 		// path. The handler runs on transport goroutines concurrently
 		// with the executor loop below: it only touches the DB (which is
@@ -239,17 +237,9 @@ func StoreApp(cfg StoreConfig) core.Application {
 				return
 			}
 			reply := wsengine.NewMessageContext()
-			// State-handoff traffic (live resharding) diverts first, then
-			// cross-shard transaction traffic (TransferOrder PREPAREs and
-			// agreed outcomes), before interaction decoding.
+			// State-handoff traffic (live resharding) diverts before
+			// interaction decoding.
 			if body := handleStoreHandoff(handoff, req); body != nil {
-				reply.Envelope.Body = body
-				if err := ctx.SendReply(reply, req); err != nil {
-					return
-				}
-				continue
-			}
-			if body := handleStoreTxn(txns, req); body != nil {
 				reply.Envelope.Body = body
 				if err := ctx.SendReply(reply, req); err != nil {
 					return

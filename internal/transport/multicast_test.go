@@ -64,7 +64,7 @@ func TestSendMultiDeliversToAll(t *testing.T) {
 }
 
 // TestSendTaggedClassOverride checks the explicit class override (the
-// txn tagging path) and receive-side classification.
+// handoff tagging path) and receive-side classification.
 func TestSendTaggedClassOverride(t *testing.T) {
 	master := []byte("m")
 	a, b := auth.VoterID("s", 0), auth.VoterID("s", 1)
@@ -78,7 +78,7 @@ func TestSendTaggedClassOverride(t *testing.T) {
 	aa := NewChannelAdapter(auth.NewDerivedKeyStore(master, a, all), net.Port(a))
 
 	payload := []byte{1, 42, 43} // leading byte = class 1 (request)
-	if err := aa.SendTagged(b, payload, ClassTxn); err != nil {
+	if err := aa.SendTagged(b, payload, ClassHandoff); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -86,8 +86,8 @@ func TestSendTaggedClassOverride(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("frame not delivered")
 	}
-	if c := aa.Stats().Class(ClassTxn); c.SentMsgs != 1 {
-		t.Errorf("ClassTxn sent = %+v, want 1 msg", c)
+	if c := aa.Stats().Class(ClassHandoff); c.SentMsgs != 1 {
+		t.Errorf("ClassHandoff sent = %+v, want 1 msg", c)
 	}
 	if c := aa.Stats().Class(1); c.SentMsgs != 0 {
 		t.Errorf("class 1 sent = %+v, want 0 (overridden)", c)

@@ -9,22 +9,15 @@ import (
 // Stats tracks. A payload's class is its leading byte (the perpetual
 // message kind discriminant: request, BFT, reply-share, ...), clamped
 // into this range; senders may override it with SendTagged (the driver
-// tags transaction-protocol requests with ClassTxn so 2PC bandwidth is
-// separable from ordinary request traffic).
+// tags state-handoff requests with ClassHandoff).
 const NumMsgClasses = 16
 
-// ClassTxn is the reserved out-of-band class senders use to tag
-// transaction-protocol frames, which would otherwise be counted as
-// plain requests. The tag exists only at the sender (it is not on the
-// wire), so 2PC bandwidth is separable in *sent* counters; receivers
-// classify by the payload's leading byte and count those same frames
-// under the request class.
-const ClassTxn = NumMsgClasses - 1
-
 // ClassHandoff is the reserved out-of-band class senders use to tag
-// state-handoff (resharding) frames, so migration bandwidth is
-// separable from ordinary request traffic in sent counters. Like
-// ClassTxn the tag exists only at the sender.
+// state-handoff (resharding) frames, which would otherwise be counted
+// as plain requests. The tag exists only at the sender (it is not on
+// the wire), so migration bandwidth is separable in *sent* counters;
+// receivers classify by the payload's leading byte and count those same
+// frames under the request class.
 const ClassHandoff = NumMsgClasses - 2
 
 // ClassOf returns the stats class of a payload: its leading byte,
@@ -152,7 +145,7 @@ type StatsSnapshot struct {
 
 	// ByClass breaks traffic down per message class (see ClassOf), so
 	// tests can assert bandwidth properties of individual protocol
-	// stages: reply-share bytes, BFT agreement traffic, 2PC overhead.
+	// stages: reply-share bytes, BFT agreement traffic, handoff overhead.
 	ByClass [NumMsgClasses]ClassCounters
 }
 

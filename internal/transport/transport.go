@@ -270,8 +270,8 @@ func (ca *ChannelAdapter) Send(to auth.NodeID, payload []byte) error {
 }
 
 // SendTagged is Send with an explicit stats class overriding the
-// payload's leading byte (e.g. ClassTxn for 2PC frames that ride the
-// request path).
+// payload's leading byte (e.g. ClassHandoff for handoff frames that
+// ride the request path).
 func (ca *ChannelAdapter) SendTagged(to auth.NodeID, payload []byte, class uint8) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge

@@ -201,7 +201,7 @@ func TestMessageContextAllocBudget(t *testing.T) {
 		mc.SetProperty("perpetual.inKind", req)
 		mc.SetProperty("perpetual.inReq", req)
 		mc.SetProperty("perpetual.blocking", true)
-		mc.SetProperty("perpetual.txnOutcome", false)
+		mc.SetProperty("perpetual.aborted", false)
 		if _, ok := mc.Property("perpetual.inReq"); !ok {
 			t.Fatal("property lost")
 		}
