@@ -12,10 +12,9 @@
 // and metrics BENCHMARK.json declares.
 //
 // Beyond the paper, services shard across independent voter groups
-// (rendezvous-hash key routing) and rebalance online: a sharded service
-// live-migrates between shard counts with BFT state handoff (certified
-// exports, epoch-stamped routing, deterministic RETRY-AT-EPOCH
-// re-routing; see examples/resharding). The TCP transport is a
+// (rendezvous-hash key routing; the shard count is fixed at deployment,
+// see examples/sharded), and a voter group can change its own
+// membership through agreed epochs. The TCP transport is a
 // production-grade asynchronous per-link pipeline (bounded per-peer
 // queues with link-local drops, background dial/redial, pooled frame
 // buffers, encode-once multicast on the wire) and a first-class
@@ -33,8 +32,8 @@
 // through full agreement deterministically (see DESIGN.md, "Two-tier
 // read path"; the benchmark's browse_mix workload measures it). CI
 // vets, builds and tests the module under the race detector and the
-// benchmark/ module, runs the protocol suites (cancellation,
-// resharding, read and reply fast paths, membership, overload) under
+// benchmark/ module, runs the protocol suites (cancellation, read and
+// reply fast paths, membership, overload) under
 // -race, prints the tier-1 coverage of internal/ with every uncovered
 // function, enforces the TCP frames-per-request ceiling, smoke-runs
 // `perpetualctl fig7` and `fig9`, runs a fault/soak job, and pins

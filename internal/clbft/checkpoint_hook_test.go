@@ -10,8 +10,8 @@ import (
 // TestCheckpointHookFiresOnStabilize covers the checkpoint export hook:
 // it must fire exactly when a checkpoint becomes stable (quorum
 // certified and locally executed), with monotonically increasing
-// sequences on the configured interval — the signal the perpetual
-// state-handoff layer surfaces as StableCheckpointSeq.
+// sequences on the configured interval — the signal perpetual surfaces
+// as Replica.StableCheckpointSeq.
 func TestCheckpointHookFiresOnStabilize(t *testing.T) {
 	const (
 		n        = 4

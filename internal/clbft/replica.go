@@ -243,9 +243,9 @@ func WithVerdictEpoch(epoch func() uint64) Option {
 // WithCheckpointHook installs an observer invoked whenever a checkpoint
 // becomes stable (quorum-certified and locally executed): the hook
 // receives the checkpoint's sequence number and chained state digest.
-// The export side of the perpetual state-handoff protocol uses it to
-// surface the group's stable log position; diagnostics and external
-// snapshotting can hang off it too. The hook runs on the event-loop
+// Perpetual surfaces the group's stable log position through it
+// (Replica.StableCheckpointSeq); diagnostics and external snapshotting
+// can hang off it too. The hook runs on the event-loop
 // goroutine and must not call back into the replica.
 func WithCheckpointHook(f func(seq uint64, state Digest)) Option {
 	return func(r *Replica) { r.ckptHook = f }

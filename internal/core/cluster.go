@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"perpetualws/internal/perpetual"
@@ -20,11 +19,6 @@ type ServiceDef struct {
 	// (wsengine Options.RoutingKey; payload digest by default). Each
 	// shard runs its own copy of App. 0 or 1 means unsharded.
 	Shards int
-	// Epoch seeds the service's routing-table epoch (normally 0). Every
-	// completed Cluster.Reshard increments it; clients observing a
-	// RETRY-AT-EPOCH fault re-resolve their key against the flipped
-	// table.
-	Epoch uint64
 	// App is the executor run on every replica; nil deploys a node
 	// whose MessageHandler is driven externally (clients, tests).
 	App Application
@@ -53,11 +47,9 @@ func nodeOptions(app Application, opts perpetual.ServiceOptions) []NodeOption {
 // programmatic equivalent of deploying each service with replicas.xml
 // on a testbed, and is what the examples, tests, and benchmarks use.
 type Cluster struct {
-	dep  *perpetual.Deployment
-	defs map[string]ServiceDef
-	// mu guards nodes: Reshard/RetireShards mutate the map while the
-	// cluster serves traffic (accessors read it concurrently).
-	mu    sync.RWMutex
+	dep *perpetual.Deployment
+	// nodes is written only while NewClusterOver builds the cluster, so
+	// accessors read it without a lock.
 	nodes map[string][]*Node
 }
 
@@ -78,16 +70,11 @@ func NewClusterOver(master []byte, kind perpetual.TransportKind, defs ...Service
 		if d.Name == "" || d.N < 1 || d.Shards < 0 {
 			return nil, fmt.Errorf("perpetualws: invalid service definition %+v", d)
 		}
-		infos = append(infos, perpetual.ServiceInfo{Name: d.Name, N: d.N, Shards: d.Shards, Epoch: d.Epoch})
+		infos = append(infos, perpetual.ServiceInfo{Name: d.Name, N: d.N, Shards: d.Shards})
 	}
 	dep := perpetual.NewDeploymentOver(master, kind, infos...)
-	c := &Cluster{
-		dep:   dep,
-		defs:  make(map[string]ServiceDef, len(defs)),
-		nodes: make(map[string][]*Node),
-	}
+	c := &Cluster{dep: dep, nodes: make(map[string][]*Node)}
 	for _, d := range defs {
-		c.defs[d.Name] = d
 		dep.Configure(d.Name, d.Options)
 	}
 	if err := dep.Build(); err != nil {
@@ -124,8 +111,6 @@ func (c *Cluster) SetLinkLatency(d time.Duration) {
 // Start launches every replica and node.
 func (c *Cluster) Start() {
 	c.dep.Start()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	for _, group := range c.nodes {
 		for _, n := range group {
 			n.Start()
@@ -135,21 +120,17 @@ func (c *Cluster) Start() {
 
 // Stop shuts the cluster down.
 func (c *Cluster) Stop() {
-	c.mu.RLock()
 	for _, group := range c.nodes {
 		for _, n := range group {
 			n.Stop()
 		}
 	}
-	c.mu.RUnlock()
 	c.dep.Stop()
 }
 
 // Node returns replica i of a service.
 func (c *Cluster) Node(service string, i int) *Node {
-	c.mu.RLock()
 	group := c.nodes[service]
-	c.mu.RUnlock()
 	if i < 0 || i >= len(group) {
 		return nil
 	}
@@ -158,17 +139,14 @@ func (c *Cluster) Node(service string, i int) *Node {
 
 // Nodes returns all replicas of a service.
 func (c *Cluster) Nodes(service string) []*Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.nodes[service]
 }
 
 // ShardNode returns replica i of shard k of a service; for an unsharded
-// service, shard 0 is its only group. Transitional reshard groups are
-// addressable like ShardReplicas.
+// service, shard 0 is its only group.
 func (c *Cluster) ShardNode(service string, k, i int) *Node {
 	info, err := c.dep.Registry.Lookup(service)
-	if err != nil || k < 0 || k >= c.dep.Registry.DeployedShards(service) {
+	if err != nil || k < 0 || k >= info.ShardCount() {
 		return nil
 	}
 	return c.Node(info.Shard(k).Name, i)
@@ -192,118 +170,6 @@ func (c *Cluster) Handler(service string, i int) MessageHandler {
 		return nil
 	}
 	return n.Handler()
-}
-
-// Reshard live-migrates a sharded service to newShards voter groups
-// while the cluster serves traffic: it provisions the joining replica
-// groups (each running the service's App), then drives the BFT state
-// handoff (perpetual.Driver.Reshard) from every replica of the named
-// coordinator service concurrently — a replicated coordinator's
-// replicas must all drive the protocol for its requests to accumulate
-// f_c+1 matching copies.
-//
-// A nil result means the migration did not happen (the epoch never
-// flipped). A non-nil result with a non-nil error reports a completed
-// migration whose drop phase partially failed — benign: the affected
-// source retains dead state until it processes the retransmitted drop.
-// After a shrink, the drained groups stay up answering RETRY-AT-EPOCH
-// for stragglers routed under the old epoch; retire them with
-// RetireShards once in-flight traffic has drained.
-//
-// The coordinator must be an idle-executor service (typically an
-// unreplicated admin/client endpoint): Reshard issues requests through
-// its drivers directly, like tests do. Applications that coordinate
-// their own reshards call perpetual.Driver.Reshard from their
-// deterministic executors instead.
-func (c *Cluster) Reshard(service string, newShards int, coordinator string, timeoutMillis int64) (*perpetual.ReshardResult, error) {
-	def, ok := c.defs[service]
-	if !ok {
-		return nil, fmt.Errorf("perpetualws: unknown service %q", service)
-	}
-	info, err := c.dep.Registry.Lookup(service)
-	if err != nil {
-		return nil, err
-	}
-	oldShards := info.ShardCount()
-	if err := c.dep.ProvisionShards(service, newShards); err != nil {
-		return nil, err
-	}
-	// Nodes (with the service's App executor) for the joining groups.
-	for k := oldShards; k < newShards; k++ {
-		groupName := info.Shard(k).Name
-		c.mu.Lock()
-		_, exists := c.nodes[groupName]
-		c.mu.Unlock()
-		if exists {
-			continue
-		}
-		replicas := c.dep.Replicas(groupName)
-		group := make([]*Node, len(replicas))
-		for i, r := range replicas {
-			group[i] = NewNode(r, nodeOptions(def.App, def.Options)...)
-			group[i].Start()
-		}
-		c.mu.Lock()
-		c.nodes[groupName] = group
-		c.mu.Unlock()
-	}
-
-	drivers := c.dep.Drivers(coordinator)
-	if len(drivers) == 0 {
-		return nil, fmt.Errorf("perpetualws: unknown coordinator service %q", coordinator)
-	}
-	timeout := time.Duration(timeoutMillis) * time.Millisecond
-	results := make([]*perpetual.ReshardResult, len(drivers))
-	errs := make([]error, len(drivers))
-	var wg sync.WaitGroup
-	for i, drv := range drivers {
-		i, drv := i, drv
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = drv.Reshard(service, newShards, timeout)
-		}()
-	}
-	wg.Wait()
-	// Driver.Reshard's convention: nil result = migration did not
-	// happen; result + error = flipped, drop leg failed (benign).
-	var res *perpetual.ReshardResult
-	var firstErr error
-	for i := range drivers {
-		if results[i] != nil && res == nil {
-			res = results[i]
-		}
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-	}
-	if res == nil {
-		return nil, firstErr
-	}
-	return res, firstErr
-}
-
-// RetireShards stops and removes the node and replica groups a shrink
-// reshard drained (shards beyond the current routing table). Call after
-// in-flight traffic routed under the old epoch has drained: from then
-// on the retired wire names stop resolving.
-func (c *Cluster) RetireShards(service string) {
-	info, err := c.dep.Registry.Lookup(service)
-	if err != nil {
-		return
-	}
-	cur := info.ShardCount()
-	for k := cur; k < c.dep.Registry.DeployedShards(service); k++ {
-		groupName := info.Shard(k).Name
-		c.mu.Lock()
-		group := c.nodes[groupName]
-		delete(c.nodes, groupName)
-		c.mu.Unlock()
-		for _, n := range group {
-			n.Stop()
-		}
-	}
-	c.dep.RetireShards(service, cur)
 }
 
 // Deployment exposes the underlying Perpetual deployment (diagnostics

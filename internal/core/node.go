@@ -23,13 +23,6 @@ type Node struct {
 	app     Application
 	logger  *log.Logger
 
-	// handoffEpoch tracks, per service, the highest reshard epoch this
-	// node has accepted a handoff frame for. It is read and written only
-	// on the event-pump goroutine, in agreement order, so it is
-	// deterministic across replicas; it rejects replays of stale handoff
-	// phases after a newer reshard has been seen.
-	handoffEpoch map[string]uint64
-
 	startOnce sync.Once
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
@@ -52,9 +45,8 @@ func WithNodeLogger(l *log.Logger) NodeOption {
 // The engine's pipes may be customized (Engine()) before Start.
 func NewNode(replica *perpetual.Replica, opts ...NodeOption) *Node {
 	n := &Node{
-		replica:      replica,
-		engine:       wsengine.NewEngine(),
-		handoffEpoch: make(map[string]uint64),
+		replica: replica,
+		engine:  wsengine.NewEngine(),
 	}
 	for _, o := range opts {
 		o(n)
@@ -172,11 +164,11 @@ func (n *Node) eventPump() {
 	}
 }
 
+// pumpRequest passes an agreed request to the IN-PIPE under its agreed
+// request id. Whatever wsa:MessageID the caller sent is replaced, so the
+// id its reply is routed by is one the caller authenticated and no other
+// caller can claim.
 func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
-	if _, isHandoff := perpetual.DecodeHandoffFrame(preq.Payload); isHandoff {
-		n.pumpHandoff(preq)
-		return
-	}
 	env, err := soap.Parse(preq.Payload)
 	if err != nil {
 		n.logf("agreed request %s has malformed envelope: %v", preq.ReqID, err)
@@ -185,89 +177,12 @@ func (n *Node) pumpRequest(preq perpetual.IncomingRequest) {
 	}
 	mc := wsengine.NewMessageContext()
 	mc.Envelope = *env
-	if err := n.receiveRequest(mc, preq); err != nil {
-		n.logf("IN-PIPE rejected request %s: %v", preq.ReqID, err)
-		n.replyFault(preq, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected request: %v", err))
-	}
-}
-
-// receiveRequest passes an agreed request to the IN-PIPE under its
-// agreed request id. Whatever wsa:MessageID the caller sent is replaced,
-// so the id its reply is routed by is one the caller authenticated and
-// no other caller can claim.
-func (n *Node) receiveRequest(mc *wsengine.MessageContext, preq perpetual.IncomingRequest) error {
 	mc.Envelope.Header.MessageID = preq.ReqID
 	mc.SetProperty(propInKind, inKindRequest)
 	mc.SetProperty(propInReq, preq)
-	return n.engine.ReceiveIn(mc)
-}
-
-// pumpHandoff turns an agreed state-handoff frame into the synthesized
-// request the application consumes. Install frames have their handoff
-// certificate verified here — deterministically, from the agreed bytes
-// and this replica's keys — so an install reaching the application is
-// backed by f_s+1 source-group endorsements of the carried state; any
-// verification failure answers the coordinator with a deterministic
-// fault-wrapped refusal instead of going silent.
-func (n *Node) pumpHandoff(preq perpetual.IncomingRequest) {
-	f, ok := perpetual.DecodeHandoffFrameFrom(preq)
-	if !ok {
-		n.logf("agreed request %s carries a malformed handoff frame", preq.ReqID)
-		n.replyHandoffFault(preq, nil, "soap:Sender", "malformed handoff frame")
-		return
-	}
-	if f.NewEpoch < n.handoffEpoch[f.Service] {
-		n.logf("agreed request %s replays a stale handoff (epoch %d < %d)", preq.ReqID, f.NewEpoch, n.handoffEpoch[f.Service])
-		n.replyHandoffFault(preq, f, "soap:Sender", "stale handoff epoch")
-		return
-	}
-	var state []byte
-	if f.Phase == perpetual.HandoffInstall {
-		hs, err := n.replica.VerifyHandoffCert(f)
-		if err != nil {
-			n.logf("handoff install %s rejected: %v", preq.ReqID, err)
-			n.replyHandoffFault(preq, f, "soap:Sender", fmt.Sprintf("handoff certificate rejected: %v", err))
-			return
-		}
-		env, err := soap.Parse(hs.State)
-		if err != nil {
-			n.logf("handoff install %s: certified state is not an envelope: %v", preq.ReqID, err)
-			n.replyHandoffFault(preq, f, "soap:Sender", "certified state is not a SOAP envelope")
-			return
-		}
-		state = env.Body
-	}
-	n.handoffEpoch[f.Service] = f.NewEpoch
-	mc := wsengine.NewMessageContext()
-	mc.Envelope = soap.Envelope{
-		Header: soap.Header{
-			Action:  ActionHandoff,
-			ReplyTo: &soap.EndpointReference{Address: soap.ServiceURI(preq.Caller)},
-		},
-		Body: HandoffBody(f, state),
-	}
-	mc.SetProperty(PropHandoff, f)
-	if err := n.receiveRequest(mc, preq); err != nil {
-		n.logf("IN-PIPE rejected handoff %s: %v", preq.ReqID, err)
-		n.replyHandoffFault(preq, f, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected handoff: %v", err))
-	}
-}
-
-// replyHandoffFault answers a handoff frame the node refuses with a
-// deterministic fault wrapped as a non-commit handoff acknowledgement,
-// so the reshard coordinator observes the refusal instead of stalling.
-func (n *Node) replyHandoffFault(preq perpetual.IncomingRequest, f *perpetual.HandoffFrame, code, reason string) {
-	env := soap.Envelope{Body: soap.FaultBody(soap.Fault{Code: code, Reason: reason})}
-	payload, err := env.Marshal()
-	if err != nil {
-		n.logf("handoff fault reply for %s: %v", preq.ReqID, err)
-		return
-	}
-	if f != nil {
-		payload = perpetual.EncodeHandoffState(f, preq.Seq, false, payload)
-	}
-	if err := n.replica.Driver().Reply(preq, payload); err != nil {
-		n.logf("handoff fault reply for %s: %v", preq.ReqID, err)
+	if err := n.engine.ReceiveIn(mc); err != nil {
+		n.logf("IN-PIPE rejected request %s: %v", preq.ReqID, err)
+		n.replyFault(preq, "soap:Receiver", fmt.Sprintf("IN-PIPE rejected request: %v", err))
 	}
 }
 
@@ -364,16 +279,6 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 			payload, err := mc.Envelope.Marshal()
 			if err != nil {
 				return fmt.Errorf("perpetualws: marshal reply: %w", err)
-			}
-			if hf, isHandoff := perpetual.DecodeHandoffFrame(preq.Payload); isHandoff {
-				// Replies to handoff requests carry the wrapper the
-				// reshard coordinator consumes; an export reply's wrapper
-				// is what the f_t+1 shares certify (the handoff
-				// certificate), binding the reshard identity, the agreed
-				// log position, and the exported state. A SOAP fault
-				// marks the phase refused.
-				_, isFault := soap.IsFault(mc.Envelope.Body)
-				payload = perpetual.EncodeHandoffState(hf, preq.Seq, !isFault, payload)
 			}
 			return drv.Reply(preq, payload)
 		}

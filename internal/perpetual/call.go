@@ -8,9 +8,9 @@ import (
 )
 
 // call is one request this driver issued and awaits: an ordinary call, a
-// shard fan-out leg, a handoff leg, or a fast-path read. How it
-// settles is decided by step alone; the executor (Driver.run) owns its
-// due times and performs what step asks for.
+// shard fan-out leg, or a fast-path read. How it settles is decided by
+// step alone; the executor (Driver.run) owns its due times and performs
+// what step asks for.
 type call struct {
 	id        string
 	target    string
@@ -22,9 +22,6 @@ type call struct {
 	// request envelope (0 = none): replicas drop the request at every
 	// pre-agreement stage once it passes, and retransmission stops.
 	expiry uint64
-	// leg marks a handoff leg (see handoff.go), sent under the stats
-	// class ClassHandoff.
-	leg bool
 	// fast marks a reply fast-path call (see Driver.fastPath): no
 	// caller-side agreement ever orders its outcome.
 	fast     bool
@@ -33,9 +30,8 @@ type call struct {
 	// fan-out): it still settles, but its outcome never surfaces.
 	silent bool
 	// sink is the outcome's one consumer, chosen at issue: the channel a
-	// waiting Do or handoff leg receives on, or nil for the agreed-order
-	// event queue.
-	sink chan outcome
+	// waiting Do receives on, or nil for the agreed-order event queue.
+	sink chan Reply
 	// busy maps each distinct target voter that refused the request to
 	// its retry-after hint; busyExpired counts expired-deadline refusals.
 	busy        map[int]uint64
@@ -101,14 +97,6 @@ func (c *call) due() time.Time {
 	return c.retryAt
 }
 
-// outcome is what a settled call hands its consumer: the reply, and for
-// a leg's agreed reply the bundle that certifies it (the handoff
-// certificate).
-type outcome struct {
-	reply Reply
-	cert  *ReplyBundle
-}
-
 // callEventKind discriminates what happened to a call.
 type callEventKind uint8
 
@@ -134,12 +122,9 @@ type callEvent struct {
 	kind   callEventKind
 	now    time.Time
 	bundle *ReplyBundle // evBundle; evParked's parked bundle, if any
-	// reply is evAgreed's outcome, or evParked's when agreed is set;
-	// cert carries the shares and MAC'd fields of the bundle agreement
-	// ordered it with (nil for an abort).
+	// reply is evAgreed's outcome, or evParked's when agreed is set.
 	reply  Reply
 	agreed bool
-	cert   *ReplyBundle
 	// evBusy, evBusyRead, evReadAnswer: the sending voter's group and
 	// index; evBusy, evBusyRead: its retry-after hint; evBusy: whether it
 	// refused because the deadline had passed.
@@ -167,7 +152,7 @@ type callEvent struct {
 type callActionKind uint8
 
 const (
-	actSettle   callActionKind = iota + 1 // end the call with reply (and cert)
+	actSettle   callActionKind = iota + 1 // end the call with reply
 	actForward                            // forward bundle to this group's primary voter
 	actResend                             // resend to the whole target group (attempt, responder)
 	actAbort                              // propose the agreed abort
@@ -182,7 +167,6 @@ const (
 type callAction struct {
 	kind      callActionKind
 	reply     Reply
-	cert      *ReplyBundle
 	bundle    *ReplyBundle
 	attempt   int
 	responder int
@@ -204,20 +188,19 @@ type callAction struct {
 //     other call forwards it for agreement (stage 7).
 //   - evAgreed: dropped on a fast call — no correct replica proposes an
 //     outcome for one, so an agreed one (a faulty voter's abort) must
-//     not race the certified reply; it settles any other call, and a
-//     leg keeps the reply's shares as its certificate.
+//     not race the certified reply; it settles any other call.
 //   - evParked: a parked bundle settles a fast call and a parked agreed
 //     outcome any other call; the other kind is dropped, and the call
 //     goes out as usual.
-//   - evBusy: ignored on a leg, from another target, or from
-//     outside the group. Below the f_t+1 quorum of distinct refusers the
-//     first refusal fans the request out to the whole group once. At the
-//     quorum an unreplicated caller (N = 1) settles the call as
-//     overloaded with the largest hint. Each replica of a replicated
-//     caller sees its own quorum at its own time, so it never settles
-//     locally: it retries a fast call after the hint (or the
-//     retransmission interval when the hint is 0) on a fresh quorum,
-//     and proposes the abort of any other.
+//   - evBusy: ignored from another target or from outside the group.
+//     Below the f_t+1 quorum of distinct refusers the first refusal fans
+//     the request out to the whole group once. At the quorum an
+//     unreplicated caller (N = 1) settles the call as overloaded with
+//     the largest hint. Each replica of a replicated caller sees its
+//     own quorum at its own time, so it never settles locally: it
+//     retries a fast call after the hint (or the retransmission
+//     interval when the hint is 0) on a fresh quorum, and proposes the
+//     abort of any other.
 //   - evRetry: a no-op once the expiry stamp has passed; otherwise the
 //     request is resent to the whole group with the responder moved on
 //     by one voter, so attempt k asks (first + k) mod n and never the
@@ -232,7 +215,7 @@ type callAction struct {
 // besides evDeadline and evCancel, which settle it as they do any fast
 // call; every other event is dropped until it falls back.
 //
-// The actions are settle(reply, cert), forward-bundle-to-primary,
+// The actions are settle(reply), forward-bundle-to-primary,
 // resend-to-group(attempt, responder), propose-abort, arm-retry(after),
 // and for reads certify(reply, seq, endorsers), shed(reply),
 // widen(replicas) and fall-back(responder).
@@ -254,17 +237,17 @@ func step(c *call, ev callEvent) []callAction {
 		if c.fast {
 			return nil
 		}
-		return append(acts, c.settleAgreed(ev))
+		return append(acts, callAction{kind: actSettle, reply: ev.reply})
 	case evParked:
 		switch {
 		case c.fast && ev.bundle != nil && ev.bundle.Target == c.target:
 			return append(acts, callAction{kind: actSettle, reply: Reply{ReqID: c.id, Payload: ev.bundle.Payload}, seq: ev.bundle.Pos})
 		case !c.fast && ev.agreed:
-			return append(acts, c.settleAgreed(ev))
+			return append(acts, callAction{kind: actSettle, reply: ev.reply})
 		}
 		return nil
 	case evBusy:
-		if c.leg || ev.from != c.target || ev.replica >= ev.targetN {
+		if ev.from != c.target || ev.replica >= ev.targetN {
 			return nil
 		}
 		if c.busy == nil {
@@ -315,17 +298,6 @@ func step(c *call, ev callEvent) []callAction {
 		return append(acts, callAction{kind: actAbort})
 	}
 	return nil
-}
-
-// settleAgreed is the settle action for an agreed outcome.
-func (c *call) settleAgreed(ev callEvent) callAction {
-	a := callAction{kind: actSettle, reply: ev.reply}
-	if c.leg && !ev.reply.Aborted && ev.cert != nil && len(ev.cert.Shares) > 0 {
-		cert := *ev.cert
-		cert.ReqID, cert.Target, cert.Payload = c.id, c.target, ev.reply.Payload
-		a.cert = &cert
-	}
-	return a
 }
 
 // retransmit appends a resend to the whole group, with the responder

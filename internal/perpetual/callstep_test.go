@@ -16,12 +16,10 @@ func TestCallStep(t *testing.T) {
 	)
 	fast := func() *call { return &call{id: id, target: "t", fast: true} }
 	agreed := func() *call { return &call{id: id, target: "t"} }
-	leg := func() *call { return &call{id: id, target: "t", leg: true} }
 	expiring := func() *call { return &call{id: id, target: "t", fast: true, expiry: 1} }
 
 	bundle := &ReplyBundle{ReqID: id, Target: "t", Payload: []byte("ok"), Pos: 23}
 	foreign := &ReplyBundle{ReqID: id, Target: "u", Payload: []byte("ok")}
-	shares := []Share{{Replica: 0}, {Replica: 1}}
 	reply := Reply{ReqID: id, Payload: []byte("ok")}
 
 	// Inputs every event carries: this caller's replica count and the
@@ -125,16 +123,8 @@ func TestCallStep(t *testing.T) {
 		{
 			name: "agreed outcome settles an agreed call",
 			c:    agreed(),
-			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, cert: &ReplyBundle{Shares: shares, Epoch: 3, GroupN: 4, Pos: 17}})},
+			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply})},
 			want: [][]callAction{settle(reply)},
-		},
-		{
-			name: "agreed reply keeps its certificate on a leg",
-			c:    leg(),
-			evs:  []callEvent{in(4, callEvent{kind: evAgreed, reply: reply, cert: &ReplyBundle{Shares: shares, Epoch: 3, GroupN: 4, Pos: 17}})},
-			want: [][]callAction{{{kind: actSettle, reply: reply, cert: &ReplyBundle{
-				ReqID: id, Target: "t", Epoch: 3, GroupN: 4, Pos: 17, Payload: reply.Payload, Shares: shares,
-			}}}},
 		},
 
 		// Outcomes parked before the issue.
@@ -210,12 +200,6 @@ func TestCallStep(t *testing.T) {
 			c:    &call{id: id, target: "t", busyFanned: true},
 			evs:  []callEvent{busy(4, 2, 5), busy(4, 3, 5)},
 			want: [][]callAction{nil, abort},
-		},
-		{
-			name: "leg ignores busy replies",
-			c:    leg(),
-			evs:  []callEvent{busy(4, 2, 5), busy(4, 3, 5)},
-			want: [][]callAction{nil, nil},
 		},
 		{
 			name: "busy from another target or outside the group is ignored",

@@ -50,9 +50,8 @@ type ServiceOptions struct {
 	// RETRY-AFTER fault without sending anything. Zero disables the cap.
 	MaxOutstanding int
 	// Behaviors injects Byzantine faults by replica index (tests and
-	// demos). Only the groups Build assembles take them; shard groups
-	// ProvisionShards adds and membership joiners start correct. Nil
-	// means every replica is correct.
+	// demos). Only the groups Build assembles take them; membership
+	// joiners start correct. Nil means every replica is correct.
 	Behaviors map[int]Behavior
 	// Logger receives replica, node and deployment diagnostics. Nil
 	// discards them.
@@ -90,10 +89,9 @@ type Deployment struct {
 	master []byte
 	kind   TransportKind
 	book   *transport.AddressBook
-	// mu guards replicas, tcpConns, and started: before live resharding
-	// the replica map was immutable after Build, but ProvisionShards and
-	// RetireShards now mutate it while accessor goroutines (stats
-	// polling, tests) read it.
+	// mu guards replicas, tcpConns, and started: membership installs
+	// replace replicas while accessor goroutines (stats polling, tests)
+	// read them.
 	mu       sync.RWMutex
 	replicas map[string][]*Replica
 	tcpConns map[auth.NodeID]*transport.TCPConn
@@ -231,101 +229,6 @@ func (d *Deployment) newReplica(group string, i int, opts ServiceOptions, princi
 	return r, nil
 }
 
-// ProvisionShards materializes the replica groups a reshard to n shards
-// needs before Driver.Reshard can run: it registers the transitional
-// shard-group namespace, derives pairwise keys between every existing
-// principal and the joining groups' principals, builds the new groups
-// (with the service's configured options), and starts them if the
-// deployment is running. Growing from the current deployed count builds
-// groups [cur, n); shrinking needs no new groups (the old ones stay
-// addressable until the reshard retires them). Idempotent.
-func (d *Deployment) ProvisionShards(service string, n int) error {
-	svc, err := d.Registry.Lookup(service)
-	if err != nil {
-		return err
-	}
-	if !svc.IsSharded() || n < 2 {
-		return fmt.Errorf("perpetual: ProvisionShards needs a sharded service and n >= 2 (have %d -> %d)", svc.ShardCount(), n)
-	}
-	cur := d.Registry.DeployedShards(service)
-	if n <= cur {
-		d.Registry.SetDeployedShards(service, max(n, svc.ShardCount()))
-		return nil
-	}
-	var joining []auth.NodeID
-	for k := cur; k < n; k++ {
-		g := svc.Shard(k)
-		joining = append(joining, g.VoterIDs()...)
-		joining = append(joining, g.DriverIDs()...)
-	}
-	// Existing replicas learn the joining principals' keys; the joining
-	// replicas' key stores are derived over the full (post-grow)
-	// principal set.
-	d.mu.RLock()
-	existing := make([]*Replica, 0, len(d.replicas))
-	for _, group := range d.replicas {
-		existing = append(existing, group...)
-	}
-	d.mu.RUnlock()
-	for _, r := range existing {
-		r.provisionPeers(d.master, joining)
-	}
-	d.Registry.SetDeployedShards(service, n)
-	principals := d.Registry.AllPrincipals()
-	opts := d.options[service]
-	// Byzantine behaviors configured for the base service apply to built
-	// groups only at Build time; joining groups start correct (grow-time
-	// fault injection would make every reshard test implicitly faulty).
-	opts.Behaviors = nil
-	for k := cur; k < n; k++ {
-		g := svc.Shard(k)
-		d.mu.Lock()
-		if _, exists := d.replicas[g.Name]; exists {
-			d.mu.Unlock()
-			continue
-		}
-		d.mu.Unlock()
-		group, err := d.buildGroup(g, opts, principals)
-		if err != nil {
-			return err
-		}
-		d.mu.Lock()
-		d.replicas[g.Name] = group
-		start := d.started
-		d.mu.Unlock()
-		if start {
-			for _, r := range group {
-				r.Start()
-			}
-		}
-	}
-	return nil
-}
-
-// RetireShards stops and removes the replica groups of shards [n, ...)
-// of a service — the groups a completed shrink reshard drained. Call
-// only after Driver.Reshard returned successfully.
-func (d *Deployment) RetireShards(service string, n int) {
-	svc, err := d.Registry.Lookup(service)
-	if err != nil {
-		return
-	}
-	for k := n; ; k++ {
-		g := svc.Shard(k)
-		d.mu.Lock()
-		group, ok := d.replicas[g.Name]
-		delete(d.replicas, g.Name)
-		d.mu.Unlock()
-		if !ok {
-			break
-		}
-		for _, r := range group {
-			r.Stop()
-		}
-	}
-	d.Registry.EndReshard(service)
-}
-
 // Start launches every replica.
 func (d *Deployment) Start() {
 	d.mu.Lock()
@@ -412,12 +315,10 @@ func (d *Deployment) Replicas(service string) []*Replica {
 }
 
 // ShardReplicas returns the replica group of shard k of a service. For
-// an unsharded service, shard 0 is the service's only group. During a
-// reshard, transitional groups beyond the routing table's shard count
-// (joining or draining) are addressable too.
+// an unsharded service, shard 0 is the service's only group.
 func (d *Deployment) ShardReplicas(service string, k int) []*Replica {
 	svc, err := d.Registry.Lookup(service)
-	if err != nil || k < 0 || k >= d.Registry.DeployedShards(service) {
+	if err != nil || k < 0 || k >= svc.ShardCount() {
 		return nil
 	}
 	return d.Replicas(svc.Shard(k).Name)

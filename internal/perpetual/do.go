@@ -104,7 +104,7 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 		}
 		res.Shards = make([]Reply, len(ids))
 		for i, id := range ids {
-			o, err := d.await(ctx, id, sinks[i])
+			r, err := d.await(ctx, id, sinks[i])
 			if err != nil {
 				// await canceled id on a ctx error; cancel the legs not yet
 				// waited on the same way.
@@ -113,13 +113,13 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 				}
 				return res, err
 			}
-			res.Shards[i] = o.reply
+			res.Shards[i] = r
 		}
 		return res, nil
 	default:
-		var sink chan outcome
+		var sink chan Reply
 		if !req.NoWait {
-			sink = make(chan outcome, 1)
+			sink = make(chan Reply, 1)
 		}
 		issue := d.issueCall
 		if req.Read {
@@ -132,11 +132,10 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 		if req.NoWait {
 			return Result{ReqID: id}, nil
 		}
-		o, err := d.await(ctx, id, sink)
+		r, err := d.await(ctx, id, sink)
 		if err != nil {
 			return Result{ReqID: id}, err
 		}
-		r := o.reply
 		if r.Overloaded {
 			// f_t+1 distinct target voters refused the request (see
 			// Driver.handleBusy); surface the shed as a typed error so
@@ -153,7 +152,7 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 // issueCall resolves the target (routing a sharded one by key) and
 // issues one agreement-path request, returning its id without waiting;
 // sink is its outcome's consumer (see call.sink).
-func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan outcome) (string, error) {
+func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
 	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
@@ -182,23 +181,23 @@ func (d *Driver) resolveShard(target string, key, payload []byte) (ServiceInfo, 
 // chosen for it at issue. When ctx ends first the call is canceled (see
 // cancelRequest) and ctx.Err() returned, and when the driver closes,
 // ErrClosed; an outcome handed over before either still wins.
-func (d *Driver) await(ctx context.Context, reqID string, sink chan outcome) (outcome, error) {
+func (d *Driver) await(ctx context.Context, reqID string, sink chan Reply) (Reply, error) {
 	select {
-	case o := <-sink:
-		return o, nil
+	case r := <-sink:
+		return r, nil
 	case <-ctx.Done():
 		d.cancelRequest(reqID)
 	case <-d.done:
 	}
 	select {
-	case o := <-sink:
-		return o, nil
+	case r := <-sink:
+		return r, nil
 	default:
 	}
 	if err := ctx.Err(); err != nil {
-		return outcome{}, err
+		return Reply{}, err
 	}
-	return outcome{}, ErrClosed
+	return Reply{}, ErrClosed
 }
 
 // cancelRequest settles a request whose caller gave up on it: the

@@ -97,5 +97,8 @@
 // fencing departed incarnations deterministically. Reply bundles carry
 // (Epoch, GroupN) inside the MAC'd reply message, so drivers learn
 // roster changes only from verified replies. Deployment.ReplaceReplica
-// exposes this as the proactive-recovery step.
+// exposes this as the proactive-recovery step. The donated checkpoint
+// (clbft.Replica.ExportBootstrap) is the package's one state transfer: a
+// sharded service's shard count is fixed at deployment, and no state
+// moves between shard groups.
 package perpetual

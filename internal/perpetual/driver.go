@@ -41,12 +41,6 @@ type IncomingRequest struct {
 	ReqID   string
 	Caller  string
 	Payload []byte
-	// Seq is the CLBFT agreement sequence the request was ordered at —
-	// identical on every replica of the group, so it can safely enter
-	// deterministic replies. The state-handoff protocol stamps it into
-	// export certificates, binding a handoff to a checkpoint position in
-	// the source group's log.
-	Seq uint64
 }
 
 // Reply is the agreed outcome of a request this service issued. Aborted
@@ -397,17 +391,17 @@ func (d *Driver) forward(b *ReplyBundle) {
 // request is left outstanding with timers running, and their outcomes
 // never surface: the application only learns the error, so replies to
 // ids it never learned would sit in the event queue unconsumable.
-func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Duration, wait bool) ([]string, []chan outcome, error) {
+func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Duration, wait bool) ([]string, []chan Reply, error) {
 	tinfo, err := d.registry.Lookup(target)
 	if err != nil {
 		return nil, nil, err
 	}
 	ids := make([]string, 0, tinfo.ShardCount())
-	var sinks []chan outcome
+	var sinks []chan Reply
 	for k := 0; k < tinfo.ShardCount(); k++ {
 		c := &call{payload: payload, timeout: timeout, fast: d.fastPath(false, timeout)}
 		if wait {
-			c.sink = make(chan outcome, 1)
+			c.sink = make(chan Reply, 1)
 			sinks = append(sinks, c.sink)
 		}
 		id, err := d.startRequest(tinfo.Shard(k), c)
@@ -422,15 +416,6 @@ func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Durati
 	return ids, sinks, nil
 }
 
-// issueLeg issues one handoff leg, a protocol-internal request, to a
-// concrete group. Its outcome, with the agreed reply's certificate, goes
-// to the returned channel and never to the event queue.
-func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Duration) (string, chan outcome, error) {
-	sink := make(chan outcome, 1)
-	id, err := d.startRequest(tinfo, &call{payload: payload, timeout: timeout, leg: true, sink: sink})
-	return id, sink, err
-}
-
 // fastPath is the reply fast-path rule, decided once per call at issue
 // time from inputs every replica of the caller shares. A call takes the
 // fast path — its verified bundle settles it directly, with no
@@ -439,8 +424,8 @@ func (d *Driver) issueLeg(tinfo ServiceInfo, payload []byte, timeout time.Durati
 // order to agree on; or the issuing thread is blocked on exactly this
 // reply and set no caller-side deadline, so it consumes the reply
 // whenever it arrives and nothing could abort it first. Every other
-// call (asynchronous issue, a deadline, handoff traffic) keeps the
-// agreed OpReply/OpAbort path.
+// call (asynchronous issue, a deadline) keeps the agreed
+// OpReply/OpAbort path.
 func (d *Driver) fastPath(blocking bool, timeout time.Duration) bool {
 	return d.svc.N == 1 || (blocking && timeout == 0)
 }
@@ -490,17 +475,16 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if !c.leg && !d.acquireSlot(tinfo.Name) {
+	if !d.acquireSlot(tinfo.Name) {
 		// Client-edge admission: the in-flight window to this target is
 		// full, so refuse with the deterministic RETRY-AFTER fault before
-		// building or sending anything (a handoff leg is protocol-internal
-		// and is never shed here).
+		// building or sending anything.
 		return &OverloadError{RetryAfter: DefaultRetryAfterHint}
 	}
 	c.target = tinfo.Name
 	c.id = d.nextReqID()
 	c.responder = int(d.reqSeq % uint64(tinfo.N))
-	c.counted = !c.leg && d.maxOutstanding > 0
+	c.counted = d.maxOutstanding > 0
 	now, first := time.Now(), d.retransmitInterval
 	if c.reading() {
 		first = DefaultReadFallback
@@ -508,8 +492,6 @@ func (d *Driver) admit(tinfo ServiceInfo, c *call) error {
 	c.retryAt = now.Add(first)
 	if c.timeout > 0 {
 		c.deadline = now.Add(c.timeout)
-	}
-	if c.timeout > 0 && !c.leg {
 		// Deadline propagation: stamp the caller's deadline (ctx deadline
 		// or explicit Timeout, both already folded into timeout) into the
 		// request envelope so replicas can drop expired work at every
@@ -566,7 +548,7 @@ func (d *Driver) sendFirst(c *call, tinfo ServiceInfo, responder, hint int) erro
 	if err != nil {
 		return err
 	}
-	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}, c.leg); err != nil {
+	if err := d.sendRequest(req, []auth.NodeID{auth.VoterID(c.target, hint)}); err != nil {
 		d.logf("request %s: %v", c.id, err)
 	}
 	return nil
@@ -578,7 +560,7 @@ func (d *Driver) abandon(c *call, silent bool) {
 	d.mu.Lock()
 	if d.outstanding[c.id] == c {
 		c.silent = c.silent || silent
-		d.settle(c, Reply{ReqID: c.id, Aborted: true}, nil)
+		d.settle(c, Reply{ReqID: c.id, Aborted: true})
 	}
 	d.mu.Unlock()
 }
@@ -760,14 +742,14 @@ func (d *Driver) stepLocked(reqID string, ev callEvent) (fx effects) {
 					d.readStats.FallbackTimeout++
 				}
 			}
-			d.settle(c, a.reply, a.cert)
+			d.settle(c, a.reply)
 		case actCertify:
 			d.readStats.Certified++
 			d.readPartners[c.target] = a.replicas
-			d.settle(c, a.reply, nil)
+			d.settle(c, a.reply)
 		case actShed:
 			d.readStats.Shed++
-			d.settle(c, a.reply, nil)
+			d.settle(c, a.reply)
 		case actArmRetry:
 			c.retryAt = ev.now.Add(a.after)
 		case actWiden:
@@ -826,14 +808,14 @@ func (d *Driver) perform(fx effects) {
 // settle ends call c with its one outcome (caller holds d.mu): its due
 // times, window slot and outstanding entry go, and unless its caller
 // gave up on it the outcome goes to the consumer chosen at issue.
-func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
+func (d *Driver) settle(c *call, r Reply) {
 	delete(d.outstanding, c.id)
 	c.deadline, c.retryAt = time.Time{}, time.Time{}
 	d.schedule(c)
 	d.releaseSlot(c.target, &c.counted)
 	if !c.silent {
 		r.Blocking = c.blocking
-		d.post(c.sink, outcome{reply: r, cert: cert})
+		d.post(c.sink, r)
 	}
 }
 
@@ -841,12 +823,12 @@ func (d *Driver) settle(c *call, r Reply, cert *ReplyBundle) {
 // chosen at issue — a capacity-1 channel that receives at most one
 // outcome, waking exactly its own waiter — or, when there is none, the
 // agreed-order event queue for NextEvent/WaitReply consumers.
-func (d *Driver) post(sink chan outcome, o outcome) {
+func (d *Driver) post(sink chan Reply, r Reply) {
 	if sink != nil {
-		sink <- o
+		sink <- r
 		return
 	}
-	d.events = append(d.events, Event{Kind: EventReply, Reply: o.reply})
+	d.events = append(d.events, Event{Kind: EventReply, Reply: r})
 	d.cond.Broadcast()
 }
 
@@ -858,7 +840,7 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 		d.logf("retransmit %s: %v", c.id, err)
 		return
 	}
-	if err := d.sendRequest(req, tinfo.VoterIDs(), c.leg); err != nil {
+	if err := d.sendRequest(req, tinfo.VoterIDs()); err != nil {
 		d.logf("retransmit %s: %v", c.id, err)
 	}
 	d.logf("retransmitted %s (attempt %d, responder %d)", c.id, attempt, responder)
@@ -875,7 +857,7 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 // uncertified one. A replicated caller (N > 1) takes the agreement path
 // directly, since fast replies could not reach its replicas
 // deterministically; blocking is Do's fastPath input for that call.
-func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan outcome) (string, error) {
+func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
 	tinfo, err := d.resolveShard(target, key, payload)
 	if err != nil {
 		return "", err
@@ -952,18 +934,11 @@ func (d *Driver) ReadStats() ReadStats {
 // sendRequest encodes a request message once and transmits it to the
 // given target voters (one for first attempts, the whole group for
 // retransmissions) through the adapter's encode-once multicast path.
-// A handoff leg carries the reserved stats class ClassHandoff, so
-// migration bandwidth is separable from ordinary request traffic; any
-// other request's class derives from the payload.
-func (d *Driver) sendRequest(req *RequestMsg, tos []auth.NodeID, leg bool) error {
+func (d *Driver) sendRequest(req *RequestMsg, tos []auth.NodeID) error {
 	msg := &Message{Kind: KindRequest, Request: req}
 	w := wire.GetWriter(msg.SizeHint())
 	msg.EncodeTo(w)
-	class := transport.ClassOf(w.Bytes())
-	if leg {
-		class = transport.ClassHandoff
-	}
-	err := d.adapter.SendMultiTagged(tos, w.Bytes(), class)
+	err := d.adapter.SendMulti(tos, w.Bytes())
 	w.Free()
 	return err
 }
@@ -1004,12 +979,9 @@ func (d *Driver) deliverRequest(r IncomingRequest) {
 }
 
 // deliverReply feeds the caller group's agreed reply or abort (stage 9)
-// to its call (see step's evAgreed row). cert carries the agreed reply
-// bundle's endorsements and MAC'd fields, retained as the certificate of
-// a handoff leg, so the rebuilt certificate verifies under the roster
-// and position its shares were minted for.
-func (d *Driver) deliverReply(r Reply, cert *ReplyBundle) {
-	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r, cert: cert})
+// to its call (see step's evAgreed row).
+func (d *Driver) deliverReply(r Reply) {
+	d.run(r.ReqID, callEvent{kind: evAgreed, reply: r})
 }
 
 // deliverUtil records an agreed utility value.

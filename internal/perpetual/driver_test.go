@@ -170,9 +170,9 @@ func TestReplySeenWindowSurvivesOverflow(t *testing.T) {
 	drv.reqSeq += flood
 	drv.mu.Unlock()
 	for i := 2; i <= flood; i++ {
-		drv.deliverReply(Reply{ReqID: fmt.Sprintf("c:%d", i)}, nil)
+		drv.deliverReply(Reply{ReqID: fmt.Sprintf("c:%d", i)})
 	}
-	drv.deliverReply(Reply{ReqID: reqID, Payload: []byte("echo:once")}, nil)
+	drv.deliverReply(Reply{ReqID: reqID, Payload: []byte("echo:once")})
 	drv.mu.Lock()
 	queued := len(drv.events)
 	drv.mu.Unlock()

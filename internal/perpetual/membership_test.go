@@ -210,9 +210,8 @@ func TestMembershipGrowShrink(t *testing.T) {
 
 // TestOnlyBuiltGroupsTakeFaults reads the fault installed in every
 // replica a deployment builds. The groups Build assembles take
-// Options.Behaviors[i]; a shard group ProvisionShards adds and a
-// membership joiner start correct even where Behaviors has an entry
-// for their index.
+// Options.Behaviors[i]; a membership joiner starts correct even where
+// Behaviors has an entry for its index.
 func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
 	faulty := func(r *Replica) bool { return r.voter.fault == (CorruptResultFault{}) }
 	dep := buildSharded(t, 1, 4, 2, func(dep *Deployment) {
@@ -225,15 +224,6 @@ func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
 			if got := faulty(r); got != (i == 1) {
 				t.Errorf("Build: shard %d replica %d faulty = %v, want %v", k, i, got, i == 1)
 			}
-		}
-	}
-
-	if err := dep.ProvisionShards("t", 3); err != nil {
-		t.Fatalf("ProvisionShards: %v", err)
-	}
-	for i, r := range dep.ShardReplicas("t", 2) {
-		if faulty(r) {
-			t.Errorf("ProvisionShards: shard 2 replica %d is faulty", i)
 		}
 	}
 

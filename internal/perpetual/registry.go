@@ -24,14 +24,6 @@ type ServiceInfo struct {
 	// deploys the paper's single-group configuration. Each shard
 	// individually tolerates f = (N-1)/3 Byzantine replicas.
 	Shards int
-	// Epoch versions the service's routing table. It increments exactly
-	// once per completed reshard (Driver.Reshard), when the registry flips
-	// Shards atomically; callers that route a key under a stale epoch are
-	// answered by the old owner with a deterministic RETRY-AT-EPOCH fault
-	// and re-resolve. The epoch does not enter the rendezvous hash — that
-	// would move every key on a flip — it only names which (Shards) value
-	// a route was computed against.
-	Epoch uint64
 }
 
 // F returns the number of faults the service (each shard, if sharded)
@@ -142,9 +134,9 @@ func (s ServiceInfo) principals() []auth.NodeID {
 // through an immutable copy-on-write snapshot behind an atomic pointer:
 // Lookup and friends never take a lock (a shared RWMutex read-locked per
 // call bounces its cache line across cores, serializing independent
-// shard groups). Mutators — setup, reshard epoch flips, membership
-// commits — are rare; they serialize on mu, clone the snapshot, and
-// publish the successor atomically.
+// shard groups). Mutators — setup and membership commits — are rare;
+// they serialize on mu, clone the snapshot, and publish the successor
+// atomically.
 type Registry struct {
 	mu   sync.Mutex // serializes mutators; readers never take it
 	snap atomic.Pointer[registryState]
@@ -154,13 +146,6 @@ type Registry struct {
 // modified after publication; mutators clone before writing.
 type registryState struct {
 	services map[string]ServiceInfo
-	// deployed tracks, per sharded service, how many shard groups are
-	// materialized (deployed replicas, resolvable by wire name). Outside a
-	// reshard it equals ShardCount; during one it is max(old, new), so
-	// both the groups still draining under the old epoch and the groups
-	// warming up for the new one can be addressed while only Shards (the
-	// routing table) decides where fresh keys go.
-	deployed map[string]int
 	// membership overlays, per concrete voter group, the group's
 	// installed membership epoch and current size (see membership.go).
 	// Groups absent from the map run epoch 0 at their declared N.
@@ -178,14 +163,10 @@ type groupMembership struct {
 func (st *registryState) clone() *registryState {
 	next := &registryState{
 		services:   make(map[string]ServiceInfo, len(st.services)),
-		deployed:   make(map[string]int, len(st.deployed)),
 		membership: make(map[string]groupMembership, len(st.membership)),
 	}
 	for k, v := range st.services {
 		next.services[k] = v
-	}
-	for k, v := range st.deployed {
-		next.deployed[k] = v
 	}
 	for k, v := range st.membership {
 		next.membership[k] = v
@@ -197,7 +178,6 @@ func (st *registryState) clone() *registryState {
 func NewRegistry(services ...ServiceInfo) *Registry {
 	st := &registryState{
 		services:   make(map[string]ServiceInfo, len(services)),
-		deployed:   make(map[string]int),
 		membership: make(map[string]groupMembership),
 	}
 	for _, s := range services {
@@ -231,10 +211,8 @@ func (r *Registry) Add(s ServiceInfo) {
 
 // Lookup resolves a service or shard group by name: "store" yields the
 // declared (possibly sharded) service; "store#2" yields the concrete
-// group descriptor of its third shard. During a reshard, shard groups
-// beyond the routing table's Shards (new groups warming up, or old
-// groups draining) remain resolvable until the transition ends.
-// Lock-free: reads one immutable snapshot.
+// group descriptor of its third shard. Lock-free: reads one immutable
+// snapshot.
 func (r *Registry) Lookup(name string) (ServiceInfo, error) {
 	return r.snap.Load().lookup(name)
 }
@@ -247,7 +225,7 @@ func (st *registryState) lookup(name string) (ServiceInfo, error) {
 		return s, nil
 	}
 	if base, k, ok := splitShardGroupName(name); ok {
-		if s, found := st.services[base]; found && s.IsSharded() && k < st.deployedOf(s) {
+		if s, found := st.services[base]; found && s.IsSharded() && k < s.ShardCount() {
 			return st.withMembership(name, s.Shard(k)), nil
 		}
 	}
@@ -339,85 +317,6 @@ func (r *Registry) ObserveGroupMembership(group string, epoch uint64, n int) boo
 // move a group's epoch backwards (not an error surfaced to callers).
 var errObserveStale = errors.New("stale membership observation")
 
-// deployedOf returns the number of addressable shard groups of a
-// service.
-func (st *registryState) deployedOf(s ServiceInfo) int {
-	if d := st.deployed[s.Name]; d > s.ShardCount() {
-		return d
-	}
-	return s.ShardCount()
-}
-
-// DeployedShards returns the number of addressable shard groups of a
-// service: ShardCount outside a reshard, max(old, new) during one.
-func (r *Registry) DeployedShards(service string) int {
-	st := r.snap.Load()
-	s, ok := st.services[service]
-	if !ok {
-		return 0
-	}
-	return st.deployedOf(s)
-}
-
-// SetDeployedShards marks n shard groups of a service as materialized
-// (resolvable by wire name), without touching the routing table. Called
-// by Deployment.ProvisionShards before a reshard starts.
-func (r *Registry) SetDeployedShards(service string, n int) {
-	r.mutate(func(st *registryState) error {
-		if _, ok := st.services[service]; ok && n > 0 {
-			st.deployed[service] = n
-		}
-		return nil
-	})
-}
-
-// CommitEpoch atomically flips a service's routing table to (newShards,
-// newEpoch): the single point at which fresh routes start using the new
-// shard count. It is idempotent per epoch — every replica of a
-// replicated reshard coordinator commits the same flip — and refuses to
-// move the epoch backwards.
-func (r *Registry) CommitEpoch(service string, newShards int, newEpoch uint64) error {
-	return r.mutate(func(st *registryState) error {
-		s, ok := st.services[service]
-		if !ok {
-			return fmt.Errorf("perpetual: unknown service %q", service)
-		}
-		if s.Epoch >= newEpoch {
-			// Re-commit of the same flip by another replica of the reshard
-			// coordinator is idempotent; the same epoch claimed for a
-			// *different* shard count means a concurrent reshard won the
-			// epoch — succeeding silently would let the loser run its drop
-			// phase against a topology that never flipped, losing keys.
-			if s.Epoch == newEpoch && s.Shards == newShards {
-				return nil
-			}
-			return fmt.Errorf("perpetual: epoch %d of %s already committed with %d shards (concurrent reshard?)", s.Epoch, service, s.Shards)
-		}
-		if newEpoch != s.Epoch+1 {
-			return fmt.Errorf("perpetual: epoch flip %d -> %d skips epochs", s.Epoch, newEpoch)
-		}
-		if d := st.deployedOf(s); newShards > d {
-			return fmt.Errorf("perpetual: cannot flip %s to %d shards, only %d deployed", service, newShards, d)
-		}
-		s.Shards = newShards
-		s.Epoch = newEpoch
-		st.services[service] = s
-		return nil
-	})
-}
-
-// EndReshard retires the transitional shard-group namespace: addressable
-// groups shrink back to the routing table's ShardCount (drained old
-// groups on a shrink stop resolving). Idempotent.
-func (r *Registry) EndReshard(service string) {
-	r.mutate(func(st *registryState) error {
-		if s, ok := st.services[service]; ok {
-			st.deployed[service] = s.ShardCount()
-		}
-		return nil
-	})
-}
-
 // Services returns all registered services sorted by name.
 func (r *Registry) Services() []ServiceInfo {
 	st := r.snap.Load()
@@ -430,14 +329,13 @@ func (r *Registry) Services() []ServiceInfo {
 }
 
 // Groups returns every concrete replica group of the deployment sorted
-// by name: one per unsharded service plus one per deployed shard of each
-// sharded service (including transitional groups mid-reshard). This is
-// what Deployment.Build materializes.
+// by name: one per unsharded service plus one per shard of each sharded
+// service. This is what Deployment.Build materializes.
 func (r *Registry) Groups() []ServiceInfo {
 	st := r.snap.Load()
 	var out []ServiceInfo
 	for _, s := range st.services {
-		for k := 0; k < st.deployedOf(s); k++ {
+		for k := 0; k < s.ShardCount(); k++ {
 			g := s.Shard(k)
 			out = append(out, st.withMembership(g.Name, g))
 		}

@@ -315,23 +315,14 @@ func (r *Replica) AgreementCount() uint64 { return r.voter.bft().Executed() }
 
 // StableCheckpointSeq returns the agreement sequence of the voter
 // group's last stable (quorum-certified, locally executed) checkpoint,
-// as observed by this replica via the CLBFT checkpoint hook. A handoff
-// export agreed at sequence s is durably below the group's log horizon
-// once StableCheckpointSeq >= s on a correct replica.
+// as observed by this replica via the CLBFT checkpoint hook
+// (diagnostic: the membership soak waits for it to be nonzero, so its
+// replacements join a group that has already checkpointed).
 func (r *Replica) StableCheckpointSeq() uint64 { return r.voter.stableCkpt.Load() }
-
-// VerifyHandoffCert verifies a handoff-install frame's state
-// certificate against this replica's driver key store: the f_s+1 source
-// voter shares must endorse the carried state (see VerifyHandoffCert,
-// the package-level form, for the checks). Destination-group nodes call
-// it on agreed install requests before importing state.
-func (r *Replica) VerifyHandoffCert(f *HandoffFrame) (*HandoffState, error) {
-	return VerifyHandoffCert(r.driverKeys, r.driver.registry, f)
-}
 
 // provisionPeers installs pairwise keys, derived from the deployment
 // master secret, for principals that joined after this replica was
-// built (shard groups deployed by ProvisionShards ahead of a reshard).
+// built (the slot a membership grow adds).
 func (r *Replica) provisionPeers(master []byte, peers []auth.NodeID) {
 	for _, p := range peers {
 		if p != r.voterKeys.Self() {

@@ -32,15 +32,6 @@ func ShardGroupName(service string, k int) string {
 	return service + shardSep + strconv.Itoa(k)
 }
 
-// SplitShardGroupName parses a shard group name back into its parent
-// service name and shard index: "store#2" yields ("store", 2, true).
-// Applications deployed per shard use it to learn their own shard index
-// (from core.AppContext.ServiceName), which the state-handoff protocol
-// needs to evaluate key-movement predicates.
-func SplitShardGroupName(name string) (base string, k int, ok bool) {
-	return splitShardGroupName(name)
-}
-
 // splitShardGroupName parses a shard group name back into its parent
 // service name and shard index.
 func splitShardGroupName(name string) (base string, k int, ok bool) {
@@ -71,8 +62,8 @@ func validateServiceName(name string) error {
 // highest-random-weight (rendezvous) consistent hashing: the key scores
 // every shard and picks the maximum. Rendezvous hashing keeps the
 // mapping deterministic and uniform, and minimizes key movement when the
-// shard count changes (only keys whose winning shard disappears move),
-// which matters for offline resharding of persistent state.
+// shard count changes between deployments (only keys whose winning
+// shard disappears move).
 func ShardFor(key []byte, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -88,19 +79,6 @@ func ShardFor(key []byte, shards int) int {
 		}
 	}
 	return best
-}
-
-// KeyMoves evaluates the resharding movement predicate for one key: the
-// shard that owns it under oldShards, the shard that owns it under
-// newShards, and whether those differ. Rendezvous hashing guarantees
-// that on a grow every move lands on a new shard (from < oldShards <=
-// to) and on a shrink every move leaves a removed shard (newShards <=
-// from), so the moved fraction is (|new−old|)/max(new, old) in
-// expectation — the minimum any consistent scheme can achieve.
-func KeyMoves(key []byte, oldShards, newShards int) (from, to int, moved bool) {
-	from = ShardFor(key, oldShards)
-	to = ShardFor(key, newShards)
-	return from, to, from != to
 }
 
 // fnv64a is the 64-bit FNV-1a hash shard routing keys on.

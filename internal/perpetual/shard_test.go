@@ -67,9 +67,9 @@ func TestShardForConsistency(t *testing.T) {
 	}
 	// Expect 1/5 of the keys to move to the new shard; with n=1000 the
 	// binomial 3-sigma band is ~±38, so [150, 250] is tight without
-	// being flaky. TestKeyMovesFraction covers the general table.
+	// being flaky.
 	if moved < 150 || moved > 250 {
-		t.Errorf("moved %d/%d keys on 4→5 reshard, want %d ± 50", moved, n, n/5)
+		t.Errorf("moved %d/%d keys going from 4 to 5 shards, want %d ± 50", moved, n, n/5)
 	}
 }
 

@@ -392,7 +392,7 @@ func (v *voter) perform(acts []reqAction) {
 				Payload: a.req.Payload, Shares: a.shares}
 			v.bft().Submit(RequestOpID(op.ReqID), op.Encode())
 		case doExecute:
-			v.driver.deliverRequest(IncomingRequest{ReqID: a.op.ReqID, Caller: a.op.Caller, Payload: a.op.Payload, Seq: clbft.SeqOf(a.pos)})
+			v.driver.deliverRequest(IncomingRequest{ReqID: a.op.ReqID, Caller: a.op.Caller, Payload: a.op.Payload})
 		case doMint:
 			rec, err := v.mint(a.id, a.caller, a.reply.payload, a.reply.digest, false, a.pos)
 			if err != nil {
@@ -447,10 +447,9 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 		switch {
 		case done:
 		case o.Kind == OpAbort:
-			v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true}, nil)
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Aborted: true})
 		default:
-			v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload},
-				&ReplyBundle{Shares: o.Shares, Epoch: o.Epoch, GroupN: o.GroupN, Pos: o.Pos})
+			v.driver.deliverReply(Reply{ReqID: o.ReqID, Payload: o.Payload})
 		}
 	case OpUtil:
 		v.driver.deliverUtil(o.K, o.Value)
@@ -550,22 +549,9 @@ func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Si
 	if err != nil {
 		return replyRecord{}, err
 	}
-	receivers := caller.principals() // shared: the appends below copy it
-	// A handoff-export reply doubles as the state-handoff certificate the
-	// *destination* group must verify, and MAC authenticators are only
-	// verifiable by their addressed receivers — so the share additionally
-	// MACs toward every principal of the destination shard group. The
-	// coordinator's reply path is unchanged; the destination verifies the
-	// very same f_t+1 shares the coordinator's agreement endorsed.
-	if hs, ok := DecodeHandoffState(payload); ok && hs.Commit {
-		if dg, err := v.registry.Lookup(ShardGroupName(hs.Service, hs.Dest)); err == nil {
-			receivers = append(receivers, dg.VoterIDs()...)
-			receivers = append(receivers, dg.DriverIDs()...)
-		}
-	}
 	epoch := v.memEpoch.Load()
 	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N, pos)
-	a, err := auth.NewAuthenticator(v.ks, msg.Bytes(), receivers)
+	a, err := auth.NewAuthenticator(v.ks, msg.Bytes(), caller.principals())
 	msg.Free()
 	return replyRecord{digest: digest, payload: payload, epoch: epoch,
 		share: Share{Replica: v.index, Tentative: tentative, Auth: a}}, err

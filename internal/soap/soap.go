@@ -309,36 +309,6 @@ func FaultBody(f Fault) []byte {
 	return buf.Bytes()
 }
 
-// FaultCodeRetryAtEpoch is the fault code of the deterministic
-// moved-key fault: a shard answers it for keys that have been (or are
-// being) handed to another shard group by a reshard. The reason names
-// the routing epoch the client should re-resolve the key under;
-// clients retry instead of treating it as a failure.
-const FaultCodeRetryAtEpoch = "perpetual:RetryAtEpoch"
-
-// RetryAtEpochFault builds the deterministic moved-key fault for a
-// reshard flipping to the given routing epoch.
-func RetryAtEpochFault(epoch uint64) Fault {
-	return Fault{Code: FaultCodeRetryAtEpoch, Reason: fmt.Sprintf("key moved; retry at epoch %d", epoch)}
-}
-
-// DecodeRetryAtEpoch reports whether a fault is the moved-key fault
-// and extracts the epoch to retry at.
-func DecodeRetryAtEpoch(f Fault) (uint64, bool) {
-	if f.Code != FaultCodeRetryAtEpoch {
-		return 0, false
-	}
-	i := strings.LastIndexByte(f.Reason, ' ')
-	if i < 0 {
-		return 0, true // malformed reason still signals a retry
-	}
-	var epoch uint64
-	if _, err := fmt.Sscanf(f.Reason[i+1:], "%d", &epoch); err != nil {
-		return 0, true
-	}
-	return epoch, true
-}
-
 // FaultCodeRetryAfter is the fault code of the deterministic overload
 // fault: a saturated voter group answers it instead of queuing work it
 // cannot serve within bounded latency. The reason names the backoff

@@ -170,22 +170,6 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRetryAtEpochFaultRoundTrip(t *testing.T) {
-	f := RetryAtEpochFault(7)
-	body := FaultBody(f)
-	got, isFault := IsFault(body)
-	if !isFault || got.Code != FaultCodeRetryAtEpoch {
-		t.Fatalf("IsFault = %+v, %v", got, isFault)
-	}
-	epoch, retry := DecodeRetryAtEpoch(got)
-	if !retry || epoch != 7 {
-		t.Errorf("DecodeRetryAtEpoch = (%d, %v), want (7, true)", epoch, retry)
-	}
-	if _, retry := DecodeRetryAtEpoch(Fault{Code: "soap:Sender", Reason: "retry at epoch 7"}); retry {
-		t.Error("non-retry fault decoded as retry")
-	}
-}
-
 // TestParseCanonicalMatchesGeneral cross-checks the canonical-form fast
 // parser against the reflective fallback on a spread of envelopes: for
 // every Marshal output the two must agree exactly, and inputs the fast

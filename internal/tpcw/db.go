@@ -285,79 +285,6 @@ func (db *DB) PlaceOrder(customerID int) (Order, error) {
 	return o, nil
 }
 
-// CustomerState is the portable per-customer state a reshard moves
-// between store shards: the live cart and the customer's order history.
-// Order IDs are shard-local and reassigned on import.
-type CustomerState struct {
-	ID     int
-	Cart   []OrderLine
-	Orders []Order
-}
-
-// ExportCustomerState snapshots the state of the given customers (the
-// keys a reshard is moving off this shard). Deterministic given the
-// same DB state and id order.
-func (db *DB) ExportCustomerState(ids []int) []CustomerState {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]CustomerState, 0, len(ids))
-	for _, id := range ids {
-		if id < 0 || id >= len(db.customers) {
-			continue
-		}
-		cs := CustomerState{ID: id, Cart: append([]OrderLine(nil), db.carts[id]...)}
-		for _, oid := range db.customers[id].OrderIDs {
-			o := db.orders[oid]
-			o.Lines = append([]OrderLine(nil), o.Lines...)
-			cs.Orders = append(cs.Orders, o)
-		}
-		out = append(out, cs)
-	}
-	return out
-}
-
-// ImportCustomerState installs migrated customer state on this shard,
-// replacing whatever the shard held for those customers (nothing, for a
-// correctly routed reshard). Orders get fresh shard-local ids in input
-// order, preserving their totals, statuses, and authorization tokens.
-func (db *DB) ImportCustomerState(states []CustomerState) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, cs := range states {
-		if cs.ID < 0 || cs.ID >= len(db.customers) {
-			continue
-		}
-		if len(cs.Cart) > 0 {
-			db.carts[cs.ID] = append([]OrderLine(nil), cs.Cart...)
-		} else {
-			delete(db.carts, cs.ID)
-		}
-		db.customers[cs.ID].OrderIDs = nil
-		for _, o := range cs.Orders {
-			o.ID = len(db.orders)
-			o.CustomerID = cs.ID
-			o.Lines = append([]OrderLine(nil), o.Lines...)
-			db.orders = append(db.orders, o)
-			db.customers[cs.ID].OrderIDs = append(db.customers[cs.ID].OrderIDs, o.ID)
-		}
-	}
-}
-
-// DropCustomerState discards the given customers' carts and order
-// history (their keys were handed to another shard; the order rows stay
-// as unreferenced tombstones, like deleted rows awaiting compaction).
-func (db *DB) DropCustomerState(ids []int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, id := range ids {
-		if id < 0 || id >= len(db.customers) {
-			continue
-		}
-		delete(db.carts, id)
-		db.customers[id].OrderIDs = nil
-	}
-}
-
 // SetOrderOutcome records the payment authorization outcome.
 func (db *DB) SetOrderOutcome(orderID int, approved bool, txn string) error {
 	db.mu.Lock()

@@ -99,9 +99,6 @@ func NewBookstore(db *DB, pay PaymentAuthorizer) *Bookstore {
 	return &Bookstore{db: db, pay: pay}
 }
 
-// DB exposes the underlying database.
-func (b *Bookstore) DB() *DB { return b.db }
-
 // Customers implements Storefront.
 func (b *Bookstore) Customers() int { return b.db.Customers() }
 

@@ -198,16 +198,14 @@ func StoreApp(cfg StoreConfig) core.Application {
 		}
 		store := NewBookstore(NewDB(cfg.Items, cfg.Customers), pay)
 		sessions := make(map[int]*Session)
-		handoff := newStoreHandoff(store, sessions, ctx.ServiceName)
 		// Declare the browse pages readable through the session fast
 		// path. The handler runs on transport goroutines concurrently
 		// with the executor loop below: it only touches the DB (which is
-		// internally synchronized) and the handoff freeze table (which
-		// has its own lock) — never the executor-owned sessions map. A
-		// fresh session per read keeps speculative execution stateless,
-		// so replies are byte-identical across replicas; commits and
-		// frozen (mid-reshard) keys are refused, which surfaces as a
-		// Behind decline and falls back to agreement.
+		// internally synchronized), never the executor-owned sessions
+		// map. A fresh session per read keeps speculative execution
+		// stateless, so replies are byte-identical across replicas;
+		// commits are refused, which surfaces as a Behind decline and
+		// falls back to agreement.
 		ctx.ServeReads(func(req *wsengine.MessageContext) (*wsengine.MessageContext, error) {
 			customer, kind, arg, err := DecodeInteraction(req.Envelope.Body)
 			if err != nil {
@@ -215,9 +213,6 @@ func StoreApp(cfg StoreConfig) core.Application {
 			}
 			if !kind.IsRead() {
 				return nil, fmt.Errorf("tpcw: %s mutates store state; commits only execute through agreement", kind)
-			}
-			if _, moved := handoff.frozenEpoch(customer % store.Customers()); moved {
-				return nil, fmt.Errorf("tpcw: customer key frozen by a live reshard")
 			}
 			if cfg.DBTime > 0 {
 				time.Sleep(cfg.DBTime)
@@ -237,24 +232,9 @@ func StoreApp(cfg StoreConfig) core.Application {
 				return
 			}
 			reply := wsengine.NewMessageContext()
-			// State-handoff traffic (live resharding) diverts before
-			// interaction decoding.
-			if body := handleStoreHandoff(handoff, req); body != nil {
-				reply.Envelope.Body = body
-				if err := ctx.SendReply(reply, req); err != nil {
-					return
-				}
-				continue
-			}
 			customer, kind, arg, perr := DecodeInteraction(req.Envelope.Body)
 			if perr != nil {
 				reply.Envelope.Body = soap.FaultBody(soap.Fault{Code: "soap:Sender", Reason: perr.Error()})
-			} else if epoch, moved := handoff.frozenEpoch(customer % store.Customers()); moved {
-				// The customer's key was (or is being) handed to another
-				// shard: answer the deterministic moved-key fault so the
-				// client re-resolves under the flipped routing table
-				// instead of stalling or reading stale state.
-				reply.Envelope.Body = soap.FaultBody(soap.RetryAtEpochFault(epoch))
 			} else {
 				s, ok := sessions[customer]
 				if !ok {
@@ -307,20 +287,16 @@ func (c *StoreClient) Customers() int {
 }
 
 // Execute implements Storefront: one round trip to the customer's
-// shard. The shard is re-resolved per attempt, so a live reshard moving
-// the customer mid-interaction surfaces only as RETRY-AT-EPOCH faults
-// followed by success against the new owner — never as a failure.
+// shard.
 func (c *StoreClient) Execute(i Interaction, s *Session, arg int) (Page, error) {
-	reply, err := core.SendRerouted(c.Handler, func() *wsengine.MessageContext {
-		req := wsengine.NewMessageContext()
-		req.Options.To = soap.ServiceURI(c.Service)
-		req.Options.Action = ActionInteraction
-		req.Options.TimeoutMillis = c.TimeoutMillis
-		req.Options.RoutingKey = CustomerKey(s.CustomerID)
-		req.Options.ReadOnly = i.IsRead() && !c.ForceAgreement
-		req.Envelope.Body = EncodeInteraction(s.CustomerID, i, arg)
-		return req
-	}, rerouteAttempts, rerouteBackoff)
+	req := wsengine.NewMessageContext()
+	req.Options.To = soap.ServiceURI(c.Service)
+	req.Options.Action = ActionInteraction
+	req.Options.TimeoutMillis = c.TimeoutMillis
+	req.Options.RoutingKey = CustomerKey(s.CustomerID)
+	req.Options.ReadOnly = i.IsRead() && !c.ForceAgreement
+	req.Envelope.Body = EncodeInteraction(s.CustomerID, i, arg)
+	reply, err := c.Handler.SendReceive(req)
 	if err != nil {
 		return Page{}, err
 	}
@@ -329,11 +305,3 @@ func (c *StoreClient) Execute(i Interaction, s *Session, arg int) (Page, error) 
 	}
 	return DecodePage(reply.Envelope.Body)
 }
-
-// Re-route policy for interactions crossing a live reshard: the retry
-// window has to outlast the export->install->flip latency of a
-// migration, which is a handful of agreement round trips.
-const (
-	rerouteAttempts = 200
-	rerouteBackoff  = 20 * time.Millisecond
-)

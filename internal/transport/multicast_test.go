@@ -63,38 +63,44 @@ func TestSendMultiDeliversToAll(t *testing.T) {
 	}
 }
 
-// TestSendTaggedClassOverride checks the explicit class override (the
-// handoff tagging path) and receive-side classification.
-func TestSendTaggedClassOverride(t *testing.T) {
-	master := []byte("m")
-	a, b := auth.VoterID("s", 0), auth.VoterID("s", 1)
-	all := []auth.NodeID{a, b}
-	net := NewNetwork()
-	defer net.Close()
+// TestSendClassMatchesReceiveClass checks that the sender and the
+// receiver of one frame count it in the same stats class: its leading
+// byte, or the "unclassified" class 0 when that byte is out of range.
+func TestSendClassMatchesReceiveClass(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		class   uint8
+	}{
+		{"leading byte in range", []byte{1, 42, 43}, 1},
+		{"leading byte out of range", []byte{NumMsgClasses, 42}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			master := []byte("m")
+			a, b := auth.VoterID("s", 0), auth.VoterID("s", 1)
+			all := []auth.NodeID{a, b}
+			net := NewNetwork()
+			defer net.Close()
 
-	recv := make(chan []byte, 1)
-	ab := NewChannelAdapter(auth.NewDerivedKeyStore(master, b, all), net.Port(b))
-	ab.SetHandler(func(_ auth.NodeID, payload []byte) { recv <- append([]byte(nil), payload...) })
-	aa := NewChannelAdapter(auth.NewDerivedKeyStore(master, a, all), net.Port(a))
-
-	payload := []byte{1, 42, 43} // leading byte = class 1 (request)
-	if err := aa.SendTagged(b, payload, ClassHandoff); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-recv:
-	case <-time.After(2 * time.Second):
-		t.Fatal("frame not delivered")
-	}
-	if c := aa.Stats().Class(ClassHandoff); c.SentMsgs != 1 {
-		t.Errorf("ClassHandoff sent = %+v, want 1 msg", c)
-	}
-	if c := aa.Stats().Class(1); c.SentMsgs != 0 {
-		t.Errorf("class 1 sent = %+v, want 0 (overridden)", c)
-	}
-	// The receiver classifies by leading byte (it cannot see the tag).
-	if c := ab.Stats().Class(1); c.RecvMsgs != 1 {
-		t.Errorf("receive class 1 = %+v, want 1 msg", c)
+			recv := make(chan struct{}, 1)
+			ab := NewChannelAdapter(auth.NewDerivedKeyStore(master, b, all), net.Port(b))
+			ab.SetHandler(func(auth.NodeID, []byte) { recv <- struct{}{} })
+			aa := NewChannelAdapter(auth.NewDerivedKeyStore(master, a, all), net.Port(a))
+			if err := aa.Send(b, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-recv:
+			case <-time.After(2 * time.Second):
+				t.Fatal("frame not delivered")
+			}
+			if c := aa.Stats().Class(tc.class); c.SentMsgs != 1 {
+				t.Errorf("sent in class %d = %+v, want 1 msg", tc.class, c)
+			}
+			if c := ab.Stats().Class(tc.class); c.RecvMsgs != 1 {
+				t.Errorf("received in class %d = %+v, want 1 msg", tc.class, c)
+			}
+		})
 	}
 }
 

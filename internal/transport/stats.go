@@ -8,17 +8,9 @@ import (
 // NumMsgClasses is the number of per-message-class counter slots a
 // Stats tracks. A payload's class is its leading byte (the perpetual
 // message kind discriminant: request, BFT, reply-share, ...), clamped
-// into this range; senders may override it with SendTagged (the driver
-// tags state-handoff requests with ClassHandoff).
+// into this range, so sender and receiver count a frame in the same
+// class.
 const NumMsgClasses = 16
-
-// ClassHandoff is the reserved out-of-band class senders use to tag
-// state-handoff (resharding) frames, which would otherwise be counted
-// as plain requests. The tag exists only at the sender (it is not on
-// the wire), so migration bandwidth is separable in *sent* counters;
-// receivers classify by the payload's leading byte and count those same
-// frames under the request class.
-const ClassHandoff = NumMsgClasses - 2
 
 // ClassOf returns the stats class of a payload: its leading byte,
 // clamped to the counter range (class 0 doubles as "unclassified").
@@ -145,7 +137,7 @@ type StatsSnapshot struct {
 
 	// ByClass breaks traffic down per message class (see ClassOf), so
 	// tests can assert bandwidth properties of individual protocol
-	// stages: reply-share bytes, BFT agreement traffic, handoff overhead.
+	// stages: reply-share bytes, BFT agreement traffic, request copies.
 	ByClass [NumMsgClasses]ClassCounters
 }
 

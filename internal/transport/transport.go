@@ -266,18 +266,8 @@ func (ca *ChannelAdapter) LocalID() auth.NodeID { return ca.conn.LocalID() }
 // Send MACs payload for the destination and transmits it. The payload's
 // stats class is its leading byte (see ClassOf).
 func (ca *ChannelAdapter) Send(to auth.NodeID, payload []byte) error {
-	return ca.SendTagged(to, payload, ClassOf(payload))
-}
-
-// SendTagged is Send with an explicit stats class overriding the
-// payload's leading byte (e.g. ClassHandoff for handoff frames that
-// ride the request path).
-func (ca *ChannelAdapter) SendTagged(to auth.NodeID, payload []byte, class uint8) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
-	}
-	if class >= NumMsgClasses {
-		class = 0
 	}
 	var scratch [sha256.Size]byte
 	domain, input := macInput(payload, &scratch)
@@ -285,7 +275,7 @@ func (ca *ChannelAdapter) SendTagged(to auth.NodeID, payload []byte, class uint8
 	if err != nil {
 		return err
 	}
-	return ca.sendSigned(to, head, payload, nil, class)
+	return ca.sendSigned(to, head, payload, nil)
 }
 
 // newFrameBuf returns an empty pooled buffer with room for a frame head
@@ -314,8 +304,8 @@ func (ca *ChannelAdapter) appendSignedHead(buf []byte, to auth.NodeID, domain by
 // sendSigned transmits one receiver's signed head: in front of the
 // shared body when there is one, otherwise with the payload appended as
 // a whole frame, which the connection recycles when it can.
-func (ca *ChannelAdapter) sendSigned(to auth.NodeID, head, payload, body []byte, class uint8) error {
-	ca.stats.addSent(len(payload), class)
+func (ca *ChannelAdapter) sendSigned(to auth.NodeID, head, payload, body []byte) error {
+	ca.stats.addSent(len(payload), ClassOf(payload))
 	switch {
 	case body != nil:
 		return ca.parts.SendFrameParts(to, head, body)
@@ -332,18 +322,11 @@ func (ca *ChannelAdapter) sendSigned(to auth.NodeID, head, payload, body []byte,
 // the encode-once seam the CLBFT broadcast, reply-share fan-out, and
 // request retransmission paths sit on. The first error is returned
 // after all destinations were attempted (BFT fan-outs must not starve
-// later receivers because an earlier link failed).
+// later receivers because an earlier link failed). Each frame's stats
+// class is the payload's leading byte, as for Send.
 func (ca *ChannelAdapter) SendMulti(tos []auth.NodeID, payload []byte) error {
-	return ca.SendMultiTagged(tos, payload, ClassOf(payload))
-}
-
-// SendMultiTagged is SendMulti with an explicit stats class.
-func (ca *ChannelAdapter) SendMultiTagged(tos []auth.NodeID, payload []byte, class uint8) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
-	}
-	if class >= NumMsgClasses {
-		class = 0
 	}
 
 	// Over a parts-capable connection (TCP), copy the payload into one
@@ -367,7 +350,7 @@ func (ca *ChannelAdapter) SendMultiTagged(tos []auth.NodeID, payload []byte, cla
 	// order deterministic. Narrow fan-outs and single-core runs keep the
 	// allocation-free serial loop.
 	if len(tos) >= parallelMACFanout && runtime.GOMAXPROCS(0) > 1 {
-		return ca.sendMultiParallel(tos, payload, class, body, room)
+		return ca.sendMultiParallel(tos, payload, body, room)
 	}
 	var scratch [sha256.Size]byte
 	domain, input := macInput(payload, &scratch) // hash large payloads once for all receivers
@@ -375,7 +358,7 @@ func (ca *ChannelAdapter) SendMultiTagged(tos []auth.NodeID, payload []byte, cla
 	for _, to := range tos {
 		head, err := ca.appendSignedHead(ca.newFrameBuf(room), to, domain, input, len(payload))
 		if err == nil {
-			err = ca.sendSigned(to, head, payload, body, class)
+			err = ca.sendSigned(to, head, payload, body)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -385,15 +368,15 @@ func (ca *ChannelAdapter) SendMultiTagged(tos []auth.NodeID, payload []byte, cla
 }
 
 // parallelMACFanout is the receiver count at and above which
-// SendMultiTagged signs per-receiver MACs concurrently. Below it the
-// goroutine handoff costs more than the MACs.
+// SendMulti signs per-receiver MACs concurrently. Below it the
+// goroutine switch costs more than the MACs.
 const parallelMACFanout = 4
 
-// sendMultiParallel is SendMultiTagged's wide-fan-out arm: heads are
+// sendMultiParallel is SendMulti's wide-fan-out arm: heads are
 // signed concurrently, then sent serially in receiver order. It hashes
 // the payload itself, so that the serial arm's digest scratch never
 // escapes to the signing goroutines.
-func (ca *ChannelAdapter) sendMultiParallel(tos []auth.NodeID, payload []byte, class uint8, body []byte, room int) error {
+func (ca *ChannelAdapter) sendMultiParallel(tos []auth.NodeID, payload []byte, body []byte, room int) error {
 	var scratch [sha256.Size]byte
 	domain, input := macInput(payload, &scratch)
 	heads := make([][]byte, len(tos))
@@ -412,7 +395,7 @@ func (ca *ChannelAdapter) sendMultiParallel(tos []auth.NodeID, payload []byte, c
 	for i, to := range tos {
 		err := errs[i]
 		if err == nil {
-			err = ca.sendSigned(to, heads[i], payload, body, class)
+			err = ca.sendSigned(to, heads[i], payload, body)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = err
