@@ -13,8 +13,9 @@
 //
 // Beyond the paper, services shard across independent voter groups
 // (rendezvous-hash key routing; the shard count is fixed at deployment,
-// see examples/sharded), and a voter group can change its own
-// membership through agreed epochs. The TCP transport is a
+// see examples/sharded), and a voter group can replace a member's
+// incarnation through agreed epochs (proactive recovery; a group's size
+// is fixed at deployment). The TCP transport is a
 // production-grade asynchronous per-link pipeline (bounded per-peer
 // queues with link-local drops, background dial/redial, pooled frame
 // buffers, encode-once multicast on the wire) and a first-class

@@ -1,17 +1,15 @@
 package clbft
 
-// Membership bootstrap: a voter group changes composition by agreeing a
-// membership operation through the current group's quorum (the embedder
-// marks it via WithBarrier), halting execution at that operation's
-// sequence number, and rebuilding every member's replica instance from
-// a Bootstrap snapshot once the halted sequence number commits (see
-// WithHaltHook). Rebuilding — rather than mutating N inside a running
-// event loop — keeps the agreement state machine free of mid-protocol
-// quorum-size changes: all in-flight certificates above the barrier are
-// abandoned uniformly (their requests stay pending and are re-agreed in
-// the new group), and the new instance starts from a self-consistent
-// (seq, state digest) pair that every surviving member exports
-// identically.
+// Membership bootstrap: a voter group replaces one member's incarnation
+// by agreeing a membership operation through the group's quorum (the
+// embedder marks it via WithBarrier), halting execution at that
+// operation's sequence number, and rebuilding every member's replica
+// instance from a Bootstrap snapshot once the halted sequence number
+// commits (see WithHaltHook). The group's size never changes. Rebuilding
+// abandons all in-flight certificates above the barrier uniformly
+// (their requests stay pending and are re-agreed in the rebuilt group),
+// and the new instance starts from a self-consistent (seq, state
+// digest) pair that every surviving member exports identically.
 //
 // A joining replica has no history to export. It starts from a
 // JoinBootstrap instead: the agreed (seq, digest) pair seeds a certified

@@ -27,7 +27,7 @@
 //     WithHaltHook fires once that sequence commits, and the embedder
 //     rebuilds each member from an ExportBootstrap snapshot (position,
 //     digest chain value, retained history, dedup state, re-buffered
-//     pending requests) under the new group size; a joining replica
+//     pending requests) under the new epoch; a joining replica
 //     starts from a JoinBootstrap and replays the gap from a donated
 //     stable checkpoint to the barrier over the fetch protocol,
 //     vote-gated until caught up.

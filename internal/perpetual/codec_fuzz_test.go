@@ -20,7 +20,7 @@ func fuzzAuth(sender auth.NodeID, receivers ...auth.NodeID) auth.Authenticator {
 
 // fuzzBundle is a reply bundle as a responder would assemble it.
 func fuzzBundle() *ReplyBundle {
-	return &ReplyBundle{ReqID: "c:9", Target: "t", Payload: []byte("<reply/>"), Primary: 1, Epoch: 2, GroupN: 4, Pos: 0x70003,
+	return &ReplyBundle{ReqID: "c:9", Target: "t", Payload: []byte("<reply/>"), Primary: 1, Epoch: 2, Pos: 0x70003,
 		Shares: []Share{
 			{Replica: 0, Auth: fuzzAuth(auth.VoterID("t", 0), auth.DriverID("c", 0), auth.VoterID("c", 0))},
 			{Replica: 2, Tentative: true, Auth: fuzzAuth(auth.VoterID("t", 2), auth.DriverID("c", 0))},
@@ -62,11 +62,11 @@ func fuzzOpSeeds() [][]byte {
 	ops := []*Op{
 		{Kind: OpRequest, ReqID: "c:9", Caller: "c", Responder: 2, Payload: []byte("<inc/>"),
 			Shares: []Share{{Replica: 0, Auth: fuzzAuth(auth.DriverID("c", 0), ServiceInfo{Name: "t", N: 4}.VoterIDs()...)}}},
-		{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Epoch: b.Epoch, GroupN: b.GroupN, Pos: b.Pos, Payload: b.Payload, Shares: b.Shares},
+		{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Epoch: b.Epoch, Pos: b.Pos, Payload: b.Payload, Shares: b.Shares},
 		{Kind: OpAbort, ReqID: "c:9"},
 		{Kind: OpUtil, K: 9, Value: -12345},
-		{Kind: OpMembership, Payload: (&MembershipChange{Group: "t", Kind: MembershipReplace, Slot: 1, NewEpoch: 1, NewN: 4}).Encode()},
-		{Kind: OpMembership, Payload: (&MembershipChange{Group: "store#2", Kind: MembershipGrow, Slot: 4, NewEpoch: 3, NewN: 5}).Encode()},
+		{Kind: OpMembership, Payload: (&MembershipChange{Group: "t", Slot: 1, NewEpoch: 1}).Encode()},
+		{Kind: OpMembership, Payload: (&MembershipChange{Group: "store#2", Slot: 3, NewEpoch: 3}).Encode()},
 	}
 	seeds := make([][]byte, len(ops))
 	for i, o := range ops {

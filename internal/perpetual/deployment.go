@@ -99,8 +99,9 @@ type Deployment struct {
 	started  bool
 
 	// memMu guards the membership-install bookkeeping (see
-	// deployment_membership.go): the install dedup map, rotation
-	// timestamps, and per-epoch completion signals.
+	// deployment_membership.go): each group's installed epoch (which
+	// also dedups installs), rotation timestamps, and per-epoch
+	// completion signals.
 	memMu        sync.Mutex
 	memInstalled map[string]uint64
 	lastRotation map[string]time.Time
@@ -181,10 +182,9 @@ func (d *Deployment) Build() error {
 
 // buildGroup assembles one concrete replica group.
 func (d *Deployment) buildGroup(g ServiceInfo, opts ServiceOptions, principals []auth.NodeID) ([]*Replica, error) {
-	epoch, _ := d.Registry.GroupMembership(g.Name)
 	group := make([]*Replica, g.N)
 	for i := range group {
-		r, err := d.newReplica(g.Name, i, opts, principals, epoch, nil)
+		r, err := d.newReplica(g.Name, i, opts, principals, 0, nil)
 		if err != nil {
 			return nil, err
 		}

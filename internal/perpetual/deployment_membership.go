@@ -3,7 +3,7 @@ package perpetual
 // Deployment-side membership orchestration: the install machinery behind
 // agreement-installed voter-group epochs (see membership.go for the
 // protocol model) and the proactive-recovery operator surface built on
-// it (ReplaceReplica / GrowGroup / ShrinkGroup).
+// it (ReplaceReplica).
 //
 // The flow: an operator method proposes an OpMembership through the
 // current group's survivors; agreement orders it, the CLBFT barrier
@@ -12,19 +12,16 @@ package perpetual
 // The first hook to arrive wins (per (group, epoch) dedup) and performs
 // the install for the whole in-process deployment:
 //
-//  1. the registry's roster overlay flips to (epoch, newN) — the
-//     deployment's authority for group size and epoch;
-//  2. every replica's MAC keys for pairs involving the group's voters
+//  1. every replica's MAC keys for pairs involving the group's voters
 //     are re-derived for the new epoch (auth.DeriveEpochKey) — the
 //     departing incarnation is skipped, so its keys stop verifying;
-//  3. every surviving member's CLBFT instance is stopped, exported at
-//     the install barrier, and rebuilt under the new group size; a
-//     member that had not itself committed the barrier yet restores its
-//     own position and fetches the gap before voting;
-//  4. the departing incarnation (replace/shrink) is stopped, and the
-//     joining incarnation (replace/grow) is built from a JoinBootstrap
-//     — it replays history from its peers up to the install point and
-//     is vote-gated until caught up.
+//  2. every surviving member's CLBFT instance is stopped, exported at
+//     the install barrier, and rebuilt under the new epoch; a member
+//     that had not itself committed the barrier yet restores its own
+//     position and fetches the gap before voting;
+//  3. the departing incarnation is stopped, and the joining one is
+//     built from a JoinBootstrap — it replays history from its peers up
+//     to the install point and is vote-gated until caught up.
 //
 // Centralizing the install in the Deployment is an in-process
 // simplification: a multi-host deployment would propagate the install
@@ -33,6 +30,7 @@ package perpetual
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,8 +56,8 @@ type GroupStatus struct {
 	Group string
 	// Epoch is the installed membership epoch (0 = original roster).
 	Epoch uint64
-	// N is the group size under that epoch; the roster is always slots
-	// 0..N-1 (slot-based addressing).
+	// N is the group size, fixed at deployment; the roster is always
+	// slots 0..N-1 (slot-based addressing).
 	N int
 	// LastRotation is when the latest epoch finished installing here
 	// (zero if the group still runs its original roster).
@@ -78,25 +76,38 @@ type GroupStatus struct {
 // It blocks until the new epoch is installed deployment-wide (the new
 // incarnation may still be catching up; see WaitCaughtUp).
 func (d *Deployment) ReplaceReplica(group string, slot int) error {
-	return d.changeMembership(group, func(epoch uint64, n int) *MembershipChange {
-		return &MembershipChange{Group: group, NewEpoch: epoch + 1, Kind: MembershipReplace, Slot: slot, NewN: n}
-	})
-}
-
-// GrowGroup agrees and installs a membership epoch adding one slot to a
-// voter group (N -> N+1, f recomputed by the quorum arithmetic).
-func (d *Deployment) GrowGroup(group string) error {
-	return d.changeMembership(group, func(epoch uint64, n int) *MembershipChange {
-		return &MembershipChange{Group: group, NewEpoch: epoch + 1, Kind: MembershipGrow, Slot: n, NewN: n + 1}
-	})
-}
-
-// ShrinkGroup agrees and installs a membership epoch dropping a voter
-// group's highest slot (N -> N-1).
-func (d *Deployment) ShrinkGroup(group string) error {
-	return d.changeMembership(group, func(epoch uint64, n int) *MembershipChange {
-		return &MembershipChange{Group: group, NewEpoch: epoch + 1, Kind: MembershipShrink, Slot: n - 1, NewN: n - 1}
-	})
+	g, err := d.Registry.Lookup(group)
+	if err != nil {
+		return fmt.Errorf("perpetual: membership change: %w", err)
+	}
+	d.memMu.Lock()
+	epoch := d.memInstalled[group]
+	d.memMu.Unlock()
+	mc := &MembershipChange{Group: group, NewEpoch: epoch + 1, Slot: slot}
+	if err := mc.Validate(group, epoch, g.N); err != nil {
+		return fmt.Errorf("perpetual: membership change: %w", err)
+	}
+	d.mu.RLock()
+	replicas := d.replicas[group]
+	d.mu.RUnlock()
+	if len(replicas) == 0 {
+		return fmt.Errorf("perpetual: membership change: group %q not deployed", group)
+	}
+	// The proposal goes through every surviving member's voter:
+	// proposals deduplicate by operation id, and the departing slot may
+	// be crashed, so it must never be the only proposer.
+	done := d.memDoneCh(group, mc.NewEpoch)
+	for i, r := range replicas {
+		if i != slot {
+			r.voter.proposeMembership(mc)
+		}
+	}
+	select {
+	case <-done:
+		return nil
+	case <-time.After(membershipInstallTimeout):
+		return fmt.Errorf("perpetual: membership epoch %d for %s not installed within %v", mc.NewEpoch, group, membershipInstallTimeout)
+	}
 }
 
 // KillReplica crash-stops one incarnation without any membership
@@ -139,13 +150,13 @@ func (d *Deployment) WaitCaughtUp(group string, slot int, timeout time.Duration)
 
 // MembershipStatus reports one group's membership state.
 func (d *Deployment) MembershipStatus(group string) (GroupStatus, error) {
-	epoch, n := d.Registry.GroupMembership(group)
-	if n == 0 {
-		return GroupStatus{}, fmt.Errorf("perpetual: membership status: unknown group %q", group)
+	g, err := d.Registry.Lookup(group)
+	if err != nil {
+		return GroupStatus{}, fmt.Errorf("perpetual: membership status: %w", err)
 	}
-	st := GroupStatus{Group: group, Epoch: epoch, N: n}
+	st := GroupStatus{Group: group, N: g.N}
 	d.memMu.Lock()
-	st.LastRotation = d.lastRotation[group]
+	st.Epoch, st.LastRotation = d.memInstalled[group], d.lastRotation[group]
 	d.memMu.Unlock()
 	d.mu.RLock()
 	replicas := d.replicas[group]
@@ -159,40 +170,6 @@ func (d *Deployment) MembershipStatus(group string) (GroupStatus, error) {
 		}
 	}
 	return st, nil
-}
-
-// changeMembership validates, proposes, and awaits one membership
-// change. The proposal goes through every surviving member's voter —
-// proposals deduplicate by operation id, and the departing slot may be
-// crashed, so it must never be the only proposer.
-func (d *Deployment) changeMembership(group string, mk func(epoch uint64, n int) *MembershipChange) error {
-	epoch, n := d.Registry.GroupMembership(group)
-	if n == 0 {
-		return fmt.Errorf("perpetual: membership change: unknown group %q", group)
-	}
-	mc := mk(epoch, n)
-	if err := mc.Validate(group, epoch, n); err != nil {
-		return fmt.Errorf("perpetual: membership change: %w", err)
-	}
-	d.mu.RLock()
-	replicas := d.replicas[group]
-	d.mu.RUnlock()
-	if len(replicas) == 0 {
-		return fmt.Errorf("perpetual: membership change: group %q not deployed", group)
-	}
-	done := d.memDoneCh(group, mc.NewEpoch)
-	for i, r := range replicas {
-		if i >= n || mc.Departs(i) {
-			continue
-		}
-		r.voter.proposeMembership(mc)
-	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(membershipInstallTimeout):
-		return fmt.Errorf("perpetual: membership epoch %d for %s not installed within %v", mc.NewEpoch, group, membershipInstallTimeout)
-	}
 }
 
 // memDoneCh returns (creating if needed) the completion signal for one
@@ -239,8 +216,7 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 			opts.Logger.Printf("deployment[%s]: "+format, append([]any{mc.Group}, args...)...)
 		}
 	}
-	logf("installing membership epoch %d (%s slot %d, n %d -> %d) at seq %d",
-		mc.NewEpoch, mc.Kind, mc.Slot, len(group), mc.NewN, seq)
+	logf("installing membership epoch %d (replacing slot %d) at seq %d", mc.NewEpoch, mc.Slot, seq)
 
 	// 0. Wait (bounded) for every survivor to execute the barrier. The
 	// hook fires at the *first* member that commits it — possibly only
@@ -253,7 +229,7 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 	// keys.
 	haltBy := time.Now().Add(membershipHaltWait)
 	for i, r := range group {
-		if mc.Departs(i) {
+		if i == mc.Slot {
 			continue
 		}
 		for r.HaltedSeq() < seq && time.Now().Before(haltBy) {
@@ -264,41 +240,26 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 		}
 	}
 
-	// 1. Roster authority flips first: Lookup/GroupMembership now answer
-	// (epoch, newN), so everything rebuilt below sizes itself correctly.
-	if err := d.Registry.CommitGroupMembership(mc.Group, mc.NewEpoch, mc.NewN); err != nil {
-		logf("membership commit: %v", err)
-		return
-	}
-
-	// 2. Key rotation everywhere but the departing incarnation, whose
-	// keys must stop verifying. A grown slot's principals first become
-	// known deployment-wide (epoch-0 base keys), then the rotation lifts
-	// pairs involving the group's voters to the new epoch.
+	// 1. Key rotation everywhere but the departing incarnation, whose
+	// keys must stop verifying: pairs involving the group's voters move
+	// to the new epoch.
 	principals := d.Registry.AllPrincipals()
-	var joining []auth.NodeID
-	if mc.Kind == MembershipGrow {
-		joining = []auth.NodeID{auth.VoterID(mc.Group, mc.Slot), auth.DriverID(mc.Group, mc.Slot)}
-	}
 	for _, r := range all {
-		if r.svc.Name == mc.Group && mc.Departs(r.index) {
+		if r.svc.Name == mc.Group && r.index == mc.Slot {
 			continue
 		}
-		if len(joining) > 0 {
-			r.provisionPeers(d.master, joining)
-		}
-		r.rotateEpochKeys(d.master, mc.Group, mc.NewEpoch, mc.NewN, principals)
+		r.rotateEpochKeys(d.master, mc.Group, mc.NewEpoch, principals)
 	}
 
-	// 3. Surviving members rebuild at the install barrier under newN.
-	// One survivor that actually reached the barrier donates its
-	// checkpoint position and dedup state to seed the joiner.
+	// 2. Surviving members rebuild at the install barrier. One survivor
+	// that actually reached the barrier donates its checkpoint position
+	// and dedup state to seed the joiner.
 	var donor *clbft.Bootstrap
 	for i, r := range group {
-		if mc.Departs(i) {
+		if i == mc.Slot {
 			continue
 		}
-		bs, err := r.installMembership(mc, seq, state, mc.NewN)
+		bs, err := r.installMembership(mc, seq, state)
 		if err != nil {
 			logf("rebuilding %s/%d: %v", mc.Group, i, err)
 			continue
@@ -308,26 +269,18 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 		}
 	}
 
-	// 4. The departing incarnation stops; the joining one boots from the
+	// 3. The departing incarnation stops; the joining one boots from the
 	// agreed install point and replays history from its peers.
-	newGroup := make([]*Replica, mc.NewN)
-	copy(newGroup, group)
-	switch mc.Kind {
-	case MembershipShrink:
-		group[mc.Slot].Stop()
-	case MembershipReplace, MembershipGrow:
-		if mc.Kind == MembershipReplace {
-			group[mc.Slot].Stop()
-		}
-		nr, err := d.buildIncarnation(mc, seq, state, donor, opts, principals)
-		if err != nil {
-			logf("building %s/%d: %v", mc.Group, mc.Slot, err)
-			return
-		}
-		newGroup[mc.Slot] = nr
-		if started {
-			nr.Start()
-		}
+	group[mc.Slot].Stop()
+	nr, err := d.buildIncarnation(mc, seq, state, donor, opts, principals)
+	if err != nil {
+		logf("building %s/%d: %v", mc.Group, mc.Slot, err)
+		return
+	}
+	newGroup := slices.Clone(group)
+	newGroup[mc.Slot] = nr
+	if started {
+		nr.Start()
 	}
 	d.mu.Lock()
 	d.replicas[mc.Group] = newGroup
@@ -347,8 +300,7 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 	logf("membership epoch %d installed", mc.NewEpoch)
 }
 
-// buildIncarnation assembles the joining replica of a replace/grow
-// change: keys derived for the new epoch and a bootstrap aimed at the
+// buildIncarnation assembles the joining replica of a change: keys derived for the new epoch and a bootstrap aimed at the
 // install point, with vote-gating until it has replayed there. With a
 // donor snapshot the joiner adopts the group's latest stable checkpoint
 // (plus pre-checkpoint dedup state) and fetches only (checkpoint,
@@ -359,7 +311,7 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 	if err != nil {
 		return nil, err
 	}
-	bs := clbft.JoinBootstrap(seq, state, mc.InitialView())
+	bs := clbft.JoinBootstrap(seq, state, mc.InitialView(g.N))
 	if donor != nil && donor.StableSeq > 0 && donor.StableSeq <= seq {
 		bs.Seq, bs.StateDigest = donor.StableSeq, donor.StableDigest
 		bs.Executed = donor.Executed
@@ -370,7 +322,7 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 	if err != nil {
 		return nil, err
 	}
-	r.rotateEpochKeys(d.master, mc.Group, mc.NewEpoch, mc.NewN, principals)
+	r.rotateEpochKeys(d.master, mc.Group, mc.NewEpoch, principals)
 	return r, nil
 }
 

@@ -58,8 +58,9 @@
 //
 // Execution parallelism: independent voter groups share no locks on the
 // per-frame path, so at GOMAXPROCS>1 shard groups run as parallel
-// agreement pipelines. The registry and key store publish copy-on-write
-// snapshots read lock-free by routing, delivery, and MAC signing;
+// agreement pipelines. The registry is a map built once and never
+// written; the key store publishes copy-on-write snapshots. Routing,
+// delivery, and MAC signing read both lock-free;
 // transport counters are striped across padded cache lines; multicast
 // MAC signing fans out across cores. See DESIGN.md "Execution
 // parallelism (PR 9)" for the lock inventory.
@@ -84,19 +85,18 @@
 // head-of-line block agreement traffic. See DESIGN.md "Overload
 // control & graceful degradation (PR 10)".
 //
-// Membership epochs: a voter group changes its own composition
-// (replace/grow/shrink, see MembershipChange) by agreeing an
-// OpMembership operation through the current epoch's quorum. The
-// operation's sequence number becomes the install point — execution
-// halts there, the deployment rotates every pairwise MAC key touching
-// the group's voters to the new epoch, survivors rebuild their CLBFT
-// instances under the new size, and a joining incarnation bootstraps
+// Membership epochs: a voter group replaces the incarnation behind one
+// of its slots (see MembershipChange) by agreeing an OpMembership
+// operation through the current epoch's quorum; its size is fixed at
+// deployment. The operation's sequence number becomes the install
+// point — execution halts there, the deployment rotates every pairwise
+// MAC key touching the group's voters to the new epoch, survivors
+// rebuild their CLBFT instances, and the joining incarnation bootstraps
 // from a donated stable checkpoint and replays up to the install point
 // before voting. Messages are stamped with the sender's installed
 // epoch; same-group agreement traffic with a stale stamp is dropped,
 // fencing departed incarnations deterministically. Reply bundles carry
-// (Epoch, GroupN) inside the MAC'd reply message, so drivers learn
-// roster changes only from verified replies. Deployment.ReplaceReplica
+// their Epoch inside the MAC'd reply message. Deployment.ReplaceReplica
 // exposes this as the proactive-recovery step. The donated checkpoint
 // (clbft.Replica.ExportBootstrap) is the package's one state transfer: a
 // sharded service's shard count is fixed at deployment, and no state

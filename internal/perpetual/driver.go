@@ -342,30 +342,13 @@ func (d *Driver) handleBundle(from auth.NodeID, b *ReplyBundle) {
 		d.logf("bundle for %s rejected: %v", b.ReqID, err)
 		return
 	}
-	// Adopt the bundle's MAC-covered roster attestation: f_t+1 matching
-	// shares include a correct target voter, so (Epoch, GroupN) is the
-	// target group's installed membership as that voter knows it. This is
-	// how drivers learn rosters without any out-of-band channel — the
-	// registry only moves forward, so a replayed old bundle cannot
-	// regress it.
-	if b.GroupN > 0 && d.registry.ObserveGroupMembership(b.Target, b.Epoch, b.GroupN) {
-		d.logf("learned %s membership epoch %d (n=%d)", b.Target, b.Epoch, b.GroupN)
-	}
-	effN := target.N
-	if _, n := d.registry.GroupMembership(b.Target); n > 0 {
-		effN = n
-	}
 	// Adopt the responder's primary hint for future first attempts. Only
 	// verified bundles update it, and a lying responder merely redirects
 	// first attempts at a voter that forwards (or the retransmission
-	// fan-out corrects it) — routing, never safety. Hints at or past the
-	// current roster's edge are dropped so a shrink never leaves first
-	// attempts aimed at a departed slot.
+	// fan-out corrects it) — routing, never safety.
 	d.mu.Lock()
-	if b.Primary >= 0 && b.Primary < effN {
+	if b.Primary >= 0 && b.Primary < target.N {
 		d.primaryHint[b.Target] = b.Primary
-	} else if d.primaryHint[b.Target] >= effN {
-		delete(d.primaryHint, b.Target)
 	}
 	d.mu.Unlock()
 	d.run(b.ReqID, callEvent{kind: evBundle, bundle: b})

@@ -53,16 +53,34 @@ func TestDriverOutstandingDropsOnReply(t *testing.T) {
 	}
 }
 
+// startDeclaring builds and starts a deployment of services in which
+// driver c/0 resolves targets through a registry that also declares
+// extra, replacing any service of the same name: services the
+// deployment provisioned no keys for.
+func startDeclaring(t *testing.T, services []ServiceInfo, extra ...ServiceInfo) *Deployment {
+	t.Helper()
+	dep := NewDeployment([]byte("test-master"), services...)
+	for _, s := range services {
+		dep.Configure(s.Name, fastOpts())
+	}
+	if err := dep.Build(); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	dep.Driver("c", 0).registry = NewRegistry(append(dep.Registry.Services(), extra...)...)
+	dep.Start()
+	t.Cleanup(dep.Stop)
+	return dep
+}
+
 func TestCallAuthenticatorFailureLeavesNothingOutstanding(t *testing.T) {
 	// Regression: startRequest registers the outstanding entry before building
 	// the authenticated request; a registry entry whose pairwise keys are
 	// missing from this driver's key store makes buildRequest fail, and
 	// the entry used to leak forever (no timers, never reaped).
-	dep := buildPair(t, 1, 1, nil)
+	// Only driver c/0's registry declares "ghost", so no key store
+	// holds keys for its voters.
+	dep := startDeclaring(t, []ServiceInfo{{Name: "c", N: 1}, {Name: "t", N: 1}}, ServiceInfo{Name: "ghost", N: 1})
 	drv := dep.Driver("c", 0)
-	// "ghost" is registered after key provisioning, so no driver holds
-	// keys for its voters.
-	dep.Registry.Add(ServiceInfo{Name: "ghost", N: 1})
 	if _, err := issue(drv, Request{Target: "ghost", Payload: []byte("x")}); err == nil {
 		t.Fatal("Do to keyless service succeeded")
 	}
@@ -79,17 +97,11 @@ func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
 	// aborts never surface as application events: the application only
 	// learns the error, not the per-shard ids, so replies for those ids
 	// would sit in the event queue unconsumable.
-	dep := NewDeployment([]byte("fanout-master"),
-		ServiceInfo{Name: "c", N: 1},
-		ServiceInfo{Name: "t", N: 1, Shards: 2},
-	)
-	dep.Configure("c", fastOpts())
-	dep.Configure("t", fastOpts())
-	if err := dep.Build(); err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	dep.Start()
-	t.Cleanup(dep.Stop)
+	// Driver c/0's registry declares a third shard past the two
+	// deployed: shard 2 has no provisioned keys and fails buildRequest
+	// mid-fan-out.
+	dep := startDeclaring(t, []ServiceInfo{{Name: "c", N: 1}, {Name: "t", N: 1, Shards: 2}},
+		ServiceInfo{Name: "t", N: 1, Shards: 3})
 	// Echo executors on the deployed shards answer the later probe.
 	for k := 0; k < 2; k++ {
 		for _, sdrv := range dep.ShardDrivers("t", k) {
@@ -107,10 +119,6 @@ func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
 			}()
 		}
 	}
-	// Grow the registry's shard count past what was deployed: shard 2
-	// has no provisioned keys and fails buildRequest mid-fan-out.
-	dep.Registry.Add(ServiceInfo{Name: "t", N: 1, Shards: 3})
-
 	drv := dep.Driver("c", 0)
 	ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("bcast"), AllShards: true})
 	if err == nil {

@@ -15,9 +15,9 @@ import (
 // Encode, and Validate on whatever decodes, as validOp runs it.
 func FuzzDecodeMembershipChange(f *testing.F) {
 	for _, mc := range []*MembershipChange{
-		{Group: "t", Kind: MembershipReplace, Slot: 1, NewEpoch: 1, NewN: 4},
-		{Group: "store#2", Kind: MembershipGrow, Slot: 4, NewEpoch: 3, NewN: 5},
-		{Group: "t", Kind: MembershipShrink, Slot: 3, NewEpoch: 2, NewN: 3},
+		{Group: "t", Slot: 1, NewEpoch: 1},
+		{Group: "store#2", Slot: 3, NewEpoch: 3},
+		{Group: "t", Slot: 9, NewEpoch: 2},
 	} {
 		f.Add(mc.Encode())
 	}

@@ -56,7 +56,7 @@ type driverVote struct {
 
 // replyRecord is this voter's executed reply. The share's tier and the
 // epoch it was minted at let a retransmission re-mint it stable once the
-// commit horizon passes the request, or under a new epoch's roster (see
+// commit horizon passes the request, or under a new epoch's keys (see
 // the inCopy row of step).
 type replyRecord struct {
 	digest  [sha256.Size]byte
@@ -326,7 +326,7 @@ const (
 	doExecute                          // hand op, agreed at pos, to the executor
 	doMint                             // re-mint reply, agreed at pos, stable, then feed inExecuted
 	doShare                            // send reply's share to voter, with the payload if withPayload
-	doBundle                           // send payload and shares, minted under epoch, groupN and pos, to the caller
+	doBundle                           // send payload and shares, minted under epoch and pos, to the caller
 	doFetch                            // ask voter for the payload of digest
 	doBusy                             // refuse id to driver to, expired or overloaded
 )
@@ -346,7 +346,6 @@ type reqAction struct {
 	digest      [sha256.Size]byte
 	payload     []byte
 	shares      []Share
-	groupN      int
 	epoch       uint64
 	to          auth.NodeID
 	expired     bool
@@ -466,7 +465,7 @@ func (t *reqTable) stepCopy(acts []reqAction, ev *reqEvent) []reqAction {
 		r.caller, r.drivers, r.collecting = req.Caller, make([]driverVote, ev.callerN), true
 		t.refile(r)
 	}
-	for len(r.drivers) <= ev.from { // the caller group grew since the vote began
+	for len(r.drivers) <= ev.from { // a vote past the caller's shape widens it
 		r.drivers = append(r.drivers, driverVote{})
 	}
 	slot := &r.drivers[ev.from]
@@ -490,7 +489,7 @@ func (t *reqTable) stepShare(acts []reqAction, ev *reqEvent) []reqAction {
 	rs := &ev.share
 	r := t.at(rs.ReqID, rs.Caller) // a share may beat the delivery here
 	t.refile(r)
-	if n := max(ev.groupN, t.self+1, ev.from+1); len(r.slots) < n { // the group may have grown
+	if n := max(ev.groupN, t.self+1, ev.from+1); len(r.slots) < n { // slots are sized on the first share
 		r.slots = append(r.slots, make([]shareSlot, n-len(r.slots))...)
 	}
 	s := &r.slots[ev.from]
@@ -505,7 +504,7 @@ func (t *reqTable) stepShare(acts []reqAction, ev *reqEvent) []reqAction {
 	if payload, have := r.payloadFor(winner); have {
 		r.sent = true
 		return append(acts, reqAction{kind: doBundle, id: r.id, caller: r.caller, payload: payload,
-			shares: r.endorsements(winner), epoch: ev.epoch, groupN: ev.groupN, pos: r.pos})
+			shares: r.endorsements(winner), epoch: ev.epoch, pos: r.pos})
 	}
 	// No payload yet: usually this voter's own share, which carries it,
 	// is still to come. If it came and endorses another digest, fetch.

@@ -17,23 +17,22 @@ import (
 // point: the CLBFT barrier (clbft.WithBarrier) halts execution exactly
 // there, every member that commits the barrier exports an identical
 // (seq, state digest) snapshot, and the deployment rebuilds the group
-// under the new roster from those snapshots (clbft.Bootstrap). All
+// under the new epoch from those snapshots (clbft.Bootstrap). All
 // in-flight agreement work above the barrier is abandoned uniformly;
 // its requests remain pending and are re-agreed by the new group, so a
 // membership flip loses nothing and duplicates nothing (operation-ID
 // deduplication rides across the boundary in the snapshot).
 //
 // Epochs are stamped into every transport message (Message.Epoch) and
-// every reply bundle (ReplyBundle.Epoch/GroupN, MAC-covered), and all
+// every reply bundle (ReplyBundle.Epoch, MAC-covered), and all
 // voter<->voter MAC keys are re-derived per epoch
 // (auth.DeriveEpochKey), so traffic from a departed incarnation is
 // rejected twice over: its frames fail channel authentication, and
 // even a replayed frame carries a stale epoch stamp.
 //
 // Changes are slot-based: a replica is addressed by (group, index), and
-// an epoch either replaces the incarnation behind one slot, grows the
-// group by one slot, or shrinks it by its highest slot. Replacing a
-// middle incarnation and resizing in larger steps compose from these.
+// an epoch replaces the incarnation behind one slot. A group's size is
+// fixed at deployment, so the quorum arithmetic never changes.
 
 // isMembershipOpID reports whether an agreement OpID carries the
 // membership prefix (see voter.membershipBarrier for the epoch-aware
@@ -56,37 +55,11 @@ func parseMembershipOpID(opID string) (epoch uint64, ok bool) {
 	return e, true
 }
 
-// MembershipKind discriminates the three primitive changes.
-type MembershipKind uint8
-
-// Membership change kinds.
-const (
-	// MembershipReplace installs a fresh incarnation behind slot Slot:
-	// the old incarnation's keys stop verifying (epoch rotation) and the
-	// new one bootstraps from the install point via catch-up. This is
-	// the proactive-recovery primitive.
-	MembershipReplace MembershipKind = iota + 1
-	// MembershipGrow adds slot NewN-1 (NewN = old N + 1), recomputing f.
-	MembershipGrow
-	// MembershipShrink drops slot NewN (NewN = old N - 1), recomputing f.
-	MembershipShrink
-)
-
-// String returns the name of the membership kind.
-func (k MembershipKind) String() string {
-	switch k {
-	case MembershipReplace:
-		return "replace"
-	case MembershipGrow:
-		return "grow"
-	case MembershipShrink:
-		return "shrink"
-	default:
-		return fmt.Sprintf("membership(%d)", uint8(k))
-	}
-}
-
-// MembershipChange is the payload of an OpMembership operation.
+// MembershipChange is the payload of an OpMembership operation: it
+// installs a fresh incarnation behind one slot of a voter group. The
+// old incarnation's keys stop verifying (epoch rotation) and the new one
+// bootstraps from the install point via catch-up. This is the
+// proactive-recovery primitive; a group's size is fixed at deployment.
 type MembershipChange struct {
 	// Group names the concrete voter group changing ("store", or
 	// "store#2" for a shard group).
@@ -94,14 +67,8 @@ type MembershipChange struct {
 	// NewEpoch is the membership epoch this change installs; it must be
 	// exactly the group's current epoch + 1 (validated under agreement).
 	NewEpoch uint64
-	// Kind selects replace / grow / shrink.
-	Kind MembershipKind
-	// Slot is the replica index the change concerns: the slot being
-	// replaced, the slot being added (old N), or the slot being dropped
-	// (new N).
+	// Slot is the replica index whose incarnation is replaced.
 	Slot int
-	// NewN is the group size after the change.
-	NewN int
 }
 
 // Encode serializes the change.
@@ -109,9 +76,7 @@ func (mc *MembershipChange) Encode() []byte {
 	w := wire.NewWriter(32 + len(mc.Group))
 	w.PutString(mc.Group)
 	w.PutUvarint(mc.NewEpoch)
-	w.PutUint8(uint8(mc.Kind))
 	w.PutUvarint(uint64(mc.Slot))
-	w.PutUvarint(uint64(mc.NewN))
 	return w.Bytes()
 }
 
@@ -121,9 +86,7 @@ func DecodeMembershipChange(buf []byte) (*MembershipChange, error) {
 	mc := &MembershipChange{
 		Group:    r.String(),
 		NewEpoch: r.Uvarint(),
-		Kind:     MembershipKind(r.Uint8()),
 		Slot:     int(r.Uvarint()),
-		NewN:     int(r.Uvarint()),
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("perpetual: decoding membership change: %w", err)
@@ -131,70 +94,29 @@ func DecodeMembershipChange(buf []byte) (*MembershipChange, error) {
 	return mc, nil
 }
 
-// Validate checks the change against the group's current size and
+// Validate checks the change against the group's size and current
 // epoch. It is called from the agreement validator at every voter, so
-// an invalid change (wrong group, stale or skipping epoch, inconsistent
-// slot arithmetic) is refused by every correct replica before ordering
-// — this is the non-quorum-install defense.
-func (mc *MembershipChange) Validate(group string, curEpoch uint64, curN int) error {
+// an invalid change (wrong group, stale or skipping epoch, no such
+// slot) is refused by every correct replica before ordering — this is
+// the non-quorum-install defense.
+func (mc *MembershipChange) Validate(group string, curEpoch uint64, n int) error {
 	if mc.Group != group {
 		return fmt.Errorf("membership change for %q agreed at %q", mc.Group, group)
 	}
 	if mc.NewEpoch != curEpoch+1 {
 		return fmt.Errorf("membership epoch %d does not advance current epoch %d by one", mc.NewEpoch, curEpoch)
 	}
-	switch mc.Kind {
-	case MembershipReplace:
-		if mc.NewN != curN {
-			return fmt.Errorf("replace changes N %d -> %d", curN, mc.NewN)
-		}
-		if mc.Slot < 0 || mc.Slot >= curN {
-			return fmt.Errorf("replace slot %d out of range [0,%d)", mc.Slot, curN)
-		}
-	case MembershipGrow:
-		if mc.NewN != curN+1 {
-			return fmt.Errorf("grow changes N %d -> %d, want %d", curN, mc.NewN, curN+1)
-		}
-		if mc.Slot != curN {
-			return fmt.Errorf("grow adds slot %d, want %d", mc.Slot, curN)
-		}
-	case MembershipShrink:
-		if curN <= 1 {
-			return fmt.Errorf("cannot shrink group of %d", curN)
-		}
-		if mc.NewN != curN-1 {
-			return fmt.Errorf("shrink changes N %d -> %d, want %d", curN, mc.NewN, curN-1)
-		}
-		if mc.Slot != mc.NewN {
-			return fmt.Errorf("shrink drops slot %d, want %d", mc.Slot, mc.NewN)
-		}
-	default:
-		return fmt.Errorf("unknown membership kind %d", uint8(mc.Kind))
+	if mc.Slot < 0 || mc.Slot >= n {
+		return fmt.Errorf("replace slot %d out of range [0,%d)", mc.Slot, n)
 	}
 	return nil
 }
 
-// InitialView is the view the new epoch's instances start in. It is
-// derived deterministically from the change so every member rebuilds
-// into the same view, and so the first primary of the new epoch is
-// never the slot that was just replaced — a recovering replica should
-// catch up, not immediately lead.
-func (mc *MembershipChange) InitialView() uint64 {
-	if mc.Kind == MembershipReplace {
-		return uint64((mc.Slot + 1) % mc.NewN)
-	}
-	return 0
-}
-
-// Departs reports whether the change removes the incarnation currently
-// behind slot: the replaced slot's old incarnation, or the dropped
-// slot on a shrink.
-func (mc *MembershipChange) Departs(slot int) bool {
-	switch mc.Kind {
-	case MembershipReplace:
-		return slot == mc.Slot
-	case MembershipShrink:
-		return slot == mc.Slot
-	}
-	return false
+// InitialView is the view the new epoch's instances of a group of n
+// start in. It is derived deterministically from the change so every
+// member rebuilds into the same view, and so the first primary of the
+// new epoch is never the slot that was just replaced — a recovering
+// replica should catch up, not immediately lead.
+func (mc *MembershipChange) InitialView(n int) uint64 {
+	return uint64((mc.Slot + 1) % n)
 }

@@ -104,9 +104,12 @@ func TestMembershipReplaceUnderLoad(t *testing.T) {
 					t.Fatalf("t/%d epoch = %d, want 1", r.Index(), got)
 				}
 			}
-			epoch, n := dep.Registry.GroupMembership("t")
-			if epoch != 1 || n != 4 {
-				t.Fatalf("registry roster = (epoch %d, n %d), want (1, 4)", epoch, n)
+			st, err := dep.MembershipStatus("t")
+			if err != nil {
+				t.Fatalf("MembershipStatus: %v", err)
+			}
+			if st.Epoch != 1 || st.N != 4 || st.LastRotation.IsZero() {
+				t.Fatalf("status = %+v, want epoch 1, n 4, nonzero rotation time", st)
 			}
 
 			// Traffic must keep completing under the new epoch.
@@ -150,95 +153,35 @@ func TestMembershipReplaceUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMembershipGrowShrink grows a live group 4 -> 5 (f recomputed, the
-// new slot bootstraps from the install point) and shrinks it back, all
-// under closed-loop load.
-func TestMembershipGrowShrink(t *testing.T) {
-	dep := buildPair(t, 1, 4, nil)
-	echoApp(t, dep, "t")
-	drv := dep.Driver("c", 0)
-
-	stop := make(chan struct{})
-	var completed atomic.Uint64
-	done := closedLoopLoad(t, drv, "t", stop, &completed)
-	for completed.Load() < 10 {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if err := dep.GrowGroup("t"); err != nil {
-		t.Fatalf("GrowGroup: %v", err)
-	}
-	echoAt(dep.Replicas("t")[4])
-	if err := dep.WaitCaughtUp("t", 4, 30*time.Second); err != nil {
-		t.Fatalf("WaitCaughtUp: %v", err)
-	}
-	if epoch, n := dep.Registry.GroupMembership("t"); epoch != 1 || n != 5 {
-		t.Fatalf("after grow: (epoch %d, n %d), want (1, 5)", epoch, n)
-	}
-	if got := len(dep.Replicas("t")); got != 5 {
-		t.Fatalf("after grow: %d replicas deployed, want 5", got)
-	}
-	base := completed.Load()
-	for completed.Load() < base+10 {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if err := dep.ShrinkGroup("t"); err != nil {
-		t.Fatalf("ShrinkGroup: %v", err)
-	}
-	if epoch, n := dep.Registry.GroupMembership("t"); epoch != 2 || n != 4 {
-		t.Fatalf("after shrink: (epoch %d, n %d), want (2, 4)", epoch, n)
-	}
-	base = completed.Load()
-	for completed.Load() < base+10 {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	st, err := dep.MembershipStatus("t")
-	if err != nil {
-		t.Fatalf("MembershipStatus: %v", err)
-	}
-	if st.Epoch != 2 || st.N != 4 || st.LastRotation.IsZero() {
-		t.Errorf("status = %+v, want epoch 2, n 4, nonzero rotation time", st)
-	}
-
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatalf("load: %v", err)
-	}
-}
-
 // TestOnlyBuiltGroupsTakeFaults reads the fault installed in every
 // replica a deployment builds. The groups Build assembles take
 // Options.Behaviors[i]; a membership joiner starts correct even where
-// Behaviors has an entry for its index.
+// Behaviors has an entry for its index, and a faulty survivor keeps its
+// fault.
 func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
 	faulty := func(r *Replica) bool { return r.voter.fault == (CorruptResultFault{}) }
 	dep := buildSharded(t, 1, 4, 2, func(dep *Deployment) {
 		opts := fastOpts()
-		opts.Behaviors = map[int]Behavior{1: CorruptResultFault{}, 4: CorruptResultFault{}}
+		opts.Behaviors = map[int]Behavior{1: CorruptResultFault{}, 3: CorruptResultFault{}}
 		dep.Configure("t", opts)
 	})
 	for k := 0; k < 2; k++ {
 		for i, r := range dep.ShardReplicas("t", k) {
-			if got := faulty(r); got != (i == 1) {
-				t.Errorf("Build: shard %d replica %d faulty = %v, want %v", k, i, got, i == 1)
+			if want := i == 1 || i == 3; faulty(r) != want {
+				t.Errorf("Build: shard %d replica %d faulty = %v, want %v", k, i, !want, want)
 			}
 		}
 	}
 
-	if err := dep.GrowGroup("t#0"); err != nil {
-		t.Fatalf("GrowGroup: %v", err)
+	if err := dep.ReplaceReplica("t#0", 3); err != nil {
+		t.Fatalf("ReplaceReplica: %v", err)
 	}
 	group := dep.Replicas("t#0")
-	if len(group) != 5 {
-		t.Fatalf("after grow: %d replicas, want 5", len(group))
-	}
-	if faulty(group[4]) {
-		t.Error("GrowGroup: joiner in slot 4 is faulty")
+	if faulty(group[3]) {
+		t.Error("ReplaceReplica: joiner in slot 3 is faulty")
 	}
 	if !faulty(group[1]) {
-		t.Error("GrowGroup: survivor in slot 1 lost its fault")
+		t.Error("ReplaceReplica: survivor in slot 1 lost its fault")
 	}
 }
 
@@ -277,12 +220,11 @@ func TestMembershipByzantineTable(t *testing.T) {
 		// faction can never get one ordered.
 		v1 := dep.Replicas("t")[1].voter
 		bad := []*MembershipChange{
-			{Group: "t", NewEpoch: 5, Kind: MembershipReplace, Slot: 0, NewN: 4}, // skips epochs
-			{Group: "t", NewEpoch: 1, Kind: MembershipReplace, Slot: 0, NewN: 4}, // stale epoch
-			{Group: "x", NewEpoch: 2, Kind: MembershipReplace, Slot: 0, NewN: 4}, // wrong group
-			{Group: "t", NewEpoch: 2, Kind: MembershipReplace, Slot: 9, NewN: 4}, // no such slot
-			{Group: "t", NewEpoch: 2, Kind: MembershipGrow, Slot: 4, NewN: 9},    // inconsistent N
-			{Group: "t", NewEpoch: 2, Kind: MembershipShrink, Slot: 0, NewN: 3},  // wrong slot
+			{Group: "t", NewEpoch: 5, Slot: 0},  // skips epochs
+			{Group: "t", NewEpoch: 1, Slot: 0},  // stale epoch
+			{Group: "x", NewEpoch: 2, Slot: 0},  // wrong group
+			{Group: "t", NewEpoch: 2, Slot: 9},  // no such slot
+			{Group: "t", NewEpoch: 2, Slot: -1}, // no such slot
 		}
 		for _, mc := range bad {
 			op := &Op{Kind: OpMembership, Payload: mc.Encode()}
@@ -291,7 +233,7 @@ func TestMembershipByzantineTable(t *testing.T) {
 			}
 		}
 		// An op whose id does not bind the change it carries.
-		good := &MembershipChange{Group: "t", NewEpoch: 2, Kind: MembershipReplace, Slot: 0, NewN: 4}
+		good := &MembershipChange{Group: "t", NewEpoch: 2, Slot: 0}
 		op := &Op{Kind: OpMembership, Payload: good.Encode()}
 		if v1.accepts(MembershipOpID("t", 7), op.Encode()) {
 			t.Error("validator accepted membership op under mismatched id")
@@ -299,10 +241,10 @@ func TestMembershipByzantineTable(t *testing.T) {
 	})
 
 	t.Run("forged roster in reply bundle", func(t *testing.T) {
-		// A faulty responder forging the bundle's roster attestation: the
-		// epoch/size are inside every share's MAC, so any tampering breaks
-		// the correct voters' endorsements; and a deflated GroupN cannot
-		// shrink the verifier's thresholds (they come from max knowledge).
+		// A faulty responder forging the bundle's epoch: it is inside
+		// every share's MAC, so tampering breaks the correct voters'
+		// endorsements; and nothing in the bundle lowers the verifier's
+		// thresholds, which come from its registry alone.
 		master := []byte("m")
 		target := ServiceInfo{Name: "t", N: 4}
 		callerDriver := auth.DriverID("c", 0)
@@ -311,30 +253,29 @@ func TestMembershipByzantineTable(t *testing.T) {
 		payload := []byte("r")
 		reqID := "c:9"
 		digest := ReplyDigest(reqID, payload)
-		mkShare := func(i int, epoch uint64, groupN int) Share {
+		mkShare := func(i int, epoch uint64) Share {
 			a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)],
-				replyAuthMsg(reqID, digest, false, epoch, groupN, 0).Bytes(), []auth.NodeID{callerDriver})
+				replyAuthMsg(reqID, digest, false, epoch, 0).Bytes(), []auth.NodeID{callerDriver})
 			if err != nil {
 				t.Fatalf("share: %v", err)
 			}
 			return Share{Replica: i, Auth: a}
 		}
-		good := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 3, GroupN: 4, Payload: payload,
-			Shares: []Share{mkShare(0, 3, 4), mkShare(2, 3, 4)}}
+		good := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 3, Payload: payload,
+			Shares: []Share{mkShare(0, 3), mkShare(2, 3)}}
 		if err := VerifyBundle(ks[callerDriver], target, good); err != nil {
 			t.Fatalf("valid attested bundle rejected: %v", err)
 		}
-		forgedEpoch := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 4, GroupN: 4, Payload: payload,
+		forgedEpoch := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 4, Payload: payload,
 			Shares: good.Shares}
 		if err := VerifyBundle(ks[callerDriver], target, forgedEpoch); err == nil {
 			t.Error("bundle with forged epoch accepted")
 		}
-		// Deflating GroupN to 1 would make a single faulty share "enough"
-		// if thresholds trusted the bundle; they must not.
-		deflated := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 3, GroupN: 1, Payload: payload,
-			Shares: []Share{mkShare(0, 3, 1)}}
-		if err := VerifyBundle(ks[callerDriver], target, deflated); err == nil {
-			t.Error("bundle with deflated roster accepted on one share")
+		// One valid share, a lone faulty voter's, is never enough.
+		lone := &ReplyBundle{ReqID: reqID, Target: "t", Epoch: 3, Payload: payload,
+			Shares: []Share{mkShare(0, 3)}}
+		if err := VerifyBundle(ks[callerDriver], target, lone); err == nil {
+			t.Error("bundle accepted on one valid share")
 		}
 	})
 
@@ -444,8 +385,8 @@ func TestMembershipChaosReplaceSoak(t *testing.T) {
 			t.Fatalf("load: %v", err)
 		}
 	}
-	if epoch, _ := dep.Registry.GroupMembership("t"); epoch != 4 {
-		t.Errorf("final epoch = %d, want 4 (one per rotated slot)", epoch)
+	if st, err := dep.MembershipStatus("t"); err != nil || st.Epoch != 4 {
+		t.Errorf("final status = %+v (%v), want epoch 4 (one per rotated slot)", st, err)
 	}
 	drv.mu.Lock()
 	leftover := len(drv.events)

@@ -143,17 +143,17 @@ func ReplyDigest(reqID string, payload []byte) [sha256.Size]byte {
 // content: a share minted over a tentative (prepared but not yet
 // committed) execution cannot be laundered into a stable endorsement by
 // flipping the wire flag — the MAC would no longer verify. The group's
-// membership epoch and size are MAC'd for the same reason: a bundle
-// advertises the roster it was minted under (ReplyBundle.Epoch/GroupN),
-// and since every correct voter only ever endorses under the roster it
-// actually runs, a responder cannot forge a roster without breaking
-// every correct share in the bundle. The position the request executed
-// at (clbft.Delivery.Pos) is MAC'd likewise, so a verified bundle's Pos
-// is one a correct voter executed the request at.
+// membership epoch is MAC'd for the same reason: a bundle advertises the
+// epoch it was minted under (ReplyBundle.Epoch), and since every correct
+// voter only ever endorses under the epoch it actually runs, a responder
+// cannot forge one without breaking every correct share in the bundle.
+// The position the request executed at (clbft.Delivery.Pos) is MAC'd
+// likewise, so a verified bundle's Pos is one a correct voter executed
+// the request at.
 //
 // The string is built in a pooled writer the caller frees once the
 // authenticator over it is computed or checked.
-func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, groupN int, pos uint64) *wire.Writer {
+func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch uint64, pos uint64) *wire.Writer {
 	w := wire.GetWriter(len(reqID) + len(digest) + 32)
 	w.PutString("perpetual-reply")
 	w.PutString(reqID)
@@ -164,7 +164,6 @@ func replyAuthMsg(reqID string, digest [sha256.Size]byte, tentative bool, epoch 
 		w.PutUint8(0)
 	}
 	w.PutUint64(epoch)
-	w.PutUvarint(uint64(groupN))
 	w.PutUint64(pos)
 	return w
 }
@@ -278,14 +277,11 @@ type ReplyBundle struct {
 	// voter. The hint is deliberately outside the verified share content:
 	// a wrong hint costs one retransmission fan-out, never safety.
 	Primary int
-	// Epoch and GroupN advertise the target group's membership epoch and
-	// size at minting time. Unlike Primary they are covered by every
-	// share's MAC (replyAuthMsg), so a verified bundle is also a roster
-	// attestation: callers learn membership changes from replies without
-	// trusting the responder. A forged Epoch/GroupN breaks every correct
-	// voter's share and the bundle fails verification.
-	Epoch  uint64
-	GroupN int
+	// Epoch is the target group's membership epoch at minting time.
+	// Unlike Primary it is covered by every share's MAC (replyAuthMsg):
+	// a forged Epoch breaks every correct voter's share and the bundle
+	// fails verification.
+	Epoch uint64
 	// Pos is the agreement position the request executed at, MAC'd by
 	// every share like Epoch: a write that settles from the bundle raises
 	// its session's read lease to it.
@@ -628,7 +624,6 @@ func encodeBundle(w *wire.Writer, b *ReplyBundle) {
 	w.PutString(b.Target)
 	w.PutUvarint(uint64(b.Primary))
 	w.PutUvarint(b.Epoch)
-	w.PutUvarint(uint64(b.GroupN))
 	w.PutUvarint(b.Pos)
 	w.PutBytes(b.Payload)
 	w.PutUvarint(uint64(len(b.Shares)))
@@ -641,7 +636,7 @@ func encodeBundle(w *wire.Writer, b *ReplyBundle) {
 // vectors alias the reader's buffer when aliasVectors is set.
 func decodeBundle(r *wire.Reader, aliasVectors bool) *ReplyBundle {
 	b := &ReplyBundle{ReqID: r.String(), Target: internName(r.Bytes()), Primary: int(r.Uvarint()),
-		Epoch: r.Uvarint(), GroupN: int(r.Uvarint()), Pos: r.Uvarint(), Payload: r.BytesCopy()}
+		Epoch: r.Uvarint(), Pos: r.Uvarint(), Payload: r.BytesCopy()}
 	n := int(r.Uvarint())
 	if n > r.Remaining() {
 		return b
@@ -683,23 +678,16 @@ func (b *ReplyBundle) detached() *ReplyBundle {
 // tentative — never certify: a view change could still reassign the
 // sequence numbers those executions ran at.
 //
-// The bundle's claimed Epoch/GroupN are folded into the MAC'd content
-// (replyAuthMsg), so correct shares only verify against the roster they
-// were really minted under. Thresholds are computed from the larger of
-// the verifier's registry view and the bundle's claim: a faulty
-// responder that understates GroupN cannot shrink the quorum it must
-// assemble, while a verifier whose registry lags a grow still demands
-// the grown group's quorum.
+// The bundle's claimed Epoch is folded into the MAC'd content
+// (replyAuthMsg), so correct shares only verify against the epoch they
+// were really minted under. Thresholds come from the verifier's
+// registry alone: nothing in the bundle can lower them.
 func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 	if b == nil {
 		return fmt.Errorf("perpetual: nil bundle")
 	}
-	eff := target
-	if b.GroupN > eff.N {
-		eff.N = b.GroupN
-	}
-	needStable := eff.F() + 1
-	needAny := eff.Quorum()
+	needStable := target.F() + 1
+	needAny := target.Quorum()
 	digest := ReplyDigest(b.ReqID, b.Payload)
 	// The MAC'd message of each tier (stable, tentative), hashed the first
 	// time a share of that tier reaches its MAC check.
@@ -710,7 +698,7 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 	stable := 0
 	for i := range b.Shares {
 		s := &b.Shares[i]
-		if s.Replica < 0 || s.Replica >= eff.N {
+		if s.Replica < 0 || s.Replica >= target.N {
 			continue
 		}
 		if slices.Contains(valid, s.Replica) {
@@ -725,7 +713,7 @@ func VerifyBundle(ks *auth.KeyStore, target ServiceInfo, b *ReplyBundle) error {
 			tier = 1
 		}
 		if !hashed[tier] {
-			msg := replyAuthMsg(b.ReqID, digest, s.Tentative, b.Epoch, b.GroupN, b.Pos)
+			msg := replyAuthMsg(b.ReqID, digest, s.Tentative, b.Epoch, b.Pos)
 			tierDigest[tier], hashed[tier] = sha256.Sum256(msg.Bytes()), true
 			msg.Free()
 		}

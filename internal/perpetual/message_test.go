@@ -211,7 +211,7 @@ func TestVerifyBundle(t *testing.T) {
 	reqID := "c:33"
 	digest := ReplyDigest(reqID, payload)
 	pos := clbft.Position(5, 1)
-	msg := replyAuthMsg(reqID, digest, false, 0, 0, pos).Bytes()
+	msg := replyAuthMsg(reqID, digest, false, 0, pos).Bytes()
 
 	mkShare := func(i int) Share {
 		a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)], msg, []auth.NodeID{callerDriver})
@@ -368,7 +368,7 @@ func TestCodecAllocBudget(t *testing.T) {
 		Payload: bytes.Repeat([]byte{1}, 300), Shares: shares}
 	encOp := op.Encode()
 	// A reply bundle of 4 shares × 8 entries (the caller's drivers and voters).
-	b := &ReplyBundle{ReqID: "c:123456", Target: "t", Payload: bytes.Repeat([]byte{2}, 300), GroupN: 4}
+	b := &ReplyBundle{ReqID: "c:123456", Target: "t", Payload: bytes.Repeat([]byte{2}, 300)}
 	for i, v := range voters {
 		sa, err := auth.NewAuthenticator(ks[v], []byte("reply"), caller.principals())
 		if err != nil {

@@ -60,13 +60,12 @@ type Op struct {
 	Payload   []byte
 
 	// OpReply reuses ReqID and Payload; Shares carries the f_t+1
-	// endorsements so every voter can re-verify the bundle. Epoch, GroupN
-	// and Pos echo the bundle's MAC-covered fields — without them the
-	// validator could not recompute the share MACs.
+	// endorsements so every voter can re-verify the bundle. Epoch and Pos
+	// echo the bundle's MAC-covered fields — without them the validator
+	// could not recompute the share MACs.
 	Shares []Share
 	Target string
 	Epoch  uint64
-	GroupN int
 	Pos    uint64
 
 	// OpUtil fields.
@@ -127,7 +126,6 @@ func (o *Op) Encode() []byte {
 		w.PutString(o.ReqID)
 		w.PutString(o.Target)
 		w.PutUvarint(o.Epoch)
-		w.PutUvarint(uint64(o.GroupN))
 		w.PutUvarint(o.Pos)
 		w.PutBytes(o.Payload)
 		w.PutUvarint(uint64(len(o.Shares)))
@@ -183,7 +181,6 @@ func DecodeOp(buf []byte) (*Op, error) {
 		o.ReqID = r.String()
 		o.Target = internName(r.Bytes())
 		o.Epoch = r.Uvarint()
-		o.GroupN = int(r.Uvarint())
 		o.Pos = r.Uvarint()
 		o.Payload = aliasBytes(r)
 		n := int(r.Uvarint())

@@ -1,7 +1,6 @@
 package perpetual
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -126,202 +125,41 @@ func (s ServiceInfo) principals() []auth.NodeID {
 // Registry is the static service directory of a deployment — the
 // runtime form of the replicas.xml mapping the paper describes in
 // Section 5.2 (Perpetual-WS resolves endpoint references statically; a
-// UDDI-based dynamic directory is future work). It is safe for
-// concurrent use.
-//
-// Every request issued by every driver resolves its target here, so the
-// directory sits on the hot path of all cross-group traffic. Reads go
-// through an immutable copy-on-write snapshot behind an atomic pointer:
-// Lookup and friends never take a lock (a shared RWMutex read-locked per
-// call bounces its cache line across cores, serializing independent
-// shard groups). Mutators — setup and membership commits — are rare;
-// they serialize on mu, clone the snapshot, and publish the successor
-// atomically.
+// UDDI-based dynamic directory is future work). NewRegistry fills it and
+// nothing writes it again, so it is safe for concurrent use without a
+// lock: every request issued by every driver resolves its target here.
 type Registry struct {
-	mu   sync.Mutex // serializes mutators; readers never take it
-	snap atomic.Pointer[registryState]
-}
-
-// registryState is one immutable directory snapshot. Maps are never
-// modified after publication; mutators clone before writing.
-type registryState struct {
 	services map[string]ServiceInfo
-	// membership overlays, per concrete voter group, the group's
-	// installed membership epoch and current size (see membership.go).
-	// Groups absent from the map run epoch 0 at their declared N.
-	// Lookup applies the overlay, so callers resolving a group always
-	// see its post-change size.
-	membership map[string]groupMembership
-}
-
-// groupMembership is one group's installed membership state.
-type groupMembership struct {
-	epoch uint64
-	n     int
-}
-
-func (st *registryState) clone() *registryState {
-	next := &registryState{
-		services:   make(map[string]ServiceInfo, len(st.services)),
-		membership: make(map[string]groupMembership, len(st.membership)),
-	}
-	for k, v := range st.services {
-		next.services[k] = v
-	}
-	for k, v := range st.membership {
-		next.membership[k] = v
-	}
-	return next
 }
 
 // NewRegistry creates a registry holding the given services.
 func NewRegistry(services ...ServiceInfo) *Registry {
-	st := &registryState{
-		services:   make(map[string]ServiceInfo, len(services)),
-		membership: make(map[string]groupMembership),
-	}
+	r := &Registry{services: make(map[string]ServiceInfo, len(services))}
 	for _, s := range services {
-		st.services[s.Name] = s
+		r.services[s.Name] = s
 	}
-	r := &Registry{}
-	r.snap.Store(st)
 	return r
-}
-
-// mutate runs f against a private clone of the current snapshot and, if
-// f succeeds, publishes the clone as the new directory.
-func (r *Registry) mutate(f func(st *registryState) error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.snap.Load().clone()
-	if err := f(st); err != nil {
-		return err
-	}
-	r.snap.Store(st)
-	return nil
-}
-
-// Add registers (or replaces) a service.
-func (r *Registry) Add(s ServiceInfo) {
-	r.mutate(func(st *registryState) error {
-		st.services[s.Name] = s
-		return nil
-	})
 }
 
 // Lookup resolves a service or shard group by name: "store" yields the
 // declared (possibly sharded) service; "store#2" yields the concrete
-// group descriptor of its third shard. Lock-free: reads one immutable
-// snapshot.
+// group descriptor of its third shard.
 func (r *Registry) Lookup(name string) (ServiceInfo, error) {
-	return r.snap.Load().lookup(name)
-}
-
-func (st *registryState) lookup(name string) (ServiceInfo, error) {
-	if s, ok := st.services[name]; ok {
-		if !s.IsSharded() {
-			return st.withMembership(name, s), nil
-		}
+	if s, ok := r.services[name]; ok {
 		return s, nil
 	}
 	if base, k, ok := splitShardGroupName(name); ok {
-		if s, found := st.services[base]; found && s.IsSharded() && k < s.ShardCount() {
-			return st.withMembership(name, s.Shard(k)), nil
+		if s, found := r.services[base]; found && s.IsSharded() && k < s.ShardCount() {
+			return s.Shard(k), nil
 		}
 	}
 	return ServiceInfo{}, fmt.Errorf("perpetual: unknown service %q", name)
 }
 
-// withMembership applies a concrete group's membership overlay to its
-// descriptor.
-func (st *registryState) withMembership(name string, s ServiceInfo) ServiceInfo {
-	if gm, ok := st.membership[name]; ok {
-		s.N = gm.n
-	}
-	return s
-}
-
-// GroupMembership returns a concrete group's installed membership epoch
-// and size (epoch 0 at the declared N when no change was ever
-// installed).
-func (r *Registry) GroupMembership(group string) (epoch uint64, n int) {
-	st := r.snap.Load()
-	if gm, ok := st.membership[group]; ok {
-		return gm.epoch, gm.n
-	}
-	s, err := st.lookup(group)
-	if err != nil {
-		return 0, 0
-	}
-	return 0, s.N
-}
-
-// CommitGroupMembership installs a concrete voter group's membership
-// epoch in the directory: the point at which callers resolving the
-// group see its new size. Idempotent per epoch — every member of the
-// group commits the same flip — and refuses to move backwards or skip
-// epochs.
-func (r *Registry) CommitGroupMembership(group string, newEpoch uint64, newN int) error {
-	if newN < 1 {
-		return fmt.Errorf("perpetual: membership of %s with %d replicas", group, newN)
-	}
-	return r.mutate(func(st *registryState) error {
-		cur, curN := uint64(0), 0
-		if gm, ok := st.membership[group]; ok {
-			cur, curN = gm.epoch, gm.n
-		} else if s, err := st.lookup(group); err == nil {
-			curN = s.N
-		}
-		if curN == 0 {
-			return fmt.Errorf("perpetual: unknown group %q", group)
-		}
-		if newEpoch <= cur {
-			if newEpoch == cur && newN == curN {
-				return nil
-			}
-			return fmt.Errorf("perpetual: membership epoch %d of %s already installed", cur, group)
-		}
-		if newEpoch != cur+1 {
-			return fmt.Errorf("perpetual: membership epoch flip %d -> %d of %s skips epochs", cur, newEpoch, group)
-		}
-		st.membership[group] = groupMembership{epoch: newEpoch, n: newN}
-		return nil
-	})
-}
-
-// ObserveGroupMembership adopts a group's membership state learned from
-// a verified reply bundle (see ReplyBundle.Epoch/GroupN): unlike
-// CommitGroupMembership it allows forward jumps — a caller that slept
-// through several epochs catches up in one step — but never moves
-// backwards. Returns true if the directory changed.
-func (r *Registry) ObserveGroupMembership(group string, epoch uint64, n int) bool {
-	if epoch == 0 || n < 1 {
-		return false
-	}
-	changed := false
-	r.mutate(func(st *registryState) error {
-		if _, err := st.lookup(group); err != nil {
-			return err
-		}
-		if gm, ok := st.membership[group]; ok && gm.epoch >= epoch {
-			return errObserveStale
-		}
-		st.membership[group] = groupMembership{epoch: epoch, n: n}
-		changed = true
-		return nil
-	})
-	return changed
-}
-
-// errObserveStale aborts an ObserveGroupMembership mutation that would
-// move a group's epoch backwards (not an error surfaced to callers).
-var errObserveStale = errors.New("stale membership observation")
-
 // Services returns all registered services sorted by name.
 func (r *Registry) Services() []ServiceInfo {
-	st := r.snap.Load()
-	out := make([]ServiceInfo, 0, len(st.services))
-	for _, s := range st.services {
+	out := make([]ServiceInfo, 0, len(r.services))
+	for _, s := range r.services {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -332,12 +170,10 @@ func (r *Registry) Services() []ServiceInfo {
 // by name: one per unsharded service plus one per shard of each sharded
 // service. This is what Deployment.Build materializes.
 func (r *Registry) Groups() []ServiceInfo {
-	st := r.snap.Load()
 	var out []ServiceInfo
-	for _, s := range st.services {
+	for _, s := range r.services {
 		for k := 0; k < s.ShardCount(); k++ {
-			g := s.Shard(k)
-			out = append(out, st.withMembership(g.Name, g))
+			out = append(out, s.Shard(k))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -34,7 +34,7 @@ func TestServiceInfoIDs(t *testing.T) {
 }
 
 func TestRegistryLookup(t *testing.T) {
-	r := NewRegistry(ServiceInfo{Name: "a", N: 4}, ServiceInfo{Name: "b", N: 1})
+	r := NewRegistry(ServiceInfo{Name: "c", N: 7}, ServiceInfo{Name: "a", N: 4}, ServiceInfo{Name: "b", N: 1})
 	got, err := r.Lookup("a")
 	if err != nil || got.N != 4 {
 		t.Errorf("Lookup(a) = %+v, %v", got, err)
@@ -42,9 +42,8 @@ func TestRegistryLookup(t *testing.T) {
 	if _, err := r.Lookup("missing"); err == nil {
 		t.Error("Lookup(missing) succeeded")
 	}
-	r.Add(ServiceInfo{Name: "c", N: 7})
 	if got, err := r.Lookup("c"); err != nil || got.N != 7 {
-		t.Errorf("after Add: %+v, %v", got, err)
+		t.Errorf("Lookup(c) = %+v, %v", got, err)
 	}
 	services := r.Services()
 	if len(services) != 3 || services[0].Name != "a" || services[2].Name != "c" {

@@ -57,8 +57,8 @@ type Replica struct {
 	voterAdapter  *transport.ChannelAdapter
 	driverAdapter *transport.ChannelAdapter
 
-	// bftBase is the CLBFT configuration template (sans N) a membership
-	// install rebuilds the voter's instance from.
+	// bftBase is the CLBFT configuration a membership install rebuilds
+	// the voter's instance from.
 	bftBase clbft.Config
 	// stopped makes Stop idempotent: a crash-killed incarnation is
 	// stopped again when the membership change that replaces it installs.
@@ -159,14 +159,14 @@ func (r *Replica) bftOptions() []clbft.Option {
 
 // installMembership rebuilds this replica's voter-side CLBFT instance
 // for a freshly agreed membership epoch: stop, export the snapshot at
-// the install barrier, and restart under the new group size. A member
+// the install barrier, and restart under the new epoch. A member
 // that had not yet executed up to the barrier (the install fires once
 // any member commits it) restores its own position and catches the gap
 // up from its peers before voting. It returns the exported snapshot so
 // the installer can seed a joining incarnation from a surviving donor.
 // Called by the deployment installer; never from the voter's own event
 // loop (Stop would deadlock).
-func (r *Replica) installMembership(mc *MembershipChange, seq uint64, state clbft.Digest, newN int) (*clbft.Bootstrap, error) {
+func (r *Replica) installMembership(mc *MembershipChange, seq uint64, state clbft.Digest) (*clbft.Bootstrap, error) {
 	old := r.voter.bft()
 	old.Stop()
 	bs := old.ExportBootstrap()
@@ -177,10 +177,8 @@ func (r *Replica) installMembership(mc *MembershipChange, seq uint64, state clbf
 		bs.CatchUpSeq = seq
 		bs.CatchUpDigest = state
 	}
-	bs.InitialView = mc.InitialView()
-	cfg := r.bftBase
-	cfg.N = newN
-	nb, err := clbft.NewFromBootstrap(cfg, r.voter.bftTransport(), r.voter.onDeliver, bs, r.bftOptions()...)
+	bs.InitialView = mc.InitialView(r.svc.N)
+	nb, err := clbft.NewFromBootstrap(r.bftBase, r.voter.bftTransport(), r.voter.onDeliver, bs, r.bftOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -196,9 +194,9 @@ func (r *Replica) installMembership(mc *MembershipChange, seq uint64, state clbf
 // of those voters — its keys toward everyone else). Pairwise derivation
 // is symmetric, so running this at every replica of the deployment
 // converges both ends of each affected pair.
-func (r *Replica) rotateEpochKeys(master []byte, group string, epoch uint64, groupN int, all []auth.NodeID) {
+func (r *Replica) rotateEpochKeys(master []byte, group string, epoch uint64, all []auth.NodeID) {
 	isGroupVoter := func(id auth.NodeID) bool {
-		return id.Service == group && id.Role == auth.RoleVoter && id.Index < groupN
+		return id.Service == group && id.Role == auth.RoleVoter
 	}
 	selfV, selfD := r.voterKeys.Self(), r.driverKeys.Self()
 	selfInGroup := isGroupVoter(selfV)
@@ -319,20 +317,6 @@ func (r *Replica) AgreementCount() uint64 { return r.voter.bft().Executed() }
 // (diagnostic: the membership soak waits for it to be nonzero, so its
 // replacements join a group that has already checkpointed).
 func (r *Replica) StableCheckpointSeq() uint64 { return r.voter.stableCkpt.Load() }
-
-// provisionPeers installs pairwise keys, derived from the deployment
-// master secret, for principals that joined after this replica was
-// built (the slot a membership grow adds).
-func (r *Replica) provisionPeers(master []byte, peers []auth.NodeID) {
-	for _, p := range peers {
-		if p != r.voterKeys.Self() {
-			r.voterKeys.SetKey(p, auth.DeriveKey(master, r.voterKeys.Self(), p))
-		}
-		if p != r.driverKeys.Self() {
-			r.driverKeys.SetKey(p, auth.DeriveKey(master, r.driverKeys.Self(), p))
-		}
-	}
-}
 
 // TransportStats returns the combined traffic counters of the replica's
 // voter and driver adapters (diagnostics and per-request message

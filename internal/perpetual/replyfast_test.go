@@ -18,7 +18,7 @@ import (
 // position 1.
 func mintBundle(t *testing.T, dep *Deployment, reqID string, payload []byte) *ReplyBundle {
 	t.Helper()
-	b := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, GroupN: 4, Pos: 1}
+	b := &ReplyBundle{ReqID: reqID, Target: "t", Payload: payload, Pos: 1}
 	digest := ReplyDigest(reqID, payload)
 	for k := 0; k < 2; k++ {
 		rec, err := dep.Replicas("t")[k].voter.mint(reqID, "c", payload, digest, false, b.Pos)

@@ -28,7 +28,7 @@ func TestVerifyBundleTwoTier(t *testing.T) {
 	// mkShare authenticates voter i's endorsement; the tentative flag is
 	// inside the MAC'd message, so it cannot be flipped in transit.
 	mkShare := func(i int, tentative bool) Share {
-		msg := replyAuthMsg(reqID, digest, tentative, 0, 0, 0).Bytes()
+		msg := replyAuthMsg(reqID, digest, tentative, 0, 0).Bytes()
 		a, err := auth.NewAuthenticator(ks[auth.VoterID("t", i)], msg, []auth.NodeID{callerDriver})
 		if err != nil {
 			t.Fatalf("share %d: %v", i, err)

@@ -409,7 +409,7 @@ func TestNoWallClockOutsideShell(t *testing.T) {
 		"RetryPolicy.Do":              {"time.NewTimer", "a caller-side wrapper around Do waits out its backoff"},
 		"RetryPolicy.jittered":        {"rand.Int63n", "jitters that wrapper's backoff"},
 		"Deployment.WaitCaughtUp":     {"time.Now time.Sleep", "the control plane polls a replica, off any node's event path"},
-		"Deployment.changeMembership": {"time.After", "the control plane bounds an install, off any node's event path"},
+		"Deployment.ReplaceReplica":   {"time.After", "the control plane bounds an install, off any node's event path"},
 		"Deployment.onMembership":     {"time.Now time.Sleep", "the control plane installs an epoch, off any node's event path"},
 	}
 	files, err := filepath.Glob("*.go")

@@ -26,7 +26,7 @@ type voter struct {
 	ks       *auth.KeyStore
 	// bftp holds the current CLBFT instance. It is a swappable pointer
 	// because a membership install rebuilds the instance under the new
-	// roster while the transport keeps delivering: readers always see
+	// epoch while the transport keeps delivering: readers always see
 	// either the old (stopped, inert) or the new instance, never nil.
 	bftp   atomic.Pointer[clbft.Replica]
 	driver *Driver // co-located; set during replica assembly
@@ -126,17 +126,6 @@ func (v *voter) logf(format string, args ...any) {
 
 // bft returns the current CLBFT instance (see bftp).
 func (v *voter) bft() *clbft.Replica { return v.bftp.Load() }
-
-// curInfo returns this voter's group descriptor at its current
-// membership size: the registry overlay is the authority once an epoch
-// has been installed, the static descriptor before.
-func (v *voter) curInfo() ServiceInfo {
-	s := v.svc
-	if _, n := v.registry.GroupMembership(v.svc.Name); n > 0 {
-		s.N = n
-	}
-	return s
-}
 
 // adoptEpoch flips the voter to a freshly installed membership epoch
 // (see reqTable.resetShares).
@@ -245,7 +234,7 @@ func (v *voter) validOp(opID string, o *Op) bool {
 			return false
 		}
 		b := &ReplyBundle{ReqID: o.ReqID, Target: o.Target, Payload: o.Payload, Shares: o.Shares,
-			Epoch: o.Epoch, GroupN: o.GroupN, Pos: o.Pos}
+			Epoch: o.Epoch, Pos: o.Pos}
 		return VerifyBundle(v.ks, target, b) == nil
 	case OpAbort:
 		// Aborts carry no certificate: any single replica of the group
@@ -274,7 +263,7 @@ func (v *voter) validOp(opID string, o *Op) bool {
 		if opID != MembershipOpID(mc.Group, mc.NewEpoch) {
 			return false
 		}
-		if err := mc.Validate(v.svc.Name, v.memEpoch.Load(), v.curInfo().N); err != nil {
+		if err := mc.Validate(v.svc.Name, v.memEpoch.Load(), v.svc.N); err != nil {
 			v.logf("membership change rejected: %v", err)
 			return false
 		}
@@ -347,7 +336,7 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 		return
 	}
 	caller, err := v.registry.Lookup(req.Caller)
-	if err != nil || from.Index < 0 || from.Index >= caller.N || req.Responder < 0 || req.Responder >= v.curInfo().N {
+	if err != nil || from.Index < 0 || from.Index >= caller.N || req.Responder < 0 || req.Responder >= v.svc.N {
 		return
 	}
 	digest := req.Digest()
@@ -471,8 +460,7 @@ func (v *voter) onDeliver(d clbft.Delivery) {
 		v.mu.Lock()
 		v.pendingMC = mc
 		v.mu.Unlock()
-		v.logf("membership change agreed at seq %d: %s slot %d, epoch %d, n=%d",
-			d.Seq, mc.Kind, mc.Slot, mc.NewEpoch, mc.NewN)
+		v.logf("membership change agreed at seq %d: replace slot %d, epoch %d", d.Seq, mc.Slot, mc.NewEpoch)
 	}
 }
 
@@ -542,15 +530,14 @@ func (v *voter) handleLocalResult(reqID string, payload []byte) {
 // mint makes this voter's reply share for reqID, executed at pos, under
 // the current membership epoch: a reply-digest endorsement MAC'd toward
 // every principal that may need to verify it. The MAC'd content includes
-// the tier, the epoch, the group's current size (the roster attestation)
-// and pos (see replyAuthMsg).
+// the tier, the epoch and pos (see replyAuthMsg).
 func (v *voter) mint(reqID, callerName string, payload []byte, digest [sha256.Size]byte, tentative bool, pos uint64) (replyRecord, error) {
 	caller, err := v.registry.Lookup(callerName)
 	if err != nil {
 		return replyRecord{}, err
 	}
 	epoch := v.memEpoch.Load()
-	msg := replyAuthMsg(reqID, digest, tentative, epoch, v.curInfo().N, pos)
+	msg := replyAuthMsg(reqID, digest, tentative, epoch, pos)
 	a, err := auth.NewAuthenticator(v.ks, msg.Bytes(), caller.principals())
 	msg.Free()
 	return replyRecord{digest: digest, payload: payload, epoch: epoch,
@@ -591,7 +578,7 @@ func (v *voter) sendBundle(a *reqAction) {
 	if err != nil {
 		return
 	}
-	b := ReplyBundle{ReqID: a.id, Target: v.svc.Name, Payload: a.payload, Shares: a.shares, Epoch: a.epoch, GroupN: a.groupN, Pos: a.pos}
+	b := ReplyBundle{ReqID: a.id, Target: v.svc.Name, Payload: a.payload, Shares: a.shares, Epoch: a.epoch, Pos: a.pos}
 	if bft := v.bft(); bft != nil {
 		b.Primary = bft.Primary() // advisory routing hint for the callers
 	}
@@ -812,9 +799,8 @@ func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
 	if fromIndex < 0 {
 		return
 	}
-	info := v.curInfo() // thresholds follow the installed membership size
 	v.apply(&reqEvent{kind: inShare, share: *rs, from: fromIndex, bound: own || ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest,
-		groupN: info.N, f: info.F(), quorum: info.Quorum(), epoch: v.memEpoch.Load()})
+		groupN: v.svc.N, f: v.svc.F(), quorum: v.svc.Quorum(), epoch: v.memEpoch.Load()})
 }
 
 // handleResultForward implements stage 7-8 on the calling side: a
@@ -839,7 +825,7 @@ func (v *voter) handleResultForward(from auth.NodeID, b *ReplyBundle) {
 		return
 	}
 	op := &Op{Kind: OpReply, ReqID: b.ReqID, Target: b.Target, Payload: b.Payload, Shares: b.Shares,
-		Epoch: b.Epoch, GroupN: b.GroupN, Pos: b.Pos}
+		Epoch: b.Epoch, Pos: b.Pos}
 	v.bft().Submit(ReplyOpID(b.ReqID), op.Encode())
 }
 

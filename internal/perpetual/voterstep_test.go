@@ -77,7 +77,7 @@ func TestVoterStep(t *testing.T) {
 	tent := func(i int) Share { return Share{Replica: i, Tentative: true} }
 	stable := func(i int) Share { return Share{Replica: i} }
 	bundle := func(payload string, shares ...Share) []reqAction {
-		return []reqAction{{kind: doBundle, id: id, caller: "c", payload: []byte(payload), shares: shares, groupN: 4, pos: pos}}
+		return []reqAction{{kind: doBundle, id: id, caller: "c", payload: []byte(payload), shares: shares, pos: pos}}
 	}
 	fetch := func(voters ...int) []reqAction {
 		var acts []reqAction
@@ -475,7 +475,7 @@ func TestVoterLocalResultReadsTheRecord(t *testing.T) {
 	}
 	// The share MACs the record's position, and no other.
 	for _, p := range []uint64{pos, clbft.Position(3, 0)} {
-		msg := replyAuthMsg("c:2", r.reply.digest, true, 0, 4, p)
+		msg := replyAuthMsg("c:2", r.reply.digest, true, 0, p)
 		err := r.reply.share.Auth.VerifyFor(stores[auth.DriverID("c", 0)], msg.Bytes())
 		msg.Free()
 		if (err == nil) != (p == pos) {
@@ -500,7 +500,7 @@ func TestVoterOnRollback(t *testing.T) {
 		t.Errorf("rollback changed the record: %+v, was %+v", *r, before)
 	}
 
-	v.pendingMC = &MembershipChange{Group: "t", Kind: MembershipReplace, Slot: 1, NewEpoch: 1, NewN: 4}
+	v.pendingMC = &MembershipChange{Group: "t", Slot: 1, NewEpoch: 1}
 	if !v.onRollback(clbft.Delivery{Seq: 4, OpID: MembershipOpID("t", 1)}) {
 		t.Error("a rolled-back membership change was not re-buffered")
 	}

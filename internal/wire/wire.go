@@ -75,15 +75,6 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // PutUint8 appends a single byte.
 func (w *Writer) PutUint8(v uint8) { w.buf = append(w.buf, v) }
 
-// PutBool appends a boolean as one byte.
-func (w *Writer) PutBool(v bool) {
-	if v {
-		w.PutUint8(1)
-	} else {
-		w.PutUint8(0)
-	}
-}
-
 // PutUint16 appends a big-endian uint16.
 func (w *Writer) PutUint16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
 
@@ -180,9 +171,6 @@ func (r *Reader) Uint8() uint8 {
 	}
 	return b[0]
 }
-
-// Bool reads one byte as a boolean; any nonzero value is true.
-func (r *Reader) Bool() bool { return r.Uint8() != 0 }
 
 // Uint16 reads a big-endian uint16.
 func (r *Reader) Uint16() uint16 {

@@ -10,8 +10,6 @@ import (
 func TestRoundTripAllTypes(t *testing.T) {
 	w := NewWriter(64)
 	w.PutUint8(0xAB)
-	w.PutBool(true)
-	w.PutBool(false)
 	w.PutUint16(0xBEEF)
 	w.PutUint32(0xDEADBEEF)
 	w.PutUint64(math.MaxUint64)
@@ -24,9 +22,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.Uint8(); got != 0xAB {
 		t.Errorf("Uint8 = %x", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
 	}
 	if got := r.Uint16(); got != 0xBEEF {
 		t.Errorf("Uint16 = %x", got)
