@@ -37,9 +37,7 @@ type debugRequest struct {
 // zero value.
 func (r *Replica) DebugState() DebugState {
 	req := debugRequest{reply: make(chan DebugState, 1)}
-	select {
-	case r.inbox <- event{kind: evDebug, debug: &req}:
-	case <-r.stopped:
+	if !r.inbox.Put(event{kind: evDebug, debug: &req}, false) {
 		return DebugState{}
 	}
 	select {

@@ -40,11 +40,11 @@
 // have been collected, which they do by tracking per-request state.
 //
 // The replica is a single-goroutine event loop. Messages, submissions
-// and timer fires enter through one inbox, and handle, the one entry to
-// the protocol state, takes them one at a time. Time arrives on the
-// event: a handler reads no clock, and arms a timer by setting its due
-// time. Outbound messages leave through a Transport supplied by the
-// embedder, which also authenticates them (Perpetual-WS uses pairwise
-// MACs in the ChannelAdapter); clbft trusts the replica index the
-// transport attributes to each message.
+// and timer fires enter through one inbox, which the loop drains a batch
+// per wake, and handle, the one entry to the protocol state, takes them
+// one at a time. Time arrives on the event: a handler reads no clock,
+// and arms a timer by setting its due time. Outbound messages leave
+// through a Transport supplied by the embedder, which also authenticates
+// them (Perpetual-WS uses pairwise MACs in the ChannelAdapter); clbft
+// trusts the replica index the transport attributes to each message.
 package clbft

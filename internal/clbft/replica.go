@@ -6,6 +6,8 @@ import (
 	"log"
 	"sync/atomic"
 	"time"
+
+	"perpetualws/internal/inbox"
 )
 
 // Delivery is one agreed operation handed to the application, in strict
@@ -82,8 +84,8 @@ const (
 	numTimers
 )
 
-// event is one input to the replica. now is the time the loop shell took
-// it from the inbox; it is the only clock a handler sees.
+// event is one input to the replica. now is the time the loop shell
+// handed it to handle; it is the only clock a handler sees.
 type event struct {
 	kind  eventKind
 	timer timerKind
@@ -94,9 +96,10 @@ type event struct {
 	debug *debugRequest
 }
 
-// inboxDepth bounds the replica's event queue. Overflow drops protocol
-// messages (they are retransmitted or recovered by view changes) but
-// never local submissions, which block briefly instead.
+// inboxDepth bounds the protocol messages waiting in the replica's event
+// queue, not the batch the loop holds. Overflow drops them (they are
+// retransmitted or recovered by view changes); submissions, timer fires,
+// Stop and DebugState bypass the bound and are never refused.
 const inboxDepth = 16384
 
 // Replica is one member of a CLBFT group. All protocol state is owned by
@@ -114,7 +117,7 @@ type Replica struct {
 	barrier      func(opID string) bool
 	haltHook     func(seq uint64, state Digest)
 
-	inbox   chan event
+	inbox   *inbox.Queue[event]
 	stopped chan struct{}
 
 	// Event-loop-confined protocol state.
@@ -301,7 +304,7 @@ func New(cfg Config, transport Transport, deliver func(Delivery), opts ...Option
 		cfg:            cfg,
 		deliver:        deliver,
 		transport:      transport,
-		inbox:          make(chan event, inboxDepth),
+		inbox:          inbox.New[event](inboxDepth),
 		stopped:        make(chan struct{}),
 		log:            newMsgLog(cfg.N),
 		pending:        make(map[string]*pendingReq),
@@ -332,27 +335,16 @@ func (r *Replica) Start() {
 
 // Stop terminates the event loop and waits for it to exit.
 func (r *Replica) Stop() {
-	select {
-	case <-r.stopped:
-		return
-	default:
-	}
-	select {
-	case r.inbox <- event{kind: evStop}:
-	case <-r.stopped:
-		return
-	}
+	r.inbox.Put(event{kind: evStop}, false)
 	<-r.stopped
 }
 
 // Submit proposes an operation for ordering. It may be called by any
 // replica's embedder; non-primaries forward to the primary. Duplicate
-// OpIDs are ignored once executed (within the retention window).
+// OpIDs are ignored once executed (within the retention window). Submit
+// never blocks and, until Stop, is never refused.
 func (r *Replica) Submit(opID string, op []byte) {
-	select {
-	case r.inbox <- event{kind: evSubmit, req: &Request{OpID: opID, Op: op}}:
-	case <-r.stopped:
-	}
+	r.inbox.Put(event{kind: evSubmit, req: &Request{OpID: opID, Op: op}}, false)
 }
 
 // Receive enqueues a protocol message attributed (by the authenticated
@@ -362,12 +354,8 @@ func (r *Replica) Receive(from int, m *Message) {
 	if from < 0 || from >= r.cfg.N || m == nil {
 		return
 	}
-	select {
-	case r.inbox <- event{kind: evMessage, from: from, msg: m}:
-	default:
-		// Inbox overflow: drop. BFT recovers via retransmission and view
-		// changes; blocking here could deadlock the transport.
-	}
+	// Dropped on overflow: blocking here could deadlock the transport.
+	r.inbox.Put(event{kind: evMessage, from: from, msg: m}, true)
 }
 
 // View returns the replica's current view.
@@ -430,22 +418,29 @@ func (r *Replica) logf(format string, args ...any) {
 }
 
 // run is the loop shell, the one place clbft reads the clock or runs a
-// time.Timer: it stamps each event with the time it was taken, hands it
-// to handle (evStart first), and then syncs its timers to the due times.
+// time.Timer. It takes the inbox a batch at a time and, for each event
+// in order, stamps it with the time it was handled, hands it to handle
+// (evStart first), and then syncs its timers to the due times.
 func (r *Replica) run() {
 	var timers shellTimers
 	defer func() {
+		r.inbox.Close() // refuse what comes after Stop
 		clear(r.due[:]) // disarm every timer, so sync stops them
 		timers.sync(r)
 		close(r.stopped)
 	}()
-	for ev := (event{kind: evStart}); ev.kind != evStop; ev = <-r.inbox {
-		ev.now = time.Now()
-		if ev.kind == evFire {
-			timers.due[ev.timer] = time.Time{} // that timer has run out
+	for batch, ok := []event{{kind: evStart}}, true; ok; batch, ok = r.inbox.Take(batch) {
+		for _, ev := range batch {
+			if ev.kind == evStop {
+				return
+			}
+			ev.now = time.Now()
+			if ev.kind == evFire {
+				timers.due[ev.timer] = time.Time{} // that timer has run out
+			}
+			r.handle(ev)
+			timers.sync(r)
 		}
-		r.handle(ev)
-		timers.sync(r)
 	}
 }
 
@@ -472,10 +467,7 @@ func (s *shellTimers) sync(r *Replica) {
 			s.t[k].Reset(due.Sub(r.now))
 		default:
 			s.t[k] = time.AfterFunc(due.Sub(r.now), func() {
-				select {
-				case r.inbox <- event{kind: evFire, timer: timerKind(k)}:
-				case <-r.stopped:
-				}
+				r.inbox.Put(event{kind: evFire, timer: timerKind(k)}, false)
 			})
 		}
 	}

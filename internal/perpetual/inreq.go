@@ -182,8 +182,9 @@ type reqTable struct {
 	collecting, executing, minted, waiting reqList
 	intakeA                                atomic.Int64 // collecting.n, read without voter.mu
 
-	self      int // this voter's index in its group
-	maxIntake int // bound on collecting records
+	self         int // this voter's index in its group
+	n, f, quorum int // this voter's group shape, fixed at deployment
+	maxIntake    int // bound on collecting records
 
 	// The admission outcomes step counts (see OverloadStats).
 	shedIntake    atomic.Uint64 // copies refused or evicted at the intake bound
@@ -199,9 +200,9 @@ type reqList struct {
 	n, max int
 }
 
-func (t *reqTable) init(self int) {
+func (t *reqTable) init(self int, svc ServiceInfo) {
 	t.recs = make(map[string]*inReq)
-	t.self, t.maxIntake = self, reqTableSize
+	t.self, t.n, t.f, t.quorum, t.maxIntake = self, svc.N, svc.F(), svc.Quorum(), reqTableSize
 	t.executing.max, t.minted.max, t.waiting.max = reqTableSize, reqTableSize, reqTableSize/2
 	for _, l := range []*reqList{&t.collecting, &t.executing, &t.minted, &t.waiting} {
 		l.root.prev, l.root.next = &l.root, &l.root
@@ -311,11 +312,10 @@ type reqEvent struct {
 	share  ReplyShare  // inShare, with whether its payload hashes to its digest
 	bound  bool
 
-	callerN, callerF  int    // inCopy: the calling group's shape
-	groupN, f, quorum int    // inShare: this group's shape
-	committed         uint64 // inCopy: the agreement's commit horizon
-	epoch             uint64 // inCopy, inShare: the installed membership epoch
-	backlogFull       bool   // inCopy: the proposer backlog is at its bound
+	callerN, callerF int    // inCopy: the calling group's shape
+	committed        uint64 // inCopy: the agreement's commit horizon
+	epoch            uint64 // inCopy, inShare: the installed membership epoch
+	backlogFull      bool   // inCopy: the proposer backlog is at its bound
 }
 
 // reqActionKind discriminates what step asks the voter to do.
@@ -465,9 +465,6 @@ func (t *reqTable) stepCopy(acts []reqAction, ev *reqEvent) []reqAction {
 		r.caller, r.drivers, r.collecting = req.Caller, make([]driverVote, ev.callerN), true
 		t.refile(r)
 	}
-	for len(r.drivers) <= ev.from { // a vote past the caller's shape widens it
-		r.drivers = append(r.drivers, driverVote{})
-	}
 	slot := &r.drivers[ev.from]
 	if slot.req != nil && slot.digest == ev.digest {
 		return acts // a duplicate; a changed digest replaces the driver's vote
@@ -489,15 +486,15 @@ func (t *reqTable) stepShare(acts []reqAction, ev *reqEvent) []reqAction {
 	rs := &ev.share
 	r := t.at(rs.ReqID, rs.Caller) // a share may beat the delivery here
 	t.refile(r)
-	if n := max(ev.groupN, t.self+1, ev.from+1); len(r.slots) < n { // slots are sized on the first share
-		r.slots = append(r.slots, make([]shareSlot, n-len(r.slots))...)
+	if r.slots == nil {
+		r.slots = make([]shareSlot, t.n)
 	}
 	s := &r.slots[ev.from]
 	s.have, s.share, s.digest = true, rs.Share, rs.Digest
 	if ev.bound {
 		s.bound, s.payload, s.payloadDigest = true, rs.Payload, rs.Digest
 	}
-	winner, found := r.certified(ev.f, ev.quorum)
+	winner, found := r.certified(t.f, t.quorum)
 	if !found || r.sent || r.pos == 0 { // the shares MAC a position this voter must know
 		return acts
 	}

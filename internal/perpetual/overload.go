@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/inbox"
 	"perpetualws/internal/wire"
 )
 
@@ -76,12 +77,13 @@ type OverloadStats struct {
 	SuppressedReplies uint64
 }
 
-// laneDepth bounds the voter's client-plane inbound queue (see
-// voter.clientLane). Sized well above any sane intake bound: the lane
-// exists to keep the protocol plane responsive, not to be the admission
-// gate — the intake/proposer gates shed with precise accounting once a
-// frame is dequeued. Overflow here still answers busy, so callers shed
-// deterministically rather than waiting out their deadlines.
+// laneDepth bounds the frames waiting on the voter's client-plane lane
+// (see voter.clientLane), not the batch its worker holds. Sized well
+// above any sane intake bound: the lane exists to keep the protocol
+// plane responsive, not to be the admission gate — the intake/proposer
+// gates shed with precise accounting once a frame is taken. Overflow
+// here still answers busy, so callers shed deterministically rather
+// than waiting out their deadlines.
 const laneDepth = 4096
 
 // laneItem is one raw client-plane frame awaiting decode + admission.
@@ -128,15 +130,12 @@ func peekClientReqID(payload []byte) (Kind, string) {
 // to protect. (Measured: an open-loop 2x flood cut agreement throughput
 // ~10x with idle CPU before frames were laned.)
 func (v *voter) startLane() {
-	v.clientLane = make(chan laneItem, laneDepth)
-	v.laneStop = make(chan struct{})
+	lane := inbox.New[laneItem](laneDepth)
+	v.clientLane = lane
 	go func() {
-		for {
-			select {
-			case it := <-v.clientLane:
+		for batch, ok := []laneItem(nil), true; ok; batch, ok = lane.Take(batch) {
+			for _, it := range batch {
 				v.handleClientFrame(it.from, it.payload)
-			case <-v.laneStop:
-				return
 			}
 		}
 	}()
@@ -146,8 +145,8 @@ func (v *voter) startLane() {
 // dropped with the voter; senders never block on the lane, so there is
 // nothing to drain.
 func (v *voter) stopLane() {
-	if v.laneStop != nil {
-		close(v.laneStop)
+	if v.clientLane != nil {
+		v.clientLane.Close()
 	}
 }
 
@@ -180,10 +179,7 @@ func (v *voter) enqueueClient(from auth.NodeID, payload []byte) {
 		v.handleClientFrame(from, payload)
 		return
 	}
-	it := laneItem{from: from, payload: append([]byte(nil), payload...)}
-	select {
-	case v.clientLane <- it:
-	default:
+	if !v.clientLane.Put(laneItem{from: from, payload: append([]byte(nil), payload...)}, true) {
 		switch kind, reqID := peekClientReqID(payload); kind {
 		case KindRequest:
 			v.reqs.shedIntake.Add(1)

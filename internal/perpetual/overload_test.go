@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/inbox"
 	"perpetualws/internal/soap"
+	"perpetualws/internal/transport"
 )
 
 // guardGoroutines fails the test when goroutines spawned during it
@@ -879,5 +881,45 @@ func TestOverloadSweepReadMix(t *testing.T) {
 	p.check(t, "2x, 95% reads")
 	if p.admittedWrites == 0 {
 		t.Errorf("2x read-heavy overload: zero commit goodput")
+	}
+}
+
+// TestIntakeLaneFloodAnswersBusy: once laneDepth client frames wait on
+// the lane, a request or a read is refused with a busy to its driver and
+// counted as a shed; below the bound nothing is refused.
+func TestIntakeLaneFloodAnswersBusy(t *testing.T) {
+	net := transport.NewNetwork()
+	t.Cleanup(func() { net.Close() })
+	v, _, stores := newBareVoterOn(t, net)
+	drv := auth.DriverID("c", 0)
+	busy := make(chan BusyReply, 2)
+	transport.NewChannelAdapter(stores[drv], net.Port(drv)).SetHandler(func(_ auth.NodeID, payload []byte) {
+		if m, err := DecodeMessage(payload); err == nil && m.Kind == KindBusy {
+			busy <- *m.Busy
+		}
+	})
+	v.clientLane = inbox.New[laneItem](laneDepth) // a lane whose worker never takes
+	req := (&Message{Kind: KindRequest, Request: signedRequest(t, stores, 0, "c:1", []byte("p"), 0)}).Encode()
+	for range laneDepth {
+		v.enqueueClient(drv, req)
+	}
+	if v.reqs.shedIntake.Load() != 0 || len(busy) != 0 {
+		t.Fatal("a frame below laneDepth was refused")
+	}
+	read := (&Message{Kind: KindReadRequest, ReadRequest: &ReadRequest{ReqID: "c:2", Caller: "c", Target: "t"}}).Encode()
+	v.enqueueClient(drv, req)
+	v.enqueueClient(drv, read)
+	for _, want := range []BusyReply{{ReqID: "c:1"}, {ReqID: "c:2", Read: true}} {
+		select {
+		case got := <-busy:
+			if got.ReqID != want.ReqID || got.Read != want.Read {
+				t.Fatalf("busy %+v, want one for %s (read %v)", got, want.ReqID, want.Read)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no busy for %s", want.ReqID)
+		}
+	}
+	if v.reqs.shedIntake.Load() != 1 || v.shedReads.Load() != 1 {
+		t.Fatalf("sheds: intake %d, reads %d; want 1 each", v.reqs.shedIntake.Load(), v.shedReads.Load())
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"perpetualws/internal/auth"
 	"perpetualws/internal/clbft"
+	"perpetualws/internal/inbox"
 	"perpetualws/internal/transport"
 	"perpetualws/internal/wire"
 )
@@ -90,8 +91,7 @@ type voter struct {
 	// client frames queue here for a dedicated worker while protocol
 	// frames are handled inline on the transport pump, so a request
 	// flood cannot head-of-line block agreement traffic (see startLane).
-	clientLane chan laneItem
-	laneStop   chan struct{}
+	clientLane *inbox.Queue[laneItem]
 
 	mu sync.Mutex
 	// reqs holds this group's side of every call made to it, one record
@@ -113,7 +113,7 @@ func newVoter(svc ServiceInfo, index int, reg *Registry, adapter *transport.Chan
 		retryHint: DefaultRetryAfterHint,
 		delivered: newBoundedCache[struct{}](deliveredCacheSize),
 	}
-	v.reqs.init(index)
+	v.reqs.init(index, svc)
 	v.alarm = newAlarm(v.fire)
 	return v
 }
@@ -335,8 +335,11 @@ func (v *voter) handleExternalRequest(from auth.NodeID, req *RequestMsg) {
 	if from.Role != auth.RoleDriver || from.Service != req.Caller || req.Target != v.svc.Name {
 		return
 	}
+	// A request id names its caller, so every copy a record collects
+	// comes from one group, and from.Index fits the record's vote slots.
 	caller, err := v.registry.Lookup(req.Caller)
-	if err != nil || from.Index < 0 || from.Index >= caller.N || req.Responder < 0 || req.Responder >= v.svc.N {
+	if _, bound := callerReqSeq(req.ReqID, req.Caller); err != nil || !bound ||
+		from.Index < 0 || from.Index >= caller.N || req.Responder < 0 || req.Responder >= v.svc.N {
 		return
 	}
 	digest := req.Digest()
@@ -796,11 +799,11 @@ func (v *voter) handlePayloadFetch(from auth.NodeID, pf *PayloadFetch) {
 // attach bytes to a digest it never computed, or every caller would
 // reject the bundle.
 func (v *voter) acceptShare(fromIndex int, rs *ReplyShare, own bool) {
-	if fromIndex < 0 {
+	if fromIndex < 0 || fromIndex >= v.svc.N {
 		return
 	}
 	v.apply(&reqEvent{kind: inShare, share: *rs, from: fromIndex, bound: own || ReplyDigest(rs.ReqID, rs.Payload) == rs.Digest,
-		groupN: v.svc.N, f: v.svc.F(), quorum: v.svc.Quorum(), epoch: v.memEpoch.Load()})
+		epoch: v.memEpoch.Load()})
 }
 
 // handleResultForward implements stage 7-8 on the calling side: a

@@ -117,6 +117,12 @@ func TestVoterRejectsMalformedExternalRequests(t *testing.T) {
 	if len(v.reqs.recs) != 0 {
 		t.Error("request without id was counted")
 	}
+	// An id that names another caller: a record's votes, sized by its
+	// caller's N, must all come from that one group.
+	v.handleExternalRequest(driver, signedRequest(t, stores, 0, "t:1", []byte("p"), 1))
+	if len(v.reqs.recs) != 0 {
+		t.Error("request under another caller's id was counted")
+	}
 	// The genuine request is counted (once per driver).
 	v.handleExternalRequest(driver, good)
 	if len(v.reqs.recs) != 1 {
@@ -190,6 +196,16 @@ func TestAcceptShareRejectsForgedPayloads(t *testing.T) {
 	}
 	if !sc.sent {
 		t.Error("bundle not assembled at f+1 matching digests")
+	}
+}
+
+// TestAcceptShareRejectsIndexPastGroup: share slots are sized by the
+// group's N, so a share attributed to an index past it opens nothing.
+func TestAcceptShareRejectsIndexPastGroup(t *testing.T) {
+	v, _, _ := newBareVoter(t)
+	v.acceptShare(4, &ReplyShare{ReqID: "c:9", Caller: "c", Digest: ReplyDigest("c:9", nil), Share: Share{Replica: 4}}, false)
+	if len(v.reqs.recs) != 0 {
+		t.Fatal("a share from an index past the group was collected")
 	}
 }
 

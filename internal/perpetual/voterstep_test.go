@@ -72,7 +72,7 @@ func TestVoterStep(t *testing.T) {
 		if bound {
 			rs.Payload = []byte(payload)
 		}
-		return reqEvent{kind: inShare, share: rs, from: from, bound: bound, groupN: 4, f: 1, quorum: 3}
+		return reqEvent{kind: inShare, share: rs, from: from, bound: bound}
 	}
 	tent := func(i int) Share { return Share{Replica: i, Tentative: true} }
 	stable := func(i int) Share { return Share{Replica: i} }
@@ -172,13 +172,6 @@ func TestVoterStep(t *testing.T) {
 				return r != nil && !r.collecting && r.drivers == nil && !r.proposed && r.on == &tb.waiting &&
 					r.slots[1].have && tb.collecting.n == 1 && tb.recs["c:8"].collecting
 			},
-		},
-		{
-			name: "a caller group that grew mid-vote widens the vote",
-			evs: []reqEvent{cp(0, "p"), with(cp(4, "p"), func(ev *reqEvent) { ev.callerN = 5 }),
-				with(cp(1, "q"), func(ev *reqEvent) { ev.callerN = 5 })},
-			want:  [][]reqAction{nil, propose("p", 0, 4), nil},
-			check: func(_ *reqTable, r *inReq) bool { return len(r.drivers) == 5 && r.proposed },
 		},
 		{
 			name:  "a copy on a share-only record starts collecting and keeps the slots",
@@ -347,14 +340,6 @@ func TestVoterStep(t *testing.T) {
 			want:  [][]reqAction{nil, nil, fetch(1, 2), nil, bundle("ok", stable(1), stable(2), stable(3))},
 			check: func(_ *reqTable, r *inReq) bool { return r.fetched && r.sent },
 		},
-		{
-			name: "a group that grew mid-vote widens the share slots",
-			evs: []reqEvent{with(share(4, "ok", false, false), func(ev *reqEvent) {
-				ev.groupN, ev.f, ev.quorum = 5, 1, 4
-			})},
-			want:  [][]reqAction{nil},
-			check: func(_ *reqTable, r *inReq) bool { return len(r.slots) == 5 && r.slots[4].have },
-		},
 
 		// Payload fetches.
 		{
@@ -427,7 +412,7 @@ func TestVoterStep(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var tb reqTable
-			tb.init(0)
+			tb.init(0, ServiceInfo{Name: "t", N: 4})
 			if row.intake > 0 {
 				tb.maxIntake = row.intake
 			}

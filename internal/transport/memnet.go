@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"perpetualws/internal/auth"
+	"perpetualws/internal/inbox"
 )
 
 // Network is an in-process message network connecting many principals.
@@ -108,9 +109,10 @@ func NewNetwork(opts ...NetworkOption) *Network {
 	return n
 }
 
-// portQueueDepth bounds each port's inbound queue. BFT protocols
-// retransmit, so dropping under overload is safe; blocking the sender
-// would couple replica speeds and can deadlock in-process tests.
+// portQueueDepth bounds the frames waiting in each port's inbound queue,
+// not the batch its pump holds. BFT protocols retransmit, so dropping
+// under overload is safe; blocking the sender would couple replica
+// speeds and can deadlock in-process tests.
 const portQueueDepth = 8192
 
 // Port creates (or returns) the connection endpoint for id.
@@ -127,8 +129,7 @@ func (n *Network) Port(id auth.NodeID) *Port {
 	p := &Port{
 		net:   n,
 		id:    id,
-		inbox: make(chan []byte, portQueueDepth),
-		done:  make(chan struct{}),
+		inbox: inbox.New[[]byte](portQueueDepth),
 		ready: make(chan struct{}),
 	}
 	go p.pump()
@@ -218,12 +219,13 @@ func (n *Network) deliver(from, to auth.NodeID, frame []byte) error {
 }
 
 // Port is one principal's endpoint on a Network. It implements
-// Connection. Send and the delivery pump read only atomics — the mutex
-// guards the ready-gate bookkeeping of SetHandler/Close.
+// Connection. Send and the delivery pump share only atomics and the
+// inbound queue — the mutex guards the ready-gate bookkeeping of
+// SetHandler/Close.
 type Port struct {
 	net   *Network
 	id    auth.NodeID
-	inbox chan []byte
+	inbox *inbox.Queue[[]byte]
 
 	closed  atomic.Bool
 	handler atomic.Pointer[func(frame []byte)]
@@ -231,7 +233,6 @@ type Port struct {
 	mu        sync.Mutex
 	readyDone bool          // ready has been closed
 	ready     chan struct{} // closed once handler is set (or port closed)
-	done      chan struct{}
 }
 
 var (
@@ -282,30 +283,24 @@ func (p *Port) Close() error {
 		close(p.ready) // release the pump
 	}
 	p.mu.Unlock()
-	close(p.done)
+	p.inbox.Close()
 	return nil
 }
 
+// enqueue queues frame for the pump, or drops it on a closed port or a
+// full queue (see portQueueDepth).
 func (p *Port) enqueue(frame []byte) {
-	select {
-	case p.inbox <- frame:
-	case <-p.done:
-		putFrameBuf(frame)
-	default:
-		// Queue full: drop. See portQueueDepth.
+	if !p.inbox.Put(frame, true) {
 		putFrameBuf(frame)
 	}
 }
 
+// pump hands each queued frame to the handler, a batch per wake, once
+// the handler is set.
 func (p *Port) pump() {
-	select {
-	case <-p.ready:
-	case <-p.done:
-		return
-	}
-	for {
-		select {
-		case frame := <-p.inbox:
+	<-p.ready
+	for batch, ok := [][]byte(nil), true; ok; batch, ok = p.inbox.Take(batch) {
+		for _, frame := range batch {
 			if p.closed.Load() {
 				return
 			}
@@ -313,8 +308,6 @@ func (p *Port) pump() {
 				(*h)(frame)
 			}
 			putFrameBuf(frame) // frames are call-scoped (Connection.SetHandler)
-		case <-p.done:
-			return
 		}
 	}
 }
