@@ -11,9 +11,8 @@
 // separate benchmark/ module (`go run -C benchmark .`), whose workloads
 // and metrics BENCHMARK.json declares.
 //
-// Beyond the paper, services shard across independent voter groups
-// (rendezvous-hash key routing; the shard count is fixed at deployment,
-// see examples/sharded), and a voter group can replace a member's
+// As in the paper, each service is one voter group of N = 3f+1
+// replicas. Beyond the paper, a voter group can replace a member's
 // incarnation through agreed epochs (proactive recovery; a group's size
 // is fixed at deployment). The TCP transport is a
 // production-grade asynchronous per-link pipeline (bounded per-peer
@@ -25,7 +24,7 @@
 //
 // Requests travel a two-tier path: operations declared read-only (the
 // browse pages of the TPC-W store) are multicast by the driver to the
-// owning shard's replicas, executed speculatively against last-stable
+// target group's replicas, executed speculatively against last-stable
 // state, and accepted on f_t+1 matching digest endorsements with
 // per-session leases guaranteeing read-your-writes and monotonic
 // reads — no agreement rounds. Commits, and any read that fails to

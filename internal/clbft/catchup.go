@@ -55,7 +55,14 @@ func (r *Replica) onFetch(from int, f *Fetch) {
 	if f == nil || f.Replica != from || f.To <= f.From {
 		return
 	}
-	if f.To > r.lastExec {
+	// History a certified checkpoint covers is verified by the fetcher
+	// against that checkpoint; anything else is served only as far as it
+	// committed here, since a probe (onProbeReply) takes it on f+1 word.
+	limit := r.lastCommitted
+	if _, certified := r.certifiedCkpts[f.To]; certified {
+		limit = r.lastExec
+	}
+	if f.To > limit {
 		return // cannot serve what we have not executed
 	}
 	const maxFetchBatch = 4096
@@ -86,7 +93,8 @@ func (r *Replica) onFetchReply(from int, fr *FetchReply) {
 	}
 	want, certified := r.certifiedCkpts[fr.To]
 	if !certified {
-		return // no quorum digest to verify against
+		r.onProbeReply(from, fr) // no quorum digest to verify against
+		return
 	}
 	if uint64(len(fr.Ops)) != fr.To-fr.From {
 		return
@@ -131,5 +139,73 @@ func (r *Replica) onFetchReply(from int, fr *FetchReply) {
 			break
 		}
 	}
+	r.executeReady()
+}
+
+// peerVotedNext reports whether another replica has voted, in the
+// current view, on the sequence number this replica executes next: the
+// view is then making progress without it, or at worst its primary is
+// faulty and the probe costs one timeout.
+func (r *Replica) peerVotedNext() bool {
+	e, ok := r.log.at(r.lastExec + 1)
+	if !ok || e.view != r.view || e.executed {
+		return false
+	}
+	for i := 0; i < r.cfg.N; i++ {
+		if i == r.cfg.ID {
+			continue
+		}
+		if e.prepares[i].set || e.commits[i].set || (e.prePrepared && i == r.cfg.PrimaryOf(e.view)) {
+			return true
+		}
+	}
+	return false
+}
+
+// probe asks every peer for the request committed at the next sequence
+// number. A message dropped while that sequence number lay above this
+// replica's high watermark is never resent, so without the probe the
+// replica would wait for votes that cannot come and leave the view
+// alone.
+func (r *Replica) probe() {
+	r.probeSeq = r.lastExec + 1
+	r.probeReplies = make(map[int]Digest, len(r.others))
+	r.multicastOthers(&Message{Type: MsgFetch, Fetch: &Fetch{From: r.lastExec, To: r.probeSeq, Replica: r.cfg.ID}})
+}
+
+// onProbeReply counts a peer's answer to the probe. A peer serves only
+// requests it committed, so f+1 matching answers include a correct
+// replica's and prove the request committed at the probed sequence
+// number: the log entry there takes it as committed and executes
+// through the normal path. A null answer proves nothing — peers serve
+// a sequence number outside their cache as null.
+func (r *Replica) onProbeReply(from int, fr *FetchReply) {
+	if fr.To != r.probeSeq || len(fr.Ops) != 1 || fr.Ops[0].Seq != fr.To || r.inViewChange {
+		return
+	}
+	req := fr.Ops[0].Request
+	if req.IsNull() {
+		return
+	}
+	d := req.Digest()
+	r.probeReplies[from] = d
+	matching := 0
+	for _, got := range r.probeReplies {
+		if got == d {
+			matching++
+		}
+	}
+	if matching < r.cfg.WeakQuorum() {
+		return
+	}
+	e, ok := r.log.at(fr.To)
+	if !ok || e.view != r.view || (e.prePrepared && e.digest != d) {
+		return
+	}
+	r.logf("probe: %d peers report %d committed", matching, fr.To)
+	if !e.prePrepared {
+		r.log.prePrepare(e, &req, d, carriedOps(&req))
+	}
+	e.prepared, e.committed = true, true
 	r.executeReady()
 }

@@ -152,6 +152,12 @@ type Replica struct {
 	viewChanges  map[uint64]map[int]*ViewChange
 	vcTimeout    time.Duration
 
+	// probeSeq is the sequence number this replica last probed its
+	// peers for before suspecting the primary, and probeReplies the
+	// request digest each peer reported committed there (see probe).
+	probeSeq     uint64
+	probeReplies map[int]Digest
+
 	// Membership barrier state (see bootstrap.go): haltAt is the
 	// sequence number of an executed barrier operation — execution never
 	// advances past it, and haltHook fires once when it commits.
@@ -1185,6 +1191,15 @@ func (r *Replica) onSuspect() {
 			continue
 		}
 		r.multicastOthers(&Message{Type: MsgRequest, Request: p.req})
+	}
+	// A replica that lacks the next sequence number while a peer votes
+	// on it in this view has most likely missed messages, not been let
+	// down by the primary: ask the peers once per sequence number and
+	// give them one more timeout before suspecting.
+	if !r.inViewChange && r.probeSeq != r.lastExec+1 && r.peerVotedNext() {
+		r.probe()
+		r.arm(timerSuspect, r.vcTimeout)
+		return
 	}
 	// The primary did not order our pending requests (or the view change
 	// did not complete) in time: suspect it and move on.

@@ -14,11 +14,6 @@ type ServiceDef struct {
 	// fault tolerance f; 1 for unreplicated endpoints).
 	Name string
 	N    int
-	// Shards deploys the service as that many independent voter groups
-	// of N replicas each, with requests routed by their routing key
-	// (wsengine Options.RoutingKey; payload digest by default). Each
-	// shard runs its own copy of App. 0 or 1 means unsharded.
-	Shards int
 	// App is the executor run on every replica; nil deploys a node
 	// whose MessageHandler is driven externally (clients, tests).
 	App Application
@@ -67,10 +62,10 @@ func NewCluster(master []byte, defs ...ServiceDef) (*Cluster, error) {
 func NewClusterOver(master []byte, kind perpetual.TransportKind, defs ...ServiceDef) (*Cluster, error) {
 	infos := make([]perpetual.ServiceInfo, 0, len(defs))
 	for _, d := range defs {
-		if d.Name == "" || d.N < 1 || d.Shards < 0 {
+		if d.Name == "" || d.N < 1 {
 			return nil, fmt.Errorf("perpetualws: invalid service definition %+v", d)
 		}
-		infos = append(infos, perpetual.ServiceInfo{Name: d.Name, N: d.N, Shards: d.Shards})
+		infos = append(infos, perpetual.ServiceInfo{Name: d.Name, N: d.N})
 	}
 	dep := perpetual.NewDeploymentOver(master, kind, infos...)
 	c := &Cluster{dep: dep, nodes: make(map[string][]*Node)}
@@ -81,22 +76,12 @@ func NewClusterOver(master []byte, kind perpetual.TransportKind, defs ...Service
 		return nil, err
 	}
 	for _, d := range defs {
-		info, err := dep.Registry.Lookup(d.Name)
-		if err != nil {
-			return nil, err
+		replicas := dep.Replicas(d.Name)
+		group := make([]*Node, len(replicas))
+		for i, r := range replicas {
+			group[i] = NewNode(r, nodeOptions(d.App, d.Options)...)
 		}
-		// One node group per concrete replica group: a sharded service
-		// gets a full set of nodes (each running its own App executor)
-		// per shard, keyed by the shard group's wire name.
-		for k := 0; k < info.ShardCount(); k++ {
-			groupName := info.Shard(k).Name
-			replicas := dep.Replicas(groupName)
-			group := make([]*Node, len(replicas))
-			for i, r := range replicas {
-				group[i] = NewNode(r, nodeOptions(d.App, d.Options)...)
-			}
-			c.nodes[groupName] = group
-		}
+		c.nodes[d.Name] = group
 	}
 	return c, nil
 }
@@ -140,26 +125,6 @@ func (c *Cluster) Node(service string, i int) *Node {
 // Nodes returns all replicas of a service.
 func (c *Cluster) Nodes(service string) []*Node {
 	return c.nodes[service]
-}
-
-// ShardNode returns replica i of shard k of a service; for an unsharded
-// service, shard 0 is its only group.
-func (c *Cluster) ShardNode(service string, k, i int) *Node {
-	info, err := c.dep.Registry.Lookup(service)
-	if err != nil || k < 0 || k >= info.ShardCount() {
-		return nil
-	}
-	return c.Node(info.Shard(k).Name, i)
-}
-
-// ShardHandler returns the MessageHandler of replica i of shard k of a
-// service.
-func (c *Cluster) ShardHandler(service string, k, i int) MessageHandler {
-	n := c.ShardNode(service, k, i)
-	if n == nil {
-		return nil
-	}
-	return n.Handler()
 }
 
 // Handler returns the MessageHandler of replica i of a service, the

@@ -300,7 +300,7 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 	// (the PerpetualListener), which is what keeps the agreed request/
 	// reply interleaving intact for deterministic executors. Declared
 	// reads take the session-tier fast path: sent to f+1 replicas of the
-	// owning shard group (the rest only if those cannot certify),
+	// target group (the rest only if those cannot certify),
 	// answered by f+1 matching speculative endorsements, with
 	// deterministic fallback to agreement. A SendReceive's reply may
 	// take the reply fast path and reach the pump outside agreed order;
@@ -308,7 +308,6 @@ func (s *perpetualSender) Send(mc *wsengine.MessageContext) error {
 	_, blocking := mc.Property(propBlocking)
 	res, err := drv.Do(context.Background(), perpetual.Request{
 		Target:   target,
-		Key:      []byte(mc.Options.RoutingKey),
 		Payload:  payload,
 		Read:     mc.Options.ReadOnly,
 		Timeout:  mc.Options.Timeout(),

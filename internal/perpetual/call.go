@@ -7,8 +7,8 @@ import (
 	"perpetualws/internal/auth"
 )
 
-// call is one request this driver issued and awaits: an ordinary call, a
-// shard fan-out leg, or a fast-path read. How it settles is decided by
+// call is one request this driver issued and awaits: an ordinary call or
+// a fast-path read. How it settles is decided by
 // step alone; the executor (Driver.run) owns its due times and performs
 // what step asks for.
 type call struct {
@@ -26,8 +26,8 @@ type call struct {
 	// caller-side agreement ever orders its outcome.
 	fast     bool
 	blocking bool // Request.Blocking, copied onto the settled Reply
-	// silent marks a call its caller gave up on (ctx cancel, failed
-	// fan-out): it still settles, but its outcome never surfaces.
+	// silent marks a call its caller gave up on (ctx cancel): it still
+	// settles, but its outcome never surfaces.
 	silent bool
 	// sink is the outcome's one consumer, chosen at issue: the channel a
 	// waiting Do receives on, or nil for the agreed-order event queue.

@@ -150,7 +150,7 @@ func TestDoCancelReadFastPath(t *testing.T) {
 			errc := make(chan error, 1)
 			var reqID string
 			go func() {
-				res, err := drv.Do(ctx, Request{Target: "t", Key: []byte("k"), Payload: []byte("read"), Read: true})
+				res, err := drv.Do(ctx, Request{Target: "t", Payload: []byte("read"), Read: true})
 				reqID = res.ReqID
 				errc <- err
 			}()

@@ -3,7 +3,6 @@ package perpetual
 import (
 	"fmt"
 	"log"
-	"strings"
 	"sync"
 	"time"
 
@@ -156,26 +155,21 @@ func (d *Deployment) Configure(service string, opts ServiceOptions) {
 	d.options[service] = opts
 }
 
-// Build assembles every replica of every registered service: for a
-// sharded service, one full replica group per shard. Per-service options
-// (including Behaviors) apply to each of its shard groups identically.
+// Build assembles every replica of every registered service, one voter
+// group per service, under that service's options (Behaviors included).
 func (d *Deployment) Build() error {
 	principals := d.Registry.AllPrincipals()
 	for _, svc := range d.Registry.Services() {
 		if err := validateServiceName(svc.Name); err != nil {
 			return err
 		}
-		opts := d.options[svc.Name]
-		for k := 0; k < svc.ShardCount(); k++ {
-			g := svc.Shard(k)
-			group, err := d.buildGroup(g, opts, principals)
-			if err != nil {
-				return err
-			}
-			d.mu.Lock()
-			d.replicas[g.Name] = group
-			d.mu.Unlock()
+		group, err := d.buildGroup(svc, d.options[svc.Name], principals)
+		if err != nil {
+			return err
 		}
+		d.mu.Lock()
+		d.replicas[svc.Name] = group
+		d.mu.Unlock()
 	}
 	return nil
 }
@@ -282,56 +276,26 @@ func (d *Deployment) NetStats() transport.TCPStatsSnapshot {
 }
 
 // OverloadStats aggregates the voter-side admission counters of every
-// replica of a service (all shard groups included) — the group-level
-// accounting the overload sweep tests assert against: offered =
-// admitted + shed + expired.
+// replica of a service — the group-level accounting the overload sweep
+// tests assert against: offered = admitted + shed + expired.
 func (d *Deployment) OverloadStats(service string) OverloadStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	var total OverloadStats
-	for name, group := range d.replicas {
-		if name != service && !strings.HasPrefix(name, service+"#") {
-			continue
-		}
-		for _, r := range group {
-			s := r.OverloadStats()
-			total.ShedIntake += s.ShedIntake
-			total.ShedProposer += s.ShedProposer
-			total.ShedReads += s.ShedReads
-			total.ExpiredDrops += s.ExpiredDrops
-			total.SuppressedReplies += s.SuppressedReplies
-		}
+	for _, r := range d.Replicas(service) {
+		s := r.OverloadStats()
+		total.ShedIntake += s.ShedIntake
+		total.ShedProposer += s.ShedProposer
+		total.ShedReads += s.ShedReads
+		total.ExpiredDrops += s.ExpiredDrops
+		total.SuppressedReplies += s.SuppressedReplies
 	}
 	return total
 }
 
-// Replicas returns the replica group of a service (or of one shard
-// group, when addressed by its "name#k" wire name). For the parent name
-// of a sharded service use ShardReplicas.
+// Replicas returns the replica group of a service.
 func (d *Deployment) Replicas(service string) []*Replica {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.replicas[service]
-}
-
-// ShardReplicas returns the replica group of shard k of a service. For
-// an unsharded service, shard 0 is the service's only group.
-func (d *Deployment) ShardReplicas(service string, k int) []*Replica {
-	svc, err := d.Registry.Lookup(service)
-	if err != nil || k < 0 || k >= svc.ShardCount() {
-		return nil
-	}
-	return d.Replicas(svc.Shard(k).Name)
-}
-
-// ShardDrivers returns all drivers of shard k of a service.
-func (d *Deployment) ShardDrivers(service string, k int) []*Driver {
-	group := d.ShardReplicas(service, k)
-	out := make([]*Driver, len(group))
-	for i, r := range group {
-		out[i] = r.Driver()
-	}
-	return out
 }
 
 // TransportStats aggregates the traffic counters of every replica of

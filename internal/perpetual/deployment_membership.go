@@ -31,7 +31,6 @@ package perpetual
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"perpetualws/internal/auth"
@@ -52,7 +51,7 @@ const membershipHaltWait = 5 * time.Second
 // GroupStatus is one voter group's membership state, as reported by
 // Deployment.MembershipStatus.
 type GroupStatus struct {
-	// Group is the concrete group name ("store", "store#2").
+	// Group is the group's service name ("store").
 	Group string
 	// Epoch is the installed membership epoch (0 = original roster).
 	Epoch uint64
@@ -210,7 +209,7 @@ func (d *Deployment) onMembership(mc *MembershipChange, seq uint64, state clbft.
 	if len(group) == 0 {
 		return
 	}
-	opts := d.options[baseService(mc.Group)]
+	opts := d.options[mc.Group]
 	logf := func(format string, args ...any) {
 		if opts.Logger != nil {
 			opts.Logger.Printf("deployment[%s]: "+format, append([]any{mc.Group}, args...)...)
@@ -324,13 +323,4 @@ func (d *Deployment) buildIncarnation(mc *MembershipChange, seq uint64, state cl
 	}
 	r.rotateEpochKeys(d.master, mc.Group, mc.NewEpoch, principals)
 	return r, nil
-}
-
-// baseService strips a concrete shard-group name ("store#2") back to
-// its configured service name ("store").
-func baseService(group string) string {
-	if i := strings.IndexByte(group, '#'); i >= 0 {
-		return group[:i]
-	}
-	return group
 }

@@ -2,36 +2,25 @@ package perpetual
 
 import (
 	"context"
-	"crypto/sha256"
 	"time"
 )
 
 // The call surface: Do is the one entry point every request flavor —
-// keyed agreement calls, session-tier reads, shard fan-outs — issues
-// through, with cancellation and deadlines carried by a context.Context.
+// agreement calls and session-tier reads — issues through, with
+// cancellation and deadlines carried by a context.Context.
 
 // Request describes one call issued through Do.
 type Request struct {
-	// Target is the logical service name ("store"), or a concrete shard
-	// group name ("store#2") to pin a specific group.
+	// Target is the service name ("store"): one voter group.
 	Target string
-	// Key routes a sharded target: every replica maps the same key to the
-	// same shard group. Empty falls back to the payload digest. Ignored
-	// for unsharded targets.
-	Key []byte
 	// Payload is the application request body.
 	Payload []byte
 	// Read routes the request through the session-tier read fast path
 	// (see Driver.issueRead for its semantics). The request must be
 	// read-only; divergence deterministically falls back to agreement.
 	Read bool
-	// AllShards fans the request out to every shard of a sharded target
-	// (one independent request per shard, in shard order). The Result
-	// carries the per-shard request ids, plus the per-shard replies
-	// unless NoWait is set.
-	AllShards bool
 	// NoWait issues the request without waiting: the Result carries only
-	// the request id(s), and the agreed reply is delivered through the
+	// the request id, and the agreed reply is delivered through the
 	// driver's event queue (NextEvent/WaitReply) as before. This is the
 	// mode the asynchronous engine pump uses.
 	NoWait bool
@@ -56,15 +45,9 @@ type Request struct {
 type Result struct {
 	// ReqID is the issued request id.
 	ReqID string
-	// Payload and Aborted mirror the agreed Reply (blocking, non-fan-out
-	// calls only).
+	// Payload and Aborted mirror the agreed Reply (blocking calls only).
 	Payload []byte
 	Aborted bool
-	// ShardIDs are the per-shard request ids of an AllShards fan-out.
-	ShardIDs []string
-	// Shards are the per-shard agreed replies of a blocking AllShards
-	// fan-out, in shard order.
-	Shards []Reply
 }
 
 // Do issues one request and, unless req.NoWait, waits for its agreed
@@ -92,89 +75,49 @@ func (d *Driver) Do(ctx context.Context, req Request) (Result, error) {
 			}
 		}
 	}
-	switch {
-	case req.AllShards:
-		ids, sinks, err := d.fanAllShards(req.Target, req.Payload, timeout, !req.NoWait)
-		if err != nil {
-			return Result{}, err
-		}
-		res := Result{ShardIDs: ids}
-		if req.NoWait {
-			return res, nil
-		}
-		res.Shards = make([]Reply, len(ids))
-		for i, id := range ids {
-			r, err := d.await(ctx, id, sinks[i])
-			if err != nil {
-				// await canceled id on a ctx error; cancel the legs not yet
-				// waited on the same way.
-				for _, rest := range ids[i+1:] {
-					d.cancelRequest(rest)
-				}
-				return res, err
-			}
-			res.Shards[i] = r
-		}
-		return res, nil
-	default:
-		var sink chan Reply
-		if !req.NoWait {
-			sink = make(chan Reply, 1)
-		}
-		issue := d.issueCall
-		if req.Read {
-			issue = d.issueRead
-		}
-		id, err := issue(req.Target, req.Key, req.Payload, timeout, req.Blocking || !req.NoWait, sink)
-		if err != nil {
-			return Result{}, err
-		}
-		if req.NoWait {
-			return Result{ReqID: id}, nil
-		}
-		r, err := d.await(ctx, id, sink)
-		if err != nil {
-			return Result{ReqID: id}, err
-		}
-		if r.Overloaded {
-			// f_t+1 distinct target voters refused the request (see
-			// Driver.handleBusy); surface the shed as a typed error so
-			// RetryPolicy (and callers) can back off deliberately.
-			return Result{ReqID: id, Aborted: true}, &OverloadError{
-				RetryAfter: time.Duration(r.RetryAfterMillis) * time.Millisecond,
-				Expired:    r.Expired,
-			}
-		}
-		return Result{ReqID: id, Payload: r.Payload, Aborted: r.Aborted}, nil
+	tinfo, err := d.registry.Lookup(req.Target)
+	if err != nil {
+		return Result{}, err
 	}
+	var sink chan Reply
+	if !req.NoWait {
+		sink = make(chan Reply, 1)
+	}
+	issue := d.issueCall
+	if req.Read {
+		issue = d.issueRead
+	}
+	id, err := issue(tinfo, req.Payload, timeout, req.Blocking || !req.NoWait, sink)
+	if err != nil {
+		return Result{}, err
+	}
+	if req.NoWait {
+		return Result{ReqID: id}, nil
+	}
+	r, err := d.await(ctx, id, sink)
+	if err != nil {
+		return Result{ReqID: id}, err
+	}
+	if r.Overloaded {
+		// f_t+1 distinct target voters refused the request (see
+		// Driver.handleBusy); surface the shed as a typed error so
+		// RetryPolicy (and callers) can back off deliberately.
+		return Result{ReqID: id, Aborted: true}, &OverloadError{
+			RetryAfter: time.Duration(r.RetryAfterMillis) * time.Millisecond,
+			Expired:    r.Expired,
+		}
+	}
+	return Result{ReqID: id, Payload: r.Payload, Aborted: r.Aborted}, nil
 }
 
-// issueCall resolves the target (routing a sharded one by key) and
-// issues one agreement-path request, returning its id without waiting;
-// sink is its outcome's consumer (see call.sink).
-func (d *Driver) issueCall(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
-	tinfo, err := d.resolveShard(target, key, payload)
-	if err != nil {
-		return "", err
-	}
+// issueCall issues one agreement-path request to the target group,
+// returning its id without waiting; sink is its outcome's consumer (see
+// call.sink).
+func (d *Driver) issueCall(tinfo ServiceInfo, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
 	return d.startRequest(tinfo, &call{
 		payload: payload, timeout: timeout, sink: sink,
 		blocking: blocking, fast: d.fastPath(blocking, timeout),
 	})
-}
-
-// resolveShard looks the target up and routes a sharded one to the shard
-// group its key (or, without a key, its payload digest) maps to.
-func (d *Driver) resolveShard(target string, key, payload []byte) (ServiceInfo, error) {
-	tinfo, err := d.registry.Lookup(target)
-	if err != nil || !tinfo.IsSharded() {
-		return tinfo, err
-	}
-	if len(key) == 0 {
-		digest := sha256.Sum256(payload)
-		key = digest[:]
-	}
-	return tinfo.Shard(ShardFor(key, tinfo.Shards)), nil
 }
 
 // await blocks until the outcome of reqID reaches sink, the consumer

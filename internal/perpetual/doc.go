@@ -47,23 +47,23 @@
 // calling replicas cannot inject a fabricated reply.
 //
 // Call surface: Driver.Do(ctx, Request) is the single entry point for
-// every request flavor — keyed agreement calls, session-tier reads,
-// shard fan-outs — with cancellation and deadlines carried by a
-// context.Context. How a call settles — a session-tier read included,
-// through its widening and its fallback to agreement — is one pure
-// decision function, step (call.go), that the driver executes. A
-// canceled call is settled, not abandoned: it is aborted (locally on the
-// reply and read fast paths, group-wide otherwise) and its outcome never
-// surfaces as an orphan event.
+// every request flavor — agreement calls and session-tier reads — with
+// cancellation and deadlines carried by a context.Context. How a call
+// settles — a session-tier read included, through its widening and its
+// fallback to agreement — is one pure decision function, step
+// (call.go), that the driver executes. A canceled call is settled, not
+// abandoned: it is aborted (locally on the reply and read fast paths,
+// group-wide otherwise) and its outcome never surfaces as an orphan
+// event.
 //
-// Execution parallelism: independent voter groups share no locks on the
-// per-frame path, so at GOMAXPROCS>1 shard groups run as parallel
-// agreement pipelines. The registry is a map built once and never
-// written; the key store publishes copy-on-write snapshots. Routing,
-// delivery, and MAC signing read both lock-free;
-// transport counters are striped across padded cache lines; multicast
-// MAC signing fans out across cores. See DESIGN.md "Execution
-// parallelism (PR 9)" for the lock inventory.
+// Execution parallelism: the tiers of an n-tier deployment are
+// independent voter groups that share no locks on the per-frame path,
+// so at GOMAXPROCS>1 they run as parallel agreement pipelines. The
+// registry is a map built once and never written; the key store
+// publishes copy-on-write snapshots. Routing, delivery, and MAC signing
+// read both lock-free; transport counters are striped across padded
+// cache lines; multicast MAC signing fans out across cores. See
+// DESIGN.md "Execution parallelism (PR 9)" for the lock inventory.
 //
 // Overload control: every stage of the request path is bounded, and
 // every refusal is deterministic. A ctx deadline is stamped into the
@@ -98,7 +98,6 @@
 // fencing departed incarnations deterministically. Reply bundles carry
 // their Epoch inside the MAC'd reply message. Deployment.ReplaceReplica
 // exposes this as the proactive-recovery step. The donated checkpoint
-// (clbft.Replica.ExportBootstrap) is the package's one state transfer: a
-// sharded service's shard count is fixed at deployment, and no state
-// moves between shard groups.
+// (clbft.Replica.ExportBootstrap) is the package's one state transfer:
+// no state moves between voter groups.
 package perpetual

@@ -229,6 +229,21 @@ func newDriver(svc ServiceInfo, index int, reg *Registry, adapter *transport.Cha
 	return d
 }
 
+// fnv64a is the 64-bit FNV-1a hash that seeds a driver's retransmit
+// jitter from its service name.
+func fnv64a(data []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var h uint64 = offset64
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return h
+}
+
 // acquireSlot claims an in-flight window slot toward target, failing
 // when the window is full (caller holds d.mu). With no window configured
 // it reports success without accounting, so the gauge costs nothing.
@@ -365,38 +380,6 @@ func (d *Driver) forward(b *ReplyBundle) {
 		d.logf("result forward for %s: %v", b.ReqID, err)
 	}
 	w.Free()
-}
-
-// fanAllShards issues one independent request per shard of a sharded
-// target, in shard order (the AllShards arm of Do), with a sink per leg
-// when Do waits for them. A mid-fan-out error cancels the legs already
-// issued (every replica fails the same shard the same way), so no
-// request is left outstanding with timers running, and their outcomes
-// never surface: the application only learns the error, so replies to
-// ids it never learned would sit in the event queue unconsumable.
-func (d *Driver) fanAllShards(target string, payload []byte, timeout time.Duration, wait bool) ([]string, []chan Reply, error) {
-	tinfo, err := d.registry.Lookup(target)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := make([]string, 0, tinfo.ShardCount())
-	var sinks []chan Reply
-	for k := 0; k < tinfo.ShardCount(); k++ {
-		c := &call{payload: payload, timeout: timeout, fast: d.fastPath(false, timeout)}
-		if wait {
-			c.sink = make(chan Reply, 1)
-			sinks = append(sinks, c.sink)
-		}
-		id, err := d.startRequest(tinfo.Shard(k), c)
-		if err != nil {
-			for _, issued := range ids {
-				d.cancelRequest(issued)
-			}
-			return nil, nil, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, sinks, nil
 }
 
 // fastPath is the reply fast-path rule, decided once per call at issue
@@ -829,10 +812,10 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 	d.logf("retransmitted %s (attempt %d, responder %d)", c.id, attempt, responder)
 }
 
-// issueRead resolves and issues one fast-path read (the Read arm of
-// Do), returning its id without waiting; sink is its consumer (see
-// call.sink). The read skips agreement: it goes to f_t+1 replicas of the
-// owning shard group — the designated responder and f partners — and
+// issueRead issues one fast-path read (the Read arm of Do), returning
+// its id without waiting; sink is its consumer (see call.sink). The read
+// skips agreement: it goes to f_t+1 replicas of the target group — the
+// designated responder and f partners — and
 // certifies on f_t+1 matching digest endorsements at or above the
 // session's lease (readFloor). Otherwise it asks the rest of the group
 // once, and then deterministically falls back to agreement as the same
@@ -840,11 +823,7 @@ func (d *Driver) resend(c *call, tinfo ServiceInfo, attempt, responder int) {
 // uncertified one. A replicated caller (N > 1) takes the agreement path
 // directly, since fast replies could not reach its replicas
 // deterministically; blocking is Do's fastPath input for that call.
-func (d *Driver) issueRead(target string, key, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
-	tinfo, err := d.resolveShard(target, key, payload)
-	if err != nil {
-		return "", err
-	}
+func (d *Driver) issueRead(tinfo ServiceInfo, payload []byte, timeout time.Duration, blocking bool, sink chan Reply) (string, error) {
 	c := &call{payload: payload, timeout: timeout, blocking: blocking, fast: d.fastPath(blocking, timeout), sink: sink}
 	if d.svc.N > 1 {
 		return d.startRequest(tinfo, c)

@@ -89,77 +89,6 @@ func TestCallAuthenticatorFailureLeavesNothingOutstanding(t *testing.T) {
 	}
 }
 
-func TestCallAllShardsAbortsIssuedOnMidFanOutError(t *testing.T) {
-	// Regression: a mid-fan-out error used to return partial IDs and
-	// leave the earlier shards' requests outstanding with retransmit
-	// timers running. Now the issued requests are settled with
-	// deterministic aborts and the error is returned alone — and the
-	// aborts never surface as application events: the application only
-	// learns the error, not the per-shard ids, so replies for those ids
-	// would sit in the event queue unconsumable.
-	// Driver c/0's registry declares a third shard past the two
-	// deployed: shard 2 has no provisioned keys and fails buildRequest
-	// mid-fan-out.
-	dep := startDeclaring(t, []ServiceInfo{{Name: "c", N: 1}, {Name: "t", N: 1, Shards: 2}},
-		ServiceInfo{Name: "t", N: 1, Shards: 3})
-	// Echo executors on the deployed shards answer the later probe.
-	for k := 0; k < 2; k++ {
-		for _, sdrv := range dep.ShardDrivers("t", k) {
-			sdrv := sdrv
-			go func() {
-				for {
-					req, err := sdrv.NextRequest()
-					if err != nil {
-						return
-					}
-					if err := sdrv.Reply(req, append([]byte("echo:"), req.Payload...)); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}
-	drv := dep.Driver("c", 0)
-	ids, err := issueAll(drv, Request{Target: "t", Payload: []byte("bcast"), AllShards: true})
-	if err == nil {
-		t.Fatal("AllShards Do against keyless shard succeeded")
-	}
-	if ids != nil {
-		t.Errorf("partial ids returned alongside error: %v", ids)
-	}
-	// Both issued requests settle internally as deterministic aborts.
-	deadline := time.Now().Add(10 * time.Second)
-	for drv.Outstanding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Outstanding after aborted fan-out = %d, want 0", drv.Outstanding())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// The suppressed aborts must not surface: the next reply the
-	// application sees is the probe's echo, not a stray abort. (The
-	// echo replies to "bcast" were suppressed with their requests; only
-	// the probe below reaches the shards as an application request.)
-	var probeKey []byte
-	for i := 0; ; i++ {
-		cand := []byte(fmt.Sprintf("probe-%d", i))
-		if ShardFor(cand, 3) == 0 {
-			probeKey = cand
-			break
-		}
-	}
-	probeID, err := issue(drv, Request{Target: "t", Key: probeKey, Payload: []byte("probe")})
-	if err != nil {
-		t.Fatalf("probe keyed Do: %v", err)
-	}
-	r, err := drv.NextReply()
-	if err != nil {
-		t.Fatalf("NextReply: %v", err)
-	}
-	if r.ReqID != probeID || r.Aborted || string(r.Payload) != "echo:probe" {
-		t.Errorf("first visible reply = %+v, want probe echo %s", r, probeID)
-	}
-}
-
 func TestReplySeenWindowSurvivesOverflow(t *testing.T) {
 	// Regression: the reply dedup set used to be wholesale-reset when it
 	// grew past its bound, reopening the duplicate window for every

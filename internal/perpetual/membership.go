@@ -61,8 +61,7 @@ func parseMembershipOpID(opID string) (epoch uint64, ok bool) {
 // bootstraps from the install point via catch-up. This is the
 // proactive-recovery primitive; a group's size is fixed at deployment.
 type MembershipChange struct {
-	// Group names the concrete voter group changing ("store", or
-	// "store#2" for a shard group).
+	// Group names the voter group changing ("store").
 	Group string
 	// NewEpoch is the membership epoch this change installs; it must be
 	// exactly the group's current epoch + 1 (validated under agreement).

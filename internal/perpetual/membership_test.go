@@ -160,23 +160,22 @@ func TestMembershipReplaceUnderLoad(t *testing.T) {
 // fault.
 func TestOnlyBuiltGroupsTakeFaults(t *testing.T) {
 	faulty := func(r *Replica) bool { return r.voter.fault == (CorruptResultFault{}) }
-	dep := buildSharded(t, 1, 4, 2, func(dep *Deployment) {
+	dep := buildPair(t, 1, 4, func(dep *Deployment) {
 		opts := fastOpts()
 		opts.Behaviors = map[int]Behavior{1: CorruptResultFault{}, 3: CorruptResultFault{}}
 		dep.Configure("t", opts)
 	})
-	for k := 0; k < 2; k++ {
-		for i, r := range dep.ShardReplicas("t", k) {
-			if want := i == 1 || i == 3; faulty(r) != want {
-				t.Errorf("Build: shard %d replica %d faulty = %v, want %v", k, i, !want, want)
-			}
+	echoApp(t, dep, "t")
+	for i, r := range dep.Replicas("t") {
+		if want := i == 1 || i == 3; faulty(r) != want {
+			t.Errorf("Build: replica %d faulty = %v, want %v", i, !want, want)
 		}
 	}
 
-	if err := dep.ReplaceReplica("t#0", 3); err != nil {
+	if err := dep.ReplaceReplica("t", 3); err != nil {
 		t.Fatalf("ReplaceReplica: %v", err)
 	}
-	group := dep.Replicas("t#0")
+	group := dep.Replicas("t")
 	if faulty(group[3]) {
 		t.Error("ReplaceReplica: joiner in slot 3 is faulty")
 	}

@@ -39,7 +39,7 @@ const (
 	// payload from a voter that endorsed it.
 	KindPayloadFetch
 	// KindReadRequest is a session-tier read multicast from a calling
-	// driver directly to every voter of the owning shard, bypassing
+	// driver directly to every voter of the target group, bypassing
 	// agreement (the two-tier read fast path). Reads carry no
 	// authenticator: the pairwise channel MAC already proves the sending
 	// driver's identity, and a read cannot change replicated state.
@@ -216,7 +216,7 @@ type PayloadFetch struct {
 }
 
 // ReadRequest is a session-tier read shipped around agreement: the
-// calling driver multicasts it to every voter of the owning shard, which
+// calling driver multicasts it to every voter of the target group, which
 // execute it speculatively against last-executed state. MinSeq is the
 // session's lease, an agreement position (clbft.Delivery.Pos): a replica
 // whose state does not reflect it must answer Behind instead of serving
@@ -224,7 +224,7 @@ type PayloadFetch struct {
 type ReadRequest struct {
 	ReqID     string // reserved from the driver's ordinary id space
 	Caller    string // calling service name
-	Target    string // target (shard group) service name
+	Target    string // target service name
 	Responder int    // target voter index whose reply carries the payload
 	MinSeq    uint64 // the highest position the session wrote at or read
 	Payload   []byte

@@ -82,14 +82,6 @@ func issue(drv *Driver, req Request) (string, error) {
 	return res.ReqID, err
 }
 
-// issueAll is issue for an AllShards fan-out: it returns the per-shard
-// request ids.
-func issueAll(drv *Driver, req Request) ([]string, error) {
-	req.NoWait = true
-	res, err := drv.Do(context.Background(), req)
-	return res.ShardIDs, err
-}
-
 // callAll issues the same request from every caller driver (replicated
 // deterministic executors issue identical request sequences) and returns
 // the per-replica request IDs (all equal).

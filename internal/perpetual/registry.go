@@ -3,30 +3,25 @@ package perpetual
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"perpetualws/internal/auth"
 )
 
-// ServiceInfo describes one replicated service known to the deployment.
+// ServiceInfo describes one replicated service known to the deployment:
+// one voter group of N replicas, as in the paper.
 type ServiceInfo struct {
 	// Name uniquely identifies the service across the deployment. Names
-	// must not contain "#", which is reserved for shard group names.
+	// must not contain "/", which separates a node id's parts.
 	Name string
 	// N is the replica count; tolerating f faults requires N = 3f+1.
 	// Unreplicated endpoints use N = 1.
 	N int
-	// Shards splits the service into that many independent voter groups
-	// of N replicas each, with requests routed to exactly one shard by a
-	// deterministic hash of their routing key (see ShardFor). 0 or 1
-	// deploys the paper's single-group configuration. Each shard
-	// individually tolerates f = (N-1)/3 Byzantine replicas.
-	Shards int
 }
 
-// F returns the number of faults the service (each shard, if sharded)
-// tolerates.
+// F returns the number of faults the service tolerates.
 func (s ServiceInfo) F() int { return (s.N - 1) / 3 }
 
 // Quorum returns the group's agreement quorum size (2f+1 for the
@@ -35,26 +30,17 @@ func (s ServiceInfo) F() int { return (s.N - 1) / 3 }
 // survive any view change of the target group (see VerifyBundle).
 func (s ServiceInfo) Quorum() int { return (s.N+s.F())/2 + 1 }
 
-// IsSharded reports whether the service deploys more than one voter
-// group.
-func (s ServiceInfo) IsSharded() bool { return s.Shards > 1 }
-
-// ShardCount returns the number of voter groups the service deploys.
-func (s ServiceInfo) ShardCount() int {
-	if s.Shards > 1 {
-		return s.Shards
+// validateServiceName rejects declared names no node id can carry: the
+// empty name, and any name containing "/", on which auth.ParseNodeID
+// splits a node id (a voter of "a/b" would be parsed as group "a").
+func validateServiceName(name string) error {
+	if name == "" {
+		return fmt.Errorf("perpetual: empty service name")
 	}
-	return 1
-}
-
-// Shard returns the concrete group descriptor of shard k: the
-// ServiceInfo under which the shard's replicas are deployed and
-// addressed. An unsharded service is its own (only) shard.
-func (s ServiceInfo) Shard(k int) ServiceInfo {
-	if !s.IsSharded() {
-		return s
+	if strings.Contains(name, "/") {
+		return fmt.Errorf("perpetual: service name %q contains reserved separator %q", name, "/")
 	}
-	return ServiceInfo{Name: ShardGroupName(s.Name, k), N: s.N}
+	return nil
 }
 
 // VoterIDs returns the NodeIDs of the service's voter group. The slice
@@ -141,22 +127,16 @@ func NewRegistry(services ...ServiceInfo) *Registry {
 	return r
 }
 
-// Lookup resolves a service or shard group by name: "store" yields the
-// declared (possibly sharded) service; "store#2" yields the concrete
-// group descriptor of its third shard.
+// Lookup resolves a service by name.
 func (r *Registry) Lookup(name string) (ServiceInfo, error) {
 	if s, ok := r.services[name]; ok {
 		return s, nil
 	}
-	if base, k, ok := splitShardGroupName(name); ok {
-		if s, found := r.services[base]; found && s.IsSharded() && k < s.ShardCount() {
-			return s.Shard(k), nil
-		}
-	}
 	return ServiceInfo{}, fmt.Errorf("perpetual: unknown service %q", name)
 }
 
-// Services returns all registered services sorted by name.
+// Services returns all registered services sorted by name: the replica
+// groups Deployment.Build materializes.
 func (r *Registry) Services() []ServiceInfo {
 	out := make([]ServiceInfo, 0, len(r.services))
 	for _, s := range r.services {
@@ -166,25 +146,11 @@ func (r *Registry) Services() []ServiceInfo {
 	return out
 }
 
-// Groups returns every concrete replica group of the deployment sorted
-// by name: one per unsharded service plus one per shard of each sharded
-// service. This is what Deployment.Build materializes.
-func (r *Registry) Groups() []ServiceInfo {
-	var out []ServiceInfo
-	for _, s := range r.services {
-		for k := 0; k < s.ShardCount(); k++ {
-			out = append(out, s.Shard(k))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// AllPrincipals returns every voter and driver NodeID in the deployment
-// (every shard of every service), used to provision pairwise MAC keys.
+// AllPrincipals returns every voter and driver NodeID in the deployment,
+// used to provision pairwise MAC keys.
 func (r *Registry) AllPrincipals() []auth.NodeID {
 	var out []auth.NodeID
-	for _, g := range r.Groups() {
+	for _, g := range r.Services() {
 		out = append(out, g.VoterIDs()...)
 		out = append(out, g.DriverIDs()...)
 	}

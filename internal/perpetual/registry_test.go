@@ -2,6 +2,8 @@ package perpetual
 
 import (
 	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 
 	"perpetualws/internal/auth"
@@ -51,60 +53,13 @@ func TestRegistryLookup(t *testing.T) {
 	}
 }
 
-func TestRegistryLookupShardEdgeCases(t *testing.T) {
-	r := NewRegistry(
-		ServiceInfo{Name: "store", N: 4, Shards: 4},
-		ServiceInfo{Name: "plain", N: 1},
-	)
-	for _, tc := range []struct {
-		name     string
-		ok       bool
-		wantName string
-	}{
-		{"store", true, "store"},
-		{"store#0", true, "store#0"},
-		{"store#3", true, "store#3"},
-		{"store#99", false, ""},       // out of range
-		{"store#-1", false, ""},       // negative index never parses
-		{"store#", false, ""},         // trailing separator
-		{"#2", false, ""},             // empty base
-		{"a#b#2", false, ""},          // nested separator: base "a#b" unknown
-		{"plain#0", false, ""},        // shard of an unsharded service
-		{"store#01", true, "store#1"}, // Atoi accepts leading zero; canonical shard 1
-		{"store#x", false, ""},
-		{"", false, ""},
-	} {
-		got, err := r.Lookup(tc.name)
-		if tc.ok != (err == nil) {
-			t.Errorf("Lookup(%q) err = %v, want ok=%v", tc.name, err, tc.ok)
-			continue
-		}
-		if tc.ok && got.Name != tc.wantName {
-			t.Errorf("Lookup(%q) = %q, want %q", tc.name, got.Name, tc.wantName)
-		}
-	}
-}
-
-func TestSplitShardGroupNameEdgeCases(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		base string
-		k    int
-		ok   bool
-	}{
-		{"a#b#2", "a#b", 2, true}, // splits at the LAST separator
-		{"store#99", "store", 99, true},
-		{"store#-1", "", 0, false},
-		{"store#", "", 0, false},
-		{"#", "", 0, false},
-		{"##", "", 0, false},
-		{"store#1#", "", 0, false},
-		{"store#+1", "store", 1, true}, // Atoi accepts an explicit sign
-	} {
-		base, k, ok := splitShardGroupName(tc.name)
-		if base != tc.base || k != tc.k || ok != tc.ok {
-			t.Errorf("splitShardGroupName(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				tc.name, base, k, ok, tc.base, tc.k, tc.ok)
+// TestRejectsReservedServiceName: Build refuses a name no node id can
+// carry — empty, or containing the "/" that separates a node id's parts.
+func TestRejectsReservedServiceName(t *testing.T) {
+	for _, name := range []string{"", "a/b"} {
+		dep := NewDeployment([]byte("m"), ServiceInfo{Name: name, N: 1})
+		if err := dep.Build(); err == nil {
+			t.Errorf("Build accepted service name %q", name)
 		}
 	}
 }
@@ -170,6 +125,41 @@ func TestBoundedCacheDelete(t *testing.T) {
 	}
 	if !c.Contains("z") {
 		t.Error("latest key missing")
+	}
+}
+
+// TestBoundedCacheCompaction: Put/Delete cycles leave stale order slots
+// behind every deleted key; compaction keeps order within 2*max and
+// keeps FIFO order, so the oldest live key is still evicted first.
+func TestBoundedCacheCompaction(t *testing.T) {
+	c := newBoundedCache[int](2)
+	c.Put("live", 0)
+	compacted := false
+	for i := 0; i < 21; i++ {
+		k := fmt.Sprintf("tmp%d", i)
+		before := len(c.order)
+		c.Put(k, i)
+		c.Delete(k)
+		if len(c.order) <= before {
+			compacted = true
+		}
+		if len(c.order) > 2*c.max {
+			t.Fatalf("cycle %d: len(order) = %d, want <= %d", i, len(c.order), 2*c.max)
+		}
+	}
+	if !compacted {
+		t.Fatal("21 Put/Delete cycles never compacted order")
+	}
+	// Three stale slots now trail "live", so this Put compacts order
+	// with two live keys in it, and the next Put must evict the older.
+	c.Put("b", 1)
+	if want := []string{"live", "b"}; !slices.Equal(c.order, want) {
+		t.Fatalf("order after compaction = %v, want %v", c.order, want)
+	}
+	c.Put("c", 2) // evicts "live", the oldest live key
+	if c.Contains("live") || !c.Contains("b") || !c.Contains("c") {
+		t.Errorf("after compaction: live=%v b=%v c=%v, want false true true",
+			c.Contains("live"), c.Contains("b"), c.Contains("c"))
 	}
 }
 

@@ -76,8 +76,8 @@ func (f PaymentAuthorizerFunc) Authorize(card string, amountCts int64) (bool, st
 }
 
 // Storefront is the RBE-facing surface of the bookstore: either the
-// in-process Bookstore or a StoreClient invoking a replicated (possibly
-// customer-sharded) store service through Perpetual-WS.
+// in-process Bookstore or a StoreClient invoking a replicated store
+// service through Perpetual-WS.
 type Storefront interface {
 	Execute(i Interaction, s *Session, arg int) (Page, error)
 	Customers() int

@@ -11,22 +11,15 @@ import (
 	"perpetualws/internal/wsengine"
 )
 
-// The bookstore itself as a replicated (and shardable) Perpetual-WS
-// service. The paper's evaluation replicates only the payment tier and
-// runs the store unreplicated; StoreApp closes that gap and, deployed
-// with Shards > 1, partitions the store's state (customers, carts,
-// orders) across independent CLBFT voter groups keyed by customer ID —
-// the flagship sharded workload. All of a customer's state lives on the
-// shard CustomerKey routes to, so carts placed on one interaction are
-// visible to the next.
+// The bookstore itself as a replicated Perpetual-WS service. The
+// paper's evaluation replicates only the payment tier and runs the store
+// unreplicated; StoreApp closes that gap: one voter group holds every
+// customer's carts, sessions and orders, so carts placed on one
+// interaction are visible to the next.
 
 // ActionInteraction is the SOAP action of the store's interaction
 // endpoint.
 const ActionInteraction = "urn:tpcw:interaction"
-
-// CustomerKey is the routing key that pins a customer's interactions
-// (and therefore their cart, session, and orders) to one store shard.
-func CustomerKey(customerID int) string { return "cust:" + strconv.Itoa(customerID) }
 
 // interactionRequest is the wire form of one TPC-W interaction.
 type interactionRequest struct {
@@ -151,9 +144,7 @@ func DecodePage(body []byte) (Page, error) {
 
 // StoreConfig parameterizes a StoreApp replica.
 type StoreConfig struct {
-	// Items and Customers size the replica's DB (every shard loads the
-	// full catalog; customer rows are only ever touched on the shard
-	// their key routes to, so the partitioning is by access, not load).
+	// Items and Customers size the replica's DB.
 	Items, Customers int
 	// PaymentService names the Perpetual-WS payment gateway to call on
 	// buy confirmations; empty authorizes locally with the deterministic
@@ -170,11 +161,9 @@ type StoreConfig struct {
 }
 
 // StoreApp returns the bookstore as a deployable Perpetual-WS
-// application: each replica (of each shard) runs the full TPC-W page
-// logic over its own deterministic DB, holding server-side browser
-// sessions keyed by customer. Deployed with Shards > 1, requests MUST be
-// routed with CustomerKey so a customer's cart and orders stay on one
-// shard.
+// application: each replica runs the full TPC-W page logic over its own
+// deterministic DB, holding server-side browser sessions keyed by
+// customer.
 func StoreApp(cfg StoreConfig) core.Application {
 	if cfg.Items <= 0 {
 		cfg.Items = 1000
@@ -258,9 +247,8 @@ func StoreApp(cfg StoreConfig) core.Application {
 	})
 }
 
-// StoreClient is the Storefront of a remote (replicated, possibly
-// sharded) store service: Execute ships the interaction over
-// Perpetual-WS, routed by the session's customer ID. It is safe for
+// StoreClient is the Storefront of a remote (replicated) store service:
+// Execute ships the interaction over Perpetual-WS. It is safe for
 // concurrent use by many RBE goroutines sharing one handler.
 type StoreClient struct {
 	Handler core.MessageHandler
@@ -286,14 +274,12 @@ func (c *StoreClient) Customers() int {
 	return c.NumCustomers
 }
 
-// Execute implements Storefront: one round trip to the customer's
-// shard.
+// Execute implements Storefront: one round trip to the store.
 func (c *StoreClient) Execute(i Interaction, s *Session, arg int) (Page, error) {
 	req := wsengine.NewMessageContext()
 	req.Options.To = soap.ServiceURI(c.Service)
 	req.Options.Action = ActionInteraction
 	req.Options.TimeoutMillis = c.TimeoutMillis
-	req.Options.RoutingKey = CustomerKey(s.CustomerID)
 	req.Options.ReadOnly = i.IsRead() && !c.ForceAgreement
 	req.Envelope.Body = EncodeInteraction(s.CustomerID, i, arg)
 	reply, err := c.Handler.SendReceive(req)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"perpetualws/internal/core"
-	"perpetualws/internal/perpetual"
 )
 
 func TestInteractionCodecRoundTrip(t *testing.T) {
@@ -23,14 +22,15 @@ func TestInteractionCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// newShardedStoreCluster deploys client -> store (shards × n replicas)
+// newStoreCluster deploys client -> store (one group of n replicas)
 // with local payment authorization.
-func newShardedStoreCluster(t *testing.T, n, shards int) (*core.Cluster, *StoreClient) {
+func newStoreCluster(t *testing.T, n int) *StoreClient {
 	t.Helper()
-	cluster, err := core.NewCluster([]byte("tpcw-shard-test"),
+	cluster, err := core.NewCluster([]byte("tpcw-store-test"),
 		core.ServiceDef{Name: "client", N: 1, Options: fastOpts()},
 		core.ServiceDef{
-			Name: "store", N: n, Shards: shards,
+			Name:    "store",
+			N:       n,
 			App:     StoreApp(StoreConfig{Items: 100, Customers: 64}),
 			Options: fastOpts(),
 		},
@@ -40,39 +40,17 @@ func newShardedStoreCluster(t *testing.T, n, shards int) (*core.Cluster, *StoreC
 	}
 	cluster.Start()
 	t.Cleanup(cluster.Stop)
-	client := &StoreClient{
+	return &StoreClient{
 		Handler:      cluster.Handler("client", 0),
 		Service:      "store",
 		NumCustomers: 64,
 	}
-	return cluster, client
 }
 
-func TestShardedStoreServesAllShards(t *testing.T) {
-	const shards = 2
-	_, client := newShardedStoreCluster(t, 1, shards)
-	served := make(map[int]bool)
-	for cust := 0; cust < 8; cust++ {
-		s := &Session{CustomerID: cust}
-		page, err := client.Execute(Home, s, 0)
-		if err != nil {
-			t.Fatalf("Home for customer %d: %v", cust, err)
-		}
-		if page.Interaction != Home || page.Size == 0 {
-			t.Errorf("customer %d: page %+v", cust, page)
-		}
-		served[perpetual.ShardFor([]byte(CustomerKey(cust)), shards)] = true
-	}
-	if len(served) != shards {
-		t.Errorf("8 customers exercised %d shards, want %d", len(served), shards)
-	}
-}
-
-func TestShardedStoreCartStaysOnCustomerShard(t *testing.T) {
+func TestStoreCartCarriesAcrossInteractions(t *testing.T) {
 	// A customer's cart must survive across interactions: add to cart,
-	// then buy — both must land on the same shard for the order to see
-	// the cart. Run the full flow for customers on every shard.
-	_, client := newShardedStoreCluster(t, 1, 4)
+	// then buy, and the order sees the cart.
+	client := newStoreCluster(t, 1)
 	for cust := 0; cust < 8; cust++ {
 		s := &Session{CustomerID: cust}
 		if _, err := client.Execute(ProductDetail, s, cust*3+1); err != nil {
@@ -91,10 +69,10 @@ func TestShardedStoreCartStaysOnCustomerShard(t *testing.T) {
 	}
 }
 
-func TestShardedStoreWithReplicatedShards(t *testing.T) {
-	// Shards of N=4: each shard is a full BFT group; the page flow still
-	// works end to end.
-	_, client := newShardedStoreCluster(t, 4, 2)
+func TestReplicatedStorePageFlow(t *testing.T) {
+	// A store of N=4 is a full BFT group; the page flow still works end
+	// to end through StoreClient.
+	client := newStoreCluster(t, 4)
 	s := &Session{CustomerID: 5}
 	if _, err := client.Execute(Home, s, 0); err != nil {
 		t.Fatalf("Home: %v", err)
@@ -104,10 +82,10 @@ func TestShardedStoreWithReplicatedShards(t *testing.T) {
 	}
 }
 
-func TestRBEFleetOverShardedStore(t *testing.T) {
-	// The RBE fleet (the paper's load generator) drives the sharded
-	// store through the Storefront seam.
-	_, client := newShardedStoreCluster(t, 1, 2)
+func TestRBEFleetOverStore(t *testing.T) {
+	// The RBE fleet (the paper's load generator) drives the replicated
+	// store service through the Storefront seam.
+	client := newStoreCluster(t, 1)
 	fleet := NewRBEFleet(RBEConfig{Count: 4, ThinkTime: time.Millisecond, Seed: 9}, client)
 	wips := fleet.MeasureWIPS(400 * time.Millisecond)
 	if fleet.Errors() > 0 {

@@ -54,11 +54,6 @@ type Options struct {
 	// TimeoutMillis aborts the request deterministically after this
 	// many milliseconds (setTimeOutInMilliSeconds in the paper).
 	TimeoutMillis int64
-	// RoutingKey selects the shard of a sharded target service: every
-	// replica of the caller maps the same key to the same shard, so
-	// state partitioned by key (e.g. a customer ID) stays on one shard.
-	// Empty routes by the request digest; unsharded targets ignore it.
-	RoutingKey string
 	// ReadOnly declares the operation a read: it does not mutate the
 	// target's state, so the transport may serve it through the
 	// session-tier fast path (speculative execution at f+1 replicas,
