@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -37,12 +38,24 @@ const (
 	calls       = 200
 )
 
+// exitPortTaken is a child's exit status, and errPortTaken the run's
+// error, when a port buildTopology reserved was taken before the child
+// bound it. Such a run is retried once with fresh ports.
+const exitPortTaken = 3
+
+var errPortTaken = errors.New("a reserved port was taken before its replica bound it")
+
 func main() {
 	if os.Getenv(envService) != "" {
 		runChild()
 		return
 	}
-	if err := runParent(); err != nil {
+	err := runParent()
+	if errors.Is(err, errPortTaken) {
+		log.Printf("tcpcluster: %v; retrying with fresh ports", err)
+		err = runParent()
+	}
+	if err != nil {
 		log.Fatalf("tcpcluster: %v", err)
 	}
 }
@@ -62,7 +75,11 @@ func runChild() {
 		App:      bench.IncrementApp(0),
 	})
 	if err != nil {
-		log.Fatalf("tcpcluster child %d: %v", index, err)
+		log.Printf("tcpcluster child %d: %v", index, err)
+		if errors.Is(err, syscall.EADDRINUSE) {
+			os.Exit(exitPortTaken)
+		}
+		os.Exit(1)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -73,6 +90,9 @@ func runChild() {
 		index, ns.FramesOut, ns.BytesOut, ns.FramesIn, ns.BytesIn, ns.QueueDrops, ns.Redials)
 }
 
+// runParent starts the replica processes and drives the calls. A child
+// that exits before the calls are done fails the run at once, with the
+// child's exit status.
 func runParent() error {
 	topoXML, err := buildTopology()
 	if err != nil {
@@ -86,6 +106,15 @@ func runParent() error {
 		return err
 	}
 	var children []*exec.Cmd
+	exited := make(chan *os.ProcessState, targetN)
+	defer func() {
+		for _, c := range children {
+			_ = c.Process.Signal(syscall.SIGTERM)
+		}
+		for range children {
+			<-exited
+		}
+	}()
 	for i := 0; i < targetN; i++ {
 		cmd := exec.Command(self)
 		cmd.Env = append(os.Environ(),
@@ -99,15 +128,11 @@ func runParent() error {
 			return fmt.Errorf("spawning replica %d: %w", i, err)
 		}
 		children = append(children, cmd)
+		go func() {
+			_ = cmd.Wait()
+			exited <- cmd.ProcessState
+		}()
 	}
-	defer func() {
-		for _, c := range children {
-			_ = c.Process.Signal(syscall.SIGTERM)
-		}
-		for _, c := range children {
-			_ = c.Wait()
-		}
-	}()
 
 	topo, err := core.ParseTopology(strings.NewReader(topoXML))
 	if err != nil {
@@ -122,6 +147,23 @@ func runParent() error {
 	defer caller.Stop()
 
 	fmt.Printf("tcpcluster: 4 replica processes + 1 caller process, loopback TCP\n")
+	done := make(chan error, 1)
+	go func() { done <- drive(caller) }()
+	select {
+	case err := <-done:
+		return err
+	case ps := <-exited:
+		exited <- ps // the deferred cleanup waits for every child
+		if ps.ExitCode() == exitPortTaken {
+			return fmt.Errorf("replica process %d: %w", ps.Pid(), errPortTaken)
+		}
+		return fmt.Errorf("replica process %d exited before the run ended: %v", ps.Pid(), ps)
+	}
+}
+
+// drive sends the calls through the caller's node and prints what they
+// measured.
+func drive(caller *core.TCPNode) error {
 	h := caller.Node.Handler()
 	newReq := func() *wsengine.MessageContext {
 		mc := wsengine.NewMessageContext()
@@ -134,6 +176,7 @@ func runParent() error {
 	// Warm up through dials and first agreement, retrying while the
 	// child processes come up.
 	deadline := time.Now().Add(20 * time.Second)
+	var err error
 	for {
 		if _, err = h.SendReceive(newReq()); err == nil {
 			break

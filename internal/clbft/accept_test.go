@@ -144,6 +144,22 @@ func TestAgreementAllocBudget(t *testing.T) {
 	}
 	batch := encodeBatch(inner)
 	var chain Digest
+	r, err := New(Config{ID: 1, N: 4}, clbftNopTransport{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := batch.Digest()
+	frame := votesMsg(Vote{Phase: PhasePrepare, View: 0, Seq: 3, Digest: d},
+		Vote{Phase: PhaseCommit, View: 0, Seq: 1, Digest: d}, Vote{Phase: PhaseCommit, View: 0, Seq: 2, Digest: d}).Encode()
+	var taken []event
+	receive := func() {
+		r.ReceiveEncoded(2, frame)
+		if taken, _ = r.inbox.Take(taken); len(taken) != 3 {
+			t.Fatalf("a frame of 3 votes queued %d events", len(taken))
+		}
+	}
+	receive()
+	receive() // both of the inbox's alternating slices have grown
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -159,6 +175,8 @@ func TestAgreementAllocBudget(t *testing.T) {
 		}},
 		// The body, the OpID string and the Request.
 		{"encodeBatch of 4 operations", 3, func() { encodeBatch(inner) }},
+		// Each vote travels by value from the frame into its event.
+		{"ReceiveEncoded of a prepare and two commits", 0, receive},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got > c.max {
 			t.Errorf("%s: %.0f allocs per run, budget %.0f", c.name, got, c.max)

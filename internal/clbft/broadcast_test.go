@@ -50,8 +50,8 @@ func TestBroadcastLocalFirst(t *testing.T) {
 	req := &Request{OpID: "op-1", Op: []byte("x")}
 	d := req.Digest()
 	for _, backup := range []int{1, 2} {
-		r.Receive(backup, &Message{Type: MsgPrepare, Prepare: &Prepare{View: 0, Seq: 1, Digest: d, Replica: backup}})
-		r.Receive(backup, &Message{Type: MsgCommit, Commit: &Commit{View: 0, Seq: 1, Digest: d, Replica: backup}})
+		r.Receive(backup, votesMsg(Vote{Phase: PhasePrepare, View: 0, Seq: 1, Digest: d}))
+		r.Receive(backup, votesMsg(Vote{Phase: PhaseCommit, View: 0, Seq: 1, Digest: d}))
 	}
 	r.Submit(req.OpID, req.Op)
 
@@ -69,7 +69,7 @@ func TestBroadcastLocalFirst(t *testing.T) {
 type recordingTransport struct {
 	mu    sync.Mutex
 	multi [][]int
-	types []MsgType
+	kinds []string
 	sends int
 }
 
@@ -84,7 +84,7 @@ func (rt *recordingTransport) Multicast(tos []int, m *Message) {
 	defer rt.mu.Unlock()
 	cp := append([]int(nil), tos...)
 	rt.multi = append(rt.multi, cp)
-	rt.types = append(rt.types, m.Type)
+	rt.kinds = append(rt.kinds, kindOf(m))
 }
 
 // TestBroadcastUsesMulticast verifies broadcasts go through the
@@ -112,8 +112,8 @@ func TestBroadcastUsesMulticast(t *testing.T) {
 	// pre-prepare: accepting it completes both certificates at once, so
 	// the prepare and commit broadcasts nest.
 	for _, peer := range []int{2, 3} {
-		r.Receive(peer, &Message{Type: MsgPrepare, Prepare: &Prepare{View: 0, Seq: 1, Digest: d, Replica: peer}})
-		r.Receive(peer, &Message{Type: MsgCommit, Commit: &Commit{View: 0, Seq: 1, Digest: d, Replica: peer}})
+		r.Receive(peer, votesMsg(Vote{Phase: PhasePrepare, View: 0, Seq: 1, Digest: d}))
+		r.Receive(peer, votesMsg(Vote{Phase: PhaseCommit, View: 0, Seq: 1, Digest: d}))
 	}
 	r.Receive(0, &Message{Type: MsgPrePrepare, PrePrepare: &PrePrepare{View: 0, Seq: 1, Digest: d, Request: req}})
 
@@ -144,15 +144,15 @@ func TestBroadcastUsesMulticast(t *testing.T) {
 	// it enabled, even though the commit was decided while the prepare's
 	// local copy was being processed.
 	var prepareAt, commitAt = -1, -1
-	for i, mt := range rt.types {
-		if mt == MsgPrepare && prepareAt == -1 {
+	for i, k := range rt.kinds {
+		if k == "prepare" && prepareAt == -1 {
 			prepareAt = i
 		}
-		if mt == MsgCommit && commitAt == -1 {
+		if k == "commits" && commitAt == -1 {
 			commitAt = i
 		}
 	}
 	if prepareAt == -1 || commitAt == -1 || commitAt < prepareAt {
-		t.Errorf("wire order %v: prepare must precede its commit", rt.types)
+		t.Errorf("wire order %v: prepare must precede its commit", rt.kinds)
 	}
 }

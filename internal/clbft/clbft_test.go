@@ -72,15 +72,34 @@ func (c *testCluster) send(from, to int, m *Message) {
 			return
 		}
 	}
-	// Round-trip through the codec to exercise it under protocol load.
-	decoded, err := DecodeMessage(m.Encode())
-	if err != nil {
-		c.t.Errorf("codec round trip failed for %s: %v", m, err)
+	// Deliver through the codec to exercise it under protocol load.
+	buf := m.Encode()
+	if _, err := DecodeMessage(buf); err != nil {
+		c.t.Errorf("codec round trip failed for %s: %v", m.Type, err)
 		return
 	}
 	if to >= 0 && to < c.n {
-		c.replicas[to].Receive(from, decoded)
+		c.replicas[to].ReceiveEncoded(from, buf)
 	}
+}
+
+// votesMsg is a votes message carrying votes.
+func votesMsg(votes ...Vote) *Message { return &Message{Type: MsgVotes, Votes: votes} }
+
+// kindOf names what a message carries. A votes message is "prepare"
+// when it carries a backup's prepare, and "commits" when it carries
+// commits alone: the flush heartbeat, or a commit without tentative
+// execution.
+func kindOf(m *Message) string {
+	if m.Type != MsgVotes {
+		return m.Type.String()
+	}
+	for _, v := range m.Votes {
+		if v.Phase == PhasePrepare {
+			return "prepare"
+		}
+	}
+	return "commits"
 }
 
 func (c *testCluster) setIntercept(f func(from, to int, m *Message) *Message) {
@@ -326,7 +345,7 @@ func TestViewChangePreservesPreparedRequests(t *testing.T) {
 	phase := make(chan struct{})
 	var once sync.Once
 	c.setIntercept(func(from, to int, m *Message) *Message {
-		if m.Type == MsgCommit {
+		if kindOf(m) == "commits" {
 			once.Do(func() { close(phase) })
 			return nil
 		}

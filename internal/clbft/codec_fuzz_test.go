@@ -2,6 +2,7 @@ package clbft
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -10,14 +11,16 @@ func fuzzSeeds() [][]byte {
 	req := Request{OpID: "req:client:7", Op: []byte("operation body")}
 	batch := encodeBatch([]*Request{&req, {OpID: "req:client:8", Op: []byte("another")}})
 	d := req.Digest()
-	piggy := []Commit{{View: 1, Seq: 6, Digest: d, Replica: 2}}
+	commits := []Vote{{Phase: PhaseCommit, View: 1, Seq: 5, Digest: d}, {Phase: PhaseCommit, View: 1, Seq: 6, Digest: d}}
+	prepare := Vote{Phase: PhasePrepare, View: 1, Seq: 7, Digest: d}
 	vc := ViewChange{NewView: 2, LastStable: 4, StateD: d, Replica: 1,
 		Prepared: []PreparedEntry{{View: 1, Seq: 5, Digest: d, Request: req}, {View: 1, Seq: 6, Request: *NullRequest()}}}
 	msgs := []*Message{
 		{Type: MsgRequest, Request: &req},
-		{Type: MsgPrePrepare, PrePrepare: &PrePrepare{View: 1, Seq: 7, Digest: batch.Digest(), Request: *batch, Piggy: piggy}},
-		{Type: MsgPrepare, Prepare: &Prepare{View: 1, Seq: 7, Digest: d, Replica: 3, Piggy: piggy}},
-		{Type: MsgCommit, Commit: &Commit{View: 1, Seq: 7, Digest: d, Replica: 3}},
+		{Type: MsgPrePrepare, PrePrepare: &PrePrepare{View: 1, Seq: 7, Digest: batch.Digest(), Request: *batch, Piggy: commits}},
+		votesMsg(append([]Vote{prepare}, commits...)...),
+		votesMsg(commits...),
+		votesMsg(),
 		{Type: MsgCheckpoint, Checkpoint: &Checkpoint{Seq: 64, State: d, Replica: 2}},
 		{Type: MsgViewChange, ViewChange: &vc},
 		{Type: MsgNewView, NewView: &NewView{View: 2, ViewChanges: []ViewChange{vc, {NewView: 2, Replica: 2}},
@@ -25,7 +28,6 @@ func fuzzSeeds() [][]byte {
 		{Type: MsgFetch, Fetch: &Fetch{From: 3, To: 12, Replica: 1}},
 		{Type: MsgFetchReply, FetchReply: &FetchReply{From: 3, To: 5,
 			Ops: []FetchedOp{{Seq: 4, Request: req}, {Seq: 5, Request: *NullRequest()}}}},
-		{Type: MsgCommitBatch, CommitBatch: &CommitBatch{Replica: 2, Commits: piggy}},
 	}
 	seeds := make([][]byte, len(msgs))
 	for i, m := range msgs {
@@ -45,13 +47,24 @@ func scribble(b []byte) {
 // re-encodes to bytes that decode to the same encoding (decode∘encode is
 // the identity on accepted input); and, as documented, the result does
 // not alias the input — overwriting the frame afterwards (transports
-// reuse it) changes nothing.
+// reuse it) changes nothing. decodeVotes, which ReceiveEncoded uses,
+// accepts exactly the votes frames DecodeMessage accepts, with the same
+// votes in the same order.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		m, err := DecodeMessage(in)
+		if len(in) > 0 && MsgType(in[0]) == MsgVotes {
+			votes, ok := decodeVotes(in, nil)
+			if ok != (err == nil) {
+				t.Fatalf("decodeVotes accepts: %v, DecodeMessage: %v", ok, err)
+			}
+			if err == nil && !reflect.DeepEqual(votes, m.Votes) {
+				t.Fatalf("decodeVotes yields %v, DecodeMessage %v", votes, m.Votes)
+			}
+		}
 		if err != nil {
 			return
 		}

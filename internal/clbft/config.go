@@ -44,8 +44,8 @@ type Config struct {
 	// only committed history.
 	Tentative bool
 	// CommitFlushDelay bounds how long a piggybacked commit vote may
-	// wait for a carrier message before it is flushed in a standalone
-	// commit-batch frame (the idle heartbeat). Only meaningful with
+	// wait for a carrier message before it is flushed in a votes
+	// message of its own (the idle heartbeat). Only meaningful with
 	// Tentative; defaults to DefaultCommitFlushDelay.
 	CommitFlushDelay time.Duration
 }

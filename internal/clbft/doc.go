@@ -13,10 +13,14 @@
 //     the delivery Tentative; the commit certificate later confirms it,
 //     and a view change that fails to re-propose the same digest rolls
 //     the execution back through the WithRollback handler;
+//   - one vote message: a prepare or a commit is a Vote of (phase,
+//     view, seq, digest), named by its authenticated sender, and votes
+//     travel together in a MsgVotes message that ReceiveEncoded decodes
+//     by value, so a vote allocates nothing on its way to the log;
 //   - commit piggybacking: commit votes ride the next outbound
-//     pre-prepare or prepare instead of going out as standalone frames,
-//     with a short-delay CommitBatch heartbeat as the idle backstop —
-//     under load the commit round costs no extra wire frames;
+//     pre-prepare or prepare instead of going out on their own, with a
+//     short-delay flush heartbeat of commits alone as the idle
+//     backstop — under load the commit round costs no extra wire frames;
 //   - periodic checkpoints with quorum-certified garbage collection of
 //     the message log;
 //   - view changes with new-view certificates, so a faulty primary is

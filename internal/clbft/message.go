@@ -3,7 +3,9 @@ package clbft
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"perpetualws/internal/wire"
 )
@@ -25,42 +27,25 @@ type MsgType uint8
 const (
 	MsgRequest MsgType = iota + 1
 	MsgPrePrepare
-	MsgPrepare
-	MsgCommit
+	MsgVotes
 	MsgCheckpoint
 	MsgViewChange
 	MsgNewView
 	MsgFetch
 	MsgFetchReply
-	MsgCommitBatch
 )
+
+// msgTypeNames are the protocol names of the message types.
+var msgTypeNames = [...]string{MsgRequest: "request", MsgPrePrepare: "pre-prepare", MsgVotes: "votes",
+	MsgCheckpoint: "checkpoint", MsgViewChange: "view-change", MsgNewView: "new-view",
+	MsgFetch: "fetch", MsgFetchReply: "fetch-reply"}
 
 // String returns the protocol name of the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgRequest:
-		return "request"
-	case MsgPrePrepare:
-		return "pre-prepare"
-	case MsgPrepare:
-		return "prepare"
-	case MsgCommit:
-		return "commit"
-	case MsgCheckpoint:
-		return "checkpoint"
-	case MsgViewChange:
-		return "view-change"
-	case MsgNewView:
-		return "new-view"
-	case MsgFetch:
-		return "fetch"
-	case MsgFetchReply:
-		return "fetch-reply"
-	case MsgCommitBatch:
-		return "commit-batch"
-	default:
-		return fmt.Sprintf("msgtype(%d)", uint8(t))
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
+	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
 
 // Request is an operation submitted for ordering. OpID deduplicates
@@ -103,35 +88,26 @@ type PrePrepare struct {
 	Seq     uint64
 	Digest  Digest
 	Request Request
-	Piggy   []Commit
+	Piggy   []Vote
 }
 
-// Prepare is a backup's agreement to the (view, seq, digest) binding.
-// In tentative mode Piggy carries the sender's queued commit votes for
-// earlier sequence numbers.
-type Prepare struct {
-	View    uint64
-	Seq     uint64
-	Digest  Digest
-	Replica int
-	Piggy   []Commit
-}
+// Phase names the round a vote belongs to.
+type Phase uint8
 
-// Commit asserts that the sender has prepared (view, seq, digest).
-type Commit struct {
-	View    uint64
-	Seq     uint64
-	Digest  Digest
-	Replica int
-}
+// Vote phases.
+const (
+	PhasePrepare Phase = iota + 1 // a backup agrees to the (view, seq, digest) binding
+	PhaseCommit                   // the sender has prepared (view, seq, digest)
+)
 
-// CommitBatch is the tentative-mode heartbeat: the sender's queued
-// commit votes, flushed standalone when no pre-prepare or prepare came
-// along to carry them within the commit flush delay. Every carried
-// vote must name the batch's (authenticated) sender.
-type CommitBatch struct {
-	Replica int
-	Commits []Commit
+// Vote is one prepare or commit. It names no replica: channels are
+// pairwise authenticated, so a vote is the sender's, and a replica can
+// vote only for itself.
+type Vote struct {
+	Phase  Phase
+	View   uint64
+	Seq    uint64
+	Digest Digest
 }
 
 // Checkpoint advertises the sender's state digest after executing all
@@ -171,47 +147,21 @@ type NewView struct {
 	PrePrepares []PrePrepare
 }
 
-// Message is the tagged union transported between replicas.
+// Message is the tagged union transported between replicas. A votes
+// message (MsgVotes) carries the sender's prepares and commits in
+// Votes: a backup's prepare with the commits it had queued, the commit
+// flush heartbeat's queued commits alone, or, without tentative
+// execution, one commit.
 type Message struct {
-	Type        MsgType
-	Request     *Request
-	PrePrepare  *PrePrepare
-	Prepare     *Prepare
-	Commit      *Commit
-	Checkpoint  *Checkpoint
-	ViewChange  *ViewChange
-	NewView     *NewView
-	Fetch       *Fetch
-	FetchReply  *FetchReply
-	CommitBatch *CommitBatch
-}
-
-// String summarizes the message for logs.
-func (m *Message) String() string {
-	switch m.Type {
-	case MsgRequest:
-		return fmt.Sprintf("request(op=%s)", m.Request.OpID)
-	case MsgPrePrepare:
-		return fmt.Sprintf("pre-prepare(v=%d n=%d d=%s)", m.PrePrepare.View, m.PrePrepare.Seq, m.PrePrepare.Digest)
-	case MsgPrepare:
-		return fmt.Sprintf("prepare(v=%d n=%d r=%d)", m.Prepare.View, m.Prepare.Seq, m.Prepare.Replica)
-	case MsgCommit:
-		return fmt.Sprintf("commit(v=%d n=%d r=%d)", m.Commit.View, m.Commit.Seq, m.Commit.Replica)
-	case MsgCheckpoint:
-		return fmt.Sprintf("checkpoint(n=%d r=%d)", m.Checkpoint.Seq, m.Checkpoint.Replica)
-	case MsgViewChange:
-		return fmt.Sprintf("view-change(v=%d r=%d)", m.ViewChange.NewView, m.ViewChange.Replica)
-	case MsgNewView:
-		return fmt.Sprintf("new-view(v=%d)", m.NewView.View)
-	case MsgFetch:
-		return fmt.Sprintf("fetch(%d..%d r=%d)", m.Fetch.From, m.Fetch.To, m.Fetch.Replica)
-	case MsgFetchReply:
-		return fmt.Sprintf("fetch-reply(%d..%d %d ops)", m.FetchReply.From, m.FetchReply.To, len(m.FetchReply.Ops))
-	case MsgCommitBatch:
-		return fmt.Sprintf("commit-batch(r=%d %d commits)", m.CommitBatch.Replica, len(m.CommitBatch.Commits))
-	default:
-		return m.Type.String()
-	}
+	Type       MsgType
+	Request    *Request
+	PrePrepare *PrePrepare
+	Votes      []Vote
+	Checkpoint *Checkpoint
+	ViewChange *ViewChange
+	NewView    *NewView
+	Fetch      *Fetch
+	FetchReply *FetchReply
 }
 
 // Encode serializes the message with the wire codec.
@@ -230,11 +180,8 @@ func (m *Message) EncodeTo(w *wire.Writer) {
 		encodeRequest(w, m.Request)
 	case MsgPrePrepare:
 		encodePrePrepare(w, m.PrePrepare)
-	case MsgPrepare:
-		encodeTriple(w, m.Prepare.View, m.Prepare.Seq, m.Prepare.Digest, m.Prepare.Replica)
-		encodePiggy(w, m.Prepare.Piggy)
-	case MsgCommit:
-		encodeTriple(w, m.Commit.View, m.Commit.Seq, m.Commit.Digest, m.Commit.Replica)
+	case MsgVotes:
+		putList(w, m.Votes, encodeVote)
 	case MsgCheckpoint:
 		w.PutUint64(m.Checkpoint.Seq)
 		w.PutBytes(m.Checkpoint.State[:])
@@ -242,32 +189,20 @@ func (m *Message) EncodeTo(w *wire.Writer) {
 	case MsgViewChange:
 		encodeViewChange(w, m.ViewChange)
 	case MsgNewView:
-		nv := m.NewView
-		w.PutUint64(nv.View)
-		w.PutUvarint(uint64(len(nv.ViewChanges)))
-		for i := range nv.ViewChanges {
-			encodeViewChange(w, &nv.ViewChanges[i])
-		}
-		w.PutUvarint(uint64(len(nv.PrePrepares)))
-		for i := range nv.PrePrepares {
-			encodePrePrepare(w, &nv.PrePrepares[i])
-		}
+		w.PutUint64(m.NewView.View)
+		putList(w, m.NewView.ViewChanges, encodeViewChange)
+		putList(w, m.NewView.PrePrepares, encodePrePrepare)
 	case MsgFetch:
 		w.PutUint64(m.Fetch.From)
 		w.PutUint64(m.Fetch.To)
 		w.PutUvarint(uint64(m.Fetch.Replica))
 	case MsgFetchReply:
-		fr := m.FetchReply
-		w.PutUint64(fr.From)
-		w.PutUint64(fr.To)
-		w.PutUvarint(uint64(len(fr.Ops)))
-		for i := range fr.Ops {
-			w.PutUint64(fr.Ops[i].Seq)
-			encodeRequest(w, &fr.Ops[i].Request)
-		}
-	case MsgCommitBatch:
-		w.PutUvarint(uint64(m.CommitBatch.Replica))
-		encodePiggy(w, m.CommitBatch.Commits)
+		w.PutUint64(m.FetchReply.From)
+		w.PutUint64(m.FetchReply.To)
+		putList(w, m.FetchReply.Ops, func(w *wire.Writer, op *FetchedOp) {
+			w.PutUint64(op.Seq)
+			encodeRequest(w, &op.Request)
+		})
 	}
 }
 
@@ -278,73 +213,41 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	m := &Message{Type: MsgType(r.Uint8())}
 	switch m.Type {
 	case MsgRequest:
-		m.Request = decodeRequest(r)
+		req := decodeRequest(r)
+		m.Request = &req
 	case MsgPrePrepare:
-		m.PrePrepare = decodePrePrepare(r)
-	case MsgPrepare:
-		v, n, d, rep := decodeTriple(r)
-		m.Prepare = &Prepare{View: v, Seq: n, Digest: d, Replica: rep}
-		m.Prepare.Piggy = decodePiggy(r)
-	case MsgCommit:
-		v, n, d, rep := decodeTriple(r)
-		m.Commit = &Commit{View: v, Seq: n, Digest: d, Replica: rep}
+		pp := decodePrePrepare(r)
+		m.PrePrepare = &pp
+	case MsgVotes:
+		m.Votes = readVotes(r, nil)
 	case MsgCheckpoint:
 		c := &Checkpoint{Seq: r.Uint64()}
 		copy(c.State[:], r.Bytes())
 		c.Replica = int(r.Uvarint())
 		m.Checkpoint = c
 	case MsgViewChange:
-		m.ViewChange = decodeViewChange(r)
+		vc := decodeViewChange(r)
+		m.ViewChange = &vc
 	case MsgNewView:
 		nv := &NewView{View: r.Uint64()}
-		nvc := int(r.Uvarint())
-		if nvc > maxSliceLen(r) {
-			return nil, fmt.Errorf("clbft: new-view with %d view-changes exceeds input", nvc)
+		nv.ViewChanges = newList[ViewChange](r)
+		for i := range nv.ViewChanges {
+			nv.ViewChanges[i] = decodeViewChange(r)
 		}
-		if nvc > 0 {
-			nv.ViewChanges = make([]ViewChange, 0, nvc)
-		}
-		for i := 0; i < nvc && r.Err() == nil; i++ {
-			vc := decodeViewChange(r)
-			if vc != nil {
-				nv.ViewChanges = append(nv.ViewChanges, *vc)
-			}
-		}
-		npp := int(r.Uvarint())
-		if npp > maxSliceLen(r) {
-			return nil, fmt.Errorf("clbft: new-view with %d pre-prepares exceeds input", npp)
-		}
-		if npp > 0 {
-			nv.PrePrepares = make([]PrePrepare, 0, npp)
-		}
-		for i := 0; i < npp && r.Err() == nil; i++ {
-			pp := decodePrePrepare(r)
-			if pp != nil {
-				nv.PrePrepares = append(nv.PrePrepares, *pp)
-			}
+		nv.PrePrepares = newList[PrePrepare](r)
+		for i := range nv.PrePrepares {
+			nv.PrePrepares[i] = decodePrePrepare(r)
 		}
 		m.NewView = nv
 	case MsgFetch:
 		m.Fetch = &Fetch{From: r.Uint64(), To: r.Uint64(), Replica: int(r.Uvarint())}
 	case MsgFetchReply:
 		fr := &FetchReply{From: r.Uint64(), To: r.Uint64()}
-		nops := int(r.Uvarint())
-		if nops > maxSliceLen(r) {
-			return nil, fmt.Errorf("clbft: fetch-reply with %d ops exceeds input", nops)
-		}
-		if nops > 0 {
-			fr.Ops = make([]FetchedOp, 0, nops)
-		}
-		for i := 0; i < nops && r.Err() == nil; i++ {
-			op := FetchedOp{Seq: r.Uint64()}
-			op.Request = *decodeRequest(r)
-			fr.Ops = append(fr.Ops, op)
+		fr.Ops = newList[FetchedOp](r)
+		for i := range fr.Ops {
+			fr.Ops[i] = FetchedOp{Seq: r.Uint64(), Request: decodeRequest(r)}
 		}
 		m.FetchReply = fr
-	case MsgCommitBatch:
-		cb := &CommitBatch{Replica: int(r.Uvarint())}
-		cb.Commits = decodePiggy(r)
-		m.CommitBatch = cb
 	default:
 		return nil, fmt.Errorf("clbft: unknown message type %d", uint8(m.Type))
 	}
@@ -354,9 +257,57 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-// maxSliceLen bounds decoded slice lengths by the remaining input, so a
-// hostile length prefix cannot trigger a huge allocation.
-func maxSliceLen(r *wire.Reader) int { return r.Remaining() }
+// decodeVotes parses a votes frame by value, appending its votes to dst:
+// ReceiveEncoded's decoder. It accepts exactly the votes frames
+// DecodeMessage accepts, through the same loop.
+func decodeVotes(frame []byte, dst []Vote) ([]Vote, bool) {
+	r := wire.NewReader(frame)
+	if MsgType(r.Uint8()) != MsgVotes {
+		return dst, false
+	}
+	dst = readVotes(r, dst)
+	return dst, r.Done() == nil
+}
+
+// putList writes xs with a length prefix, each element by put.
+func putList[T any](w *wire.Writer, xs []T, put func(*wire.Writer, *T)) {
+	w.PutUvarint(uint64(len(xs)))
+	for i := range xs {
+		put(w, &xs[i])
+	}
+}
+
+// listLen reads a list's length prefix. A count larger than the
+// remaining input fails r and reads as 0, so a hostile prefix cannot
+// trigger a huge allocation.
+func listLen(r *wire.Reader) int {
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		r.Fail(wire.ErrTooLarge)
+		return 0
+	}
+	return int(n)
+}
+
+// newList reads a list's length prefix and returns that many zero
+// elements for the caller to decode into, or nil for none.
+func newList[T any](r *wire.Reader) []T {
+	if n := listLen(r); n > 0 {
+		return make([]T, n)
+	}
+	return nil
+}
+
+// readVotes appends a vote list to dst by value. It is the one vote
+// loop: DecodeMessage passes nil, and decodeVotes its caller's buffer.
+func readVotes(r *wire.Reader, dst []Vote) []Vote {
+	n := listLen(r)
+	dst = slices.Grow(dst, n)
+	for range n {
+		dst = append(dst, decodeVote(r))
+	}
+	return dst
+}
 
 func encodeRequest(w *wire.Writer, req *Request) {
 	w.PutString(req.OpID)
@@ -366,8 +317,8 @@ func encodeRequest(w *wire.Writer, req *Request) {
 // decodeRequest copies Op out of the frame: it is the one copy of an
 // operation a replica makes, and everything downstream (batch entries,
 // the validator's parsed value, the delivery) aliases it.
-func decodeRequest(r *wire.Reader) *Request {
-	return &Request{OpID: r.String(), Op: r.BytesCopy()}
+func decodeRequest(r *wire.Reader) Request {
+	return Request{OpID: r.String(), Op: r.BytesCopy()}
 }
 
 func encodePrePrepare(w *wire.Writer, pp *PrePrepare) {
@@ -375,83 +326,58 @@ func encodePrePrepare(w *wire.Writer, pp *PrePrepare) {
 	w.PutUint64(pp.Seq)
 	w.PutBytes(pp.Digest[:])
 	encodeRequest(w, &pp.Request)
-	encodePiggy(w, pp.Piggy)
+	putList(w, pp.Piggy, encodeVote)
 }
 
-func decodePrePrepare(r *wire.Reader) *PrePrepare {
-	pp := &PrePrepare{View: r.Uint64(), Seq: r.Uint64()}
+func decodePrePrepare(r *wire.Reader) PrePrepare {
+	pp := PrePrepare{View: r.Uint64(), Seq: r.Uint64()}
 	copy(pp.Digest[:], r.Bytes())
-	req := decodeRequest(r)
-	pp.Request = *req
-	pp.Piggy = decodePiggy(r)
+	pp.Request = decodeRequest(r)
+	pp.Piggy = readVotes(r, nil)
 	return pp
 }
 
-func encodePiggy(w *wire.Writer, piggy []Commit) {
-	w.PutUvarint(uint64(len(piggy)))
-	for i := range piggy {
-		encodeTriple(w, piggy[i].View, piggy[i].Seq, piggy[i].Digest, piggy[i].Replica)
-	}
+func encodeVote(w *wire.Writer, v *Vote) {
+	w.PutUint8(uint8(v.Phase))
+	w.PutUint64(v.View)
+	w.PutUint64(v.Seq)
+	w.PutBytes(v.Digest[:])
 }
 
-func decodePiggy(r *wire.Reader) []Commit {
-	n := int(r.Uvarint())
-	if n == 0 || n > maxSliceLen(r) {
-		return nil // empty, or hostile length (sticky error rejects via Done)
-	}
-	piggy := make([]Commit, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v, s, d, rep := decodeTriple(r)
-		piggy = append(piggy, Commit{View: v, Seq: s, Digest: d, Replica: rep})
-	}
-	return piggy
-}
+// errPhase rejects a vote of no known phase.
+var errPhase = errors.New("clbft: vote of unknown phase")
 
-func encodeTriple(w *wire.Writer, view, seq uint64, d Digest, replica int) {
-	w.PutUint64(view)
-	w.PutUint64(seq)
-	w.PutBytes(d[:])
-	w.PutUvarint(uint64(replica))
-}
-
-func decodeTriple(r *wire.Reader) (view, seq uint64, d Digest, replica int) {
-	view = r.Uint64()
-	seq = r.Uint64()
-	copy(d[:], r.Bytes())
-	replica = int(r.Uvarint())
-	return
+func decodeVote(r *wire.Reader) Vote {
+	v := Vote{Phase: Phase(r.Uint8()), View: r.Uint64(), Seq: r.Uint64()}
+	copy(v.Digest[:], r.Bytes())
+	if v.Phase != PhasePrepare && v.Phase != PhaseCommit {
+		r.Fail(errPhase)
+	}
+	return v
 }
 
 func encodeViewChange(w *wire.Writer, vc *ViewChange) {
 	w.PutUint64(vc.NewView)
 	w.PutUint64(vc.LastStable)
 	w.PutBytes(vc.StateD[:])
-	w.PutUvarint(uint64(len(vc.Prepared)))
-	for i := range vc.Prepared {
-		p := &vc.Prepared[i]
+	putList(w, vc.Prepared, func(w *wire.Writer, p *PreparedEntry) {
 		w.PutUint64(p.View)
 		w.PutUint64(p.Seq)
 		w.PutBytes(p.Digest[:])
 		encodeRequest(w, &p.Request)
-	}
+	})
 	w.PutUvarint(uint64(vc.Replica))
 }
 
-func decodeViewChange(r *wire.Reader) *ViewChange {
-	vc := &ViewChange{NewView: r.Uint64(), LastStable: r.Uint64()}
+func decodeViewChange(r *wire.Reader) ViewChange {
+	vc := ViewChange{NewView: r.Uint64(), LastStable: r.Uint64()}
 	copy(vc.StateD[:], r.Bytes())
-	n := int(r.Uvarint())
-	if n > maxSliceLen(r) {
-		return vc // sticky error will reject via Done
-	}
-	if n > 0 {
-		vc.Prepared = make([]PreparedEntry, 0, n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		p := PreparedEntry{View: r.Uint64(), Seq: r.Uint64()}
+	vc.Prepared = newList[PreparedEntry](r)
+	for i := range vc.Prepared {
+		p := &vc.Prepared[i]
+		p.View, p.Seq = r.Uint64(), r.Uint64()
 		copy(p.Digest[:], r.Bytes())
-		p.Request = *decodeRequest(r)
-		vc.Prepared = append(vc.Prepared, p)
+		p.Request = decodeRequest(r)
 	}
 	vc.Replica = int(r.Uvarint())
 	return vc

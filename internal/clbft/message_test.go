@@ -3,6 +3,7 @@ package clbft
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func roundTrip(t *testing.T, m *Message) *Message {
 	t.Helper()
 	got, err := DecodeMessage(m.Encode())
 	if err != nil {
-		t.Fatalf("DecodeMessage(%s): %v", m, err)
+		t.Fatalf("DecodeMessage(%s): %v", m.Type, err)
 	}
 	return got
 }
@@ -37,13 +38,13 @@ func TestPrePrepareCodec(t *testing.T) {
 
 func TestPrepareCommitCodec(t *testing.T) {
 	d := (&Request{OpID: "q"}).Digest()
-	p := &Message{Type: MsgPrepare, Prepare: &Prepare{View: 1, Seq: 2, Digest: d, Replica: 3}}
-	if got := roundTrip(t, p); !reflect.DeepEqual(got.Prepare, p.Prepare) {
-		t.Errorf("prepare: got %+v", got.Prepare)
+	m := votesMsg(Vote{Phase: PhasePrepare, View: 1, Seq: 2, Digest: d}, Vote{Phase: PhaseCommit, View: 1, Seq: 1, Digest: d})
+	if got := roundTrip(t, m); !reflect.DeepEqual(got.Votes, m.Votes) {
+		t.Errorf("votes: got %+v", got.Votes)
 	}
-	c := &Message{Type: MsgCommit, Commit: &Commit{View: 1, Seq: 2, Digest: d, Replica: 3}}
-	if got := roundTrip(t, c); !reflect.DeepEqual(got.Commit, c.Commit) {
-		t.Errorf("commit: got %+v", got.Commit)
+	bad := votesMsg(Vote{Phase: PhaseCommit + 1, View: 1, Seq: 2, Digest: d})
+	if _, err := DecodeMessage(bad.Encode()); err == nil {
+		t.Error("a vote of unknown phase decoded")
 	}
 }
 
@@ -155,23 +156,15 @@ func TestNullRequest(t *testing.T) {
 	}
 }
 
+// TestMessageStringCoversTypes: every message type has its own name.
 func TestMessageStringCoversTypes(t *testing.T) {
-	req := Request{OpID: "s"}
-	msgs := []*Message{
-		{Type: MsgRequest, Request: &req},
-		{Type: MsgPrePrepare, PrePrepare: &PrePrepare{Request: req}},
-		{Type: MsgPrepare, Prepare: &Prepare{}},
-		{Type: MsgCommit, Commit: &Commit{}},
-		{Type: MsgCheckpoint, Checkpoint: &Checkpoint{}},
-		{Type: MsgViewChange, ViewChange: &ViewChange{}},
-		{Type: MsgNewView, NewView: &NewView{}},
-		{Type: MsgFetch, Fetch: &Fetch{}},
-		{Type: MsgFetchReply, FetchReply: &FetchReply{}},
-	}
-	for _, m := range msgs {
-		if s := m.String(); s == "" {
-			t.Errorf("empty String for %v", m.Type)
+	seen := make(map[string]bool)
+	for mt := MsgRequest; mt <= MsgFetchReply; mt++ {
+		s := mt.String()
+		if strings.HasPrefix(s, "msgtype(") || seen[s] {
+			t.Errorf("type %d is named %q", mt, s)
 		}
+		seen[s] = true
 	}
 }
 

@@ -22,12 +22,12 @@ func newLaggard(t *testing.T, rt *recordingTransport, timeout time.Duration) (*R
 	d := req.Digest()
 	r.handle(event{kind: evSubmit, now: t0, req: &req})
 	for _, from := range []int{1, 2} {
-		r.handle(event{kind: evMessage, now: t0, from: from,
-			msg: &Message{Type: MsgPrepare, Prepare: &Prepare{View: 0, Seq: 1, Digest: d, Replica: from}}})
+		r.handle(event{kind: evVote, now: t0, from: from,
+			vote: Vote{Phase: PhasePrepare, View: 0, Seq: 1, Digest: d}})
 	}
 	for _, from := range []int{0, 1, 2} {
-		r.handle(event{kind: evMessage, now: t0, from: from,
-			msg: &Message{Type: MsgCommit, Commit: &Commit{View: 0, Seq: 1, Digest: d, Replica: from}}})
+		r.handle(event{kind: evVote, now: t0, from: from,
+			vote: Vote{Phase: PhaseCommit, View: 0, Seq: 1, Digest: d}})
 	}
 	return r, &delivered, req
 }
@@ -52,7 +52,7 @@ func TestLaggardProbesBeforeSuspecting(t *testing.T) {
 	if r.inViewChange || r.View() != 0 {
 		t.Fatal("the laggard suspected the primary instead of probing its peers")
 	}
-	if got := countType(rt, MsgFetch); got != 1 || len(rt.multi[len(rt.multi)-1]) != 3 {
+	if got := countKind(rt, "fetch"); got != 1 || len(rt.multi[len(rt.multi)-1]) != 3 {
 		t.Fatalf("the suspicion fire sent %d probes, want 1 to every peer", got)
 	}
 	if !r.due[timerSuspect].Equal(due.Add(timeout)) {
@@ -97,9 +97,9 @@ func TestLaggardProbesBeforeSuspecting(t *testing.T) {
 	r, delivered, _ = newLaggard(t, rt, timeout)
 	fire(r, timerSuspect, due)
 	fire(r, timerSuspect, due.Add(timeout))
-	if !r.inViewChange || r.View() != 1 || countType(rt, MsgFetch) != 1 || len(*delivered) != 0 {
+	if !r.inViewChange || r.View() != 1 || countKind(rt, "fetch") != 1 || len(*delivered) != 0 {
 		t.Fatalf("an unanswered probe: view %d, in view change %v, %d probes; want view 1 after one probe",
-			r.View(), r.inViewChange, countType(rt, MsgFetch))
+			r.View(), r.inViewChange, countKind(rt, "fetch"))
 	}
 }
 
@@ -114,8 +114,8 @@ func TestFetchServesOnlyCommittedHistory(t *testing.T) {
 	d := req.Digest()
 	r.handle(event{kind: evMessage, now: t0, from: 0,
 		msg: &Message{Type: MsgPrePrepare, PrePrepare: &PrePrepare{View: 0, Seq: 1, Digest: d, Request: req}}})
-	r.handle(event{kind: evMessage, now: t0, from: 2,
-		msg: &Message{Type: MsgPrepare, Prepare: &Prepare{View: 0, Seq: 1, Digest: d, Replica: 2}}})
+	r.handle(event{kind: evVote, now: t0, from: 2,
+		vote: Vote{Phase: PhasePrepare, View: 0, Seq: 1, Digest: d}})
 	if r.lastExec != 1 || r.lastCommitted != 0 {
 		t.Fatalf("prepared: last executed %d, last committed %d; want a tentative execution", r.lastExec, r.lastCommitted)
 	}
@@ -125,8 +125,8 @@ func TestFetchServesOnlyCommittedHistory(t *testing.T) {
 		t.Fatal("a tentatively executed request was served")
 	}
 	for _, from := range []int{0, 2} {
-		r.handle(event{kind: evMessage, now: t0, from: from,
-			msg: &Message{Type: MsgCommit, Commit: &Commit{View: 0, Seq: 1, Digest: d, Replica: from}}})
+		r.handle(event{kind: evVote, now: t0, from: from,
+			vote: Vote{Phase: PhaseCommit, View: 0, Seq: 1, Digest: d}})
 	}
 	r.handle(event{kind: evMessage, now: t0, from: 3, msg: fetch})
 	if r.lastCommitted != 1 || rt.sends != 1 {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"log"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -67,6 +68,7 @@ type eventKind uint8
 const (
 	evStart eventKind = iota + 1
 	evMessage
+	evVote
 	evSubmit
 	evFire
 	evStop
@@ -85,13 +87,15 @@ const (
 )
 
 // event is one input to the replica. now is the time the loop shell
-// handed it to handle; it is the only clock a handler sees.
+// handed it to handle; it is the only clock a handler sees. A vote
+// travels by value: a votes message enters as one event per vote.
 type event struct {
 	kind  eventKind
 	timer timerKind
 	now   time.Time
 	from  int
 	msg   *Message
+	vote  Vote
 	req   *Request
 	debug *debugRequest
 }
@@ -138,7 +142,7 @@ type Replica struct {
 	// or the flush heartbeat fires.
 	lastCommitted uint64
 	chainAt       map[uint64]Digest
-	pendingPiggy  []Commit
+	pendingPiggy  []Vote
 
 	pending      map[string]*pendingReq
 	pendingOrder []string
@@ -360,8 +364,34 @@ func (r *Replica) Receive(from int, m *Message) {
 	if from < 0 || from >= r.cfg.N || m == nil {
 		return
 	}
+	if m.Type == MsgVotes {
+		r.receiveVotes(from, m.Votes)
+		return
+	}
 	// Dropped on overflow: blocking here could deadlock the transport.
 	r.inbox.Put(event{kind: evMessage, from: from, msg: m}, true)
+}
+
+// ReceiveEncoded is Receive for a message still in its wire form, which
+// it does not retain. A votes frame decodes straight into events, so
+// its votes allocate nothing on their way to the log.
+func (r *Replica) ReceiveEncoded(from int, buf []byte) {
+	if from < 0 || from >= r.cfg.N {
+		return
+	}
+	var stack [16]Vote
+	if votes, ok := decodeVotes(buf, stack[:0]); ok {
+		r.receiveVotes(from, votes)
+	} else if m, err := DecodeMessage(buf); err == nil {
+		r.Receive(from, m)
+	}
+}
+
+// receiveVotes enqueues one event per vote, in order.
+func (r *Replica) receiveVotes(from int, votes []Vote) {
+	for _, v := range votes {
+		r.inbox.Put(event{kind: evVote, from: from, vote: v}, true)
+	}
 }
 
 // View returns the replica's current view.
@@ -490,6 +520,8 @@ func (r *Replica) handle(ev event) {
 		r.onSubmit(ev.req)
 	case evMessage:
 		r.onMessage(ev.from, ev.msg)
+	case evVote:
+		r.onVote(ev.from, ev.vote)
 	case evFire:
 		r.onFire(ev.timer)
 	case evDebug:
@@ -557,21 +589,23 @@ func (r *Replica) broadcast(m *Message) {
 // attachPiggy hands queued commit votes to an outgoing pre-prepare or
 // prepare: the carrier frame was being paid for anyway, so the votes
 // travel free. Votes recorded here were already counted locally (the
-// sender's own commit), so only the wire copy is deferred.
+// sender's own commit), so only the wire copy is deferred. Nothing is
+// queued without tentative execution, so the votes message that takes
+// them is always a backup's prepare.
 func (r *Replica) attachPiggy(m *Message) {
-	if !r.cfg.Tentative || len(r.pendingPiggy) == 0 {
+	if len(r.pendingPiggy) == 0 {
 		return
 	}
 	switch m.Type {
 	case MsgPrePrepare:
-		m.PrePrepare.Piggy = r.pendingPiggy
-	case MsgPrepare:
-		m.Prepare.Piggy = r.pendingPiggy
+		m.PrePrepare.Piggy = slices.Clone(r.pendingPiggy)
+	case MsgVotes:
+		m.Votes = append(m.Votes, r.pendingPiggy...)
 	default:
 		return
 	}
 	r.piggyVotes.Add(uint64(len(r.pendingPiggy)))
-	r.pendingPiggy = nil
+	r.pendingPiggy = r.pendingPiggy[:0]
 	// The carrier drained the queue: disarm the heartbeat so it measures
 	// carrier-less idle time from the next queued vote, instead of firing
 	// mid-traffic and paying a standalone frame for votes the next
@@ -579,7 +613,7 @@ func (r *Replica) attachPiggy(m *Message) {
 	r.disarm(timerFlush)
 }
 
-// armFlush schedules the commit-batch heartbeat: if no carrier message
+// armFlush schedules the commit flush heartbeat: if no carrier message
 // picks the queued votes up within CommitFlushDelay, they go out in
 // their own frame so peers' committed horizons (and with them
 // checkpoints and reply stability) keep advancing when traffic stops.
@@ -597,10 +631,10 @@ func (r *Replica) flushPiggy() {
 	if len(r.pendingPiggy) == 0 {
 		return
 	}
-	cb := &CommitBatch{Replica: r.cfg.ID, Commits: r.pendingPiggy}
-	r.pendingPiggy = nil
+	m := &Message{Type: MsgVotes, Votes: slices.Clone(r.pendingPiggy)}
+	r.pendingPiggy = r.pendingPiggy[:0]
 	r.disarm(timerFlush)
-	r.multicastOthers(&Message{Type: MsgCommitBatch, CommitBatch: cb})
+	r.multicastOthers(m)
 }
 
 // multicastOthers sends m to every group member but this one in one
@@ -748,15 +782,12 @@ func (r *Replica) onMessage(from int, m *Message) {
 		r.onRequest(from, m.Request)
 	case MsgPrePrepare:
 		r.onPrePrepare(from, m.PrePrepare)
-		r.onPiggy(from, m.PrePrepare.Piggy)
-	case MsgPrepare:
-		r.onPrepare(from, m.Prepare)
-		r.onPiggy(from, m.Prepare.Piggy)
-	case MsgCommit:
-		r.onCommit(from, m.Commit)
-	case MsgCommitBatch:
-		if m.CommitBatch.Replica == from {
-			r.onPiggy(from, m.CommitBatch.Commits)
+		for _, v := range m.PrePrepare.Piggy {
+			r.onVote(from, v)
+		}
+	case MsgVotes:
+		for _, v := range m.Votes {
+			r.onVote(from, v)
 		}
 	case MsgCheckpoint:
 		r.onCheckpoint(from, m.Checkpoint)
@@ -816,8 +847,9 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	r.log.prePrepare(e, &req, digest, ops)
 
 	if r.cfg.ID != r.cfg.PrimaryOf(pp.View) && !r.joining() {
-		p := &Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: r.cfg.ID}
-		r.broadcast(&Message{Type: MsgPrepare, Prepare: p})
+		votes := make([]Vote, 1, 1+len(r.pendingPiggy))
+		votes[0] = Vote{Phase: PhasePrepare, View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
+		r.broadcast(&Message{Type: MsgVotes, Votes: votes})
 	}
 	// An accepted-but-unexecuted request is outstanding work: arm the
 	// suspicion timer so a primary that equivocates or stalls after
@@ -826,36 +858,28 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	r.maybePrepared(e)
 }
 
-func (r *Replica) onPrepare(from int, p *Prepare) {
-	if p == nil || p.View != r.view || r.inViewChange {
+// onVote records replica from's prepare or commit. Votes arriving
+// before the pre-prepare are recorded with their claimed digest and
+// only counted once the pre-prepare fixes the entry's digest.
+func (r *Replica) onVote(from int, v Vote) {
+	if v.View != r.view || r.inViewChange {
 		return
 	}
-	if from == r.cfg.PrimaryOf(p.View) {
-		return // the primary's pre-prepare is its prepare
+	if v.Seq <= r.h || v.Seq > r.h+r.cfg.LogWindow() {
+		return // outside watermarks
 	}
-	if p.Seq <= r.h || p.Seq > r.h+r.cfg.LogWindow() {
-		return
-	}
-	if p.Replica != from {
-		return // claimed identity must match authenticated sender
-	}
-	e := r.log.get(p.View, p.Seq)
-	// Votes arriving before the pre-prepare are recorded with their
-	// claimed digest and only counted once the pre-prepare fixes the
-	// entry's digest.
-	e.setPrepare(from, p.Digest)
-	r.maybePrepared(e)
-}
-
-// onPiggy processes commit votes carried by another message. Each vote
-// must name the authenticated sender — a replica can only piggyback
-// its own commits.
-func (r *Replica) onPiggy(from int, piggy []Commit) {
-	for i := range piggy {
-		if piggy[i].Replica != from {
-			continue
+	switch v.Phase {
+	case PhasePrepare:
+		if from == r.cfg.PrimaryOf(v.View) {
+			return // the primary's pre-prepare is its prepare
 		}
-		r.onCommit(from, &piggy[i])
+		e := r.log.get(v.View, v.Seq)
+		e.setPrepare(from, v.Digest)
+		r.maybePrepared(e)
+	case PhaseCommit:
+		e := r.log.get(v.View, v.Seq)
+		e.setCommit(from, v.Digest)
+		r.maybeCommitted(e)
 	}
 }
 
@@ -875,7 +899,7 @@ func (r *Replica) maybePrepared(e *entry) {
 	// quorum membership vouches for.
 	if !e.sentCommit && !r.joining() {
 		e.sentCommit = true
-		c := Commit{View: e.view, Seq: e.seq, Digest: e.digest, Replica: r.cfg.ID}
+		c := Vote{Phase: PhaseCommit, View: e.view, Seq: e.seq, Digest: e.digest}
 		if r.cfg.Tentative {
 			// Count the own vote immediately; the wire copy rides the
 			// next pre-prepare/prepare or the flush heartbeat instead
@@ -887,27 +911,12 @@ func (r *Replica) maybePrepared(e *entry) {
 			}
 			r.maybeCommitted(e)
 		} else {
-			r.broadcast(&Message{Type: MsgCommit, Commit: &c})
+			r.broadcast(&Message{Type: MsgVotes, Votes: []Vote{c}})
 		}
 	}
 	if r.cfg.Tentative && !e.committed {
 		r.executeReady() // the prepared certificate may unlock tentative execution
 	}
-}
-
-func (r *Replica) onCommit(from int, c *Commit) {
-	if c == nil || c.View != r.view || r.inViewChange {
-		return
-	}
-	if c.Seq <= r.h || c.Seq > r.h+r.cfg.LogWindow() {
-		return
-	}
-	if c.Replica != from {
-		return
-	}
-	e := r.log.get(c.View, c.Seq)
-	e.setCommit(from, c.Digest)
-	r.maybeCommitted(e)
 }
 
 func (r *Replica) maybeCommitted(e *entry) {

@@ -113,12 +113,12 @@ func TestTentativeExecRollsBackOnViewChange(t *testing.T) {
 			if m.PrePrepare.Seq >= 2 && to != 2 && to != 3 {
 				return nil
 			}
-		case MsgPrepare:
-			if m.Prepare.Seq >= 2 && !(from == 2 && to == 3) {
+		case MsgVotes:
+			// A prepare leads its message; the commits it carries pass
+			// with it.
+			if kindOf(m) == "commits" || m.Votes[0].Seq >= 2 && !(from == 2 && to == 3) {
 				return nil
 			}
-		case MsgCommit, MsgCommitBatch:
-			return nil
 		}
 		return m
 	})
@@ -187,10 +187,9 @@ func TestTentativeExecRollsBackOnViewChange(t *testing.T) {
 
 // TestCommitVotesPiggybackUnderLoad asserts the frame-floor claim at
 // the protocol layer: with tentative execution on and traffic flowing,
-// commit votes ride pre-prepare and prepare carriers. Standalone
-// MsgCommit frames must not appear at all, and the commit-batch
-// heartbeat must stay a quiescence backstop — a bounded trickle, not a
-// per-sequence stream.
+// commit votes ride pre-prepare and prepare carriers. A frame of
+// commits alone comes only from the flush heartbeat, which must stay a
+// quiescence backstop — a bounded trickle, not a per-sequence stream.
 func TestCommitVotesPiggybackUnderLoad(t *testing.T) {
 	// A long flush delay isolates the carrier path: any vote moved by
 	// the heartbeat instead of a carrier would need a 50ms stall.
@@ -201,10 +200,10 @@ func TestCommitVotesPiggybackUnderLoad(t *testing.T) {
 	const ops = 30
 
 	var statMu sync.Mutex
-	frames := make(map[MsgType]int)
+	frames := make(map[string]int)
 	c.setIntercept(func(from, to int, m *Message) *Message {
 		statMu.Lock()
-		frames[m.Type]++
+		frames[kindOf(m)]++
 		statMu.Unlock()
 		return m
 	})
@@ -225,11 +224,8 @@ func TestCommitVotesPiggybackUnderLoad(t *testing.T) {
 	c.checkConsistent(ops)
 
 	statMu.Lock()
-	standalone, batches := frames[MsgCommit], frames[MsgCommitBatch]
+	batches := frames["commits"]
 	statMu.Unlock()
-	if standalone != 0 {
-		t.Errorf("%d standalone MsgCommit frames sent; tentative mode must queue every vote", standalone)
-	}
 	var piggy uint64
 	for _, r := range c.replicas {
 		n := r.PiggybackedCommits()
@@ -245,6 +241,6 @@ func TestCommitVotesPiggybackUnderLoad(t *testing.T) {
 		t.Errorf("only %d of >= %d commit votes piggybacked on carriers", piggy, 4*ops)
 	}
 	if batches > ops/2 {
-		t.Errorf("%d commit-batch heartbeat frames for %d ops; the flush timer is stealing votes from carriers", batches, ops)
+		t.Errorf("%d heartbeat frames of commits alone for %d ops; the flush timer is stealing votes from carriers", batches, ops)
 	}
 }

@@ -31,13 +31,13 @@ func fire(r *Replica, k timerKind, at time.Time) {
 	r.handle(event{kind: evFire, timer: k, now: at})
 }
 
-// countType counts the multicasts of type mt rt recorded.
-func countType(rt *recordingTransport, mt MsgType) int {
+// countKind counts the multicasts of kind k (see kindOf) rt recorded.
+func countKind(rt *recordingTransport, k string) int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	n := 0
-	for _, got := range rt.types {
-		if got == mt {
+	for _, got := range rt.kinds {
+		if got == k {
 			n++
 		}
 	}
@@ -129,22 +129,22 @@ func TestTimersDropStaleFires(t *testing.T) {
 	d := req.Digest()
 	r.handle(event{kind: evMessage, now: t0, from: 0,
 		msg: &Message{Type: MsgPrePrepare, PrePrepare: &PrePrepare{View: 0, Seq: 1, Digest: d, Request: req}}})
-	r.handle(event{kind: evMessage, now: t0, from: 2,
-		msg: &Message{Type: MsgPrepare, Prepare: &Prepare{View: 0, Seq: 1, Digest: d, Replica: 2}}})
+	r.handle(event{kind: evVote, now: t0, from: 2,
+		vote: Vote{Phase: PhasePrepare, View: 0, Seq: 1, Digest: d}})
 	due = t0.Add(time.Hour)
 	if len(r.pendingPiggy) != 1 || !r.due[timerFlush].Equal(due) {
 		t.Fatalf("prepared: %d queued votes, flush due %v; want 1 vote due %v", len(r.pendingPiggy), r.due[timerFlush], due)
 	}
 	fire(r, timerFlush, due.Add(-time.Nanosecond))
-	if len(r.pendingPiggy) != 1 || countType(rt, MsgCommitBatch) != 0 {
+	if len(r.pendingPiggy) != 1 || countKind(rt, "commits") != 0 {
 		t.Fatal("an early fire flushed the queued votes")
 	}
 	fire(r, timerFlush, due)
-	if len(r.pendingPiggy) != 0 || countType(rt, MsgCommitBatch) != 1 {
+	if len(r.pendingPiggy) != 0 || countKind(rt, "commits") != 1 {
 		t.Fatal("the flush timer's due fire did not send the queued votes")
 	}
 	fire(r, timerFlush, due.Add(time.Hour))
-	if countType(rt, MsgCommitBatch) != 1 || r.armed(timerFlush) {
+	if countKind(rt, "commits") != 1 || r.armed(timerFlush) {
 		t.Fatal("a fire for the disarmed flush timer acted or re-armed it")
 	}
 }
@@ -171,16 +171,16 @@ func TestJoinRetry(t *testing.T) {
 	}
 
 	r.handle(event{kind: evStart, now: t0})
-	if got := countType(rt, MsgFetch); got != 1 || len(rt.multi[0]) != r.cfg.WeakQuorum() {
+	if got := countKind(rt, "fetch"); got != 1 || len(rt.multi[0]) != r.cfg.WeakQuorum() {
 		t.Fatalf("start: %d fetches to %v, want 1 to f+1 = %d peers", got, rt.multi, r.cfg.WeakQuorum())
 	}
 	retry := t0.Add(timeout / 2)
 	fire(r, timerJoin, retry.Add(-time.Nanosecond))
-	if got := countType(rt, MsgFetch); got != 1 {
+	if got := countKind(rt, "fetch"); got != 1 {
 		t.Fatalf("an early join fire sent a fetch (%d in all)", got)
 	}
 	fire(r, timerJoin, retry)
-	if got := countType(rt, MsgFetch); got != 2 || !r.due[timerJoin].Equal(retry.Add(timeout/2)) {
+	if got := countKind(rt, "fetch"); got != 2 || !r.due[timerJoin].Equal(retry.Add(timeout/2)) {
 		t.Fatalf("the due join fire: %d fetches in all, re-armed for %v; want 2 and %v",
 			got, r.due[timerJoin], retry.Add(timeout/2))
 	}
@@ -191,7 +191,7 @@ func TestJoinRetry(t *testing.T) {
 		t.Fatalf("after the fetch reply: joining %v, delivered %v", r.joining(), delivered)
 	}
 	fire(r, timerJoin, retry.Add(timeout/2))
-	if got := countType(rt, MsgFetch); got != 2 || r.armed(timerJoin) {
+	if got := countKind(rt, "fetch"); got != 2 || r.armed(timerJoin) {
 		t.Fatalf("a caught-up replica's join fire: %d fetches in all, join timer armed %v", got, r.armed(timerJoin))
 	}
 }

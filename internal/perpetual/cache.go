@@ -8,8 +8,22 @@ package perpetual
 // owner's mutex.
 type boundedCache[V any] struct {
 	max   int
-	items map[string]V
-	order []string // insertion order; evictions pop the front
+	items map[string]slotted[V]
+	order []slot // insertion order; evictions pop the front
+	next  uint64 // the stamp of the next insertion
+}
+
+// slot is one insertion of key. A key deleted and put again has a newer
+// slot, and evicting its older one must not take it.
+type slot struct {
+	key   string
+	stamp uint64
+}
+
+// slotted is a live value and the stamp of its key's current slot.
+type slotted[V any] struct {
+	v     V
+	stamp uint64
 }
 
 func newBoundedCache[V any](max int) *boundedCache[V] {
@@ -19,13 +33,13 @@ func newBoundedCache[V any](max int) *boundedCache[V] {
 	// The map starts empty and grows with use: max is an abuse bound,
 	// not an expected size, and preallocating it for every cache of
 	// every replica wastes megabytes per deployment.
-	return &boundedCache[V]{max: max, items: make(map[string]V)}
+	return &boundedCache[V]{max: max, items: make(map[string]slotted[V])}
 }
 
 // Get returns the cached value for key.
 func (c *boundedCache[V]) Get(key string) (V, bool) {
-	v, ok := c.items[key]
-	return v, ok
+	e, ok := c.items[key]
+	return e.v, ok
 }
 
 // Contains reports whether key is cached.
@@ -37,17 +51,20 @@ func (c *boundedCache[V]) Contains(key string) bool {
 // Put inserts or replaces the value for key, evicting the oldest entry
 // if the cache is full.
 func (c *boundedCache[V]) Put(key string, v V) {
-	if _, exists := c.items[key]; exists {
-		c.items[key] = v
+	if e, exists := c.items[key]; exists {
+		c.items[key] = slotted[V]{v, e.stamp}
 		return
 	}
 	for len(c.items) >= c.max && len(c.order) > 0 {
 		oldest := c.order[0]
 		c.order = c.order[1:]
-		delete(c.items, oldest)
+		if c.current(oldest) {
+			delete(c.items, oldest.key)
+		}
 	}
-	c.items[key] = v
-	c.order = append(c.order, key)
+	c.items[key] = slotted[V]{v, c.next}
+	c.order = append(c.order, slot{key, c.next})
+	c.next++
 	// Deletes leave stale slots in order; without compaction a workload
 	// that deletes most entries (the parked-outcome table) grows order —
 	// and the evicted backing array behind it — without bound.
@@ -56,21 +73,19 @@ func (c *boundedCache[V]) Put(key string, v V) {
 	}
 }
 
-// compact rewrites order to the live keys, keeping FIFO order (first
-// live occurrence wins; re-inserted keys keep their newest slot only if
-// no older slot survives, an acceptable approximation for eviction).
+// current reports whether s is its key's live slot.
+func (c *boundedCache[V]) current(s slot) bool {
+	e, ok := c.items[s.key]
+	return ok && e.stamp == s.stamp
+}
+
+// compact rewrites order to the live slots, keeping FIFO order.
 func (c *boundedCache[V]) compact() {
-	seen := make(map[string]struct{}, len(c.items))
-	kept := make([]string, 0, len(c.items))
-	for _, k := range c.order {
-		if _, live := c.items[k]; !live {
-			continue
+	kept := make([]slot, 0, len(c.items))
+	for _, s := range c.order {
+		if c.current(s) {
+			kept = append(kept, s)
 		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		kept = append(kept, k)
 	}
 	c.order = kept
 }

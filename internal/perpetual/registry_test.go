@@ -107,6 +107,18 @@ func TestBoundedCacheEviction(t *testing.T) {
 	if v, _ := c.Get("b"); v != 20 {
 		t.Errorf("b = %d", v)
 	}
+	// A key deleted and put again is as new as its last Put: its first
+	// slot must not evict it ahead of older live keys.
+	c = newBoundedCache[int](2)
+	c.Put("a", 1)
+	c.Delete("a")
+	c.Put("b", 2)
+	c.Put("a", 3)
+	c.Put("c", 4)
+	if c.Contains("b") || !c.Contains("a") || !c.Contains("c") {
+		t.Errorf("after put a, delete a, put b, a, c at max 2: a %v, b %v, c %v; want a and c",
+			c.Contains("a"), c.Contains("b"), c.Contains("c"))
+	}
 }
 
 func TestBoundedCacheDelete(t *testing.T) {
@@ -153,8 +165,12 @@ func TestBoundedCacheCompaction(t *testing.T) {
 	// Three stale slots now trail "live", so this Put compacts order
 	// with two live keys in it, and the next Put must evict the older.
 	c.Put("b", 1)
-	if want := []string{"live", "b"}; !slices.Equal(c.order, want) {
-		t.Fatalf("order after compaction = %v, want %v", c.order, want)
+	var keys []string
+	for _, s := range c.order {
+		keys = append(keys, s.key)
+	}
+	if want := []string{"live", "b"}; !slices.Equal(keys, want) {
+		t.Fatalf("order after compaction = %v, want %v", keys, want)
 	}
 	c.Put("c", 2) // evicts "live", the oldest live key
 	if c.Contains("live") || !c.Contains("b") || !c.Contains("c") {

@@ -310,11 +310,7 @@ func (v *voter) handleTransport(from auth.NodeID, payload []byte) {
 		if from.Service != v.svc.Name || from.Role != auth.RoleVoter {
 			return // only group members speak CLBFT
 		}
-		bm, err := clbft.DecodeMessage(m.BFT)
-		if err != nil {
-			return
-		}
-		v.bft().Receive(from.Index, bm)
+		v.bft().ReceiveEncoded(from.Index, m.BFT)
 	case KindReplyShare:
 		v.handleReplyShare(from, m.ReplyShare)
 	case KindPayloadFetch:
